@@ -64,8 +64,6 @@ class GaloisCover:
         "kind",
         "prec",
         "intermediate",
-        "uniformizer_name",
-        "base_symbol",
         "_rebuild",
         "_y_in_s",
         "_a_exp",
@@ -87,6 +85,11 @@ class GaloisCover:
         prec: int,
         intermediate: TowerParts | None = None,
         rebuild: Callable[[int], "GaloisCover"] | None = None,
+        y_in_s: LaurentSeries | None = None,
+        a_exp: int | None = None,
+        b: int | None = None,
+        m: int | None = None,
+        zeta: FieldElement | None = None,
     ):
         self.base_field = base_field
         self.p = base_field.p
@@ -98,14 +101,12 @@ class GaloisCover:
         self.kind = kind
         self.prec = prec
         self.intermediate = intermediate
-        self.uniformizer_name = "s"
-        self.base_symbol = "t"
         self._rebuild = rebuild
-        self._y_in_s = None
-        self._a_exp = None
-        self._b = None
-        self._m = None
-        self._zeta = None
+        self._y_in_s = y_in_s
+        self._a_exp = a_exp
+        self._b = b
+        self._m = m
+        self._zeta = zeta
 
     def rebuild(self, prec: int) -> "GaloisCover":
         if self._rebuild is None:
@@ -352,7 +353,7 @@ def build_artin_schreier(
         "y + 1 action",
     )
 
-    cover = GaloisCover(
+    return GaloisCover(
         base_field=base,
         group=group,
         t_in_s=t_in_s,
@@ -362,12 +363,11 @@ def build_artin_schreier(
         kind="artin_schreier",
         prec=target,
         rebuild=lambda pr, _base=base, _f=f: build_artin_schreier(_base, _f, prec=pr),
+        y_in_s=y_in_s,
+        a_exp=a_exp,
+        b=b,
+        m=m,
     )
-    cover._y_in_s = y_in_s
-    cover._a_exp = a_exp
-    cover._b = b
-    cover._m = m
-    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,7 @@ def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCo
     action = {
         k: LaurentSeries.monomial(base, zeta ** k, 1) for k in range(m)
     }
-    cover = GaloisCover(
+    return GaloisCover(
         base_field=base,
         group=group,
         t_in_s=t_in_s,
@@ -394,17 +394,16 @@ def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCo
         kind="kummer",
         prec=prec if prec is not None else DEFAULT_PRECISION,
         rebuild=lambda pr, _base=base, _m=m: build_kummer(_base, _m, prec=pr),
+        m=m,
+        zeta=zeta,
     )
-    cover._zeta = zeta
-    cover._m = m
-    return cover
 
 
 def trivial_cover(base: FiniteField) -> GaloisCover:
     """The identity extension; used as the degenerate tame layer."""
     group = FiniteGroup.cyclic(1, "tau")
     s_mono = LaurentSeries.uniformizer(base)
-    cover = GaloisCover(
+    return GaloisCover(
         base_field=base,
         group=group,
         t_in_s=s_mono,
@@ -414,10 +413,9 @@ def trivial_cover(base: FiniteField) -> GaloisCover:
         kind="trivial",
         prec=DEFAULT_PRECISION,
         rebuild=lambda pr, _base=base: trivial_cover(_base),
+        m=1,
+        zeta=base.one(),
     )
-    cover._zeta = base.one()
-    cover._m = 1
-    return cover
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,8 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     for q in prime_factors(d):
         h = _ppowmod(x, p ** (d // q), f, p)
         diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(h, x, fillvalue=0)])
-        if _pgcd(diff, f, p):
-            g = _pgcd(diff, f, p)
-            if len(g) - 1 >= 1:
-                return False
+        if len(_pgcd(diff, f, p)) > 1:
+            return False
     return True
 
 
@@ -208,6 +206,55 @@ class FiniteField:
     def elements(self) -> Iterator["FieldElement"]:
         for key in range(self.order):
             yield self.from_key(key)
+
+    # -- vectors of keys ---------------------------------------------------------
+    #
+    # Bulk arithmetic works on element keys (see FieldElement.key) laid out
+    # as coordinate columns: column k holds coordinate k of every element.
+
+    def key_columns(self, keys: Sequence[int]) -> list[Sequence[int]]:
+        """The a coordinate columns of a sequence of keys."""
+        p = self.p
+        cols = []
+        rest = keys
+        for _ in range(self.a - 1):
+            cols.append([k % p for k in rest])
+            rest = [k // p for k in rest]
+        cols.append(rest)
+        return cols
+
+    def keys_from_columns(self, cols: Sequence[Sequence[int]]) -> list[int]:
+        """Keys of the elements whose coordinates are given column-wise.
+
+        Coordinates may be any ints (they are reduced mod p), and there may
+        be up to 2a-1 columns: column k >= a is the coefficient of x^k and
+        is folded back through the reductions of x^k modulo the modulus.
+        """
+        p, a = self.p, self.a
+        cols = list(cols)
+        for k in range(a, len(cols)):
+            for j, r in enumerate(self._red[k]):
+                if r:
+                    cols[j] = [x + r * y for x, y in zip(cols[j], cols[k])]
+        keys = [c % p for c in cols[a - 1]]
+        for j in range(a - 2, -1, -1):
+            keys = [k * p + c % p for k, c in zip(keys, cols[j])]
+        return keys
+
+    def add_keys(self, xs: Sequence[int], ys: Sequence[int], sign: int = 1) -> list[int]:
+        """Elementwise x + sign*y on two equally long sequences of keys."""
+        return self.keys_from_columns(
+            [
+                [x + sign * y for x, y in zip(cx, cy)]
+                for cx, cy in zip(self.key_columns(xs), self.key_columns(ys))
+            ]
+        )
+
+    def neg_keys(self, keys: Sequence[int]) -> list[int]:
+        return self.keys_from_columns([[-x for x in col] for col in self.key_columns(keys)])
+
+    def inverse_key(self, key: int) -> int:
+        return self.from_key(key).inverse().key()
 
     # -- structure -------------------------------------------------------------
 

@@ -7,19 +7,37 @@ support is contained in ``[v0, oo)``.  Every operation derives the best
 absolute precision it can honestly guarantee for its result; nothing is ever
 rounded, so equal windows mean equal coefficients.
 
+Coefficients are stored as plain ints: ``coeffs`` is the window of known
+coefficients from ``v0`` on, each the key of its field element (the base-p
+digits of its coordinates, so just the residue over a prime field).
+FieldElement objects appear only where callers see coefficients: the
+constructor, ``from_terms``, ``coeff``, ``support``, ``scale`` and ``repr``.
+
+A product is one big-integer multiplication (Kronecker substitution, as in
+D. Harvey, J. Symbolic Comput. 44, 2009): coordinate k of coefficient i is
+packed into slot i*(2a-1)+k of one integer, with slots wide enough that no
+sum overflows, and CPython's Karatsuba multiplies the two packed operands.
+Unpacking reads coordinate k of each product coefficient from its slot and
+folds x^k for k >= a back through the field's reduction table.  Inverses
+use Newton doubling w <- w(2 - uw) (Brent & Kung, J. ACM 25, 1978), so
+they cost a few products instead of a quadratic recurrence.
+
 The working default is 64 known terms; operations that need a nonzero
 coefficient escalate geometrically up to a cap (4096, overridable through
-the RAMIFY_PRECISION_CAP environment variable) before giving up.
+the RAMIFY_PRECISION_CAP environment variable, which must then be a positive
+integer) before giving up.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Sequence
 
 from .errors import (
     CompositionUndefined,
     FieldMismatch,
+    InputSchemaError,
     NotSimpleRoot,
     PrecisionExhausted,
     ZeroElement,
@@ -38,39 +56,128 @@ def precision_cap() -> int:
     try:
         val = int(raw)
     except ValueError:
-        return DEFAULT_PRECISION_CAP
-    return max(val, 1)
+        val = None
+    if val is None or val < 1:
+        raise InputSchemaError(
+            f"RAMIFY_PRECISION_CAP must be a positive integer, got {raw!r}"
+        )
+    return val
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution on windows of keys.
+
+# Native unsigned formats a memoryview can cast packed little-endian slots to,
+# by width in bytes (none on a big-endian machine).
+_CAST_CODES = (
+    {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
+    if sys.byteorder == "little"
+    else {}
+)
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for slot values up to ``bound``."""
+    need = (bound.bit_length() + 7) // 8
+    return min((w for w in _CAST_CODES if w >= need), default=need)
+
+
+def _pack(field: FiniteField, keys: Sequence[int], width: int, size: int) -> int:
+    """Coordinate k of keys[i] in slot i*width + k of one integer, ``size`` bytes a slot."""
+    step = width * size
+    cb = ((field.p - 1).bit_length() + 7) // 8  # bytes of one coordinate
+    buf = bytearray(len(keys) * step)
+    for k, col in enumerate(field.key_columns(keys)):
+        for j in range(cb):
+            plane = col if cb == 1 else [x >> 8 * j & 255 for x in col]
+            buf[k * size + j :: step] = bytes(plane)
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(value: int, count: int, size: int) -> Sequence[int]:
+    """The ``count`` slots of ``size`` bytes that ``value`` packs."""
+    data = value.to_bytes(count * size, "little")
+    code = _CAST_CODES.get(size)
+    if code is None:
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return memoryview(data).cast(code)
+
+
+def _mul_keys(field: FiniteField, xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
+    """Keys of the first n coefficients of the product of two key windows."""
+    square = xs is ys
+    xs, ys = xs[:n], ys[:n]
+    if not xs or not ys:
+        return [0] * n
+    a = field.a
+    width = 2 * a - 1
+    # A slot sums at most min(len) * a products of two coordinates.
+    size = _slot_bytes(min(len(xs), len(ys)) * a * (field.p - 1) ** 2)
+    x = _pack(field, xs, width, size)
+    y = x if square else _pack(field, ys, width, size)
+    full = len(xs) + len(ys) - 1
+    m = min(n, full)
+    slots = _unpack(x * y, full * width, size)
+    keys = field.keys_from_columns([slots[k : m * width : width] for k in range(width)])
+    return keys + [0] * (n - m)
+
+
+def _inverse_keys(field: FiniteField, u: Sequence[int], n: int) -> list[int]:
+    """Keys of the inverse of the unit power series u modulo t^n."""
+    w = [field.inverse_key(u[0])]
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        err = _mul_keys(field, u, w, k2)[k:]  # u*w = 1 + t^k * err mod t^k2
+        w = w + field.neg_keys(_mul_keys(field, w, err, k2 - k))
+        k = k2
+    return w
 
 
 class LaurentSeries:
     __slots__ = ("field", "v0", "coeffs", "abs_prec")
 
-    def __init__(self, field: FiniteField, v0: int, coeffs, abs_prec: int | None):
+    def __init__(
+        self,
+        field: FiniteField,
+        v0: int,
+        coeffs: Sequence[FieldElement],
+        abs_prec: int | None,
+    ):
         """Normalize and store; prefer the factory classmethods."""
-        coeffs = list(coeffs)
+        self._set(field, v0, [c.key() for c in coeffs], abs_prec)
+
+    @classmethod
+    def _from_keys(
+        cls, field: FiniteField, v0: int, keys: Sequence[int], abs_prec: int | None
+    ) -> "LaurentSeries":
+        series = cls.__new__(cls)
+        series._set(field, v0, keys, abs_prec)
+        return series
+
+    def _set(self, field: FiniteField, v0: int, keys: Sequence[int], abs_prec: int | None) -> None:
         if abs_prec is not None:
             want = abs_prec - v0
             if want <= 0:
-                coeffs = []
-            elif len(coeffs) != want:
-                if len(coeffs) > want:
-                    coeffs = coeffs[:want]
+                keys = ()
+            elif len(keys) != want:
+                if len(keys) > want:
+                    keys = keys[:want]
                 else:
                     raise ValueError("window shorter than declared precision")
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            v0 += 1
+        lo, hi = 0, len(keys)
+        while lo < hi and not keys[lo]:
+            lo += 1
         if abs_prec is None:
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            if not coeffs:
-                v0 = 0
+            while hi > lo and not keys[hi - 1]:
+                hi -= 1
+        if lo == hi:
+            v0 = 0 if abs_prec is None else abs_prec
         else:
-            if not coeffs:
-                v0 = abs_prec
+            v0 += lo
         self.field = field
         self.v0 = v0
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(keys[lo:hi])
         self.abs_prec = abs_prec
 
     # -- constructors ---------------------------------------------------------
@@ -82,15 +189,12 @@ class LaurentSeries:
         terms: dict[int, FieldElement],
         abs_prec: int | None = None,
     ) -> "LaurentSeries":
-        terms = {e: c for e, c in terms.items() if c}
-        if not terms:
-            if abs_prec is None:
-                return cls(field, 0, [], None)
-            return cls(field, abs_prec, [], abs_prec)
-        lo = min(terms)
-        hi = max(terms) + 1 if abs_prec is None else abs_prec
-        window = [terms.get(e, field.zero()) for e in range(lo, hi)]
-        return cls(field, lo, window, abs_prec)
+        keys = {e: c.key() for e, c in terms.items() if c}
+        if not keys:
+            return cls._from_keys(field, 0 if abs_prec is None else abs_prec, (), abs_prec)
+        lo = min(keys)
+        hi = max(keys) + 1 if abs_prec is None else abs_prec
+        return cls._from_keys(field, lo, [keys.get(e, 0) for e in range(lo, hi)], abs_prec)
 
     @classmethod
     def monomial(cls, field: FiniteField, coeff: FieldElement, exp: int) -> "LaurentSeries":
@@ -98,7 +202,7 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, field: FiniteField) -> "LaurentSeries":
-        return cls(field, 0, [], None)
+        return cls._from_keys(field, 0, (), None)
 
     @classmethod
     def one(cls, field: FiniteField) -> "LaurentSeries":
@@ -135,11 +239,6 @@ class LaurentSeries:
     def is_exact_zero(self) -> bool:
         return self.abs_prec is None and not self.coeffs
 
-    def known_rel_prec(self) -> int | None:
-        if self.abs_prec is None:
-            return None
-        return self.abs_prec - self.v0
-
     # -- inspection ---------------------------------------------------------------
 
     def valuation(self) -> int:
@@ -157,18 +256,32 @@ class LaurentSeries:
         return self._known(e)
 
     def _known(self, e: int) -> FieldElement:
+        return self.field.from_key(self._key(e))
+
+    def _key(self, e: int) -> int:
         idx = e - self.v0
         if 0 <= idx < len(self.coeffs):
             return self.coeffs[idx]
-        return self.field.zero()
+        return 0
+
+    def _window(self, lo: int, hi: int) -> list[int]:
+        """Keys at exponents lo .. hi-1, with 0 outside the known window."""
+        n = hi - lo
+        if n <= 0:
+            return []
+        i0 = lo - self.v0
+        head = [0] * min(n, max(0, -i0))
+        body = list(self.coeffs[max(i0, 0) : max(i0 + n, 0)])
+        return head + body + [0] * (n - len(head) - len(body))
 
     def support(self) -> list[tuple[int, FieldElement]]:
-        return [
-            (self.v0 + i, c) for i, c in enumerate(self.coeffs) if c
-        ]
+        from_key = self.field.from_key
+        return [(self.v0 + i, from_key(c)) for i, c in enumerate(self.coeffs) if c]
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c.key()}*t^{e}" for e, c in self.support()) or "0"
+        body = " + ".join(
+            f"{c}*t^{self.v0 + i}" for i, c in enumerate(self.coeffs) if c
+        ) or "0"
         tail = "" if self.is_exact else f" + O(t^{self.abs_prec})"
         return f"<{body}{tail}>"
 
@@ -185,87 +298,83 @@ class LaurentSeries:
         return hash((self.field, self.v0, self.coeffs, self.abs_prec))
 
     def _check(self, other: "LaurentSeries") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("series over different fields")
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check(other)
-        if self.is_exact and other.is_exact:
-            terms = dict(self.support())
-            for e, c in other.support():
-                s = terms.get(e, self.field.zero()) + c
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-            return LaurentSeries.from_terms(self.field, terms)
-        ap = min(x.abs_prec for x in (self, other) if x.abs_prec is not None)
-        lo = min(self.v0, other.v0, ap)
-        window = [self._known(e) + other._known(e) for e in range(lo, ap)]
-        return LaurentSeries(self.field, lo, window, ap)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(
-            self.field, self.v0, [-c for c in self.coeffs], self.abs_prec
-        )
+        return self._add(other, 1)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self._add(other, -1)
+
+    def _add(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
+        """self + sign * other over the window both operands know."""
+        self._check(other)
+        if self.is_exact and other.is_exact:
+            ap = None
+            known = [x for x in (self, other) if x.coeffs]
+            if not known:
+                return LaurentSeries.zero(self.field)
+            lo = min(x.v0 for x in known)
+            hi = max(x.v0 + len(x.coeffs) for x in known)
+        else:
+            ap = min(x.abs_prec for x in (self, other) if x.abs_prec is not None)
+            lo = min(self.v0, other.v0, ap)
+            hi = ap
+        window = self._window(lo, hi)
+        start = max(other.v0, lo)
+        stop = min(other.v0 + len(other.coeffs), hi)
+        if start < stop:
+            i, j = start - lo, stop - lo
+            window[i:j] = self.field.add_keys(
+                window[i:j], other.coeffs[start - other.v0 : stop - other.v0], sign
+            )
+        return LaurentSeries._from_keys(self.field, lo, window, ap)
+
+    def __neg__(self) -> "LaurentSeries":
+        return LaurentSeries._from_keys(
+            self.field, self.v0, self.field.neg_keys(self.coeffs), self.abs_prec
+        )
 
     def scale(self, c: FieldElement) -> "LaurentSeries":
         if not c:
             if self.is_exact:
                 return LaurentSeries.zero(self.field)
-            return LaurentSeries(self.field, self.abs_prec, [], self.abs_prec)
-        return LaurentSeries(
-            self.field, self.v0, [c * x for x in self.coeffs], self.abs_prec
+            return LaurentSeries._from_keys(self.field, self.abs_prec, (), self.abs_prec)
+        if c.field is not self.field and c.field != self.field:
+            raise FieldMismatch("scalar from a different field")
+        n = len(self.coeffs)
+        return LaurentSeries._from_keys(
+            self.field, self.v0, _mul_keys(self.field, self.coeffs, [c.key()], n), self.abs_prec
         )
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k."""
         ap = None if self.abs_prec is None else self.abs_prec + k
-        return LaurentSeries(self.field, self.v0 + k, list(self.coeffs), ap)
+        return LaurentSeries._from_keys(self.field, self.v0 + k, self.coeffs, ap)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
             return LaurentSeries.zero(self.field)
-        if self.is_exact and other.is_exact:
-            terms: dict[int, FieldElement] = {}
-            for e1, c1 in self.support():
-                for e2, c2 in other.support():
-                    e = e1 + e2
-                    s = terms.get(e, self.field.zero()) + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        terms.pop(e, None)
-            return LaurentSeries.from_terms(self.field, terms)
-        caps = []
-        if self.abs_prec is not None:
-            caps.append(self.abs_prec + other.v0)
-        if other.abs_prec is not None:
-            caps.append(other.abs_prec + self.v0)
-        ap = min(caps)
         lo = self.v0 + other.v0
-        size = ap - lo
-        if size <= 0:
-            return LaurentSeries(self.field, ap, [], ap)
-        window = [self.field.zero()] * size
-        for i, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            e1 = self.v0 + i
-            jmax = min(len(other.coeffs), ap - e1 - other.v0)
-            for j in range(jmax):
-                c2 = other.coeffs[j]
-                if c2:
-                    window[e1 + other.v0 + j - lo] = (
-                        window[e1 + other.v0 + j - lo] + c1 * c2
-                    )
-        return LaurentSeries(self.field, lo, window, ap)
+        if self.is_exact and other.is_exact:
+            ap = None
+            size = len(self.coeffs) + len(other.coeffs) - 1
+        else:
+            caps = []
+            if self.abs_prec is not None:
+                caps.append(self.abs_prec + other.v0)
+            if other.abs_prec is not None:
+                caps.append(other.abs_prec + self.v0)
+            ap = min(caps)
+            size = ap - lo
+            if size <= 0:
+                return LaurentSeries._from_keys(self.field, ap, (), ap)
+        window = _mul_keys(self.field, self.coeffs, other.coeffs, size)
+        return LaurentSeries._from_keys(self.field, lo, window, ap)
 
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
@@ -284,8 +393,7 @@ class LaurentSeries:
         if self.abs_prec is not None and self.abs_prec <= ap:
             return self
         lo = min(self.v0, ap)
-        window = [self._known(e) for e in range(lo, ap)]
-        return LaurentSeries(self.field, lo, window, ap)
+        return LaurentSeries._from_keys(self.field, lo, self._window(lo, ap), ap)
 
     def inverse(self, prec: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse.
@@ -300,28 +408,18 @@ class LaurentSeries:
             raise PrecisionExhausted(
                 f"cannot invert a series that is zero to O(t^{self.abs_prec})"
             )
+        field = self.field
         v = self.v0
-        c0 = self.coeffs[0]
-        if self.is_exact and len(self.support()) == 1:
-            return LaurentSeries.monomial(self.field, c0.inverse(), -v)
+        if self.is_exact and len(self.coeffs) == 1:
+            return LaurentSeries._from_keys(field, -v, [field.inverse_key(self.coeffs[0])], None)
         if self.abs_prec is not None:
             rel = self.abs_prec - v
             if prec is not None:
                 rel = min(rel, prec)
         else:
             rel = prec if prec is not None else DEFAULT_PRECISION
-        inv0 = c0.inverse()
-        zero = self.field.zero()
-        u = [self._known(v + i) for i in range(rel)]
-        w = [zero] * rel
-        w[0] = inv0
-        for j in range(1, rel):
-            s = zero
-            for i in range(1, j + 1):
-                if u[i] and w[j - i]:
-                    s = s + u[i] * w[j - i]
-            w[j] = -(inv0 * s)
-        return LaurentSeries(self.field, -v, w, -v + rel)
+        w = _inverse_keys(field, self.coeffs[:rel], rel)
+        return LaurentSeries._from_keys(field, -v, w, -v + rel)
 
 
 def compose(f: LaurentSeries, g: LaurentSeries, prec: int | None = None) -> LaurentSeries:
@@ -336,7 +434,7 @@ def compose(f: LaurentSeries, g: LaurentSeries, prec: int | None = None) -> Laur
     field = f.field
     if g.is_exact_zero():
         if f.is_exact and f.v0 >= 0:
-            return LaurentSeries.constant(field, f._known(0))
+            return LaurentSeries._from_keys(field, 0, [f._key(0)], None)
         raise CompositionUndefined("cannot substitute the zero series into a pole")
     w = g.valuation()
     if w < 1:
@@ -345,7 +443,7 @@ def compose(f: LaurentSeries, g: LaurentSeries, prec: int | None = None) -> Laur
     if f.is_zero_known():
         if f.is_exact:
             return LaurentSeries.zero(field)
-        return LaurentSeries(field, f.abs_prec * w, [], f.abs_prec * w)
+        return LaurentSeries._from_keys(field, f.abs_prec * w, (), f.abs_prec * w)
 
     top = f.v0 + len(f.coeffs) - 1
     # Polynomial part: Horner over exponents top .. 0.
@@ -353,7 +451,7 @@ def compose(f: LaurentSeries, g: LaurentSeries, prec: int | None = None) -> Laur
     if top >= 0:
         acc = LaurentSeries.zero(field)
         for e in range(top, -1, -1):
-            acc = acc * g + LaurentSeries.constant(field, f._known(e))
+            acc = acc * g + LaurentSeries._from_keys(field, 0, [f._key(e)], None)
         poly_val = acc
     # Pole part: Horner in h = g^{-1} over exponents -1 .. v0.
     pole_val = None
@@ -361,7 +459,7 @@ def compose(f: LaurentSeries, g: LaurentSeries, prec: int | None = None) -> Laur
         h = g.inverse(prec=prec)
         acc = LaurentSeries.zero(field)
         for k in range(-f.v0, 0, -1):
-            acc = (acc + LaurentSeries.constant(field, f._known(-k))) * h
+            acc = (acc + LaurentSeries._from_keys(field, 0, [f._key(-k)], None)) * h
         pole_val = acc
     if poly_val is None:
         result = pole_val
@@ -426,7 +524,7 @@ def nth_root_of_unit(u: LaurentSeries, b: int, field_char: int) -> LaurentSeries
     field = u.field
     if b % field_char == 0:
         raise ValueError("root degree divisible by the characteristic")
-    if u.is_zero_known() or u.valuation() != 0 or u.coeffs[0] != field.one():
+    if u.is_zero_known() or u.valuation() != 0 or u.coeffs[0] != 1:
         raise ValueError("expected a unit series with constant term 1")
     b_inv = field.from_int(b).inverse()
     x = LaurentSeries.one(field)

@@ -153,6 +153,15 @@ def test_cross_field_validation(capsys, monkeypatch):
     assert report["error"]["type"] == "InputSchemaError"
 
 
+@pytest.mark.parametrize("raw", ["lots", "", "2.5", "0", "-8"])
+def test_malformed_precision_cap_is_a_json_error(raw, capsys, monkeypatch):
+    monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "InputSchemaError"
+    assert "RAMIFY_PRECISION_CAP" in report["error"]["message"]
+
+
 def test_unknown_suite(capsys):
     code, report = run_cli(capsys, ["verify", "nonsense"])
     assert code == 1

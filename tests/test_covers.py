@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from ramify import covers
 from ramify.covers import (
     BreakTable,
     GaloisCover,
@@ -13,6 +14,7 @@ from ramify.covers import (
     trivial_cover,
 )
 from ramify.errors import (
+    InputSchemaError,
     MismatchDetected,
     MissingRootsOfUnity,
     NotGaloisOverBase,
@@ -20,7 +22,9 @@ from ramify.errors import (
     PrecisionExhausted,
 )
 from ramify.fields import field_create
-from ramify.series import LaurentSeries, compose
+from ramify.linalg import MatrixFF
+from ramify.ramification import Representation, filtration_from_breaks, swan_conductor
+from ramify.series import DEFAULT_PRECISION_CAP, LaurentSeries, compose, precision_cap
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -273,6 +277,76 @@ def test_precision_cap_respected(monkeypatch):
         lower_break_table(doctored)
 
 
+def test_precision_cap_parses_the_environment(monkeypatch):
+    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
+    assert precision_cap() == DEFAULT_PRECISION_CAP
+    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "512")
+    assert precision_cap() == 512
+    for raw in ("abc", "", "1e3", "0", "-4"):
+        monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
+        with pytest.raises(InputSchemaError, match="RAMIFY_PRECISION_CAP"):
+            precision_cap()
+
+
 def test_defining_function_must_match_base():
     with pytest.raises(NotGaloisOverBase):
         build_artin_schreier(F2, as_sparse(F3, [[-1, [1]]]))
+
+
+def _character_of_order(group, p):
+    """A faithful character of Z/p over the least prime field F_ell with p | ell - 1."""
+    ell = next(q for q in range(p + 1, 200, p) if all(q % d for d in range(2, q)))
+    zeta = next(x for x in range(2, ell) if pow(x, p, ell) == 1)
+    field = field_create(ell, 1)
+    return Representation.from_generator_images(
+        group, {"sigma": MatrixFF.from_int_rows(field, [[zeta]])}
+    )
+
+
+def _counting_compose(monkeypatch):
+    calls = []
+    inner = covers.compose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(covers, "compose", counted)
+    return calls
+
+
+def test_artin_schreier_closed_form_grid(monkeypatch):
+    """i(sigma) = m + 1 and Sw = m for y^p - y = t^-m, on the whole small grid.
+
+    Counting compose calls pins the builders' checks: an Artin-Schreier
+    build runs the defining relation plus p + 2 self-checks (p group-law
+    compositions, t fixed, y -> y + 1), so none can silently disappear.
+    """
+    calls = _counting_compose(monkeypatch)
+    for p in (2, 3, 5, 7, 11):
+        field = field_create(p, 1)
+        for m in (1, 2, 3):
+            if m % p == 0:
+                continue
+            calls.clear()
+            cover = build_artin_schreier(field, as_sparse(field, [[-m, [1]]]), prec=32)
+            assert len(calls) == 1 + p + 2
+            bt = lower_break_table(cover)
+            assert bt.i_map == {j: m + 1 for j in range(1, p)}
+            filt = filtration_from_breaks(bt, p)
+            assert swan_conductor(_character_of_order(cover.group, p), filt).swan == m
+
+
+@pytest.mark.parametrize("field,tame", [(F4, 3), (F2, 1), (field_create(7, 1), 3)])
+def test_tower_runs_every_self_check(monkeypatch, field, tame):
+    calls = _counting_compose(monkeypatch)
+    lower = build_kummer(field, tame) if tame > 1 else trivial_cover(field)
+    tower = build_compositum_tower(lower, as_sparse(field, [[-1, [1]]]), prec=24)
+    p, n = field.p, field.p * tame
+    generators = 2 if tame > 1 else 1
+    # Pull-back of the datum, the wild layer's own build, the actions on s'
+    # and y (tame ones only when tame > 1), then per generator: t fixed and
+    # the group law against every element.
+    expected = 1 + (1 + p + 2) + (2 if tame > 1 else 0) + 2 + generators * (1 + n)
+    assert len(calls) == expected
+    assert lower_break_table(tower).by_label()["sigma"] == tame + 1

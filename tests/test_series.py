@@ -11,7 +11,7 @@ from ramify.errors import (
     PrecisionExhausted,
     ZeroElement,
 )
-from ramify.fields import field_create
+from ramify.fields import FiniteField, field_create
 from ramify.series import LaurentSeries, compose, hensel_lift_root
 
 F2 = field_create(2, 1)
@@ -172,3 +172,156 @@ def test_shift_and_scale():
     assert f.shift(3).valuation() == 3
     assert f.scale(F5.from_int(2)).coeff(1) == F5.from_int(4)
     assert f.scale(F5.zero()).is_exact_zero()
+
+
+# ---------------------------------------------------------------------------
+# Differential test: products, inverses and composition against a schoolbook
+# oracle.  The oracle sees a series only through support() and abs_prec, as
+# (terms, abs_prec) with terms the nonzero coefficients, and re-derives the
+# precision rules term by term with boxed field arithmetic.
+
+F4 = field_create(2, 2)
+F9 = field_create(3, 2)
+F11 = field_create(11, 1)
+# 2^31 - 1 is prime; its products need slots wider than 8 bytes.
+F_WIDE = FiniteField(2**31 - 1, 1, (0,))
+DIFF_FIELDS = [F2, F11, F4, F9, F_WIDE]
+
+
+def ref_of(s):
+    return dict(s.support()), s.abs_prec
+
+
+def ref_v0(ref):
+    terms, ap = ref
+    if terms:
+        return min(terms)
+    return 0 if ap is None else ap
+
+
+def ref_clean(terms, ap):
+    return {e: c for e, c in terms.items() if c and (ap is None or e < ap)}, ap
+
+
+def ref_add(x, y, field):
+    (tx, px), (ty, py) = x, y
+    caps = [ap for ap in (px, py) if ap is not None]
+    ap = min(caps) if caps else None
+    out = dict(tx)
+    for e, c in ty.items():
+        out[e] = out.get(e, field.zero()) + c
+    return ref_clean(out, ap)
+
+
+def ref_mul(x, y, field):
+    (tx, px), (ty, py) = x, y
+    if (px is None and not tx) or (py is None and not ty):
+        return {}, None
+    caps = []
+    if px is not None:
+        caps.append(px + ref_v0(y))
+    if py is not None:
+        caps.append(py + ref_v0(x))
+    ap = min(caps) if caps else None
+    out = {}
+    for e1, c1 in tx.items():
+        for e2, c2 in ty.items():
+            out[e1 + e2] = out.get(e1 + e2, field.zero()) + c1 * c2
+    return ref_clean(out, ap)
+
+
+def ref_inverse(x, field, prec=None):
+    terms, ap = x
+    v = min(terms)
+    c0 = terms[v]
+    if ap is None and len(terms) == 1:
+        return {-v: c0.inverse()}, None
+    if ap is not None:
+        rel = ap - v if prec is None else min(ap - v, prec)
+    else:
+        rel = 64 if prec is None else prec
+    zero = field.zero()
+    w = [c0.inverse()]
+    for j in range(1, rel):
+        s = zero
+        for i in range(1, j + 1):
+            s = s + terms.get(v + i, zero) * w[j - i]
+        w.append(-(w[0] * s))
+    return ref_clean({-v + j: c for j, c in enumerate(w)}, -v + rel)
+
+
+def ref_truncate(x, ap):
+    if x[1] is not None and x[1] <= ap:
+        return x
+    return ref_clean(x[0], ap)
+
+
+def ref_compose(f, g, field, prec=None):
+    """Horner's rule on the polynomial part and in g^{-1} on the pole part."""
+    tf, pf = f
+    w = min(g[0])
+    if not tf:
+        return ({}, None) if pf is None else ({}, pf * w)
+    result = None
+    if max(tf) >= 0:
+        acc = ({}, None)
+        for e in range(max(tf), -1, -1):
+            acc = ref_add(ref_mul(acc, g, field), ref_clean({0: tf.get(e, field.zero())}, None), field)
+        result = acc
+    if min(tf) < 0:
+        h = ref_inverse(g, field, prec)
+        acc = ({}, None)
+        for k in range(-min(tf), 0, -1):
+            acc = ref_mul(ref_add(acc, ref_clean({0: tf.get(-k, field.zero())}, None), field), h, field)
+        result = acc if result is None else ref_add(result, acc, field)
+    return result if pf is None else ref_truncate(result, pf * w)
+
+
+def assert_matches(s, ref):
+    terms, ap = ref
+    assert s.abs_prec == ap
+    assert s.v0 == ref_v0(ref)
+    assert dict(s.support()) == terms
+    hi = ap if ap is not None else max(terms, default=0) + 1
+    for e in range(s.v0 - 2, hi):
+        assert s.coeff(e) == terms.get(e, s.field.zero())
+
+
+@st.composite
+def series_in(draw, field, min_v0=-4, max_v0=4, unit=False):
+    """Exact or approximate series; ``unit`` makes the first coefficient nonzero."""
+    keys = draw(st.lists(st.integers(0, field.order - 1), min_size=1 if unit else 0, max_size=7))
+    if unit:
+        keys[0] = draw(st.integers(1, field.order - 1))
+    v0 = draw(st.integers(min_v0, max_v0))
+    coeffs = [field.from_key(k) for k in keys]
+    if draw(st.booleans()):
+        return LaurentSeries(field, v0, coeffs, None)
+    known = draw(st.integers(1 if unit else 0, len(keys)))
+    return LaurentSeries(field, v0, coeffs, v0 + known)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_product_matches_schoolbook(field, data):
+    f = data.draw(series_in(field))
+    g = data.draw(series_in(field))
+    assert_matches(f * g, ref_mul(ref_of(f), ref_of(g), field))
+    assert_matches(f * f, ref_mul(ref_of(f), ref_of(f), field))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_inverse_matches_schoolbook(field, data):
+    f = data.draw(series_in(field, unit=True))
+    prec = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+    assert_matches(f.inverse(prec=prec), ref_inverse(ref_of(f), field, prec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_compose_matches_schoolbook(field, data):
+    f = data.draw(series_in(field, min_v0=-3))
+    g = data.draw(series_in(field, min_v0=1, max_v0=3, unit=True))
+    prec = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+    assert_matches(compose(f, g, prec=prec), ref_compose(ref_of(f), ref_of(g), field, prec))
