@@ -22,11 +22,9 @@ from .errors import (
     NotPrime,
     OverflowPolicyExceeded,
     PreconditionFailed,
-    PSylowNotNormal,
-    QuotientNotCyclic,
 )
-from .fields import is_prime
-from .groups import FiniteGroup
+from .fields import is_prime, split_prime_power
+from .groups import FiniteGroup, inertia_shape, nilpotency_exponent_ok
 from .linalg import MatrixFF
 from .ramification import RamFiltration, Representation, swan_conductor
 
@@ -70,30 +68,9 @@ def inertia_structure(elements: Sequence[MatrixFF], p: int) -> InertiaStructure:
     if ell == p:
         raise PreconditionFailed("matrix characteristic must differ from p")
     group = FiniteGroup.from_matrices(elements)
-    p_part = group.n
-    rest = group.n
-    while rest % p == 0:
-        rest //= p
-    p_part = group.n // rest
-    pe = group.p_elements(p)
-    if len(pe) != p_part:
-        raise PSylowNotNormal(
-            f"{len(pe)} p-power-order elements but the p-part of the order is {p_part}"
-        )
-    subset = frozenset(pe)
-    if not group.is_subgroup(subset):
-        raise PSylowNotNormal("p-power-order elements are not closed")
-    if not group.is_normal(subset):
-        raise PSylowNotNormal("p-Sylow subgroup is not normal")
-    quot, _ = group.quotient(subset)
-    if not quot.is_cyclic():
-        raise QuotientNotCyclic(f"quotient of order {quot.n} is not cyclic")
+    subset, quot = inertia_shape(group, p)
     M = quot.n
-    n = 0
-    M_prime = M
-    while M_prime % ell == 0:
-        M_prime //= ell
-        n += 1
+    n, M_prime = split_prime_power(M, ell)
     return InertiaStructure(
         group=group,
         p=p,
@@ -113,22 +90,11 @@ def claim1_check(structure: InertiaStructure, r: int | None = None) -> bool:
     if structure.n > 0 and structure.ell ** (structure.n - 1) > r:
         return False
     group = structure.group
-    ident = MatrixFF.identity(group.matrices[0].field, structure.r)
     for i in range(group.n):
         o = group.order_of(i)
-        d = 0
-        rest = o
-        while rest % structure.ell == 0:
-            rest //= structure.ell
-            d += 1
-        if rest != 1 or d == 0:
+        if split_prime_power(o, structure.ell)[1] != 1:
             continue
-        x = group.matrices[i] - ident
-        if not (x ** (structure.ell ** d)).is_zero():
-            return False
-        if (x ** (structure.ell ** (d - 1))).is_zero():
-            return False
-        if structure.ell ** (d - 1) > r:
+        if not nilpotency_exponent_ok(group.matrices[i], o, structure.ell, r):
             return False
     return True
 
@@ -218,13 +184,20 @@ class ExplicitConstants:
     M_crude_descriptor: tuple[int, str] | None
 
     def crude_at_least(self, value: int) -> bool:
-        """Whether the crude bound is >= value (works in symbolic form)."""
+        """Whether the crude bound M0! is >= value, exactly.
+
+        In symbolic form the running product 1 * 2 * ... * k stops as soon
+        as it reaches ``value`` (so after about log2(value) steps) or when
+        k = M0, where it equals M0!.
+        """
         if self.M_crude is not None:
             return self.M_crude >= value
-        if value <= self.M0:
-            return True
-        # M0! >= 2^{M0-1}; enough for any comparison arising at suite scale.
-        return (self.M0 - 1) * math.log(2) >= math.log(max(value, 1))
+        product = 1
+        for k in range(2, self.M0 + 1):
+            if product >= value:
+                break
+            product *= k
+        return product >= value
 
 
 def explicit_constants(
@@ -404,10 +377,7 @@ def decomposition_counts(data: DecompositionData) -> CountsReport:
     """|stabilizer| = e * f_insep = |I| / (t * f_sep), and the tameness flag."""
     if min(data.order_I, data.t, data.e, data.f_sep, data.f_insep) < 1:
         raise InconsistentCounts("all counts must be positive")
-    f = data.f_insep
-    while f % data.p == 0:
-        f //= data.p
-    if f != 1:
+    if split_prime_power(data.f_insep, data.p)[1] != 1:
         raise InconsistentCounts(
             f"inseparable degree {data.f_insep} is not a power of {data.p}"
         )
@@ -472,10 +442,7 @@ def star_kernel_check(
             continue
         pe = s_grp.p_elements(p)
         kernel_p = [i for i in k_local if i in set(pe)]
-        p_part = len(k_local)
-        while p_part % p == 0:
-            p_part //= p
-        p_part = len(k_local) // p_part
+        p_part = len(k_local) // split_prime_power(len(k_local), p)[1]
         unique_sylow = len(kernel_p) == p_part and s_grp.is_subgroup(frozenset(kernel_p))
         return StarKernelReport(
             passes=(len(k_local) == e * f_insep) and unique_sylow,

@@ -13,7 +13,7 @@ import sys
 
 from . import bounds, corpus, verify
 from .covers import BreakTable, lower_break_table
-from .errors import InputSchemaError, RamifyError
+from .errors import InputSchemaError, OverflowPolicyExceeded, RamifyError
 from .fields import field_create
 from .groups import (
     FiniteGroup,
@@ -95,17 +95,10 @@ def _rep_for(job: dict, group: FiniteGroup, p: int):
     for key in ("ell", "r", "images"):
         _require(key in cfg, f"'rep' needs field {key!r}")
     _require(cfg["ell"] != p, "rep characteristic ell must differ from p")
-    rep = corpus.representation_from_spec(_FakeCover(group), cfg)
+    rep = corpus.representation_from_spec(group, cfg)
     _require(rep.r == cfg["r"], "rank of the images differs from declared r")
     _require(rep.group.n == group.n, "rep group size does not match the cover group")
     return rep
-
-
-class _FakeCover:
-    """Adapter so representation_from_spec only needs a group."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
 
 
 def _filtration_results(bt: BreakTable, p: int, cover=None) -> dict:
@@ -216,8 +209,8 @@ def _cmd_bound(job: dict, options: dict):
         },
         "constants": {
             "N_prime": consts.N_prime,
-            "M0": consts.M0,
-            "M_crude": consts.M_crude
+            "M0": _printable("constants.M0", consts.M0),
+            "M_crude": _printable("constants.M_crude", consts.M_crude)
             if consts.M_crude is not None
             else list(consts.M_crude_descriptor),
         },
@@ -233,6 +226,15 @@ def _cmd_bound(job: dict, options: dict):
         },
     }
     return results, list(wild.warnings), False
+
+
+def _printable(name: str, value: int) -> int:
+    """``value``, unless its decimal form is longer than the interpreter's
+    int -> str digit limit, so that no report could be written."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(value) >= 10 ** limit:
+        raise OverflowPolicyExceeded(f"{name} has more than {limit} decimal digits")
+    return value
 
 
 def _cmd_enum(job: dict, options: dict):

@@ -16,7 +16,8 @@ from .covers import (
     trivial_cover,
 )
 from .errors import InputSchemaError
-from .fields import FiniteField, field_create
+from .fields import field_create
+from .groups import FiniteGroup
 from .linalg import MatrixFF
 from .ramification import Representation
 from .series import LaurentSeries
@@ -74,12 +75,12 @@ def build_cover(base_cfg: dict, cover_cfg: dict, prec: int | None = None) -> Gal
     raise InputSchemaError(f"unknown cover type {kind!r}")
 
 
-def representation_from_spec(cover: GaloisCover, rep_cfg: dict) -> Representation:
+def representation_from_spec(group: FiniteGroup, rep_cfg: dict) -> Representation:
     field = field_create(int(rep_cfg["ell"]), int(rep_cfg.get("n", 1)))
     gen_images = {}
     for label, rows in rep_cfg["images"].items():
         gen_images[label] = MatrixFF.from_int_rows(field, rows)
-    return Representation.from_generator_images(cover.group, gen_images)
+    return Representation.from_generator_images(group, gen_images)
 
 
 @lru_cache(maxsize=None)
@@ -94,11 +95,6 @@ def get_representation(rep_id: str):
     for entry in _raw()["representations"]:
         if entry["id"] == rep_id:
             cover = get_cover(entry["cover"])
-            rep = representation_from_spec(cover, entry)
+            rep = representation_from_spec(cover.group, entry)
             return cover, rep, int(entry["N"])
     raise KeyError(rep_id)
-
-
-def cover_base(cover_id: str) -> FiniteField:
-    spec = _cover_spec(cover_id)
-    return field_create(spec["base"]["p"], spec["base"]["a"])

@@ -38,6 +38,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def split_prime_power(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p^v * m and m prime to p, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise ValueError("need n >= 1 and p >= 2")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []

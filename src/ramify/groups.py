@@ -3,6 +3,16 @@
 Groups here are small by design (default size cap 10000).  Matrix-backed
 groups keep their elements in a canonical order (lexicographic on entry
 keys) so that every derived report is reproducible.
+
+The group layer works from generating sets, not from all pairs (the
+Cayley-graph construction of Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 4).  ``_spanning_tree`` picks
+generators greedily in index order and closes under right multiplication by
+them, recording a BFS parent and generator for every element: n * |gens|
+products.  ``FiniteGroup.from_matrices`` multiplies matrices only there and
+fills the rest of the Cayley table by lookup along the tree;
+``FiniteGroup.closure``, ``FiniteGroup.generators`` and the homomorphism
+check of ``Representation`` use the same idea on the table.
 """
 
 from __future__ import annotations
@@ -10,13 +20,61 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import NotAGroup, SizeCapExceeded
-from .fields import FiniteField, field_create, is_prime
+from .errors import (
+    NotAGroup,
+    PSylowNotNormal,
+    QuotientNotCyclic,
+    SizeCapExceeded,
+)
+from .fields import FiniteField, field_create, is_prime, split_prime_power
 from .linalg import MatrixFF
 
 DEFAULT_GROUP_CAP = 10000
+
+
+def _spanning_tree(n: int, product: Callable[[int, int], int]):
+    """Greedy generators of {0, ..., n-1} under right multiplication.
+
+    Scans the indices in order; each index not yet reached becomes the next
+    generator, and the reached set is closed again under right
+    multiplication by every generator so far.  ``product(x, g)`` is the
+    index of x * g.
+
+    Returns (gens, order, parent, via, right): ``order`` lists the indices
+    in discovery order; a generator gens[j] has parent -1 and via j; every
+    other index b is parent[b] * gens[via[b]], and its parent comes earlier
+    in ``order``; right[j][x] = x * gens[j].  Exactly n * len(gens) calls of
+    ``product`` are made.
+    """
+    gens: list[int] = []
+    right: list[list] = []
+    parent = [-1] * n
+    via = [-1] * n
+    done = [None] * n  # per reached index: how many generators it has been multiplied by
+    order: list[int] = []
+    for i in range(n):
+        if done[i] is not None:
+            continue
+        via[i] = len(gens)
+        gens.append(i)
+        right.append([None] * n)
+        done[i] = 0
+        order.append(i)
+        queue = list(order)  # every reached index owes a product by the new generator
+        for x in queue:
+            for j in range(done[x], len(gens)):
+                y = product(x, gens[j])
+                right[j][x] = y
+                if done[y] is None:
+                    done[y] = 0
+                    parent[y] = x
+                    via[y] = j
+                    order.append(y)
+                    queue.append(y)
+            done[x] = len(gens)
+    return gens, order, parent, via, right
 
 
 class FiniteGroup:
@@ -29,26 +87,38 @@ class FiniteGroup:
         n = len(mul)
         if any(len(row) != n for row in mul):
             raise NotAGroup("multiplication table is not square")
-        if any(not (0 <= x < n) for row in mul for x in row):
+        # Set containment settles the common all-int table at C speed; any
+        # other table gets the comparisons, with their errors.
+        cells = set(range(n))
+        try:
+            in_range = all(map(cells.issuperset, mul))
+        except TypeError:
+            in_range = False
+        if not in_range and any(not (0 <= x < n) for row in mul for x in row):
             raise NotAGroup("table entry out of range")
         labels = tuple(labels)
         if len(labels) != n:
             raise NotAGroup("label count does not match table size")
         identity = None
+        trivial_row = tuple(range(n))
         for e in range(n):
-            if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
+            if mul[e] == trivial_row and all(mul[x][e] == x for x in range(n)):
                 identity = e
                 break
         if identity is None:
             raise NotAGroup("no identity element")
+        # inv[x] is the first y with x*y = y*x = identity; only the positions
+        # of the identity in row x are candidates.
         inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if mul[x][y] == identity and mul[y][x] == identity:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise NotAGroup(f"element {labels[x]} has no inverse")
+        for x, row in enumerate(mul):
+            y = -1
+            try:
+                while inv[x] is None:
+                    y = row.index(identity, y + 1)
+                    if mul[y][x] == identity:
+                        inv[x] = y
+            except ValueError:
+                raise NotAGroup(f"element {labels[x]} has no inverse") from None
         self.n = n
         self.mul = mul
         self.labels = labels
@@ -61,29 +131,40 @@ class FiniteGroup:
 
     @classmethod
     def from_matrices(cls, mats: Sequence[MatrixFF], labels=None) -> "FiniteGroup":
-        """Group from a closed set of invertible matrices (closure verified)."""
-        seen: dict[tuple, int] = {}
-        unique: list[MatrixFF] = []
+        """Group from a closed set of invertible matrices (closure verified).
+
+        Elements are deduplicated and sorted by key.  Only the products
+        x * g for the greedy generators g of ``_spanning_tree`` are
+        computed; every one must land in the set.  That makes the set closed:
+        each element b is a word g1...gk in the generators, and
+        a * b = (...((a g1) g2)...) gk stays in the set step by step.  The
+        rest of the table is filled by lookup along the tree, column by
+        column: a * g_j = right[j][a] and a * b = right[via(b)][a * parent(b)].
+        No identity matrix is assumed, so a closed set of singular matrices
+        gets its true table and is then rejected by ``__init__`` as before.
+        """
+        seen: dict[tuple, MatrixFF] = {}
         for m in mats:
-            k = m.key()
-            if k not in seen:
-                seen[k] = len(unique)
-                unique.append(m)
-        unique.sort(key=lambda m: m.key())
-        index = {m.key(): i for i, m in enumerate(unique)}
+            seen.setdefault(m.key(), m)
+        keys = sorted(seen)
+        unique = [seen[k] for k in keys]
+        index = {k: i for i, k in enumerate(keys)}
         n = len(unique)
-        mul = []
-        for a in unique:
-            row = []
-            for b in unique:
-                k = (a * b).key()
-                if k not in index:
-                    raise NotAGroup("set is not closed under multiplication")
-                row.append(index[k])
-            mul.append(row)
+
+        def product(x: int, g: int) -> int:
+            i = index.get((unique[x] * unique[g]).key())
+            if i is None:
+                raise NotAGroup("set is not closed under multiplication")
+            return i
+
+        _, order, parent, via, right = _spanning_tree(n, product)
+        cols: list = [None] * n
+        for b in order:
+            column = right[via[b]]
+            cols[b] = column if parent[b] < 0 else list(map(column.__getitem__, cols[parent[b]]))
         if labels is None:
             labels = [f"g{i}" for i in range(n)]
-        return cls(mul, labels, matrices=unique)
+        return cls(zip(*cols), labels, matrices=unique)
 
     @classmethod
     def cyclic(cls, k: int, symbol: str = "sigma") -> "FiniteGroup":
@@ -129,15 +210,9 @@ class FiniteGroup:
         if self._orders is None:
             self._orders = [None] * self.n
         if self._orders[i] is None:
-            k, x = 1, i
-            while x != self.identity:
-                x = self.mul[x][i]
-                k += 1
-            self._orders[i] = k
+            mul = self.mul
+            self._orders[i] = power_order(i, lambda x, y: mul[x][y], self.identity)
         return self._orders[i]
-
-    def element_orders(self) -> list[int]:
-        return [self.order_of(i) for i in range(self.n)]
 
     def is_abelian(self) -> bool:
         return all(
@@ -157,32 +232,34 @@ class FiniteGroup:
 
     def p_elements(self, p: int) -> list[int]:
         """Indices of elements whose order is a power of p (identity included)."""
-        out = []
-        for i in range(self.n):
-            d = self.order_of(i)
-            while d % p == 0:
-                d //= p
-            if d == 1:
-                out.append(i)
-        return out
+        return [i for i in range(self.n) if split_prime_power(self.order_of(i), p)[1] == 1]
 
     # -- subgroup machinery ---------------------------------------------------
 
     def closure(self, seed: Iterable[int]) -> frozenset:
-        todo = list(set(seed) | {self.identity})
-        out = set(todo)
-        while todo:
-            x = todo.pop()
-            for y in list(out):
-                for z in (self.mul[x][y], self.mul[y][x]):
-                    if z not in out:
-                        out.add(z)
-                        todo.append(z)
-            z = self.inv[x]
-            if z not in out:
-                out.add(z)
-                todo.append(z)
+        """Subgroup generated by ``seed``: a BFS from the identity under right
+        multiplication by the seed, O(|closure| * |seed|).  In a finite group
+        the inverse of s is a power of s, so positive words suffice."""
+        seed = set(seed)
+        mul = self.mul
+        out = {self.identity}
+        todo = [self.identity]
+        for x in todo:
+            row = mul[x]
+            for s in seed:
+                y = row[s]
+                if y not in out:
+                    out.add(y)
+                    todo.append(y)
         return frozenset(out)
+
+    def generators(self) -> list[int]:
+        """Greedy generating set: each index, in order, that is not in the
+        subgroup generated by the ones taken before it (so never the
+        identity; the trivial group has none)."""
+        mul = self.mul
+        gens = _spanning_tree(self.n, lambda x, g: mul[x][g])[0]
+        return [g for g in gens if g != self.identity]
 
     def is_subgroup(self, subset: frozenset) -> bool:
         if self.identity not in subset:
@@ -223,7 +300,12 @@ class FiniteGroup:
         return FiniteGroup(mul, labels), tuple(proj)
 
     def all_subgroups(self) -> list[frozenset]:
-        """Every subgroup, found by closing cyclic subgroups under extension."""
+        """Every subgroup, found by closing cyclic subgroups under extension.
+
+        For a subgroup B and b in B, B and b * j generate the same subgroup
+        as B and j, so once j is tried every element of the coset B * j is
+        skipped.
+        """
         found = {self.closure([self.identity])}
         frontier = list(found)
         for i in range(self.n):
@@ -231,12 +313,15 @@ class FiniteGroup:
             if s not in found:
                 found.add(s)
                 frontier.append(s)
+        mul = self.mul
         while frontier:
             base = frontier.pop()
+            tried = set(base)
             for i in range(self.n):
-                if i in base:
+                if i in tried:
                     continue
-                bigger = self.closure(set(base) | {i})
+                tried.update(mul[b][i] for b in base)
+                bigger = self.closure(base | {i})
                 if bigger not in found:
                     found.add(bigger)
                     frontier.append(bigger)
@@ -255,21 +340,35 @@ class FiniteGroup:
         return True
 
 
+def inertia_shape(group: FiniteGroup, p: int):
+    """Normal p-Sylow P with cyclic quotient G/P; returns (P, G/P).
+
+    Raises PSylowNotNormal or QuotientNotCyclic when the shape fails.
+    """
+    p_part = group.n // split_prime_power(group.n, p)[1]
+    pe = group.p_elements(p)
+    if len(pe) != p_part:
+        raise PSylowNotNormal(
+            f"{len(pe)} p-power-order elements but the p-part of the order is {p_part}"
+        )
+    subset = frozenset(pe)
+    if not group.is_subgroup(subset):
+        raise PSylowNotNormal("p-power-order elements are not closed")
+    if not group.is_normal(subset):
+        raise PSylowNotNormal("p-Sylow subgroup is not normal")
+    quot, _ = group.quotient(subset)
+    if not quot.is_cyclic():
+        raise QuotientNotCyclic(f"quotient of order {quot.n} is not cyclic")
+    return subset, quot
+
+
 def has_inertia_shape(group: FiniteGroup, p: int) -> bool:
     """Normal p-Sylow with cyclic prime-to-p quotient."""
-    pe = group.p_elements(p)
-    order_p_part = group.n
-    rest = group.n
-    while rest % p == 0:
-        rest //= p
-    order_p_part = group.n // rest
-    if len(pe) != order_p_part:
+    try:
+        inertia_shape(group, p)
+    except (PSylowNotNormal, QuotientNotCyclic):
         return False
-    subset = frozenset(pe)
-    if not group.is_subgroup(subset) or not group.is_normal(subset):
-        return False
-    quot, _ = group.quotient(subset)
-    return quot.is_cyclic()
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +420,29 @@ def enumerate_gl(field: FiniteField, r: int, size_cap: int = 1 << 20) -> list[Ma
     return out
 
 
-def _matrix_order(m: MatrixFF, ident: MatrixFF, bound: int = 1 << 20) -> int:
-    k, x = 1, m
-    while x != ident:
-        x = x * m
+def power_order(g, mul, identity, bound: int | None = None) -> int:
+    """Least k >= 1 with g^k = identity, by repeated right multiplication
+    ``mul(x, g)``; past ``bound`` steps raises SizeCapExceeded."""
+    k, x = 1, g
+    while x != identity:
+        x = mul(x, g)
         k += 1
-        if k > bound:
+        if bound is not None and k > bound:
             raise SizeCapExceeded("element order exceeds bound")
     return k
 
 
-def _nilpotency_exponent_ok(m: MatrixFF, order: int, ell: int, r: int) -> bool:
-    """For an ell-element of order ell^d, check (m-1)^{ell^{d-1}} != 0 and
-    (m-1)^{ell^d} = 0; both give ell^{d-1} <= r."""
+def nilpotency_exponent_ok(m: MatrixFF, order: int, ell: int, r: int) -> bool:
+    """For an ell-element of order ell^d (``order`` must be a power of ell),
+    check (m-1)^{ell^{d-1}} != 0 and (m-1)^{ell^d} = 0; both give
+    ell^{d-1} <= r."""
     if order == 1:
         return True
-    d = 0
-    o = order
-    while o > 1:
-        o //= ell
-        d += 1
+    d = split_prime_power(order, ell)[0]
     x = m - MatrixFF.identity(m.field, m.n)
     if not (x ** (ell ** d)).is_zero():
         return False
-    if d >= 1 and (x ** (ell ** (d - 1))).is_zero():
+    if (x ** (ell ** (d - 1))).is_zero():
         return False
     return ell ** (d - 1) <= r
 
@@ -382,13 +480,10 @@ def max_ell_element_order(
                 mats.append(m)
     best = 1
     for m in mats:
-        o = _matrix_order(m, ident)
-        reduced = o
-        while reduced % ell == 0:
-            reduced //= ell
-        if reduced != 1:
+        o = power_order(m, MatrixFF.__mul__, ident, bound=1 << 20)
+        if split_prime_power(o, ell)[1] != 1:
             continue
-        if not _nilpotency_exponent_ok(m, o, ell, r):
+        if not nilpotency_exponent_ok(m, o, ell, r):
             raise NotAGroup("nilpotency bound violated; inconsistent enumeration")
         best = max(best, o)
     return best

@@ -22,7 +22,7 @@ from .errors import (
     NotPGroupWildPart,
     PreconditionFailed,
 )
-from .fields import FiniteField, field_create
+from .fields import FiniteField, split_prime_power
 from .groups import FiniteGroup
 from .linalg import MatrixFF, fixed_subspace
 
@@ -78,10 +78,7 @@ def filtration_from_breaks(bt: BreakTable, p: int) -> RamFiltration:
             raise MismatchDetected("filtration member is not a subgroup")
         if not group.is_normal(sub):
             raise MismatchDetected("filtration member is not normal")
-    wild = len(filt.subgroup_at(1))
-    while wild % p == 0:
-        wild //= p
-    if wild != 1:
+    if split_prime_power(len(filt.subgroup_at(1)), p)[1] != 1:
         raise NotPGroupWildPart(
             f"wild part has order {len(filt.subgroup_at(1))}, not a power of {p}"
         )
@@ -220,7 +217,19 @@ def quotient_filtration_by_herbrand(
 
 
 class Representation:
-    """Homomorphism into invertible matrices over F_{ell^n}."""
+    """Homomorphism into invertible matrices over F_{ell^n}.
+
+    The constructor checks images[a * g] = images[a] * images[g] for every
+    element a and every g in ``group.generators()`` (the identity alone for
+    the trivial group): n * |gens| products instead of n^2.  That implies
+    the full law.  Taking a = e gives images[g] = images[e] * images[g], so
+    images[e] = 1 since images[g] is invertible.  If the law holds for all a
+    at b, then at b * g: images[a b g] = images[a b] images[g] =
+    images[a] images[b] images[g] = images[a] images[b g].  Every element is
+    a nonempty word in the generators (the greedy set generates the group,
+    and inverses are positive powers in a finite group), so induction on the
+    word length covers every b.
+    """
 
     __slots__ = ("group", "images", "r", "ell", "n_ext", "field")
 
@@ -235,11 +244,13 @@ class Representation:
                 raise NotAHomomorphism("images of mixed shape or field")
             if not m.is_invertible():
                 raise NotAHomomorphism("image is not invertible")
-        for a in range(group.n):
-            for b in range(group.n):
-                if images[group.product(a, b)] != images[a] * images[b]:
+        mul = group.mul
+        for g in group.generators() or [group.identity]:
+            image_g = images[g]
+            for a in range(group.n):
+                if images[mul[a][g]] != images[a] * image_g:
                     raise NotAHomomorphism(
-                        f"not multiplicative at ({group.labels[a]}, {group.labels[b]})"
+                        f"not multiplicative at ({group.labels[a]}, {group.labels[g]})"
                     )
         self.group = group
         self.images = images
@@ -479,7 +490,3 @@ def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
         if res != 0:
             raise MismatchDetected(f"transitivity fails at u = {u}: residual {res}")
     return TransitivityReport(points=points, residuals=residuals, ok=True)
-
-
-def trivial_representation(cover: GaloisCover, ell: int, n: int = 1) -> Representation:
-    return Representation.trivial(cover.group, field_create(ell, n))

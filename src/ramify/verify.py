@@ -11,6 +11,7 @@ import random
 from . import bounds, corpus
 from .covers import lower_break_table
 from .errors import InconsistentCounts, UnknownSuite
+from .fields import split_prime_power
 from .groups import FiniteGroup, abelian_p_bound_probe, max_ell_element_order
 from .ramification import (
     filtration_from_breaks,
@@ -120,11 +121,7 @@ def suite_claim1(options) -> list[dict]:
     ]
     for r, ell, n in combos:
         best = max_ell_element_order(r, ell, n)
-        d = 0
-        o = best
-        while o > 1:
-            o //= ell
-            d += 1
+        d = split_prime_power(best, ell)[0]
         passed = d == 0 or ell ** (d - 1) <= r
         instances.append(
             {

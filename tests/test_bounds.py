@@ -5,6 +5,7 @@ import pytest
 
 from ramify.bounds import (
     DecompositionData,
+    ExplicitConstants,
     claim1_check,
     decomposition_counts,
     explicit_constants,
@@ -152,6 +153,29 @@ def test_explicit_constants_overflow_policy():
     assert ec.crude_at_least(10 ** 100)
     with pytest.raises(OverflowPolicyExceeded):
         explicit_constants(1, 2, 3, 5, 1, exact_factorial=True)
+
+
+def test_crude_at_least_is_exact():
+    # The symbolic path, forced on small M0, against the exact factorial.
+    for m0 in range(0, 9):
+        symbolic = ExplicitConstants(0, m0, None, (m0, "factorial"))
+        exact = ExplicitConstants(0, m0, math.factorial(m0), None)
+        for value in list(range(-2, 50)) + [math.factorial(k) + d for k in range(9) for d in (-1, 0, 1)]:
+            expected = math.factorial(m0) >= value
+            assert symbolic.crude_at_least(value) is expected
+            assert exact.crude_at_least(value) is expected
+    # The descriptor case of explicit_constants: M0 = 2^15, M0! stays symbolic.
+    ec = explicit_constants(1, 2, 3, 5, 1)
+    assert ec.M_crude is None
+    for k in (2, 10, 100, 1000):
+        assert ec.crude_at_least(math.factorial(k))
+        assert ec.crude_at_least(math.factorial(k) + 1)
+    assert ec.crude_at_least(2 ** 15)
+    assert ec.crude_at_least(10 ** 5000)
+    # A lower bound such as M0! >= 2^(M0 - 1) would answer no to the first.
+    small = ExplicitConstants(0, 20, None, (20, "factorial"))
+    assert small.crude_at_least(math.factorial(20))
+    assert not small.crude_at_least(math.factorial(20) + 1)
 
 
 def test_explicit_constants_rank_two_with_supplied_bound():

@@ -243,3 +243,24 @@ def test_jordan_table_flag(tmp_path, capsys, monkeypatch):
     code = cli.main(["run", "--input", str(job_file), "--jordan-table", str(bad)])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["error"]["type"] == "InputSchemaError"
+
+
+@pytest.mark.parametrize("big_n,field", [(1, "constants.M_crude"), (1300, "constants.M0")])
+def test_bound_constants_over_the_digit_limit_are_a_json_error(big_n, field, capsys, monkeypatch):
+    # M0 = 2^(11 N): at N = 1 its factorial M_crude has about 5,900 digits;
+    # at N = 1300, M0 itself has about 4,300.
+    import sys
+
+    job = dict(SWAN_JOB)
+    job["command"] = "bound"
+    job["rep"] = {"ell": 11, "n": 1, "r": 1, "images": {"sigma": [[[10]]]}}
+    job["params"] = {"N": big_n}
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 1
+    assert report["error"]["type"] == "OverflowPolicyExceeded"
+    assert field in report["error"]["message"]

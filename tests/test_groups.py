@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from ramify.errors import NotAGroup, SizeCapExceeded
-from ramify.fields import field_create
+from ramify.bounds import inertia_structure
+from ramify.errors import NotAGroup, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
+from ramify.fields import field_create, split_prime_power
 from ramify.groups import (
     FiniteGroup,
     abelian_p_bound_probe,
@@ -9,7 +12,9 @@ from ramify.groups import (
     group_closure,
     has_inertia_shape,
     inertia_candidate_sample,
+    inertia_shape,
     max_ell_element_order,
+    power_order,
 )
 from ramify.linalg import MatrixFF
 
@@ -149,3 +154,265 @@ def test_abelian_probe_trivial_exponent():
     probe = abelian_p_bound_probe(2, 2, 3, 0)
     assert probe.max_order_found == 1
     assert probe.le_linear_bound and probe.le_torus_bound
+
+
+# -- differential checks against the full n^2 algorithms ----------------------
+#
+# The group layer builds Cayley tables and subgroup closures from generating
+# sets.  The oracles below are the all-pairs versions; over prime fields their
+# products are computed on entry residues, without MatrixFF.
+
+
+def brute_table(mats):
+    """Every product of two elements, looked up in the key-sorted element list."""
+    unique = {}
+    for m in mats:
+        unique.setdefault(m.key(), m)
+    keys = sorted(unique)
+    index = {k: i for i, k in enumerate(keys)}
+    elems = [unique[k] for k in keys]
+    if not elems:
+        return []
+    field, r = elems[0].field, elems[0].n
+    if field.a == 1:
+        p = field.p
+        cells = [(i, j) for i in range(r) for j in range(r)]
+
+        def product(ka, kb, a, b):
+            return tuple(
+                sum(ka[i * r + k] * kb[k * r + j] for k in range(r)) % p for i, j in cells
+            )
+    else:
+        def product(ka, kb, a, b):
+            return (a * b).key()
+    table = []
+    for ka, a in zip(keys, elems):
+        row = []
+        for kb, b in zip(keys, elems):
+            k = product(ka, kb, a, b)
+            if k not in index:
+                raise NotAGroup("set is not closed under multiplication")
+            row.append(index[k])
+        table.append(row)
+    return table
+
+
+def brute_identity_and_inverses(mul):
+    """The O(n^2) scans: first two-sided identity, first two-sided inverse."""
+    n = len(mul)
+    identity = next(
+        (e for e in range(n) if all(mul[e][x] == x and mul[x][e] == x for x in range(n))),
+        None,
+    )
+    if identity is None:
+        return "no identity element"
+    inv = []
+    for x in range(n):
+        y = next((y for y in range(n) if mul[x][y] == identity and mul[y][x] == identity), None)
+        if y is None:
+            return f"element g{x} has no inverse"
+        inv.append(y)
+    return identity, tuple(inv)
+
+
+def pairwise_closure(group, seed):
+    """Closure under all products in both orders and inverses."""
+    todo = list(set(seed) | {group.identity})
+    out = set(todo)
+    while todo:
+        x = todo.pop()
+        for y in list(out):
+            for z in (group.mul[x][y], group.mul[y][x]):
+                if z not in out:
+                    out.add(z)
+                    todo.append(z)
+        z = group.inv[x]
+        if z not in out:
+            out.add(z)
+            todo.append(z)
+    return frozenset(out)
+
+
+def pairwise_all_subgroups(group):
+    found = {pairwise_closure(group, [group.identity])}
+    frontier = list(found)
+    for i in range(group.n):
+        s = pairwise_closure(group, [i])
+        if s not in found:
+            found.add(s)
+            frontier.append(s)
+    while frontier:
+        base = frontier.pop()
+        for i in range(group.n):
+            if i in base:
+                continue
+            bigger = pairwise_closure(group, set(base) | {i})
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def affine_group(p, m):
+    """Z/p x| Z/m as the matrices [[a, b], [0, 1]] over F_p, a in the
+    subgroup of order m of F_p^*."""
+    field = field_create(p, 1)
+    a = next(x for x in range(1, p) if power_order(x, lambda y, g: y * g % p, 1) == m)
+    units = sorted({pow(a, k, p) for k in range(m)})
+    return [MatrixFF.from_int_rows(field, [[u, b], [0, 1]]) for u in units for b in range(p)]
+
+
+def assert_matches_oracle(mats):
+    group = FiniteGroup.from_matrices(mats)
+    table = brute_table(mats)
+    assert [list(row) for row in group.mul] == table
+    assert brute_identity_and_inverses(table) == (group.identity, group.inv)
+    assert tuple(m.key() for m in group.matrices) == tuple(sorted({m.key() for m in mats}))
+    return group
+
+
+GL2_F3 = enumerate_gl(F3, 2)
+GL3_F2 = enumerate_gl(F2, 3)
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [GL2_F3, GL3_F2, affine_group(7, 3), affine_group(5, 4), affine_group(3, 2)],
+    ids=["gl2_f3", "gl3_f2", "z7_z3", "z5_z4", "z3_z2"],
+)
+def test_cayley_table_matches_all_pairs(mats):
+    # Input order and duplicates must not matter.
+    shuffled = list(mats) + list(mats[: len(mats) // 3])
+    random.Random(len(mats)).shuffle(shuffled)
+    group = assert_matches_oracle(shuffled)
+    assert group.n == len(mats)
+
+
+def test_sampled_subgroup_tables_match_all_pairs():
+    cases = ((2, 3, 1, 2), (1, 3, 2, 2), (2, 2, 1, 3), (2, 5, 1, 3), (3, 2, 1, 7))
+    seen = 0
+    for r, ell, n, p in cases:
+        for g in inertia_candidate_sample(r, ell, n, p, count=2, seed=7):
+            assert_matches_oracle(list(g.matrices))
+            seen += 1
+    rng = random.Random(1)
+    for _ in range(6):
+        gens = [rng.choice(GL2_F3) for _ in range(rng.choice((1, 2)))]
+        g = group_closure(gens)
+        assert_matches_oracle(list(reversed(g.matrices)))
+        seen += 1
+    assert seen >= 12
+
+
+def test_closed_singular_idempotents_behave_as_before():
+    e1 = MatrixFF.from_int_rows(F3, [[1, 0], [0, 0]])
+    e2 = MatrixFF.from_int_rows(F3, [[1, 1], [0, 0]])
+    zero = MatrixFF.from_int_rows(F3, [[0, 0], [0, 0]])
+    # {e1} is a one-element table: accepted, as with every product computed.
+    single = assert_matches_oracle([e1])
+    assert single.n == 1 and single.identity == 0
+    # x * y = y on {e1, e2}: closed, but without a two-sided identity.
+    assert brute_identity_and_inverses(brute_table([e1, e2])) == "no identity element"
+    with pytest.raises(NotAGroup, match="no identity element"):
+        FiniteGroup.from_matrices([e1, e2])
+    # {0, e1}: identity e1, but 0 has no inverse.
+    message = brute_identity_and_inverses(brute_table([zero, e1]))
+    assert message == "element g0 has no inverse"
+    with pytest.raises(NotAGroup, match=message):
+        FiniteGroup.from_matrices([zero, e1])
+
+
+def test_non_closed_sets_still_raise():
+    rng = random.Random(3)
+    for _ in range(5):
+        subset = rng.sample(GL2_F3, rng.randint(2, 40))
+        try:
+            brute_table(subset)
+            closed = True
+        except NotAGroup:
+            closed = False
+        if closed:
+            assert_matches_oracle(subset)
+        else:
+            with pytest.raises(NotAGroup, match="not closed"):
+                FiniteGroup.from_matrices(subset)
+    missing_one = GL2_F3[:17] + GL2_F3[18:]
+    with pytest.raises(NotAGroup, match="not closed"):
+        FiniteGroup.from_matrices(missing_one)
+    with pytest.raises(NotAGroup, match="no identity"):
+        FiniteGroup.from_matrices([])
+
+
+def test_table_validation_matches_the_full_scans():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # plant an identity row and column
+            e = rng.randrange(n)
+            table[e] = list(range(n))
+            for x in range(n):
+                table[x][e] = x
+        expected = brute_identity_and_inverses(table)
+        labels = [f"g{i}" for i in range(n)]
+        if isinstance(expected, str):
+            with pytest.raises(NotAGroup, match=expected):
+                FiniteGroup(table, labels)
+        else:
+            g = FiniteGroup(table, labels)
+            assert (g.identity, g.inv) == expected
+    with pytest.raises(NotAGroup, match="out of range"):
+        FiniteGroup([[0, 2], [1, 0]], ["a", "b"])
+    with pytest.raises(NotAGroup, match="out of range"):
+        FiniteGroup([[0, float("nan")], [1, 0]], ["a", "b"])
+    with pytest.raises(TypeError):
+        FiniteGroup([[0, "1"], [1, 0]], ["a", "b"])
+
+
+def test_closure_and_all_subgroups_match_pairwise():
+    groups = [
+        FiniteGroup.from_matrices(GL2_F3),
+        FiniteGroup.from_matrices(affine_group(7, 3)),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
+        FiniteGroup.cyclic(12),
+    ]
+    rng = random.Random(2)
+    for g in groups:
+        for _ in range(30):
+            seed = rng.sample(range(g.n), rng.randint(0, 3))
+            assert g.closure(seed) == pairwise_closure(g, seed)
+        assert g.all_subgroups() == pairwise_all_subgroups(g)
+        gens = g.generators()
+        assert g.identity not in gens
+        assert g.closure(gens) == frozenset(range(g.n))
+    assert FiniteGroup.cyclic(1).generators() == []
+
+
+def test_inertia_shape_agrees_with_inertia_structure():
+    cases = [(affine_group(7, 3), 3), (affine_group(5, 4), 2), (GL2_F3, 2), (GL3_F2, 3)]
+    cases += [(list(g.matrices), 2) for g in inertia_candidate_sample(2, 3, 1, 2, count=2, seed=5)]
+    shaped = 0
+    for mats, p in cases:
+        group = FiniteGroup.from_matrices(mats)
+        try:
+            subset, quot = inertia_shape(group, p)
+        except (PSylowNotNormal, QuotientNotCyclic) as exc:
+            assert not has_inertia_shape(group, p)
+            with pytest.raises(type(exc)):
+                inertia_structure(mats, p)
+            continue
+        shaped += 1
+        assert has_inertia_shape(group, p)
+        st = inertia_structure(mats, p)
+        assert st.P_indices == subset and st.M == quot.n
+        assert len(subset) == p ** split_prime_power(group.n, p)[0]
+    assert shaped >= 2
+
+
+def test_power_order_on_tables_and_matrices():
+    g = FiniteGroup.from_matrices(GL2_F3)
+    ident = MatrixFF.identity(F3, 2)
+    for i, m in enumerate(g.matrices):
+        assert g.order_of(i) == power_order(m, MatrixFF.__mul__, ident)
+    with pytest.raises(SizeCapExceeded):
+        power_order(g.matrices[1], MatrixFF.__mul__, ident, bound=1)

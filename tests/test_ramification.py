@@ -371,3 +371,95 @@ def test_herbrand_function_evaluation_guard():
     hf = HerbrandFunction([(0, 0), (1, 1)], Fraction(1, 2))
     with pytest.raises(ValueError):
         hf.evaluate(-1)
+
+
+# -- homomorphism check on generators against the full n^2 scan ----------------
+
+
+def _full_scan_is_homomorphism(group, images):
+    return all(
+        images[group.mul[a][b]] == images[a] * images[b]
+        for a in range(group.n)
+        for b in range(group.n)
+    )
+
+
+def _monomial_rep_images(p, m, ell):
+    """Z/p x| Z/m as monomial m x m matrices over F_ell (m | p - 1, p | ell - 1)."""
+    field = field_create(ell, 1)
+    a = next(x for x in range(2, p) if pow(x, m, p) == 1 and all(pow(x, k, p) != 1 for k in range(1, m)))
+    zeta = next(z for z in range(2, ell) if pow(z, p, ell) == 1)
+    a_inv = pow(a, -1, p)
+    sigma = [[pow(zeta, pow(a_inv, i, p), ell) if i == j else 0 for j in range(m)] for i in range(m)]
+    tau = [[1 if i == (j + 1) % m else 0 for j in range(m)] for i in range(m)]
+    gens = [MatrixFF.from_int_rows(field, sigma), MatrixFF.from_int_rows(field, tau)]
+    from ramify.groups import group_closure
+
+    group = group_closure(gens)
+    return group, list(group.matrices)
+
+
+def _rep_cases():
+    from ramify.groups import enumerate_gl
+
+    gl2 = FiniteGroup.from_matrices(enumerate_gl(F3, 2))
+    yield "gl2_f3_natural", gl2, list(gl2.matrices)
+    for p, m, ell in ((7, 3, 29), (5, 4, 11), (3, 2, 7)):
+        group, images = _monomial_rep_images(p, m, ell)
+        yield f"z{p}_z{m}", group, images
+    z6 = FiniteGroup.cyclic(6, "g")
+    yield "z6_character", z6, [MatrixFF.from_int_rows(F7, [[pow(3, k, 7)]]) for k in range(6)]
+
+
+@pytest.mark.parametrize("name", ["gl2_f3_natural", "z7_z3", "z5_z4", "z3_z2", "z6_character"])
+def test_generator_check_agrees_with_full_scan(name):
+    import random
+
+    group, images = next((g, im) for n, g, im in _rep_cases() if n == name)
+    assert _full_scan_is_homomorphism(group, images)
+    Representation(group, images)
+    rng = random.Random(name)
+    for _ in range(4):
+        corrupted = list(images)
+        i, j = rng.sample(range(group.n), 2)
+        if rng.random() < 0.5:
+            corrupted[i], corrupted[j] = corrupted[j], corrupted[i]
+        else:
+            corrupted[i] = corrupted[i] * corrupted[j]
+        if corrupted[i] == images[i] and corrupted[j] == images[j]:
+            continue
+        assert not _full_scan_is_homomorphism(group, corrupted)
+        with pytest.raises(NotAHomomorphism, match="not multiplicative"):
+            Representation(group, corrupted)
+
+
+def test_trivial_group_image_must_be_identity():
+    trivial = FiniteGroup.cyclic(1, "sigma")
+    bad = [MatrixFF.from_int_rows(F7, [[2]])]
+    assert not _full_scan_is_homomorphism(trivial, bad)
+    with pytest.raises(NotAHomomorphism):
+        Representation(trivial, bad)
+    good = Representation(trivial, [MatrixFF.from_int_rows(F7, [[1]])])
+    assert good.is_faithful()
+
+
+def test_every_generator_is_checked():
+    # On Z/2 x Z/2 = <g1, g2>, g1^a g2^b -> A^a B^b with A of order 2 and B of
+    # order 3 is multiplicative along g1 and fails only along g2.
+    group = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    g1, g2 = group.generators()
+    a_mat = MatrixFF.from_int_rows(F7, [[6, 0], [0, 1]])
+    b_mat = MatrixFF.from_int_rows(F7, [[2, 0], [0, 1]])
+    images = [None] * 4
+    for a in range(2):
+        for b in range(2):
+            x = group.identity
+            for _ in range(a):
+                x = group.mul[x][g1]
+            for _ in range(b):
+                x = group.mul[x][g2]
+            images[x] = (a_mat ** a) * (b_mat ** b)
+    assert all(images[group.mul[x][g1]] == images[x] * images[g1] for x in range(4))
+    assert not _full_scan_is_homomorphism(group, images)
+    with pytest.raises(NotAHomomorphism, match="not multiplicative"):
+        Representation(group, images)
