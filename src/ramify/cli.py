@@ -44,8 +44,8 @@ def _get_base(job: dict):
     base = job.get("base")
     _require(isinstance(base, dict), "missing or invalid 'base'")
     _require(
-        isinstance(base.get("p"), int) and isinstance(base.get("a"), int),
-        "'base' needs integer fields p and a",
+        isinstance(base.get("p"), int) and isinstance(base.get("a"), int) and base["a"] >= 1,
+        "'base' needs integer fields p and a, with a >= 1",
     )
     return field_create(base["p"], base["a"])
 
@@ -75,10 +75,14 @@ def _break_data(job: dict, prec: int | None):
         return cover, bt, base.p
     if "break_table" in job:
         cfg = job["break_table"]
+        _require(isinstance(cfg, dict), "'break_table' must be a JSON object")
         base = _get_base(job)
         group = _group_from_table(cfg)
+        i_g = cfg.get("iG", {})
+        _require(isinstance(i_g, dict), "'break_table.iG' must be a JSON object")
         i_map = {}
-        for label, value in cfg.get("iG", {}).items():
+        for label, value in i_g.items():
+            _require(label in group.labels, f"'break_table.iG' has unknown label {label!r}")
             _require(isinstance(value, int) and value >= 1, "break values must be >= 1")
             i_map[group.label_index(label)] = value
         _require(
@@ -94,7 +98,26 @@ def _rep_for(job: dict, group: FiniteGroup, p: int):
     _require(isinstance(cfg, dict), "missing or invalid 'rep'")
     for key in ("ell", "r", "images"):
         _require(key in cfg, f"'rep' needs field {key!r}")
+    _require(isinstance(cfg["ell"], int), "'rep.ell' must be an integer")
+    n = cfg.get("n", 1)
+    _require(isinstance(n, int) and n >= 1, "'rep.n' must be a positive integer")
     _require(cfg["ell"] != p, "rep characteristic ell must differ from p")
+    images = cfg["images"]
+    _require(
+        isinstance(images, dict) and len(images) > 0,
+        "'rep.images' must be a non-empty object of generator label -> matrix",
+    )
+    for label, rows in images.items():
+        _require(label in group.labels, f"'rep.images' has unknown label {label!r}")
+        _require(
+            isinstance(rows, list)
+            and all(
+                isinstance(row, list)
+                and all(isinstance(x, int) or corpus.coordinates_ok(x, n) for x in row)
+                for row in rows
+            ),
+            f"'rep.images.{label}' must be a list of rows of ints or lists of at most {n} ints",
+        )
     rep = corpus.representation_from_spec(group, cfg)
     _require(rep.r == cfg["r"], "rank of the images differs from declared r")
     _require(rep.group.n == group.n, "rep group size does not match the cover group")
@@ -312,24 +335,22 @@ def run(job: dict, options: dict | None = None):
     command = job.get("command")
     _require(command in COMMANDS, f"'command' must be one of {COMMANDS}")
     params = job.get("params", {})
-    if isinstance(params, dict):
-        # Precedence: explicit CLI flag, then the job's params, then defaults.
-        if options.get("precision") is None:
-            prec = params.get("precision")
-            _require(
-                prec is None or (isinstance(prec, int) and prec >= 1),
-                "'params.precision' must be a positive integer",
-            )
-            options["precision"] = prec
-        if options.get("seed") is None:
-            seed = params.get("seed")
-            _require(
-                seed is None or isinstance(seed, int),
-                "'params.seed' must be an integer",
-            )
-            options["seed"] = seed if seed is not None else 0
+    _require(isinstance(params, dict), "'params' must be a JSON object")
+    # Precedence: explicit CLI flag, then the job's params, then defaults.
+    if options.get("precision") is None:
+        prec = params.get("precision")
+        _require(
+            prec is None or (isinstance(prec, int) and prec >= 1),
+            "'params.precision' must be a positive integer",
+        )
+        options["precision"] = prec
     if options.get("seed") is None:
-        options["seed"] = 0
+        seed = params.get("seed")
+        _require(
+            seed is None or isinstance(seed, int),
+            "'params.seed' must be an integer",
+        )
+        options["seed"] = seed if seed is not None else 0
     results, warnings, violated = _HANDLERS[command](job, options)
     report = make_report(command, job, results, warnings)
     return report, (2 if violated else 0)

@@ -32,10 +32,6 @@ def _raw() -> dict:
         return json.load(fh)
 
 
-def corpus_version() -> int:
-    return _raw()["corpus_version"]
-
-
 def cover_ids() -> list[str]:
     return [c["id"] for c in _raw()["covers"]]
 
@@ -58,20 +54,51 @@ def _cover_spec(cover_id: str) -> dict:
     raise KeyError(cover_id)
 
 
+def coordinates_ok(x, a: int) -> bool:
+    """Whether ``x`` encodes an element of F_{p^a}: a list of at most a ints."""
+    return isinstance(x, list) and len(x) <= a and all(isinstance(c, int) for c in x)
+
+
+def _int_field(cover_cfg: dict, key: str) -> int:
+    value = cover_cfg.get(key)
+    if not isinstance(value, int):
+        raise InputSchemaError(f"'cover.{key}' must be an integer")
+    return value
+
+
+def _datum(base, cover_cfg: dict) -> LaurentSeries:
+    """The series 'cover.f', given as [[exponent, coordinates], ...]."""
+    pairs = cover_cfg.get("f")
+    if not isinstance(pairs, list):
+        raise InputSchemaError("'cover.f' must be a list of [exponent, coordinates] pairs")
+    for i, pair in enumerate(pairs):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and isinstance(pair[0], int)
+            and coordinates_ok(pair[1], base.a)
+        ):
+            raise InputSchemaError(
+                f"'cover.f[{i}]' must be [exponent, coordinates] with at most "
+                f"{base.a} integer coordinates"
+            )
+    return LaurentSeries.from_sparse(base, pairs)
+
+
 def build_cover(base_cfg: dict, cover_cfg: dict, prec: int | None = None) -> GaloisCover:
     """Construct a cover from its serialized description (also the CLI path)."""
     base = field_create(int(base_cfg["p"]), int(base_cfg["a"]))
+    if not isinstance(cover_cfg, dict):
+        raise InputSchemaError("'cover' must be a JSON object")
     kind = cover_cfg.get("type")
     if kind == "artin_schreier":
-        f = LaurentSeries.from_sparse(base, cover_cfg["f"])
-        return build_artin_schreier(base, f, prec=prec)
+        return build_artin_schreier(base, _datum(base, cover_cfg), prec=prec)
     if kind == "kummer":
-        return build_kummer(base, int(cover_cfg["m"]), prec=prec)
+        return build_kummer(base, _int_field(cover_cfg, "m"), prec=prec)
     if kind == "tower":
-        m = int(cover_cfg["m"])
+        m = _int_field(cover_cfg, "m")
         lower = build_kummer(base, m, prec=prec) if m >= 2 else trivial_cover(base)
-        f = LaurentSeries.from_sparse(base, cover_cfg["f"])
-        return build_compositum_tower(lower, f, prec=prec)
+        return build_compositum_tower(lower, _datum(base, cover_cfg), prec=prec)
     raise InputSchemaError(f"unknown cover type {kind!r}")
 
 

@@ -10,8 +10,11 @@ Three families are built here, all totally ramified:
 For the wild family the uniformizer is s = t^a * y^b where a*p - b*m = 1
 and b is the least non-negative solution.  The expansion of t in s is
 obtained by Newton lifting from the algebraic relation E(s, t) = 0, where
-E is the product of (Z - image of s) over the deck transformations,
-expanded in the basis 1, y, ..., y^{p-1}; the expansion of y follows from
+E is the product of (Z - image of s) over the deck transformations.  Its
+Z-coefficients are the elementary symmetric functions of the conjugates
+t^a (y + j)^b, computed as series in t from their power sums by Newton's
+identities (the power sums of the y + j follow a linear recurrence in f),
+so y never appears in them.  The expansion of y follows from
 y^b = s * t^{-a} by extracting a b-th root.  Everything downstream
 (action series, break numbers) is then honest series arithmetic, and the
 builder cross-checks the defining relation, the group law on generators,
@@ -20,7 +23,6 @@ and invariance of t before returning.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Callable
 
 from .errors import (
@@ -37,13 +39,12 @@ from .series import DEFAULT_PRECISION, LaurentSeries, compose, hensel_lift_root,
 class TowerParts:
     """Marked intermediate data of a compositum tower."""
 
-    __slots__ = ("lower", "upper", "H_indices", "proj_to_lower")
+    __slots__ = ("lower", "upper", "H_indices")
 
-    def __init__(self, lower, upper, H_indices, proj_to_lower):
+    def __init__(self, lower, upper, H_indices):
         self.lower = lower                  # tame cover of the base, group Gal(K'/K)
         self.upper = upper                  # wild cover of K', group Gal(L/K')
         self.H_indices = tuple(H_indices)   # Gal(L/K') inside the full group
-        self.proj_to_lower = tuple(proj_to_lower)
 
 
 class GaloisCover:
@@ -67,8 +68,6 @@ class GaloisCover:
         "_rebuild",
         "_y_in_s",
         "_a_exp",
-        "_b",
-        "_m",
         "_zeta",
     )
 
@@ -87,8 +86,6 @@ class GaloisCover:
         rebuild: Callable[[int], "GaloisCover"] | None = None,
         y_in_s: LaurentSeries | None = None,
         a_exp: int | None = None,
-        b: int | None = None,
-        m: int | None = None,
         zeta: FieldElement | None = None,
     ):
         self.base_field = base_field
@@ -104,8 +101,6 @@ class GaloisCover:
         self._rebuild = rebuild
         self._y_in_s = y_in_s
         self._a_exp = a_exp
-        self._b = b
-        self._m = m
         self._zeta = zeta
 
     def rebuild(self, prec: int) -> "GaloisCover":
@@ -168,123 +163,54 @@ def artin_schreier_reduce(f: LaurentSeries) -> LaurentSeries:
         f = f - (g ** p - g)
 
 
-def _binomial_coeff(field: FiniteField, b: int, i: int, j: int) -> FieldElement:
-    """C(b, i) * j^{b-i} as an element of the prime subfield."""
-    return field.from_int(comb(b, i) * pow(j, b - i))
+def _conjugate_elementary(f: LaurentSeries, a_exp: int, b: int) -> list[LaurentSeries]:
+    """e_0, ..., e_p of the conjugates c_j = t^a (y + j)^b of s, as series in t.
+
+    Every root r = y + j of X^p - X - f satisfies r^p = r + f, so the power
+    sums S_n = sum_j (y + j)^n obey S_n = S_{n-p+1} + f * S_{n-p}, starting
+    from S_0 = ... = S_{p-2} = 0 and S_{p-1} = -1.  The conjugates have power
+    sums P_k = t^{ak} S_{bk}, and Newton's identities
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i give e_k for k < p, where k
+    is invertible.  e_p is the norm t^{ap} ((-1)^{p+1} f)^b = t^{ap} f^b
+    (the sign is 1 for odd p and -1 = 1 for p = 2).
+    """
+    field = f.field
+    p = field.p
+    zero = LaurentSeries.zero(field)
+    sums = [zero] * (p - 1) + [-LaurentSeries.one(field)]
+    for n in range(p, b * (p - 1) + 1):
+        sums.append(sums[n - p + 1] + f * sums[n - p])
+    power = [None] + [sums[b * k].shift(a_exp * k) for k in range(1, p)]
+    e = [LaurentSeries.one(field)]
+    for k in range(1, p):
+        acc = zero
+        for i in range(1, k + 1):
+            term = e[k - i] * power[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc.scale(field.from_int(k).inverse()))
+    e.append((f ** b).shift(a_exp * p))
+    return e
 
 
-def _conjugate_poly(field: FiniteField, a_exp: int, b: int, j: int, p: int):
-    """t^a * (y + j)^b in the basis 1, y, ..., y^{p-1}; x tracks t."""
-    elem = [dict() for _ in range(p)]
-    for i in range(b + 1):
-        c = _binomial_coeff(field, b, i, j)
-        if c:
-            elem[i][a_exp] = c
-    return elem
-
-
-def _rp_reduce(elem, f_terms, p):
-    """Reduce y-degree below p using y^p = y + f."""
-    while len(elem) > p:
-        top = elem.pop()
-        k = len(elem) - p  # the removed slot had y-degree len(elem)
-        up, low = elem[k + 1], elem[k]
-        # y^{p+k} = y^{k+1} + f * y^k
-        for exp, c in top.items():
-            up[exp] = up[exp] + c if exp in up else c
-        for fe, fc in f_terms.items():
-            for exp, c in top.items():
-                key = exp + fe
-                prod = fc * c
-                low[key] = low[key] + prod if key in low else prod
-    return elem
-
-
-def _rp_mul(u, v, f_terms, p, field):
-    out = [dict() for _ in range(len(u) + len(v) - 1)]
-    for du, tu in enumerate(u):
-        for eu, cu in tu.items():
-            if not cu:
-                continue
-            for dv, tv in enumerate(v):
-                for ev, cv in tv.items():
-                    if not cv:
-                        continue
-                    slot = out[du + dv]
-                    key = eu + ev
-                    prod = cu * cv
-                    if key in slot:
-                        slot[key] = slot[key] + prod
-                    else:
-                        slot[key] = prod
-    out = _rp_reduce(out, f_terms, p)
-    while len(out) < p:
-        out.append(dict())
-    return [
-        {e: c for e, c in slot.items() if c} for slot in out[:p]
-    ]
-
-
-def _rp_sub(u, v):
-    out = []
-    for tu, tv in zip(u, v):
-        slot = dict(tu)
-        for e, c in tv.items():
-            if e in slot:
-                s = slot[e] - c
-                if s:
-                    slot[e] = s
-                else:
-                    del slot[e]
-            else:
-                slot[e] = -c
-        out.append(slot)
-    return out
-
-
-def _relation_polynomial(field: FiniteField, f: LaurentSeries, a_exp: int, b: int):
+def _relation_polynomial(f: LaurentSeries, a_exp: int, b: int) -> list[LaurentSeries]:
     """Coefficients d_k(s) of the relation P(t) = 0 satisfied by t over k((s)).
 
-    P is assembled from the product of (Z - conjugate of s) over the deck
-    group, expanded in the y-basis; its Z^i coefficients are polynomials in
-    t, and regrouping by powers of t gives polynomial coefficients in s.
+    P(Z) = prod_j (Z - c_j) over the conjugates of s is
+    sum_k (-1)^k e_k Z^{p-k}, with e_k polynomials in t (see
+    ``_conjugate_elementary``); regrouping by powers of t gives polynomial
+    coefficients in s.
     """
+    field = f.field
     p = field.p
-    f_terms = dict(f.support())
-    one = [dict() for _ in range(p)]
-    one[0][0] = field.one()
-    # prod accumulates the Z-coefficients, each an element of the y-basis ring.
-    prod = [one]
-    for j in range(p):
-        conj = _conjugate_poly(field, a_exp, b, j, p)
-        new = []
-        for k in range(len(prod) + 1):
-            term = [dict() for _ in range(p)]
-            if k > 0:
-                term = prod[k - 1]
-            if k < len(prod):
-                term = _rp_sub(term, _rp_mul(prod[k], conj, f_terms, p, field))
-            new.append(term)
-        prod = new
-    lead = prod[p]
-    if any(lead[d] for d in range(1, p)) or lead[0] != {0: field.one()}:
-        raise MismatchDetected("relation product is not monic")
     by_t: dict[int, dict[int, FieldElement]] = {}
-    for i in range(p):
-        q_i = prod[i]
-        for d in range(1, p):
-            if q_i[d]:
-                raise MismatchDetected("relation coefficient has residual y part")
-        for t_exp, c in q_i[0].items():
+    for k, e_k in enumerate(_conjugate_elementary(f, a_exp, b)):
+        for t_exp, c in (e_k if k % 2 == 0 else -e_k).support():
             if t_exp < 0:
                 raise MismatchDetected("relation coefficient has a pole")
-            by_t.setdefault(t_exp, {})[i] = c
-    by_t.setdefault(0, {})[p] = field.one()  # the Z^p term
-    top = max(by_t)
-    coeffs = []
-    for k in range(top + 1):
-        coeffs.append(LaurentSeries.from_terms(field, by_t.get(k, {})))
-    return coeffs
+            by_t.setdefault(t_exp, {})[p - k] = c
+    return [
+        LaurentSeries.from_terms(field, by_t.get(k, {})) for k in range(max(by_t) + 1)
+    ]
 
 
 def _check_zero(series: LaurentSeries, what: str) -> None:
@@ -315,11 +241,11 @@ def build_artin_schreier(
     requested = prec if prec is not None else DEFAULT_PRECISION
     target = max(requested, p + m + 4)
 
-    coeffs = _relation_polynomial(base, f, a_exp, b)
+    coeffs = _relation_polynomial(f, a_exp, b)
     x0 = LaurentSeries.monomial(base, tau, p)
     t_in_s = hensel_lift_root(coeffs, x0, target)
-    if t_in_s.valuation() != p:
-        raise MismatchDetected("lifted base uniformizer has wrong valuation")
+    if t_in_s.valuation() != p or t_in_s.coeff(p) != tau:
+        raise MismatchDetected("lifted base uniformizer does not start with the seed")
 
     s_mono = LaurentSeries.uniformizer(base)
     w = s_mono * (t_in_s.inverse() ** a_exp)  # equals y^b
@@ -365,8 +291,6 @@ def build_artin_schreier(
         rebuild=lambda pr, _base=base, _f=f: build_artin_schreier(_base, _f, prec=pr),
         y_in_s=y_in_s,
         a_exp=a_exp,
-        b=b,
-        m=m,
     )
 
 
@@ -394,7 +318,6 @@ def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCo
         kind="kummer",
         prec=prec if prec is not None else DEFAULT_PRECISION,
         rebuild=lambda pr, _base=base, _m=m: build_kummer(_base, _m, prec=pr),
-        m=m,
         zeta=zeta,
     )
 
@@ -413,7 +336,6 @@ def trivial_cover(base: FiniteField) -> GaloisCover:
         kind="trivial",
         prec=DEFAULT_PRECISION,
         rebuild=lambda pr, _base=base: trivial_cover(_base),
-        m=1,
         zeta=base.one(),
     )
 
@@ -485,7 +407,6 @@ def build_compositum_tower(
         lower=lower,
         upper=upper,
         H_indices=[j * m for j in range(p)],
-        proj_to_lower=[k for j in range(p) for k in range(m)],
     )
     return GaloisCover(
         base_field=base,

@@ -134,6 +134,3 @@ class InputSchemaError(RamifyError):
 class UnknownSuite(RamifyError):
     pass
 
-
-class VerificationFailed(RamifyError):
-    pass

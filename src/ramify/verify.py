@@ -6,6 +6,7 @@ canonical order and all computed values are exact integers or rationals.
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import bounds, corpus
@@ -226,8 +227,6 @@ def _random_counts(rng: random.Random) -> bounds.DecompositionData:
 
 
 def suite_counts(options) -> list[dict]:
-    import math
-
     seed = options.get("seed", 0)
     rng = random.Random(seed)
     instances = []

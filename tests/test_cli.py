@@ -153,6 +153,56 @@ def test_cross_field_validation(capsys, monkeypatch):
     assert report["error"]["type"] == "InputSchemaError"
 
 
+def _swan_with(**fields):
+    return dict(SWAN_JOB, **fields)
+
+
+def _rep_with(**fields):
+    return _swan_with(rep=dict(SWAN_JOB["rep"], **fields))
+
+
+def _as_cover(f):
+    return _swan_with(cover={"type": "artin_schreier", "f": f})
+
+
+_TABLE_JOB = {
+    "command": "filtration",
+    "base": {"p": 2, "a": 1},
+    "break_table": {"labels": ["1", "s"], "mul_table": [[0, 1], [1, 0]], "iG": {"q": 2}},
+}
+
+
+@pytest.mark.parametrize(
+    "job,field",
+    [
+        (_swan_with(cover={"type": "artin_schreier"}), "cover.f"),
+        (_as_cover([[-1]]), "cover.f[0]"),
+        (_as_cover([["x", [1]]]), "cover.f[0]"),
+        (_as_cover(5), "cover.f"),
+        (_as_cover([[-1, [1, 1]]]), "cover.f[0]"),
+        (_swan_with(cover={"type": "kummer", "m": "x"}), "cover.m"),
+        (_swan_with(cover={"type": "tower", "m": "x", "f": [[-1, [1]]]}), "cover.m"),
+        (_rep_with(n="x"), "rep.n"),
+        (_swan_with(cover=[]), "'cover'"),
+        (_rep_with(images=[]), "rep.images"),
+        (_rep_with(images={"sigma": [[["x"]]]}), "rep.images.sigma"),
+        (_rep_with(images={"q": [[2]]}), "rep.images"),
+        (_TABLE_JOB, "break_table.iG"),
+        (dict(SWAN_JOB, command="bound", params=[1]), "params"),
+        (dict(SWAN_JOB, command="bound", params="N"), "params"),
+        ({"command": "enum", "params": [1]}, "params"),
+        ({"command": "enum", "params": "op"}, "params"),
+        ({"command": "verify", "params": [1]}, "params"),
+        ({"command": "verify", "params": "all"}, "params"),
+    ],
+)
+def test_malformed_job_names_the_bad_field(job, field, capsys, monkeypatch):
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "InputSchemaError"
+    assert field in report["error"]["message"]
+
+
 @pytest.mark.parametrize("raw", ["lots", "", "2.5", "0", "-8"])
 def test_malformed_precision_cap_is_a_json_error(raw, capsys, monkeypatch):
     monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)

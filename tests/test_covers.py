@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from ramify.errors import (
     MismatchDetected,
     MissingRootsOfUnity,
     NotGaloisOverBase,
+    NotSimpleRoot,
     PoleOrderDivisibleByP,
     PrecisionExhausted,
 )
@@ -350,3 +352,82 @@ def test_tower_runs_every_self_check(monkeypatch, field, tame):
     expected = 1 + (1 + p + 2) + (2 if tame > 1 else 0) + 2 + generators * (1 + n)
     assert len(calls) == expected
     assert lower_break_table(tower).by_label()["sigma"] == tame + 1
+
+
+# ---------------------------------------------------------------------------
+# The relation polynomial P(Z) = prod_j (Z - t^a (y + j)^b) against oracles.
+
+
+def _relation_terms(f):
+    """{(Z-degree, t-degree): key} of the relation of y^p - y = f, and (m, a, b)."""
+    p = f.field.p
+    m = -f.valuation()
+    b = next(bb for bb in range(1, p) if (1 + bb * m) % p == 0)
+    a = (1 + b * m) // p
+    coeffs = covers._relation_polynomial(f, a, b)
+    terms = {(i, k): c.key() for k, d in enumerate(coeffs) for i, c in d.support()}
+    return terms, (m, a, b)
+
+
+def _random_datum(rng, field, m):
+    """[[exponent, coordinates], ...]: a nonzero t^-m term and three random terms."""
+    p, deg = field.p, field.a
+    pairs = [[-m, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg - 1)]]]
+    for e in sorted(rng.sample(range(-m + 1, 3), 3)):
+        pairs.append([e, [rng.randrange(p) for _ in range(deg)]])
+    return pairs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_relation_polynomial_matches_the_resultant(p):
+    """Res_x(t^m (x^p - x - f), Z - t^a x^b) = t^{mb} P(Z), over Z then mod p."""
+    sympy = pytest.importorskip("sympy")
+    x, z, t = sympy.symbols("x z t")
+    field = field_create(p, 1)
+    rng = random.Random(p)
+    # One pole order for every b in 1..p-1 (b = -1/m mod p), plus a larger one.
+    for m in [-pow(b, -1, p) % p for b in range(1, p)] + [p + 1]:
+        pairs = _random_datum(rng, field, m)
+        ours, (_, a, b) = _relation_terms(as_sparse(field, pairs))
+        f = sum(coords[0] * t ** e for e, coords in pairs)
+        g = sympy.expand(t ** m * (x ** p - x - f))
+        res = sympy.Poly(sympy.resultant(g, z - t ** a * x ** b, x), z, t)
+        terms = {mon: c % p for mon, c in res.terms() if c % p}
+        ((lead_t, lead),) = [(k, c) for (i, k), c in terms.items() if i == p]
+        inv = pow(lead, -1, p)
+        oracle = {(i, k - lead_t): c * inv % p for (i, k), c in terms.items()}
+        assert ours == oracle, (p, m, b)
+
+
+@pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2)])
+def test_relation_polynomial_closed_form_for_b_one(p, deg):
+    """b = 1 (m = -1 mod p): P(Z) = Z^p - t^{a(p-1)} Z - t^{ap} f."""
+    field = field_create(p, deg)
+    rng = random.Random(p ** deg)
+    for m in (p - 1, 2 * p - 1):
+        for _ in range(3):
+            f = as_sparse(field, _random_datum(rng, field, m))
+            ours, (_, a, b) = _relation_terms(f)
+            assert b == 1
+            expected = {(p, 0): 1, (1, a * (p - 1)): (-field.one()).key()}
+            for e, c in f.support():
+                expected[(0, a * p + e)] = (-c).key()
+            assert ours == expected
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 3), (7, 2)])
+def test_corrupted_elementary_function_is_caught(monkeypatch, p, m):
+    """Perturbing any e_k within the working precision fails a builder check."""
+    field = field_create(p, 1)
+    f = as_sparse(field, [[-m, [1]], [0, [1]]])
+    exact = covers._conjugate_elementary
+    for k in range(1, p + 1):
+        for deg in (0, 1):
+            def corrupted(*args, k=k, deg=deg):
+                e = exact(*args)
+                e[k] = e[k] + LaurentSeries.monomial(field, field.one(), deg)
+                return e
+
+            monkeypatch.setattr(covers, "_conjugate_elementary", corrupted)
+            with pytest.raises((MismatchDetected, NotSimpleRoot)):
+                build_artin_schreier(field, f, prec=32)

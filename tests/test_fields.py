@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ramify.errors import FieldMismatch, NotPrime, SizeCapExceeded, ZeroElement
@@ -142,3 +144,24 @@ def test_pth_root_inverts_frobenius():
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_canonical_modulus_against_galoistools():
+    """For every p^a <= 3^5 the modulus is irreducible and lexicographically least."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def irreducible(tail, p):  # tail = (c_0, ..., c_{a-1}) of a monic polynomial
+        return galoistools.gf_irreducible_p([1] + list(reversed(tail)), p, ZZ)
+
+    for p in (q for q in range(2, 3 ** 5 + 1) if is_prime(q)):
+        a = 1
+        while p ** a <= 3 ** 5:
+            modulus = canonical_modulus(p, a)
+            assert modulus[-1] == 1 and len(modulus) == a + 1
+            assert irreducible(modulus[:-1], p), (p, a)
+            for tail in itertools.product(range(p), repeat=a):
+                if tail == modulus[:-1]:
+                    break
+                assert not irreducible(tail, p), (p, a, tail)
+            a += 1
