@@ -9,9 +9,8 @@ bounds on the wild part, and checks the bounds against exact group data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ComplementNotFound,
@@ -37,8 +36,7 @@ DEFAULT_JORDAN_TABLE = {1: 1}
 # Inertia shape.
 
 
-@dataclass(frozen=True)
-class InertiaStructure:
+class InertiaStructure(NamedTuple):
     group: FiniteGroup
     p: int
     ell: int
@@ -99,8 +97,7 @@ def claim1_check(structure: InertiaStructure, r: int | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TameizingReport:
+class TameizingReport(NamedTuple):
     H_indices: tuple[int, ...]
     complement_indices: tuple[int, ...]
     H_order: int
@@ -176,8 +173,7 @@ def jordan_bound(r: int, table: dict[int, int] | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ExplicitConstants:
+class ExplicitConstants(NamedTuple):
     N_prime: int
     M0: int
     M_crude: int | None
@@ -235,8 +231,7 @@ def explicit_constants(
 # Wild-order bound check.
 
 
-@dataclass(frozen=True)
-class WildOrderReport:
+class WildOrderReport(NamedTuple):
     swan: Fraction
     N: int
     N_prime: int
@@ -252,7 +247,7 @@ class WildOrderReport:
     linear_bound_holds: bool
     abelian_part_order: int
     ok: bool
-    warnings: tuple[str, ...] = dc_field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
 
 
 def _abelian_normal_part(group: FiniteGroup) -> frozenset:
@@ -357,8 +352,7 @@ def restricted_image_through(
 # Decomposition counts.
 
 
-@dataclass(frozen=True)
-class DecompositionData:
+class DecompositionData(NamedTuple):
     order_I: int
     t: int
     e: int
@@ -367,8 +361,7 @@ class DecompositionData:
     p: int
 
 
-@dataclass(frozen=True)
-class CountsReport:
+class CountsReport(NamedTuple):
     order_IC: int
     tame: bool
 
@@ -392,8 +385,7 @@ def decomposition_counts(data: DecompositionData) -> CountsReport:
     return CountsReport(order_IC=order_ic, tame=tame)
 
 
-@dataclass(frozen=True)
-class StarKernelReport:
+class StarKernelReport(NamedTuple):
     passes: bool
     kernel_order: int
     kernel_p_sylow_order: int

@@ -260,53 +260,45 @@ def _printable(name: str, value: int) -> int:
     return value
 
 
+# Least admissible value of each integer parameter of the enum ops.
+_ENUM_INTS = {
+    "max_ell_element_order": {"r": 1, "ell": 2, "n": 1},
+    "inertia_candidate_sample": {"r": 1, "ell": 2, "n": 1, "p": 2, "count": 0},
+    "abelian_p_bound_probe": {"r": 1, "ell": 2, "p": 2, "s": 0},
+}
+
+
 def _cmd_enum(job: dict, options: dict):
     params = job.get("params", {})
     op = params.get("op")
+    _require(isinstance(op, str) and op in _ENUM_INTS, f"unknown enum op {op!r}")
+    for key, least in _ENUM_INTS[op].items():
+        value = params.get(key)
+        _require(
+            isinstance(value, int) and value >= least,
+            f"'params.{key}' must be an integer >= {least}",
+        )
     if op == "max_ell_element_order":
-        for key in ("r", "ell", "n"):
-            _require(isinstance(params.get(key), int), f"'params.{key}' must be an integer")
         value = max_ell_element_order(params["r"], params["ell"], params["n"])
         return {"op": op, "max_order": value, "mode": "exhaustive"}, [], False
     if op == "inertia_candidate_sample":
-        for key in ("r", "ell", "n", "p", "count"):
-            _require(isinstance(params.get(key), int), f"'params.{key}' must be an integer")
         seed = options.get("seed", 0)
         groups = inertia_candidate_sample(
             params["r"], params["ell"], params["n"], params["p"], params["count"], seed
         )
-        return (
-            {
-                "op": op,
-                "seed": seed,
-                "orders": [g.n for g in groups],
-                "mode": "sampled",
-            },
-            [],
-            False,
-        )
-    if op == "abelian_p_bound_probe":
-        for key in ("r", "ell", "p", "s"):
-            _require(isinstance(params.get(key), int), f"'params.{key}' must be an integer")
-        probe = abelian_p_bound_probe(params["r"], params["ell"], params["p"], params["s"])
-        return (
-            {
-                "op": op,
-                "max_order_found": probe.max_order_found,
-                "le_linear_bound": probe.le_linear_bound,
-                "le_torus_bound": probe.le_torus_bound,
-                "n_used": probe.n_used,
-                "mode": "constructed",
-            },
-            [],
-            False,
-        )
-    raise InputSchemaError(f"unknown enum op {op!r}")
+        orders = [g.n for g in groups]
+        return {"op": op, "seed": seed, "orders": orders, "mode": "sampled"}, [], False
+    probe = abelian_p_bound_probe(params["r"], params["ell"], params["p"], params["s"])
+    results = {"op": op, "mode": "constructed"}
+    for key in ("max_order_found", "le_linear_bound", "le_torus_bound", "n_used"):
+        results[key] = getattr(probe, key)
+    return results, [], False
 
 
 def _cmd_verify(job: dict, options: dict):
     params = job.get("params", {})
     suite = params.get("suite", "all")
+    _require(isinstance(suite, str), "'params.suite' must be a string")
     results = verify.run_suite(
         suite,
         {
@@ -378,6 +370,10 @@ def _load_jordan_table(path: str | None) -> dict[int, int] | None:
     return table
 
 
+def _reject_inexact(literal: str):
+    raise InputSchemaError(f"the job has the number {literal}; jobs take exact integers only")
+
+
 def _emit(payload: dict, output: str | None) -> None:
     text = canonical_dumps(payload)
     if output:
@@ -423,7 +419,7 @@ def main(argv=None) -> int:
             else:
                 text = sys.stdin.read()
             try:
-                job = json.loads(text)
+                job = json.loads(text, parse_float=_reject_inexact, parse_constant=_reject_inexact)
             except json.JSONDecodeError as exc:
                 raise InputSchemaError(f"invalid JSON: {exc}")
         else:

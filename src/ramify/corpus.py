@@ -15,12 +15,12 @@ from .covers import (
     build_kummer,
     trivial_cover,
 )
-from .errors import InputSchemaError
+from .errors import InputSchemaError, SizeCapExceeded
 from .fields import field_create
 from .groups import FiniteGroup
 from .linalg import MatrixFF
 from .ramification import Representation
-from .series import LaurentSeries
+from .series import LaurentSeries, precision_cap
 
 CORPUS_PRECISION = 24
 
@@ -67,10 +67,14 @@ def _int_field(cover_cfg: dict, key: str) -> int:
 
 
 def _datum(base, cover_cfg: dict) -> LaurentSeries:
-    """The series 'cover.f', given as [[exponent, coordinates], ...]."""
+    """The series 'cover.f', given as [[exponent, coordinates], ...].
+
+    Its window is stored densely, so no exponent may pass the precision cap.
+    """
     pairs = cover_cfg.get("f")
     if not isinstance(pairs, list):
         raise InputSchemaError("'cover.f' must be a list of [exponent, coordinates] pairs")
+    cap = precision_cap()
     for i, pair in enumerate(pairs):
         if not (
             isinstance(pair, list)
@@ -81,6 +85,10 @@ def _datum(base, cover_cfg: dict) -> LaurentSeries:
             raise InputSchemaError(
                 f"'cover.f[{i}]' must be [exponent, coordinates] with at most "
                 f"{base.a} integer coordinates"
+            )
+        if abs(pair[0]) > cap:
+            raise SizeCapExceeded(
+                f"'cover.f[{i}]' has exponent {pair[0]}, beyond the precision cap {cap}"
             )
     return LaurentSeries.from_sparse(base, pairs)
 
@@ -97,6 +105,8 @@ def build_cover(base_cfg: dict, cover_cfg: dict, prec: int | None = None) -> Gal
         return build_kummer(base, _int_field(cover_cfg, "m"), prec=prec)
     if kind == "tower":
         m = _int_field(cover_cfg, "m")
+        if m < 1:
+            raise InputSchemaError("'cover.m' of a tower must be at least 1")
         lower = build_kummer(base, m, prec=prec) if m >= 2 else trivial_cover(base)
         return build_compositum_tower(lower, _datum(base, cover_cfg), prec=prec)
     raise InputSchemaError(f"unknown cover type {kind!r}")

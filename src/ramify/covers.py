@@ -30,6 +30,7 @@ from .errors import (
     NotGaloisOverBase,
     PoleOrderDivisibleByP,
     PrecisionExhausted,
+    SizeCapExceeded,
 )
 from .fields import FieldElement, FiniteField
 from .groups import FiniteGroup
@@ -218,17 +219,34 @@ def _check_zero(series: LaurentSeries, what: str) -> None:
         raise MismatchDetected(f"consistency check failed: {what}")
 
 
+def _check_work(p: int, f: LaurentSeries, prec: int | None, tame: int = 1) -> None:
+    """Refuse a wild build over ``precision_cap()``: an explicit ``prec``
+    above it, or a Newton-lift window p + pole + 4 above it, where pole is
+    ``tame`` times the pole order of f as given (reduction only lowers it).
+    The default precision is not checked, so it passes under any cap."""
+    cap = precision_cap()
+    pole = 0 if f.is_zero_known() else tame * max(0, -f.valuation())
+    if prec is not None and prec > cap:
+        raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {cap}")
+    if p + pole + 4 > cap:
+        raise SizeCapExceeded(
+            f"pole order {pole} needs precision {p + pole + 4}, over the precision cap {cap}"
+        )
+
+
 def build_artin_schreier(
     base: FiniteField, f: LaurentSeries, prec: int | None = None
 ) -> GaloisCover:
     """Totally ramified degree-p cover defined by y^p - y = f.
 
     The pole order m of the reduced f is prime to p; the deck group is
-    Z/p acting by y -> y + j, and every break equals m + 1.
+    Z/p acting by y -> y + j, and every break equals m + 1.  The work is
+    checked against the precision cap before any series work.
     """
     if f.field != base:
         raise NotGaloisOverBase("defining function is not over the base field")
     p = base.p
+    _check_work(p, f, prec)
     f = artin_schreier_reduce(f)
     m = -f.valuation()
     c = f.coeff(-m)
@@ -351,6 +369,7 @@ def build_compositum_tower(
 
     The result is Galois over K with group Z/p x Z/m; the tame layer stays
     marked so transitivity and pullback statements can be tested against it.
+    The work is checked against the precision cap before any series work.
     """
     if lower.kind not in ("kummer", "trivial"):
         raise NotGaloisOverBase("lower layer must be a tame cyclic cover")
@@ -360,6 +379,7 @@ def build_compositum_tower(
     m = lower.e
     p = base.p
     zeta = lower._zeta
+    _check_work(p, upper_f, prec, tame=m)
 
     pulled = compose(upper_f, LaurentSeries.monomial(base, base.one(), m))
     upper = build_artin_schreier(base, pulled, prec=prec)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     NotAGroup,
@@ -543,8 +542,7 @@ def inertia_candidate_sample(
     return out
 
 
-@dataclass(frozen=True)
-class AbelianProbeReport:
+class AbelianProbeReport(NamedTuple):
     max_order_found: int
     le_linear_bound: bool
     le_torus_bound: bool

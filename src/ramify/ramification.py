@@ -8,10 +8,9 @@ values are exact rationals; no floating point enters any computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .covers import BreakTable, GaloisCover, lower_break_table
 from .errors import (
@@ -35,8 +34,7 @@ def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
 # Filtrations.
 
 
-@dataclass(frozen=True)
-class RamFiltration:
+class RamFiltration(NamedTuple):
     """Lower-numbering subgroups G_0 >= G_1 >= ... >= G_{i_max+1} = 1."""
 
     group: FiniteGroup
@@ -326,8 +324,7 @@ class Representation:
         return fixed_subspace(mats)[0]
 
 
-@dataclass(frozen=True)
-class SwanReport:
+class SwanReport(NamedTuple):
     swan: Fraction
     breaks: tuple[tuple[Fraction, int], ...]
     per_jump_terms: tuple[tuple[Fraction, int], ...]
@@ -411,8 +408,7 @@ def swan_single_break(
 # Tower statements.
 
 
-@dataclass(frozen=True)
-class PullbackReport:
+class PullbackReport(NamedTuple):
     sw_base: Fraction
     sw_prime: Fraction
     degree: int
@@ -450,8 +446,7 @@ def pullback_bound_check(cover: GaloisCover, rep: Representation) -> PullbackRep
     )
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     points: tuple[Fraction, ...]
     residuals: tuple[Fraction, ...]
     ok: bool

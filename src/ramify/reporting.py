@@ -20,7 +20,9 @@ def to_jsonable(obj):
     """Recursively convert to JSON-safe data.
 
     Fractions become ints when integral and {"num", "den"} pairs otherwise;
-    floats are rejected outright so no report can carry one.
+    floats are rejected outright so no report can carry one.  Records
+    (NamedTuples, recognised by ``_fields``) are rejected like any other
+    object: a report lists the fields it publishes, by name.
     """
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
@@ -32,29 +34,15 @@ def to_jsonable(obj):
         return rational_pair(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(x) for x in obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def assert_no_floats(obj) -> None:
-    if isinstance(obj, float):
-        raise TypeError("float leaked into a report")
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            assert_no_floats(k)
-            assert_no_floats(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            assert_no_floats(v)
-
-
 def canonical_dumps(obj) -> str:
-    obj = to_jsonable(obj)
-    assert_no_floats(obj)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def job_digest(job: dict) -> str:

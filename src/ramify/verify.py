@@ -256,16 +256,8 @@ def suite_counts(options) -> list[dict]:
     rejected = 0
     for k in range(20):
         data = _random_counts(rng)
-        bad = bounds.DecompositionData(
-            order_I=data.order_I + 1,
-            t=data.t,
-            e=data.e,
-            f_sep=data.f_sep,
-            f_insep=data.f_insep,
-            p=data.p,
-        )
         try:
-            bounds.decomposition_counts(bad)
+            bounds.decomposition_counts(data._replace(order_I=data.order_I + 1))
         except InconsistentCounts:
             rejected += 1
     instances.append(

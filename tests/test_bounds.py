@@ -297,3 +297,25 @@ def test_tameizing_consistency_with_crude_bound():
         ec = explicit_constants(rep.r, cover.p, st.ell, big_n, jordan_bound(rep.r))
         if st.P_order <= ec.M0:
             assert ec.crude_at_least(tame.index_tame)
+
+
+def test_records_are_immutable_named_tuples():
+    from ramify import bounds, groups, ramification
+
+    names = {
+        bounds: ("InertiaStructure", "TameizingReport", "ExplicitConstants", "WildOrderReport",
+                 "DecompositionData", "CountsReport", "StarKernelReport"),
+        ramification: ("RamFiltration", "SwanReport", "PullbackReport", "TransitivityReport"),
+        groups: ("AbelianProbeReport",),
+    }
+    for module, classes in names.items():
+        for name in classes:
+            cls = getattr(module, name)
+            assert issubclass(cls, tuple) and cls._fields, name
+    report = bounds.WildOrderReport(*range(15))
+    assert report.warnings == () and report.ok == 14
+    with pytest.raises(AttributeError):
+        report.ok = False
+    data = DecompositionData(order_I=12, t=1, e=3, f_sep=2, f_insep=2, p=2)
+    assert data._replace(order_I=13).order_I == 13 and data.order_I == 12
+    assert ExplicitConstants(3, 24, 6, None).crude_at_least(6)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 from ramify import cli, verify
+from ramify.bounds import ExplicitConstants
+from ramify.ramification import SwanReport
 from ramify.reporting import canonical_dumps
 
 
@@ -194,6 +201,18 @@ _TABLE_JOB = {
         ({"command": "enum", "params": "op"}, "params"),
         ({"command": "verify", "params": [1]}, "params"),
         ({"command": "verify", "params": "all"}, "params"),
+        (_swan_with(cover={"type": "tower", "m": 0, "f": [[-1, [1]]]}), "cover.m"),
+        (_swan_with(cover={"type": "tower", "m": -1, "f": [[-1, [1]]]}), "cover.m"),
+        (dict(_swan_with(cover={"type": "tower", "m": -1, "f": [[-1, [1]]]}), command="filtration"), "cover.m"),
+        ({"command": "verify", "params": {"suite": ["all"]}}, "params.suite"),
+        ({"command": "enum", "params": {"op": ["x"]}}, "enum op"),
+        ({"command": "enum", "params": {"op": "abelian_p_bound_probe", "r": 1, "ell": 0, "p": 3, "s": 1}}, "params.ell"),
+        ({"command": "enum", "params": {"op": "abelian_p_bound_probe", "r": 1, "ell": 2, "p": 0, "s": 1}}, "params.p"),
+        ({"command": "enum", "params": {"op": "abelian_p_bound_probe", "r": 1, "ell": 2, "p": 3, "s": -1}}, "params.s"),
+        ({"command": "enum", "params": {"op": "max_ell_element_order", "r": 1, "ell": 2, "n": 0}}, "params.n"),
+        ({"command": "enum", "params": {"op": "inertia_candidate_sample", "r": 0, "ell": 3, "n": 1, "p": 2, "count": 1}}, "params.r"),
+        (dict(SWAN_JOB, note=0.5), "0.5"),
+        (dict(SWAN_JOB, params={"precision": float("nan")}), "NaN"),
     ],
 )
 def test_malformed_job_names_the_bad_field(job, field, capsys, monkeypatch):
@@ -314,3 +333,76 @@ def test_bound_constants_over_the_digit_limit_are_a_json_error(big_n, field, cap
     assert code == 1
     assert report["error"]["type"] == "OverflowPolicyExceeded"
     assert field in report["error"]["message"]
+
+
+def test_tower_of_tame_degree_one_is_the_wild_layer(capsys, monkeypatch):
+    job = {"command": "filtration", "base": {"p": 2, "a": 1},
+           "cover": {"type": "tower", "m": 1, "f": [[-1, [1]]]}}
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0
+    assert report["results"]["degree"] == 2
+    assert report["results"]["i_G"] == {"sigma": 2}
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        _as_cover([[-100001, [1]]]),
+        dict(SWAN_JOB, params={"precision": 100000000}),
+        _as_cover([[-4095, [1]]]),
+        dict(SWAN_JOB, cover={"type": "tower", "m": 1, "f": [[-4095, [1]]]}),
+    ],
+)
+def test_work_over_the_precision_cap_is_refused_up_front(job, capsys, monkeypatch):
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert report["error"]["type"] == "SizeCapExceeded"
+    assert "precision cap 4096" in report["error"]["message"]
+
+
+def test_datum_exponents_beyond_the_cap_are_refused_before_the_series_is_built(capsys, monkeypatch):
+    # The window of f is dense, so t^5000 alone would store 5,000 coefficients.
+    job = _as_cover([[-1, [1]], [5000, [1]]])
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "SizeCapExceeded"
+    assert "'cover.f[1]' has exponent 5000" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("obj", [0.5, {"x": [1, (2, float("nan"))]}, {"k": {"j": -1.0}}])
+def test_floats_are_refused_at_any_depth(obj):
+    with pytest.raises(TypeError, match="floating point"):
+        canonical_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        SwanReport(swan=Fraction(1), breaks=((Fraction(1), 1),), per_jump_terms=()),
+        ExplicitConstants(3, 24, 6, None),
+    ],
+)
+def test_records_are_not_serialized_as_lists(record):
+    with pytest.raises(TypeError, match=f"cannot serialize {type(record).__name__}"):
+        canonical_dumps(record)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_dumps({"results": [record]})
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # -S keeps site-packages .pth hooks, which may import anything, out.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = (
+        "import ramify.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

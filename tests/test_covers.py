@@ -22,6 +22,7 @@ from ramify.errors import (
     NotSimpleRoot,
     PoleOrderDivisibleByP,
     PrecisionExhausted,
+    SizeCapExceeded,
 )
 from ramify.fields import field_create
 from ramify.linalg import MatrixFF
@@ -288,6 +289,62 @@ def test_precision_cap_parses_the_environment(monkeypatch):
         monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
         with pytest.raises(InputSchemaError, match="RAMIFY_PRECISION_CAP"):
             precision_cap()
+
+
+def _no_series_work(*args, **kwargs):
+    raise AssertionError("series work before the precision cap check")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=DEFAULT_PRECISION_CAP + 1),
+        lambda: build_artin_schreier(F2, as_sparse(F2, [[-4091, [1]]])),
+        lambda: build_artin_schreier(F2, as_sparse(F2, [[-4096, [1]]])),
+        lambda: build_compositum_tower(trivial_cover(F2), as_sparse(F2, [[-1, [1]]]), prec=10 ** 8),
+        lambda: build_compositum_tower(trivial_cover(F2), as_sparse(F2, [[-4091, [1]]])),
+        lambda: build_compositum_tower(build_kummer(F4, 3), as_sparse(F4, [[-1364, [1]]])),
+    ],
+)
+def test_builders_refuse_work_over_the_cap_before_any_series_work(build, monkeypatch):
+    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
+    for name in ("artin_schreier_reduce", "compose", "hensel_lift_root", "_relation_polynomial"):
+        monkeypatch.setattr(covers, name, _no_series_work)
+    with pytest.raises(SizeCapExceeded, match="precision cap 4096"):
+        build()
+
+
+def test_builders_allow_the_largest_window_and_precision_under_the_cap(monkeypatch):
+    # p + m + 4 = 4096 and prec = 4096 pass the check; the lift is stopped
+    # right after it so the test stays cheap.
+    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
+    monkeypatch.setattr(covers, "hensel_lift_root", _no_series_work)
+    for f, prec in (([[-4089, [1]]], None), ([[-1, [1]]], DEFAULT_PRECISION_CAP)):
+        with pytest.raises(AssertionError, match="series work"):
+            build_artin_schreier(F2, as_sparse(F2, f), prec=prec)
+    with pytest.raises(AssertionError, match="series work"):
+        build_compositum_tower(build_kummer(F4, 3), as_sparse(F4, [[-1363, [1]]]))
+
+
+def test_raising_the_precision_cap_lets_a_pole_order_through(monkeypatch):
+    # Under the default cap t^-4096 is refused before reduction; with a
+    # larger cap it is reduced to t^-1, the cover with break 2.
+    f = as_sparse(F2, [[-4096, [1]]])
+    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
+    with pytest.raises(SizeCapExceeded):
+        build_artin_schreier(F2, f)
+    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "8192")
+    assert lower_break_table(build_artin_schreier(F2, f)).by_label() == {"sigma": 2}
+    # A cap of 16 refuses m = 11 over F_2 (window 17), a cap of 17 builds it,
+    # and the default precision 64 stays allowed under both.
+    f = as_sparse(F2, [[-11, [1]]])
+    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "16")
+    with pytest.raises(SizeCapExceeded, match="needs precision 17"):
+        build_artin_schreier(F2, f)
+    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "17")
+    cover = build_artin_schreier(F2, f)
+    assert cover.prec == 64
+    assert lower_break_table(cover).by_label() == {"sigma": 12}
 
 
 def test_defining_function_must_match_base():
