@@ -138,9 +138,16 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
 
 def canonical_modulus(p: int, a: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree a over F_p."""
+    """Lexicographically least monic irreducible of degree a over F_p.
+
+    For a > 1 a candidate with a root in F_p has a linear factor, so it is
+    skipped before the irreducibility test (Rabin, SIAM J. Comput. 9, 1980);
+    the scan order, and so the result, is that of the full scan.
+    """
     for tail in itertools.product(range(p), repeat=a):
         cand = list(tail) + [1]
+        if a > 1 and any(sum(c * x ** i for i, c in enumerate(cand)) % p == 0 for x in range(p)):
+            continue
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise RuntimeError(f"no irreducible of degree {a} over F_{p}")  # unreachable
@@ -265,6 +272,8 @@ class FiniteField:
         return self.keys_from_columns([[-x for x in col] for col in self.key_columns(keys)])
 
     def inverse_key(self, key: int) -> int:
+        if self.a == 1 and key:
+            return pow(key, -1, self.p)
         return self.from_key(key).inverse().key()
 
     # -- structure -------------------------------------------------------------
@@ -402,12 +411,16 @@ def field_create(p: int, a: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteFiel
     The same (p, a) always yields an identical modulus, so downstream
     reports are reproducible across runs and platforms.
     """
+    # The cap comes before the primality test, which trial-divides p.  As
+    # p^a >= 2^((bits(p) - 1) a), a huge p or a is refused without the power.
+    if p >= 2 and a >= 1 and (
+        (p.bit_length() - 1) * a >= size_cap.bit_length() or p ** a > size_cap
+    ):
+        raise SizeCapExceeded(f"p^a = {p}^{a} exceeds the size cap {size_cap}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if a < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** a > size_cap:
-        raise SizeCapExceeded(f"p^a = {p ** a} exceeds the size cap {size_cap}")
     return _field_instance(p, a)
 
 

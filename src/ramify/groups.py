@@ -18,6 +18,7 @@ check of ``Representation`` use the same idea on the table.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -387,6 +388,11 @@ def group_closure(
             raise NotAGroup("generators of mixed shape or field")
         if not g.is_invertible():
             raise NotAGroup("generator is not invertible")
+    # A subgroup holding more than half of GL_r(F_q) is all of it (Lagrange),
+    # so when the whole group is over the cap, stop at half of it.
+    q = field.order
+    gl_order = math.prod(q ** n - q ** i for i in range(n))
+    limit = size_cap if gl_order <= size_cap else min(size_cap, gl_order // 2)
     ident = MatrixFF.identity(field, n)
     seen = {ident.key(): ident}
     frontier = [ident]
@@ -396,7 +402,7 @@ def group_closure(
             y = x * g
             k = y.key()
             if k not in seen:
-                if len(seen) >= size_cap:
+                if len(seen) >= limit:
                     raise SizeCapExceeded(f"closure exceeds cap {size_cap}")
                 seen[k] = y
                 frontier.append(y)
@@ -404,19 +410,23 @@ def group_closure(
 
 
 def enumerate_gl(field: FiniteField, r: int, size_cap: int = 1 << 20) -> list[MatrixFF]:
-    """All invertible r x r matrices over the field, in key order."""
+    """All invertible r x r matrices over the field, in key order (the
+    order in which ``itertools.product`` yields the key tuples)."""
     total = field.order ** (r * r)
     if total > size_cap:
         raise SizeCapExceeded(f"{total} candidate matrices exceed cap {size_cap}")
-    elems = list(field.elements())
-    out = []
-    for entries in itertools.product(elems, repeat=r * r):
-        rows = [entries[i * r : (i + 1) * r] for i in range(r)]
-        m = MatrixFF(field, rows)
+    keys = itertools.product(range(field.order), repeat=r * r)
+    return [m for m in (MatrixFF.from_keys(field, r, k) for k in keys) if m.is_invertible()]
+
+
+def _random_invertible(field: FiniteField, r: int, rng: random.Random) -> MatrixFF:
+    """Random entries until invertible; ``rng.choice`` over ``range(q)``
+    draws the same index as over the key-ordered ``field.elements()``."""
+    keys = range(field.order)
+    while True:
+        m = MatrixFF.from_keys(field, r, [rng.choice(keys) for _ in range(r * r)])
         if m.is_invertible():
-            out.append(m)
-    out.sort(key=lambda m: m.key())
-    return out
+            return m
 
 
 def power_order(g, mul, identity, bound: int | None = None) -> int:
@@ -468,15 +478,7 @@ def max_ell_element_order(
         mats = enumerate_gl(field, r, size_cap=size_cap)
     else:
         rng = random.Random(seed)
-        elems = list(field.elements())
-        mats = []
-        while len(mats) < sample:
-            rows = [
-                [rng.choice(elems) for _ in range(r)] for _ in range(r)
-            ]
-            m = MatrixFF(field, rows)
-            if m.is_invertible():
-                mats.append(m)
+        mats = [_random_invertible(field, r, rng) for _ in range(sample)]
     best = 1
     for m in mats:
         o = power_order(m, MatrixFF.__mul__, ident, bound=1 << 20)
@@ -505,21 +507,12 @@ def inertia_candidate_sample(
         return []
     field = field_create(ell, n)
     rng = random.Random(seed)
-    elems = list(field.elements())
-
-    def random_invertible() -> MatrixFF:
-        while True:
-            rows = [[rng.choice(elems) for _ in range(r)] for _ in range(r)]
-            m = MatrixFF(field, rows)
-            if m.is_invertible():
-                return m
-
     out: list[FiniteGroup] = []
     seen_keys: set[tuple] = set()
     attempts = 0
     while len(out) < count and attempts < 200 * count:
         attempts += 1
-        gens = [random_invertible() for _ in range(rng.choice((1, 2)))]
+        gens = [_random_invertible(field, r, rng) for _ in range(rng.choice((1, 2)))]
         try:
             grp = group_closure(gens, size_cap=size_cap)
         except SizeCapExceeded:
@@ -531,7 +524,7 @@ def inertia_candidate_sample(
             continue
         keys = {canon}
         for _ in range(3):
-            c = random_invertible()
+            c = _random_invertible(field, r, rng)
             ci = c.inverse()
             conj = sorted((c * m * ci).key() for m in grp.matrices)
             keys.add(tuple(conj))
@@ -574,18 +567,13 @@ def abelian_p_bound_probe(
     field = field_create(ell, n, size_cap=field_cap)
     if target ** r > size_cap:
         raise SizeCapExceeded("diagonal subgroup exceeds the group size cap")
-    zeta = field.root_of_unity(target)
-    one, zero = field.one(), field.zero()
-    gens = []
-    for i in range(r):
-        rows = [
-            [
-                (zeta if (j == k == i) else (one if j == k else zero))
-                for k in range(r)
-            ]
-            for j in range(r)
-        ]
-        gens.append(MatrixFF(field, rows))
+    zeta = field.root_of_unity(target).key()
+    gens = [
+        MatrixFF.from_keys(
+            field, r, [(zeta if j == k == i else int(j == k)) for j in range(r) for k in range(r)]
+        )
+        for i in range(r)
+    ]
     diag = group_closure(gens, size_cap=size_cap)
     max_order = diag.n
     linear_bound = r * target

@@ -296,16 +296,14 @@ class Representation:
             raise GroupMismatch("direct sum over different groups")
         if self.field != other.field:
             raise GroupMismatch("direct sum over different coefficient fields")
-        zero = self.field.zero()
         out = []
         for a, b in zip(self.images, other.images):
-            n = a.n + b.n
-            rows = []
+            keys = []
             for i in range(a.n):
-                rows.append(list(a.rows[i]) + [zero] * b.n)
+                keys += a.entries[i * a.n : (i + 1) * a.n] + (0,) * b.n
             for i in range(b.n):
-                rows.append([zero] * a.n + list(b.rows[i]))
-            out.append(MatrixFF(self.field, rows))
+                keys += (0,) * a.n + b.entries[i * b.n : (i + 1) * b.n]
+            out.append(MatrixFF.from_keys(self.field, a.n + b.n, keys))
         return Representation(self.group, out)
 
     def image_matrices(self) -> list[MatrixFF]:

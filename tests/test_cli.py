@@ -406,3 +406,14 @@ def test_cli_import_loads_no_introspection_modules():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_a_huge_prime_base_is_refused_by_the_size_cap_first(capsys, monkeypatch):
+    # 2^61 - 1 is prime; trial division to its square root would not end.
+    job = {"command": "filtration", "base": {"p": 2305843009213693951, "a": 1},
+           "cover": {"type": "kummer", "m": 2}}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert report["error"]["type"] == "SizeCapExceeded"

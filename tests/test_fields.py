@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -165,3 +166,41 @@ def test_canonical_modulus_against_galoistools():
                     break
                 assert not irreducible(tail, p), (p, a, tail)
             a += 1
+
+
+def full_scan_modulus(p, a):
+    """The modulus search without the root filter: every candidate, in
+    lexicographic order, goes through the irreducibility test."""
+    from ramify.fields import _is_irreducible
+
+    for tail in itertools.product(range(p), repeat=a):
+        if _is_irreducible(list(tail) + [1], p):
+            return tuple(tail) + (1,)
+
+
+def test_root_filtered_modulus_equals_the_full_scan():
+    fields = 0
+    for p in (q for q in range(2, 3 ** 7 + 1) if is_prime(q)):
+        a = 1
+        while p ** a <= 3 ** 7:
+            assert canonical_modulus(p, a) == full_scan_modulus(p, a), (p, a)
+            fields += a > 1
+            a += 1
+    assert fields == 32  # every p^a <= 3^7 with a > 1
+    assert canonical_modulus(7, 1) == (0, 1)
+
+
+def test_size_cap_is_checked_before_primality():
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        field_create(2305843009213693951, 1)  # 2^61 - 1: trial division would not end
+    with pytest.raises(SizeCapExceeded):
+        field_create(2, 10 ** 30)  # p^a is never formed
+    with pytest.raises(SizeCapExceeded):
+        field_create(10 ** 4000 + 1, 65536)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SizeCapExceeded):
+        field_create(2, 17)
+    assert field_create(2, 16).order == 1 << 16
+    with pytest.raises(NotPrime):
+        field_create(0, 3)

@@ -416,3 +416,59 @@ def test_power_order_on_tables_and_matrices():
         assert g.order_of(i) == power_order(m, MatrixFF.__mul__, ident)
     with pytest.raises(SizeCapExceeded):
         power_order(g.matrices[1], MatrixFF.__mul__, ident, bound=1)
+
+
+# The one group that inertia_candidate_sample(2, 7, 1, p, count=1, seed=0)
+# returned before closures stopped at half of GL2(F7), for p = 2 and 3; it
+# took 4,351 matrix products then, 3,559 of them in one closure that hit
+# the size cap.
+GL2_F7_SAMPLE_KEYS = [
+    (0, 1, 5, 0), (0, 2, 3, 0), (0, 3, 1, 0), (0, 4, 6, 0), (0, 5, 4, 0), (0, 6, 2, 0),
+    (1, 0, 0, 1), (1, 2, 3, 1), (1, 5, 4, 1), (2, 0, 0, 2), (2, 3, 1, 2), (2, 4, 6, 2),
+    (3, 0, 0, 3), (3, 1, 5, 3), (3, 6, 2, 3), (4, 0, 0, 4), (4, 1, 5, 4), (4, 6, 2, 4),
+    (5, 0, 0, 5), (5, 3, 1, 5), (5, 4, 6, 5), (6, 0, 0, 6), (6, 2, 3, 6), (6, 5, 4, 6),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closures_stop_at_half_of_gl_with_the_same_sample(p, monkeypatch):
+    calls = []
+    product = MatrixFF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted)
+    groups = inertia_candidate_sample(2, 7, 1, p, count=1, seed=0)
+    assert [[m.key() for m in g.matrices] for g in groups] == [GL2_F7_SAMPLE_KEYS]
+    assert len(calls) < 4351
+
+
+def test_closure_over_half_of_gl_is_refused_when_gl_exceeds_the_cap():
+    F5 = field_create(5, 1)
+    gl2 = [MatrixFF.from_int_rows(F5, [[2, 0], [0, 1]]), MatrixFF.from_int_rows(F5, [[4, 1], [4, 0]])]
+    assert group_closure(gl2, size_cap=480).n == 480  # GL2(F5) itself, within the cap
+    with pytest.raises(SizeCapExceeded, match="closure exceeds cap 479"):
+        group_closure(gl2, size_cap=479)
+    # Square determinants: exactly half of GL2(F5), so no stop before the cap.
+    index_two = [
+        MatrixFF.from_int_rows(F5, [[1, 1], [0, 1]]),
+        MatrixFF.from_int_rows(F5, [[0, 4], [1, 0]]),
+        MatrixFF.from_int_rows(F5, [[4, 0], [0, 1]]),
+    ]
+    assert group_closure(index_two, size_cap=240).n == 240
+    with pytest.raises(SizeCapExceeded):
+        group_closure(index_two, size_cap=239)
+
+
+@pytest.mark.parametrize("field,r", [(F2, 3), (F3, 2), (field_create(2, 2), 2)])
+def test_enumerate_gl_is_in_key_order_without_a_sort(field, r):
+    mats = enumerate_gl(field, r)
+    keys = [m.key() for m in mats]
+    assert keys == sorted(keys)
+    q = field.order
+    gl_order = 1
+    for i in range(r):
+        gl_order *= q ** r - q ** i
+    assert len(set(keys)) == len(keys) == gl_order

@@ -463,3 +463,20 @@ def test_every_generator_is_checked():
     assert not _full_scan_is_homomorphism(group, images)
     with pytest.raises(NotAHomomorphism, match="not multiplicative"):
         Representation(group, images)
+
+
+def test_direct_sum_images_are_block_diagonal():
+    group = FiniteGroup.cyclic(3)
+    sigma = group.label_index("sigma")
+    rot = MatrixFF.from_int_rows(F7, [[0, 6], [1, 6]])  # order 3
+    two = Representation.from_generator_images(group, {"sigma": rot})
+    one = Representation.from_generator_images(group, {"sigma": MatrixFF.from_int_rows(F7, [[2]])})
+    both = two.direct_sum(one)
+    zero = F7.zero()
+    for a, b, ab in zip(two.images, one.images, both.images):
+        blocks = [list(row) + [zero] for row in a.rows] + [[zero, zero] + list(b.rows[0])]
+        assert ab == MatrixFF(F7, blocks)
+    assert both.r == 3 and both.images[sigma].rows[2][2] == F7.from_int(2)
+    assert one.direct_sum(two).images[sigma] == MatrixFF.from_int_rows(
+        F7, [[2, 0, 0], [0, 0, 6], [0, 1, 6]]
+    )
