@@ -301,7 +301,7 @@ def wild_order_bound_check(
         if n_prime == 0:
             p_ok = p_ok and o == 1
         else:
-            p_ok = p_ok and (structure.p ** n_prime) % o == 0
+            p_ok = p_ok and pow(structure.p, n_prime, o) == 0
     p_order = structure.P_order
     torus_bound = structure.p ** (rep.r * n_prime) * J
     linear_bound = rep.r * structure.p ** n_prime * J

@@ -13,7 +13,7 @@ import sys
 
 from . import bounds, corpus, verify
 from .covers import BreakTable, lower_break_table
-from .errors import InputSchemaError, OverflowPolicyExceeded, RamifyError
+from .errors import InputSchemaError, NoBoundConfigured, OverflowPolicyExceeded, RamifyError
 from .fields import field_create
 from .groups import (
     FiniteGroup,
@@ -204,6 +204,20 @@ def _cmd_bound(job: dict, options: dict):
     jordan_table = options.get("jordan_table")
     structure = bounds.inertia_structure(rep.image_matrices(), p)
     tame = bounds.tameizing_subgroup(structure)
+    # M0 = r p^N' J >= 2^(N' (bits(p) - 1)) with N' = ell r J N.  When that
+    # alone passes the digit limit, refuse before any p^N' is formed; the
+    # wild check's own refusals (Sw > N, no J configured) still come first.
+    limit = _digit_limit()
+    if limit:
+        try:
+            n_prime = structure.ell * rep.r * bounds.jordan_bound(rep.r, jordan_table) * big_n
+        except NoBoundConfigured:
+            n_prime = 0
+        if (
+            n_prime * (p.bit_length() - 1) >= (10 ** limit).bit_length()
+            and swan_conductor(rep, filt).swan <= big_n
+        ):
+            raise _too_many_digits("constants.M0", limit)
     wild = bounds.wild_order_bound_check(
         structure, filt, rep, big_n, jordan_table=jordan_table
     )
@@ -251,12 +265,21 @@ def _cmd_bound(job: dict, options: dict):
     return results, list(wild.warnings), False
 
 
+def _digit_limit() -> int:
+    """The interpreter's int -> str digit limit (0: none)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_many_digits(name: str, limit: int) -> OverflowPolicyExceeded:
+    return OverflowPolicyExceeded(f"{name} has more than {limit} decimal digits")
+
+
 def _printable(name: str, value: int) -> int:
     """``value``, unless its decimal form is longer than the interpreter's
     int -> str digit limit, so that no report could be written."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and abs(value) >= 10 ** limit:
-        raise OverflowPolicyExceeded(f"{name} has more than {limit} decimal digits")
+        raise _too_many_digits(name, limit)
     return value
 
 

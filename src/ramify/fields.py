@@ -98,6 +98,28 @@ def _prem(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
     return _ptrim(f)
 
 
+def _pinv(f: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
+    """Inverse of the nonzero f modulo the irreducible ``mod`` (extended Euclid).
+
+    Each remainder r keeps its cofactor s with s * f = r modulo ``mod``; the
+    last nonzero remainder is a constant, so scaling its s inverts f.
+    """
+    r0, r1 = list(mod), _ptrim(list(f))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        lead = pow(r1[-1], -1, p)
+        q = [0] * (len(r0) - len(r1) + 1)
+        for i in range(len(q) - 1, -1, -1):
+            c = q[i] = r0[i + len(r1) - 1] * lead % p
+            for j, b in enumerate(r1):
+                r0[i + j] = (r0[i + j] - c * b) % p
+        qs = _pmul(q, s1, p)
+        r0, r1 = r1, _ptrim(r0)
+        s0, s1 = s1, _ptrim([(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)])
+    c = pow(r1[0], -1, p)
+    return [x * c % p for x in s1]
+
+
 def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
     result = [1]
     acc = _prem(base, mod, p)
@@ -272,9 +294,15 @@ class FiniteField:
         return self.keys_from_columns([[-x for x in col] for col in self.key_columns(keys)])
 
     def inverse_key(self, key: int) -> int:
-        if self.a == 1 and key:
-            return pow(key, -1, self.p)
-        return self.from_key(key).inverse().key()
+        if not key:
+            raise ZeroElement("inverse of zero")
+        p = self.p
+        if self.a == 1:
+            return pow(key, -1, p)
+        out = 0
+        for c in reversed(_pinv([key // p ** i % p for i in range(self.a)], self.modulus, p)):
+            out = out * p + c
+        return out
 
     # -- structure -------------------------------------------------------------
 
@@ -382,9 +410,7 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroElement("inverse of zero")
-        return self ** (self.field.order - 2)
+        return self.field.from_key(self.field.inverse_key(self.key()))
 
     def pth_root(self) -> "FieldElement":
         """Unique p-th root (Frobenius is bijective)."""
@@ -405,18 +431,25 @@ def _field_instance(p: int, a: int) -> FiniteField:
     return FiniteField(p, a, canonical_modulus(p, a))
 
 
+def check_size_cap(p: int, a: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+    """Refuse p^a over the size cap.
+
+    This comes before any primality test, which trial-divides p.  As
+    p^a >= 2^((bits(p) - 1) a), a huge p or a is refused without the power.
+    """
+    if p >= 2 and a >= 1 and (
+        (p.bit_length() - 1) * a >= size_cap.bit_length() or p ** a > size_cap
+    ):
+        raise SizeCapExceeded(f"p^a = {p}^{a} exceeds the size cap {size_cap}")
+
+
 def field_create(p: int, a: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteField:
     """Construct F_{p^a} with the canonical modulus.
 
     The same (p, a) always yields an identical modulus, so downstream
     reports are reproducible across runs and platforms.
     """
-    # The cap comes before the primality test, which trial-divides p.  As
-    # p^a >= 2^((bits(p) - 1) a), a huge p or a is refused without the power.
-    if p >= 2 and a >= 1 and (
-        (p.bit_length() - 1) * a >= size_cap.bit_length() or p ** a > size_cap
-    ):
-        raise SizeCapExceeded(f"p^a = {p}^{a} exceeds the size cap {size_cap}")
+    check_size_cap(p, a, size_cap)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if a < 1:

@@ -28,7 +28,7 @@ from .errors import (
     QuotientNotCyclic,
     SizeCapExceeded,
 )
-from .fields import FiniteField, field_create, is_prime, split_prime_power
+from .fields import FiniteField, check_size_cap, field_create, is_prime, split_prime_power
 from .linalg import MatrixFF
 
 DEFAULT_GROUP_CAP = 10000
@@ -470,6 +470,7 @@ def max_ell_element_order(
     Exhaustive unless ``sample`` is given; every ell-element found is also
     checked against the nilpotency bound ell^{d-1} <= r.
     """
+    check_size_cap(ell, n)
     if not is_prime(ell):
         raise NotAGroup(f"{ell} is not prime")
     field = field_create(ell, n)

@@ -417,3 +417,63 @@ def test_a_huge_prime_base_is_refused_by_the_size_cap_first(capsys, monkeypatch)
     assert time.perf_counter() - start < 2.0
     assert code == 1
     assert report["error"]["type"] == "SizeCapExceeded"
+
+
+@pytest.mark.parametrize("big_n", [10 ** 6, 10 ** 9])
+def test_bound_with_a_huge_N_is_refused_before_any_power(big_n, capsys, monkeypatch):
+    # AS p=3, f = t^-1, sigma -> 2 over F_7: M0 = 3^(7 N), far over the
+    # digit limit; no power of 3 is formed before the refusal.
+    import sys
+
+    job = {
+        "command": "bound",
+        "base": {"p": 3, "a": 1},
+        "cover": {"type": "artin_schreier", "f": [[-1, [1]]]},
+        "rep": {"ell": 7, "n": 1, "r": 1, "images": {"sigma": [[[2]]]}},
+        "params": {"N": big_n},
+    }
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert elapsed < 1.0
+    assert code == 1
+    assert report["error"] == {
+        "type": "OverflowPolicyExceeded",
+        "message": "constants.M0 has more than 4300 decimal digits",
+    }
+
+
+def test_bound_with_swan_over_N_is_refused_as_before_at_a_huge_N_prime(capsys, monkeypatch):
+    # ell = 65521 makes N' = 65521 N pass the digit limit at N = 1, but
+    # Sw = 2 > N is reported first, as without the early digit check.
+    job = {
+        "command": "bound",
+        "base": {"p": 3, "a": 1},
+        "cover": {"type": "artin_schreier", "f": [[-2, [1]]]},
+        "rep": {"ell": 65521, "n": 1, "r": 1, "images": {"sigma": [[[pow(17, 65520 // 3, 65521)]]]}},
+        "params": {"N": 1},
+    }
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "PreconditionFailed"
+    assert "exceeds N = 1" in report["error"]["message"]
+
+
+def test_enum_with_a_huge_prime_ell_is_refused_by_the_size_cap_first(capsys, monkeypatch):
+    # 2^61 - 1 is prime; trial division to its square root would not end.
+    job = {"command": "enum",
+           "params": {"op": "max_ell_element_order", "r": 1, "ell": 2305843009213693951, "n": 1}}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert report["error"]["type"] == "SizeCapExceeded"
+    job["params"]["ell"] = 4  # a small composite ell is still no group
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"] == {"type": "NotAGroup", "message": "4 is not prime"}

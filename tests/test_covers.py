@@ -396,6 +396,15 @@ def test_artin_schreier_closed_form_grid(monkeypatch):
             assert swan_conductor(_character_of_order(cover.group, p), filt).swan == m
 
 
+def test_artin_schreier_at_precision_2048_runs_every_self_check(monkeypatch):
+    # High precision is within reach: the build keeps all 1 + p + 2 checks.
+    calls = _counting_compose(monkeypatch)
+    cover = build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=2048)
+    assert cover.prec == 2048
+    assert len(calls) == 1 + 2 + 2
+    assert lower_break_table(cover).i_map == {1: 2}
+
+
 @pytest.mark.parametrize("field,tame", [(F4, 3), (F2, 1), (field_create(7, 1), 3)])
 def test_tower_runs_every_self_check(monkeypatch, field, tame):
     calls = _counting_compose(monkeypatch)

@@ -204,3 +204,19 @@ def test_size_cap_is_checked_before_primality():
     assert field_create(2, 16).order == 1 << 16
     with pytest.raises(NotPrime):
         field_create(0, 3)
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 3)])
+def test_inverse_by_euclid_matches_the_power_q_minus_2(p, a):
+    # x^(q-2) by repeated multiplication is the oracle for every nonzero x.
+    F = field_create(p, a)
+    for key in range(1, F.order):
+        x = F.from_key(key)
+        want = x ** (F.order - 2)
+        assert F.inverse_key(key) == want.key()
+        assert x.inverse() == want
+        assert x * want == F.one()
+    with pytest.raises(ZeroElement):
+        F.inverse_key(0)
+    with pytest.raises(ZeroElement):
+        F.zero().inverse()

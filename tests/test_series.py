@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -325,3 +326,71 @@ def test_compose_matches_schoolbook(field, data):
     g = data.draw(series_in(field, min_v0=1, max_v0=3, unit=True))
     prec = data.draw(st.one_of(st.none(), st.integers(1, 12)))
     assert_matches(compose(f, g, prec=prec), ref_compose(ref_of(f), ref_of(g), field, prec))
+
+
+# ---------------------------------------------------------------------------
+# Paterson-Stockmeyer compose against the Horner oracle.  With up to 100
+# terms in f, the baby-step blocks take every shape: full, ragged last
+# block, single block, and blocks that are entirely zero (sparse f).
+
+
+@st.composite
+def long_series(draw, field, max_len=100):
+    """Exact or approximate f with up to max_len terms, dense or sparse, maybe with a pole."""
+    n = draw(st.integers(0, max_len))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n))
+    else:
+        spots = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6)) if n else []
+        keys = [0] * n
+        for i in spots:
+            keys[i] = draw(st.integers(1, field.order - 1))
+    v0 = draw(st.integers(-3, 2))
+    coeffs = [field.from_key(k) for k in keys]
+    if draw(st.booleans()):
+        return LaurentSeries(field, v0, coeffs, None)
+    return LaurentSeries(field, v0, coeffs, v0 + draw(st.integers(0, n)))
+
+
+@st.composite
+def substitutions(draw, field):
+    """g with v(g) >= 1: an exact monomial, a short exact polynomial, or approximate."""
+    kind = draw(st.sampled_from(["monomial", "exact", "approximate"]))
+    v0 = draw(st.integers(1, 3))
+    lead = draw(st.integers(1, field.order - 1))
+    if kind == "monomial":
+        return LaurentSeries.monomial(field, field.from_key(lead), v0)
+    size = 3 if kind == "exact" else 12
+    rest = draw(st.lists(st.integers(0, field.order - 1), max_size=size - 1))
+    coeffs = [field.from_key(k) for k in [lead] + rest]
+    if kind == "exact":
+        return LaurentSeries(field, v0, coeffs, None)
+    return LaurentSeries(field, v0, coeffs, v0 + draw(st.integers(1, len(coeffs))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_compose_of_long_series_matches_horner(field, data):
+    f = data.draw(long_series(field))
+    g = data.draw(substitutions(field))
+    prec = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+    assert_matches(compose(f, g, prec=prec), ref_compose(ref_of(f), ref_of(g), field, prec))
+
+
+def test_compose_needs_about_two_sqrt_n_products(monkeypatch):
+    # Horner's rule would take one product per term: 1,024 here.
+    n = 1024
+    f = LaurentSeries._from_keys(F5, 0, [1 + e % 4 for e in range(n)], None)
+    g = LaurentSeries._from_keys(F5, 1, [1, 2, 3] * 400, 1201)
+    calls = []
+    inner = LaurentSeries.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    out = compose(f, g)
+    k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    assert len(calls) <= 2 * k + 2
+    assert out.abs_prec == g.abs_prec and out.coeffs[:3] == (1, 2, 2)
