@@ -12,11 +12,10 @@ import json
 import sys
 
 from . import bounds, corpus, verify
-from .covers import BreakTable, lower_break_table
+from .corpus import COMMANDS
+from .covers import BreakTable
 from .errors import InputSchemaError, NoBoundConfigured, OverflowPolicyExceeded, RamifyError
-from .fields import field_create
 from .groups import (
-    FiniteGroup,
     abelian_p_bound_probe,
     inertia_candidate_sample,
     max_ell_element_order,
@@ -31,97 +30,6 @@ from .ramification import (
     upper_jumps,
 )
 from .reporting import canonical_dumps, make_report, rational_pair, write_atomic
-
-COMMANDS = ("filtration", "herbrand", "swan", "bound", "verify", "enum")
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InputSchemaError(message)
-
-
-def _get_base(job: dict):
-    base = job.get("base")
-    _require(isinstance(base, dict), "missing or invalid 'base'")
-    _require(
-        isinstance(base.get("p"), int) and isinstance(base.get("a"), int) and base["a"] >= 1,
-        "'base' needs integer fields p and a, with a >= 1",
-    )
-    return field_create(base["p"], base["a"])
-
-
-def _group_from_table(cfg: dict) -> FiniteGroup:
-    _require(
-        isinstance(cfg.get("labels"), list) and isinstance(cfg.get("mul_table"), list),
-        "'break_table' needs 'labels' and 'mul_table'",
-    )
-    try:
-        group = FiniteGroup(cfg["mul_table"], cfg["labels"])
-    except RamifyError:
-        raise
-    except Exception as exc:
-        raise InputSchemaError(f"invalid multiplication table: {exc}")
-    if not group.verify_axioms():
-        raise InputSchemaError("multiplication table is not associative")
-    return group
-
-
-def _break_data(job: dict, prec: int | None):
-    """Cover (from its spec) or a directly supplied break table."""
-    if "cover" in job:
-        base = _get_base(job)
-        cover = corpus.build_cover(job["base"], job["cover"], prec=prec)
-        bt = lower_break_table(cover)
-        return cover, bt, base.p
-    if "break_table" in job:
-        cfg = job["break_table"]
-        _require(isinstance(cfg, dict), "'break_table' must be a JSON object")
-        base = _get_base(job)
-        group = _group_from_table(cfg)
-        i_g = cfg.get("iG", {})
-        _require(isinstance(i_g, dict), "'break_table.iG' must be a JSON object")
-        i_map = {}
-        for label, value in i_g.items():
-            _require(label in group.labels, f"'break_table.iG' has unknown label {label!r}")
-            _require(isinstance(value, int) and value >= 1, "break values must be >= 1")
-            i_map[group.label_index(label)] = value
-        _require(
-            set(i_map) == set(range(group.n)) - {group.identity},
-            "'iG' must cover every nontrivial element exactly once",
-        )
-        return None, BreakTable(group, i_map), base.p
-    raise InputSchemaError("job needs either 'cover' or 'break_table'")
-
-
-def _rep_for(job: dict, group: FiniteGroup, p: int):
-    cfg = job.get("rep")
-    _require(isinstance(cfg, dict), "missing or invalid 'rep'")
-    for key in ("ell", "r", "images"):
-        _require(key in cfg, f"'rep' needs field {key!r}")
-    _require(isinstance(cfg["ell"], int), "'rep.ell' must be an integer")
-    n = cfg.get("n", 1)
-    _require(isinstance(n, int) and n >= 1, "'rep.n' must be a positive integer")
-    _require(cfg["ell"] != p, "rep characteristic ell must differ from p")
-    images = cfg["images"]
-    _require(
-        isinstance(images, dict) and len(images) > 0,
-        "'rep.images' must be a non-empty object of generator label -> matrix",
-    )
-    for label, rows in images.items():
-        _require(label in group.labels, f"'rep.images' has unknown label {label!r}")
-        _require(
-            isinstance(rows, list)
-            and all(
-                isinstance(row, list)
-                and all(isinstance(x, int) or corpus.coordinates_ok(x, n) for x in row)
-                for row in rows
-            ),
-            f"'rep.images.{label}' must be a list of rows of ints or lists of at most {n} ints",
-        )
-    rep = corpus.representation_from_spec(group, cfg)
-    _require(rep.r == cfg["r"], "rank of the images differs from declared r")
-    _require(rep.group.n == group.n, "rep group size does not match the cover group")
-    return rep
 
 
 def _filtration_results(bt: BreakTable, p: int, cover=None) -> dict:
@@ -161,22 +69,22 @@ def _herbrand_payload(filt) -> dict:
     return payload
 
 
-def _cmd_filtration(job: dict, options: dict):
-    cover, bt, p = _break_data(job, options.get("precision"))
+def _cmd_filtration(job: dict, params: dict, options: dict):
+    cover, bt, p = corpus.break_data(job, options["precision"])
     results, _ = _filtration_results(bt, p, cover)
     return results, [], False
 
 
-def _cmd_herbrand(job: dict, options: dict):
-    cover, bt, p = _break_data(job, options.get("precision"))
+def _cmd_herbrand(job: dict, params: dict, options: dict):
+    cover, bt, p = corpus.break_data(job, options["precision"])
     results, filt = _filtration_results(bt, p, cover)
     results.update(_herbrand_payload(filt))
     return results, [], False
 
 
-def _cmd_swan(job: dict, options: dict):
-    cover, bt, p = _break_data(job, options.get("precision"))
-    rep = _rep_for(job, bt.group, p)
+def _cmd_swan(job: dict, params: dict, options: dict):
+    cover, bt, p = corpus.break_data(job, options["precision"])
+    rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     report = swan_conductor(rep, filt)
     phi = herbrand_phi(filt)
@@ -194,13 +102,11 @@ def _cmd_swan(job: dict, options: dict):
     return results, [], False
 
 
-def _cmd_bound(job: dict, options: dict):
-    cover, bt, p = _break_data(job, options.get("precision"))
-    rep = _rep_for(job, bt.group, p)
+def _cmd_bound(job: dict, params: dict, options: dict):
+    cover, bt, p = corpus.break_data(job, options["precision"])
+    rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
-    params = job.get("params", {})
-    big_n = params.get("N")
-    _require(isinstance(big_n, int) and big_n >= 0, "'params.N' must be a non-negative integer")
+    big_n = corpus.read_int(params.get("N"), "params.N", 0)
     jordan_table = options.get("jordan_table")
     structure = bounds.inertia_structure(rep.image_matrices(), p)
     tame = bounds.tameizing_subgroup(structure)
@@ -283,53 +189,24 @@ def _printable(name: str, value: int) -> int:
     return value
 
 
-# Least admissible value of each integer parameter of the enum ops.
-_ENUM_INTS = {
-    "max_ell_element_order": {"r": 1, "ell": 2, "n": 1},
-    "inertia_candidate_sample": {"r": 1, "ell": 2, "n": 1, "p": 2, "count": 0},
-    "abelian_p_bound_probe": {"r": 1, "ell": 2, "p": 2, "s": 0},
-}
-
-
-def _cmd_enum(job: dict, options: dict):
-    params = job.get("params", {})
-    op = params.get("op")
-    _require(isinstance(op, str) and op in _ENUM_INTS, f"unknown enum op {op!r}")
-    for key, least in _ENUM_INTS[op].items():
-        value = params.get(key)
-        _require(
-            isinstance(value, int) and value >= least,
-            f"'params.{key}' must be an integer >= {least}",
-        )
+def _cmd_enum(job: dict, params: dict, options: dict):
+    op, args = corpus.enum_args(params)
     if op == "max_ell_element_order":
-        value = max_ell_element_order(params["r"], params["ell"], params["n"])
-        return {"op": op, "max_order": value, "mode": "exhaustive"}, [], False
+        return {"op": op, "max_order": max_ell_element_order(**args), "mode": "exhaustive"}, [], False
     if op == "inertia_candidate_sample":
-        seed = options.get("seed", 0)
-        groups = inertia_candidate_sample(
-            params["r"], params["ell"], params["n"], params["p"], params["count"], seed
-        )
-        orders = [g.n for g in groups]
+        seed = options["seed"]
+        orders = [g.n for g in inertia_candidate_sample(**args, seed=seed)]
         return {"op": op, "seed": seed, "orders": orders, "mode": "sampled"}, [], False
-    probe = abelian_p_bound_probe(params["r"], params["ell"], params["p"], params["s"])
+    probe = abelian_p_bound_probe(**args)
     results = {"op": op, "mode": "constructed"}
     for key in ("max_order_found", "le_linear_bound", "le_torus_bound", "n_used"):
         results[key] = getattr(probe, key)
     return results, [], False
 
 
-def _cmd_verify(job: dict, options: dict):
-    params = job.get("params", {})
-    suite = params.get("suite", "all")
-    _require(isinstance(suite, str), "'params.suite' must be a string")
-    results = verify.run_suite(
-        suite,
-        {
-            "seed": options.get("seed", 0),
-            "exhaustive": options.get("exhaustive", False),
-            "jordan_table": options.get("jordan_table"),
-        },
-    )
+def _cmd_verify(job: dict, params: dict, options: dict):
+    suite = corpus.read(params.get("suite", "all"), "params.suite", str)
+    results = verify.run_suite(suite, options)
     return results, [], not results["ok"]
 
 
@@ -345,28 +222,8 @@ _HANDLERS = {
 
 def run(job: dict, options: dict | None = None):
     """Execute one job; returns (report dict, exit code)."""
-    options = dict(options or {})
-    _require(isinstance(job, dict), "job must be a JSON object")
-    command = job.get("command")
-    _require(command in COMMANDS, f"'command' must be one of {COMMANDS}")
-    params = job.get("params", {})
-    _require(isinstance(params, dict), "'params' must be a JSON object")
-    # Precedence: explicit CLI flag, then the job's params, then defaults.
-    if options.get("precision") is None:
-        prec = params.get("precision")
-        _require(
-            prec is None or (isinstance(prec, int) and prec >= 1),
-            "'params.precision' must be a positive integer",
-        )
-        options["precision"] = prec
-    if options.get("seed") is None:
-        seed = params.get("seed")
-        _require(
-            seed is None or isinstance(seed, int),
-            "'params.seed' must be an integer",
-        )
-        options["seed"] = seed if seed is not None else 0
-    results, warnings, violated = _HANDLERS[command](job, options)
+    command, params, options = corpus.read_job(job, options or {})
+    results, warnings, violated = _HANDLERS[command](job, params, options)
     report = make_report(command, job, results, warnings)
     return report, (2 if violated else 0)
 
@@ -377,19 +234,15 @@ def _load_jordan_table(path: str | None) -> dict[int, int] | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputSchemaError(f"cannot read jordan table: {exc}")
-    if not isinstance(raw, dict):
-        raise InputSchemaError("jordan table must be a JSON object")
     table = {}
-    for k, v in raw.items():
+    for k, v in corpus.read(raw, "jordan_table", dict).items():
         try:
             rank = int(k)
         except ValueError:
             raise InputSchemaError(f"jordan table key {k!r} is not an integer")
-        if not isinstance(v, int) or v < 1:
-            raise InputSchemaError(f"jordan table value for rank {rank} must be a positive integer")
-        table[rank] = v
+        table[rank] = corpus.read_int(v, f"jordan_table.{k}", 1)
     return table
 
 
@@ -421,7 +274,6 @@ def main(argv=None) -> int:
         p.add_argument("--precision", type=int, help="series precision override")
         p.add_argument("--seed", type=int, help="seed for sampled computations")
         p.add_argument("--jordan-table", help="JSON file of rank -> bound")
-        p.add_argument("--exhaustive", action="store_true", help="force exhaustive modes")
 
     args = parser.parse_args(argv)
     output = args.output
@@ -430,21 +282,19 @@ def main(argv=None) -> int:
             "precision": args.precision,
             "seed": args.seed,
             "jordan_table": _load_jordan_table(args.jordan_table),
-            "exhaustive": args.exhaustive,
         }
         if args.mode == "run":
-            if args.input:
-                try:
+            # ValueError covers bad UTF-8, bad JSON and an integer too long
+            # to convert.
+            try:
+                if args.input:
                     with open(args.input, "r", encoding="utf-8") as fh:
                         text = fh.read()
-                except OSError as exc:
-                    raise InputSchemaError(f"cannot read input: {exc}")
-            else:
-                text = sys.stdin.read()
-            try:
+                else:
+                    text = sys.stdin.read()
                 job = json.loads(text, parse_float=_reject_inexact, parse_constant=_reject_inexact)
-            except json.JSONDecodeError as exc:
-                raise InputSchemaError(f"invalid JSON: {exc}")
+            except (OSError, ValueError) as exc:
+                raise InputSchemaError(f"cannot read the job: {exc}")
         else:
             job = {"command": "verify", "params": {"suite": args.suite}}
         report, code = run(job, options)

@@ -213,6 +213,14 @@ _TABLE_JOB = {
         ({"command": "enum", "params": {"op": "inertia_candidate_sample", "r": 0, "ell": 3, "n": 1, "p": 2, "count": 1}}, "params.r"),
         (dict(SWAN_JOB, note=0.5), "0.5"),
         (dict(SWAN_JOB, params={"precision": float("nan")}), "NaN"),
+        (dict(_TABLE_JOB, break_table=dict(_TABLE_JOB["break_table"], iG={"s": True})), "break_table.iG.s"),
+        (_rep_with(r=True), "rep.r"),
+        (_rep_with(r="x"), "rep.r"),
+        (dict(SWAN_JOB, command="bound", params={"N": True}), "params.N"),
+        (_swan_with(base={"p": 2, "a": True}), "base.a"),
+        (_rep_with(images={"sigma": [[2, 1]]}), "rep.images.sigma"),
+        (_rep_with(images={"sigma": [[2], [1]]}), "rep.images.sigma"),
+        (dict(SWAN_JOB, break_table=_TABLE_JOB["break_table"]), "'cover' and 'break_table'"),
     ],
 )
 def test_malformed_job_names_the_bad_field(job, field, capsys, monkeypatch):
@@ -360,6 +368,81 @@ def test_work_over_the_precision_cap_is_refused_up_front(job, capsys, monkeypatc
     assert code == 1
     assert report["error"]["type"] == "SizeCapExceeded"
     assert "precision cap 4096" in report["error"]["message"]
+
+
+def _enum(op, **params):
+    return {"command": "enum", "params": dict(params, op=op)}
+
+
+def _cyclic_table(n):
+    labels = [str(i) for i in range(n)]
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return {"command": "filtration", "base": {"p": 2, "a": 1},
+            "break_table": {"labels": labels, "mul_table": table, "iG": {x: 1 for x in labels[1:]}}}
+
+
+@pytest.mark.parametrize(
+    "job,field",
+    [
+        (_enum("max_ell_element_order", r=4, ell=2, n=1), "'params.r'"),
+        (_enum("max_ell_element_order", r=2, ell=13, n=1), "'params.ell'"),
+        (_enum("max_ell_element_order", r=2, ell=2, n=3), "'params.n'"),
+        (_enum("max_ell_element_order", r=1, ell=4099, n=1), "'params.ell'"),
+        (_enum("max_ell_element_order", r=20000, ell=2, n=1), "'params.r'"),
+        (_enum("max_ell_element_order", r=2, ell=7, n=1), "'params.ell'"),
+        (_enum("inertia_candidate_sample", r=1, ell=4093, n=1, p=2, count=16), "'params.count'"),
+        (_enum("inertia_candidate_sample", r=1, ell=3, n=1, p=2, count=100), "'params.count'"),
+        (_enum("inertia_candidate_sample", r=1, ell=3, n=1, p=2, count=1000), "'params.count'"),
+        (_enum("abelian_p_bound_probe", r=2, ell=367, p=61, s=1), "'params.s'"),
+        (_enum("abelian_p_bound_probe", r=10 ** 6, ell=3, p=2, s=0), "'params.r'"),
+        (_enum("abelian_p_bound_probe", r=1, ell=3, p=2, s=10 ** 30), "'params.s'"),
+        ({"command": "filtration", "base": {"p": 2, "a": 11}, "cover": {"type": "kummer", "m": 2047}}, "'cover.m'"),
+        ({"command": "filtration", "base": {"p": 2, "a": 12}, "cover": {"type": "kummer", "m": 4095}}, "'cover.m'"),
+        ({"command": "filtration", "base": {"p": 2, "a": 16}, "cover": {"type": "kummer", "m": 65535}}, "'cover.m'"),
+        (dict(SWAN_JOB, base={"p": 251, "a": 1}), "'base.p'"),
+        (dict(SWAN_JOB, cover={"type": "tower", "m": 127, "f": [[-1, [1]]]}, base={"p": 2, "a": 7}), "'cover.m'"),
+        (_cyclic_table(256), "'break_table.labels'"),
+        (dict(_TABLE_JOB, break_table=dict(_TABLE_JOB["break_table"], iG={"s": 10 ** 5})), "'break_table.iG.s'"),
+        (dict(_TABLE_JOB, break_table=dict(_TABLE_JOB["break_table"], iG={"s": 10 ** 6})), "'break_table.iG.s'"),
+    ],
+)
+def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypatch):
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert report["error"]["type"] == "SizeCapExceeded"
+    assert field in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        _enum("max_ell_element_order", r=2, ell=5, n=1),
+        _enum("max_ell_element_order", r=1, ell=2, n=7),
+        _enum("inertia_candidate_sample", r=2, ell=7, n=1, p=2, count=1),
+        _enum("abelian_p_bound_probe", r=3, ell=11, p=5, s=1),
+        _cyclic_table(128),
+        {"command": "filtration", "base": {"p": 2, "a": 7}, "cover": {"type": "kummer", "m": 127}},
+    ],
+)
+def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0, report
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"command": ' + b"1" * 5000 + b"}", b'{"command": "\xff"}'],
+    ids=["int-over-the-digit-limit", "not-utf-8"],
+)
+def test_input_that_does_not_decode_is_a_json_error(raw, tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_bytes(raw)
+    code = cli.main(["run", "--input", str(job_file)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["error"]["type"] == "InputSchemaError"
 
 
 def test_datum_exponents_beyond_the_cap_are_refused_before_the_series_is_built(capsys, monkeypatch):

@@ -2,8 +2,10 @@
 
 Whatever the job, the CLI must end in exit 0, 1 or 2 with exactly one JSON
 object on stdout, and an error object must carry a ``type`` and a
-``message``.  Integers stay small so every job is cheap: the fuzzer looks
-for tracebacks, not for the size caps.
+``message``.  The mutating fuzzer keeps integers small, so every job is
+cheap and it looks for tracebacks; the huge-integer fuzzer puts values over
+every cap at the integer positions of the seed jobs and requires each job to
+end, refused or not, within a time bound.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import copy
 import io
 import json
 import sys
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +48,9 @@ SEED_JOBS = [
     {"command": "verify", "params": {"suite": "counts", "seed": 3}},
 ]
 
+# At or above 10^6: over the field, precision and group caps, and the enum
+# bounds.
+HUGE_INTS = (10 ** 6, 10 ** 9, 2 ** 61 - 1, 2 ** 64, 10 ** 30)
 small_ints = st.integers(-2, 4)
 junk = st.one_of(
     st.none(),
@@ -108,6 +114,23 @@ def job_texts(draw):
     return json.dumps(_mutate(job, draw))
 
 
+@st.composite
+def huge_int_job_texts(draw):
+    job = copy.deepcopy(draw(st.sampled_from(SEED_JOBS), label="seed job"))
+    slots = []
+    for path in _paths(job):
+        parent = job
+        for key in path[:-1]:
+            parent = parent[key]
+        if type(parent[path[-1]]) is int:
+            slots.append((parent, path[-1]))
+    chosen = draw(st.lists(st.sampled_from(range(len(slots))), min_size=1, max_size=3, unique=True))
+    for i in chosen:
+        parent, key = slots[i]
+        parent[key] = draw(st.sampled_from(HUGE_INTS), label="value")
+    return json.dumps(job)
+
+
 def run_job(text: str):
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -120,9 +143,7 @@ def run_job(text: str):
     return code, out.getvalue()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(job_texts())
-def test_every_job_ends_in_one_json_object(text):
+def check_outcome(text: str):
     code, out = run_job(text)
     assert code in (0, 1, 2), (code, text)
     assert out.endswith("\n") and out.count("\n") == 1, (out, text)
@@ -134,3 +155,17 @@ def test_every_job_ends_in_one_json_object(text):
         assert isinstance(error["message"], str), text
     else:
         assert payload["command"] in cli.COMMANDS, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(job_texts())
+def test_every_job_ends_in_one_json_object(text):
+    check_outcome(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(huge_int_job_texts())
+def test_huge_integers_end_in_time(text):
+    start = time.perf_counter()
+    check_outcome(text)
+    assert time.perf_counter() - start < 2.0, text
