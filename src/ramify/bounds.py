@@ -19,7 +19,6 @@ from .errors import (
     NoSuchQuotient,
     NotAGroup,
     NotPrime,
-    OverflowPolicyExceeded,
     PreconditionFailed,
 )
 from .fields import is_prime, split_prime_power
@@ -202,15 +201,11 @@ def explicit_constants(
     ell: int,
     N: int,
     J: int,
-    *,
-    factorial_cap: int = FACTORIAL_CAP,
-    exact_factorial: bool = False,
 ) -> ExplicitConstants:
     """N' = ell*r*J*N, M0 = r*p^{N'}*J, crude bound M0 factorial.
 
-    The factorial is computed exactly up to M0 <= factorial_cap and
-    returned symbolically beyond; requesting exactness above the cap
-    raises OverflowPolicyExceeded.
+    The factorial is computed exactly up to M0 <= FACTORIAL_CAP and
+    returned symbolically beyond.
     """
     if min(r, p, ell, J) < 1 or N < 0:
         raise ValueError("inputs must be positive (N may be zero)")
@@ -218,12 +213,8 @@ def explicit_constants(
         raise PreconditionFailed("ell must differ from p")
     n_prime = ell * r * J * N
     m0 = r * p ** n_prime * J
-    if m0 <= factorial_cap:
+    if m0 <= FACTORIAL_CAP:
         return ExplicitConstants(n_prime, m0, math.factorial(m0), None)
-    if exact_factorial:
-        raise OverflowPolicyExceeded(
-            f"M0 = {m0} exceeds the exact-factorial cap {factorial_cap}"
-        )
     return ExplicitConstants(n_prime, m0, None, (m0, "factorial"))
 
 
@@ -276,7 +267,7 @@ def wild_order_bound_check(
     abelian part has order dividing p^{N'}; and |P| <= p^{r N'} J.  The
     linear variant r p^{N'} J is recorded but not asserted.
     """
-    sw = swan_conductor(rep, filt).swan
+    sw, _, per_jump = swan_conductor(rep, filt)
     if sw > N:
         raise PreconditionFailed(f"Swan conductor {sw} exceeds N = {N}")
     J = jordan_bound(rep.r, jordan_table)
@@ -284,13 +275,7 @@ def wild_order_bound_check(
     n_prime_exact = structure.ell ** structure.n * J * N
 
     jumps_total = len(filt.positive_jumps())
-    visible = 0
-    for u in filt.positive_jumps():
-        inc = rep.fixed_dim(filt.subgroup_at(u + 1)) - rep.fixed_dim(
-            filt.subgroup_at(u)
-        )
-        if inc > 0:
-            visible += 1
+    visible = len(per_jump)  # the jumps where the fixed space grows
 
     abelian_part = _abelian_normal_part(structure.group)
     max_order = 1

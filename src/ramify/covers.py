@@ -465,10 +465,9 @@ def _break_table_once(cover: GaloisCover) -> BreakTable:
     return BreakTable(cover.group, i_map)
 
 
-def lower_break_table(cover: GaloisCover, cap: int | None = None) -> BreakTable:
+def lower_break_table(cover: GaloisCover) -> BreakTable:
     """Break numbers of the cover, escalating precision when needed."""
-    if cap is None:
-        cap = precision_cap()
+    cap = precision_cap()
     current = cover
     while True:
         try:

@@ -64,6 +64,20 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def power(x, e: int):
+    """x ** e for e >= 1, for any x with an associative ``*``.
+
+    Left-to-right square-and-multiply: floor(log2 e) squarings and
+    popcount(e) - 1 more products, with no identity to start from.
+    """
+    result = x
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Dense little-endian polynomial arithmetic over F_p (ints mod p).
 
@@ -400,14 +414,9 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        if e == 0:
+            return self.field.one()
+        return power(self, e)
 
     def inverse(self) -> "FieldElement":
         return self.field.from_key(self.field.inverse_key(self.key()))
@@ -443,13 +452,13 @@ def check_size_cap(p: int, a: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
         raise SizeCapExceeded(f"p^a = {p}^{a} exceeds the size cap {size_cap}")
 
 
-def field_create(p: int, a: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteField:
+def field_create(p: int, a: int) -> FiniteField:
     """Construct F_{p^a} with the canonical modulus.
 
     The same (p, a) always yields an identical modulus, so downstream
     reports are reproducible across runs and platforms.
     """
-    check_size_cap(p, a, size_cap)
+    check_size_cap(p, a)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if a < 1:

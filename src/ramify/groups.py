@@ -28,10 +28,16 @@ from .errors import (
     QuotientNotCyclic,
     SizeCapExceeded,
 )
-from .fields import FiniteField, check_size_cap, field_create, is_prime, split_prime_power
+from .fields import (
+    DEFAULT_SIZE_CAP, FiniteField, check_size_cap, field_create, is_prime, split_prime_power,
+)
 from .linalg import MatrixFF
 
 DEFAULT_GROUP_CAP = 10000
+CANDIDATE_CAP = 1 << 20  # matrices enumerate_gl may list
+SAMPLE_GROUP_CAP = 2000  # largest subgroup inertia_candidate_sample closes
+# Cayley-table cells (sum of n^2) after which inertia_candidate_sample stops.
+SAMPLE_CELL_BUDGET = 1 << 19
 
 
 def _spanning_tree(n: int, product: Callable[[int, int], int]):
@@ -409,12 +415,12 @@ def group_closure(
     return FiniteGroup.from_matrices(list(seen.values()))
 
 
-def enumerate_gl(field: FiniteField, r: int, size_cap: int = 1 << 20) -> list[MatrixFF]:
+def enumerate_gl(field: FiniteField, r: int) -> list[MatrixFF]:
     """All invertible r x r matrices over the field, in key order (the
     order in which ``itertools.product`` yields the key tuples)."""
     total = field.order ** (r * r)
-    if total > size_cap:
-        raise SizeCapExceeded(f"{total} candidate matrices exceed cap {size_cap}")
+    if total > CANDIDATE_CAP:
+        raise SizeCapExceeded(f"{total} candidate matrices exceed cap {CANDIDATE_CAP}")
     keys = itertools.product(range(field.order), repeat=r * r)
     return [m for m in (MatrixFF.from_keys(field, r, k) for k in keys) if m.is_invertible()]
 
@@ -456,32 +462,19 @@ def nilpotency_exponent_ok(m: MatrixFF, order: int, ell: int, r: int) -> bool:
     return ell ** (d - 1) <= r
 
 
-def max_ell_element_order(
-    r: int,
-    ell: int,
-    n: int,
-    *,
-    size_cap: int = 1 << 20,
-    sample: int | None = None,
-    seed: int = 0,
-) -> int:
-    """Maximum order among ell-elements of GL_r(F_{ell^n}).
+def max_ell_element_order(r: int, ell: int, n: int) -> int:
+    """Maximum order among ell-elements of GL_r(F_{ell^n}), exhaustively.
 
-    Exhaustive unless ``sample`` is given; every ell-element found is also
-    checked against the nilpotency bound ell^{d-1} <= r.
+    Every ell-element found is also checked against the nilpotency bound
+    ell^{d-1} <= r.
     """
     check_size_cap(ell, n)
     if not is_prime(ell):
         raise NotAGroup(f"{ell} is not prime")
     field = field_create(ell, n)
     ident = MatrixFF.identity(field, r)
-    if sample is None:
-        mats = enumerate_gl(field, r, size_cap=size_cap)
-    else:
-        rng = random.Random(seed)
-        mats = [_random_invertible(field, r, rng) for _ in range(sample)]
     best = 1
-    for m in mats:
+    for m in enumerate_gl(field, r):
         o = power_order(m, MatrixFF.__mul__, ident, bound=1 << 20)
         if split_prime_power(o, ell)[1] != 1:
             continue
@@ -498,26 +491,28 @@ def inertia_candidate_sample(
     p: int,
     count: int,
     seed: int,
-    *,
-    size_cap: int = 2000,
 ) -> list[FiniteGroup]:
     """Random subgroups of GL_r(F_{ell^n}) with normal p-Sylow and cyclic
     prime-to-p quotient.  Deterministic for a fixed seed; conjugate
-    duplicates are pruned best-effort."""
+    duplicates are pruned best-effort.  Stops early, with fewer than
+    ``count`` groups, after 200 * count attempts or once the groups closed
+    pass SAMPLE_CELL_BUDGET table cells; the result is then a prefix of
+    the unbounded one."""
     if count == 0:
         return []
     field = field_create(ell, n)
     rng = random.Random(seed)
     out: list[FiniteGroup] = []
     seen_keys: set[tuple] = set()
-    attempts = 0
-    while len(out) < count and attempts < 200 * count:
+    attempts = cells = 0
+    while len(out) < count and attempts < 200 * count and cells <= SAMPLE_CELL_BUDGET:
         attempts += 1
         gens = [_random_invertible(field, r, rng) for _ in range(rng.choice((1, 2)))]
         try:
-            grp = group_closure(gens, size_cap=size_cap)
+            grp = group_closure(gens, size_cap=SAMPLE_GROUP_CAP)
         except SizeCapExceeded:
             continue
+        cells += grp.n * grp.n
         if not has_inertia_shape(grp, p):
             continue
         canon = tuple(m.key() for m in grp.matrices)
@@ -550,9 +545,6 @@ def abelian_p_bound_probe(
     ell: int,
     p: int,
     s: int,
-    *,
-    size_cap: int = DEFAULT_GROUP_CAP,
-    field_cap: int = 1 << 16,
 ) -> AbelianProbeReport:
     """Probe abelian p-subgroups of GL_r over an ell-power field containing
     the p^s-th roots of unity; reports the largest order found against the
@@ -561,12 +553,12 @@ def abelian_p_bound_probe(
     n = 1
     while (ell ** n - 1) % target != 0:
         n += 1
-        if ell ** n > field_cap:
+        if ell ** n > DEFAULT_SIZE_CAP:
             raise SizeCapExceeded(
-                f"no field of size <= {field_cap} contains mu_{target}"
+                f"no field of size <= {DEFAULT_SIZE_CAP} contains mu_{target}"
             )
-    field = field_create(ell, n, size_cap=field_cap)
-    if target ** r > size_cap:
+    field = field_create(ell, n)
+    if target ** r > DEFAULT_GROUP_CAP:
         raise SizeCapExceeded("diagonal subgroup exceeds the group size cap")
     zeta = field.root_of_unity(target).key()
     gens = [
@@ -575,7 +567,7 @@ def abelian_p_bound_probe(
         )
         for i in range(r)
     ]
-    diag = group_closure(gens, size_cap=size_cap)
+    diag = group_closure(gens)
     max_order = diag.n
     linear_bound = r * target
     torus_bound = target ** r

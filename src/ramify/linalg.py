@@ -12,7 +12,7 @@ from operator import add, mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
-from .fields import FiniteField
+from .fields import FiniteField, power
 
 
 def _slot_bits(field: FiniteField, terms: int) -> int:
@@ -167,14 +167,9 @@ class MatrixFF:
     def __pow__(self, e: int) -> "MatrixFF":
         if e < 0:
             return self.inverse() ** (-e)
-        result = MatrixFF.identity(self.field, self.n)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        if e == 0:
+            return MatrixFF.identity(self.field, self.n)
+        return power(self, e)
 
     def is_identity(self) -> bool:
         return self.entries == MatrixFF.identity(self.field, self.n).entries

@@ -22,11 +22,14 @@ folds x^k for k >= a back through the field's reduction table.  Inverses
 use Newton doubling w <- w(2 - uw) (Brent & Kung, J. ACM 25, 1978), so
 they cost a few products instead of a quadratic recurrence.
 
-Composition f(g) evaluates the polynomial part of f by Paterson-Stockmeyer
-(SIAM J. Comput. 2, 1973): about 2 sqrt(n) products for n terms instead of
-Horner's n.  The powers g^0 .. g^(k-1) are packed once, each block of k
-coefficients of f is a sum of small multiples of those packed integers, and
-Horner in g^k over the blocks reduces once a step.  The result equals
+Composition f(g) has one evaluator for a non-monomial g: f = t^v F with F
+a power series and v = min(v(f), 0), and f(g) = F(g) (g^{-1})^{-v}.  F(g)
+is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): about
+2 sqrt(n) products for n terms instead of Horner's n.  The powers
+g^0 .. g^(k-1) are packed once, each block of k coefficients of F is a sum
+of small multiples of those packed integers, and Horner in g^k over the
+blocks reduces once a step.  The pole factor is one ``power`` of the
+inverse.  An exact monomial g is a coefficient stretch.  The result equals
 Horner's under ==, precision included; ``compose`` gives the argument.
 
 The working default is 64 known terms; operations that need a nonzero
@@ -50,7 +53,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroElement,
 )
-from .fields import FieldElement, FiniteField
+from .fields import FieldElement, FiniteField, power
 
 DEFAULT_PRECISION = 64
 DEFAULT_PRECISION_CAP = 4096
@@ -387,14 +390,9 @@ class LaurentSeries:
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        result = LaurentSeries.one(self.field)
-        acc = self
-        while k:
-            if k & 1:
-                result = result * acc
-            acc = acc * acc
-            k >>= 1
-        return result
+        if k == 0:
+            return LaurentSeries.one(self.field)
+        return power(self, k)
 
     def truncate(self, ap: int) -> "LaurentSeries":
         """Forget everything from exponent ap on."""
@@ -513,26 +511,32 @@ def compose(f: LaurentSeries, g: LaurentSeries, prec: int | None = None) -> Laur
 
     The result is, under ==, the one Horner's rule gives (acc <- acc*g + f_e
     for the polynomial part, acc <- (acc + f_-k) g^{-1} for the pole part),
-    but the polynomial part costs about 2 sqrt(n) products for n terms:
-    Paterson-Stockmeyer (SIAM J. Comput. 2, 1973).  With k = ceil(sqrt(n)),
-    the blocks sum_j f_{ik+j} g^j, j < k, are formed from g^0 .. g^(k-1)
-    as sums of small multiples of packed integers, and Horner in g^k runs
-    over the blocks.  An exact monomial g = c t^w needs no product at all:
-    f(c t^w) has f_e c^e at exponent e w.
+    at far fewer products.  An exact monomial g = c t^w needs none: f(c t^w)
+    has f_e c^e at exponent e w.  Otherwise f = t^v F with v = min(v(f), 0)
+    and F a power series, and f(g) = F(g) h^m with h = g^{-1} and m = -v.
+    F(g) takes about 2 sqrt(n) products for n terms by Paterson-Stockmeyer
+    (SIAM J. Comput. 2, 1973): with k = ceil(sqrt(n)), the blocks
+    sum_j F_{ik+j} g^j, j < k, are sums of small multiples of g^0 .. g^(k-1)
+    as packed integers, and Horner in g^k runs over the blocks.  h^m takes
+    about 2 log2(m) products.
 
-    Exactness.  Let g be approximate with valuation w and precision P, so
-    its relative precision is R = P - w.  A product's precision is the sum
-    of the valuations plus the smaller relative precision, and Horner's
-    accumulator after step e has relative precision at least R.  So by
-    induction Horner's precision after step e is (j - e) w + R, with j the
-    least index above e where f_j != 0; at e = 0 it is N = P + (j - 1) w
-    for the least j >= 1 with f_j != 0 (and the result is the exact f_0
-    when there is none).  Every term f_e g^e with f_e != 0 is known to
-    at least N, and Horner's arithmetic is honest, so its coefficients
-    below N are those of sum f_e G^e for G the known window of g as a
-    polynomial.  Paterson-Stockmeyer computes exactly that sum modulo t^N,
-    from G + O(t^N), and the result is cut at N.  For exact g every step is
-    exact and both sides are the same polynomial.
+    Exactness.  Let g have valuation w, precision P and relative precision
+    R = P - w (both infinite for exact g), and G its known window as a
+    polynomial.  A product's precision is the sum of the valuations plus
+    the smaller relative precision.  Without a pole, Horner's accumulator
+    keeps relative precision R, so by induction its precision after step e
+    is (j - e) w + R, with j the least index above e where f_j != 0; at
+    e = 0 it is N = P + (j - 1) w for the least j >= 1 with f_j != 0 (the
+    result is the exact f_0 when there is none).  Horner's arithmetic is
+    honest, so its coefficients below N are those of sum f_e G^e, which is
+    what Paterson-Stockmeyer computes modulo t^N from G + O(t^N) before the
+    cut at N.  With a pole of order m, h has valuation -w and relative
+    precision R_h <= R (``prec``, or 64, for exact g); Horner's pole loop
+    multiplies by h m times, so its result is known to -m w + R_h, below
+    the polynomial part's N.  Here F(g) has valuation 0 (F_0 = f_v) and
+    precision at least P > R_h, and h^m keeps relative precision R_h, so
+    F(g) h^m is known to exactly -m w + R_h as well.  Both are honest, so
+    below that both are f(G): v0, coefficients and precision agree.
     """
     f._check(g)
     field = f.field
@@ -552,15 +556,10 @@ def compose(f: LaurentSeries, g: LaurentSeries, prec: int | None = None) -> Laur
     if g.is_exact and len(g.coeffs) == 1:
         result = _stretch(f, g.coeffs[0], w)
     else:
-        top = f.v0 + len(f.coeffs) - 1
-        result = _evaluate_at(field, f._window(0, top + 1), g) if top >= 0 else None
-        # Pole part: Horner in h = g^{-1} over exponents -1 .. v0.
-        if f.v0 < 0:
-            h = g.inverse(prec=prec)
-            acc = LaurentSeries.zero(field)
-            for k in range(-f.v0, 0, -1):
-                acc = (acc + LaurentSeries._from_keys(field, 0, [f._key(-k)], None)) * h
-            result = acc if result is None else result + acc
+        v = min(f.v0, 0)
+        result = _evaluate_at(field, f._window(v, f.v0 + len(f.coeffs)), g)
+        if v < 0:
+            result = result * g.inverse(prec=prec) ** -v
     if f.abs_prec is not None:
         result = result.truncate(f.abs_prec * w)
     return result

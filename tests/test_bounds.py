@@ -24,7 +24,6 @@ from ramify.errors import (
     NoBoundConfigured,
     NoSuchQuotient,
     NotAGroup,
-    OverflowPolicyExceeded,
     PreconditionFailed,
     PSylowNotNormal,
     QuotientNotCyclic,
@@ -151,8 +150,6 @@ def test_explicit_constants_overflow_policy():
     assert ec.M_crude is None
     assert ec.M_crude_descriptor == (2 ** 15, "factorial")
     assert ec.crude_at_least(10 ** 100)
-    with pytest.raises(OverflowPolicyExceeded):
-        explicit_constants(1, 2, 3, 5, 1, exact_factorial=True)
 
 
 def test_crude_at_least_is_exact():

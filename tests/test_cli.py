@@ -424,10 +424,16 @@ def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypat
         _enum("abelian_p_bound_probe", r=3, ell=11, p=5, s=1),
         _cyclic_table(128),
         {"command": "filtration", "base": {"p": 2, "a": 7}, "cover": {"type": "kummer", "m": 127}},
+        # Samplers that find fewer groups than asked for: the cell budget ends them.
+        _enum("inertia_candidate_sample", r=1, ell=509, n=1, p=2, count=4),
+        _enum("inertia_candidate_sample", r=1, ell=2, n=8, p=3, count=16),
+        _enum("inertia_candidate_sample", r=1, ell=257, n=1, p=2, count=8),
     ],
 )
 def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
+    start = time.perf_counter()
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 2.0
     assert code == 0, report
 
 

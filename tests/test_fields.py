@@ -9,7 +9,10 @@ from ramify.fields import (
     element_multiplicative_order,
     field_create,
     is_prime,
+    power,
 )
+from ramify.linalg import MatrixFF
+from ramify.series import LaurentSeries
 
 
 def poly_has_root(coeffs, p):
@@ -50,7 +53,7 @@ def test_not_prime_rejected():
 
 def test_size_cap():
     with pytest.raises(SizeCapExceeded):
-        field_create(2, 20, size_cap=1 << 16)
+        field_create(2, 20)
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -220,3 +223,31 @@ def test_inverse_by_euclid_matches_the_power_q_minus_2(p, a):
         F.inverse_key(0)
     with pytest.raises(ZeroElement):
         F.zero().inverse()
+
+
+def _power_inputs():
+    F5, F9 = field_create(5, 1), field_create(3, 2)
+    series = LaurentSeries(F5, -2, [F5.from_int(k) for k in (3, 0, 1, 4, 2, 1)], 4)
+    matrix = MatrixFF.from_int_rows(F5, [[1, 2, 0], [0, 3, 1], [4, 0, 1]])
+    return [series, matrix, F9.from_key(5)]
+
+
+@pytest.mark.parametrize("x", _power_inputs(), ids=["approximate-series", "matrix", "F9-element"])
+def test_power_squares_and_multiplies_left_to_right(x, monkeypatch):
+    # Oracle: e - 1 right multiplications by x, under ==.
+    want = [x]
+    for _ in range(39):
+        want.append(want[-1] * x)
+    calls = []
+    inner = type(x).__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(type(x), "__mul__", counted)
+    for e in range(1, 41):
+        calls.clear()
+        assert power(x, e) == want[e - 1]
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+        assert x ** e == want[e - 1]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ramify import groups
 from ramify.bounds import inertia_structure
 from ramify.errors import NotAGroup, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
 from ramify.fields import field_create, split_prime_power
@@ -105,10 +106,10 @@ def test_max_ell_element_order_exhaustive(r, ell, n, expected):
 
 def test_max_ell_order_cap():
     with pytest.raises(SizeCapExceeded):
-        max_ell_element_order(3, 5, 2, size_cap=100)
+        max_ell_element_order(3, 5, 2)
 
 
-def test_inertia_candidate_sample_shapes_and_determinism():
+def test_inertia_candidate_sample_shapes_and_determinism(monkeypatch):
     sample1 = inertia_candidate_sample(2, 3, 1, 2, count=4, seed=11)
     sample2 = inertia_candidate_sample(2, 3, 1, 2, count=4, seed=11)
     assert [g.n for g in sample1] == [g.n for g in sample2]
@@ -119,6 +120,13 @@ def test_inertia_candidate_sample_shapes_and_determinism():
     for g in sample1:
         assert has_inertia_shape(g, 2)
     assert inertia_candidate_sample(2, 3, 1, 2, count=0, seed=1) == []
+    # A smaller cell budget stops the same random stream earlier: a prefix.
+    keys = [tuple(m.key() for m in g.matrices) for g in sample1]
+    for budget in (0, 100, 400):
+        monkeypatch.setattr(groups, "SAMPLE_CELL_BUDGET", budget)
+        short = inertia_candidate_sample(2, 3, 1, 2, count=4, seed=11)
+        assert 1 <= len(short) < 4
+        assert [tuple(m.key() for m in g.matrices) for g in short] == keys[: len(short)]
 
 
 def test_sampled_groups_pass_inertia_structure_and_claim1():
@@ -130,11 +138,6 @@ def test_sampled_groups_pass_inertia_structure_and_claim1():
         for g in groups:
             st = inertia_structure(list(g.matrices), p)
             assert claim1_check(st, r)
-
-
-def test_max_ell_order_sampled_mode():
-    value = max_ell_element_order(2, 3, 1, sample=60, seed=3)
-    assert value in (1, 3)  # sampled runs can only find what exhaustive allows
 
 
 def test_abelian_probe_rank_one_tight():

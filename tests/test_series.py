@@ -345,7 +345,7 @@ def long_series(draw, field, max_len=100):
         keys = [0] * n
         for i in spots:
             keys[i] = draw(st.integers(1, field.order - 1))
-    v0 = draw(st.integers(-3, 2))
+    v0 = draw(st.integers(-40, 2))
     coeffs = [field.from_key(k) for k in keys]
     if draw(st.booleans()):
         return LaurentSeries(field, v0, coeffs, None)
@@ -378,9 +378,9 @@ def test_compose_of_long_series_matches_horner(field, data):
 
 
 def test_compose_needs_about_two_sqrt_n_products(monkeypatch):
-    # Horner's rule would take one product per term: 1,024 here.
+    # Horner's rule would take one product per term: 1,024 here, and one
+    # more per pole term.  A pole of order m adds about 2 log2(m) products.
     n = 1024
-    f = LaurentSeries._from_keys(F5, 0, [1 + e % 4 for e in range(n)], None)
     g = LaurentSeries._from_keys(F5, 1, [1, 2, 3] * 400, 1201)
     calls = []
     inner = LaurentSeries.__mul__
@@ -390,7 +390,10 @@ def test_compose_needs_about_two_sqrt_n_products(monkeypatch):
         return inner(x, y)
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
-    out = compose(f, g)
     k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    assert len(calls) <= 2 * k + 2
-    assert out.abs_prec == g.abs_prec and out.coeffs[:3] == (1, 2, 2)
+    for v0, abs_prec, head in ((0, 1201, (1, 2, 2)), (-1023, 177, (1,))):
+        f = LaurentSeries._from_keys(F5, v0, [1 + e % 4 for e in range(n)], None)
+        calls.clear()
+        out = compose(f, g)
+        assert len(calls) <= 2 * k + 2 + 2 * (-v0).bit_length()
+        assert out.abs_prec == abs_prec and out.v0 == v0 and out.coeffs[: len(head)] == head
