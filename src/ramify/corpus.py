@@ -95,9 +95,10 @@ def read_job(job, options: dict) -> tuple[str, dict, dict]:
         raise InputSchemaError(f"'command' must be one of {COMMANDS}")
     params = read(job.get("params", {}), "params", dict)
     options = dict(options)
-    if options.get("precision") is None:
-        prec = params.get("precision")
-        options["precision"] = None if prec is None else read_int(prec, "params.precision", 1)
+    if options.get("precision") is not None:
+        options["precision"] = read_int(options["precision"], "--precision", 1)
+    elif params.get("precision") is not None:
+        options["precision"] = read_int(params["precision"], "params.precision", 1)
     if options.get("seed") is None:
         options["seed"] = read_int(params.get("seed", 0), "params.seed")
     return command, params, options

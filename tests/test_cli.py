@@ -239,6 +239,16 @@ def test_malformed_precision_cap_is_a_json_error(raw, capsys, monkeypatch):
     assert "RAMIFY_PRECISION_CAP" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_precision_flag_below_one_is_a_json_error(raw, capsys, monkeypatch):
+    # The same least value as params.precision.
+    argv = ["run", "--precision", raw]
+    code, report = run_cli(capsys, argv, stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "InputSchemaError"
+    assert "--precision" in report["error"]["message"]
+
+
 def test_unknown_suite(capsys):
     code, report = run_cli(capsys, ["verify", "nonsense"])
     assert code == 1

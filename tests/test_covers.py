@@ -244,6 +244,53 @@ def test_break_table_rejects_non_class_function():
         BreakTable(s3, i_map)
 
 
+def _break_table_groups():
+    from ramify.groups import group_closure
+
+    F7 = field_create(7, 1)
+    s3 = group_closure(
+        [MatrixFF.from_int_rows(F7, [[0, 1], [1, 0]]), MatrixFF.from_int_rows(F7, [[0, 6], [1, 6]])]
+    )
+    # x -> 2x + b over F_7: Z/7 x| Z/3, nonabelian of order 21.
+    z7_z3 = group_closure(
+        [MatrixFF.from_int_rows(F7, [[2, 0], [0, 1]]), MatrixFF.from_int_rows(F7, [[1, 1], [0, 1]])]
+    )
+    tower = build_compositum_tower(build_kummer(F4, 3), as_sparse(F4, [[-1, [1, 0]]]), prec=24)
+    return [s3, z7_z3, tower.group]
+
+
+def test_break_table_checks_invariance_on_generators_only():
+    """The generator check accepts exactly the maps the full scan over every
+    conjugating element accepts, on invariant and non-invariant maps."""
+    rng = random.Random(11)
+    for group in _break_table_groups():
+        assert group.n in (6, 21)
+        classes = {frozenset(group.conjugate(t, x) for t in range(group.n)) for x in range(group.n)}
+        nontrivial = [x for x in range(group.n) if x != group.identity]
+        outcomes = set()
+        for trial in range(60):
+            if trial % 2:
+                value = {cls: rng.randint(1, 3) for cls in classes}
+                i_map = {x: value[cls] for cls in classes for x in cls if x != group.identity}
+            else:
+                keys = rng.sample(nontrivial, rng.randint(1, len(nontrivial)))
+                i_map = {x: rng.randint(1, 2) for x in keys}
+            full = all(
+                i_map.get(group.conjugate(t, x)) == v
+                for t in range(group.n)
+                for x, v in i_map.items()
+            )
+            try:
+                BreakTable(group, i_map)
+                accepted = True
+            except MismatchDetected as exc:
+                assert "conjugation-invariant" in str(exc)
+                accepted = False
+            assert accepted == full
+            outcomes.add(accepted)
+        assert outcomes == ({True} if group.is_abelian() else {True, False})
+
+
 def test_precision_escalation_rebuilds_cover():
     base = build_artin_schreier(F2, as_sparse(F2, [[-3, [1]]]), prec=16)
     # Doctor a copy whose action series are truncated below the break.
@@ -374,12 +421,30 @@ def _counting_compose(monkeypatch):
     return calls
 
 
+def _check_full_group_law(cover):
+    """The group law against every element for each generator, and t fixed
+    by every element: the loops the builders derive from the generator
+    facts (see their docstrings).  Each difference is known at least to
+    the precision the docstrings certify: that of the approximate action
+    series, and that of t."""
+    group, action, t = cover.group, cover.sigma_action, cover.t_in_s
+    known = min(a.abs_prec for a in action.values() if a.abs_prec is not None)
+    for gen in group.generators():
+        for i in range(group.n):
+            diff = compose(action[gen], action[i]) - action[group.product(i, gen)]
+            assert diff.is_zero_known() and (diff.is_exact or diff.abs_prec >= known)
+    for i in range(group.n):
+        diff = compose(t, action[i]) - t
+        assert diff.is_zero_known() and (diff.is_exact or diff.abs_prec >= t.abs_prec)
+
+
 def test_artin_schreier_closed_form_grid(monkeypatch):
     """i(sigma) = m + 1 and Sw = m for y^p - y = t^-m, on the whole small grid.
 
     Counting compose calls pins the builders' checks: an Artin-Schreier
-    build runs the defining relation plus p + 2 self-checks (p group-law
-    compositions, t fixed, y -> y + 1), so none can silently disappear.
+    build runs the defining relation plus two generator checks (t fixed,
+    y -> y + 1), so none can silently disappear.  The group law they imply
+    is checked here in full.
     """
     calls = _counting_compose(monkeypatch)
     for p in (2, 3, 5, 7, 11):
@@ -389,7 +454,8 @@ def test_artin_schreier_closed_form_grid(monkeypatch):
                 continue
             calls.clear()
             cover = build_artin_schreier(field, as_sparse(field, [[-m, [1]]]), prec=32)
-            assert len(calls) == 1 + p + 2
+            assert len(calls) == 1 + 2
+            _check_full_group_law(cover)
             bt = lower_break_table(cover)
             assert bt.i_map == {j: m + 1 for j in range(1, p)}
             filt = filtration_from_breaks(bt, p)
@@ -397,11 +463,12 @@ def test_artin_schreier_closed_form_grid(monkeypatch):
 
 
 def test_artin_schreier_at_precision_2048_runs_every_self_check(monkeypatch):
-    # High precision is within reach: the build keeps all 1 + p + 2 checks.
+    # High precision is within reach: the build keeps all 1 + 2 checks.
     calls = _counting_compose(monkeypatch)
     cover = build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=2048)
     assert cover.prec == 2048
-    assert len(calls) == 1 + 2 + 2
+    assert len(calls) == 1 + 2
+    _check_full_group_law(cover)
     assert lower_break_table(cover).i_map == {1: 2}
 
 
@@ -410,13 +477,11 @@ def test_tower_runs_every_self_check(monkeypatch, field, tame):
     calls = _counting_compose(monkeypatch)
     lower = build_kummer(field, tame) if tame > 1 else trivial_cover(field)
     tower = build_compositum_tower(lower, as_sparse(field, [[-1, [1]]]), prec=24)
-    p, n = field.p, field.p * tame
-    generators = 2 if tame > 1 else 1
-    # Pull-back of the datum, the wild layer's own build, the actions on s'
-    # and y (tame ones only when tame > 1), then per generator: t fixed and
-    # the group law against every element.
-    expected = 1 + (1 + p + 2) + (2 if tame > 1 else 0) + 2 + generators * (1 + n)
-    assert len(calls) == expected
+    # Pull-back of the datum, the wild layer's own build (relation, s'
+    # fixed, y -> y + 1), and the tame generator's action on s' and y when
+    # tame > 1.  The group law and t fixed they imply are checked here.
+    assert len(calls) == 1 + (1 + 2) + (2 if tame > 1 else 0)
+    _check_full_group_law(tower)
     assert lower_break_table(tower).by_label()["sigma"] == tame + 1
 
 
@@ -497,3 +562,33 @@ def test_corrupted_elementary_function_is_caught(monkeypatch, p, m):
             monkeypatch.setattr(covers, "_conjugate_elementary", corrupted)
             with pytest.raises((MismatchDetected, NotSimpleRoot)):
                 build_artin_schreier(field, f, prec=32)
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 1), (5, 2), (7, 3)])
+def test_corrupted_lift_or_root_is_caught(monkeypatch, p, m):
+    """A term added to the lifted t above the seed, or to the b-th root
+    behind y, anywhere inside its known precision, fails a kept check."""
+    field = field_create(p, 1)
+    f = as_sparse(field, [[-m, [1]], [0, [1]]])
+    for name in ("hensel_lift_root", "nth_root_of_unit"):
+        exact = getattr(covers, name)
+        results = []
+
+        def spy(*args):
+            results.append(exact(*args))
+            return results[-1]
+
+        monkeypatch.setattr(covers, name, spy)
+        build_artin_schreier(field, f, prec=32)
+        if not results:
+            assert name == "nth_root_of_unit" and p == 2  # b = 1 takes no root
+            continue
+        (result,) = results
+        for deg in range(result.valuation() + 1, result.abs_prec):
+            def corrupted(*args, deg=deg):
+                return exact(*args) + LaurentSeries.monomial(field, field.one(), deg)
+
+            monkeypatch.setattr(covers, name, corrupted)
+            with pytest.raises(MismatchDetected):
+                build_artin_schreier(field, f, prec=32)
+        monkeypatch.setattr(covers, name, exact)
