@@ -1,38 +1,31 @@
-"""Command-line front end: JSON job in, canonical JSON report out.
+"""usage: ramify run [--input FILE] [FLAGS] | ramify verify SUITE [FLAGS]
+FLAGS: --output FILE --precision N --seed N --jordan-table FILE
 
-Exit codes: 0 success, 1 input or computation error (a machine-readable
-error object is emitted), 2 a verification suite found a violated
-invariant (the report is still emitted).
+Each flag is one '--flag value' pair; the last of a repeated flag wins.
+`run` reads a JSON job from FILE or stdin, `verify` runs a suite (or all);
+the canonical JSON report goes to stdout or --output.  Exit codes: 0
+success, 1 an input or computation error, the command line's included (an
+error object is emitted), 2 a suite found a violated invariant.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 from . import bounds, corpus, verify
 from .corpus import COMMANDS
-from .covers import BreakTable
-from .errors import InputSchemaError, NoBoundConfigured, OverflowPolicyExceeded, RamifyError
-from .groups import (
-    abelian_p_bound_probe,
-    inertia_candidate_sample,
-    max_ell_element_order,
-)
+from .errors import NoBoundConfigured, OverflowPolicyExceeded, RamifyError
+from .groups import abelian_p_bound_probe, inertia_candidate_sample, max_ell_element_order
 from .ramification import (
-    filtration_from_breaks,
-    hasse_arf_check,
-    herbrand_phi,
-    herbrand_psi,
-    swan_conductor,
-    swan_single_break,
-    upper_jumps,
+    filtration_from_breaks, hasse_arf_check, herbrand_phi, herbrand_psi,
+    swan_conductor, swan_single_break, upper_jumps,
 )
 from .reporting import canonical_dumps, make_report, rational_pair, write_atomic
 
 
-def _filtration_results(bt: BreakTable, p: int, cover=None) -> dict:
+def _filtration_results(job: dict, options: dict):
+    """(results, filtration) of the job's cover or break table."""
+    cover, bt, p = corpus.break_data(job, options["precision"])
     filt = filtration_from_breaks(bt, p)
     results = {
         "i_G": bt.by_label(),
@@ -53,7 +46,7 @@ def _herbrand_payload(filt) -> dict:
     phi = herbrand_phi(filt)
     psi = herbrand_psi(phi)
     g0, _ = filt.group.subgroup(filt.subgroup_at(0))
-    payload = {
+    return {
         "phi": {
             "breakpoints": [[u, v] for u, v in phi.breakpoints],
             "final_slope": phi.final_slope,
@@ -66,20 +59,15 @@ def _herbrand_payload(filt) -> dict:
         "upper_jumps": list(upper_jumps(filt)),
         "hasse_arf": hasse_arf_check(filt) if g0.is_abelian() else None,
     }
-    return payload
 
 
 def _cmd_filtration(job: dict, params: dict, options: dict):
-    cover, bt, p = corpus.break_data(job, options["precision"])
-    results, _ = _filtration_results(bt, p, cover)
-    return results, [], False
+    return _filtration_results(job, options)[0], [], False
 
 
 def _cmd_herbrand(job: dict, params: dict, options: dict):
-    cover, bt, p = corpus.break_data(job, options["precision"])
-    results, filt = _filtration_results(bt, p, cover)
-    results.update(_herbrand_payload(filt))
-    return results, [], False
+    results, filt = _filtration_results(job, options)
+    return {**results, **_herbrand_payload(filt)}, [], False
 
 
 def _cmd_swan(job: dict, params: dict, options: dict):
@@ -92,14 +80,13 @@ def _cmd_swan(job: dict, params: dict, options: dict):
         single = swan_single_break(rep, filt, phi)
     except RamifyError:
         single = None
-    results = {
+    return {
         "swan": rational_pair(report.swan),
         "breaks": [[lam, mult] for lam, mult in report.breaks],
         "per_jump_terms": [[x, inc] for x, inc in report.per_jump_terms],
         "single_break": single,
         "rank": rep.r,
-    }
-    return results, [], False
+    }, [], False
 
 
 def _cmd_bound(job: dict, params: dict, options: dict):
@@ -228,28 +215,6 @@ def run(job: dict, options: dict | None = None):
     return report, (2 if violated else 0)
 
 
-def _load_jordan_table(path: str | None) -> dict[int, int] | None:
-    if path is None:
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputSchemaError(f"cannot read jordan table: {exc}")
-    table = {}
-    for k, v in corpus.read(raw, "jordan_table", dict).items():
-        try:
-            rank = int(k)
-        except ValueError:
-            raise InputSchemaError(f"jordan table key {k!r} is not an integer")
-        table[rank] = corpus.read_int(v, f"jordan_table.{k}", 1)
-    return table
-
-
-def _reject_inexact(literal: str):
-    raise InputSchemaError(f"the job has the number {literal}; jobs take exact integers only")
-
-
 def _emit(payload: dict, output: str | None) -> None:
     text = canonical_dumps(payload)
     if output:
@@ -259,44 +224,22 @@ def _emit(payload: dict, output: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ramify",
-        description="Exact ramification invariants of local-field covers.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-
-    run_p = sub.add_parser("run", help="execute a JSON job from stdin or --input")
-    run_p.add_argument("--input", help="job file (default: stdin)")
-    ver_p = sub.add_parser("verify", help="run a verification suite")
-    ver_p.add_argument("suite", help=f"one of {verify.SUITE_NAMES}")
-    for p in (run_p, ver_p):
-        p.add_argument("--output", help="write the report here (atomic)")
-        p.add_argument("--precision", type=int, help="series precision override")
-        p.add_argument("--seed", type=int, help="seed for sampled computations")
-        p.add_argument("--jordan-table", help="JSON file of rank -> bound")
-
-    args = parser.parse_args(argv)
-    output = args.output
+    output = None
     try:
+        args = corpus.read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(__doc__)
+            return 0
+        output = args["--output"]
         options = {
-            "precision": args.precision,
-            "seed": args.seed,
-            "jordan_table": _load_jordan_table(args.jordan_table),
+            "precision": args["--precision"],
+            "seed": args["--seed"],
+            "jordan_table": corpus.jordan_table(args["--jordan-table"]),
         }
-        if args.mode == "run":
-            # ValueError covers bad UTF-8, bad JSON and an integer too long
-            # to convert.
-            try:
-                if args.input:
-                    with open(args.input, "r", encoding="utf-8") as fh:
-                        text = fh.read()
-                else:
-                    text = sys.stdin.read()
-                job = json.loads(text, parse_float=_reject_inexact, parse_constant=_reject_inexact)
-            except (OSError, ValueError) as exc:
-                raise InputSchemaError(f"cannot read the job: {exc}")
+        if args["suite"] is None:
+            job = corpus.read_file(args["--input"], "the job")
         else:
-            job = {"command": "verify", "params": {"suite": args.suite}}
+            job = {"command": "verify", "params": {"suite": args["suite"]}}
         report, code = run(job, options)
         _emit(report, output)
         return code
@@ -304,6 +247,3 @@ def main(argv=None) -> int:
         _emit({"error": {"type": err.code, "message": str(err)}}, output)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

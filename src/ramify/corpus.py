@@ -1,17 +1,20 @@
 """The job format, and the built-in fixtures written in it.
 
-This module owns the JSON job format.  Every field of a job is read here,
-once, before any arithmetic: one bool-safe integer reader and one element
-reader serve all of them, and an error names the field by its JSON path.
-The same pass bounds each job's work (field size, precision, ``GROUP_CAP``
-and the enum bounds) with ``SizeCapExceeded``.  The fixtures the test and
-verify suites run over (``data/corpus.json``) are specs in the same format
-and go through the same readers.
+This module owns every input: the command line, the JSON text of a job, a
+Jordan table and the fixture file are read here and nowhere else.  Every
+field of a job is read here, once, before any arithmetic: one bool-safe
+integer reader and one element reader serve all of them, and an error
+names the field by its JSON path (or the flag by its name).  The same pass
+bounds each job's work (field size, precision, ``GROUP_CAP`` and the enum
+bounds) with ``SizeCapExceeded``.  The fixtures the test and verify suites
+run over (``data/corpus.json``) are specs in the same format and go
+through the same readers.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from functools import lru_cache
 from importlib import resources
 
@@ -48,6 +51,9 @@ _ENUM_INTS = {
     "abelian_p_bound_probe": {"r": 1, "ell": 2, "p": 2, "s": 0},
 }
 
+# The flags of the command line; all but --input are flags of 'verify' too.
+_FLAGS = ("--input", "--output", "--precision", "--seed", "--jordan-table")
+
 
 def read_int(value, path: str, least: int | None = None) -> int:
     """``value`` if it is a JSON integer (``true`` and ``false`` are not) of
@@ -66,6 +72,84 @@ def read(value, path: str, kind: type):
     if type(value) is kind:
         return value
     raise InputSchemaError(f"'{path}' must be {_KINDS[kind]}")
+
+
+def _decimal(text: str):
+    """The integer that ``text`` spells in ASCII decimal (an optional '-',
+    then digits), else ``text`` itself, which ``read_int`` then refuses."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    return text
+
+
+def read_argv(argv) -> dict | None:
+    """The command line ``run [FLAGS]`` or ``verify SUITE [FLAGS]`` as
+    {"suite": SUITE or None, flag: value or None for each flag}, or None
+    when a token is -h or --help.  Flags are ``--flag value`` pairs, the
+    last of a repeated flag winning; --precision and --seed are read as
+    params.precision and params.seed are.  No file is read here."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    mode, *rest = argv or [""]
+    suite = None
+    if mode == "verify" and rest and not rest[0].startswith("-"):
+        suite, *rest = rest
+    elif mode != "run":
+        raise InputSchemaError("the command line must be 'run [FLAGS]' or 'verify SUITE [FLAGS]'")
+    flags = _FLAGS if mode == "run" else _FLAGS[1:]
+    for flag in rest[::2]:
+        if flag not in flags:
+            raise InputSchemaError(f"{flag!r} is not a flag of '{mode}'; its flags are {flags}")
+    if len(rest) % 2:
+        raise InputSchemaError(f"the flag {rest[-1]!r} needs a value")
+    args = {**dict.fromkeys(_FLAGS), **dict(zip(rest[::2], rest[1::2])), "suite": suite}
+    for flag, least in (("--precision", 1), ("--seed", None)):
+        if args[flag] is not None:
+            args[flag] = read_int(_decimal(args[flag]), flag, least)
+    return args
+
+
+def decode(data: bytes | str, what: str):
+    """The JSON value in ``data``.  Bad UTF-8, bad JSON, floats and NaN are
+    an ``InputSchemaError`` that names ``what``."""
+    def inexact(literal: str):
+        raise InputSchemaError(f"{what} has the number {literal}; jobs take exact integers only")
+
+    try:
+        text = data.decode("utf-8") if type(data) is bytes else data
+        return json.loads(text, parse_float=inexact, parse_constant=inexact)
+    except ValueError as exc:  # also an integer too long to convert
+        raise InputSchemaError(f"cannot read {what}: {exc}")
+
+
+def read_file(path: str | None, what: str):
+    """The JSON value in the file at ``path``, or on stdin when it is None."""
+    try:
+        if path is None:
+            data = sys.stdin.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except (OSError, ValueError) as exc:
+        raise InputSchemaError(f"cannot read {what}: {exc}")
+    return decode(data, what)
+
+
+def jordan_table(path: str | None) -> dict[int, int] | None:
+    """The Jordan table in the file at ``path``: a JSON object of rank
+    (ASCII decimal) -> bound >= 1."""
+    if path is None:
+        return None
+    table = {}
+    for key, value in read(read_file(path, "jordan table"), "jordan_table", dict).items():
+        rank = _decimal(key)
+        if type(rank) is not int:
+            raise InputSchemaError(f"jordan table key {key!r} is not an integer")
+        table[rank] = read_int(value, f"jordan_table.{key}", 1)
+    return table
 
 
 def _element(field: FiniteField, x, path: str) -> FieldElement:
@@ -94,8 +178,8 @@ def read_job(job, options: dict) -> tuple[str, dict, dict]:
     if command not in COMMANDS:
         raise InputSchemaError(f"'command' must be one of {COMMANDS}")
     params = read(job.get("params", {}), "params", dict)
-    options = dict(options)
-    if options.get("precision") is not None:
+    options = {"precision": None, **options}
+    if options["precision"] is not None:
         options["precision"] = read_int(options["precision"], "--precision", 1)
     elif params.get("precision") is not None:
         options["precision"] = read_int(params["precision"], "params.precision", 1)
@@ -243,9 +327,7 @@ def enum_args(params: dict) -> tuple[str, dict]:
 
 @lru_cache(maxsize=1)
 def _raw() -> dict:
-    path = resources.files("ramify").joinpath("data/corpus.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return decode(resources.files("ramify").joinpath("data/corpus.json").read_bytes(), "the corpus")
 
 
 def cover_ids() -> list[str]:

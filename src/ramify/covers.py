@@ -286,7 +286,7 @@ def build_artin_schreier(
     s_mono = LaurentSeries.uniformizer(base)
     w = s_mono * (t_in_s.inverse() ** a_exp)  # equals y^b
     unit = w * LaurentSeries.monomial(base, (eta ** b).inverse(), b * m)
-    root = unit if b == 1 else nth_root_of_unit(unit, b, p)
+    root = unit if b == 1 else nth_root_of_unit(unit, b)
     y_in_s = root.shift(-m).scale(eta)
 
     _check_zero(y_in_s ** p - y_in_s - compose(f, t_in_s), "defining relation of y")

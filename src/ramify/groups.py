@@ -136,7 +136,7 @@ class FiniteGroup:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_matrices(cls, mats: Sequence[MatrixFF], labels=None) -> "FiniteGroup":
+    def from_matrices(cls, mats: Sequence[MatrixFF]) -> "FiniteGroup":
         """Group from a closed set of invertible matrices (closure verified).
 
         Elements are deduplicated and sorted by key.  Only the products
@@ -168,9 +168,7 @@ class FiniteGroup:
         for b in order:
             column = right[via[b]]
             cols[b] = column if parent[b] < 0 else list(map(column.__getitem__, cols[parent[b]]))
-        if labels is None:
-            labels = [f"g{i}" for i in range(n)]
-        return cls(zip(*cols), labels, matrices=unique)
+        return cls(zip(*cols), [f"g{i}" for i in range(n)], matrices=unique)
 
     @classmethod
     def cyclic(cls, k: int, symbol: str = "sigma") -> "FiniteGroup":
@@ -193,14 +191,8 @@ class FiniteGroup:
                     labels.append(la)
                 else:
                     labels.append(f"{la}*{lb}")
-        mul = []
-        for i1 in range(n):
-            for j1 in range(m):
-                row = []
-                for i2 in range(n):
-                    for j2 in range(m):
-                        row.append(g.mul[i1][i2] * m + h.mul[j1][j2])
-                mul.append(row)
+        mul = [[g.mul[i1][i2] * m + h.mul[j1][j2] for i2 in range(n) for j2 in range(m)]
+               for i1 in range(n) for j1 in range(m)]
         return cls(mul, labels)
 
     # -- basic queries -----------------------------------------------------------

@@ -612,10 +612,10 @@ def hensel_lift_root(
     raise PrecisionExhausted("Newton iteration did not converge")
 
 
-def nth_root_of_unit(u: LaurentSeries, b: int, field_char: int) -> LaurentSeries:
+def nth_root_of_unit(u: LaurentSeries, b: int) -> LaurentSeries:
     """b-th root of a unit series with constant term 1, for gcd(b, p) = 1."""
     field = u.field
-    if b % field_char == 0:
+    if b % field.p == 0:
         raise ValueError("root degree divisible by the characteristic")
     if u.is_zero_known() or u.valuation() != 0 or u.coeffs[0] != 1:
         raise ValueError("expected a unit series with constant term 1")

@@ -25,17 +25,6 @@ from .ramification import (
     upper_jumps,
 )
 
-SUITE_NAMES = (
-    "lemma_pullback",
-    "hasse_arf",
-    "transitivity",
-    "claim1",
-    "claim2",
-    "counts",
-    "all",
-)
-
-
 def _cover_filtration(cover):
     bt = lower_break_table(cover)
     return bt, filtration_from_breaks(bt, cover.p)
@@ -115,12 +104,7 @@ def suite_transitivity(options) -> list[dict]:
 
 def suite_claim1(options) -> list[dict]:
     instances = []
-    combos = [
-        (r, ell, n)
-        for r in (1, 2)
-        for (ell, n) in ((2, 1), (3, 1), (2, 2))
-    ]
-    for r, ell, n in combos:
+    for r, ell, n in ((1, 2, 1), (1, 3, 1), (1, 2, 2), (2, 2, 1), (2, 3, 1), (2, 2, 2)):
         best = max_ell_element_order(r, ell, n)
         d = split_prime_power(best, ell)[0]
         passed = d == 0 or ell ** (d - 1) <= r
@@ -276,6 +260,8 @@ def suite_counts(options) -> list[dict]:
     return instances
 
 
+# The suites in report order; a module-level dict, so that a tracer can
+# wrap its entries in place.
 _SUITES = {
     "lemma_pullback": suite_lemma_pullback,
     "hasse_arf": suite_hasse_arf,
@@ -286,16 +272,15 @@ _SUITES = {
 }
 
 
+SUITE_NAMES = (*_SUITES, "all")
+
+
 def run_suite(name: str, options: dict | None = None) -> dict:
-    """Run one named suite (or all); returns {"suite", "instances", "ok"}."""
+    """Run one named suite (or all, in ``_SUITES`` order); returns
+    {"suite", "instances", "ok"}."""
     options = dict(options or {})
     if name == "all":
-        instances = []
-        for sub in ("lemma_pullback", "hasse_arf", "transitivity", "claim1", "claim2", "counts"):
-            for inst in _SUITES[sub](options):
-                inst = dict(inst)
-                inst["suite"] = sub
-                instances.append(inst)
+        instances = [dict(inst, suite=sub) for sub, suite in _SUITES.items() for inst in suite(options)]
     elif name in _SUITES:
         instances = _SUITES[name](options)
     else:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -576,3 +577,126 @@ def test_enum_with_a_huge_prime_ell_is_refused_by_the_size_cap_first(capsys, mon
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
     assert code == 1
     assert report["error"] == {"type": "NotAGroup", "message": "4 is not prime"}
+
+
+class _UnreadableStdin(io.TextIOBase):
+    """A stdin that fails the test when anything reads it."""
+
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+    readline = read
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        ([], "'run [FLAGS]'"),
+        (["--bogus"], "'run [FLAGS]'"),
+        (["run", "--precision", "x"], "'--precision'"),
+        (["run", "--precision", "1_0"], "'--precision'"),
+        (["run", "--seed", "٣"], "'--seed'"),
+        (["run", "--input"], "'--input'"),
+        (["run", "--prec", "5"], "'--prec'"),
+        (["verify"], "'verify SUITE [FLAGS]'"),
+        (["verify", "--seed", "3"], "'verify SUITE [FLAGS]'"),
+        (["verify", "all", "extra"], "'extra'"),
+        (["verify", "all", "--input", "job.json"], "'--input'"),
+        (["run", "--jordan-table", "no-such-table.json", "--seed", "1.5"], "'--seed'"),
+    ],
+)
+def test_a_command_line_error_is_a_json_error_before_any_input_is_read(argv, named, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "InputSchemaError"
+    assert named in error["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "all", "-h"], ["run", "--bogus", "--help"]])
+def test_help_prints_the_usage_and_exits_zero(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ramify run")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "raw,value",
+    [("7", 7), ("-3", -3), ("0", 0), ("1_0", None), (" 7", None), ("+7", None), ("7.0", None),
+     ("1e3", None), ("", None), ("-", None), ("٣", None),
+     pytest.param("1" * 5000, None, id="more-digits-than-the-interpreter-converts")],
+)
+def test_seed_flag_is_read_as_params_seed_is(raw, value, capsys, monkeypatch):
+    job = {"command": "verify", "params": {"suite": "counts"}}
+    code, report = run_cli(capsys, ["run", "--seed", raw], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    if value is None:
+        assert code == 1
+        assert report["error"] == {"type": "InputSchemaError", "message": "'--seed' must be an integer"}
+    else:
+        job["params"]["seed"] = value
+        assert code == 0
+        expected = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)[1]
+        assert report["results"] == expected["results"]
+
+
+@pytest.mark.parametrize("raw,ok", [("32", True), ("1", True), ("0", False), ("-5", False), ("032", True),
+                                    ("3_2", False), ("32 ", False), ("true", False)])
+def test_precision_flag_is_read_as_params_precision_is(raw, ok, capsys, monkeypatch):
+    code, report = run_cli(capsys, ["run", "--precision", raw], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
+    if ok:
+        assert code == 0
+        job = dict(SWAN_JOB, params={"precision": int(raw)})
+        assert report["results"] == run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)[1]["results"]
+    else:
+        assert code == 1
+        assert report["error"] == {"type": "InputSchemaError", "message": "'--precision' must be an integer >= 1"}
+
+
+def test_the_last_of_a_repeated_flag_wins(capsys, monkeypatch):
+    job = {"command": "verify", "params": {"suite": "counts"}}
+    argv = ["run", "--seed", "x", "--seed", "1", "--seed", "17"]
+    _, twice = run_cli(capsys, argv, stdin=json.dumps(job), monkeypatch=monkeypatch)
+    _, once = run_cli(capsys, ["run", "--seed", "17"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert twice == once
+
+
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ({"1_0": 1}, "jordan table key '1_0' is not an integer"),
+        ({" 1": 1}, "jordan table key ' 1' is not an integer"),
+        ({"٣": 1}, "jordan table key '٣' is not an integer"),
+        ({"1": 1.5}, "jordan table has the number 1.5"),
+        ({"1": 0}, "'jordan_table.1' must be an integer >= 1"),
+        ([1], "'jordan_table' must be a JSON object"),
+    ],
+)
+def test_jordan_table_is_read_strictly(table, message, tmp_path, capsys):
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps(table))
+    code = cli.main(["verify", "claim2", "--jordan-table", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["error"]["type"] == "InputSchemaError"
+    assert message in report["error"]["message"]
+
+
+def test_run_without_options_reads_the_job_alone():
+    job = {"command": "filtration", "base": {"p": 2, "a": 2}, "cover": {"type": "kummer", "m": 3}}
+    report, code = cli.run(job)
+    assert code == 0
+    assert report["results"]["degree"] == 3
+
+
+def test_verify_all_runs_the_suites_in_their_listed_order(capsys):
+    assert verify.SUITE_NAMES == (*verify._SUITES, "all")
+    code = cli.main(["verify", "all"])
+    suites = [inst["suite"] for inst in json.loads(capsys.readouterr().out)["results"]["instances"]]
+    assert code == 0
+    assert list(dict.fromkeys(suites)) == list(verify._SUITES)

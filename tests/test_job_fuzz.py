@@ -5,7 +5,9 @@ object on stdout, and an error object must carry a ``type`` and a
 ``message``.  The mutating fuzzer keeps integers small, so every job is
 cheap and it looks for tracebacks; the huge-integer fuzzer puts values over
 every cap at the integer positions of the seed jobs and requires each job to
-end, refused or not, within a time bound.
+end, refused or not, within a time bound.  The argv fuzzer draws command
+lines from the modes, flags, suite names and junk, with a small job on
+stdin, and requires the same of each.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import cli
+from ramify import cli, verify
 
 REP = {"ell": 3, "n": 1, "r": 1, "images": {"sigma": [[[2]]]}}
 AS_COVER = {"type": "artin_schreier", "f": [[-1, [1]]]}
@@ -131,22 +133,32 @@ def huge_int_job_texts(draw):
     return json.dumps(job)
 
 
-def run_job(text: str):
+# --output is left out: it would write a file named by a junk token.  The
+# help tokens are left out: they print the usage, not a JSON object.
+ARGV_TOKENS = ("run", "verify", *verify.SUITE_NAMES, "--input", "--precision", "--seed", "--jordan-table")
+argv_junk = st.one_of(
+    st.sampled_from(["", "-", "--", "-1", "0", "7", "64", "1_0", "٣", " 5", "--prec", "--bogus", "job.json"]),
+    st.text(max_size=3).filter(lambda t: t not in ("-h", "--help")),
+)
+argv_lists = st.lists(st.one_of(st.sampled_from(ARGV_TOKENS), argv_junk), max_size=6)
+
+
+def run_job(text: str, argv=("run",)):
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            code = cli.main(["run"])
+            code = cli.main(list(argv))
     finally:
         sys.stdin = saved
     return code, out.getvalue()
 
 
-def check_outcome(text: str):
-    code, out = run_job(text)
-    assert code in (0, 1, 2), (code, text)
-    assert out.endswith("\n") and out.count("\n") == 1, (out, text)
+def check_outcome(text: str, argv=("run",)):
+    code, out = run_job(text, argv)
+    assert code in (0, 1, 2), (code, argv, text)
+    assert out.endswith("\n") and out.count("\n") == 1, (out, argv, text)
     payload = json.loads(out)
     assert isinstance(payload, dict), text
     if code == 1:
@@ -169,3 +181,9 @@ def test_huge_integers_end_in_time(text):
     start = time.perf_counter()
     check_outcome(text)
     assert time.perf_counter() - start < 2.0, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv_lists)
+def test_every_command_line_ends_in_one_json_object(argv):
+    check_outcome(json.dumps(SEED_JOBS[0]), argv)
