@@ -9,6 +9,7 @@ bounds on the wild part, and checks the bounds against exact group data.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -19,6 +20,7 @@ from .errors import (
     NoSuchQuotient,
     NotAGroup,
     NotPrime,
+    OverflowPolicyExceeded,
     PreconditionFailed,
 )
 from .fields import is_prime, split_prime_power
@@ -195,6 +197,14 @@ class ExplicitConstants(NamedTuple):
         return product >= value
 
 
+def check_digit_limit(name: str, exceeds) -> None:
+    """Refuse ``name`` if ``exceeds(limit)`` for the interpreter's int -> str
+    digit limit (0: none), past which no report could hold it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and exceeds(limit):
+        raise OverflowPolicyExceeded(f"{name} has more than {limit} decimal digits")
+
+
 def explicit_constants(
     r: int,
     p: int,
@@ -204,14 +214,18 @@ def explicit_constants(
 ) -> ExplicitConstants:
     """N' = ell*r*J*N, M0 = r*p^{N'}*J, crude bound M0 factorial.
 
-    The factorial is computed exactly up to M0 <= FACTORIAL_CAP and
-    returned symbolically beyond.
+    As M0 >= 2^(N' (bits(p) - 1)), an M0 longer than the digit limit is
+    refused from that bit count, before any p^{N'} is formed.  The
+    factorial is computed exactly up to M0 <= FACTORIAL_CAP and returned
+    symbolically beyond.
     """
     if min(r, p, ell, J) < 1 or N < 0:
         raise ValueError("inputs must be positive (N may be zero)")
     if ell == p:
         raise PreconditionFailed("ell must differ from p")
     n_prime = ell * r * J * N
+    bits = n_prime * (p.bit_length() - 1)  # M0 >= 2^bits
+    check_digit_limit("constants.M0", lambda limit: bits >= (10 ** limit).bit_length())
     m0 = r * p ** n_prime * J
     if m0 <= FACTORIAL_CAP:
         return ExplicitConstants(n_prime, m0, math.factorial(m0), None)
@@ -223,6 +237,9 @@ def explicit_constants(
 
 
 class WildOrderReport(NamedTuple):
+    """``constants`` is the ``explicit_constants`` record that ``N_prime``
+    and ``linear_bound`` (= M0 = r p^{N'} J) are taken from."""
+
     swan: Fraction
     N: int
     N_prime: int
@@ -239,6 +256,7 @@ class WildOrderReport(NamedTuple):
     abelian_part_order: int
     ok: bool
     warnings: tuple[str, ...] = ()
+    constants: ExplicitConstants | None = None
 
 
 def _abelian_normal_part(group: FiniteGroup) -> frozenset:
@@ -265,13 +283,16 @@ def wild_order_bound_check(
     Checks, in order: Sw <= N; the number of representation-visible
     positive jumps is at most Sw; every element of the p-part of the
     abelian part has order dividing p^{N'}; and |P| <= p^{r N'} J.  The
-    linear variant r p^{N'} J is recorded but not asserted.
+    linear variant M0 = r p^{N'} J is recorded but not asserted.  It refuses
+    Sw > N, then a rank with no Jordan bound J, then (in
+    ``explicit_constants``) an M0 over the digit limit.
     """
     sw, _, per_jump = swan_conductor(rep, filt)
     if sw > N:
         raise PreconditionFailed(f"Swan conductor {sw} exceeds N = {N}")
     J = jordan_bound(rep.r, jordan_table)
-    n_prime = structure.ell * rep.r * J * N
+    constants = explicit_constants(rep.r, structure.p, structure.ell, N, J)
+    n_prime = constants.N_prime
     n_prime_exact = structure.ell ** structure.n * J * N
 
     jumps_total = len(filt.positive_jumps())
@@ -289,7 +310,7 @@ def wild_order_bound_check(
             p_ok = p_ok and pow(structure.p, n_prime, o) == 0
     p_order = structure.P_order
     torus_bound = structure.p ** (rep.r * n_prime) * J
-    linear_bound = rep.r * structure.p ** n_prime * J
+    linear_bound = constants.M0
     ok = (
         visible <= sw <= N
         and p_ok
@@ -316,6 +337,7 @@ def wild_order_bound_check(
         abelian_part_order=len(abelian_part),
         ok=ok,
         warnings=warnings,
+        constants=constants,
     )
 
 
@@ -400,27 +422,20 @@ def star_kernel_check(
             f"stabilizer order {len(stab)} != e*f_sep*f_insep = {e * f_sep * f_insep}"
         )
     s_grp, idx = group.subgroup(stab)
-    pos = {g: i for i, g in enumerate(idx)}
-    candidates = []
-    if kernel is not None:
-        k_local = frozenset(pos[g] for g in kernel)
-        candidates.append(k_local)
+    if kernel is None:
+        candidates = s_grp.all_subgroups()
     else:
-        for sub in s_grp.all_subgroups():
-            if len(sub) * f_sep == s_grp.n and s_grp.is_normal(sub):
-                quot, _ = s_grp.quotient(sub)
-                if quot.is_cyclic():
-                    candidates.append(sub)
+        pos = {g: i for i, g in enumerate(idx)}
+        candidates = [frozenset(pos[g] for g in kernel)]
     for k_local in candidates:
-        if not s_grp.is_subgroup(k_local) or not s_grp.is_normal(k_local):
+        if len(k_local) * f_sep != s_grp.n or not (
+            s_grp.is_subgroup(k_local) and s_grp.is_normal(k_local)
+            and s_grp.quotient(k_local)[0].is_cyclic()
+        ):
             continue
-        quot, _ = s_grp.quotient(k_local)
-        if quot.n != f_sep or not quot.is_cyclic():
-            continue
-        pe = s_grp.p_elements(p)
-        kernel_p = [i for i in k_local if i in set(pe)]
+        kernel_p = k_local & frozenset(s_grp.p_elements(p))
         p_part = len(k_local) // split_prime_power(len(k_local), p)[1]
-        unique_sylow = len(kernel_p) == p_part and s_grp.is_subgroup(frozenset(kernel_p))
+        unique_sylow = len(kernel_p) == p_part and s_grp.is_subgroup(kernel_p)
         return StarKernelReport(
             passes=(len(k_local) == e * f_insep) and unique_sylow,
             kernel_order=len(k_local),

@@ -14,7 +14,7 @@ import sys
 
 from . import bounds, corpus, verify
 from .corpus import COMMANDS
-from .errors import NoBoundConfigured, OverflowPolicyExceeded, RamifyError
+from .errors import RamifyError
 from .groups import abelian_p_bound_probe, inertia_candidate_sample, max_ell_element_order
 from .ramification import (
     filtration_from_breaks, hasse_arf_check, herbrand_phi, herbrand_psi,
@@ -94,28 +94,12 @@ def _cmd_bound(job: dict, params: dict, options: dict):
     rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     big_n = corpus.read_int(params.get("N"), "params.N", 0)
-    jordan_table = options.get("jordan_table")
     structure = bounds.inertia_structure(rep.image_matrices(), p)
     tame = bounds.tameizing_subgroup(structure)
-    # M0 = r p^N' J >= 2^(N' (bits(p) - 1)) with N' = ell r J N.  When that
-    # alone passes the digit limit, refuse before any p^N' is formed; the
-    # wild check's own refusals (Sw > N, no J configured) still come first.
-    limit = _digit_limit()
-    if limit:
-        try:
-            n_prime = structure.ell * rep.r * bounds.jordan_bound(rep.r, jordan_table) * big_n
-        except NoBoundConfigured:
-            n_prime = 0
-        if (
-            n_prime * (p.bit_length() - 1) >= (10 ** limit).bit_length()
-            and swan_conductor(rep, filt).swan <= big_n
-        ):
-            raise _too_many_digits("constants.M0", limit)
     wild = bounds.wild_order_bound_check(
-        structure, filt, rep, big_n, jordan_table=jordan_table
+        structure, filt, rep, big_n, jordan_table=options.get("jordan_table")
     )
-    j_value = bounds.jordan_bound(rep.r, jordan_table)
-    consts = bounds.explicit_constants(rep.r, p, structure.ell, big_n, j_value)
+    consts = wild.constants
     _, image_order, prime_to_p = bounds.restricted_image_through(
         rep, structure, tame.H_indices
     )
@@ -158,21 +142,10 @@ def _cmd_bound(job: dict, params: dict, options: dict):
     return results, list(wild.warnings), False
 
 
-def _digit_limit() -> int:
-    """The interpreter's int -> str digit limit (0: none)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _too_many_digits(name: str, limit: int) -> OverflowPolicyExceeded:
-    return OverflowPolicyExceeded(f"{name} has more than {limit} decimal digits")
-
-
 def _printable(name: str, value: int) -> int:
     """``value``, unless its decimal form is longer than the interpreter's
     int -> str digit limit, so that no report could be written."""
-    limit = _digit_limit()
-    if limit and abs(value) >= 10 ** limit:
-        raise _too_many_digits(name, limit)
+    bounds.check_digit_limit(name, lambda limit: abs(value) >= 10 ** limit)
     return value
 
 

@@ -202,20 +202,8 @@ class FiniteField:
         self.a = a
         self.modulus = modulus
         self.order = p ** a
-        # Reductions of x^k for k = a .. 2a-2, used by element multiplication.
-        red = {}
-        if a > 1:
-            cur = [(-m) % p for m in modulus[:a]]
-            red[a] = list(cur)
-            for k in range(a + 1, 2 * a - 1):
-                nxt = [0] + cur[: a - 1]
-                top = cur[a - 1]
-                if top:
-                    for i in range(a):
-                        nxt[i] = (nxt[i] + top * red[a][i]) % p
-                red[k] = nxt
-                cur = nxt
-        self._red = red
+        # Reductions of x^k for k = a .. 2a-2, used by keys_from_columns.
+        self._red = {k: _prem([0] * k + [1], modulus, p) for k in range(a, 2 * a - 1)}
         self._generator = None
 
     def __eq__(self, other) -> bool:
@@ -398,18 +386,8 @@ class FieldElement:
         p, a = f.p, f.a
         if a == 1:
             return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        out = [0] * (2 * a - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + x * y) % p
-        for k in range(2 * a - 2, a - 1, -1):
-            c = out[k]
-            if c:
-                red = f._red[k]
-                for i in range(a):
-                    out[i] = (out[i] + c * red[i]) % p
-        return FieldElement(f, tuple(out[:a]))
+        out = _prem(_pmul(self.coeffs, other.coeffs, p), f.modulus, p)
+        return FieldElement(f, tuple(out) + (0,) * (a - len(out)))
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:

@@ -406,6 +406,19 @@ def swan_single_break(
 # Tower statements.
 
 
+def _tower_filtrations(cover: GaloisCover, rep: Representation | None = None):
+    """(filtration of G, filtration of H) for G = Gal(L/K) and the subgroup
+    H = Gal(L/K') of the cover's marked intermediate field K'; breaks
+    restrict to H unchanged.  A given ``rep`` must be on G."""
+    if cover.intermediate is None:
+        raise PreconditionFailed("cover has no marked intermediate field")
+    if rep is not None and not _same_group(rep.group, cover.group):
+        raise GroupMismatch("representation is not on the cover group")
+    bt = lower_break_table(cover)
+    _, bt_h, _ = restrict_break_table(bt, cover.intermediate.H_indices)
+    return filtration_from_breaks(bt, cover.p), filtration_from_breaks(bt_h, cover.p)
+
+
 class PullbackReport(NamedTuple):
     sw_base: Fraction
     sw_prime: Fraction
@@ -418,17 +431,9 @@ class PullbackReport(NamedTuple):
 
 def pullback_bound_check(cover: GaloisCover, rep: Representation) -> PullbackReport:
     """Sw over the intermediate field against degree times Sw over the base."""
-    if cover.intermediate is None:
-        raise PreconditionFailed("cover has no marked intermediate field")
-    if not _same_group(rep.group, cover.group):
-        raise GroupMismatch("representation is not on the cover group")
-    bt = lower_break_table(cover)
-    filt = filtration_from_breaks(bt, cover.p)
-    sw_base = swan_conductor(rep, filt).swan
-
+    filt, filt_h = _tower_filtrations(cover, rep)
     h_idx = cover.intermediate.H_indices
-    sub, bt_h, idx = restrict_break_table(bt, h_idx)
-    filt_h = filtration_from_breaks(bt_h, cover.p)
+    sw_base = swan_conductor(rep, filt).swan
     rep_h, _ = rep.restrict(h_idx)
     sw_prime = swan_conductor(rep_h, filt_h).swan
 
@@ -445,9 +450,13 @@ def pullback_bound_check(cover: GaloisCover, rep: Representation) -> PullbackRep
 
 
 class TransitivityReport(NamedTuple):
+    """``quotient_matches``: the filtration of G/H through (G/H)_{phi_H(u)}
+    = G_u H / H has the subgroup orders of the tame layer's own."""
+
     points: tuple[Fraction, ...]
     residuals: tuple[Fraction, ...]
     ok: bool
+    quotient_matches: bool
 
 
 def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
@@ -455,21 +464,14 @@ def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
 
     Both sides are computed from independent break data: the left from the
     full cover, the right from the subgroup restriction and from the tame
-    layer's own series.
+    layer's own series.  The quotient filtration by Herbrand's theorem is
+    checked against the tame layer's too.
     """
-    if cover.intermediate is None:
-        raise PreconditionFailed("cover has no marked intermediate field")
-    bt = lower_break_table(cover)
-    filt = filtration_from_breaks(bt, cover.p)
+    filt, filt_h = _tower_filtrations(cover)
     phi_full = herbrand_phi(filt)
-
-    _, bt_h, _ = restrict_break_table(bt, cover.intermediate.H_indices)
-    filt_h = filtration_from_breaks(bt_h, cover.p)
     phi_up = herbrand_phi(filt_h)
 
-    lower = cover.intermediate.lower
-    bt_low = lower_break_table(lower)
-    filt_low = filtration_from_breaks(bt_low, cover.p)
+    filt_low = filtration_from_breaks(lower_break_table(cover.intermediate.lower), cover.p)
     phi_low = herbrand_phi(filt_low)
 
     points = {Fraction(u) for u, _ in phi_full.breakpoints}
@@ -482,4 +484,8 @@ def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
     for u, res in zip(points, residuals):
         if res != 0:
             raise MismatchDetected(f"transitivity fails at u = {u}: residual {res}")
-    return TransitivityReport(points=points, residuals=residuals, ok=True)
+    quot = quotient_filtration_by_herbrand(filt, cover.intermediate.H_indices, phi_up)
+    quotient_matches = [len(s) for s in quot.subgroups] == [len(s) for s in filt_low.subgroups]
+    return TransitivityReport(
+        points=points, residuals=residuals, ok=True, quotient_matches=quotient_matches
+    )

@@ -60,15 +60,16 @@ DEFAULT_PRECISION_CAP = 4096
 
 
 def precision_cap() -> int:
-    """Hard ceiling for automatic precision escalation."""
+    """Hard ceiling for automatic precision escalation: RAMIFY_PRECISION_CAP
+    if set, in ASCII decimal digits and at least 1, as --precision."""
     raw = os.environ.get("RAMIFY_PRECISION_CAP")
     if raw is None:
         return DEFAULT_PRECISION_CAP
     try:
-        val = int(raw)
-    except ValueError:
-        val = None
-    if val is None or val < 1:
+        val = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than the interpreter converts
+        val = 0
+    if val < 1:
         raise InputSchemaError(
             f"RAMIFY_PRECISION_CAP must be a positive integer, got {raw!r}"
         )

@@ -17,11 +17,8 @@ from .groups import FiniteGroup, abelian_p_bound_probe, max_ell_element_order
 from .ramification import (
     filtration_from_breaks,
     hasse_arf_check,
-    herbrand_phi,
     phi_transitivity_check,
     pullback_bound_check,
-    quotient_filtration_by_herbrand,
-    restrict_break_table,
     upper_jumps,
 )
 
@@ -77,25 +74,15 @@ def suite_transitivity(options) -> list[dict]:
         if cover.intermediate is None:
             continue
         report = phi_transitivity_check(cover)
-        bt, filt = _cover_filtration(cover)
-        _, bt_h, _ = restrict_break_table(bt, cover.intermediate.H_indices)
-        filt_h = filtration_from_breaks(bt_h, cover.p)
-        phi_h = herbrand_phi(filt_h)
-        quot = quotient_filtration_by_herbrand(
-            filt, cover.intermediate.H_indices, phi_h
+        passed = (
+            report.ok and all(r == 0 for r in report.residuals) and report.quotient_matches
         )
-        bt_low = lower_break_table(cover.intermediate.lower)
-        filt_low = filtration_from_breaks(bt_low, cover.p)
-        quotient_matches = [len(s) for s in quot.subgroups] == [
-            len(s) for s in filt_low.subgroups
-        ]
-        passed = report.ok and all(r == 0 for r in report.residuals) and quotient_matches
         instances.append(
             {
                 "name": cover_id,
                 "points": list(report.points),
                 "residuals": list(report.residuals),
-                "quotient_filtration_matches": quotient_matches,
+                "quotient_filtration_matches": report.quotient_matches,
                 "pass": passed,
             }
         )
@@ -137,21 +124,18 @@ def suite_claim1(options) -> list[dict]:
 
 def suite_claim2(options) -> list[dict]:
     instances = []
-    jordan_table = options.get("jordan_table")
     for rep_id in corpus.rep_ids():
         cover, rep, big_n = corpus.get_representation(rep_id)
         _, filt = _cover_filtration(cover)
         structure = bounds.inertia_structure(rep.image_matrices(), cover.p)
         tame = bounds.tameizing_subgroup(structure)
         wild = bounds.wild_order_bound_check(
-            structure, filt, rep, big_n, jordan_table=jordan_table
+            structure, filt, rep, big_n, jordan_table=options.get("jordan_table")
         )
         src_size, image_order, prime_to_p = bounds.restricted_image_through(
             rep, structure, tame.H_indices
         )
-        consts = bounds.explicit_constants(
-            rep.r, cover.p, structure.ell, big_n, bounds.jordan_bound(rep.r, jordan_table)
-        )
+        consts = wild.constants
         crude_ok = True
         if structure.P_order <= consts.M0:
             crude_ok = consts.crude_at_least(tame.index_tame)

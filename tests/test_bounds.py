@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 
 import pytest
 
@@ -17,13 +19,14 @@ from ramify.bounds import (
     wild_order_bound_check,
 )
 from ramify.corpus import get_representation, rep_ids
-from ramify.covers import lower_break_table
+from ramify.covers import build_artin_schreier, lower_break_table
 from ramify.errors import (
     ComplementNotFound,
     InconsistentCounts,
     NoBoundConfigured,
     NoSuchQuotient,
     NotAGroup,
+    OverflowPolicyExceeded,
     PreconditionFailed,
     PSylowNotNormal,
     QuotientNotCyclic,
@@ -31,7 +34,8 @@ from ramify.errors import (
 from ramify.fields import field_create
 from ramify.groups import FiniteGroup, group_closure
 from ramify.linalg import MatrixFF
-from ramify.ramification import filtration_from_breaks
+from ramify.ramification import Representation, filtration_from_breaks
+from ramify.series import LaurentSeries
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -210,6 +214,9 @@ def test_wild_order_bound_on_corpus(rep_id):
     st = inertia_structure(rep.image_matrices(), cover.p)
     report = wild_order_bound_check(st, filt, rep, big_n)
     assert report.ok
+    assert report.constants == explicit_constants(rep.r, cover.p, st.ell, big_n, jordan_bound(rep.r))
+    assert report.N_prime == report.constants.N_prime
+    assert report.linear_bound == report.constants.M0
     assert report.jumps_visible <= report.swan <= big_n
     assert report.P_order <= report.torus_bound
     assert report.linear_bound_holds  # rank-1 corpus: the linear form also holds
@@ -224,6 +231,71 @@ def test_wild_order_bound_rejects_large_swan():
     st = inertia_structure(rep.image_matrices(), cover.p)
     with pytest.raises(PreconditionFailed):
         wild_order_bound_check(st, filt, rep, N=1)
+
+
+@pytest.fixture
+def digit_limit_4300():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_explicit_constants_refuses_a_long_M0_before_the_power(digit_limit_4300):
+    # M0 = 3^(7 * 10^6): forming it would take seconds; the bit count alone refuses it.
+    start = time.perf_counter()
+    with pytest.raises(OverflowPolicyExceeded) as err:
+        explicit_constants(1, 3, 7, 10 ** 6, 1)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "constants.M0 has more than 4300 decimal digits"
+
+
+def test_explicit_constants_digit_guard_is_sound(digit_limit_4300):
+    # p = 2, ell = 3: M0 = 2^(3N).  The guard refuses only an M0 of more than
+    # 4300 digits, and it lets through the largest 3N below 4300 * log2(10).
+    refused = []
+    for big_n in range(4755, 4770):
+        try:
+            assert explicit_constants(1, 2, 3, big_n, 1).M0 == 2 ** (3 * big_n)
+        except OverflowPolicyExceeded:
+            assert 2 ** (3 * big_n) >= 10 ** 4300
+            refused.append(big_n)
+    assert refused == list(range(4762, 4770))
+
+
+def _as_rep(p, m, ell, value, r=1):
+    """(filtration, rep) of y^p - y = t^-m over F_p, with sigma -> value in
+    GL_1(F_ell), taken r times as a direct sum."""
+    field = field_create(p, 1)
+    cover = build_artin_schreier(field, LaurentSeries.from_sparse(field, [[-m, [1]]]), prec=32)
+    chi = Representation.from_generator_images(
+        cover.group, {"sigma": MatrixFF.from_int_rows(field_create(ell, 1), [[value]])}
+    )
+    rep = chi
+    for _ in range(r - 1):
+        rep = rep.direct_sum(chi)
+    return filtration_from_breaks(lower_break_table(cover), p), rep
+
+
+def test_wild_order_refusals_come_before_the_digit_guard(digit_limit_4300):
+    # Sw = 2 with ell = 65521: N' = 65521 N passes the digit limit at N = 1,
+    # but Sw > N is reported first; at N = 2 the guard refuses M0.
+    filt, rep = _as_rep(3, 2, 65521, pow(17, 65520 // 3, 65521))
+    st = inertia_structure(rep.image_matrices(), 3)
+    with pytest.raises(PreconditionFailed, match="exceeds N = 1"):
+        wild_order_bound_check(st, filt, rep, 1)
+    with pytest.raises(OverflowPolicyExceeded, match="constants.M0"):
+        wild_order_bound_check(st, filt, rep, 2)
+    # Rank 2 has no default Jordan bound: that is reported before the guard.
+    filt, rep = _as_rep(3, 1, 7, 2, r=2)
+    st = inertia_structure(rep.image_matrices(), 3)
+    with pytest.raises(NoBoundConfigured):
+        wild_order_bound_check(st, filt, rep, 10 ** 6)
+    with pytest.raises(OverflowPolicyExceeded, match="constants.M0"):
+        wild_order_bound_check(st, filt, rep, 10 ** 6, jordan_table={2: 1})
+    report = wild_order_bound_check(st, filt, rep, 2, jordan_table={2: 1})
+    assert report.constants == explicit_constants(2, 3, 7, 2, 1)
+    assert report.linear_bound == report.constants.M0 == 2 * 3 ** 28
 
 
 def test_decomposition_counts_examples():

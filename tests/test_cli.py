@@ -231,7 +231,7 @@ def test_malformed_job_names_the_bad_field(job, field, capsys, monkeypatch):
     assert field in report["error"]["message"]
 
 
-@pytest.mark.parametrize("raw", ["lots", "", "2.5", "0", "-8"])
+@pytest.mark.parametrize("raw", ["lots", "", "2.5", "0", "-8", "1_0", " 64", "\u0666\u0664"])
 def test_malformed_precision_cap_is_a_json_error(raw, capsys, monkeypatch):
     monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)

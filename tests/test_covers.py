@@ -332,7 +332,7 @@ def test_precision_cap_parses_the_environment(monkeypatch):
     assert precision_cap() == DEFAULT_PRECISION_CAP
     monkeypatch.setenv("RAMIFY_PRECISION_CAP", "512")
     assert precision_cap() == 512
-    for raw in ("abc", "", "1e3", "0", "-4"):
+    for raw in ("abc", "", "1e3", "0", "-4", "1_0", " 64", "\u0666\u0664"):
         monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
         with pytest.raises(InputSchemaError, match="RAMIFY_PRECISION_CAP"):
             precision_cap()

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -169,6 +170,41 @@ def test_canonical_modulus_against_galoistools():
                     break
                 assert not irreducible(tail, p), (p, a, tail)
             a += 1
+
+
+@pytest.mark.parametrize("p,a", [(2, 11), (3, 9), (7, 3), (2, 16)])
+def test_products_against_galoistools(p, a):
+    """Element products and the bulk keys_from_columns reduction against
+    gf_rem(gf_mul(x, y), modulus), on random pairs over fields too large for
+    the exhaustive axiom tests."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def big_endian(coeffs):
+        return galoistools.gf_strip([int(c) for c in reversed(coeffs)])
+
+    F = field_create(p, a)
+    modulus = big_endian(F.modulus)
+    rng = random.Random(p ** a)
+    pairs = [
+        (F.from_key(rng.randrange(F.order)), F.from_key(rng.randrange(F.order)))
+        for _ in range(300)
+    ]
+    expected = [
+        F.from_coeffs(list(reversed(galoistools.gf_rem(
+            galoistools.gf_mul(big_endian(x.coeffs), big_endian(y.coeffs), p, ZZ),
+            modulus, p, ZZ,
+        ))))
+        for x, y in pairs
+    ]
+    assert [x * y for x, y in pairs] == expected
+    # Column k holds the x^k coefficient of each unreduced product.
+    columns = [
+        [sum(x.coeffs[i] * y.coeffs[k - i] for i in range(max(0, k - a + 1), min(k, a - 1) + 1))
+         for x, y in pairs]
+        for k in range(2 * a - 1)
+    ]
+    assert F.keys_from_columns(columns) == [z.key() for z in expected]
 
 
 def full_scan_modulus(p, a):

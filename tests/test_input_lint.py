@@ -6,6 +6,11 @@ rejects an import of ``argparse``, a use of ``json.load`` or ``json.loads``
 file opened for reading: an ``open`` or ``fdopen`` call whose mode is
 absent, not a string literal, or has ``r`` or ``+`` in it, and any
 ``read_text`` or ``read_bytes`` call.
+
+The environment has one reader too, ``series.precision_cap``: in every
+module, ``corpus.py`` included, a use of ``os.environ`` or ``os.getenv``
+(of the module or of an alias, or imported by name) anywhere else is
+rejected.
 """
 
 import ast
@@ -18,6 +23,8 @@ import ramify
 SOURCE = Path(ramify.__file__).parent
 READER = "corpus.py"
 JSON_READERS = {"load", "loads"}
+ENV_READER = ("series.py", "precision_cap")
+ENV_NAMES = {"environ", "getenv", "environb", "getenvb"}
 
 
 def _reads(call: ast.Call) -> bool:
@@ -77,6 +84,41 @@ def input_violations(source: str, filename: str = "<source>") -> list[str]:
     return found
 
 
+def environment_violations(source: str, filename: str = "<source>") -> list[str]:
+    """One message per use of the environment outside ``ENV_READER``."""
+    tree = ast.parse(source, filename)
+    os_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os"
+    }
+    found = []
+
+    def visit(node, function):
+        if (filename, function) == ENV_READER:
+            return
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name == "*" or alias.name in ENV_NAMES:
+                    found.append(f"{filename}:{node.lineno}: from os import {alias.name}")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_names
+            and node.attr in ENV_NAMES
+        ):
+            found.append(f"{filename}:{node.lineno}: os.{node.attr}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
 def test_only_corpus_reads_input():
     files = sorted(path for path in SOURCE.rglob("*.py") if path.name != READER)
     assert files
@@ -126,3 +168,52 @@ def test_lint_rejects_input_readers(snippet):
 )
 def test_lint_accepts_other_code(snippet):
     assert input_violations(snippet) == []
+
+
+def test_only_precision_cap_reads_the_environment():
+    files = sorted(SOURCE.rglob("*.py"))
+    found = [v for path in files for v in environment_violations(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_precision_cap_is_the_environment_reader():
+    source = (SOURCE / ENV_READER[0]).read_text()
+    assert environment_violations(source, "other.py")
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import os\nx = os.environ['A']\n",
+        "import os\nos.environ['A'] = '1'\n",
+        "import os\nx = os.getenv('A')\n",
+        "import os as o\nx = o.environ.get('A')\n",
+        "import os\nx = os.environb\n",
+        "from os import environ\n",
+        "from os import getenv as g\n",
+        "from os import *\n",
+        "import os\ndef precision_cap():\n    return os.environ.get('A')\n",
+        "import os\ndef cap():\n    return os.getenv('A')\n",
+    ],
+)
+def test_lint_rejects_environment_readers(snippet):
+    assert environment_violations(snippet)
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import os\npath = os.path.join('a', 'b')\n",
+        "environ = {}\nx = environ.get('A')\n",
+        "import sys\nx = sys.argv\n",
+        "from os import path\n",
+    ],
+)
+def test_lint_accepts_code_without_the_environment(snippet):
+    assert environment_violations(snippet) == []
+
+
+def test_lint_accepts_the_environment_in_precision_cap_only():
+    snippet = "import os\ndef precision_cap():\n    return os.environ.get('A')\n"
+    assert environment_violations(snippet, "series.py") == []
+    assert environment_violations(snippet + "x = os.getenv('B')\n", "series.py")

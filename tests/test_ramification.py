@@ -301,6 +301,7 @@ def test_transitivity_z6_and_z10():
         assert report.ok
         assert all(r == 0 for r in report.residuals)
         assert Fraction(0) in report.points
+        assert report.quotient_matches
 
 
 def test_transitivity_degenerate_layers():
