@@ -8,8 +8,9 @@ values are exact rationals; no floating point enters any computation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 from typing import NamedTuple, Sequence
 
 from .covers import BreakTable, GaloisCover, lower_break_table
@@ -35,47 +36,54 @@ def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
 
 
 class RamFiltration(NamedTuple):
-    """Lower-numbering subgroups G_0 >= G_1 >= ... >= G_{i_max+1} = 1."""
+    """Lower-numbering subgroups G_0 >= G_1 >= ... >= G_{i_max+1} = 1, kept at
+    the jumps: ``levels[k]`` is G_u for u = ``jumps[k]`` (increasing, each
+    level smaller than the one before), G_i is the level of the least jump
+    >= i, and the identity after the last jump."""
 
     group: FiniteGroup
     p: int
-    subgroups: tuple[frozenset, ...]
-    i_max: int
+    jumps: tuple[int, ...]
+    levels: tuple[frozenset, ...]
+
+    @property
+    def i_max(self) -> int:
+        return self.jumps[-1] if self.jumps else -1
+
+    @property
+    def subgroups(self) -> tuple[frozenset, ...]:
+        return tuple(self.subgroup_at(i) for i in range(self.i_max + 2))
 
     def subgroup_at(self, i: int) -> frozenset:
-        if i < len(self.subgroups):
-            return self.subgroups[i]
-        return frozenset({self.group.identity})
+        k = bisect_left(self.jumps, i)
+        return self.levels[k] if k < len(self.levels) else frozenset({self.group.identity})
 
     def order_at(self, i: int) -> int:
         return len(self.subgroup_at(i))
 
     def lower_jumps(self) -> list[int]:
-        return [
-            u
-            for u in range(self.i_max + 1)
-            if self.subgroup_at(u) != self.subgroup_at(u + 1)
-        ]
+        return list(self.jumps)
 
     def positive_jumps(self) -> list[int]:
-        return [u for u in self.lower_jumps() if u >= 1]
+        return [u for u in self.jumps if u >= 1]
 
 
 def filtration_from_breaks(bt: BreakTable, p: int) -> RamFiltration:
-    """G_i = {sigma != 1 : i(sigma) >= i + 1} united with the identity."""
+    """G_i = {sigma != 1 : i(sigma) >= i + 1} united with the identity; it
+    changes only at the jumps u = i(sigma) - 1, so each level is built and
+    checked once."""
     group = bt.group
-    i_max = max(bt.i_map.values(), default=0) - 1
-    subgroups = []
-    for i in range(i_max + 2):
-        members = {s for s, v in bt.i_map.items() if v >= i + 1}
-        members.add(group.identity)
-        subgroups.append(frozenset(members))
-    filt = RamFiltration(group=group, p=p, subgroups=tuple(subgroups), i_max=i_max)
-    for sub in subgroups:
+    jumps = sorted({v - 1 for v in bt.i_map.values()})
+    levels = [
+        frozenset({group.identity, *(s for s, v in bt.i_map.items() if v > u)})
+        for u in jumps
+    ]
+    for sub in levels:
         if not group.is_subgroup(sub):
             raise MismatchDetected("filtration member is not a subgroup")
         if not group.is_normal(sub):
             raise MismatchDetected("filtration member is not normal")
+    filt = RamFiltration(group=group, p=p, jumps=tuple(jumps), levels=tuple(levels))
     if split_prime_power(len(filt.subgroup_at(1)), p)[1] != 1:
         raise NotPGroupWildPart(
             f"wild part has order {len(filt.subgroup_at(1))}, not a power of {p}"
@@ -144,22 +152,20 @@ class HerbrandFunction:
 
 
 def herbrand_phi(filt: RamFiltration) -> HerbrandFunction:
+    """Between vertices G_i is constant, so each vertex adds its run length
+    times |G_u| / |G_0| once."""
     g0 = filt.order_at(0)
-    unit_slopes = [
-        Fraction(filt.order_at(i), g0) for i in range(1, filt.i_max + 2)
-    ]
     vertex_us = set(filt.positive_jumps())
     if filt.order_at(0) != filt.order_at(1):
         vertex_us.add(1)
     points = [(Fraction(0), Fraction(0))]
-    acc = Fraction(0)
-    prev = 0
+    unit_slopes = []
     for u in sorted(vertex_us):
-        for i in range(prev + 1, u + 1):
-            slope = Fraction(filt.order_at(i), g0)
-            acc += slope
-        points.append((Fraction(u), acc))
-        prev = u
+        slope = Fraction(filt.order_at(u), g0)
+        run = u - len(unit_slopes)  # G_i = G_u for the indices i after the last vertex
+        points.append((Fraction(u), points[-1][1] + run * slope))
+        unit_slopes += [slope] * run
+    unit_slopes += [Fraction(1, g0)] * (filt.i_max + 1 - len(unit_slopes))
     return HerbrandFunction(points, Fraction(1, g0), unit_slopes)
 
 
@@ -187,27 +193,21 @@ def quotient_filtration_by_herbrand(
     """Filtration of G/H computed through (G/H)_{phi_H(u)} = G_u H / H.
 
     Used as an independent cross-check against a directly computed
-    filtration of the quotient cover.
+    filtration of the quotient cover.  (G/H)_v = G_{psi_H(v)} H / H changes
+    between v and v + 1 only if psi_H(v) <= u < psi_H(v + 1) for a jump u
+    of G, that is at v = floor(phi_H(u)); those are the candidate jumps.
     """
-    group = filt.group
-    h_set = frozenset(h_indices)
-    quot, proj = group.quotient(h_set)
+    quot, proj = filt.group.quotient(frozenset(h_indices))
     psi_sub = herbrand_psi(phi_sub)
-
-    def quotient_at(v: int) -> frozenset:
-        u = psi_sub.evaluate(v)
-        idx = ceil(u) if u > 0 else 0
-        return frozenset(proj[g] for g in filt.subgroup_at(idx))
-
-    subgroups = [quotient_at(0)]
-    v = 0
-    while len(subgroups[-1]) > 1:
-        v += 1
-        subgroups.append(quotient_at(v))
-        if v > filt.i_max + 2 and len(subgroups[-1]) > 1:
-            raise MismatchDetected("quotient filtration does not terminate")
-    i_max = len(subgroups) - 2
-    return RamFiltration(group=quot, p=filt.p, subgroups=tuple(subgroups), i_max=i_max)
+    # Walk down from the top; a candidate is a jump if its level differs
+    # from the level above it (the identity, above the highest).
+    jumps, levels = [], [frozenset({quot.identity})]
+    for v in sorted({floor(phi_sub.evaluate(u)) for u in filt.jumps}, reverse=True):
+        level = frozenset(proj[g] for g in filt.subgroup_at(ceil(psi_sub.evaluate(v))))
+        if level != levels[-1]:
+            jumps.append(v)
+            levels.append(level)
+    return RamFiltration(quot, filt.p, tuple(jumps[::-1]), tuple(levels[:0:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +356,18 @@ def _break_multiset(rep: Representation, filt: RamFiltration):
 def swan_conductor(rep: Representation, filt: RamFiltration) -> SwanReport:
     """Swan conductor, computed two ways and required to agree exactly.
 
-    Route one sums (|G_i| / |G_0|) * (r - dim V^{G_i}) over i >= 1; route
-    two sums slope * multiplicity over the break multiset.
+    Route one sums (|G_i| / |G_0|) * (r - dim V^{G_i}) over i >= 1, one
+    term per run of equal G_i; route two sums slope * multiplicity over the
+    break multiset.
     """
     _check_pair(rep, filt)
     g0 = filt.order_at(0)
     total = Fraction(0)
-    for i in range(1, filt.i_max + 2):
-        sub = filt.subgroup_at(i)
-        if len(sub) == 1:
-            continue
-        total += Fraction(len(sub), g0) * (rep.r - rep.fixed_dim(sub))
+    prev = 0
+    for u in filt.positive_jumps():  # G_i = G_u for prev < i <= u
+        sub = filt.subgroup_at(u)
+        total += (u - prev) * Fraction(len(sub), g0) * (rep.r - rep.fixed_dim(sub))
+        prev = u
     breaks, per_jump = _break_multiset(rep, filt)
     by_breaks = sum((lam * mult for lam, mult in breaks), Fraction(0))
     if by_breaks != total:

@@ -22,10 +22,6 @@ from .ramification import (
     upper_jumps,
 )
 
-def _cover_filtration(cover):
-    bt = lower_break_table(cover)
-    return bt, filtration_from_breaks(bt, cover.p)
-
 
 def suite_lemma_pullback(options) -> list[dict]:
     instances = []
@@ -53,7 +49,7 @@ def suite_hasse_arf(options) -> list[dict]:
     instances = []
     for cover_id in corpus.cover_ids():
         cover = corpus.get_cover(cover_id)
-        _, filt = _cover_filtration(cover)
+        filt = filtration_from_breaks(lower_break_table(cover), cover.p)
         jumps = upper_jumps(filt)
         integral = hasse_arf_check(filt)
         instances.append(
@@ -126,7 +122,7 @@ def suite_claim2(options) -> list[dict]:
     instances = []
     for rep_id in corpus.rep_ids():
         cover, rep, big_n = corpus.get_representation(rep_id)
-        _, filt = _cover_filtration(cover)
+        filt = filtration_from_breaks(lower_break_table(cover), cover.p)
         structure = bounds.inertia_structure(rep.image_matrices(), cover.p)
         tame = bounds.tameizing_subgroup(structure)
         wild = bounds.wild_order_bound_check(

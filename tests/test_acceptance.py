@@ -5,6 +5,7 @@ criterion.  Every assertion is exact (tolerance zero); a failure anywhere
 means the criterion does not hold.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -245,6 +246,9 @@ def test_criterion_12_determinism(capsys):
     out2 = capsys.readouterr().out
     assert code1 == 0 and code2 == 0
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == (
+        "6b2a0314b0c18d4eed56dd5578ba6baa1cf97ecced8bdb17972395629c0e7b1c"
+    )
     report = json.loads(out1)
     assert report["results"]["ok"] is True
     _passed(12, "verify all is green and byte-identical across runs")

@@ -385,11 +385,29 @@ def _enum(op, **params):
     return {"command": "enum", "params": dict(params, op=op)}
 
 
-def _cyclic_table(n):
+def _cyclic_table(n, i_g=1, command="filtration"):
     labels = [str(i) for i in range(n)]
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return {"command": "filtration", "base": {"p": 2, "a": 1},
-            "break_table": {"labels": labels, "mul_table": table, "iG": {x: 1 for x in labels[1:]}}}
+    return {"command": command, "base": {"p": 2, "a": 1},
+            "break_table": {"labels": labels, "mul_table": table, "iG": {x: i_g for x in labels[1:]}}}
+
+
+def _dihedral_table(p, command):
+    """Z/p x| Z/2 with i = 4096 on the rotations and 1 on the reflections;
+    element e*p + k is r^k s^e."""
+    labels = ["1", "r"] + [f"r^{k}" for k in range(2, p)] + ["s"] + [f"r^{k}s" for k in range(1, p)]
+    table = [[(e1 + e2) % 2 * p + (k1 + (-1) ** e1 * k2) % p for e2 in (0, 1) for k2 in range(p)]
+             for e1 in (0, 1) for k1 in range(p)]
+    i_g = {x: 4096 if i < p else 1 for i, x in enumerate(labels) if i}
+    return {"command": command, "base": {"p": p, "a": 1},
+            "break_table": {"labels": labels, "mul_table": table, "iG": i_g}}
+
+
+# The cyclic corner's character: 1 -> -1 over F_3, Swan conductor 4095.
+_CORNER_CHARACTER = {"ell": 3, "r": 1, "images": {"1": [[2]]}}
+# Monomial rank-2 rep of Z/61 x| Z/2 over F_367: zeta = 2^6 has order 61.
+_CORNER_MONOMIAL = {"ell": 367, "r": 2, "images": {
+    "r": [[64, 0], [0, pow(64, -1, 367)]], "s": [[0, 1], [1, 0]]}}
 
 
 @pytest.mark.parametrize(
@@ -439,6 +457,14 @@ def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypat
         _enum("inertia_candidate_sample", r=1, ell=509, n=1, p=2, count=4),
         _enum("inertia_candidate_sample", r=1, ell=2, n=8, p=3, count=16),
         _enum("inertia_candidate_sample", r=1, ell=257, n=1, p=2, count=8),
+        # Break tables at GROUP_CAP x the precision cap: one level per jump.
+        _cyclic_table(128, 4096),
+        _cyclic_table(128, 4096, "herbrand"),
+        dict(_cyclic_table(128, 4096, "swan"), rep=_CORNER_CHARACTER),
+        dict(_cyclic_table(128, 4096, "bound"), rep=_CORNER_CHARACTER, params={"N": 4095}),
+        _dihedral_table(61, "filtration"),
+        _dihedral_table(61, "herbrand"),
+        dict(_dihedral_table(61, "swan"), rep=_CORNER_MONOMIAL),
     ],
 )
 def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):

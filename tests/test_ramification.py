@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,104 @@ def test_filtration_wild_part_must_be_p_group():
     bt = BreakTable(g, {1: 2, 2: 2})
     with pytest.raises(NotPGroupWildPart):
         filtration_from_breaks(bt, 2)
+
+
+def test_filtration_member_must_be_a_subgroup():
+    # Z/4: G_2 = {1, g, g^3} is not closed under products.
+    g = FiniteGroup.cyclic(4, "g")
+    bt = BreakTable(g, {1: 3, 3: 3, 2: 2})
+    with pytest.raises(MismatchDetected, match="filtration member is not a subgroup"):
+        filtration_from_breaks(bt, 2)
+
+
+def _count_calls(monkeypatch, cls, name, calls):
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[name] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_filtration_work_is_per_level_not_per_index(monkeypatch):
+    """Z/128 with every i = 2 or every i = 4096 has one level either way, so
+    the level checks and Swan's filtration sum do the same work."""
+    group = FiniteGroup.cyclic(128, "g")
+    rep = character(group, F3, "g", 2)
+    calls = {"is_subgroup": 0, "fixed_dim": 0}
+    _count_calls(monkeypatch, FiniteGroup, "is_subgroup", calls)
+    _count_calls(monkeypatch, Representation, "fixed_dim", calls)
+    counts = []
+    for i_g in (2, 4096):
+        bt = BreakTable(group, {s: i_g for s in range(1, group.n)})
+        calls.update(is_subgroup=0, fixed_dim=0)
+        filt = filtration_from_breaks(bt, 2)
+        subgroup_calls = calls["is_subgroup"]
+        calls["fixed_dim"] = 0
+        assert swan_conductor(rep, filt).swan == i_g - 1
+        counts.append((subgroup_calls, calls["fixed_dim"]))
+    assert counts[0] == counts[1]
+
+
+def _per_index_filtration(bt):
+    """G_0, ..., G_{i_max+1}, each built from the definition."""
+    top = max(bt.i_map.values(), default=0)
+    return [
+        frozenset({bt.group.identity, *(s for s, v in bt.i_map.items() if v >= i + 1)})
+        for i in range(top + 1)
+    ]
+
+
+def _per_index_phi(subs):
+    """(breakpoints, unit slopes) of phi summed index by index."""
+    order = [len(s) for s in subs] + [1]
+    vertices = {u for u in range(1, len(subs) - 1) if subs[u] != subs[u + 1]}
+    vertices |= {1} if order[0] != order[1] else set()
+    points = [(0, 0)] + [
+        (u, Fraction(sum(order[i] for i in range(1, u + 1)), order[0])) for u in sorted(vertices)
+    ]
+    slopes = [Fraction(order[i], order[0]) for i in range(1, len(subs))]
+    return tuple((Fraction(u), Fraction(v)) for u, v in points), tuple(slopes)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_filtration_at_jumps_matches_per_index_oracle(seed):
+    """Z/n, n = 2^k * m (m = 1 or 3), p = 2: i = 1 off the 2-Sylow P and
+    i = a_j >= 2 on the elements of order 2^j, a_1 >= a_2 >= ... (runs of
+    equal a_j and long gaps).  Filtration, phi, Swan and the quotient by
+    the order-2 subgroup agree with index-by-index constructions."""
+    rng = random.Random(seed)
+    k, m = rng.randint(1, 4), rng.choice((1, 3))
+    n = 2 ** k * m
+    a = sorted((rng.choice((2, 3, 5, 17, 40)) for _ in range(k)), reverse=True)
+    group = FiniteGroup.cyclic(n, "g")
+    i_map = {}
+    for x in range(1, n):
+        order = n // math.gcd(x, n)
+        i_map[x] = 1 if order % 2 or order & (order - 1) else a[order.bit_length() - 2]
+    bt = BreakTable(group, i_map)
+    filt = filtration_from_breaks(bt, 2)
+    subs = _per_index_filtration(bt)
+    assert list(filt.subgroups) == subs
+    assert filt.i_max == len(subs) - 2
+    assert filt.lower_jumps() == [u for u in range(len(subs) - 1) if subs[u] != subs[u + 1]]
+    assert [filt.subgroup_at(i) for i in range(len(subs) + 3)] == subs + [subs[-1]] * 3
+    phi = herbrand_phi(filt)
+    assert (phi.breakpoints, phi.unit_slopes) == _per_index_phi(subs)
+    # A faithful character over F_97: 5 is a primitive root and n | 96.
+    rep = character(group, field_create(97, 1), "g", pow(5, 96 // n, 97))
+    assert swan_conductor(rep, filt).swan == swan_character_oracle(filt, rep)
+    h = [0, n // 2]
+    _, bt_h, _ = restrict_break_table(bt, h)
+    phi_h = herbrand_phi(filtration_from_breaks(bt_h, 2))
+    quot, proj = group.quotient(frozenset(h))
+    psi_h = herbrand_psi(phi_h)
+    per_index = [frozenset(proj[x] for x in subs[0])]
+    while len(per_index[-1]) > 1:
+        u = psi_h.evaluate(len(per_index))
+        per_index.append(frozenset(proj[x] for x in filt.subgroup_at(math.ceil(u))))
+    assert list(quotient_filtration_by_herbrand(filt, h, phi_h).subgroups) == per_index
 
 
 # -- Herbrand functions --------------------------------------------------------
