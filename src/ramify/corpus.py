@@ -306,7 +306,8 @@ def enum_args(params: dict) -> tuple[str, dict]:
             for key, least in _ENUM_INTS[op].items()}
     r = args["r"]
     if op == "max_ell_element_order":
-        # q^(r^2) candidate matrices, each powered up to its order <= q^r.
+        # The |GL_r(F_q)| < q^(r^2) matrices, each raised to the ell-th power
+        # at most n r(r-1)/2 times (< q^r); q^(r^2) * q^r bounds the product.
         _cap(args["ell"], 1 << 14, "q^(r^2 + r), q = 'params.ell' ** 'params.n', r = 'params.r',",
              args["n"] * (r * r + r))
     elif op == "inertia_candidate_sample":

@@ -29,9 +29,10 @@ from .errors import (
     SizeCapExceeded,
 )
 from .fields import (
-    DEFAULT_SIZE_CAP, FiniteField, check_size_cap, field_create, is_prime, split_prime_power,
+    DEFAULT_SIZE_CAP, FiniteField, check_size_cap, field_create, is_prime, power,
+    split_prime_power,
 )
-from .linalg import MatrixFF
+from .linalg import MatrixFF, _axpy
 
 DEFAULT_GROUP_CAP = 10000
 CANDIDATE_CAP = 1 << 20  # matrices enumerate_gl may list
@@ -409,12 +410,33 @@ def group_closure(
 
 def enumerate_gl(field: FiniteField, r: int) -> list[MatrixFF]:
     """All invertible r x r matrices over the field, in key order (the
-    order in which ``itertools.product`` yields the key tuples)."""
-    total = field.order ** (r * r)
+    lexicographic order of the row-major key tuples).
+
+    Built row by row: each row is taken, in key order, from the vectors
+    outside the span of the rows above it, so no candidate is row-reduced.
+    """
+    q = field.order
+    total = q ** (r * r)
     if total > CANDIDATE_CAP:
         raise SizeCapExceeded(f"{total} candidate matrices exceed cap {CANDIDATE_CAP}")
-    keys = itertools.product(range(field.order), repeat=r * r)
-    return [m for m in (MatrixFF.from_keys(field, r, k) for k in keys) if m.is_invertible()]
+    vectors = list(itertools.product(range(q), repeat=r))
+    prefixes = [((), {vectors[0]})]  # no rows yet; the span is {0}
+    for i in range(r):
+        grown = []
+        for keys, span in prefixes:
+            for v in vectors:
+                if v in span:
+                    continue
+                if i == r - 1:
+                    grown.append((keys + v, None))
+                    continue
+                # The span of the rows so far and v: s + c * v for every s, c.
+                rows = list(span)
+                flat = _axpy(field, [x for _ in range(q) for s in rows for x in s],
+                             [c for c in range(q) for _ in rows], v)
+                grown.append((keys + v, {tuple(flat[j : j + r]) for j in range(0, len(flat), r)}))
+        prefixes = grown
+    return [MatrixFF.from_keys(field, r, keys) for keys, _ in prefixes]
 
 
 def _random_invertible(field: FiniteField, r: int, rng: random.Random) -> MatrixFF:
@@ -457,6 +479,10 @@ def nilpotency_exponent_ok(m: MatrixFF, order: int, ell: int, r: int) -> bool:
 def max_ell_element_order(r: int, ell: int, n: int) -> int:
     """Maximum order among ell-elements of GL_r(F_{ell^n}), exhaustively.
 
+    |GL_r(F_q)| = q^(r(r-1)/2) * prod_{i=1..r} (q^i - 1), and every q^i - 1
+    is prime to ell.  So by Lagrange m is an ell-element iff m^(ell^s) = 1,
+    with s = n r(r-1)/2, and its order is ell^d for the least such d: the
+    walk x <- x^ell reaches the identity within s steps, or m is skipped.
     Every ell-element found is also checked against the nilpotency bound
     ell^{d-1} <= r.
     """
@@ -465,10 +491,15 @@ def max_ell_element_order(r: int, ell: int, n: int) -> int:
         raise NotAGroup(f"{ell} is not prime")
     field = field_create(ell, n)
     ident = MatrixFF.identity(field, r)
+    steps = n * r * (r - 1) // 2
     best = 1
     for m in enumerate_gl(field, r):
-        o = power_order(m, MatrixFF.__mul__, ident, bound=1 << 20)
-        if split_prime_power(o, ell)[1] != 1:
+        x, o = m, 1
+        for _ in range(steps):
+            if x == ident:
+                break
+            x, o = power(x, ell), o * ell
+        if x != ident:
             continue
         if not nilpotency_exponent_ok(m, o, ell, r):
             raise NotAGroup("nilpotency bound violated; inconsistent enumeration")

@@ -1,11 +1,13 @@
+import itertools
+import math
 import random
 
 import pytest
 
-from ramify import groups
+from ramify import groups, linalg
 from ramify.bounds import inertia_structure
 from ramify.errors import NotAGroup, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
-from ramify.fields import field_create, split_prime_power
+from ramify.fields import field_create, is_prime, split_prime_power
 from ramify.groups import (
     FiniteGroup,
     abelian_p_bound_probe,
@@ -475,3 +477,81 @@ def test_enumerate_gl_is_in_key_order_without_a_sort(field, r):
     for i in range(r):
         gl_order *= q ** r - q ** i
     assert len(set(keys)) == len(keys) == gl_order
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive ell-element scan against the full candidate scan.
+
+# Every (r, ell, n) an enum job admits: q^(r^2 + r) <= 2^14 with q = ell^n, so
+# r = 1 with q <= 128, r = 2 with q <= 5 and r = 3 with q = 2.
+ADMITTED = [
+    (r, ell, n)
+    for r in range(1, 4)
+    for ell in range(2, 129)
+    if is_prime(ell)
+    for n in range(1, 8)
+    if (ell ** n) ** (r * r + r) <= 1 << 14
+]
+
+
+def _scan_enumerate_gl(field, r):
+    """Every key tuple in itertools.product order, kept when invertible."""
+    keys = itertools.product(range(field.order), repeat=r * r)
+    return [m for m in (MatrixFF.from_keys(field, r, k) for k in keys) if m.is_invertible()]
+
+
+def _scan_max_ell_order(r, ell, n):
+    """The largest power of ell among the orders found by repeated products."""
+    field = field_create(ell, n)
+    ident = MatrixFF.identity(field, r)
+    orders = (power_order(m, MatrixFF.__mul__, ident) for m in _scan_enumerate_gl(field, r))
+    return max(o for o in orders if split_prime_power(o, ell)[1] == 1)
+
+
+@pytest.mark.parametrize("r,ell,n", ADMITTED)
+def test_ell_scan_matches_the_candidate_scan(r, ell, n):
+    field = field_create(ell, n)
+    assert [m.key() for m in enumerate_gl(field, r)] == [m.key() for m in _scan_enumerate_gl(field, r)]
+    # By repeated products F_128 alone takes about a second.
+    if r > 1 or ell ** n <= 64:
+        assert max_ell_element_order(r, ell, n) == _scan_max_ell_order(r, ell, n)
+
+
+@pytest.mark.parametrize("r,ell,n", [case for case in ADMITTED if case[0] > 1])
+def test_gl_order_and_its_ell_elements_by_counting(r, ell, n):
+    q = ell ** n
+    mats = enumerate_gl(field_create(ell, n), r)
+    assert len(mats) == math.prod(q ** r - q ** i for i in range(r))
+    # q^(r(r-1)/2) is the ell-part of |GL_r(F_q)|; Steinberg: q^(r(r-1)) ell-elements.
+    e = q ** (r * (r - 1) // 2)
+    assert sum((m ** e).is_identity() for m in mats) == q ** (r * (r - 1))
+
+
+# MatrixFF products of the scan that powered every element of GL_r(F_q) to
+# its order and checked the nilpotency bound on each ell-element: the cases
+# of `verify claim1` where it made a product.
+CANDIDATE_SCAN_PRODUCTS = {
+    (1, 3, 1): 1, (1, 2, 2): 4, (2, 2, 1): 10, (2, 3, 1): 187, (2, 2, 2): 1072, (3, 2, 1): 694,
+}
+
+
+def test_ell_scan_makes_fewer_products_and_no_row_reduction(monkeypatch):
+    calls = {"mul": 0, "reduce": 0}
+    inner_mul, inner_reduce = MatrixFF.__mul__, linalg._reduce
+
+    def counted_mul(x, y):
+        calls["mul"] += 1
+        return inner_mul(x, y)
+
+    def counted_reduce(*args):
+        calls["reduce"] += 1
+        return inner_reduce(*args)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted_mul)
+    monkeypatch.setattr(linalg, "_reduce", counted_reduce)
+    # (1, 2, 1) and r = 1 over F_128 make no product.
+    for case in [(1, 2, 1), *CANDIDATE_SCAN_PRODUCTS, (1, 2, 7)]:
+        calls.update(mul=0, reduce=0)
+        max_ell_element_order(*case)
+        assert calls["reduce"] == 0, case
+        assert calls["mul"] < CANDIDATE_SCAN_PRODUCTS.get(case, 1), case
