@@ -181,7 +181,11 @@ _HANDLERS = {
 
 
 def run(job: dict, options: dict | None = None):
-    """Execute one job; returns (report dict, exit code)."""
+    """Execute one job; returns (report dict, exit code).
+
+    The report's ``results`` are the handler's own values (Fractions,
+    tuples, frozensets); ``canonical_dumps`` converts them when the report
+    is written."""
     command, params, options = corpus.read_job(job, options or {})
     results, warnings, violated = _HANDLERS[command](job, params, options)
     report = make_report(command, job, results, warnings)

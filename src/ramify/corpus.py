@@ -39,8 +39,9 @@ CORPUS_PRECISION = 24
 
 # The largest group a job builds: a cover's degree (p, m or p * m), a break
 # table's order and the probe's diagonal group.  A table has n^2 cells and
-# its axiom check takes n^3 steps; as one process on a 2-CPU Xeon, an
-# Artin-Schreier cover of degree 127 takes about 1 s, of degree 251 5.4 s.
+# its axiom check takes n^2 * |gens| steps; as one process on a 2-CPU
+# Xeon, an Artin-Schreier cover of degree 127 takes about 1 s, of degree
+# 251 5.4 s.
 GROUP_CAP = 128
 
 # Least admissible value of each integer argument of the enum ops, by the

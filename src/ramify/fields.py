@@ -442,8 +442,3 @@ def field_create(p: int, a: int) -> FiniteField:
     if a < 1:
         raise ValueError("extension degree must be >= 1")
     return _field_instance(p, a)
-
-
-def element_multiplicative_order(x: FieldElement) -> int:
-    """Least d >= 1 with x^d = 1; divides p^a - 1."""
-    return x.multiplicative_order()

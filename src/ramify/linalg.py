@@ -171,9 +171,6 @@ class MatrixFF:
             return MatrixFF.identity(self.field, self.n)
         return power(self, e)
 
-    def is_identity(self) -> bool:
-        return self.entries == MatrixFF.identity(self.field, self.n).entries
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 

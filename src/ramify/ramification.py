@@ -22,7 +22,7 @@ from .errors import (
     NotPGroupWildPart,
     PreconditionFailed,
 )
-from .fields import FiniteField, split_prime_power
+from .fields import split_prime_power
 from .groups import FiniteGroup
 from .linalg import MatrixFF, fixed_subspace
 
@@ -60,9 +60,6 @@ class RamFiltration(NamedTuple):
 
     def order_at(self, i: int) -> int:
         return len(self.subgroup_at(i))
-
-    def lower_jumps(self) -> list[int]:
-        return list(self.jumps)
 
     def positive_jumps(self) -> list[int]:
         return [u for u in self.jumps if u >= 1]
@@ -176,7 +173,7 @@ def herbrand_psi(hf: HerbrandFunction) -> HerbrandFunction:
 
 def upper_jumps(filt: RamFiltration) -> tuple[Fraction, ...]:
     phi = herbrand_phi(filt)
-    return tuple(phi.evaluate(u) for u in filt.lower_jumps())
+    return tuple(phi.evaluate(u) for u in filt.jumps)
 
 
 def hasse_arf_check(filt: RamFiltration) -> bool:
@@ -281,30 +278,10 @@ class Representation:
             raise NotAHomomorphism("given generators do not generate the group")
         return cls(group, images)
 
-    @classmethod
-    def trivial(cls, group: FiniteGroup, field: FiniteField, r: int = 1) -> "Representation":
-        ident = MatrixFF.identity(field, r)
-        return cls(group, [ident] * group.n)
-
     def restrict(self, indices: Sequence[int]):
         """Restriction to a subgroup; returns (Representation, index map)."""
         sub, idx = self.group.subgroup(indices)
         return Representation(sub, [self.images[g] for g in idx]), idx
-
-    def direct_sum(self, other: "Representation") -> "Representation":
-        if not _same_group(self.group, other.group):
-            raise GroupMismatch("direct sum over different groups")
-        if self.field != other.field:
-            raise GroupMismatch("direct sum over different coefficient fields")
-        out = []
-        for a, b in zip(self.images, other.images):
-            keys = []
-            for i in range(a.n):
-                keys += a.entries[i * a.n : (i + 1) * a.n] + (0,) * b.n
-            for i in range(b.n):
-                keys += (0,) * a.n + b.entries[i * b.n : (i + 1) * b.n]
-            out.append(MatrixFF.from_keys(self.field, a.n + b.n, keys))
-        return Representation(self.group, out)
 
     def image_matrices(self) -> list[MatrixFF]:
         """Distinct images, canonically ordered."""
@@ -312,10 +289,6 @@ class Representation:
         for m in self.images:
             seen.setdefault(m.key(), m)
         return [seen[k] for k in sorted(seen)]
-
-    def is_faithful(self) -> bool:
-        ident = MatrixFF.identity(self.field, self.r)
-        return sum(1 for m in self.images if m == ident) == 1
 
     def fixed_dim(self, subset) -> int:
         mats = [self.images[i] for i in sorted(subset)]
@@ -377,12 +350,6 @@ def swan_conductor(rep: Representation, filt: RamFiltration) -> SwanReport:
     if sum(mult for _, mult in breaks) != rep.r:
         raise MismatchDetected("break multiplicities do not add up to the rank")
     return SwanReport(swan=total, breaks=breaks, per_jump_terms=per_jump)
-
-
-def break_decomposition(rep: Representation, filt: RamFiltration):
-    """Multiset of (slope, multiplicity); slopes are 0 or upper jumps."""
-    _check_pair(rep, filt)
-    return _break_multiset(rep, filt)[0]
 
 
 def swan_single_break(

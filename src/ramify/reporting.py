@@ -53,7 +53,7 @@ def make_report(command: str, job: dict, results, warnings) -> dict:
     return {
         "command": command,
         "inputs_digest": job_digest(job),
-        "results": to_jsonable(results),
+        "results": results,
         "warnings": list(warnings),
         "version": VERSION,
     }

@@ -264,16 +264,14 @@ def test_explicit_constants_digit_guard_is_sound(digit_limit_4300):
 
 
 def _as_rep(p, m, ell, value, r=1):
-    """(filtration, rep) of y^p - y = t^-m over F_p, with sigma -> value in
-    GL_1(F_ell), taken r times as a direct sum."""
+    """(filtration, rep) of y^p - y = t^-m over F_p, with sigma -> value * I_r
+    in GL_r(F_ell): r copies of one character."""
     field = field_create(p, 1)
     cover = build_artin_schreier(field, LaurentSeries.from_sparse(field, [[-m, [1]]]), prec=32)
-    chi = Representation.from_generator_images(
-        cover.group, {"sigma": MatrixFF.from_int_rows(field_create(ell, 1), [[value]])}
+    scalar = [[value if i == j else 0 for j in range(r)] for i in range(r)]
+    rep = Representation.from_generator_images(
+        cover.group, {"sigma": MatrixFF.from_int_rows(field_create(ell, 1), scalar)}
     )
-    rep = chi
-    for _ in range(r - 1):
-        rep = rep.direct_sum(chi)
     return filtration_from_breaks(lower_break_table(cover), p), rep
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramify import cli, verify
+from ramify import cli, reporting, verify
 from ramify.bounds import ExplicitConstants
 from ramify.ramification import SwanReport
 from ramify.reporting import canonical_dumps
@@ -515,6 +516,71 @@ def test_records_are_not_serialized_as_lists(record):
         canonical_dumps(record)
     with pytest.raises(TypeError, match="cannot serialize"):
         canonical_dumps({"results": [record]})
+
+
+def test_a_non_associative_break_table_is_an_input_error(capsys, monkeypatch):
+    # Z/6 with 1 * 1 = 0 keeps its identity and inverses, but (1 * 1) * 2 = 2
+    # and 1 * (1 * 2) = 4.
+    job = _cyclic_table(6)
+    job["break_table"]["mul_table"][1][1] = 0
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"] == {
+        "type": "InputSchemaError",
+        "message": "'break_table.mul_table' is not associative",
+    }
+
+
+def _values(tree) -> int:
+    """Values in a decoded JSON tree, containers included."""
+    if isinstance(tree, dict):
+        return 1 + sum(map(_values, tree.values()))
+    if isinstance(tree, list):
+        return 1 + sum(map(_values, tree))
+    return 1
+
+
+def test_the_writer_converts_each_value_once(capsys, monkeypatch):
+    calls = []
+    convert = reporting.to_jsonable
+
+    def counting(obj):
+        calls.append(obj)
+        return convert(obj)
+
+    # to_jsonable recurses through the module name, so every value is counted.
+    monkeypatch.setattr(reporting, "to_jsonable", counting)
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
+    assert code == 0
+    # Each Fraction of this report is integral, so one call writes one value:
+    # one walk of the report, one of the job for its digest.
+    assert len(calls) == _values(report) + _values(SWAN_JOB)
+
+
+@pytest.mark.parametrize(
+    "job,digest",
+    [
+        (
+            {"command": "herbrand", "base": {"p": 2, "a": 2}, "cover": {"type": "kummer", "m": 3}},
+            "9309c02c9b0b1ab979e7f6446a2862a80140e944b141e66fbec9e3dfb78b91b4",
+        ),
+        (
+            _cyclic_table(128, 4096, "herbrand"),
+            "4cb0b6bb314ef61b0131bb929189503f27417dd7cd637cfb0fb1046396af5b47",
+        ),
+        (
+            {"command": "verify", "params": {"suite": "all"}},
+            "6b2a0314b0c18d4eed56dd5578ba6baa1cf97ecced8bdb17972395629c0e7b1c",
+        ),
+    ],
+    ids=["herbrand", "herbrand-z128-corner", "verify-all"],
+)
+def test_one_walk_writes_the_bytes_of_two(job, digest):
+    report, code = cli.run(job)
+    text = canonical_dumps(report)
+    # The earlier writer converted the results in make_report and again here.
+    assert text == canonical_dumps(dict(report, results=reporting.to_jsonable(report["results"])))
+    assert hashlib.sha256((text + "\n").encode("ascii")).hexdigest() == digest
 
 
 def test_cli_import_loads_no_introspection_modules():

@@ -7,7 +7,6 @@ import pytest
 from ramify.errors import FieldMismatch, NotPrime, SizeCapExceeded, ZeroElement
 from ramify.fields import (
     canonical_modulus,
-    element_multiplicative_order,
     field_create,
     is_prime,
     power,
@@ -100,7 +99,7 @@ def test_field_axioms_exhaustive_up_to_64_via_int_tables(p, a):
 
 def test_multiplicative_order_examples():
     F4 = field_create(2, 2)
-    assert element_multiplicative_order(F4.one()) == 1
+    assert F4.one().multiplicative_order() == 1
     gen = F4.generator()
     # Oracle: enumerate the powers directly.
     powers = {gen}
@@ -111,25 +110,25 @@ def test_multiplicative_order_examples():
             break
         powers.add(x)
     assert len(powers) == 3
-    assert element_multiplicative_order(gen) == 3
+    assert gen.multiplicative_order() == 3
 
     F3 = field_create(3, 1)
     minus_one = -F3.one()
     assert minus_one * minus_one == F3.one()
-    assert element_multiplicative_order(minus_one) == 2
+    assert minus_one.multiplicative_order() == 2
 
 
 def test_order_divides_group_order():
     F9 = field_create(3, 2)
     for x in F9.elements():
         if x:
-            assert 8 % element_multiplicative_order(x) == 0
+            assert 8 % x.multiplicative_order() == 0
 
 
 def test_zero_has_no_order_or_inverse():
     F = field_create(3, 1)
     with pytest.raises(ZeroElement):
-        element_multiplicative_order(F.zero())
+        F.zero().multiplicative_order()
     with pytest.raises(ZeroElement):
         F.zero().inverse()
 

@@ -110,7 +110,7 @@ def test_dimension_mismatch():
 def test_matrix_inverse_and_rank():
     m = MatrixFF.from_int_rows(F3, [[1, 2], [1, 1]])
     assert m.rank() == 2
-    assert (m * m.inverse()).is_identity()
+    assert m * m.inverse() == MatrixFF.identity(F3, 2)
     singular = MatrixFF.from_int_rows(F3, [[1, 2], [2, 1]])
     assert singular.rank() == 1
     with pytest.raises(SingularMatrix):
@@ -119,7 +119,7 @@ def test_matrix_inverse_and_rank():
 
 def test_matrix_power_and_subtraction():
     m = MatrixFF.from_int_rows(F3, [[1, 1], [0, 1]])
-    assert (m ** 3).is_identity()
+    assert m ** 3 == MatrixFF.identity(F3, 2)
     nil = m - MatrixFF.identity(F3, 2)
     assert (nil ** 2).is_zero()
 
@@ -208,7 +208,7 @@ def test_key_arithmetic_matches_the_boxed_oracle(p, a):
             assert mx.rank() == rank
             assert mx.is_invertible() == (rank == n)
             assert mx.is_zero() == (not any(e for row in x for e in row))
-            assert mx.is_identity() == (as_rows(x) == as_rows(box_identity(field, n)))
+            assert (mx == MatrixFF.identity(field, n)) == (as_rows(x) == as_rows(box_identity(field, n)))
             assert (mx == my) == (as_rows(x) == as_rows(y))
             same = MatrixFF.from_keys(field, n, mx.key())
             assert same == mx and hash(same) == hash(mx)
@@ -219,9 +219,10 @@ def test_key_arithmetic_matches_the_boxed_oracle(p, a):
                 continue
             assert mx.inverse().rows == as_rows(inv)
             assert (mx ** -3).rows == as_rows(box_pow(x, -3, field))
-            order = power_order(mx, MatrixFF.__mul__, MatrixFF.identity(field, n))
-            assert (mx ** order).is_identity()
-            assert not any((mx ** (order // q)).is_identity() for q in prime_factors(order))
+            ident = MatrixFF.identity(field, n)
+            order = power_order(mx, MatrixFF.__mul__, ident)
+            assert mx ** order == ident
+            assert not any(mx ** (order // q) == ident for q in prime_factors(order))
 
 
 def linear_span(field, basis, n):

@@ -20,7 +20,6 @@ from ramify.linalg import MatrixFF
 from ramify.ramification import (
     HerbrandFunction,
     Representation,
-    break_decomposition,
     filtration_from_breaks,
     hasse_arf_check,
     herbrand_phi,
@@ -49,6 +48,24 @@ def filt_of(cover):
     return filtration_from_breaks(lower_break_table(cover), cover.p)
 
 
+def diagonal_sum(*chars):
+    """chi_1 + ... + chi_k for characters of one group: diagonal images."""
+    k = len(chars)
+    images = [
+        MatrixFF.from_keys(
+            chars[0].field, k, [x.entries[0] if i == j else 0 for i, x in enumerate(row) for j in range(k)]
+        )
+        for row in zip(*(c.images for c in chars))
+    ]
+    return Representation(chars[0].group, images)
+
+
+def is_faithful(rep):
+    """Only the identity maps to the identity matrix."""
+    ident = MatrixFF.identity(rep.field, rep.r)
+    return sum(m == ident for m in rep.images) == 1
+
+
 # -- filtrations -----------------------------------------------------------
 
 
@@ -57,14 +74,14 @@ def test_filtration_as_p2_m1():
     filt = filt_of(cover)
     assert [len(s) for s in filt.subgroups] == [2, 2, 1]
     assert filt.i_max == 1
-    assert filt.lower_jumps() == [1]
+    assert filt.jumps == (1,)
 
 
 def test_filtration_kummer_tame():
     cover = get_cover("kummer_p2a2_m3")
     filt = filt_of(cover)
     assert [len(s) for s in filt.subgroups] == [3, 1]
-    assert filt.lower_jumps() == [0]
+    assert filt.jumps == (0,)
 
 
 def test_filtration_trivial_group():
@@ -160,7 +177,7 @@ def test_filtration_at_jumps_matches_per_index_oracle(seed):
     subs = _per_index_filtration(bt)
     assert list(filt.subgroups) == subs
     assert filt.i_max == len(subs) - 2
-    assert filt.lower_jumps() == [u for u in range(len(subs) - 1) if subs[u] != subs[u + 1]]
+    assert list(filt.jumps) == [u for u in range(len(subs) - 1) if subs[u] != subs[u + 1]]
     assert [filt.subgroup_at(i) for i in range(len(subs) + 3)] == subs + [subs[-1]] * 3
     phi = herbrand_phi(filt)
     assert (phi.breakpoints, phi.unit_slopes) == _per_index_phi(subs)
@@ -313,7 +330,7 @@ def test_swan_tame_and_trivial_are_zero():
     assert swan_conductor(rep, filt).swan == 0
     cover2, triv, _ = get_representation("as_p2_m1.triv")
     assert swan_conductor(triv, filt_of(cover2)).swan == 0
-    assert break_decomposition(triv, filt_of(cover2)) == ((Fraction(0), 1),)
+    assert swan_conductor(triv, filt_of(cover2)).breaks == ((Fraction(0), 1),)
 
 
 def test_swan_zero_iff_wild_part_acts_trivially():
@@ -337,7 +354,7 @@ def test_swan_direct_sum_additive():
     cover, chi, _ = get_representation("tower_z6.chi_wild")
     _, tame, _ = get_representation("tower_z6.chi_tame")
     filt = filt_of(cover)
-    both = chi.direct_sum(tame)
+    both = diagonal_sum(chi, tame)
     report = swan_conductor(both, filt)
     assert report.swan == swan_conductor(chi, filt).swan + swan_conductor(tame, filt).swan
     assert report.breaks == ((Fraction(0), 1), (Fraction(1), 1))
@@ -347,8 +364,8 @@ def test_swan_chi_plus_trivial_breaks():
     cover, chi, _ = get_representation("as_p2_m1.chi")
     _, triv, _ = get_representation("as_p2_m1.triv")
     filt = filt_of(cover)
-    both = chi.direct_sum(triv)
-    assert break_decomposition(both, filt) == ((Fraction(0), 1), (Fraction(1), 1))
+    both = diagonal_sum(chi, triv)
+    assert swan_conductor(both, filt).breaks == ((Fraction(0), 1), (Fraction(1), 1))
 
 
 def test_swan_group_mismatch():
@@ -377,7 +394,7 @@ def test_single_break_preconditions():
     filt = filt_of(cover)
     phi = herbrand_phi(filt)
     with pytest.raises(PreconditionFailed):
-        swan_single_break(chi.direct_sum(triv), filt, phi)
+        swan_single_break(diagonal_sum(chi, triv), filt, phi)
     tame_cover, tame_rep, _ = get_representation("kummer_p3_m2.chi")
     tame_filt = filt_of(tame_cover)
     with pytest.raises(PreconditionFailed):
@@ -389,7 +406,7 @@ def test_representation_validation():
     with pytest.raises(NotAHomomorphism):
         character(group, F7, "sigma", 2)  # order 3 image of an order-2 element
     chi = character(group, F7, "sigma", 6)
-    assert chi.is_faithful()
+    assert is_faithful(chi)
 
 
 # -- tower statements -------------------------------------------------------------
@@ -541,7 +558,7 @@ def test_trivial_group_image_must_be_identity():
     with pytest.raises(NotAHomomorphism):
         Representation(trivial, bad)
     good = Representation(trivial, [MatrixFF.from_int_rows(F7, [[1]])])
-    assert good.is_faithful()
+    assert is_faithful(good)
 
 
 def test_every_generator_is_checked():
@@ -565,19 +582,3 @@ def test_every_generator_is_checked():
     with pytest.raises(NotAHomomorphism, match="not multiplicative"):
         Representation(group, images)
 
-
-def test_direct_sum_images_are_block_diagonal():
-    group = FiniteGroup.cyclic(3)
-    sigma = group.label_index("sigma")
-    rot = MatrixFF.from_int_rows(F7, [[0, 6], [1, 6]])  # order 3
-    two = Representation.from_generator_images(group, {"sigma": rot})
-    one = Representation.from_generator_images(group, {"sigma": MatrixFF.from_int_rows(F7, [[2]])})
-    both = two.direct_sum(one)
-    zero = F7.zero()
-    for a, b, ab in zip(two.images, one.images, both.images):
-        blocks = [list(row) + [zero] for row in a.rows] + [[zero, zero] + list(b.rows[0])]
-        assert ab == MatrixFF(F7, blocks)
-    assert both.r == 3 and both.images[sigma].rows[2][2] == F7.from_int(2)
-    assert one.direct_sum(two).images[sigma] == MatrixFF.from_int_rows(
-        F7, [[2, 0, 0], [0, 0, 6], [0, 1, 6]]
-    )
