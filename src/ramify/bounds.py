@@ -82,10 +82,9 @@ def inertia_structure(elements: Sequence[MatrixFF], p: int) -> InertiaStructure:
     )
 
 
-def claim1_check(structure: InertiaStructure, r: int | None = None) -> bool:
+def claim1_check(structure: InertiaStructure) -> bool:
     """ell^{n-1} <= r, re-derived from nilpotency degrees of ell-elements."""
-    if r is None:
-        r = structure.r
+    r = structure.r
     if structure.n > 0 and structure.ell ** (structure.n - 1) > r:
         return False
     group = structure.group
@@ -100,7 +99,6 @@ def claim1_check(structure: InertiaStructure, r: int | None = None) -> bool:
 
 class TameizingReport(NamedTuple):
     H_indices: tuple[int, ...]
-    complement_indices: tuple[int, ...]
     H_order: int
     index_tame: int
     alpha_image_order: int
@@ -144,7 +142,6 @@ def tameizing_subgroup(structure: InertiaStructure) -> TameizingReport:
         raise ComplementNotFound("order bookkeeping failed")
     return TameizingReport(
         H_indices=tuple(sorted(h)),
-        complement_indices=tuple(sorted(complement)),
         H_order=len(h),
         index_tame=index,
         alpha_image_order=M // len(h),
@@ -241,19 +238,14 @@ class WildOrderReport(NamedTuple):
     and ``linear_bound`` (= M0 = r p^{N'} J) are taken from."""
 
     swan: Fraction
-    N: int
     N_prime: int
     N_prime_exact: int
-    jumps_total: int
     jumps_visible: int
-    max_p_element_order: int
-    p_exponent_ok: bool
     P_order: int
     torus_bound: int
     torus_bound_holds: bool
     linear_bound: int
     linear_bound_holds: bool
-    abelian_part_order: int
     ok: bool
     warnings: tuple[str, ...] = ()
     constants: ExplicitConstants | None = None
@@ -295,15 +287,11 @@ def wild_order_bound_check(
     n_prime = constants.N_prime
     n_prime_exact = structure.ell ** structure.n * J * N
 
-    jumps_total = len(filt.positive_jumps())
     visible = len(per_jump)  # the jumps where the fixed space grows
 
-    abelian_part = _abelian_normal_part(structure.group)
-    max_order = 1
     p_ok = True
-    for i in structure.P_indices & abelian_part:
+    for i in structure.P_indices & _abelian_normal_part(structure.group):
         o = structure.group.order_of(i)
-        max_order = max(max_order, o)
         if n_prime == 0:
             p_ok = p_ok and o == 1
         else:
@@ -322,19 +310,14 @@ def wild_order_bound_check(
     )
     return WildOrderReport(
         swan=sw,
-        N=N,
         N_prime=n_prime,
         N_prime_exact=n_prime_exact,
-        jumps_total=jumps_total,
         jumps_visible=visible,
-        max_p_element_order=max_order,
-        p_exponent_ok=p_ok,
         P_order=p_order,
         torus_bound=torus_bound,
         torus_bound_holds=p_order <= torus_bound,
         linear_bound=linear_bound,
         linear_bound_holds=p_order <= linear_bound,
-        abelian_part_order=len(abelian_part),
         ok=ok,
         warnings=warnings,
         constants=constants,
@@ -344,15 +327,10 @@ def wild_order_bound_check(
 def restricted_image_through(
     rep: Representation, structure: InertiaStructure, h_indices: Sequence[int]
 ):
-    """Subgroup of the source whose image lies in H, and its image order.
-
-    Returns (source subgroup size, image order, prime_to_p: bool).
-    """
+    """(image order, prime_to_p) of the part of the source mapped into H."""
     h_mats = {structure.group.matrices[i].key() for i in h_indices}
-    src = [g for g in range(rep.group.n) if rep.images[g].key() in h_mats]
-    image_keys = {rep.images[g].key() for g in src}
-    order = len(image_keys)
-    return len(src), order, math.gcd(order, structure.p) == 1
+    order = len({m.key() for m in rep.images} & h_mats)
+    return order, math.gcd(order, structure.p) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +374,6 @@ class StarKernelReport(NamedTuple):
     passes: bool
     kernel_order: int
     kernel_p_sylow_order: int
-    kernel_indices: tuple[int, ...]
 
 
 def star_kernel_check(
@@ -406,13 +383,12 @@ def star_kernel_check(
     e: int,
     f_insep: int,
     p: int,
-    kernel: Sequence[int] | None = None,
 ) -> StarKernelReport:
     """Kernel of stabilizer -> residue automorphisms has order e * f_insep.
 
-    The kernel may be supplied; otherwise a normal subgroup of the
-    stabilizer with cyclic quotient of order f_sep is searched for.  Its
-    p-part must form a unique p-Sylow, whose order is reported.
+    The kernel is a normal subgroup of the stabilizer with cyclic quotient
+    of order f_sep, searched for among its subgroups.  Its p-part must form
+    a unique p-Sylow, whose order is reported.
     """
     stab = frozenset(stabilizer)
     if not group.is_subgroup(stab):
@@ -421,16 +397,10 @@ def star_kernel_check(
         raise NoSuchQuotient(
             f"stabilizer order {len(stab)} != e*f_sep*f_insep = {e * f_sep * f_insep}"
         )
-    s_grp, idx = group.subgroup(stab)
-    if kernel is None:
-        candidates = s_grp.all_subgroups()
-    else:
-        pos = {g: i for i, g in enumerate(idx)}
-        candidates = [frozenset(pos[g] for g in kernel)]
-    for k_local in candidates:
+    s_grp, _ = group.subgroup(stab)
+    for k_local in s_grp.all_subgroups():
         if len(k_local) * f_sep != s_grp.n or not (
-            s_grp.is_subgroup(k_local) and s_grp.is_normal(k_local)
-            and s_grp.quotient(k_local)[0].is_cyclic()
+            s_grp.is_normal(k_local) and s_grp.quotient(k_local)[0].is_cyclic()
         ):
             continue
         kernel_p = k_local & frozenset(s_grp.p_elements(p))
@@ -440,7 +410,6 @@ def star_kernel_check(
             passes=(len(k_local) == e * f_insep) and unique_sylow,
             kernel_order=len(k_local),
             kernel_p_sylow_order=p_part,
-            kernel_indices=tuple(sorted(idx[i] for i in k_local)),
         )
     raise NoSuchQuotient(
         f"no normal subgroup of index {f_sep} with cyclic quotient"

@@ -14,7 +14,7 @@ import sys
 
 from . import bounds, corpus, verify
 from .corpus import COMMANDS
-from .errors import RamifyError
+from .errors import NotAbelian, RamifyError
 from .groups import abelian_p_bound_probe, inertia_candidate_sample, max_ell_element_order
 from .ramification import (
     filtration_from_breaks, hasse_arf_check, herbrand_phi, herbrand_psi,
@@ -45,7 +45,10 @@ def _filtration_results(job: dict, options: dict):
 def _herbrand_payload(filt) -> dict:
     phi = herbrand_phi(filt)
     psi = herbrand_psi(phi)
-    g0, _ = filt.group.subgroup(filt.subgroup_at(0))
+    try:
+        hasse_arf = hasse_arf_check(filt)
+    except NotAbelian:  # Hasse-Arf is stated for abelian G_0 only
+        hasse_arf = None
     return {
         "phi": {
             "breakpoints": [[u, v] for u, v in phi.breakpoints],
@@ -57,7 +60,7 @@ def _herbrand_payload(filt) -> dict:
             "final_slope": psi.final_slope,
         },
         "upper_jumps": list(upper_jumps(filt)),
-        "hasse_arf": hasse_arf_check(filt) if g0.is_abelian() else None,
+        "hasse_arf": hasse_arf,
     }
 
 
@@ -100,7 +103,7 @@ def _cmd_bound(job: dict, params: dict, options: dict):
         structure, filt, rep, big_n, jordan_table=options.get("jordan_table")
     )
     consts = wild.constants
-    _, image_order, prime_to_p = bounds.restricted_image_through(
+    image_order, prime_to_p = bounds.restricted_image_through(
         rep, structure, tame.H_indices
     )
     results = {
@@ -111,7 +114,7 @@ def _cmd_bound(job: dict, params: dict, options: dict):
             "n": structure.n,
             "M_prime": structure.M_prime,
         },
-        "claim1": bounds.claim1_check(structure, rep.r),
+        "claim1": bounds.claim1_check(structure),
         "tameizing": {
             "H_order": tame.H_order,
             "index_tame": tame.index_tame,

@@ -42,7 +42,6 @@ class TowerParts(NamedTuple):
     """Marked intermediate data of a compositum tower."""
 
     lower: "GaloisCover"        # tame cover of the base, group Gal(K'/K)
-    upper: "GaloisCover"        # wild cover of K', group Gal(L/K')
     H_indices: tuple[int, ...]  # Gal(L/K') inside the full group
 
 
@@ -284,7 +283,8 @@ def build_artin_schreier(
         raise MismatchDetected("lifted base uniformizer does not start with the seed")
 
     s_mono = LaurentSeries.uniformizer(base)
-    w = s_mono * (t_in_s.inverse() ** a_exp)  # equals y^b
+    t_pow = t_in_s ** a_exp
+    w = s_mono * t_pow.inverse()  # equals y^b
     unit = w * LaurentSeries.monomial(base, (eta ** b).inverse(), b * m)
     root = unit if b == 1 else nth_root_of_unit(unit, b)
     y_in_s = root.shift(-m).scale(eta)
@@ -292,7 +292,6 @@ def build_artin_schreier(
     _check_zero(y_in_s ** p - y_in_s - compose(f, t_in_s), "defining relation of y")
 
     group = FiniteGroup.cyclic(p, "sigma")
-    t_pow = t_in_s ** a_exp
     action: dict[int, LaurentSeries] = {0: s_mono}
     for j in range(1, p):
         yj = y_in_s + LaurentSeries.constant(base, base.from_int(j))
@@ -434,7 +433,7 @@ def build_compositum_tower(
         degree=p * m,
         kind="tower",
         prec=upper.prec,
-        intermediate=TowerParts(lower, upper, tuple(range(0, p * m, m))),
+        intermediate=TowerParts(lower, tuple(range(0, p * m, m))),
         rebuild=lambda pr, _lo=lower, _f=upper_f: build_compositum_tower(
             _lo, _f, prec=pr
         ),

@@ -397,11 +397,16 @@ def group_closure(
             raise NotAGroup("generators of mixed shape or field")
         if not g.is_invertible():
             raise NotAGroup("generator is not invertible")
-    # A subgroup holding more than half of GL_r(F_q) is all of it (Lagrange),
-    # so when the whole group is over the cap, stop at half of it.
+    # A proper subgroup of GL_r(F_q) has index at least the least prime
+    # factor of its order (Lagrange), so when the whole group is over the
+    # cap, stop at |GL_r(F_q)| / that prime.  The order is even unless r = 1
+    # and q is a power of 2, so the scan stops at once or below sqrt(q).
     q = field.order
     gl_order = math.prod(q ** n - q ** i for i in range(n))
-    limit = size_cap if gl_order <= size_cap else min(size_cap, gl_order // 2)
+    limit = size_cap
+    if gl_order > size_cap:
+        least = next((d for d in range(2, math.isqrt(gl_order) + 1) if gl_order % d == 0), gl_order)
+        limit = min(size_cap, gl_order // least)
     ident = MatrixFF.identity(field, n)
     seen = {ident.key(): ident}
     frontier = [ident]

@@ -226,7 +226,7 @@ class Representation:
     word length covers every b.
     """
 
-    __slots__ = ("group", "images", "r", "ell", "n_ext", "field")
+    __slots__ = ("group", "images", "r", "ell", "field")
 
     def __init__(self, group: FiniteGroup, images: Sequence[MatrixFF]):
         images = tuple(images)
@@ -251,7 +251,6 @@ class Representation:
         self.images = images
         self.r = r
         self.ell = field.p
-        self.n_ext = field.a
         self.field = field
 
     @classmethod
@@ -393,8 +392,6 @@ class PullbackReport(NamedTuple):
     degree: int
     holds: bool
     equality: bool
-    phi_base: HerbrandFunction
-    phi_prime: HerbrandFunction
 
 
 def pullback_bound_check(cover: GaloisCover, rep: Representation) -> PullbackReport:
@@ -412,18 +409,16 @@ def pullback_bound_check(cover: GaloisCover, rep: Representation) -> PullbackRep
         degree=degree,
         holds=sw_prime <= degree * sw_base,
         equality=sw_prime == degree * sw_base,
-        phi_base=herbrand_phi(filt),
-        phi_prime=herbrand_phi(filt_h),
     )
 
 
 class TransitivityReport(NamedTuple):
     """``quotient_matches``: the filtration of G/H through (G/H)_{phi_H(u)}
-    = G_u H / H has the subgroup orders of the tame layer's own."""
+    = G_u H / H has the subgroup orders of the tame layer's own.  A nonzero
+    residual raises, so a returned report has every residual zero."""
 
     points: tuple[Fraction, ...]
     residuals: tuple[Fraction, ...]
-    ok: bool
     quotient_matches: bool
 
 
@@ -455,5 +450,5 @@ def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
     quot = quotient_filtration_by_herbrand(filt, cover.intermediate.H_indices, phi_up)
     quotient_matches = [len(s) for s in quot.subgroups] == [len(s) for s in filt_low.subgroups]
     return TransitivityReport(
-        points=points, residuals=residuals, ok=True, quotient_matches=quotient_matches
+        points=points, residuals=residuals, quotient_matches=quotient_matches
     )

@@ -70,9 +70,7 @@ def suite_transitivity(options) -> list[dict]:
         if cover.intermediate is None:
             continue
         report = phi_transitivity_check(cover)
-        passed = (
-            report.ok and all(r == 0 for r in report.residuals) and report.quotient_matches
-        )
+        passed = all(r == 0 for r in report.residuals) and report.quotient_matches
         instances.append(
             {
                 "name": cover_id,
@@ -111,7 +109,7 @@ def suite_claim1(options) -> list[dict]:
     for rep_id in corpus.rep_ids():
         cover, rep, _ = corpus.get_representation(rep_id)
         structure = bounds.inertia_structure(rep.image_matrices(), cover.p)
-        passed = bounds.claim1_check(structure, rep.r)
+        passed = bounds.claim1_check(structure)
         instances.append(
             {"name": f"image:{rep_id}", "n": structure.n, "pass": passed}
         )
@@ -128,7 +126,7 @@ def suite_claim2(options) -> list[dict]:
         wild = bounds.wild_order_bound_check(
             structure, filt, rep, big_n, jordan_table=options.get("jordan_table")
         )
-        src_size, image_order, prime_to_p = bounds.restricted_image_through(
+        image_order, prime_to_p = bounds.restricted_image_through(
             rep, structure, tame.H_indices
         )
         consts = wild.constants

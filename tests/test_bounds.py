@@ -106,7 +106,7 @@ def test_claim1_check_examples():
     assert grp.n == 4
     st2 = inertia_structure(list(grp.matrices), p=3)
     assert st2.n == 2  # M = 4 = 2^2 with ell = 2
-    assert claim1_check(st2, r=3)
+    assert claim1_check(st2)  # r = 3, the size of the matrices
 
 
 def test_tameizing_z6():
@@ -221,7 +221,7 @@ def test_wild_order_bound_on_corpus(rep_id):
     assert report.P_order <= report.torus_bound
     assert report.linear_bound_holds  # rank-1 corpus: the linear form also holds
     tame = tameizing_subgroup(st)
-    _, image_order, prime_to_p = restricted_image_through(rep, st, tame.H_indices)
+    image_order, prime_to_p = restricted_image_through(rep, st, tame.H_indices)
     assert prime_to_p and image_order == tame.H_order
 
 
@@ -347,14 +347,6 @@ def test_star_kernel_inconsistent_orders():
         star_kernel_check(z6, range(6), f_sep=4, e=2, f_insep=1, p=2)
 
 
-def test_star_kernel_supplied_kernel():
-    z6 = FiniteGroup.cyclic(6, "g")
-    report = star_kernel_check(
-        z6, range(6), f_sep=3, e=2, f_insep=1, p=2, kernel=[0, 3]
-    )
-    assert report.passes and report.kernel_order == 2
-
-
 def test_tameizing_consistency_with_crude_bound():
     # When |P| <= M0, the degree of the taming subextension stays below M0!.
     for rep_id in rep_ids():
@@ -379,8 +371,8 @@ def test_records_are_immutable_named_tuples():
         for name in classes:
             cls = getattr(module, name)
             assert issubclass(cls, tuple) and cls._fields, name
-    report = bounds.WildOrderReport(*range(15))
-    assert report.warnings == () and report.ok == 14
+    report = bounds.WildOrderReport(*range(10))
+    assert report.warnings == () and report.ok == 9
     with pytest.raises(AttributeError):
         report.ok = False
     data = DecompositionData(order_I=12, t=1, e=3, f_sep=2, f_insep=2, p=2)

@@ -55,6 +55,28 @@ def test_herbrand_job_tame(capsys, monkeypatch):
     assert report["results"]["hasse_arf"] is True
 
 
+def test_herbrand_job_builds_g0_once(capsys, monkeypatch):
+    """Hasse-Arf is stated for abelian G_0 only: S3 reports null, Z/4 its
+    integrality, and either way G_0's table is built once."""
+    from ramify.groups import FiniteGroup
+
+    sizes = []
+    subgroup = FiniteGroup.subgroup
+
+    def counted(group, subset):
+        sizes.append(len(frozenset(subset)))
+        return subgroup(group, subset)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup", counted)
+    s3 = _dihedral_table(3, "herbrand")
+    s3["break_table"]["iG"] = {x: 2 if i < 3 else 1 for i, x in enumerate(s3["break_table"]["labels"]) if i}
+    for job, order, hasse_arf in ((s3, 6, None), (_cyclic_table(4, 2, "herbrand"), 4, True)):
+        sizes.clear()
+        code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+        assert code == 0 and report["results"]["hasse_arf"] is hasse_arf
+        assert sizes == [order]
+
+
 def test_filtration_job_with_direct_break_table(capsys, monkeypatch):
     job = {
         "command": "filtration",

@@ -139,7 +139,7 @@ def test_sampled_groups_pass_inertia_structure_and_claim1():
         assert groups, f"no candidates found for {(r, ell, n, p)}"
         for g in groups:
             st = inertia_structure(list(g.matrices), p)
-            assert claim1_check(st, r)
+            assert st.r == r and claim1_check(st)
 
 
 def test_abelian_probe_rank_one_tight():
@@ -536,6 +536,27 @@ def test_closure_over_half_of_gl_is_refused_when_gl_exceeds_the_cap():
     assert group_closure(index_two, size_cap=240).n == 240
     with pytest.raises(SizeCapExceeded):
         group_closure(index_two, size_cap=239)
+
+
+def test_closure_stops_at_the_least_prime_index(monkeypatch):
+    # |GL_1(F_{2^11})| = 2047 = 23 * 89: a proper subgroup has at most 89
+    # elements, so a closure past 89 is the whole group, over the cap.
+    field = field_create(2, 11)
+    g = field.generator()
+    assert g.multiplicative_order() == 2047
+    sub = group_closure([MatrixFF.from_keys(field, 1, [(g ** 23).key()])], size_cap=89)
+    assert sub.n == 89  # index 23 = the least prime factor: admitted
+    calls = []
+    product = MatrixFF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted)
+    with pytest.raises(SizeCapExceeded, match="^closure exceeds cap 2000$"):
+        group_closure([MatrixFF.from_keys(field, 1, [g.key()])], size_cap=2000)
+    assert len(calls) <= 90  # one product per element up to the stop at 89
 
 
 @pytest.mark.parametrize("field,r", [(F2, 3), (F3, 2), (field_create(2, 2), 2)])
