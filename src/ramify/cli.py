@@ -37,8 +37,7 @@ def _filtration_results(job: dict, options: dict):
         "group_order": bt.group.n,
     }
     if cover is not None:
-        results["e"] = cover.e
-        results["degree"] = cover.degree
+        results["e"] = results["degree"] = cover.group.n  # totally ramified
     return results, filt
 
 

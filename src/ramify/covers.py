@@ -49,7 +49,8 @@ class GaloisCover:
     """A finite Galois extension L/K with explicit series data.
 
     ``sigma_action[i]`` is the series sigma_i(s) in s; ``t_in_s`` expresses
-    the base uniformizer in s and is fixed by the whole group.
+    the base uniformizer in s and is fixed by the whole group.  Every cover
+    is totally ramified, so e = [L:K] = ``group.n``.
     """
 
     __slots__ = (
@@ -58,15 +59,10 @@ class GaloisCover:
         "group",
         "t_in_s",
         "sigma_action",
-        "e",
-        "degree",
         "kind",
         "prec",
         "intermediate",
         "_rebuild",
-        "_y_in_s",
-        "_a_exp",
-        "_zeta",
     )
 
     def __init__(
@@ -76,30 +72,20 @@ class GaloisCover:
         group: FiniteGroup,
         t_in_s: LaurentSeries,
         sigma_action: dict[int, LaurentSeries],
-        e: int,
-        degree: int,
         kind: str,
         prec: int,
         intermediate: TowerParts | None = None,
         rebuild: Callable[[int], "GaloisCover"] | None = None,
-        y_in_s: LaurentSeries | None = None,
-        a_exp: int | None = None,
-        zeta: FieldElement | None = None,
     ):
         self.base_field = base_field
         self.p = base_field.p
         self.group = group
         self.t_in_s = t_in_s
         self.sigma_action = dict(sigma_action)
-        self.e = e
-        self.degree = degree
         self.kind = kind
         self.prec = prec
         self.intermediate = intermediate
         self._rebuild = rebuild
-        self._y_in_s = y_in_s
-        self._a_exp = a_exp
-        self._zeta = zeta
 
     def rebuild(self, prec: int) -> "GaloisCover":
         if self._rebuild is None:
@@ -107,7 +93,7 @@ class GaloisCover:
         return self._rebuild(prec)
 
     def __repr__(self) -> str:
-        return f"GaloisCover({self.kind}, degree={self.degree}, e={self.e})"
+        return f"GaloisCover({self.kind}, degree={self.group.n})"
 
 
 class BreakTable:
@@ -262,8 +248,16 @@ def build_artin_schreier(
     """
     if f.field != base:
         raise NotGaloisOverBase("defining function is not over the base field")
+    _check_work(base.p, f, prec)
+    return _artin_schreier(base, f, prec)[0]
+
+
+def _artin_schreier(
+    base: FiniteField, f: LaurentSeries, prec: int | None
+) -> tuple[GaloisCover, LaurentSeries, int]:
+    """(cover, y in s, a) for ``build_artin_schreier``'s cover of f over
+    base, s = t^a y^b; the caller has checked f's field and the work."""
     p = base.p
-    _check_work(p, f, prec)
     f = artin_schreier_reduce(f)
     m = -f.valuation()
     c = f.coeff(-m)
@@ -304,19 +298,16 @@ def build_artin_schreier(
     _check_zero(compose(t_in_s, action[1]) - t_in_s, "t is not fixed")
     _check_zero(compose(y_in_s, action[1]) - y_in_s - LaurentSeries.one(base), "y + 1 action")
 
-    return GaloisCover(
+    cover = GaloisCover(
         base_field=base,
         group=group,
         t_in_s=t_in_s,
         sigma_action=action,
-        e=p,
-        degree=p,
         kind="artin_schreier",
         prec=target,
         rebuild=lambda pr, _base=base, _f=f: build_artin_schreier(_base, _f, prec=pr),
-        y_in_s=y_in_s,
-        a_exp=a_exp,
     )
+    return cover, y_in_s, a_exp
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +329,9 @@ def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCo
         group=group,
         t_in_s=t_in_s,
         sigma_action=action,
-        e=m,
-        degree=m,
         kind="kummer",
         prec=prec if prec is not None else DEFAULT_PRECISION,
         rebuild=lambda pr, _base=base, _m=m: build_kummer(_base, _m, prec=pr),
-        zeta=zeta,
     )
 
 
@@ -356,12 +344,9 @@ def trivial_cover(base: FiniteField) -> GaloisCover:
         group=group,
         t_in_s=s_mono,
         sigma_action={0: s_mono},
-        e=1,
-        degree=1,
         kind="trivial",
         prec=DEFAULT_PRECISION,
         rebuild=lambda pr, _base=base: trivial_cover(_base),
-        zeta=base.one(),
     )
 
 
@@ -396,16 +381,14 @@ def build_compositum_tower(
     base = lower.base_field
     if upper_f.field != base:
         raise NotGaloisOverBase("wild datum is not over the base field")
-    m = lower.e
+    m = lower.group.n
     p = base.p
-    zeta = lower._zeta
     _check_work(p, upper_f, prec, tame=m)
+    zeta = base.root_of_unity(m) if m > 1 else base.one()  # only zeta^0 when m = 1
 
     pulled = compose(upper_f, LaurentSeries.monomial(base, base.one(), m))
-    upper = build_artin_schreier(base, pulled, prec=prec)
-    a_exp = upper._a_exp
+    upper, y_in_s, a_exp = _artin_schreier(base, pulled, prec)
     s_prime = upper.t_in_s
-    y_in_s = upper._y_in_s
 
     group = FiniteGroup.direct_product(
         FiniteGroup.cyclic(p, "sigma"), FiniteGroup.cyclic(m, "tau")
@@ -429,8 +412,6 @@ def build_compositum_tower(
         group=group,
         t_in_s=t_in_s,
         sigma_action=action,
-        e=p * m,
-        degree=p * m,
         kind="tower",
         prec=upper.prec,
         intermediate=TowerParts(lower, tuple(range(0, p * m, m))),

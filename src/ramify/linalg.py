@@ -188,26 +188,9 @@ class MatrixFF:
         return MatrixFF.from_keys(self.field, n, [x for row in aug for x in row[n:]])
 
 
-def nullspace(rows: list[list[int]], ncols: int, field: FiniteField):
-    """Basis of the right kernel of the given rows of element keys, as
-    tuples of FieldElements; deterministic."""
-    work = [list(r) for r in rows if any(r)]
-    rank = _reduce(field, work, ncols)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in work[:rank]]
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for row, pj in zip(work, pivots):
-            vec[pj] = field.neg_keys((row[f],))[0]
-        basis.append(tuple(map(field.from_key, vec)))
-    return basis
-
-
-def fixed_subspace(mats: Sequence[MatrixFF]):
-    """Common fixed space {v : Mv = v for all M}; returns (dimension, basis)."""
+def fixed_dim(mats: Sequence[MatrixFF]) -> int:
+    """Dimension of the common fixed space {v : Mv = v for all M}: n minus
+    the rank of the stacked rows of every M - 1."""
     if not mats:
         raise DimensionMismatch("need at least one matrix")
     field = mats[0].field
@@ -216,6 +199,5 @@ def fixed_subspace(mats: Sequence[MatrixFF]):
     for m in mats:
         if m.field != field or m.n != n:
             raise DimensionMismatch("matrices of mixed shape or field")
-        rows.extend((m - MatrixFF.identity(field, n))._key_rows())
-    basis = nullspace(rows, n, field)
-    return len(basis), tuple(basis)
+        rows.extend(r for r in (m - MatrixFF.identity(field, n))._key_rows() if any(r))
+    return n - _reduce(field, rows, n)

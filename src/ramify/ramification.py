@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fields import split_prime_power
 from .groups import FiniteGroup
-from .linalg import MatrixFF, fixed_subspace
+from .linalg import MatrixFF, fixed_dim
 
 
 def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
@@ -290,8 +290,7 @@ class Representation:
         return [seen[k] for k in sorted(seen)]
 
     def fixed_dim(self, subset) -> int:
-        mats = [self.images[i] for i in sorted(subset)]
-        return fixed_subspace(mats)[0]
+        return fixed_dim([self.images[i] for i in subset])
 
 
 class SwanReport(NamedTuple):

@@ -70,14 +70,13 @@ def suite_transitivity(options) -> list[dict]:
         if cover.intermediate is None:
             continue
         report = phi_transitivity_check(cover)
-        passed = all(r == 0 for r in report.residuals) and report.quotient_matches
         instances.append(
             {
                 "name": cover_id,
                 "points": list(report.points),
                 "residuals": list(report.residuals),
                 "quotient_filtration_matches": report.quotient_matches,
-                "pass": passed,
+                "pass": report.quotient_matches,  # a nonzero residual raises
             }
         )
     return instances

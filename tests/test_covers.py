@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from ramify import covers
+from ramify import corpus, covers
 from ramify.covers import (
     BreakTable,
     GaloisCover,
@@ -62,7 +62,7 @@ def as_sparse(field, pairs):
 )
 def test_artin_schreier_breaks_match_oracle(field, p, m):
     cover = build_artin_schreier(field, as_sparse(field, [[-m, [1]]]), prec=16)
-    assert cover.e == p and cover.degree == p
+    assert cover.group.n == p
     bt = lower_break_table(cover)
     for j in range(1, p):
         assert bt.i_map[j] == as_break_oracle(p, m, j) == m + 1
@@ -136,7 +136,7 @@ def test_artin_schreier_trivializing_input_rejected():
 
 def test_kummer_examples():
     cover = build_kummer(F4, 3)
-    assert cover.e == 3
+    assert cover.group.n == 3
     bt = lower_break_table(cover)
     assert bt.by_label() == {"tau": 1, "tau^2": 1}
     assert cover.t_in_s == as_sparse(F4, [[3, [1]]])
@@ -151,7 +151,7 @@ def test_kummer_examples():
 def test_tower_z6_breaks():
     kum = build_kummer(F4, 3)
     tower = build_compositum_tower(kum, as_sparse(F4, [[-1, [1, 0]]]), prec=24)
-    assert tower.degree == 6 and tower.e == 6
+    assert tower.group.n == 6
     bt = lower_break_table(tower)
     by_label = bt.by_label()
     # Oracle: the wild generator acts through the rank-3 pole over the tame
@@ -299,8 +299,6 @@ def test_precision_escalation_rebuilds_cover():
         group=base.group,
         t_in_s=base.t_in_s,
         sigma_action={i: a.truncate(3) for i, a in base.sigma_action.items()},
-        e=base.e,
-        degree=base.degree,
         kind=base.kind,
         prec=4,
         rebuild=base._rebuild,
@@ -316,8 +314,6 @@ def test_precision_cap_respected(monkeypatch):
         group=base.group,
         t_in_s=base.t_in_s,
         sigma_action={i: a.truncate(3) for i, a in base.sigma_action.items()},
-        e=base.e,
-        degree=base.degree,
         kind=base.kind,
         prec=4,
         rebuild=base._rebuild,
@@ -325,6 +321,42 @@ def test_precision_cap_respected(monkeypatch):
     monkeypatch.setenv("RAMIFY_PRECISION_CAP", "4")
     with pytest.raises(PrecisionExhausted):
         lower_break_table(doctored)
+
+
+def test_no_built_cover_is_rebuilt(monkeypatch):
+    # A wild layer is built to at least p + m + 4 terms, which shows every
+    # break, so only a hand-truncated cover ever reaches the rebuild.
+    rebuilds = []
+    real = GaloisCover.rebuild
+    monkeypatch.setattr(GaloisCover, "rebuild", lambda cover, pr: rebuilds.append(pr) or real(cover, pr))
+    rng = random.Random(18)
+    F9 = field_create(3, 2)
+    built = []
+    for field in (F2, F3, F4, F5, field_create(7, 1), F9):
+        p = field.p
+        for m in (1, 2, 3, 4, 5, 7, 11, 13):
+            if m % p == 0:
+                continue
+            lower_term = [[-1, [rng.randrange(p)]]] if m > 1 else []
+            f = as_sparse(field, [[-m, [1 + rng.randrange(p - 1)]]] + lower_term)
+            for prec in (1, 2, 8, None):
+                built.append(build_artin_schreier(field, f, prec=prec))
+    for field, tame in ((F4, (1, 3)), (F9, (1, 2, 4, 8))):
+        for m in tame:
+            lower = trivial_cover(field) if m == 1 else build_kummer(field, m)
+            for pole in (1, 2, 4, 5, 7):
+                if pole % field.p == 0:
+                    continue
+                for prec in (1, 8, None):
+                    built.append(build_compositum_tower(lower, as_sparse(field, [[-pole, [1]]]), prec=prec))
+    for cover_id in corpus.cover_ids():
+        cover = corpus.get_cover(cover_id)
+        built.append(cover)
+        if cover.intermediate is not None:
+            built.append(cover.intermediate.lower)
+    for cover in built:
+        lower_break_table(cover)
+    assert len(built) == 250 and rebuilds == []
 
 
 def test_precision_cap_parses_the_environment(monkeypatch):
