@@ -324,15 +324,6 @@ def wild_order_bound_check(
     )
 
 
-def restricted_image_through(
-    rep: Representation, structure: InertiaStructure, h_indices: Sequence[int]
-):
-    """(image order, prime_to_p) of the part of the source mapped into H."""
-    h_mats = {structure.group.matrices[i].key() for i in h_indices}
-    order = len({m.key() for m in rep.images} & h_mats)
-    return order, math.gcd(order, structure.p) == 1
-
-
 # ---------------------------------------------------------------------------
 # Decomposition counts.
 

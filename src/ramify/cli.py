@@ -11,6 +11,7 @@ error object is emitted), 2 a suite found a violated invariant.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 from . import bounds, corpus, verify
 from .corpus import COMMANDS
@@ -44,21 +45,24 @@ def _filtration_results(job: dict, options: dict):
 def _herbrand_payload(filt) -> dict:
     phi = herbrand_phi(filt)
     psi = herbrand_psi(phi)
+    upper = upper_jumps(filt, phi)
     try:
-        hasse_arf = hasse_arf_check(filt)
+        hasse_arf = hasse_arf_check(filt, upper)
     except NotAbelian:  # Hasse-Arf is stated for abelian G_0 only
         hasse_arf = None
+    g0 = filt.order_at(0)
     return {
         "phi": {
             "breakpoints": [[u, v] for u, v in phi.breakpoints],
             "final_slope": phi.final_slope,
-            "unit_slopes": list(phi.unit_slopes or ()),
+            # the slope |G_i| / |G_0| of each unit segment (i - 1, i]
+            "unit_slopes": [Fraction(filt.order_at(i), g0) for i in range(1, filt.i_max + 2)],
         },
         "psi": {
             "breakpoints": [[u, v] for u, v in psi.breakpoints],
             "final_slope": psi.final_slope,
         },
-        "upper_jumps": list(upper_jumps(filt)),
+        "upper_jumps": list(upper),
         "hasse_arf": hasse_arf,
     }
 
@@ -77,9 +81,8 @@ def _cmd_swan(job: dict, params: dict, options: dict):
     rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     report = swan_conductor(rep, filt)
-    phi = herbrand_phi(filt)
     try:
-        single = swan_single_break(rep, filt, phi)
+        single = swan_single_break(rep, filt)
     except RamifyError:
         single = None
     return {
@@ -102,9 +105,6 @@ def _cmd_bound(job: dict, params: dict, options: dict):
         structure, filt, rep, big_n, jordan_table=options.get("jordan_table")
     )
     consts = wild.constants
-    image_order, prime_to_p = bounds.restricted_image_through(
-        rep, structure, tame.H_indices
-    )
     results = {
         "inertia": {
             "order": structure.group.n,
@@ -119,10 +119,9 @@ def _cmd_bound(job: dict, params: dict, options: dict):
             "index_tame": tame.index_tame,
             "alpha_image_order": tame.alpha_image_order,
         },
-        "restricted_through_H": {
-            "image_order": image_order,
-            "prime_to_p": prime_to_p,
-        },
+        # structure.group is the image group of rep, so the images lying in
+        # H are H itself, and tameizing_subgroup has refused gcd(|H|, p) != 1.
+        "restricted_through_H": {"image_order": tame.H_order, "prime_to_p": True},
         "constants": {
             "N_prime": consts.N_prime,
             "M0": _printable("constants.M0", consts.M0),

@@ -88,13 +88,12 @@ def filtration_from_breaks(bt: BreakTable, p: int) -> RamFiltration:
     return filt
 
 
-def restrict_break_table(bt: BreakTable, indices: Sequence[int]):
-    """Break table of a subgroup (breaks restrict unchanged); returns
-    (subgroup FiniteGroup, restricted BreakTable, index map into the parent)."""
+def restrict_break_table(bt: BreakTable, indices: Sequence[int]) -> BreakTable:
+    """Break table of a subgroup, whose ``group`` it is (breaks restrict
+    unchanged)."""
     sub, idx = bt.group.subgroup(indices)
     pos = {g: i for i, g in enumerate(idx)}
-    i_map = {pos[g]: v for g, v in bt.i_map.items() if g in pos}
-    return sub, BreakTable(sub, i_map), idx
+    return BreakTable(sub, {pos[g]: v for g, v in bt.i_map.items() if g in pos})
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +104,16 @@ class HerbrandFunction:
     """Piecewise linear, concave, strictly increasing, phi(0) = 0.
 
     ``breakpoints`` are exact rational vertices; beyond the last vertex the
-    graph continues with ``final_slope``.  ``unit_slopes`` (when present)
-    records |G_i| / |G_0| on each unit segment up to i_max + 1.
+    graph continues with ``final_slope``.
     """
 
-    __slots__ = ("breakpoints", "final_slope", "unit_slopes")
+    __slots__ = ("breakpoints", "final_slope")
 
-    def __init__(self, breakpoints, final_slope, unit_slopes=None):
+    def __init__(self, breakpoints, final_slope):
         self.breakpoints = tuple(
             (Fraction(u), Fraction(v)) for u, v in breakpoints
         )
         self.final_slope = Fraction(final_slope)
-        self.unit_slopes = (
-            tuple(Fraction(s) for s in unit_slopes) if unit_slopes is not None else None
-        )
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
@@ -132,9 +127,6 @@ class HerbrandFunction:
                 return v0 + (x - u0) * (v1 - v0) / (u1 - u0)
         u_last, v_last = pts[-1]
         return v_last + (x - u_last) * self.final_slope
-
-    def __call__(self, x) -> Fraction:
-        return self.evaluate(x)
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,14 +148,10 @@ def herbrand_phi(filt: RamFiltration) -> HerbrandFunction:
     if filt.order_at(0) != filt.order_at(1):
         vertex_us.add(1)
     points = [(Fraction(0), Fraction(0))]
-    unit_slopes = []
     for u in sorted(vertex_us):
-        slope = Fraction(filt.order_at(u), g0)
-        run = u - len(unit_slopes)  # G_i = G_u for the indices i after the last vertex
-        points.append((Fraction(u), points[-1][1] + run * slope))
-        unit_slopes += [slope] * run
-    unit_slopes += [Fraction(1, g0)] * (filt.i_max + 1 - len(unit_slopes))
-    return HerbrandFunction(points, Fraction(1, g0), unit_slopes)
+        u0, v0 = points[-1]  # G_i = G_u for u0 < i <= u
+        points.append((Fraction(u), v0 + (u - u0) * Fraction(filt.order_at(u), g0)))
+    return HerbrandFunction(points, Fraction(1, g0))
 
 
 def herbrand_psi(hf: HerbrandFunction) -> HerbrandFunction:
@@ -171,17 +159,18 @@ def herbrand_psi(hf: HerbrandFunction) -> HerbrandFunction:
     return HerbrandFunction(pts, 1 / hf.final_slope)
 
 
-def upper_jumps(filt: RamFiltration) -> tuple[Fraction, ...]:
-    phi = herbrand_phi(filt)
+def upper_jumps(filt: RamFiltration, phi: HerbrandFunction) -> tuple[Fraction, ...]:
+    """phi(u) for each lower jump u, with ``phi`` = herbrand_phi(filt)."""
     return tuple(phi.evaluate(u) for u in filt.jumps)
 
 
-def hasse_arf_check(filt: RamFiltration) -> bool:
-    """Integrality of the upper jumps; only stated for abelian G_0."""
+def hasse_arf_check(filt: RamFiltration, upper: Sequence[Fraction]) -> bool:
+    """Integrality of ``upper``, the upper jumps of ``filt``; only stated
+    for abelian G_0."""
     g0, _ = filt.group.subgroup(filt.subgroup_at(0))
     if not g0.is_abelian():
         raise NotAbelian("Hasse-Arf integrality requires an abelian group")
-    return all(x.denominator == 1 for x in upper_jumps(filt))
+    return all(x.denominator == 1 for x in upper)
 
 
 def quotient_filtration_by_herbrand(
@@ -306,40 +295,33 @@ def _check_pair(rep: Representation, filt: RamFiltration) -> None:
         raise PreconditionFailed("coefficient characteristic must differ from p")
 
 
-def _break_multiset(rep: Representation, filt: RamFiltration):
-    phi = herbrand_phi(filt)
-    breaks = []
-    tame_mult = rep.fixed_dim(filt.subgroup_at(1))
-    if tame_mult:
-        breaks.append((Fraction(0), tame_mult))
-    per_jump = []
-    for u in filt.positive_jumps():
-        inc = rep.fixed_dim(filt.subgroup_at(u + 1)) - rep.fixed_dim(
-            filt.subgroup_at(u)
-        )
-        if inc:
-            lam = phi.evaluate(u)
-            breaks.append((lam, inc))
-            per_jump.append((lam, inc))
-    return tuple(breaks), tuple(per_jump)
-
-
 def swan_conductor(rep: Representation, filt: RamFiltration) -> SwanReport:
     """Swan conductor, computed two ways and required to agree exactly.
 
+    For the positive jumps u_1 < ... < u_k, ``dims`` holds dim V^{G_{u_j}}
+    and then r: G_1 = G_{u_1}, and G_{u_j + 1} is G_{u_{j+1}}, or the
+    identity after u_k.  So each level's fixed space is computed once.
     Route one sums (|G_i| / |G_0|) * (r - dim V^{G_i}) over i >= 1, one
-    term per run of equal G_i; route two sums slope * multiplicity over the
-    break multiset.
+    term per run of equal G_i; route two sums phi(u_j) times the
+    multiplicity dims[j] - dims[j - 1] over the break multiset, whose
+    break 0 has multiplicity dim V^{G_1}.
     """
     _check_pair(rep, filt)
     g0 = filt.order_at(0)
-    total = Fraction(0)
-    prev = 0
-    for u in filt.positive_jumps():  # G_i = G_u for prev < i <= u
-        sub = filt.subgroup_at(u)
-        total += (u - prev) * Fraction(len(sub), g0) * (rep.r - rep.fixed_dim(sub))
-        prev = u
-    breaks, per_jump = _break_multiset(rep, filt)
+    jumps = filt.positive_jumps()
+    dims = [rep.fixed_dim(filt.subgroup_at(u)) for u in jumps] + [rep.r]
+    total = sum(  # G_i = G_u for prev < i <= u
+        ((u - prev) * Fraction(filt.order_at(u), g0) * (rep.r - dim)
+         for prev, u, dim in zip([0, *jumps], jumps, dims)),
+        Fraction(0),
+    )
+    phi = herbrand_phi(filt)
+    per_jump = tuple(
+        (phi.evaluate(u), after - dim)
+        for u, dim, after in zip(jumps, dims, dims[1:])
+        if after != dim
+    )
+    breaks = ((Fraction(0), dims[0]),) + per_jump if dims[0] else per_jump
     by_breaks = sum((lam * mult for lam, mult in breaks), Fraction(0))
     if by_breaks != total:
         raise MismatchDetected(
@@ -350,22 +332,22 @@ def swan_conductor(rep: Representation, filt: RamFiltration) -> SwanReport:
     return SwanReport(swan=total, breaks=breaks, per_jump_terms=per_jump)
 
 
-def swan_single_break(
-    rep: Representation, filt: RamFiltration, hf: HerbrandFunction
-) -> Fraction:
+def swan_single_break(rep: Representation, filt: RamFiltration) -> Fraction:
     """phi(u) * r for the unique positive jump u, when the whole space moves.
 
     Preconditions: exactly one u >= 1 with G_u != G_{u+1} and
-    dim V^{G_u} = 0; the value must agree with swan_conductor.
+    dim V^{G_u} = 0; the value must agree with swan_conductor.  With one
+    positive jump, G_1 = ... = G_u, so phi(u) = u * |G_u| / |G_0|.
     """
     _check_pair(rep, filt)
     jumps = filt.positive_jumps()
     if len(jumps) != 1:
         raise PreconditionFailed(f"expected a unique positive jump, found {jumps}")
     u = jumps[0]
-    if rep.fixed_dim(filt.subgroup_at(u)) != 0:
+    sub = filt.subgroup_at(u)
+    if rep.fixed_dim(sub) != 0:
         raise PreconditionFailed("fixed space at the jump is nonzero")
-    return hf.evaluate(u) * rep.r
+    return Fraction(u * len(sub), filt.order_at(0)) * rep.r
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +363,7 @@ def _tower_filtrations(cover: GaloisCover, rep: Representation | None = None):
     if rep is not None and not _same_group(rep.group, cover.group):
         raise GroupMismatch("representation is not on the cover group")
     bt = lower_break_table(cover)
-    _, bt_h, _ = restrict_break_table(bt, cover.intermediate.H_indices)
+    bt_h = restrict_break_table(bt, cover.intermediate.H_indices)
     return filtration_from_breaks(bt, cover.p), filtration_from_breaks(bt_h, cover.p)
 
 

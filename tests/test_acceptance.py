@@ -22,7 +22,6 @@ from ramify.bounds import (
     jordan_bound,
     tameizing_subgroup,
     wild_order_bound_check,
-    restricted_image_through,
 )
 from ramify.corpus import cover_ids, get_cover, get_representation, rep_ids
 from ramify.covers import lower_break_table
@@ -90,7 +89,7 @@ def test_criterion_02_tameness():
     for cover_id in kummer_ids:
         cover = get_cover(cover_id)
         filt = _filt(cover)
-        assert hasse_arf_check(filt)
+        assert hasse_arf_check(filt, upper_jumps(filt, herbrand_phi(filt)))
         for rep_id in rep_ids():
             c, rep, _ = get_representation(rep_id)
             if c is not cover:
@@ -143,8 +142,9 @@ def test_criterion_05_hasse_arf():
         filt = _filt(cover)
         sub, _ = cover.group.subgroup(filt.subgroup_at(0))
         assert sub.is_abelian()
-        assert hasse_arf_check(filt)
-        assert all(x.denominator == 1 for x in upper_jumps(filt))
+        upper = upper_jumps(filt, herbrand_phi(filt))
+        assert hasse_arf_check(filt, upper)
+        assert all(x.denominator == 1 for x in upper)
     _passed(5, "all abelian fixtures have integral upper-numbering jumps")
 
 
@@ -170,9 +170,8 @@ def test_criterion_07_swan_consistency():
         breaks = report.breaks
         assert sum((lam * mult for lam, mult in breaks), Fraction(0)) == report.swan
         assert sum(mult for _, mult in breaks) == rep.r
-        phi = herbrand_phi(filt)
         try:
-            single = swan_single_break(rep, filt, phi)
+            single = swan_single_break(rep, filt)
         except PreconditionFailed:
             single = None
         if single is not None:
@@ -205,8 +204,8 @@ def test_criterion_09_proposition_pipeline():
         assert math.gcd(tame.H_order, cover.p) == 1
         h_set = frozenset(tame.H_indices)
         assert st.group.is_normal(h_set)
-        image_order, prime_to_p = restricted_image_through(rep, st, tame.H_indices)
-        assert prime_to_p and image_order == tame.H_order
+        h_mats = {st.group.matrices[i].key() for i in tame.H_indices}
+        assert len({m.key() for m in rep.images} & h_mats) == tame.H_order
         report = wild_order_bound_check(st, filt, rep, big_n)
         assert report.ok
         j = jordan_bound(rep.r)

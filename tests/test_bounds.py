@@ -13,7 +13,6 @@ from ramify.bounds import (
     explicit_constants,
     inertia_structure,
     jordan_bound,
-    restricted_image_through,
     star_kernel_check,
     tameizing_subgroup,
     wild_order_bound_check,
@@ -221,8 +220,9 @@ def test_wild_order_bound_on_corpus(rep_id):
     assert report.P_order <= report.torus_bound
     assert report.linear_bound_holds  # rank-1 corpus: the linear form also holds
     tame = tameizing_subgroup(st)
-    image_order, prime_to_p = restricted_image_through(rep, st, tame.H_indices)
-    assert prime_to_p and image_order == tame.H_order
+    h_mats = {st.group.matrices[i].key() for i in tame.H_indices}
+    image_order = len({m.key() for m in rep.images} & h_mats)
+    assert math.gcd(image_order, cover.p) == 1 and image_order == tame.H_order
 
 
 def test_wild_order_bound_rejects_large_swan():

@@ -77,6 +77,45 @@ def test_herbrand_job_builds_g0_once(capsys, monkeypatch):
         assert sizes == [order]
 
 
+def test_jobs_build_phi_once_and_each_fixed_space_once(capsys, monkeypatch):
+    """A herbrand or swan job builds phi once, and swan_conductor computes
+    one fixed space per positive jump: Z/8 with jumps 1, 4, 9 and the
+    Artin-Schreier job with jump 1."""
+    from ramify import ramification
+
+    calls = {"phi": 0, "fixed_dim": 0}
+    inside_swan = []
+    phi, fixed_dim, swan = ramification.herbrand_phi, ramification.Representation.fixed_dim, cli.swan_conductor
+
+    def counted_phi(filt):
+        calls["phi"] += 1
+        return phi(filt)
+
+    def counted_fixed_dim(rep, subset):
+        calls["fixed_dim"] += 1
+        return fixed_dim(rep, subset)
+
+    def counted_swan(rep, filt):
+        before = calls["fixed_dim"]
+        report = swan(rep, filt)
+        inside_swan.append((calls["fixed_dim"] - before, len(filt.positive_jumps())))
+        return report
+
+    for module in (ramification, cli):
+        monkeypatch.setattr(module, "herbrand_phi", counted_phi)
+    monkeypatch.setattr(ramification.Representation, "fixed_dim", counted_fixed_dim)
+    monkeypatch.setattr(cli, "swan_conductor", counted_swan)
+    z8 = _cyclic_table(8)
+    z8["break_table"]["iG"] = {str(x): 2 if x % 2 else 5 if x % 4 else 10 for x in range(1, 8)}
+    z8_swan = dict(z8, command="swan", rep={"ell": 17, "n": 1, "r": 1, "images": {"1": [[9]]}})
+    for job, jumps in ((dict(z8, command="herbrand"), None), (z8_swan, 3), (SWAN_JOB, 1)):
+        calls["phi"] = 0
+        inside_swan.clear()
+        code, _ = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+        assert code == 0 and calls["phi"] == 1
+        assert inside_swan == ([] if jumps is None else [(jumps, jumps)])
+
+
 def test_filtration_job_with_direct_break_table(capsys, monkeypatch):
     job = {
         "command": "filtration",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramify import cli
 from ramify.corpus import get_cover, get_representation
 from ramify.covers import BreakTable, build_artin_schreier, build_kummer, lower_break_table
 from ramify.errors import (
@@ -161,8 +162,9 @@ def _per_index_phi(subs):
 def test_filtration_at_jumps_matches_per_index_oracle(seed):
     """Z/n, n = 2^k * m (m = 1 or 3), p = 2: i = 1 off the 2-Sylow P and
     i = a_j >= 2 on the elements of order 2^j, a_1 >= a_2 >= ... (runs of
-    equal a_j and long gaps).  Filtration, phi, Swan and the quotient by
-    the order-2 subgroup agree with index-by-index constructions."""
+    equal a_j and long gaps).  Filtration, phi, the unit slopes of a
+    ``herbrand`` report, Swan and the quotient by the order-2 subgroup agree
+    with index-by-index constructions."""
     rng = random.Random(seed)
     k, m = rng.randint(1, 4), rng.choice((1, 3))
     n = 2 ** k * m
@@ -179,13 +181,20 @@ def test_filtration_at_jumps_matches_per_index_oracle(seed):
     assert filt.i_max == len(subs) - 2
     assert list(filt.jumps) == [u for u in range(len(subs) - 1) if subs[u] != subs[u + 1]]
     assert [filt.subgroup_at(i) for i in range(len(subs) + 3)] == subs + [subs[-1]] * 3
-    phi = herbrand_phi(filt)
-    assert (phi.breakpoints, phi.unit_slopes) == _per_index_phi(subs)
+    assert herbrand_phi(filt).breakpoints == _per_index_phi(subs)[0]
+    job = {"command": "herbrand", "base": {"p": 2, "a": 1}, "break_table": {
+        "labels": list(group.labels),
+        "mul_table": [list(row) for row in group.mul],
+        "iG": {group.labels[x]: v for x, v in i_map.items()},
+    }}
+    report, code = cli.run(job)
+    assert code == 0
+    assert tuple(report["results"]["phi"]["unit_slopes"]) == _per_index_phi(subs)[1]
     # A faithful character over F_97: 5 is a primitive root and n | 96.
     rep = character(group, field_create(97, 1), "g", pow(5, 96 // n, 97))
     assert swan_conductor(rep, filt).swan == swan_character_oracle(filt, rep)
     h = [0, n // 2]
-    _, bt_h, _ = restrict_break_table(bt, h)
+    bt_h = restrict_break_table(bt, h)
     phi_h = herbrand_phi(filtration_from_breaks(bt_h, 2))
     quot, proj = group.quotient(frozenset(h))
     psi_h = herbrand_psi(phi_h)
@@ -212,7 +221,7 @@ def test_phi_as_m3():
     phi = herbrand_phi(filt)
     assert phi.breakpoints[-1] == (Fraction(3), Fraction(3))
     assert phi.final_slope == Fraction(1, 2)
-    assert upper_jumps(filt) == (Fraction(3),)
+    assert upper_jumps(filt, phi) == (Fraction(3),)
 
 
 def test_phi_tame():
@@ -269,7 +278,7 @@ def test_phi_integer_point_formula_and_inverse(cover_id):
 def test_hasse_arf_on_abelian_fixtures():
     for cover_id in ("as_p2_m3", "tower_z6", "tower_z10", "kummer_p3_m2"):
         filt = filt_of(get_cover(cover_id))
-        assert hasse_arf_check(filt)
+        assert hasse_arf_check(filt, upper_jumps(filt, herbrand_phi(filt)))
 
 
 def test_hasse_arf_rejects_nonabelian():
@@ -279,7 +288,7 @@ def test_hasse_arf_rejects_nonabelian():
     bt = BreakTable(s3, {i: 1 for i in range(s3.n) if i != s3.identity})
     filt = filtration_from_breaks(bt, 5)
     with pytest.raises(NotAbelian):
-        hasse_arf_check(filt)
+        hasse_arf_check(filt, upper_jumps(filt, herbrand_phi(filt)))
 
 
 def _s3_matrices():
@@ -383,22 +392,21 @@ def test_single_break_formula():
     ):
         cover, rep, _ = get_representation(rep_id)
         filt = filt_of(cover)
-        phi = herbrand_phi(filt)
-        value = swan_single_break(rep, filt, phi)
+        value = swan_single_break(rep, filt)
         assert value == expected == swan_conductor(rep, filt).swan
+        assert value == herbrand_phi(filt).evaluate(filt.positive_jumps()[0]) * rep.r
 
 
 def test_single_break_preconditions():
     cover, chi, _ = get_representation("as_p2_m1.chi")
     _, triv, _ = get_representation("as_p2_m1.triv")
     filt = filt_of(cover)
-    phi = herbrand_phi(filt)
     with pytest.raises(PreconditionFailed):
-        swan_single_break(diagonal_sum(chi, triv), filt, phi)
+        swan_single_break(diagonal_sum(chi, triv), filt)
     tame_cover, tame_rep, _ = get_representation("kummer_p3_m2.chi")
     tame_filt = filt_of(tame_cover)
     with pytest.raises(PreconditionFailed):
-        swan_single_break(tame_rep, tame_filt, herbrand_phi(tame_filt))
+        swan_single_break(tame_rep, tame_filt)
 
 
 def test_representation_validation():
@@ -436,7 +444,7 @@ def test_transitivity_degenerate_layers():
     bt = lower_break_table(cover)
     filt = filtration_from_breaks(bt, cover.p)
     phi_full = herbrand_phi(filt)
-    sub, bt_h, _ = restrict_break_table(bt, range(cover.group.n))
+    bt_h = restrict_break_table(bt, range(cover.group.n))
     assert herbrand_phi(filtration_from_breaks(bt_h, cover.p)) == phi_full
 
 
@@ -444,7 +452,7 @@ def test_quotient_filtration_matches_tame_layer():
     cover = get_cover("tower_z6")
     bt = lower_break_table(cover)
     filt = filtration_from_breaks(bt, cover.p)
-    _, bt_h, _ = restrict_break_table(bt, cover.intermediate.H_indices)
+    bt_h = restrict_break_table(bt, cover.intermediate.H_indices)
     phi_h = herbrand_phi(filtration_from_breaks(bt_h, cover.p))
     quot = quotient_filtration_by_herbrand(filt, cover.intermediate.H_indices, phi_h)
     direct = filt_of(cover.intermediate.lower)
