@@ -10,8 +10,10 @@ error object is emitted), 2 a suite found a violated invariant.
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import bounds, corpus, verify
 from .corpus import COMMANDS
@@ -225,3 +227,21 @@ def main(argv=None) -> int:
         _emit({"error": {"type": err.code, "message": str(err)}}, output)
         return 1
 
+
+def exit_main() -> NoReturn:
+    """The ``ramify`` script and ``python -m ramify``: run ``main`` and end
+    the process with its code.
+
+    Once the report is written and stdout and stderr flush cleanly, nothing
+    is left for interpreter finalization to do: every file is written in a
+    ``with`` block, and ramify registers no ``atexit`` handler and starts no
+    thread or child process.  So the process ends at once by ``os._exit``.
+    A flush that raises (stdout a closed pipe) takes the normal exit instead,
+    which reports the unwritten output as it always has."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

@@ -332,19 +332,13 @@ def _raw() -> dict:
     return decode(resources.files("ramify").joinpath("data/corpus.json").read_bytes(), "the corpus")
 
 
-def cover_ids() -> list[str]:
-    return [c["id"] for c in _raw()["covers"]]
+def cover_ids(kinds: tuple[str, ...] | None = None) -> list[str]:
+    return [c["id"] for c in _raw()["covers"] if kinds is None or c["cover"]["type"] in kinds]
 
 
 def rep_ids(kinds: tuple[str, ...] | None = None) -> list[str]:
-    out = []
-    for entry in _raw()["representations"]:
-        if kinds is not None:
-            spec = _cover_spec(entry["cover"])["cover"]
-            if spec["type"] not in kinds:
-                continue
-        out.append(entry["id"])
-    return out
+    covers = set(cover_ids(kinds))
+    return [entry["id"] for entry in _raw()["representations"] if entry["cover"] in covers]
 
 
 def _cover_spec(cover_id: str) -> dict:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramify import cli, reporting, verify
+from ramify import bounds, cli, corpus, reporting, verify
 from ramify.bounds import ExplicitConstants
 from ramify.ramification import SwanReport
 from ramify.reporting import canonical_dumps
@@ -644,21 +645,114 @@ def test_one_walk_writes_the_bytes_of_two(job, digest):
     assert hashlib.sha256((text + "\n").encode("ascii")).hexdigest() == digest
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# Block-buffered stdout, as in a user's shell: the report is still in the
+# buffer when main returns, so an exit that skipped the flush would lose it.
+ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = SRC
+
+
 def test_cli_import_loads_no_introspection_modules():
     # -S keeps site-packages .pth hooks, which may import anything, out.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = (
         "import ramify.cli, sys; "
         "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=ENV,
         capture_output=True,
         text=True,
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def _python_m_ramify(argv, stdin=b"", stdout=subprocess.PIPE):
+    return subprocess.run(
+        [sys.executable, "-m", "ramify", *argv], input=stdin, env=ENV, stdout=stdout, stderr=subprocess.PIPE
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["run"], json.dumps(SWAN_JOB)),
+        (["run"], "{"),
+        (["verify", "claim1"], ""),
+        (["run", "--precision", "0"], ""),
+    ],
+    ids=["swan", "input-error", "suite", "usage-error"],
+)
+def test_python_m_ramify_prints_what_main_prints(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    proc = _python_m_ramify(argv, stdin.encode())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+
+
+def test_the_exit_keeps_a_violated_suites_code_two(capsys, monkeypatch):
+    rows = [{"name": "stub", "pass": False}]
+    monkeypatch.setitem(verify._SUITES, "counts", lambda options: rows)
+    code = cli.main(["verify", "counts"])
+    out = capsys.readouterr().out
+    probe = (
+        f"import sys; from ramify import cli, verify; verify._SUITES['counts'] = lambda options: {rows!r}; "
+        "sys.argv = ['ramify', 'verify', 'counts']; cli.exit_main()"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=ENV, capture_output=True)
+    assert code == 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+
+
+def test_a_large_report_goes_whole_through_a_pipe():
+    # The Z/128 corner of test_one_walk_writes_the_bytes_of_two: 2.7 MB.
+    proc = _python_m_ramify(["run"], json.dumps(_cyclic_table(128, 4096, "herbrand")).encode())
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "4cb0b6bb314ef61b0131bb929189503f27417dd7cd637cfb0fb1046396af5b47"
+    )
+
+
+def test_an_output_file_is_complete_when_the_process_ends(tmp_path):
+    target = tmp_path / "report.json"
+    proc = _python_m_ramify(["verify", "all", "--output", str(target)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "6b2a0314b0c18d4eed56dd5578ba6baa1cf97ecced8bdb17972395629c0e7b1c"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_a_closed_stdout_ends_as_a_normal_exit_does():
+    # A small report is still buffered when main returns; the flush into a
+    # pipe with no reader fails, and the interpreter's own exit reports it:
+    # status 120 and one "Exception ignored" note, no traceback.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python_m_ramify(["run"], json.dumps(SWAN_JOB).encode(), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert proc.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_a_job_leaves_no_exit_hook_and_no_thread():
+    # os._exit skips atexit handlers and does not wait for threads, so the
+    # exit is safe only while ramify registers and starts none.
+    probe = (
+        "import atexit, io, sys, threading; hooks = atexit._ncallbacks(); "
+        "from ramify import cli; "
+        f"sys.stdin = io.StringIO({json.dumps(SWAN_JOB)!r}); "
+        "codes = [cli.main(['run']), cli.main(['verify', 'all'])]; "
+        "print(codes, atexit._ncallbacks() - hooks, threading.active_count(), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, check=True)
+    assert proc.stderr == "[0, 0] 0 1\n"
 
 
 def test_a_huge_prime_base_is_refused_by_the_size_cap_first(capsys, monkeypatch):
@@ -845,6 +939,41 @@ def test_run_without_options_reads_the_job_alone():
     report, code = cli.run(job)
     assert code == 0
     assert report["results"]["degree"] == 3
+
+
+def test_transitivity_builds_only_the_towers(monkeypatch):
+    builds = []
+    build = corpus.build_cover
+
+    def counting(base, cfg, prec=None):
+        builds.append(cfg["type"])
+        return build(base, cfg, prec)
+
+    monkeypatch.setattr(corpus, "build_cover", counting)
+    # A cache of its own, empty, so that every cover the suite reads is built here.
+    monkeypatch.setattr(corpus, "get_cover", functools.lru_cache(maxsize=None)(corpus.get_cover.__wrapped__))
+    report, code = cli.run({"command": "verify", "params": {"suite": "transitivity"}})
+    assert code == 0
+    assert builds == ["tower", "tower"]  # the parent built all 10 corpus covers
+    assert hashlib.sha256((canonical_dumps(report) + "\n").encode("ascii")).hexdigest() == (
+        "a73d564b7bc6f9bcc6218f000785ccf5869971b4e9ccbb26e717a369ebf228f2"
+    )
+
+
+def test_verify_all_forms_each_inertia_structure_once(monkeypatch):
+    calls = []
+    form = bounds.inertia_structure
+
+    def counting(*args):
+        calls.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(bounds, "inertia_structure", counting)
+    verify._inertia_structure.cache_clear()
+    report, code = cli.run({"command": "verify", "params": {"suite": "all"}})
+    assert code == 0
+    # claim1 and claim2 read the same 17 structures; the parent formed 34.
+    assert len(calls) == len(corpus.rep_ids()) == 17
 
 
 def test_verify_all_runs_the_suites_in_their_listed_order(capsys):
