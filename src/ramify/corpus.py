@@ -25,9 +25,8 @@ from .covers import (
     build_compositum_tower,
     build_kummer,
     lower_break_table,
-    trivial_cover,
 )
-from .errors import InputSchemaError, RamifyError, SizeCapExceeded
+from .errors import InputSchemaError, NotGaloisOverBase, RamifyError, SizeCapExceeded
 from .fields import FieldElement, FiniteField, check_size_cap, field_create
 from .groups import FiniteGroup
 from .linalg import MatrixFF
@@ -218,6 +217,8 @@ def build_cover(base: FiniteField, cfg, prec: int | None = None) -> GaloisCover:
     if kind == "kummer":
         m = read_int(cfg.get("m"), "cover.m")
         _cap(m, GROUP_CAP, "the group order 'cover.m'")
+        if m < 2:
+            raise NotGaloisOverBase("tame degree must be at least 2")
         return build_kummer(base, m, prec=prec)
     if kind == "artin_schreier":
         _cap(base.p, GROUP_CAP, "the group order 'base.p'")
@@ -225,9 +226,7 @@ def build_cover(base: FiniteField, cfg, prec: int | None = None) -> GaloisCover:
     if kind == "tower":
         m = read_int(cfg.get("m"), "cover.m", 1)
         _cap(base.p * m, GROUP_CAP, "the group order 'base.p' * 'cover.m'")
-        f = _datum(base, cfg)
-        lower = build_kummer(base, m, prec=prec) if m >= 2 else trivial_cover(base)
-        return build_compositum_tower(lower, f, prec=prec)
+        return build_compositum_tower(base, m, _datum(base, cfg), prec=prec)
     raise InputSchemaError("'cover.type' must be 'artin_schreier', 'kummer' or 'tower'")
 
 

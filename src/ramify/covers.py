@@ -3,9 +3,9 @@
 Three families are built here, all totally ramified:
 
 * degree-p wild covers  y^p - y = f(t)  with a pole of order m prime to p,
-* tame cyclic covers    s^m = t         with gcd(m, p) = 1,
-* their composita       (group Z/p x Z/m), with the tame layer marked as an
-  intermediate field.
+* tame cyclic covers    s^m = t         with m | p^a - 1 (m = 1: K itself),
+* their composita       (group Z/p x Z/m), which build their tame layer
+  and keep it marked as an intermediate field.
 
 For the wild family the uniformizer is s = t^a * y^b where a*p - b*m = 1
 and b is the least non-negative solution.  The expansion of t in s is
@@ -59,7 +59,6 @@ class GaloisCover:
         "group",
         "t_in_s",
         "sigma_action",
-        "kind",
         "prec",
         "intermediate",
         "_rebuild",
@@ -72,7 +71,6 @@ class GaloisCover:
         group: FiniteGroup,
         t_in_s: LaurentSeries,
         sigma_action: dict[int, LaurentSeries],
-        kind: str,
         prec: int,
         intermediate: TowerParts | None = None,
         rebuild: Callable[[int], "GaloisCover"] | None = None,
@@ -82,7 +80,6 @@ class GaloisCover:
         self.group = group
         self.t_in_s = t_in_s
         self.sigma_action = dict(sigma_action)
-        self.kind = kind
         self.prec = prec
         self.intermediate = intermediate
         self._rebuild = rebuild
@@ -93,7 +90,7 @@ class GaloisCover:
         return self._rebuild(prec)
 
     def __repr__(self) -> str:
-        return f"GaloisCover({self.kind}, degree={self.group.n})"
+        return f"GaloisCover(degree={self.group.n})"
 
 
 class BreakTable:
@@ -303,7 +300,6 @@ def _artin_schreier(
         group=group,
         t_in_s=t_in_s,
         sigma_action=action,
-        kind="artin_schreier",
         prec=target,
         rebuild=lambda pr, _base=base, _f=f: build_artin_schreier(_base, _f, prec=pr),
     )
@@ -315,38 +311,19 @@ def _artin_schreier(
 
 
 def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCover:
-    """Tame cover s^m = t; requires the m-th roots of unity in the base."""
-    if m < 2:
-        raise NotGaloisOverBase("tame degree must be at least 2")
+    """Tame cover s^m = t, the identity extension when m = 1; requires the
+    m-th roots of unity in the base."""
+    if m < 1:
+        raise NotGaloisOverBase("tame degree must be at least 1")
     zeta = base.root_of_unity(m)
-    group = FiniteGroup.cyclic(m, "tau")
-    t_in_s = LaurentSeries.monomial(base, base.one(), m)
-    action = {
-        k: LaurentSeries.monomial(base, zeta ** k, 1) for k in range(m)
-    }
+    action = {k: LaurentSeries.monomial(base, zeta ** k, 1) for k in range(m)}
     return GaloisCover(
         base_field=base,
-        group=group,
-        t_in_s=t_in_s,
+        group=FiniteGroup.cyclic(m, "tau"),
+        t_in_s=LaurentSeries.monomial(base, base.one(), m),
         sigma_action=action,
-        kind="kummer",
         prec=prec if prec is not None else DEFAULT_PRECISION,
         rebuild=lambda pr, _base=base, _m=m: build_kummer(_base, _m, prec=pr),
-    )
-
-
-def trivial_cover(base: FiniteField) -> GaloisCover:
-    """The identity extension; used as the degenerate tame layer."""
-    group = FiniteGroup.cyclic(1, "tau")
-    s_mono = LaurentSeries.uniformizer(base)
-    return GaloisCover(
-        base_field=base,
-        group=group,
-        t_in_s=s_mono,
-        sigma_action={0: s_mono},
-        kind="trivial",
-        prec=DEFAULT_PRECISION,
-        rebuild=lambda pr, _base=base: trivial_cover(_base),
     )
 
 
@@ -355,13 +332,15 @@ def trivial_cover(base: FiniteField) -> GaloisCover:
 
 
 def build_compositum_tower(
-    lower: GaloisCover, upper_f: LaurentSeries, prec: int | None = None
+    base: FiniteField, m: int, upper_f: LaurentSeries, prec: int | None = None
 ) -> GaloisCover:
-    """Compositum of a tame layer K'/K with a wild layer pulled back from K.
+    """Compositum of the tame layer s'^m = t, built by ``build_kummer``, with
+    the wild layer y^p - y = upper_f pulled back from K.
 
     The result is Galois over K with group Z/p x Z/m; the tame layer stays
     marked so transitivity and pullback statements can be tested against it.
-    The work is checked against the precision cap before any series work.
+    It is built first, so missing roots of unity are refused before the work
+    is checked against the precision cap, and both before any series work.
 
     Self-checks: the wild layer's build checks that sigma: F -> F(action[m])
     (its sigma_action[1]) fixes s' and sends y to y + 1; for m > 1, two
@@ -376,23 +355,18 @@ def build_compositum_tower(
     stretch, so as in ``build_artin_schreier`` the law holds mod s^(1 + R)
     and t is fixed mod s^(p m + R), R the wild layer's relative precision.
     """
-    if lower.kind not in ("kummer", "trivial"):
-        raise NotGaloisOverBase("lower layer must be a tame cyclic cover")
-    base = lower.base_field
+    lower = build_kummer(base, m, prec=prec)
     if upper_f.field != base:
         raise NotGaloisOverBase("wild datum is not over the base field")
-    m = lower.group.n
     p = base.p
     _check_work(p, upper_f, prec, tame=m)
-    zeta = base.root_of_unity(m) if m > 1 else base.one()  # only zeta^0 when m = 1
+    zeta = base.root_of_unity(m)
 
-    pulled = compose(upper_f, LaurentSeries.monomial(base, base.one(), m))
+    pulled = compose(upper_f, lower.t_in_s)
     upper, y_in_s, a_exp = _artin_schreier(base, pulled, prec)
     s_prime = upper.t_in_s
 
-    group = FiniteGroup.direct_product(
-        FiniteGroup.cyclic(p, "sigma"), FiniteGroup.cyclic(m, "tau")
-    )
+    group = FiniteGroup.direct_product(upper.group, lower.group)
     t_in_s = s_prime ** m
     if t_in_s.valuation() != p * m:
         raise MismatchDetected("base uniformizer has wrong valuation in the tower")
@@ -412,11 +386,10 @@ def build_compositum_tower(
         group=group,
         t_in_s=t_in_s,
         sigma_action=action,
-        kind="tower",
         prec=upper.prec,
         intermediate=TowerParts(lower, tuple(range(0, p * m, m))),
-        rebuild=lambda pr, _lo=lower, _f=upper_f: build_compositum_tower(
-            _lo, _f, prec=pr
+        rebuild=lambda pr, _base=base, _m=m, _f=upper_f: build_compositum_tower(
+            _base, _m, _f, prec=pr
         ),
     )
 

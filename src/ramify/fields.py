@@ -320,12 +320,12 @@ class FiniteField:
         return self._generator
 
     def root_of_unity(self, m: int) -> "FieldElement":
-        """A fixed primitive m-th root of unity; requires m | p^a - 1."""
+        """A fixed primitive m-th root of unity (one for m = 1); requires m | p^a - 1."""
         if m < 1 or (self.order - 1) % m != 0:
             raise MissingRootsOfUnity(
                 f"F_{self.p}^{self.a} has no primitive {m}-th roots of unity"
             )
-        return self.generator() ** ((self.order - 1) // m)
+        return self.one() if m == 1 else self.generator() ** ((self.order - 1) // m)
 
 
 class FieldElement:

@@ -28,7 +28,7 @@ from .linalg import MatrixFF, fixed_dim
 
 
 def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
-    return g.n == h.n and g.mul == h.mul and g.labels == h.labels
+    return g is h or (g.n == h.n and g.mul == h.mul and g.labels == h.labels)
 
 
 # ---------------------------------------------------------------------------

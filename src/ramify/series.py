@@ -32,10 +32,10 @@ blocks reduces once a step.  The pole factor is one ``power`` of the
 inverse.  An exact monomial g is a coefficient stretch.  The result equals
 Horner's under ==, precision included; ``compose`` gives the argument.
 
-The working default is 64 known terms; operations that need a nonzero
-coefficient escalate geometrically up to a cap (4096, overridable through
-the RAMIFY_PRECISION_CAP environment variable, which must then be a positive
-integer) before giving up.
+The working default is 64 known terms.  ``precision_cap`` (4096, or the
+positive integer in RAMIFY_PRECISION_CAP) bounds cover builds and job
+fields; only ``covers.lower_break_table`` escalates precision, doubling it
+up to the cap before giving up.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ DEFAULT_PRECISION_CAP = 4096
 
 
 def precision_cap() -> int:
-    """Hard ceiling for automatic precision escalation: RAMIFY_PRECISION_CAP
+    """Hard ceiling for builds, job fields and escalation: RAMIFY_PRECISION_CAP
     if set, in ASCII decimal digits and at least 1, as --precision."""
     raw = os.environ.get("RAMIFY_PRECISION_CAP")
     if raw is None:
@@ -115,6 +115,12 @@ def _unpack(value: int, count: int, size: int) -> Sequence[int]:
     return memoryview(data).cast(code)
 
 
+def _unpack_keys(field: FiniteField, value: int, full: int, m: int, width: int, size: int) -> list[int]:
+    """Keys of the first m of the ``full`` coefficients in value, in ``_pack``'s slots."""
+    slots = _unpack(value, full * width, size)
+    return field.keys_from_columns([slots[k : m * width : width] for k in range(width)])
+
+
 def _mul_keys(field: FiniteField, xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
     """Keys of the first n coefficients of the product of two key windows."""
     square = xs is ys
@@ -129,9 +135,7 @@ def _mul_keys(field: FiniteField, xs: Sequence[int], ys: Sequence[int], n: int) 
     y = x if square else _pack(field, ys, width, size)
     full = len(xs) + len(ys) - 1
     m = min(n, full)
-    slots = _unpack(x * y, full * width, size)
-    keys = field.keys_from_columns([slots[k : m * width : width] for k in range(width)])
-    return keys + [0] * (n - m)
+    return _unpack_keys(field, x * y, full, m, width, size) + [0] * (n - m)
 
 
 def _inverse_keys(field: FiniteField, u: Sequence[int], n: int) -> list[int]:
@@ -467,22 +471,18 @@ def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> L
         """sum_j keys[ik + j] g^j, packed: small-int multiples of the packs."""
         return sum(c * x for c, x in zip(scalars[i * k : i * k + k], packs) if c)
 
-    def read(value: int, full: int, m: int) -> list[int]:
-        """Keys of the first m of the ``full`` coefficients packed in value."""
-        slots = _unpack(value, full * width, size)
-        return field.keys_from_columns([slots[j : m * width : width] for j in range(width)])
-
     # Giant steps: Horner in g^k over the blocks, one reduction a step.
     count = -(-n // k)
     reach = max(map(len, windows[:k]))  # coefficients a block can fill
-    acc = read(block(count - 1), reach, reach)
+    acc = _unpack_keys(field, block(count - 1), reach, reach, width, size)
     if count > 1:
         giant = windows[k]
         packed = _pack(field, giant, width, size)
         for i in range(count - 2, -1, -1):
             full = max(len(acc) + len(giant) - 1, reach)
             m = full if ap is None else ap
-            acc = read(_pack(field, acc, width, size) * packed + block(i), full, m)
+            value = _pack(field, acc, width, size) * packed + block(i)
+            acc = _unpack_keys(field, value, full, m, width, size)
     return LaurentSeries._from_keys(field, 0, acc, ap)
 
 

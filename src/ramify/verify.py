@@ -11,11 +11,12 @@ import random
 from functools import lru_cache
 
 from . import bounds, corpus
-from .covers import lower_break_table
+from .covers import GaloisCover, lower_break_table
 from .errors import InconsistentCounts, UnknownSuite
 from .fields import split_prime_power
 from .groups import FiniteGroup, abelian_p_bound_probe, max_ell_element_order
 from .ramification import (
+    RamFiltration,
     filtration_from_breaks,
     hasse_arf_check,
     herbrand_phi,
@@ -47,11 +48,16 @@ def suite_lemma_pullback(options) -> list[dict]:
     return instances
 
 
+@lru_cache(maxsize=None)
+def _filtration(cover: GaloisCover) -> RamFiltration:
+    """A corpus cover's filtration, formed once a process for `hasse_arf` and `claim2`."""
+    return filtration_from_breaks(lower_break_table(cover), cover.p)
+
+
 def suite_hasse_arf(options) -> list[dict]:
     instances = []
     for cover_id in corpus.cover_ids():
-        cover = corpus.get_cover(cover_id)
-        filt = filtration_from_breaks(lower_break_table(cover), cover.p)
+        filt = _filtration(corpus.get_cover(cover_id))
         jumps = upper_jumps(filt, herbrand_phi(filt))
         integral = hasse_arf_check(filt, jumps)
         instances.append(
@@ -125,7 +131,7 @@ def suite_claim2(options) -> list[dict]:
     instances = []
     for rep_id in corpus.rep_ids():
         cover, rep, big_n = corpus.get_representation(rep_id)
-        filt = filtration_from_breaks(lower_break_table(cover), cover.p)
+        filt = _filtration(cover)
         structure = _inertia_structure(rep_id)
         tame = bounds.tameizing_subgroup(structure)
         wild = bounds.wild_order_bound_check(

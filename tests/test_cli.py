@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramify import bounds, cli, corpus, reporting, verify
+from ramify import bounds, cli, corpus, ramification, reporting, verify
 from ramify.bounds import ExplicitConstants
 from ramify.ramification import SwanReport
 from ramify.reporting import canonical_dumps
@@ -974,6 +974,65 @@ def test_verify_all_forms_each_inertia_structure_once(monkeypatch):
     assert code == 0
     # claim1 and claim2 read the same 17 structures; the parent formed 34.
     assert len(calls) == len(corpus.rep_ids()) == 17
+
+
+def test_verify_all_forms_each_cover_filtration_once(monkeypatch):
+    counts = {"lower_break_table": 0, "filtration_from_breaks": 0}
+    for module in (verify, ramification):
+        for name in counts:
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    verify._filtration.cache_clear()
+    report, code = cli.run({"command": "verify", "params": {"suite": "all"}})
+    assert code == 0
+    # hasse_arf forms the 10 corpus covers' filtrations and claim2 reads
+    # them; lemma_pullback and transitivity keep their own (8 and 4 break
+    # tables, 16 and 6 filtrations).  The parent made 39 and 49.
+    assert len(corpus.cover_ids()) == 10
+    assert counts == {"lower_break_table": 22, "filtration_from_breaks": 32}
+    assert hashlib.sha256((canonical_dumps(report) + "\n").encode("ascii")).hexdigest() == (
+        "6b2a0314b0c18d4eed56dd5578ba6baa1cf97ecced8bdb17972395629c0e7b1c"
+    )
+
+
+# A kummer job of degree 1 or 0, a tower with no tame layer, and an F_2 tower
+# that lacks the cube roots of unity and whose pole 3 * 4095 is over the cap:
+# the missing roots are reported, not the cap.
+@pytest.mark.parametrize(
+    "job,code,digest",
+    [
+        (
+            {"command": "filtration", "base": {"p": 2, "a": 2}, "cover": {"type": "kummer", "m": 1}},
+            1,
+            "22b7a913003dc1b0b30b11da2bbe27b38afb61002fe308bbe2b40a09d2cf268d",
+        ),
+        (
+            {"command": "filtration", "base": {"p": 2, "a": 2}, "cover": {"type": "kummer", "m": 0}},
+            1,
+            "22b7a913003dc1b0b30b11da2bbe27b38afb61002fe308bbe2b40a09d2cf268d",
+        ),
+        (
+            {"command": "herbrand", "base": {"p": 2, "a": 1}, "cover": {"type": "tower", "m": 1, "f": [[-1, [1]]]}},
+            0,
+            "ff009be96ce9f449f35a589118f9c3a9264a14790c0a21c27adf2f8fc385c7c1",
+        ),
+        (
+            {"command": "filtration", "base": {"p": 2, "a": 1}, "cover": {"type": "tower", "m": 3, "f": [[-4095, [1]]]}},
+            1,
+            "ad6eccf4978a3307dc9c8c1f242fa63182e84053b08f50e0f749800649593312",
+        ),
+    ],
+    ids=["kummer-m1", "kummer-m0", "tower-m1", "tower-missing-roots-over-cap"],
+)
+def test_tame_layer_edge_jobs_keep_their_bytes(job, code, digest, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    assert cli.main(["run"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
 def test_verify_all_runs_the_suites_in_their_listed_order(capsys):

@@ -12,7 +12,6 @@ from ramify.covers import (
     build_compositum_tower,
     build_kummer,
     lower_break_table,
-    trivial_cover,
 )
 from ramify.errors import (
     InputSchemaError,
@@ -86,8 +85,7 @@ def test_artin_schreier_nonunit_leading_coeff(field, p, m, terms):
 
 
 def test_tower_with_nonunit_coefficient():
-    kum = build_kummer(F4, 3)
-    tower = build_compositum_tower(kum, as_sparse(F4, [[-1, [0, 1]]]), prec=24)
+    tower = build_compositum_tower(F4, 3, as_sparse(F4, [[-1, [0, 1]]]), prec=24)
     by_label = lower_break_table(tower).by_label()
     assert by_label["sigma"] == 4
     assert by_label["tau"] == 1
@@ -148,9 +146,30 @@ def test_kummer_examples():
         build_kummer(F2, 3)
 
 
+def test_kummer_of_degree_one_is_the_identity_extension():
+    cover = build_kummer(F4, 1)
+    assert cover.group.n == 1 and cover.group.labels == ("1",)
+    s = LaurentSeries.uniformizer(F4)
+    assert cover.t_in_s == cover.sigma_action[0] == s
+    assert lower_break_table(cover).i_map == {}
+
+
+def test_tame_degree_zero_is_refused():
+    with pytest.raises(NotGaloisOverBase):
+        build_kummer(F4, 0)
+    with pytest.raises(NotGaloisOverBase):
+        build_compositum_tower(F4, 0, as_sparse(F4, [[-1, [1, 0]]]))
+
+
+def test_tower_refuses_missing_roots_before_the_precision_cap():
+    # Both faults at once: F_2 has no cube root of unity, and the pole 3 * 4095
+    # is over the cap.  The tame layer is built first, so its error wins.
+    with pytest.raises(MissingRootsOfUnity):
+        build_compositum_tower(F2, 3, as_sparse(F2, [[-4095, [1]]]))
+
+
 def test_tower_z6_breaks():
-    kum = build_kummer(F4, 3)
-    tower = build_compositum_tower(kum, as_sparse(F4, [[-1, [1, 0]]]), prec=24)
+    tower = build_compositum_tower(F4, 3, as_sparse(F4, [[-1, [1, 0]]]), prec=24)
     assert tower.group.n == 6
     bt = lower_break_table(tower)
     by_label = bt.by_label()
@@ -165,8 +184,7 @@ def test_tower_z6_breaks():
 
 
 def test_tower_z10_breaks():
-    kum = build_kummer(F5, 2)
-    tower = build_compositum_tower(kum, as_sparse(F5, [[-1, [1]]]), prec=24)
+    tower = build_compositum_tower(F5, 2, as_sparse(F5, [[-1, [1]]]), prec=24)
     bt = lower_break_table(tower).by_label()
     for j in (1, 2, 3, 4):
         label = "sigma" if j == 1 else f"sigma^{j}"
@@ -175,9 +193,7 @@ def test_tower_z10_breaks():
 
 
 def test_tower_degenerate_tame_layer():
-    tower = build_compositum_tower(
-        trivial_cover(F2), as_sparse(F2, [[-1, [1]]]), prec=16
-    )
+    tower = build_compositum_tower(F2, 1, as_sparse(F2, [[-1, [1]]]), prec=16)
     plain = build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=16)
     assert lower_break_table(tower).by_label() == lower_break_table(plain).by_label()
     assert tower.intermediate is not None
@@ -187,26 +203,17 @@ def test_tower_degenerate_tame_layer():
 def test_tower_reducible_pullback_still_builds():
     # f = t^-2 pulled back through degree 3 has pole order 6; reduction
     # inside the wild layer brings it to 3 and the tower still closes up.
-    kum = build_kummer(F4, 3)
-    tower = build_compositum_tower(kum, as_sparse(F4, [[-2, [1, 0]]]), prec=24)
+    tower = build_compositum_tower(F4, 3, as_sparse(F4, [[-2, [1, 0]]]), prec=24)
     assert lower_break_table(tower).by_label()["sigma"] == 4
 
 
 def test_tower_trivializing_pullback_rejected():
-    kum = build_kummer(F4, 3)
     with pytest.raises(PoleOrderDivisibleByP):
-        build_compositum_tower(kum, as_sparse(F4, [[-2, [1, 0]], [-1, [1, 0]]]), prec=24)
-
-
-def test_tower_requires_tame_lower_layer():
-    wild = build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=16)
-    with pytest.raises(NotGaloisOverBase):
-        build_compositum_tower(wild, as_sparse(F2, [[-1, [1]]]))
+        build_compositum_tower(F4, 3, as_sparse(F4, [[-2, [1, 0]], [-1, [1, 0]]]), prec=24)
 
 
 def test_break_table_is_class_function():
-    kum = build_kummer(F4, 3)
-    tower = build_compositum_tower(kum, as_sparse(F4, [[-1, [1, 0]]]), prec=24)
+    tower = build_compositum_tower(F4, 3, as_sparse(F4, [[-1, [1, 0]]]), prec=24)
     bt = lower_break_table(tower)
     g = tower.group
     for t in range(g.n):
@@ -255,7 +262,7 @@ def _break_table_groups():
     z7_z3 = group_closure(
         [MatrixFF.from_int_rows(F7, [[2, 0], [0, 1]]), MatrixFF.from_int_rows(F7, [[1, 1], [0, 1]])]
     )
-    tower = build_compositum_tower(build_kummer(F4, 3), as_sparse(F4, [[-1, [1, 0]]]), prec=24)
+    tower = build_compositum_tower(F4, 3, as_sparse(F4, [[-1, [1, 0]]]), prec=24)
     return [s3, z7_z3, tower.group]
 
 
@@ -299,7 +306,6 @@ def test_precision_escalation_rebuilds_cover():
         group=base.group,
         t_in_s=base.t_in_s,
         sigma_action={i: a.truncate(3) for i, a in base.sigma_action.items()},
-        kind=base.kind,
         prec=4,
         rebuild=base._rebuild,
     )
@@ -314,7 +320,6 @@ def test_precision_cap_respected(monkeypatch):
         group=base.group,
         t_in_s=base.t_in_s,
         sigma_action={i: a.truncate(3) for i, a in base.sigma_action.items()},
-        kind=base.kind,
         prec=4,
         rebuild=base._rebuild,
     )
@@ -343,12 +348,11 @@ def test_no_built_cover_is_rebuilt(monkeypatch):
                 built.append(build_artin_schreier(field, f, prec=prec))
     for field, tame in ((F4, (1, 3)), (F9, (1, 2, 4, 8))):
         for m in tame:
-            lower = trivial_cover(field) if m == 1 else build_kummer(field, m)
             for pole in (1, 2, 4, 5, 7):
                 if pole % field.p == 0:
                     continue
                 for prec in (1, 8, None):
-                    built.append(build_compositum_tower(lower, as_sparse(field, [[-pole, [1]]]), prec=prec))
+                    built.append(build_compositum_tower(field, m, as_sparse(field, [[-pole, [1]]]), prec=prec))
     for cover_id in corpus.cover_ids():
         cover = corpus.get_cover(cover_id)
         built.append(cover)
@@ -380,9 +384,9 @@ def _no_series_work(*args, **kwargs):
         lambda: build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=DEFAULT_PRECISION_CAP + 1),
         lambda: build_artin_schreier(F2, as_sparse(F2, [[-4091, [1]]])),
         lambda: build_artin_schreier(F2, as_sparse(F2, [[-4096, [1]]])),
-        lambda: build_compositum_tower(trivial_cover(F2), as_sparse(F2, [[-1, [1]]]), prec=10 ** 8),
-        lambda: build_compositum_tower(trivial_cover(F2), as_sparse(F2, [[-4091, [1]]])),
-        lambda: build_compositum_tower(build_kummer(F4, 3), as_sparse(F4, [[-1364, [1]]])),
+        lambda: build_compositum_tower(F2, 1, as_sparse(F2, [[-1, [1]]]), prec=10 ** 8),
+        lambda: build_compositum_tower(F2, 1, as_sparse(F2, [[-4091, [1]]])),
+        lambda: build_compositum_tower(F4, 3, as_sparse(F4, [[-1364, [1]]])),
     ],
 )
 def test_builders_refuse_work_over_the_cap_before_any_series_work(build, monkeypatch):
@@ -402,7 +406,7 @@ def test_builders_allow_the_largest_window_and_precision_under_the_cap(monkeypat
         with pytest.raises(AssertionError, match="series work"):
             build_artin_schreier(F2, as_sparse(F2, f), prec=prec)
     with pytest.raises(AssertionError, match="series work"):
-        build_compositum_tower(build_kummer(F4, 3), as_sparse(F4, [[-1363, [1]]]))
+        build_compositum_tower(F4, 3, as_sparse(F4, [[-1363, [1]]]))
 
 
 def test_raising_the_precision_cap_lets_a_pole_order_through(monkeypatch):
@@ -507,8 +511,7 @@ def test_artin_schreier_at_precision_2048_runs_every_self_check(monkeypatch):
 @pytest.mark.parametrize("field,tame", [(F4, 3), (F2, 1), (field_create(7, 1), 3)])
 def test_tower_runs_every_self_check(monkeypatch, field, tame):
     calls = _counting_compose(monkeypatch)
-    lower = build_kummer(field, tame) if tame > 1 else trivial_cover(field)
-    tower = build_compositum_tower(lower, as_sparse(field, [[-1, [1]]]), prec=24)
+    tower = build_compositum_tower(field, tame, as_sparse(field, [[-1, [1]]]), prec=24)
     # Pull-back of the datum, the wild layer's own build (relation, s'
     # fixed, y -> y + 1), and the tame generator's action on s' and y when
     # tame > 1.  The group law and t fixed they imply are checked here.

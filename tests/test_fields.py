@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ramify.errors import FieldMismatch, NotPrime, SizeCapExceeded, ZeroElement
+from ramify.errors import FieldMismatch, MissingRootsOfUnity, NotPrime, SizeCapExceeded, ZeroElement
 from ramify.fields import (
     canonical_modulus,
     field_create,
@@ -95,6 +95,16 @@ def test_field_axioms_exhaustive_up_to_64_via_int_tables(p, a):
             for k in range(n):
                 assert add[add[i][j]][k] == add[i][add[j][k]]
                 assert mul[mul[i][j]][k] == mul[i][mul[j][k]]
+
+
+def test_root_of_unity_of_order_one_needs_no_generator(monkeypatch):
+    F25 = field_create(5, 2)
+    assert F25.root_of_unity(24).multiplicative_order() == 24
+    monkeypatch.setattr(type(F25), "generator", lambda self: pytest.fail("generator search"))
+    assert F25.root_of_unity(1) == F25.one()
+    for m in (0, 5):
+        with pytest.raises(MissingRootsOfUnity):
+            F25.root_of_unity(m)
 
 
 def test_multiplicative_order_examples():

@@ -430,12 +430,10 @@ def test_transitivity_z6_and_z10():
 
 def test_transitivity_degenerate_layers():
     # Trivial tame layer: phi_full == phi_upper.
-    from ramify.covers import build_compositum_tower, trivial_cover
+    from ramify.covers import build_compositum_tower
     from ramify.series import LaurentSeries
 
-    tower = build_compositum_tower(
-        trivial_cover(F2), LaurentSeries.from_sparse(F2, [[-1, [1]]]), prec=16
-    )
+    tower = build_compositum_tower(F2, 1, LaurentSeries.from_sparse(F2, [[-1, [1]]]), prec=16)
     report = phi_transitivity_check(tower)
     assert all(r == 0 for r in report.residuals)
     # Trivial wild layer: restricting to the full group makes phi_upper the
@@ -480,12 +478,10 @@ def test_pullback_trivial_rep_and_degree_one():
     report = pullback_bound_check(cover, triv)
     assert report.sw_base == report.sw_prime == 0 and report.holds
 
-    from ramify.covers import build_compositum_tower, trivial_cover
+    from ramify.covers import build_compositum_tower
     from ramify.series import LaurentSeries
 
-    degenerate = build_compositum_tower(
-        trivial_cover(F2), LaurentSeries.from_sparse(F2, [[-1, [1]]]), prec=16
-    )
+    degenerate = build_compositum_tower(F2, 1, LaurentSeries.from_sparse(F2, [[-1, [1]]]), prec=16)
     chi = character(degenerate.group, F3, "sigma", 2)
     report = pullback_bound_check(degenerate, chi)
     assert report.degree == 1

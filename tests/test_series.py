@@ -210,9 +210,7 @@ def test_one_pass_lift_matches_the_two_pass_oracle(monkeypatch):
 
     monkeypatch.setattr(covers, "hensel_lift_root", spy)
     F4 = field_create(2, 2)
-    covers.build_compositum_tower(
-        covers.build_kummer(F4, 3), sparse(F4, [[-1, [0, 1]], [0, [1, 1]]]), prec=64
-    )
+    covers.build_compositum_tower(F4, 3, sparse(F4, [[-1, [0, 1]], [0, [1, 1]]]), prec=64)
     assert len(cases) == 16 * 3 + 1
     for coeffs, x0, target in cases:
         root = hensel_lift_root(coeffs, x0, target)
