@@ -174,8 +174,7 @@ def jordan_bound(r: int, table: dict[int, int] | None = None) -> int:
 class ExplicitConstants(NamedTuple):
     N_prime: int
     M0: int
-    M_crude: int | None
-    M_crude_descriptor: tuple[int, str] | None
+    M_crude: int | None  # M0!, or None when it stays symbolic
 
     def crude_at_least(self, value: int) -> bool:
         """Whether the crude bound M0! is >= value, exactly.
@@ -225,8 +224,8 @@ def explicit_constants(
     check_digit_limit("constants.M0", lambda limit: bits >= (10 ** limit).bit_length())
     m0 = r * p ** n_prime * J
     if m0 <= FACTORIAL_CAP:
-        return ExplicitConstants(n_prime, m0, math.factorial(m0), None)
-    return ExplicitConstants(n_prime, m0, None, (m0, "factorial"))
+        return ExplicitConstants(n_prime, m0, math.factorial(m0))
+    return ExplicitConstants(n_prime, m0, None)
 
 
 # ---------------------------------------------------------------------------

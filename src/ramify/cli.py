@@ -129,7 +129,7 @@ def _cmd_bound(job: dict, params: dict, options: dict):
             "M0": _printable("constants.M0", consts.M0),
             "M_crude": _printable("constants.M_crude", consts.M_crude)
             if consts.M_crude is not None
-            else list(consts.M_crude_descriptor),
+            else [consts.M0, "factorial"],
         },
         "wild_bound": {
             "swan": wild.swan,

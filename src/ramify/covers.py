@@ -24,7 +24,7 @@ imply the group law and invariance of t, which the tests check in full.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     MismatchDetected,
@@ -50,7 +50,9 @@ class GaloisCover:
 
     ``sigma_action[i]`` is the series sigma_i(s) in s; ``t_in_s`` expresses
     the base uniformizer in s and is fixed by the whole group.  Every cover
-    is totally ramified, so e = [L:K] = ``group.n``.
+    is totally ramified, so e = [L:K] = ``group.n``.  ``prec`` is the build
+    precision: the wild layer's working precision N, or the one a Kummer
+    cover was asked for.
     """
 
     __slots__ = (
@@ -61,7 +63,6 @@ class GaloisCover:
         "sigma_action",
         "prec",
         "intermediate",
-        "_rebuild",
     )
 
     def __init__(
@@ -73,7 +74,6 @@ class GaloisCover:
         sigma_action: dict[int, LaurentSeries],
         prec: int,
         intermediate: TowerParts | None = None,
-        rebuild: Callable[[int], "GaloisCover"] | None = None,
     ):
         self.base_field = base_field
         self.p = base_field.p
@@ -82,12 +82,11 @@ class GaloisCover:
         self.sigma_action = dict(sigma_action)
         self.prec = prec
         self.intermediate = intermediate
-        self._rebuild = rebuild
 
     def rebuild(self, prec: int) -> "GaloisCover":
-        if self._rebuild is None:
-            raise PrecisionExhausted("cover cannot be rebuilt at higher precision")
-        return self._rebuild(prec)
+        """Always raises (see ``lower_break_table``); kept only while
+        ``perfbench/tracer.py`` wraps this name."""
+        raise PrecisionExhausted("cover cannot be rebuilt at higher precision")
 
     def __repr__(self) -> str:
         return f"GaloisCover(degree={self.group.n})"
@@ -301,7 +300,6 @@ def _artin_schreier(
         t_in_s=t_in_s,
         sigma_action=action,
         prec=target,
-        rebuild=lambda pr, _base=base, _f=f: build_artin_schreier(_base, _f, prec=pr),
     )
     return cover, y_in_s, a_exp
 
@@ -323,7 +321,6 @@ def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCo
         t_in_s=LaurentSeries.monomial(base, base.one(), m),
         sigma_action=action,
         prec=prec if prec is not None else DEFAULT_PRECISION,
-        rebuild=lambda pr, _base=base, _m=m: build_kummer(_base, _m, prec=pr),
     )
 
 
@@ -388,9 +385,6 @@ def build_compositum_tower(
         sigma_action=action,
         prec=upper.prec,
         intermediate=TowerParts(lower, tuple(range(0, p * m, m))),
-        rebuild=lambda pr, _base=base, _m=m, _f=upper_f: build_compositum_tower(
-            _base, _m, _f, prec=pr
-        ),
     )
 
 
@@ -398,7 +392,24 @@ def build_compositum_tower(
 # Break data.
 
 
-def _break_table_once(cover: GaloisCover) -> BreakTable:
+def lower_break_table(cover: GaloisCover) -> BreakTable:
+    """Break numbers i(sigma) = v_L(sigma(s) - s), read once at the build
+    precision.  A break that does not show raises ``PrecisionExhausted``,
+    which no built cover reaches, as each sigma(s) - s is known past its
+    valuation:
+
+    * Artin-Schreier, pole m: the working precision is N >= p + m + 4, so
+      R = N - p >= m + 4, and action[i] is known mod s^(1 + R)
+      (``build_artin_schreier``).  Every break is m + 1 <= R.
+    * Kummer: each action is the exact monomial zeta^k s, so
+      sigma(s) - s = (zeta^k - 1) s is exact and nonzero for k != 0.
+    * Tower: the wild layer is the same build on the pulled-back f, of pole
+      M = m * pole, so its breaks M + 1 show (k = 0).  Action (j, k) is
+      zeta^(ak) sigma_j(s), and for k != 0 its difference
+      (zeta^(ak) - 1) s + zeta^(ak) (sigma_j(s) - s) has valuation exactly
+      1: the last term has valuation >= 2 and is known mod s^(1 + R), and
+      a p - b M = 1 gives gcd(a, m) = 1, so zeta^(ak) != 1.
+    """
     s_mono = LaurentSeries.uniformizer(cover.base_field)
     i_map: dict[int, int] = {}
     for i in range(cover.group.n):
@@ -413,17 +424,3 @@ def _break_table_once(cover: GaloisCover) -> BreakTable:
             )
         i_map[i] = diff.valuation()
     return BreakTable(cover.group, i_map)
-
-
-def lower_break_table(cover: GaloisCover) -> BreakTable:
-    """Break numbers of the cover, escalating precision when needed."""
-    cap = precision_cap()
-    current = cover
-    while True:
-        try:
-            return _break_table_once(current)
-        except PrecisionExhausted:
-            nxt = max(current.prec * 2, 8)
-            if nxt > cap:
-                raise
-            current = current.rebuild(nxt)

@@ -354,17 +354,18 @@ def swan_single_break(rep: Representation, filt: RamFiltration) -> Fraction:
 # Tower statements.
 
 
-def _tower_filtrations(cover: GaloisCover, rep: Representation | None = None):
+def _tower_filtrations(cover: GaloisCover):
     """(filtration of G, filtration of H) for G = Gal(L/K) and the subgroup
     H = Gal(L/K') of the cover's marked intermediate field K'; breaks
-    restrict to H unchanged.  A given ``rep`` must be on G."""
-    if cover.intermediate is None:
-        raise PreconditionFailed("cover has no marked intermediate field")
-    if rep is not None and not _same_group(rep.group, cover.group):
-        raise GroupMismatch("representation is not on the cover group")
+    restrict to H unchanged."""
     bt = lower_break_table(cover)
     bt_h = restrict_break_table(bt, cover.intermediate.H_indices)
     return filtration_from_breaks(bt, cover.p), filtration_from_breaks(bt_h, cover.p)
+
+
+def _check_intermediate(cover: GaloisCover) -> None:
+    if cover.intermediate is None:
+        raise PreconditionFailed("cover has no marked intermediate field")
 
 
 class PullbackReport(NamedTuple):
@@ -375,22 +376,23 @@ class PullbackReport(NamedTuple):
     equality: bool
 
 
-def pullback_bound_check(cover: GaloisCover, rep: Representation) -> PullbackReport:
-    """Sw over the intermediate field against degree times Sw over the base."""
-    filt, filt_h = _tower_filtrations(cover, rep)
+def pullback_bound_check(cover: GaloisCover, reps: Sequence[Representation]) -> list[PullbackReport]:
+    """Sw over the intermediate field against degree times Sw over the base,
+    one report per representation in ``reps``.  The marked field and every
+    group are checked before the tower's break data are formed once."""
+    _check_intermediate(cover)
+    if not all(_same_group(rep.group, cover.group) for rep in reps):
+        raise GroupMismatch("representation is not on the cover group")
+    filt, filt_h = _tower_filtrations(cover)
     h_idx = cover.intermediate.H_indices
-    sw_base = swan_conductor(rep, filt).swan
-    rep_h, _ = rep.restrict(h_idx)
-    sw_prime = swan_conductor(rep_h, filt_h).swan
-
     degree = cover.group.n // len(h_idx)
-    return PullbackReport(
-        sw_base=sw_base,
-        sw_prime=sw_prime,
-        degree=degree,
-        holds=sw_prime <= degree * sw_base,
-        equality=sw_prime == degree * sw_base,
-    )
+    reports = []
+    for rep in reps:
+        sw_base = swan_conductor(rep, filt).swan
+        sw_prime = swan_conductor(rep.restrict(h_idx)[0], filt_h).swan
+        bound = degree * sw_base
+        reports.append(PullbackReport(sw_base, sw_prime, degree, sw_prime <= bound, sw_prime == bound))
+    return reports
 
 
 class TransitivityReport(NamedTuple):
@@ -411,6 +413,7 @@ def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
     layer's own series.  The quotient filtration by Herbrand's theorem is
     checked against the tame layer's too.
     """
+    _check_intermediate(cover)
     filt, filt_h = _tower_filtrations(cover)
     phi_full = herbrand_phi(filt)
     phi_up = herbrand_phi(filt_h)

@@ -34,8 +34,8 @@ Horner's under ==, precision included; ``compose`` gives the argument.
 
 The working default is 64 known terms.  ``precision_cap`` (4096, or the
 positive integer in RAMIFY_PRECISION_CAP) bounds cover builds and job
-fields; only ``covers.lower_break_table`` escalates precision, doubling it
-up to the cap before giving up.
+fields.  Nothing escalates precision: a cover is built to a precision that
+shows every break (``covers.lower_break_table``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ DEFAULT_PRECISION_CAP = 4096
 
 
 def precision_cap() -> int:
-    """Hard ceiling for builds, job fields and escalation: RAMIFY_PRECISION_CAP
+    """Hard ceiling for cover builds and job fields: RAMIFY_PRECISION_CAP
     if set, in ASCII decimal digits and at least 1, as --precision."""
     raw = os.environ.get("RAMIFY_PRECISION_CAP")
     if raw is None:

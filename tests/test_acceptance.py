@@ -152,7 +152,7 @@ def test_criterion_06_pullback_bound():
     checked = 0
     for rep_id in rep_ids(kinds=("tower",)):
         cover, rep, _ = get_representation(rep_id)
-        report = pullback_bound_check(cover, rep)
+        (report,) = pullback_bound_check(cover, [rep])
         assert report.holds
         assert report.sw_prime <= report.degree * report.sw_base
         # Both towers are totally tame base changes: equality must hold.

@@ -150,16 +150,15 @@ def test_explicit_constants_zero_swan():
 
 def test_explicit_constants_overflow_policy():
     ec = explicit_constants(1, 2, 3, 5, 1)  # N' = 15, M0 = 2^15
-    assert ec.M_crude is None
-    assert ec.M_crude_descriptor == (2 ** 15, "factorial")
+    assert ec.M_crude is None and ec.M0 == 2 ** 15
     assert ec.crude_at_least(10 ** 100)
 
 
 def test_crude_at_least_is_exact():
     # The symbolic path, forced on small M0, against the exact factorial.
     for m0 in range(0, 9):
-        symbolic = ExplicitConstants(0, m0, None, (m0, "factorial"))
-        exact = ExplicitConstants(0, m0, math.factorial(m0), None)
+        symbolic = ExplicitConstants(0, m0, None)
+        exact = ExplicitConstants(0, m0, math.factorial(m0))
         for value in list(range(-2, 50)) + [math.factorial(k) + d for k in range(9) for d in (-1, 0, 1)]:
             expected = math.factorial(m0) >= value
             assert symbolic.crude_at_least(value) is expected
@@ -173,7 +172,7 @@ def test_crude_at_least_is_exact():
     assert ec.crude_at_least(2 ** 15)
     assert ec.crude_at_least(10 ** 5000)
     # A lower bound such as M0! >= 2^(M0 - 1) would answer no to the first.
-    small = ExplicitConstants(0, 20, None, (20, "factorial"))
+    small = ExplicitConstants(0, 20, None)
     assert small.crude_at_least(math.factorial(20))
     assert not small.crude_at_least(math.factorial(20) + 1)
 
@@ -184,7 +183,6 @@ def test_explicit_constants_rank_two_with_supplied_bound():
     assert ec.N_prime == 2 * 2 * 12 * 1 == 48
     assert ec.M0 == 2 * 3 ** 48 * 12
     assert ec.M_crude is None
-    assert ec.M_crude_descriptor == (2 * 3 ** 48 * 12, "factorial")
 
 
 def test_explicit_constants_monotone():
@@ -377,4 +375,4 @@ def test_records_are_immutable_named_tuples():
         report.ok = False
     data = DecompositionData(order_I=12, t=1, e=3, f_sep=2, f_insep=2, p=2)
     assert data._replace(order_I=13).order_I == 13 and data.order_I == 12
-    assert ExplicitConstants(3, 24, 6, None).crude_at_least(6)
+    assert ExplicitConstants(3, 24, 6).crude_at_least(6)

@@ -396,6 +396,15 @@ def test_jordan_table_flag(tmp_path, capsys, monkeypatch):
     assert code == 1 and out["error"]["type"] == "InputSchemaError"
 
 
+def test_bound_writes_a_symbolic_crude_bound_as_a_descriptor(capsys, monkeypatch):
+    # N = 5 gives N' = 15 and M0 = 2^15, over FACTORIAL_CAP, so M0! is not
+    # formed and the report names it.
+    job = dict(SWAN_JOB, command="bound", params={"N": 5})
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0
+    assert report["results"]["constants"] == {"N_prime": 15, "M0": 2 ** 15, "M_crude": [2 ** 15, "factorial"]}
+
+
 @pytest.mark.parametrize("big_n,field", [(1, "constants.M_crude"), (1300, "constants.M0")])
 def test_bound_constants_over_the_digit_limit_are_a_json_error(big_n, field, capsys, monkeypatch):
     # M0 = 2^(11 N): at N = 1 its factorial M_crude has about 5,900 digits;
@@ -570,7 +579,7 @@ def test_floats_are_refused_at_any_depth(obj):
     "record",
     [
         SwanReport(swan=Fraction(1), breaks=((Fraction(1), 1),), per_jump_terms=()),
-        ExplicitConstants(3, 24, 6, None),
+        ExplicitConstants(3, 24, 6),
     ],
 )
 def test_records_are_not_serialized_as_lists(record):
@@ -976,7 +985,7 @@ def test_verify_all_forms_each_inertia_structure_once(monkeypatch):
     assert len(calls) == len(corpus.rep_ids()) == 17
 
 
-def test_verify_all_forms_each_cover_filtration_once(monkeypatch):
+def _count_break_data(monkeypatch):
     counts = {"lower_break_table": 0, "filtration_from_breaks": 0}
     for module in (verify, ramification):
         for name in counts:
@@ -988,16 +997,31 @@ def test_verify_all_forms_each_cover_filtration_once(monkeypatch):
 
             monkeypatch.setattr(module, name, counting)
     verify._filtration.cache_clear()
+    return counts
+
+
+def test_verify_all_forms_each_cover_filtration_once(monkeypatch):
+    counts = _count_break_data(monkeypatch)
     report, code = cli.run({"command": "verify", "params": {"suite": "all"}})
     assert code == 0
     # hasse_arf forms the 10 corpus covers' filtrations and claim2 reads
-    # them; lemma_pullback and transitivity keep their own (8 and 4 break
-    # tables, 16 and 6 filtrations).  The parent made 39 and 49.
+    # them; lemma_pullback forms each tower's pair once (2 break tables, 4
+    # filtrations), and transitivity forms its own (4 and 6).
     assert len(corpus.cover_ids()) == 10
-    assert counts == {"lower_break_table": 22, "filtration_from_breaks": 32}
+    assert counts == {"lower_break_table": 16, "filtration_from_breaks": 20}
     assert hashlib.sha256((canonical_dumps(report) + "\n").encode("ascii")).hexdigest() == (
         "6b2a0314b0c18d4eed56dd5578ba6baa1cf97ecced8bdb17972395629c0e7b1c"
     )
+
+
+def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):
+    counts = _count_break_data(monkeypatch)
+    report, code = cli.run({"command": "verify", "params": {"suite": "lemma_pullback"}})
+    assert code == 0
+    # 8 representations on 2 towers: one break table and one pair of
+    # filtrations per tower.
+    assert len(report["results"]["instances"]) == 8
+    assert counts == {"lower_break_table": 2, "filtration_from_breaks": 4}
 
 
 # A kummer job of degree 1 or 0, a tower with no tame layer, and an F_2 tower

@@ -298,42 +298,38 @@ def test_break_table_checks_invariance_on_generators_only():
         assert outcomes == ({True} if group.is_abelian() else {True, False})
 
 
-def test_precision_escalation_rebuilds_cover():
+def test_a_break_past_the_build_precision_raises():
     base = build_artin_schreier(F2, as_sparse(F2, [[-3, [1]]]), prec=16)
-    # Doctor a copy whose action series are truncated below the break.
+    # Doctor a copy whose action series are truncated below the break 4.
     doctored = GaloisCover(
         base_field=base.base_field,
         group=base.group,
         t_in_s=base.t_in_s,
         sigma_action={i: a.truncate(3) for i, a in base.sigma_action.items()},
         prec=4,
-        rebuild=base._rebuild,
     )
-    bt = lower_break_table(doctored)
-    assert bt.by_label() == {"sigma": 4}
-
-
-def test_precision_cap_respected(monkeypatch):
-    base = build_artin_schreier(F2, as_sparse(F2, [[-3, [1]]]), prec=16)
-    doctored = GaloisCover(
-        base_field=base.base_field,
-        group=base.group,
-        t_in_s=base.t_in_s,
-        sigma_action={i: a.truncate(3) for i, a in base.sigma_action.items()},
-        prec=4,
-        rebuild=base._rebuild,
-    )
-    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "4")
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted, match=r"break of sigma exceeds O\(s\^3\)"):
         lower_break_table(doctored)
+    for cover in (doctored, base):
+        with pytest.raises(PrecisionExhausted, match="cannot be rebuilt"):
+            cover.rebuild(32)
 
 
-def test_no_built_cover_is_rebuilt(monkeypatch):
-    # A wild layer is built to at least p + m + 4 terms, which shows every
-    # break, so only a hand-truncated cover ever reaches the rebuild.
-    rebuilds = []
-    real = GaloisCover.rebuild
-    monkeypatch.setattr(GaloisCover, "rebuild", lambda cover, pr: rebuilds.append(pr) or real(cover, pr))
+def _closed_form_breaks(p, m, pole):
+    """Element j m + k of the tower with tame degree m over a wild datum of
+    pole order ``pole`` breaks at m * pole + 1 when k = 0 and at 1 otherwise.
+    An AS cover is the case m = 1, a Kummer layer the case p = 1."""
+    return {
+        j * m + k: m * pole + 1 if k == 0 else 1
+        for j in range(p)
+        for k in range(m)
+        if j or k
+    }
+
+
+def test_no_built_cover_is_rebuilt():
+    # Every built cover shows each break at its build precision (the proof
+    # is in lower_break_table's docstring), with the closed-form value.
     rng = random.Random(18)
     F9 = field_create(3, 2)
     built = []
@@ -345,22 +341,26 @@ def test_no_built_cover_is_rebuilt(monkeypatch):
             lower_term = [[-1, [rng.randrange(p)]]] if m > 1 else []
             f = as_sparse(field, [[-m, [1 + rng.randrange(p - 1)]]] + lower_term)
             for prec in (1, 2, 8, None):
-                built.append(build_artin_schreier(field, f, prec=prec))
+                built.append((build_artin_schreier(field, f, prec=prec), (p, 1, m)))
     for field, tame in ((F4, (1, 3)), (F9, (1, 2, 4, 8))):
         for m in tame:
             for pole in (1, 2, 4, 5, 7):
                 if pole % field.p == 0:
                     continue
                 for prec in (1, 8, None):
-                    built.append(build_compositum_tower(field, m, as_sparse(field, [[-pole, [1]]]), prec=prec))
+                    cover = build_compositum_tower(field, m, as_sparse(field, [[-pole, [1]]]), prec=prec)
+                    built.append((cover, (field.p, m, pole)))
     for cover_id in corpus.cover_ids():
         cover = corpus.get_cover(cover_id)
-        built.append(cover)
+        spec = corpus._cover_spec(cover_id)["cover"]
+        m = spec.get("m", 1)
+        pole = -min(exp for exp, _ in spec.get("f", [[0, 0]]))
+        built.append((cover, (1 if spec["type"] == "kummer" else cover.p, m, pole)))
         if cover.intermediate is not None:
-            built.append(cover.intermediate.lower)
-    for cover in built:
-        lower_break_table(cover)
-    assert len(built) == 250 and rebuilds == []
+            built.append((cover.intermediate.lower, (1, m, 0)))
+    for cover, shape in built:
+        assert lower_break_table(cover).i_map == _closed_form_breaks(*shape), shape
+    assert len(built) == 250
 
 
 def test_precision_cap_parses_the_environment(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramify import cli
+from ramify import cli, ramification
 from ramify.corpus import get_cover, get_representation
 from ramify.covers import BreakTable, build_artin_schreier, build_kummer, lower_break_table
 from ramify.errors import (
@@ -466,7 +466,7 @@ def test_pullback_bound_on_towers():
         ("tower_z10.chi_faithful", 1, 2),
     ):
         cover, rep, _ = get_representation(rep_id)
-        report = pullback_bound_check(cover, rep)
+        (report,) = pullback_bound_check(cover, [rep])
         assert report.sw_base == sw
         assert report.degree == deg
         assert report.holds and report.equality
@@ -475,7 +475,7 @@ def test_pullback_bound_on_towers():
 
 def test_pullback_trivial_rep_and_degree_one():
     cover, triv, _ = get_representation("tower_z6.triv")
-    report = pullback_bound_check(cover, triv)
+    (report,) = pullback_bound_check(cover, [triv])
     assert report.sw_base == report.sw_prime == 0 and report.holds
 
     from ramify.covers import build_compositum_tower
@@ -483,9 +483,28 @@ def test_pullback_trivial_rep_and_degree_one():
 
     degenerate = build_compositum_tower(F2, 1, LaurentSeries.from_sparse(F2, [[-1, [1]]]), prec=16)
     chi = character(degenerate.group, F3, "sigma", 2)
-    report = pullback_bound_check(degenerate, chi)
+    (report,) = pullback_bound_check(degenerate, [chi])
     assert report.degree == 1
     assert report.sw_base == report.sw_prime == 1
+
+
+def test_pullback_checks_every_representation_before_the_break_data(monkeypatch):
+    names = ("chi_wild", "chi_tame", "chi_faithful", "triv")
+    cover = get_cover("tower_z6")
+    reps = [get_representation(f"tower_z6.{name}")[1] for name in names]
+    together = pullback_bound_check(cover, reps)
+    assert together == [pullback_bound_check(cover, [rep])[0] for rep in reps]
+    _, other, _ = get_representation("tower_z10.chi_wild")
+
+    def no_break_data(*args):
+        raise AssertionError("break data formed before the checks")
+
+    monkeypatch.setattr(ramification, "lower_break_table", no_break_data)
+    with pytest.raises(GroupMismatch, match="not on the cover group"):
+        pullback_bound_check(cover, [*reps, other])
+    # The marked field is checked before any group.
+    with pytest.raises(PreconditionFailed, match="no marked intermediate field"):
+        pullback_bound_check(get_cover("as_p2_m1"), [other])
 
 
 def test_herbrand_function_evaluation_guard():
