@@ -57,7 +57,7 @@ def inertia_structure(elements: Sequence[MatrixFF], p: int) -> InertiaStructure:
 
     The input must be closed under multiplication; the expected shape is
     guaranteed for images of local Galois groups but not for arbitrary
-    matrix groups, so every property is verified and failures are loud.
+    matrix groups, so every property that can fail is verified, loudly.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -107,9 +107,10 @@ class TameizingReport(NamedTuple):
 def tameizing_subgroup(structure: InertiaStructure) -> TameizingReport:
     """Kernel of the conjugation action of the tame quotient on the p-Sylow.
 
-    A cyclic complement of order M is found by exhaustive search (it always
-    exists for this shape); H is its centralizing part, verified normal,
-    with [I:H] the degree over which the action becomes tame.
+    A cyclic complement <gen> of order M is found by exhaustive search (it
+    always exists for this shape).  Its centralizing part H, <gen> meet the
+    centralizer of P, is a subgroup, so |H| divides |I|, and is verified
+    normal; [I:H] is the degree over which the action becomes tame.
     """
     group = structure.group
     M = structure.M
@@ -130,15 +131,12 @@ def tameizing_subgroup(structure: InertiaStructure) -> TameizingReport:
         for c in complement
         if all(group.product(c, s) == group.product(s, c) for s in structure.P_indices)
     ]
-    h_set = frozenset(h)
-    if not group.is_subgroup(h_set):
-        raise ComplementNotFound("centralizing part of the complement is not a subgroup")
-    if not group.is_normal(h_set):
+    if not group.is_normal(frozenset(h)):
         raise ComplementNotFound("tameizing subgroup is not normal")
     if math.gcd(len(h), structure.p) != 1:
         raise ComplementNotFound("tameizing subgroup order shares a factor with p")
     index = group.n // len(h)
-    if index * len(h) != group.n or index != structure.P_order * (M // len(h)):
+    if index != structure.P_order * (M // len(h)):
         raise ComplementNotFound("order bookkeeping failed")
     return TameizingReport(
         H_indices=tuple(sorted(h)),
@@ -233,21 +231,19 @@ def explicit_constants(
 
 
 class WildOrderReport(NamedTuple):
-    """``constants`` is the ``explicit_constants`` record that ``N_prime``
-    and ``linear_bound`` (= M0 = r p^{N'} J) are taken from."""
+    """``constants`` is the ``explicit_constants`` record, whose N' and
+    M0 = r p^{N'} J (the linear bound) the checks use."""
 
     swan: Fraction
-    N_prime: int
     N_prime_exact: int
     jumps_visible: int
     P_order: int
     torus_bound: int
     torus_bound_holds: bool
-    linear_bound: int
     linear_bound_holds: bool
     ok: bool
+    constants: ExplicitConstants
     warnings: tuple[str, ...] = ()
-    constants: ExplicitConstants | None = None
 
 
 def _abelian_normal_part(group: FiniteGroup) -> frozenset:
@@ -297,29 +293,22 @@ def wild_order_bound_check(
             p_ok = p_ok and pow(structure.p, n_prime, o) == 0
     p_order = structure.P_order
     torus_bound = structure.p ** (rep.r * n_prime) * J
-    linear_bound = constants.M0
-    ok = (
-        visible <= sw <= N
-        and p_ok
-        and p_order <= torus_bound
-    )
+    ok = visible <= sw and p_ok and p_order <= torus_bound  # sw <= N: refused above
     warnings = (
         "N_prime uses the linear form ell*r*J*N; the exponential variant "
         "ell^r*J*N is intentionally not used",
     )
     return WildOrderReport(
         swan=sw,
-        N_prime=n_prime,
         N_prime_exact=n_prime_exact,
         jumps_visible=visible,
         P_order=p_order,
         torus_bound=torus_bound,
         torus_bound_holds=p_order <= torus_bound,
-        linear_bound=linear_bound,
-        linear_bound_holds=p_order <= linear_bound,
+        linear_bound_holds=p_order <= constants.M0,
         ok=ok,
-        warnings=warnings,
         constants=constants,
+        warnings=warnings,
     )
 
 
@@ -354,8 +343,7 @@ def decomposition_counts(data: DecompositionData) -> CountsReport:
             f"|I| = {data.order_I} != t*e*f_sep*f_insep = "
             f"{data.t * data.e * data.f_sep * data.f_insep}"
         )
-    order_ic = data.e * data.f_insep
-    assert order_ic == data.order_I // (data.t * data.f_sep)
+    order_ic = data.e * data.f_insep  # = |I| / (t * f_sep), by the test above
     tame = data.f_insep == 1 and math.gcd(data.e, data.p) == 1
     return CountsReport(order_IC=order_ic, tame=tame)
 

@@ -17,7 +17,7 @@ from typing import NoReturn
 
 from . import bounds, corpus, verify
 from .corpus import COMMANDS
-from .errors import NotAbelian, RamifyError
+from .errors import InputSchemaError, NotAbelian, RamifyError
 from .groups import abelian_p_bound_probe, inertia_candidate_sample, max_ell_element_order
 from .ramification import (
     filtration_from_breaks, hasse_arf_check, herbrand_phi, herbrand_psi,
@@ -133,7 +133,7 @@ def _cmd_bound(job: dict, params: dict, options: dict):
         },
         "wild_bound": {
             "swan": wild.swan,
-            "N_prime": wild.N_prime,
+            "N_prime": consts.N_prime,
             "N_prime_exact": wild.N_prime_exact,
             "jumps_visible": wild.jumps_visible,
             "P_order": wild.P_order,
@@ -197,10 +197,17 @@ def run(job: dict, options: dict | None = None):
 
 def _emit(payload: dict, output: str | None) -> None:
     text = canonical_dumps(payload)
-    if output:
-        write_atomic(output, text + "\n")
-    else:
+    if not output:
         sys.stdout.write(text + "\n")
+        return
+    try:
+        write_atomic(output, text + "\n")
+    except OSError as exc:  # str(exc) would name the random temp file
+        raise InputSchemaError(f"cannot write --output {output}: {exc.strerror}") from None
+
+
+def _error(err: RamifyError) -> dict:
+    return {"error": {"type": err.code, "message": str(err)}}
 
 
 def main(argv=None) -> int:
@@ -221,11 +228,14 @@ def main(argv=None) -> int:
         else:
             job = {"command": "verify", "params": {"suite": args["suite"]}}
         report, code = run(job, options)
-        _emit(report, output)
-        return code
     except RamifyError as err:
-        _emit({"error": {"type": err.code, "message": str(err)}}, output)
+        report, code = _error(err), 1
+    try:
+        _emit(report, output)
+    except InputSchemaError as err:
+        _emit(_error(err), None)
         return 1
+    return code
 
 
 def exit_main() -> NoReturn:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -195,15 +196,13 @@ def canonical_modulus(p: int, a: int) -> tuple[int, ...]:
 class FiniteField:
     """The field F_{p^a}, with elements in the power basis of the modulus."""
 
-    __slots__ = ("p", "a", "modulus", "order", "_red", "_generator")
+    __slots__ = ("p", "a", "modulus", "order", "_generator")
 
     def __init__(self, p: int, a: int, modulus: tuple[int, ...]):
         self.p = p
         self.a = a
         self.modulus = modulus
         self.order = p ** a
-        # Reductions of x^k for k = a .. 2a-2, used by keys_from_columns.
-        self._red = {k: _prem([0] * k + [1], modulus, p) for k in range(a, 2 * a - 1)}
         self._generator = None
 
     def __eq__(self, other) -> bool:
@@ -269,15 +268,17 @@ class FiniteField:
         """Keys of the elements whose coordinates are given column-wise.
 
         Coordinates may be any ints (they are reduced mod p), and there may
-        be up to 2a-1 columns: column k >= a is the coefficient of x^k and
-        is folded back through the reductions of x^k modulo the modulus.
+        be up to 2a-1 columns: column k >= a is the coefficient of x^k.  As
+        ``_prem`` divides, from the top down, x^k = sum_j (p - c_j) x^(k-a+j)
+        mod p for the modulus x^a + sum_{j<a} c_j x^j.
         """
         p, a = self.p, self.a
         cols = list(cols)
-        for k in range(a, len(cols)):
-            for j, r in enumerate(self._red[k]):
-                if r:
-                    cols[j] = [x + r * y for x, y in zip(cols[j], cols[k])]
+        tail = [(j, p - c) for j, c in enumerate(self.modulus[:a]) if c]
+        for k in range(len(cols) - 1, a - 1, -1):
+            for j, c in tail:
+                low, top = cols[k - a + j], cols[k]
+                cols[k - a + j] = list(map(add, low, top)) if c == 1 else [x + c * y for x, y in zip(low, top)]
         keys = [c % p for c in cols[a - 1]]
         for j in range(a - 2, -1, -1):
             keys = [k * p + c % p for k, c in zip(keys, cols[j])]

@@ -261,11 +261,8 @@ class FiniteGroup:
         return [g for g in gens if g != self.identity]
 
     def is_subgroup(self, subset: frozenset) -> bool:
-        if self.identity not in subset:
-            return False
-        return all(
-            self.mul[x][y] in subset for x in subset for y in subset
-        ) and all(self.inv[x] in subset for x in subset)
+        """Nonempty and closed: then 1 = x^ord(x) and x^-1 = x^(ord(x)-1) lie in it."""
+        return bool(subset) and all(self.mul[x][y] in subset for x in subset for y in subset)
 
     def is_normal(self, subset: frozenset) -> bool:
         return all(
@@ -352,7 +349,9 @@ class FiniteGroup:
 def inertia_shape(group: FiniteGroup, p: int):
     """Normal p-Sylow P with cyclic quotient G/P; returns (P, G/P).
 
-    Raises PSylowNotNormal or QuotientNotCyclic when the shape fails.
+    Raises PSylowNotNormal or QuotientNotCyclic when the shape fails.  As
+    conjugation keeps element orders, the p-power-order elements are normal
+    as soon as they are closed.
     """
     p_part = group.n // split_prime_power(group.n, p)[1]
     pe = group.p_elements(p)
@@ -363,8 +362,6 @@ def inertia_shape(group: FiniteGroup, p: int):
     subset = frozenset(pe)
     if not group.is_subgroup(subset):
         raise PSylowNotNormal("p-power-order elements are not closed")
-    if not group.is_normal(subset):
-        raise PSylowNotNormal("p-Sylow subgroup is not normal")
     quot, _ = group.quotient(subset)
     if not quot.is_cyclic():
         raise QuotientNotCyclic(f"quotient of order {quot.n} is not cyclic")

@@ -18,7 +18,7 @@ D. Harvey, J. Symbolic Comput. 44, 2009): coordinate k of coefficient i is
 packed into slot i*(2a-1)+k of one integer, with slots wide enough that no
 sum overflows, and CPython's Karatsuba multiplies the two packed operands.
 Unpacking reads coordinate k of each product coefficient from its slot and
-folds x^k for k >= a back through the field's reduction table.  Inverses
+folds x^k for k >= a back by the field's modulus, from the top down.  Inverses
 use Newton doubling w <- w(2 - uw) (Brent & Kung, J. ACM 25, 1978), so
 they cost a few products instead of a quadratic recurrence.
 
@@ -236,7 +236,8 @@ class LaurentSeries:
     def from_sparse(
         cls, field: FiniteField, pairs: Sequence, abs_prec: int | None = None
     ) -> "LaurentSeries":
-        """Build from [[exponent, coordinate-vector], ...] (the CLI encoding)."""
+        """Build from [[exponent, coordinate-vector], ...].  A job's ``cover.f``,
+        whose elements may also be plain integers, is read by ``corpus._datum``."""
         terms: dict[int, FieldElement] = {}
         for exp, coords in pairs:
             terms[int(exp)] = field.from_coeffs(coords)

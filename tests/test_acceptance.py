@@ -209,7 +209,7 @@ def test_criterion_09_proposition_pipeline():
         report = wild_order_bound_check(st, filt, rep, big_n)
         assert report.ok
         j = jordan_bound(rep.r)
-        assert report.P_order <= cover.p ** (rep.r * report.N_prime) * j
+        assert report.P_order <= cover.p ** (rep.r * report.constants.N_prime) * j
         assert isinstance(report.linear_bound_holds, bool)  # recorded, not asserted
     _passed(9, "inertia structure, taming subgroup, and wild-order bounds hold corpus-wide")
 

@@ -31,7 +31,7 @@ from ramify.errors import (
     QuotientNotCyclic,
 )
 from ramify.fields import field_create
-from ramify.groups import FiniteGroup, group_closure
+from ramify.groups import FiniteGroup, group_closure, inertia_candidate_sample
 from ramify.linalg import MatrixFF
 from ramify.ramification import Representation, filtration_from_breaks
 from ramify.series import LaurentSeries
@@ -134,6 +134,25 @@ def test_tameizing_trivial_complement():
     assert report.index_tame == st.P_order == 2
 
 
+def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
+    """Oracle for the subgroup and index tests that tameizing_subgroup proves
+    needless: H is its own closure, and |H| divides |I|."""
+    structures = []
+    for rep_id in rep_ids():
+        cover, rep, _ = get_representation(rep_id)
+        structures.append(inertia_structure(rep.image_matrices(), cover.p))
+    for r, ell, n, p in ((2, 3, 1, 2), (2, 2, 1, 3), (2, 5, 1, 3), (2, 7, 1, 3), (1, 3, 2, 2)):
+        for seed in range(3):
+            for g in inertia_candidate_sample(r, ell, n, p, count=3, seed=seed):
+                structures.append(inertia_structure(list(g.matrices), p))
+    assert len(structures) > 50
+    for st in structures:
+        tame = tameizing_subgroup(st)
+        h = frozenset(tame.H_indices)
+        assert st.group.closure(h) == h
+        assert tame.index_tame * tame.H_order == st.group.n
+
+
 def test_explicit_constants_reference_values():
     ec = explicit_constants(1, 3, 2, 1, 1)
     assert ec.N_prime == 2
@@ -212,8 +231,6 @@ def test_wild_order_bound_on_corpus(rep_id):
     report = wild_order_bound_check(st, filt, rep, big_n)
     assert report.ok
     assert report.constants == explicit_constants(rep.r, cover.p, st.ell, big_n, jordan_bound(rep.r))
-    assert report.N_prime == report.constants.N_prime
-    assert report.linear_bound == report.constants.M0
     assert report.jumps_visible <= report.swan <= big_n
     assert report.P_order <= report.torus_bound
     assert report.linear_bound_holds  # rank-1 corpus: the linear form also holds
@@ -291,7 +308,7 @@ def test_wild_order_refusals_come_before_the_digit_guard(digit_limit_4300):
         wild_order_bound_check(st, filt, rep, 10 ** 6, jordan_table={2: 1})
     report = wild_order_bound_check(st, filt, rep, 2, jordan_table={2: 1})
     assert report.constants == explicit_constants(2, 3, 7, 2, 1)
-    assert report.linear_bound == report.constants.M0 == 2 * 3 ** 28
+    assert report.constants.M0 == 2 * 3 ** 28
 
 
 def test_decomposition_counts_examples():
@@ -369,8 +386,8 @@ def test_records_are_immutable_named_tuples():
         for name in classes:
             cls = getattr(module, name)
             assert issubclass(cls, tuple) and cls._fields, name
-    report = bounds.WildOrderReport(*range(10))
-    assert report.warnings == () and report.ok == 9
+    report = bounds.WildOrderReport(*range(9))
+    assert report.warnings == () and report.ok == 7
     with pytest.raises(AttributeError):
         report.ok = False
     data = DecompositionData(order_I=12, t=1, e=3, f_sep=2, f_insep=2, p=2)

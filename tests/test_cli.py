@@ -372,6 +372,22 @@ def test_output_file_written_atomically(tmp_path, capsys, monkeypatch):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "a-dir"])
+@pytest.mark.parametrize("argv", [["verify", "counts"], ["run", "--input", "no-such-job.json"]],
+                         ids=["succeeds", "fails"])
+def test_an_unwritable_output_is_an_error_object_on_stdout(argv, target, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-dir").mkdir()
+    code = cli.main([*argv, "--output", target])
+    out = capsys.readouterr().out
+    reason = "Is a directory" if target == "a-dir" else "No such file or directory"
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "InputSchemaError", "message": f"cannot write --output {target}: {reason}",
+    }}
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-dir"]
+
+
 def test_same_job_same_report_bytes(capsys, monkeypatch):
     _, r1 = run_cli(capsys, ["run"], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
     _, r2 = run_cli(capsys, ["run"], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)

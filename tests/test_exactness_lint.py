@@ -4,6 +4,9 @@ Walks the AST of every module under src/ramify and rejects float (and
 complex) literals, calls of ``float``, and the inexact ``math`` functions
 (``log*``, ``sqrt``, ``exp``, ``pow``, ``fsum``), whether reached as
 ``math.name``, through an alias of the module, or imported by name.
+
+It also rejects ``assert`` statements: ``python -O`` strips them, so a check
+written as one would silently disappear.
 """
 
 import ast
@@ -94,3 +97,13 @@ def test_lint_rejects_inexact_code(snippet):
 )
 def test_lint_accepts_exact_code(snippet):
     assert exactness_violations(snippet) == []
+
+
+def test_library_source_has_no_assert():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), path.name))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

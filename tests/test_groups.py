@@ -7,7 +7,7 @@ import pytest
 from ramify import groups, linalg
 from ramify.bounds import inertia_structure
 from ramify.errors import NotAGroup, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
-from ramify.fields import field_create, is_prime, split_prime_power
+from ramify.fields import field_create, is_prime, prime_factors, split_prime_power
 from ramify.groups import (
     FiniteGroup,
     abelian_p_bound_probe,
@@ -485,6 +485,55 @@ def test_inertia_shape_agrees_with_inertia_structure():
         assert st.P_indices == subset and st.M == quot.n
         assert len(subset) == p ** split_prime_power(group.n, p)[0]
     assert shaped >= 2
+
+
+def test_closed_p_elements_form_a_normal_subgroup():
+    """The normality test that inertia_shape proves needless, kept as the
+    oracle: once the p-power-order elements are closed, they are normal."""
+    groups = [FiniteGroup.from_matrices(mats) for mats in (GL2_F3, GL3_F2, affine_group(7, 3))]
+    groups += [g for seed in range(6) for g in inertia_candidate_sample(2, 3, 1, 2, count=2, seed=seed)]
+    groups += inertia_candidate_sample(1, 2, 4, 3, count=2, seed=0)
+    verdicts = []
+    for group in groups:
+        for p in prime_factors(group.n):
+            p_elements = frozenset(group.p_elements(p))
+            verdicts.append(group.is_subgroup(p_elements))
+            if verdicts[-1]:
+                assert group.is_normal(p_elements), (group.n, p)
+    assert True in verdicts and False in verdicts
+
+
+def _three_part_is_subgroup(group, subset):
+    """The subgroup test before it was cut to closure: identity, products
+    and inverses."""
+    return (
+        group.identity in subset
+        and all(group.mul[x][y] in subset for x in subset for y in subset)
+        and all(group.inv[x] in subset for x in subset)
+    )
+
+
+def test_is_subgroup_matches_the_three_part_test():
+    d4 = group_closure([MatrixFF.from_int_rows(F3, rows) for rows in ([[0, 2], [1, 0]], [[1, 0], [0, 2]])])
+    q8 = group_closure([MatrixFF.from_int_rows(F3, rows) for rows in ([[0, 2], [1, 0]], [[1, 1], [1, 2]])])
+    z2 = FiniteGroup.cyclic(2)
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 9)] + [
+        FiniteGroup.from_matrices(enumerate_gl(F2, 2)),  # S3
+        d4,
+        q8,
+        FiniteGroup.direct_product(z2, z2),
+        FiniteGroup.direct_product(z2, FiniteGroup.cyclic(4)),
+        FiniteGroup.direct_product(FiniteGroup.direct_product(z2, z2), z2),
+    ]
+    assert sorted(q8.order_of(x) for x in range(8)) != sorted(d4.order_of(x) for x in range(8))
+    for group in groups:
+        subgroups = 0
+        for size in range(group.n + 1):
+            for subset in map(frozenset, itertools.combinations(range(group.n), size)):
+                verdict = group.is_subgroup(subset)
+                assert verdict == _three_part_is_subgroup(group, subset), (group.n, subset)
+                subgroups += verdict
+        assert subgroups == len(group.all_subgroups())
 
 
 def test_power_order_on_tables_and_matrices():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ramify import cli, ramification
-from ramify.corpus import get_cover, get_representation
+from ramify.corpus import cover_ids, get_cover, get_representation, rep_ids
 from ramify.covers import BreakTable, build_artin_schreier, build_kummer, lower_break_table
 from ramify.errors import (
     GroupMismatch,
@@ -105,6 +105,48 @@ def test_filtration_member_must_be_a_subgroup():
     bt = BreakTable(g, {1: 3, 3: 3, 2: 2})
     with pytest.raises(MismatchDetected, match="filtration member is not a subgroup"):
         filtration_from_breaks(bt, 2)
+
+
+def _oracle_groups():
+    """Cyclic, dihedral (S3 = Z/3 x| Z/2) and semidirect groups."""
+    yield FiniteGroup.cyclic(8, "g")
+    for p, m, ell in ((3, 2, 7), (7, 3, 29), (5, 4, 11)):
+        yield _monomial_rep_images(p, m, ell)[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_accepted_break_tables_have_normal_levels(seed):
+    """The normality test that filtration_from_breaks proves needless, kept
+    as the oracle: BreakTable refuses an i-map, or every level
+    {1} u {sigma : i(sigma) > u} is normal.  Half the maps are constant on
+    conjugacy classes, half are drawn element by element."""
+    rng = random.Random(seed)
+    refused = 0
+    for group in _oracle_groups():
+        classes = sorted({frozenset(group.conjugate(t, s) for t in range(group.n)) for s in range(group.n)}, key=min)
+        for trial in range(10):
+            if trial % 2:
+                i_map = {s: rng.randint(1, 4) for s in range(group.n)}
+            else:
+                i_map = {}
+                for c in classes:
+                    i_map.update(dict.fromkeys(c, rng.randint(1, 4)))
+            del i_map[group.identity]
+            try:
+                BreakTable(group, i_map)
+            except MismatchDetected:
+                refused += 1
+                continue
+            for u in {v - 1 for v in i_map.values()}:
+                level = frozenset({group.identity, *(s for s, v in i_map.items() if v > u)})
+                assert group.is_normal(level), (group.n, i_map)
+    assert refused > 0
+
+
+def test_corpus_filtration_levels_are_normal():
+    for cover_id in cover_ids():
+        filt = filt_of(get_cover(cover_id))
+        assert all(filt.group.is_normal(level) for level in filt.levels), cover_id
 
 
 def _count_calls(monkeypatch, cls, name, calls):
@@ -571,6 +613,31 @@ def test_generator_check_agrees_with_full_scan(name):
         assert not _full_scan_is_homomorphism(group, corrupted)
         with pytest.raises(NotAHomomorphism, match="not multiplicative"):
             Representation(group, corrupted)
+
+
+@pytest.mark.parametrize("rep_id", rep_ids())
+def test_corpus_representations_keep_the_deleted_invariants(rep_id):
+    """Oracles for two checks proven needless: every image is invertible,
+    and the break multiplicities add up to the rank."""
+    cover, rep, _ = get_representation(rep_id)
+    assert all(m.is_invertible() for m in rep.images)
+    assert sum(mult for _, mult in swan_conductor(rep, filt_of(cover)).breaks) == rep.r
+
+
+def test_accepted_images_are_invertible_and_a_singular_one_is_refused():
+    for name, group, images in _rep_cases():
+        assert all(m.is_invertible() for m in Representation(group, images).images), name
+        zero = MatrixFF.from_keys(images[0].field, images[0].n, [0] * images[0].n ** 2)
+        for i in (group.identity, group.n - 1):
+            with pytest.raises(NotAHomomorphism):
+                Representation(group, [zero if j == i else m for j, m in enumerate(images)])
+    # A singular idempotent on every element satisfies the law; only the
+    # identity's image gives it away.
+    z2 = FiniteGroup.cyclic(2, "sigma")
+    idem = MatrixFF.from_int_rows(F7, [[1, 0], [0, 0]])
+    assert _full_scan_is_homomorphism(z2, [idem, idem])
+    with pytest.raises(NotAHomomorphism, match="image of the identity"):
+        Representation(z2, [idem, idem])
 
 
 def test_trivial_group_image_must_be_identity():
