@@ -9,10 +9,10 @@ Cayley-graph construction of Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, 2005, ch. 4).  ``_spanning_tree`` picks
 generators greedily in index order and closes under right multiplication by
 them, recording a BFS parent and generator for every element: n * |gens|
-products.  ``FiniteGroup.from_matrices`` multiplies matrices only there and
-fills the rest of the Cayley table by lookup along the tree;
-``FiniteGroup.closure``, ``FiniteGroup.generators`` and the homomorphism
-check of ``Representation`` use the same idea on the table.
+products.  ``FiniteGroup.from_matrices`` multiplies matrices only there, and
+``group_closure`` reuses its own walk's products; both fill the rest of the
+Cayley table by lookup along the tree.  ``FiniteGroup.closure``,
+``FiniteGroup.generators`` and ``Representation`` use the same idea on tables.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ SAMPLE_GROUP_CAP = 2000  # largest subgroup inertia_candidate_sample closes
 SAMPLE_CELL_BUDGET = 1 << 19
 
 
-def _spanning_tree(n: int, product: Callable[[int, int], int]):
+def _spanning_tree(n: int, product: Callable[[int, int], int], scan: Iterable[int]):
     """Greedy generators of {0, ..., n-1} under right multiplication.
 
-    Scans the indices in order; each index not yet reached becomes the next
-    generator, and the reached set is closed again under right
-    multiplication by every generator so far.  ``product(x, g)`` is the
-    index of x * g.
+    Scans the indices of ``scan`` in order, which must reach all n; each
+    index not yet reached becomes the next generator, and the reached set
+    is closed again under right multiplication by every generator so far.
+    ``product(x, g)`` is the index of x * g.
 
     Returns (gens, order, parent, via, right): ``order`` lists the indices
     in discovery order; a generator gens[j] has parent -1 and via j; every
@@ -61,7 +61,7 @@ def _spanning_tree(n: int, product: Callable[[int, int], int]):
     via = [-1] * n
     done = [None] * n  # per reached index: how many generators it has been multiplied by
     order: list[int] = []
-    for i in range(n):
+    for i in scan:
         if done[i] is not None:
             continue
         via[i] = len(gens)
@@ -145,10 +145,9 @@ class FiniteGroup:
         computed; every one must land in the set.  That makes the set closed:
         each element b is a word g1...gk in the generators, and
         a * b = (...((a g1) g2)...) gk stays in the set step by step.  The
-        rest of the table is filled by lookup along the tree, column by
-        column: a * g_j = right[j][a] and a * b = right[via(b)][a * parent(b)].
-        No identity matrix is assumed, so a closed set of singular matrices
-        gets its true table and is then rejected by ``__init__`` as before.
+        rest of the table is filled by ``_from_tree``.  No identity
+        matrix is assumed, so a closed set of singular matrices gets its
+        true table and is then rejected by ``__init__`` as before.
         """
         seen: dict[tuple, MatrixFF] = {}
         for m in mats:
@@ -156,7 +155,6 @@ class FiniteGroup:
         keys = sorted(seen)
         unique = [seen[k] for k in keys]
         index = {k: i for i, k in enumerate(keys)}
-        n = len(unique)
 
         def product(x: int, g: int) -> int:
             i = index.get((unique[x] * unique[g]).key())
@@ -164,12 +162,18 @@ class FiniteGroup:
                 raise NotAGroup("set is not closed under multiplication")
             return i
 
-        _, order, parent, via, right = _spanning_tree(n, product)
-        cols: list = [None] * n
+        return cls._from_tree(unique, product, range(len(unique)))
+
+    @classmethod
+    def _from_tree(cls, mats: list, product: Callable[[int, int], int], scan: Iterable[int]):
+        """The group on ``mats``, its table filled along the ``_spanning_tree``
+        of ``product``: a * g_j = right[j][a], a * b = right[via(b)][a * parent(b)]."""
+        _, order, parent, via, right = _spanning_tree(len(mats), product, scan)
+        cols: list = [None] * len(mats)
         for b in order:
             column = right[via[b]]
             cols[b] = column if parent[b] < 0 else list(map(column.__getitem__, cols[parent[b]]))
-        return cls(zip(*cols), [f"g{i}" for i in range(n)], matrices=unique)
+        return cls(zip(*cols), [f"g{i}" for i in range(len(mats))], matrices=mats)
 
     @classmethod
     def cyclic(cls, k: int, symbol: str = "sigma") -> "FiniteGroup":
@@ -257,7 +261,7 @@ class FiniteGroup:
         subgroup generated by the ones taken before it (so never the
         identity; the trivial group has none)."""
         mul = self.mul
-        gens = _spanning_tree(self.n, lambda x, g: mul[x][g])[0]
+        gens = _spanning_tree(self.n, lambda x, g: mul[x][g], range(self.n))[0]
         return [g for g in gens if g != self.identity]
 
     def is_subgroup(self, subset: frozenset) -> bool:
@@ -384,7 +388,9 @@ def has_inertia_shape(group: FiniteGroup, p: int) -> bool:
 def group_closure(
     generators: Sequence[MatrixFF], size_cap: int = DEFAULT_GROUP_CAP
 ) -> FiniteGroup:
-    """Close a set of invertible matrices under multiplication."""
+    """Close a set of invertible matrices under multiplication.  The walk
+    forms x * g for every x and given g, so the table is read off a tree on
+    the given generators (they reach all from 1, a power of the first)."""
     if not generators:
         raise NotAGroup("need at least one generator")
     field = generators[0].field
@@ -406,18 +412,23 @@ def group_closure(
         limit = min(size_cap, gl_order // least)
     ident = MatrixFF.identity(field, n)
     seen = {ident.key(): ident}
+    after: dict[tuple, dict] = {}  # after[x][g] = x * g, by keys, for g given
     frontier = [ident]
     while frontier:
         x = frontier.pop()
+        after[x.key()] = xg = {}
         for g in generators:
             y = x * g
-            k = y.key()
+            k = xg[g.key()] = y.key()
             if k not in seen:
                 if len(seen) >= limit:
                     raise SizeCapExceeded(f"closure exceeds cap {size_cap}")
                 seen[k] = y
                 frontier.append(y)
-    return FiniteGroup.from_matrices(list(seen.values()))
+    keys = sorted(seen)
+    index = {k: i for i, k in enumerate(keys)}
+    return FiniteGroup._from_tree([seen[k] for k in keys], lambda x, g: index[after[keys[x]][keys[g]]],
+                                  [index[g.key()] for g in generators])
 
 
 def enumerate_gl(field: FiniteField, r: int) -> list[MatrixFF]:

@@ -237,21 +237,28 @@ class Representation:
                     )
         if images[group.identity] != MatrixFF.identity(field, r):
             raise NotAHomomorphism("image of the identity is not the identity matrix")
-        self.group = group
-        self.images = images
-        self.r = r
-        self.ell = field.p
-        self.field = field
+        self.group, self.images, self.r, self.ell, self.field = group, images, r, field.p, field
+
+    @classmethod
+    def _proved(cls, group: FiniteGroup, images: Sequence[MatrixFF]) -> "Representation":
+        """Images proved to satisfy both facts above, stored unchecked."""
+        rep, field = cls.__new__(cls), images[0].field
+        rep.group, rep.images, rep.r, rep.ell, rep.field = group, tuple(images), images[0].n, field.p, field
+        return rep
 
     @classmethod
     def from_generator_images(
         cls, group: FiniteGroup, gen_images: dict[str, MatrixFF]
     ) -> "Representation":
-        field = next(iter(gen_images.values())).field
-        r = next(iter(gen_images.values())).n
-        images: list[MatrixFF | None] = [None] * group.n
-        images[group.identity] = MatrixFF.identity(field, r)
+        """The walk sets images[e] = 1 and checks images[g h] = images[g] images[h]
+        for every g and given generator h, the class docstring's induction.  Mixed
+        shapes or fields raise ``DimensionMismatch`` or ``FieldMismatch`` at once."""
         gens = {group.label_index(lbl): m for lbl, m in gen_images.items()}
+        if not gens:
+            raise NotAHomomorphism("need at least one generator image")
+        m0 = next(iter(gens.values()))
+        images: list[MatrixFF | None] = [None] * group.n
+        images[group.identity] = MatrixFF.identity(m0.field, m0.n)
         frontier = [group.identity]
         while frontier:
             g = frontier.pop()
@@ -265,12 +272,7 @@ class Representation:
                     raise NotAHomomorphism("generator images are inconsistent")
         if any(m is None for m in images):
             raise NotAHomomorphism("given generators do not generate the group")
-        return cls(group, images)
-
-    def restrict(self, indices: Sequence[int]):
-        """Restriction to a subgroup; returns (Representation, index map)."""
-        sub, idx = self.group.subgroup(indices)
-        return Representation(sub, [self.images[g] for g in idx]), idx
+        return cls._proved(group, images)
 
     def image_matrices(self) -> list[MatrixFF]:
         """Distinct images, canonically ordered."""
@@ -353,18 +355,18 @@ def swan_single_break(rep: Representation, filt: RamFiltration) -> Fraction:
 # Tower statements.
 
 
-def _tower_filtrations(cover: GaloisCover):
-    """(filtration of G, filtration of H) for G = Gal(L/K) and the subgroup
-    H = Gal(L/K') of the cover's marked intermediate field K'; breaks
-    restrict to H unchanged."""
-    bt = lower_break_table(cover)
-    bt_h = restrict_break_table(bt, cover.intermediate.H_indices)
-    return filtration_from_breaks(bt, cover.p), filtration_from_breaks(bt_h, cover.p)
-
-
 def _check_intermediate(cover: GaloisCover) -> None:
     if cover.intermediate is None:
         raise PreconditionFailed("cover has no marked intermediate field")
+
+
+def tower_filtrations(cover: GaloisCover) -> tuple[RamFiltration, RamFiltration]:
+    """Filtrations of G = Gal(L/K) and of H = Gal(L/K'), for the cover's
+    marked intermediate field K'; breaks restrict to H unchanged."""
+    _check_intermediate(cover)
+    bt = lower_break_table(cover)
+    bt_h = restrict_break_table(bt, cover.intermediate.H_indices)
+    return filtration_from_breaks(bt, cover.p), filtration_from_breaks(bt_h, cover.p)
 
 
 class PullbackReport(NamedTuple):
@@ -375,23 +377,19 @@ class PullbackReport(NamedTuple):
     equality: bool
 
 
-def pullback_bound_check(cover: GaloisCover, reps: Sequence[Representation]) -> list[PullbackReport]:
-    """Sw over the intermediate field against degree times Sw over the base,
-    one report per representation in ``reps``.  The marked field and every
-    group are checked before the tower's break data are formed once."""
+def pullback_bound_check(cover: GaloisCover, rep: Representation, filt, filt_h) -> PullbackReport:
+    """Sw over K' against [K':K] Sw over K, ``(filt, filt_h) = tower_filtrations(cover)``.
+    ``rep`` restricts to a homomorphism on H, stored unchecked; ``swan_conductor``
+    checks its group against that of ``filt_h``."""
     _check_intermediate(cover)
-    if not all(_same_group(rep.group, cover.group) for rep in reps):
+    if not _same_group(rep.group, cover.group):
         raise GroupMismatch("representation is not on the cover group")
-    filt, filt_h = _tower_filtrations(cover)
-    h_idx = cover.intermediate.H_indices
-    degree = cover.group.n // len(h_idx)
-    reports = []
-    for rep in reps:
-        sw_base = swan_conductor(rep, filt).swan
-        sw_prime = swan_conductor(rep.restrict(h_idx)[0], filt_h).swan
-        bound = degree * sw_base
-        reports.append(PullbackReport(sw_base, sw_prime, degree, sw_prime <= bound, sw_prime == bound))
-    return reports
+    sub, idx = rep.group.subgroup(cover.intermediate.H_indices)
+    degree = cover.group.n // sub.n
+    sw_base = swan_conductor(rep, filt).swan
+    sw_prime = swan_conductor(Representation._proved(sub, [rep.images[g] for g in idx]), filt_h).swan
+    bound = degree * sw_base
+    return PullbackReport(sw_base, sw_prime, degree, sw_prime <= bound, sw_prime == bound)
 
 
 class TransitivityReport(NamedTuple):
@@ -404,8 +402,10 @@ class TransitivityReport(NamedTuple):
     quotient_matches: bool
 
 
-def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
-    """phi_{L/K} = phi_{K'/K} o phi_{L/K'} at breakpoints and small integers.
+def phi_transitivity_check(cover: GaloisCover, filt, filt_h, filt_low) -> TransitivityReport:
+    """phi_{L/K} = phi_{K'/K} o phi_{L/K'} at breakpoints and small integers,
+    with ``(filt, filt_h) = tower_filtrations(cover)`` and ``filt_low`` the
+    filtration of the tame layer ``cover.intermediate.lower``.
 
     Both sides are computed from independent break data: the left from the
     full cover, the right from the subgroup restriction and from the tame
@@ -413,11 +413,8 @@ def phi_transitivity_check(cover: GaloisCover) -> TransitivityReport:
     checked against the tame layer's too.
     """
     _check_intermediate(cover)
-    filt, filt_h = _tower_filtrations(cover)
     phi_full = herbrand_phi(filt)
     phi_up = herbrand_phi(filt_h)
-
-    filt_low = filtration_from_breaks(lower_break_table(cover.intermediate.lower), cover.p)
     phi_low = herbrand_phi(filt_low)
 
     points = {Fraction(u) for u, _ in phi_full.breakpoints}

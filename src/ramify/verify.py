@@ -22,39 +22,36 @@ from .ramification import (
     herbrand_phi,
     phi_transitivity_check,
     pullback_bound_check,
+    tower_filtrations,
     upper_jumps,
 )
 
 
 def suite_lemma_pullback(options) -> list[dict]:
-    # A tower's representations are checked together.  The corpus lists each
-    # tower's contiguously, so the rows keep the corpus order.
-    by_cover: dict[GaloisCover, list] = {}
+    instances = []
     for rep_id in corpus.rep_ids(kinds=("tower",)):
         cover, rep, _ = corpus.get_representation(rep_id)
-        by_cover.setdefault(cover, []).append((rep_id, rep))
-    instances = []
-    for cover, pairs in by_cover.items():
-        reports = pullback_bound_check(cover, [rep for _, rep in pairs])
-        for (rep_id, _), report in zip(pairs, reports):
-            # Our towers are totally tame base changes: equality (so holds) is expected.
-            passed = report.equality
-            instances.append(
-                {"name": rep_id, **report._asdict(), "tame_base_change": True, "pass": passed}
-            )
+        report = pullback_bound_check(cover, rep, *_filtrations(cover))
+        # Our towers are totally tame base changes: equality (so holds) is expected.
+        passed = report.equality
+        instances.append(
+            {"name": rep_id, **report._asdict(), "tame_base_change": True, "pass": passed}
+        )
     return instances
 
 
 @lru_cache(maxsize=None)
-def _filtration(cover: GaloisCover) -> RamFiltration:
-    """A corpus cover's filtration, formed once a process for `hasse_arf` and `claim2`."""
-    return filtration_from_breaks(lower_break_table(cover), cover.p)
+def _filtrations(cover: GaloisCover) -> tuple[RamFiltration, ...]:
+    """``(filt,)`` for a corpus cover, ``tower_filtrations`` for a tower: formed once a process."""
+    if cover.intermediate is None:
+        return (filtration_from_breaks(lower_break_table(cover), cover.p),)
+    return tower_filtrations(cover)
 
 
 def suite_hasse_arf(options) -> list[dict]:
     instances = []
     for cover_id in corpus.cover_ids():
-        filt = _filtration(corpus.get_cover(cover_id))
+        filt = _filtrations(corpus.get_cover(cover_id))[0]
         jumps = upper_jumps(filt, herbrand_phi(filt))
         integral = hasse_arf_check(filt, jumps)
         instances.append(
@@ -71,7 +68,8 @@ def suite_hasse_arf(options) -> list[dict]:
 def suite_transitivity(options) -> list[dict]:
     instances = []
     for cover_id in corpus.cover_ids(kinds=("tower",)):
-        report = phi_transitivity_check(corpus.get_cover(cover_id))
+        cover = corpus.get_cover(cover_id)
+        report = phi_transitivity_check(cover, *_filtrations(cover), _filtrations(cover.intermediate.lower)[0])
         instances.append(
             {
                 "name": cover_id,
@@ -128,7 +126,7 @@ def suite_claim2(options) -> list[dict]:
     instances = []
     for rep_id in corpus.rep_ids():
         cover, rep, big_n = corpus.get_representation(rep_id)
-        filt = _filtration(cover)
+        filt = _filtrations(cover)[0]
         structure = _inertia_structure(rep_id)
         tame = bounds.tameizing_subgroup(structure)
         wild = bounds.wild_order_bound_check(

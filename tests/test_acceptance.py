@@ -39,6 +39,7 @@ from ramify.ramification import (
     pullback_bound_check,
     swan_conductor,
     swan_single_break,
+    tower_filtrations,
     upper_jumps,
 )
 
@@ -128,7 +129,7 @@ def test_criterion_03_herbrand_properties():
 def test_criterion_04_transitivity():
     for cover_id in ("tower_z6", "tower_z10"):
         cover = get_cover(cover_id)
-        report = phi_transitivity_check(cover)
+        report = phi_transitivity_check(cover, *tower_filtrations(cover), _filt(cover.intermediate.lower))
         assert all(r == 0 for r in report.residuals)
         filt = _filt(cover)
         integer_points = {Fraction(v) for v in range(filt.i_max + 3)}
@@ -152,7 +153,7 @@ def test_criterion_06_pullback_bound():
     checked = 0
     for rep_id in rep_ids(kinds=("tower",)):
         cover, rep, _ = get_representation(rep_id)
-        (report,) = pullback_bound_check(cover, [rep])
+        report = pullback_bound_check(cover, rep, *tower_filtrations(cover))
         assert report.holds
         assert report.sw_prime <= report.degree * report.sw_base
         # Both towers are totally tame base changes: equality must hold.

@@ -562,6 +562,26 @@ def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
     assert code == 0, report
 
 
+def test_sampler_job_at_its_bound_makes_a_bounded_number_of_products(capsys, monkeypatch):
+    # The sampler job of test_work_at_a_job_bound_is_admitted[job7], bounded
+    # by its work rather than by the wall clock: 5,882 products since each
+    # closure reads its table off its own walk (12,274 before).
+    from ramify.linalg import MatrixFF
+
+    calls = []
+    product = MatrixFF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted)
+    job = _enum("inertia_candidate_sample", r=1, ell=2, n=8, p=3, count=16)
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0, report
+    assert len(calls) <= 5882
+
+
 @pytest.mark.parametrize(
     "raw",
     [b'{"command": ' + b"1" * 5000 + b"}", b'{"command": "\xff"}'],
@@ -1012,7 +1032,7 @@ def _count_break_data(monkeypatch):
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counting)
-    verify._filtration.cache_clear()
+    verify._filtrations.cache_clear()
     return counts
 
 
@@ -1020,11 +1040,11 @@ def test_verify_all_forms_each_cover_filtration_once(monkeypatch):
     counts = _count_break_data(monkeypatch)
     report, code = cli.run({"command": "verify", "params": {"suite": "all"}})
     assert code == 0
-    # hasse_arf forms the 10 corpus covers' filtrations and claim2 reads
-    # them; lemma_pullback forms each tower's pair once (2 break tables, 4
-    # filtrations), and transitivity forms its own (4 and 6).
+    # hasse_arf forms the 10 corpus covers' filtrations, with both of each
+    # tower's (10 break tables, 12 filtrations), and lemma_pullback, claim2
+    # and transitivity read them; transitivity adds the 2 tame layers'.
     assert len(corpus.cover_ids()) == 10
-    assert counts == {"lower_break_table": 16, "filtration_from_breaks": 20}
+    assert counts == {"lower_break_table": 12, "filtration_from_breaks": 14}
     assert hashlib.sha256((canonical_dumps(report) + "\n").encode("ascii")).hexdigest() == (
         "6b2a0314b0c18d4eed56dd5578ba6baa1cf97ecced8bdb17972395629c0e7b1c"
     )

@@ -23,6 +23,7 @@ from ramify.linalg import MatrixFF
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
+F7 = field_create(7, 1)
 
 
 def test_trivial_closure():
@@ -606,6 +607,59 @@ def test_closure_stops_at_the_least_prime_index(monkeypatch):
     with pytest.raises(SizeCapExceeded, match="^closure exceeds cap 2000$"):
         group_closure([MatrixFF.from_keys(field, 1, [g.key()])], size_cap=2000)
     assert len(calls) <= 90  # one product per element up to the stop at 89
+
+
+# -- closures read their tables off their own walk ---------------------------
+
+
+def _closure_cases():
+    """(name, given generators): GL2 fixtures, generators of the GL2(F7)
+    sample, the probes' diagonal generators and the index-23 subgroup of
+    GL_1(F_{2^11}); some lists repeat a generator or hold the identity."""
+    F5, F4, F2_11 = field_create(5, 1), field_create(2, 2), field_create(2, 11)
+
+    def rows(field, *mats):
+        return [MatrixFF.from_int_rows(field, m) for m in mats]
+
+    yield "gl2_f2", rows(F2, [[0, 1], [1, 0]], [[1, 1], [0, 1]])
+    yield "gl2_f3", rows(F3, [[0, 1], [2, 0]], [[1, 1], [0, 1]])
+    yield "gl2_f3_repeats", rows(F3, [[1, 0], [0, 1]], [[0, 1], [2, 0]], [[0, 1], [2, 0]], [[1, 1], [0, 1]])
+    yield "gl2_f5", rows(F5, [[2, 0], [0, 1]], [[4, 1], [4, 0]])
+    yield "gl2_f5_index_two", rows(F5, [[1, 1], [0, 1]], [[0, 4], [1, 0]], [[4, 0], [0, 1]])
+    sample = FiniteGroup.from_matrices([MatrixFF.from_keys(F7, 2, k) for k in GL2_F7_SAMPLE_KEYS])
+    yield "gl2_f7_sample", [sample.matrices[g] for g in sample.generators()]
+    for r, field, s in ((1, F4, 3), (2, F4, 3), (2, field_create(2, 4), 5)):
+        zeta = field.root_of_unity(s).key()
+        yield f"probe_r{r}_mu{s}", [
+            MatrixFF.from_keys(field, r, [(zeta if j == k == i else int(j == k)) for j in range(r) for k in range(r)])
+            for i in range(r)
+        ]
+    yield "f2_11_index_23", [MatrixFF.from_keys(F2_11, 1, [(F2_11.generator() ** 23).key()])]
+
+
+CLOSURE_CASES = [name for name, _ in _closure_cases()]
+
+
+@pytest.mark.parametrize("name", CLOSURE_CASES)
+def test_closure_table_is_the_table_of_its_elements(name, monkeypatch):
+    gens = next(g for n, g in _closure_cases() if n == name)
+    calls = []
+    product = MatrixFF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted)
+    closed = group_closure(gens)
+    # One product per element and given generator: the walk's own.
+    assert len(calls) == closed.n * len(gens)
+    monkeypatch.undo()
+    oracle = FiniteGroup.from_matrices(list(reversed(closed.matrices)))
+    assert closed.mul == oracle.mul
+    assert closed.labels == oracle.labels
+    assert closed.matrices == oracle.matrices
+    assert closed.verify_axioms()
 
 
 @pytest.mark.parametrize("field,r", [(F2, 3), (F3, 2), (field_create(2, 2), 2)])

@@ -8,6 +8,8 @@ from ramify import cli, ramification
 from ramify.corpus import cover_ids, get_cover, get_representation, rep_ids
 from ramify.covers import BreakTable, build_artin_schreier, build_kummer, lower_break_table
 from ramify.errors import (
+    DimensionMismatch,
+    FieldMismatch,
     GroupMismatch,
     MismatchDetected,
     NotAbelian,
@@ -31,6 +33,7 @@ from ramify.ramification import (
     restrict_break_table,
     swan_conductor,
     swan_single_break,
+    tower_filtrations,
     upper_jumps,
 )
 
@@ -47,6 +50,14 @@ def character(group, field, gen_label, value):
 
 def filt_of(cover):
     return filtration_from_breaks(lower_break_table(cover), cover.p)
+
+
+def transitivity(cover):
+    return phi_transitivity_check(cover, *tower_filtrations(cover), filt_of(cover.intermediate.lower))
+
+
+def pullback(cover, rep):
+    return pullback_bound_check(cover, rep, *tower_filtrations(cover))
 
 
 def diagonal_sum(*chars):
@@ -464,7 +475,7 @@ def test_representation_validation():
 
 def test_transitivity_z6_and_z10():
     for cover_id in ("tower_z6", "tower_z10"):
-        report = phi_transitivity_check(get_cover(cover_id))
+        report = transitivity(get_cover(cover_id))
         assert all(r == 0 for r in report.residuals)
         assert Fraction(0) in report.points
         assert report.quotient_matches
@@ -476,7 +487,7 @@ def test_transitivity_degenerate_layers():
     from ramify.series import LaurentSeries
 
     tower = build_compositum_tower(F2, 1, LaurentSeries.from_sparse(F2, [[-1, [1]]]), prec=16)
-    report = phi_transitivity_check(tower)
+    report = transitivity(tower)
     assert all(r == 0 for r in report.residuals)
     # Trivial wild layer: restricting to the full group makes phi_upper the
     # identity and the composite collapses to the tame side.
@@ -508,7 +519,7 @@ def test_pullback_bound_on_towers():
         ("tower_z10.chi_faithful", 1, 2),
     ):
         cover, rep, _ = get_representation(rep_id)
-        (report,) = pullback_bound_check(cover, [rep])
+        report = pullback(cover, rep)
         assert report.sw_base == sw
         assert report.degree == deg
         assert report.holds and report.equality
@@ -517,7 +528,7 @@ def test_pullback_bound_on_towers():
 
 def test_pullback_trivial_rep_and_degree_one():
     cover, triv, _ = get_representation("tower_z6.triv")
-    (report,) = pullback_bound_check(cover, [triv])
+    report = pullback(cover, triv)
     assert report.sw_base == report.sw_prime == 0 and report.holds
 
     from ramify.covers import build_compositum_tower
@@ -525,28 +536,36 @@ def test_pullback_trivial_rep_and_degree_one():
 
     degenerate = build_compositum_tower(F2, 1, LaurentSeries.from_sparse(F2, [[-1, [1]]]), prec=16)
     chi = character(degenerate.group, F3, "sigma", 2)
-    (report,) = pullback_bound_check(degenerate, [chi])
+    report = pullback(degenerate, chi)
     assert report.degree == 1
     assert report.sw_base == report.sw_prime == 1
 
 
 def test_pullback_checks_every_representation_before_the_break_data(monkeypatch):
-    names = ("chi_wild", "chi_tame", "chi_faithful", "triv")
     cover = get_cover("tower_z6")
-    reps = [get_representation(f"tower_z6.{name}")[1] for name in names]
-    together = pullback_bound_check(cover, reps)
-    assert together == [pullback_bound_check(cover, [rep])[0] for rep in reps]
-    _, other, _ = get_representation("tower_z10.chi_wild")
+    filt, filt_h = tower_filtrations(cover)
+    other_cover, other, _ = get_representation("tower_z10.chi_wild")
+    _, rep, _ = get_representation("tower_z6.chi_wild")
+    # A filtration pair from another tower is refused, by the restricted rep too.
+    other_filt, other_filt_h = tower_filtrations(other_cover)
+    with pytest.raises(GroupMismatch, match="different groups"):
+        pullback_bound_check(cover, rep, other_filt, filt_h)
+    with pytest.raises(GroupMismatch, match="different groups"):
+        pullback_bound_check(cover, rep, filt, other_filt_h)
 
     def no_break_data(*args):
         raise AssertionError("break data formed before the checks")
 
     monkeypatch.setattr(ramification, "lower_break_table", no_break_data)
     with pytest.raises(GroupMismatch, match="not on the cover group"):
-        pullback_bound_check(cover, [*reps, other])
-    # The marked field is checked before any group.
+        pullback_bound_check(cover, other, filt, filt_h)
+    # The marked field is checked before the group, and before any break table.
     with pytest.raises(PreconditionFailed, match="no marked intermediate field"):
-        pullback_bound_check(get_cover("as_p2_m1"), [other])
+        pullback_bound_check(get_cover("as_p2_m1"), other, filt, filt_h)
+    with pytest.raises(PreconditionFailed, match="no marked intermediate field"):
+        tower_filtrations(get_cover("as_p2_m1"))
+    with pytest.raises(PreconditionFailed, match="no marked intermediate field"):
+        phi_transitivity_check(get_cover("as_p2_m1"), filt, filt_h, filt)
 
 
 def test_herbrand_function_evaluation_guard():
@@ -671,3 +690,90 @@ def test_every_generator_is_checked():
     with pytest.raises(NotAHomomorphism, match="not multiplicative"):
         Representation(group, images)
 
+
+
+# -- generator images: the walk is the one law check -----------------------------
+
+
+def _counting_products(monkeypatch):
+    calls = []
+    product = MatrixFF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted)
+    return calls
+
+
+def test_generator_images_refuse_an_empty_map():
+    with pytest.raises(NotAHomomorphism, match="at least one generator image"):
+        Representation.from_generator_images(FiniteGroup.cyclic(2, "sigma"), {})
+
+
+def test_generator_images_of_mixed_shape_or_field_raise_in_the_first_products():
+    v4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2, "a"), FiniteGroup.cyclic(2, "b"))
+    minus_one = MatrixFF.from_int_rows(F7, [[6]])
+    with pytest.raises(DimensionMismatch):
+        Representation.from_generator_images(v4, {"a": minus_one, "b": MatrixFF.from_int_rows(F7, [[6, 0], [0, 1]])})
+    with pytest.raises(FieldMismatch):
+        Representation.from_generator_images(v4, {"a": minus_one, "b": MatrixFF.from_int_rows(F3, [[2]])})
+
+
+def _generator_image_cases():
+    """Seeded random conjugates of the ``_rep_cases`` representations, given
+    on the greedy generators and two random further elements."""
+    from ramify.groups import _random_invertible
+
+    rng = random.Random(26)
+    for name, group, images in _rep_cases():
+        c = _random_invertible(images[0].field, images[0].n, rng)
+        ci = c.inverse()
+        conj = [c * m * ci for m in images]
+        given = set(group.generators()) | set(rng.sample(range(group.n), 2))
+        yield name, group, conj, {group.labels[g]: conj[g] for g in sorted(given)}
+
+
+@pytest.mark.parametrize("name", ["gl2_f3_natural", "z7_z3", "z5_z4", "z3_z2", "z6_character"])
+def test_generator_image_reps_pass_the_full_law_scan_at_one_product_per_generator(name, monkeypatch):
+    group, conj, gen_images = next((g, c, gi) for n, g, c, gi in _generator_image_cases() if n == name)
+    calls = _counting_products(monkeypatch)
+    rep = Representation.from_generator_images(group, gen_images)
+    assert len(calls) == group.n * len(gen_images)
+    monkeypatch.undo()
+    assert rep.images == tuple(conj)
+    assert _full_scan_is_homomorphism(group, rep.images)
+
+
+def test_random_characters_are_accepted_exactly_when_multiplicative():
+    rng = random.Random(5)
+    accepted = refused = 0
+    for _ in range(40):
+        n, x = rng.choice((2, 3, 5, 6)), rng.randrange(7)
+        group = FiniteGroup.cyclic(n, "g")
+        try:
+            rep = Representation.from_generator_images(group, {"g": MatrixFF.from_int_rows(F7, [[x]])})
+        except NotAHomomorphism:
+            refused += 1
+            assert pow(x, n, 7) != 1
+        else:
+            accepted += 1
+            assert pow(x, n, 7) == 1 and _full_scan_is_homomorphism(group, rep.images)
+    assert accepted and refused
+
+
+@pytest.mark.parametrize("rep_id", rep_ids())
+def test_corpus_representations_pass_the_full_law_scan(rep_id):
+    _, rep, _ = get_representation(rep_id)
+    assert _full_scan_is_homomorphism(rep.group, rep.images)
+    assert rep.images[rep.group.identity] == MatrixFF.identity(rep.field, rep.r)
+
+
+def test_pullback_restriction_makes_no_law_check_product(monkeypatch):
+    pairs = [get_representation(rep_id)[:2] for rep_id in rep_ids(kinds=("tower",))]
+    filts = {cover: tower_filtrations(cover) for cover, _ in pairs}
+    calls = _counting_products(monkeypatch)
+    reports = [pullback_bound_check(cover, rep, *filts[cover]) for cover, rep in pairs]
+    assert calls == []
+    assert all(report.equality for report in reports)
