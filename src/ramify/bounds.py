@@ -175,14 +175,12 @@ class ExplicitConstants(NamedTuple):
     M_crude: int | None  # M0!, or None when it stays symbolic
 
     def crude_at_least(self, value: int) -> bool:
-        """Whether the crude bound M0! is >= value, exactly.
+        """Whether the crude bound M0! is >= value, exactly, symbolic or not.
 
-        In symbolic form the running product 1 * 2 * ... * k stops as soon
-        as it reaches ``value`` (so after about log2(value) steps) or when
-        k = M0, where it equals M0!.
+        The running product 1 * 2 * ... * k stops as soon as it reaches
+        ``value`` (so after about log2(value) steps) or when k = M0, where it
+        equals M0!.
         """
-        if self.M_crude is not None:
-            return self.M_crude >= value
         product = 1
         for k in range(2, self.M0 + 1):
             if product >= value:
@@ -249,10 +247,11 @@ class WildOrderReport(NamedTuple):
 def _abelian_normal_part(group: FiniteGroup) -> frozenset:
     if group.is_abelian():
         return frozenset(range(group.n))
-    best = frozenset({group.identity})
+    best, mul = frozenset({group.identity}), group.mul
     for sub in group.all_subgroups():
-        mat_sub, _ = group.subgroup(sub)
-        if mat_sub.is_abelian() and group.is_normal(sub) and len(sub) > len(best):
+        if len(sub) > len(best) and group.is_normal(sub) and all(
+            mul[a][b] == mul[b][a] for a in sub for b in sub
+        ):
             best = sub
     return best
 
@@ -284,13 +283,11 @@ def wild_order_bound_check(
 
     visible = len(per_jump)  # the jumps where the fixed space grows
 
-    p_ok = True
-    for i in structure.P_indices & _abelian_normal_part(structure.group):
-        o = structure.group.order_of(i)
-        if n_prime == 0:
-            p_ok = p_ok and o == 1
-        else:
-            p_ok = p_ok and pow(structure.p, n_prime, o) == 0
+    # o divides p^{N'} iff p^{N'} mod o == 0; for N' = 0 that holds iff o == 1.
+    p_ok = all(
+        pow(structure.p, n_prime, structure.group.order_of(i)) == 0
+        for i in structure.P_indices & _abelian_normal_part(structure.group)
+    )
     p_order = structure.P_order
     torus_bound = structure.p ** (rep.r * n_prime) * J
     ok = visible <= sw and p_ok and p_order <= torus_bound  # sw <= N: refused above

@@ -101,7 +101,7 @@ def _cmd_bound(job: dict, params: dict, options: dict):
     rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     big_n = corpus.read_int(params.get("N"), "params.N", 0)
-    structure = bounds.inertia_structure(rep.image_matrices(), p)
+    structure = bounds.inertia_structure(rep.images, p)
     tame = bounds.tameizing_subgroup(structure)
     wild = bounds.wild_order_bound_check(
         structure, filt, rep, big_n, jordan_table=options.get("jordan_table")

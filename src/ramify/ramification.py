@@ -167,8 +167,8 @@ def upper_jumps(filt: RamFiltration, phi: HerbrandFunction) -> tuple[Fraction, .
 def hasse_arf_check(filt: RamFiltration, upper: Sequence[Fraction]) -> bool:
     """Integrality of ``upper``, the upper jumps of ``filt``; only stated
     for abelian G_0."""
-    g0, _ = filt.group.subgroup(filt.subgroup_at(0))
-    if not g0.is_abelian():
+    g0, mul = filt.subgroup_at(0), filt.group.mul
+    if any(mul[a][b] != mul[b][a] for a in g0 for b in g0):
         raise NotAbelian("Hasse-Arf integrality requires an abelian group")
     return all(x.denominator == 1 for x in upper)
 
@@ -273,13 +273,6 @@ class Representation:
         if any(m is None for m in images):
             raise NotAHomomorphism("given generators do not generate the group")
         return cls._proved(group, images)
-
-    def image_matrices(self) -> list[MatrixFF]:
-        """Distinct images, canonically ordered."""
-        seen = {}
-        for m in self.images:
-            seen.setdefault(m.key(), m)
-        return [seen[k] for k in sorted(seen)]
 
     def fixed_dim(self, subset) -> int:
         return fixed_dim([self.images[i] for i in subset])

@@ -8,7 +8,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-VERSION = "0.1.0"
+from . import __version__
 
 
 def rational_pair(x) -> dict:
@@ -55,7 +55,7 @@ def make_report(command: str, job: dict, results, warnings) -> dict:
         "inputs_digest": job_digest(job),
         "results": results,
         "warnings": list(warnings),
-        "version": VERSION,
+        "version": __version__,
     }
 
 

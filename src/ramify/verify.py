@@ -87,7 +87,7 @@ def _inertia_structure(rep_id: str) -> bounds.InertiaStructure:
     """The inertia structure of a corpus representation's image, formed once
     a process for `claim1` and `claim2` both, as the representation is."""
     cover, rep, _ = corpus.get_representation(rep_id)
-    return bounds.inertia_structure(rep.image_matrices(), cover.p)
+    return bounds.inertia_structure(rep.images, cover.p)
 
 
 def suite_claim1(options) -> list[dict]:

@@ -199,7 +199,7 @@ def test_criterion_09_proposition_pipeline():
         cover, rep, big_n = get_representation(rep_id)
         assert big_n in (1, 3)
         filt = _filt(cover)
-        st = inertia_structure(rep.image_matrices(), cover.p)
+        st = inertia_structure(rep.images, cover.p)
         assert swan_conductor(rep, filt).swan <= big_n
         tame = tameizing_subgroup(st)
         assert math.gcd(tame.H_order, cover.p) == 1

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from ramify.bounds import (
+    FACTORIAL_CAP,
     DecompositionData,
     ExplicitConstants,
     claim1_check,
@@ -140,7 +141,7 @@ def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
     structures = []
     for rep_id in rep_ids():
         cover, rep, _ = get_representation(rep_id)
-        structures.append(inertia_structure(rep.image_matrices(), cover.p))
+        structures.append(inertia_structure(rep.images, cover.p))
     for r, ell, n, p in ((2, 3, 1, 2), (2, 2, 1, 3), (2, 5, 1, 3), (2, 7, 1, 3), (1, 3, 2, 2)):
         for seed in range(3):
             for g in inertia_candidate_sample(r, ell, n, p, count=3, seed=seed):
@@ -151,6 +152,20 @@ def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
         h = frozenset(tame.H_indices)
         assert st.group.closure(h) == h
         assert tame.index_tame * tame.H_order == st.group.n
+
+
+@pytest.mark.parametrize("rep_id", rep_ids())
+def test_inertia_structure_of_all_images_equals_that_of_the_distinct_images(rep_id):
+    """Oracle for the deleted ``image_matrices``: ``from_matrices`` removes
+    the repeated images itself, so ``rep.images`` and the distinct images in
+    key order give the same structure."""
+    cover, rep, _ = get_representation(rep_id)
+    distinct = {m.key(): m for m in rep.images}
+    st = inertia_structure(rep.images, cover.p)
+    oracle = inertia_structure([distinct[k] for k in sorted(distinct)], cover.p)
+    assert st.group.mul == oracle.group.mul
+    assert [m.key() for m in st.group.matrices] == sorted(distinct)
+    assert (st.P_indices, st.M, st.n) == (oracle.P_indices, oracle.M, oracle.n)
 
 
 def test_explicit_constants_reference_values():
@@ -174,14 +189,21 @@ def test_explicit_constants_overflow_policy():
 
 
 def test_crude_at_least_is_exact():
-    # The symbolic path, forced on small M0, against the exact factorial.
-    for m0 in range(0, 9):
-        symbolic = ExplicitConstants(0, m0, None)
-        exact = ExplicitConstants(0, m0, math.factorial(m0))
-        for value in list(range(-2, 50)) + [math.factorial(k) + d for k in range(9) for d in (-1, 0, 1)]:
-            expected = math.factorial(m0) >= value
-            assert symbolic.crude_at_least(value) is expected
-            assert exact.crude_at_least(value) is expected
+    # The running product against math.factorial(M0) >= value, the exact
+    # comparison it replaces, whether M_crude is exact or symbolic.
+    for m0 in range(61):
+        fact = math.factorial(m0)
+        grid = list(range(-2, 50)) + [math.factorial(k) + d for k in range(62) for d in (-1, 0, 1)]
+        for value in grid + [2 * fact, 2 ** fact.bit_length()]:
+            expected = fact >= value
+            assert ExplicitConstants(0, m0, None).crude_at_least(value) is expected
+            assert ExplicitConstants(0, m0, fact).crude_at_least(value) is expected
+    # A symbolic M0 past FACTORIAL_CAP: explicit_constants(1, 71, 2, 1, 1) has M0 = 71^2.
+    ec = explicit_constants(1, 71, 2, 1, 1)
+    assert ec.M0 == 5041 > FACTORIAL_CAP and ec.M_crude is None
+    fact = math.factorial(ec.M0)
+    for value in (1, fact // ec.M0, fact - 1, fact, fact + 1, 10 ** 20000):
+        assert ec.crude_at_least(value) is (fact >= value)
     # The descriptor case of explicit_constants: M0 = 2^15, M0! stays symbolic.
     ec = explicit_constants(1, 2, 3, 5, 1)
     assert ec.M_crude is None
@@ -227,7 +249,7 @@ def test_jordan_bound_table():
 def test_wild_order_bound_on_corpus(rep_id):
     cover, rep, big_n = get_representation(rep_id)
     filt = filtration_from_breaks(lower_break_table(cover), cover.p)
-    st = inertia_structure(rep.image_matrices(), cover.p)
+    st = inertia_structure(rep.images, cover.p)
     report = wild_order_bound_check(st, filt, rep, big_n)
     assert report.ok
     assert report.constants == explicit_constants(rep.r, cover.p, st.ell, big_n, jordan_bound(rep.r))
@@ -243,7 +265,7 @@ def test_wild_order_bound_on_corpus(rep_id):
 def test_wild_order_bound_rejects_large_swan():
     cover, rep, _ = get_representation("as_p2_m3.chi")
     filt = filtration_from_breaks(lower_break_table(cover), cover.p)
-    st = inertia_structure(rep.image_matrices(), cover.p)
+    st = inertia_structure(rep.images, cover.p)
     with pytest.raises(PreconditionFailed):
         wild_order_bound_check(st, filt, rep, N=1)
 
@@ -294,14 +316,14 @@ def test_wild_order_refusals_come_before_the_digit_guard(digit_limit_4300):
     # Sw = 2 with ell = 65521: N' = 65521 N passes the digit limit at N = 1,
     # but Sw > N is reported first; at N = 2 the guard refuses M0.
     filt, rep = _as_rep(3, 2, 65521, pow(17, 65520 // 3, 65521))
-    st = inertia_structure(rep.image_matrices(), 3)
+    st = inertia_structure(rep.images, 3)
     with pytest.raises(PreconditionFailed, match="exceeds N = 1"):
         wild_order_bound_check(st, filt, rep, 1)
     with pytest.raises(OverflowPolicyExceeded, match="constants.M0"):
         wild_order_bound_check(st, filt, rep, 2)
     # Rank 2 has no default Jordan bound: that is reported before the guard.
     filt, rep = _as_rep(3, 1, 7, 2, r=2)
-    st = inertia_structure(rep.image_matrices(), 3)
+    st = inertia_structure(rep.images, 3)
     with pytest.raises(NoBoundConfigured):
         wild_order_bound_check(st, filt, rep, 10 ** 6)
     with pytest.raises(OverflowPolicyExceeded, match="constants.M0"):
@@ -366,7 +388,7 @@ def test_tameizing_consistency_with_crude_bound():
     # When |P| <= M0, the degree of the taming subextension stays below M0!.
     for rep_id in rep_ids():
         cover, rep, big_n = get_representation(rep_id)
-        st = inertia_structure(rep.image_matrices(), cover.p)
+        st = inertia_structure(rep.images, cover.p)
         tame = tameizing_subgroup(st)
         ec = explicit_constants(rep.r, cover.p, st.ell, big_n, jordan_bound(rep.r))
         if st.P_order <= ec.M0:

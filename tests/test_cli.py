@@ -46,6 +46,24 @@ def test_swan_job_golden(capsys, monkeypatch):
     assert isinstance(report["inputs_digest"], str) and len(report["inputs_digest"]) == 64
 
 
+def test_report_version_is_the_package_version():
+    """One version literal: reports carry ``ramify.__version__``, which is
+    the ``[project] version`` of pyproject.toml."""
+    import ramify
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == ramify.__version__
+    assert reporting.make_report("verify", {}, {}, [])["version"] == ramify.__version__
+
+
+def test_dispatch_and_job_validation_name_the_same_commands():
+    """``corpus.read_job`` admits ``corpus.COMMANDS`` and ``cli.run``
+    dispatches on ``cli._HANDLERS``: a command in one only would be a
+    KeyError traceback or an unreachable handler."""
+    assert sorted(cli._HANDLERS) == sorted(corpus.COMMANDS)
+
+
 def test_herbrand_job_tame(capsys, monkeypatch):
     job = {"command": "herbrand", "base": {"p": 2, "a": 2}, "cover": {"type": "kummer", "m": 3}}
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
@@ -56,9 +74,8 @@ def test_herbrand_job_tame(capsys, monkeypatch):
     assert report["results"]["hasse_arf"] is True
 
 
-def test_herbrand_job_builds_g0_once(capsys, monkeypatch):
-    """Hasse-Arf is stated for abelian G_0 only: S3 reports null, Z/4 its
-    integrality, and either way G_0's table is built once."""
+def _count_subgroup_tables(monkeypatch) -> list:
+    """Sizes of the subgroup tables built from now on."""
     from ramify.groups import FiniteGroup
 
     sizes = []
@@ -69,13 +86,55 @@ def test_herbrand_job_builds_g0_once(capsys, monkeypatch):
         return subgroup(group, subset)
 
     monkeypatch.setattr(FiniteGroup, "subgroup", counted)
+    return sizes
+
+
+def test_herbrand_job_builds_no_subgroup_table(capsys, monkeypatch):
+    """Hasse-Arf is stated for abelian G_0 only: S3 reports null, Z/4 its
+    integrality, and either way G_0 is tested on the job's own table."""
+    sizes = _count_subgroup_tables(monkeypatch)
     s3 = _dihedral_table(3, "herbrand")
     s3["break_table"]["iG"] = {x: 2 if i < 3 else 1 for i, x in enumerate(s3["break_table"]["labels"]) if i}
-    for job, order, hasse_arf in ((s3, 6, None), (_cyclic_table(4, 2, "herbrand"), 4, True)):
-        sizes.clear()
+    for job, hasse_arf in ((s3, None), (_cyclic_table(4, 2, "herbrand"), True)):
         code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
         assert code == 0 and report["results"]["hasse_arf"] is hasse_arf
-        assert sizes == [order]
+    assert sizes == []
+
+
+def _semidirect_bound_job(p, m, a, ell, zeta):
+    """A bound job on Z/p x| Z/m (index y*p + x is sigma^x tau^y, with
+    tau sigma tau^-1 = sigma^a) with i = 2 on the rotations, and its
+    faithful monomial rep: sigma -> diag(zeta^(a^-i)), tau -> cyclic shift."""
+    def label(x, y):
+        parts = [f"sigma^{x}" if x > 1 else "sigma"] * (x > 0) + [f"tau^{y}" if y > 1 else "tau"] * (y > 0)
+        return "*".join(parts) or "1"
+
+    labels = [label(i % p, i // p) for i in range(p * m)]
+    table = [[(i // p + j // p) % m * p + (i % p + pow(a, i // p, p) * (j % p)) % p for j in range(p * m)]
+             for i in range(p * m)]
+    a_inv = pow(a, -1, p)
+    sigma = [[pow(zeta, pow(a_inv, i, p), ell) if i == j else 0 for j in range(m)] for i in range(m)]
+    tau = [[int(i == (j + 1) % m) for j in range(m)] for i in range(m)]
+    return {"command": "bound", "base": {"p": p, "a": 1}, "params": {"N": 4},
+            "break_table": {"labels": labels, "mul_table": table,
+                            "iG": {x: 2 if i < p else 1 for i, x in enumerate(labels) if i}},
+            "rep": {"ell": ell, "r": m, "images": {"sigma": sigma, "tau": tau}}}
+
+
+def test_hasse_arf_and_a_nonabelian_bound_job_build_no_subgroup_table(monkeypatch):
+    """Whether G_0, or a candidate for the abelian normal part, commutes is
+    read on the group's own table: ``verify hasse_arf`` over the formed
+    filtrations and a bound job whose image is Z/7 x| Z/3 build no subgroup
+    table."""
+    cli.run({"command": "verify", "params": {"suite": "hasse_arf"}})  # forms the filtrations
+    sizes = _count_subgroup_tables(monkeypatch)
+    report, code = cli.run({"command": "verify", "params": {"suite": "hasse_arf"}})
+    assert code == 0 and len(report["results"]["instances"]) == 10
+    job = _semidirect_bound_job(7, 3, 2, 29, 16)  # 16 has order 7 mod 29
+    report, code = cli.run(job, {"jordan_table": {3: 3}})
+    assert code == 0 and report["results"]["inertia"]["order"] == 21
+    assert report["results"]["inertia"]["P_order"] == 7
+    assert sizes == []
 
 
 def test_jobs_build_phi_once_and_each_fixed_space_once(capsys, monkeypatch):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from ramify import groups, linalg
-from ramify.bounds import inertia_structure
-from ramify.errors import NotAGroup, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
+from ramify.bounds import _abelian_normal_part, inertia_structure
+from ramify.errors import NotAbelian, NotAGroup, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
 from ramify.fields import field_create, is_prime, prime_factors, split_prime_power
 from ramify.groups import (
     FiniteGroup,
@@ -20,6 +20,7 @@ from ramify.groups import (
     power_order,
 )
 from ramify.linalg import MatrixFF
+from ramify.ramification import RamFiltration, hasse_arf_check
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -535,6 +536,31 @@ def test_is_subgroup_matches_the_three_part_test():
                 assert verdict == _three_part_is_subgroup(group, subset), (group.n, subset)
                 subgroups += verdict
         assert subgroups == len(group.all_subgroups())
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [enumerate_gl(F2, 2), affine_group(7, 3), affine_group(5, 4), GL2_F3],
+    ids=["s3", "z7_z3", "z5_z4", "gl2_f3"],
+)
+def test_commutativity_on_the_parent_table_matches_the_subgroup_table(mats):
+    """Oracle for the subgroup tables that ``hasse_arf_check`` and
+    ``_abelian_normal_part`` no longer build: for every subgroup S, the
+    verdict read on the parent table equals ``subgroup(S)[0].is_abelian()``."""
+    group = FiniteGroup.from_matrices(mats)
+    assert not group.is_abelian()
+    best = frozenset({group.identity})
+    for sub in group.all_subgroups():
+        abelian = group.subgroup(sub)[0].is_abelian()
+        filt = RamFiltration(group, 2, (0,), (sub,))  # G_0 = S
+        if abelian:
+            assert hasse_arf_check(filt, ())
+        else:
+            with pytest.raises(NotAbelian):
+                hasse_arf_check(filt, ())
+        if abelian and group.is_normal(sub) and len(sub) > len(best):
+            best = sub
+    assert _abelian_normal_part(group) == best
 
 
 def test_power_order_on_tables_and_matrices():
