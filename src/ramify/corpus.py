@@ -236,6 +236,9 @@ def break_table(cfg) -> BreakTable:
     labels = read(cfg.get("labels"), "break_table.labels", list)
     table = read(cfg.get("mul_table"), "break_table.mul_table", list)
     _cap(len(labels), GROUP_CAP, "the group order len('break_table.labels')")
+    for i, label in enumerate(labels):
+        if read(label, f"break_table.labels[{i}]", str) in labels[:i]:
+            raise InputSchemaError(f"'break_table.labels[{i}]' repeats the label {label!r}")
     try:
         group = FiniteGroup(table, labels)
     except RamifyError:
@@ -293,7 +296,7 @@ def representation(group: FiniteGroup, cfg, p: int) -> Representation:
             [_element(field, x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(rows)
         ])
-    return Representation.from_generator_images(group, gen_images)
+    return Representation(group, gen_images)
 
 
 def enum_args(params: dict) -> tuple[str, dict]:

@@ -201,58 +201,26 @@ def quotient_filtration_by_herbrand(
 
 
 class Representation:
-    """Homomorphism into invertible matrices over F_{ell^n}.
+    """Homomorphism into invertible matrices over F_{ell^n}, given by the
+    images of some elements that generate the group.
 
-    The constructor checks images[a * g] = images[a] * images[g] for every
-    element a and every g in ``group.generators()`` (the identity alone for
-    the trivial group): n * |gens| products instead of n^2.  That implies
-    the full law.  If the law holds for all a at b, then at b * g:
-    images[a b g] = images[a b] images[g] = images[a] images[b] images[g] =
-    images[a] images[b g].  Every element is a nonempty word in the
-    generators (the greedy set generates the group, and inverses are
-    positive powers in a finite group), so induction on the word length
-    covers every b.  It then checks images[e] = 1 in place of a rank test of
-    each image: with the law, images[g]^ord(g) = images[e] = 1 inverts every
-    image, and invertible images force the idempotent images[e] to be 1.
+    The constructor walks the group from the identity: it sets
+    images[e] = 1 and, for every reached g and every given h, sets or checks
+    images[g h] = images[g] * images[h], in n * |gens| products.  That
+    proves the full law.  If the law holds for all a at b, then at b * h:
+    images[a b h] = images[a b] images[h] = images[a] images[b] images[h] =
+    images[a] images[b h].  It holds at b = e since images[e] = 1, and
+    every element is a nonempty word in the given elements (they generate
+    the group, and inverses are positive powers in a finite group), so
+    induction on the word length covers every b.  Every image is then
+    invertible, since images[g]^ord(g) = images[e] = 1.  Mixed shapes or
+    fields raise ``DimensionMismatch`` or ``FieldMismatch`` in the first
+    products.
     """
 
     __slots__ = ("group", "images", "r", "ell", "field")
 
-    def __init__(self, group: FiniteGroup, images: Sequence[MatrixFF]):
-        images = tuple(images)
-        if len(images) != group.n:
-            raise NotAHomomorphism("need one image per group element")
-        field = images[0].field
-        r = images[0].n
-        for m in images:
-            if m.field != field or m.n != r:
-                raise NotAHomomorphism("images of mixed shape or field")
-        mul = group.mul
-        for g in group.generators() or [group.identity]:
-            image_g = images[g]
-            for a in range(group.n):
-                if images[mul[a][g]] != images[a] * image_g:
-                    raise NotAHomomorphism(
-                        f"not multiplicative at ({group.labels[a]}, {group.labels[g]})"
-                    )
-        if images[group.identity] != MatrixFF.identity(field, r):
-            raise NotAHomomorphism("image of the identity is not the identity matrix")
-        self.group, self.images, self.r, self.ell, self.field = group, images, r, field.p, field
-
-    @classmethod
-    def _proved(cls, group: FiniteGroup, images: Sequence[MatrixFF]) -> "Representation":
-        """Images proved to satisfy both facts above, stored unchecked."""
-        rep, field = cls.__new__(cls), images[0].field
-        rep.group, rep.images, rep.r, rep.ell, rep.field = group, tuple(images), images[0].n, field.p, field
-        return rep
-
-    @classmethod
-    def from_generator_images(
-        cls, group: FiniteGroup, gen_images: dict[str, MatrixFF]
-    ) -> "Representation":
-        """The walk sets images[e] = 1 and checks images[g h] = images[g] images[h]
-        for every g and given generator h, the class docstring's induction.  Mixed
-        shapes or fields raise ``DimensionMismatch`` or ``FieldMismatch`` at once."""
+    def __init__(self, group: FiniteGroup, gen_images: dict[str, MatrixFF]):
         gens = {group.label_index(lbl): m for lbl, m in gen_images.items()}
         if not gens:
             raise NotAHomomorphism("need at least one generator image")
@@ -272,7 +240,15 @@ class Representation:
                     raise NotAHomomorphism("generator images are inconsistent")
         if any(m is None for m in images):
             raise NotAHomomorphism("given generators do not generate the group")
-        return cls._proved(group, images)
+        field = m0.field
+        self.group, self.images, self.r, self.ell, self.field = group, tuple(images), m0.n, field.p, field
+
+    @classmethod
+    def _proved(cls, group: FiniteGroup, images: Sequence[MatrixFF]) -> "Representation":
+        """Images proved to satisfy the law, as the constructor's walk does, stored unchecked."""
+        rep, field = cls.__new__(cls), images[0].field
+        rep.group, rep.images, rep.r, rep.ell, rep.field = group, tuple(images), images[0].n, field.p, field
+        return rep
 
     def fixed_dim(self, subset) -> int:
         return fixed_dim([self.images[i] for i in subset])

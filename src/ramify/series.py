@@ -7,11 +7,12 @@ support is contained in ``[v0, oo)``.  Every operation derives the best
 absolute precision it can honestly guarantee for its result; nothing is ever
 rounded, so equal windows mean equal coefficients.
 
-Coefficients are stored as plain ints: ``coeffs`` is the window of known
-coefficients from ``v0`` on, each the key of its field element (the base-p
-digits of its coordinates, so just the residue over a prime field).
-FieldElement objects appear only where callers see coefficients: the
-constructor, ``from_terms``, ``coeff``, ``support``, ``scale`` and ``repr``.
+Coefficients are stored as plain ints: the one constructor takes, and
+``coeffs`` holds, the window of known coefficients from ``v0`` on, each the
+key of its field element (the base-p digits of its coordinates, so just the
+residue over a prime field).  FieldElement objects appear only where callers
+see coefficients: ``from_terms`` and the factories on it, ``coeff``,
+``support`` and ``scale``.
 
 A product is one big-integer multiplication (Kronecker substitution, as in
 D. Harvey, J. Symbolic Comput. 44, 2009): coordinate k of coefficient i is
@@ -153,25 +154,9 @@ def _inverse_keys(field: FiniteField, u: Sequence[int], n: int) -> list[int]:
 class LaurentSeries:
     __slots__ = ("field", "v0", "coeffs", "abs_prec")
 
-    def __init__(
-        self,
-        field: FiniteField,
-        v0: int,
-        coeffs: Sequence[FieldElement],
-        abs_prec: int | None,
-    ):
-        """Normalize and store; prefer the factory classmethods."""
-        self._set(field, v0, [c.key() for c in coeffs], abs_prec)
-
-    @classmethod
-    def _from_keys(
-        cls, field: FiniteField, v0: int, keys: Sequence[int], abs_prec: int | None
-    ) -> "LaurentSeries":
-        series = cls.__new__(cls)
-        series._set(field, v0, keys, abs_prec)
-        return series
-
-    def _set(self, field: FiniteField, v0: int, keys: Sequence[int], abs_prec: int | None) -> None:
+    def __init__(self, field: FiniteField, v0: int, keys: Sequence[int], abs_prec: int | None):
+        """The series with keys[i] at t^(v0 + i), cut to ``abs_prec``, with its
+        zero ends trimmed; prefer the factory classmethods."""
         if abs_prec is not None:
             want = abs_prec - v0
             if want <= 0:
@@ -207,10 +192,10 @@ class LaurentSeries:
     ) -> "LaurentSeries":
         keys = {e: c.key() for e, c in terms.items() if c}
         if not keys:
-            return cls._from_keys(field, 0 if abs_prec is None else abs_prec, (), abs_prec)
+            return cls(field, 0 if abs_prec is None else abs_prec, (), abs_prec)
         lo = min(keys)
         hi = max(keys) + 1 if abs_prec is None else abs_prec
-        return cls._from_keys(field, lo, [keys.get(e, 0) for e in range(lo, hi)], abs_prec)
+        return cls(field, lo, [keys.get(e, 0) for e in range(lo, hi)], abs_prec)
 
     @classmethod
     def monomial(cls, field: FiniteField, coeff: FieldElement, exp: int) -> "LaurentSeries":
@@ -218,7 +203,7 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, field: FiniteField) -> "LaurentSeries":
-        return cls._from_keys(field, 0, (), None)
+        return cls(field, 0, (), None)
 
     @classmethod
     def one(cls, field: FiniteField) -> "LaurentSeries":
@@ -231,17 +216,6 @@ class LaurentSeries:
     @classmethod
     def constant(cls, field: FiniteField, c: FieldElement) -> "LaurentSeries":
         return cls.from_terms(field, {0: c})
-
-    @classmethod
-    def from_sparse(
-        cls, field: FiniteField, pairs: Sequence, abs_prec: int | None = None
-    ) -> "LaurentSeries":
-        """Build from [[exponent, coordinate-vector], ...].  A job's ``cover.f``,
-        whose elements may also be plain integers, is read by ``corpus._datum``."""
-        terms: dict[int, FieldElement] = {}
-        for exp, coords in pairs:
-            terms[int(exp)] = field.from_coeffs(coords)
-        return cls.from_terms(field, terms, abs_prec)
 
     # -- predicates -------------------------------------------------------------
 
@@ -348,10 +322,10 @@ class LaurentSeries:
             window[i:j] = self.field.add_keys(
                 window[i:j], other.coeffs[start - other.v0 : stop - other.v0], sign
             )
-        return LaurentSeries._from_keys(self.field, lo, window, ap)
+        return LaurentSeries(self.field, lo, window, ap)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries._from_keys(
+        return LaurentSeries(
             self.field, self.v0, self.field.neg_keys(self.coeffs), self.abs_prec
         )
 
@@ -359,18 +333,18 @@ class LaurentSeries:
         if not c:
             if self.is_exact:
                 return LaurentSeries.zero(self.field)
-            return LaurentSeries._from_keys(self.field, self.abs_prec, (), self.abs_prec)
+            return LaurentSeries(self.field, self.abs_prec, (), self.abs_prec)
         if c.field is not self.field and c.field != self.field:
             raise FieldMismatch("scalar from a different field")
         n = len(self.coeffs)
-        return LaurentSeries._from_keys(
+        return LaurentSeries(
             self.field, self.v0, _mul_keys(self.field, self.coeffs, [c.key()], n), self.abs_prec
         )
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k."""
         ap = None if self.abs_prec is None else self.abs_prec + k
-        return LaurentSeries._from_keys(self.field, self.v0 + k, self.coeffs, ap)
+        return LaurentSeries(self.field, self.v0 + k, self.coeffs, ap)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
@@ -389,9 +363,9 @@ class LaurentSeries:
             ap = min(caps)
             size = ap - lo
             if size <= 0:
-                return LaurentSeries._from_keys(self.field, ap, (), ap)
+                return LaurentSeries(self.field, ap, (), ap)
         window = _mul_keys(self.field, self.coeffs, other.coeffs, size)
-        return LaurentSeries._from_keys(self.field, lo, window, ap)
+        return LaurentSeries(self.field, lo, window, ap)
 
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
@@ -405,7 +379,7 @@ class LaurentSeries:
         if self.abs_prec is not None and self.abs_prec <= ap:
             return self
         lo = min(self.v0, ap)
-        return LaurentSeries._from_keys(self.field, lo, self._window(lo, ap), ap)
+        return LaurentSeries(self.field, lo, self._window(lo, ap), ap)
 
     def inverse(self, prec: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse.
@@ -423,7 +397,7 @@ class LaurentSeries:
         field = self.field
         v = self.v0
         if self.is_exact and len(self.coeffs) == 1:
-            return LaurentSeries._from_keys(field, -v, [field.inverse_key(self.coeffs[0])], None)
+            return LaurentSeries(field, -v, [field.inverse_key(self.coeffs[0])], None)
         if self.abs_prec is not None:
             rel = self.abs_prec - v
             if prec is not None:
@@ -431,7 +405,7 @@ class LaurentSeries:
         else:
             rel = prec if prec is not None else DEFAULT_PRECISION
         w = _inverse_keys(field, self.coeffs[:rel], rel)
-        return LaurentSeries._from_keys(field, -v, w, -v + rel)
+        return LaurentSeries(field, -v, w, -v + rel)
 
 
 def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> LaurentSeries:
@@ -440,7 +414,7 @@ def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> L
     while n and not keys[n - 1]:
         n -= 1
     if n <= 1:
-        return LaurentSeries._from_keys(field, 0, keys[:n], None)
+        return LaurentSeries(field, 0, keys[:n], None)
     w = g.v0
     if g.abs_prec is None:
         ap = None
@@ -448,7 +422,7 @@ def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> L
     else:
         # Horner's precision: P + (j - 1) w for the least j >= 1 with f_j != 0.
         ap = span = g.abs_prec + (next(j for j in range(1, n) if keys[j]) - 1) * w
-        g = LaurentSeries._from_keys(field, w, g._window(w, ap), ap)
+        g = LaurentSeries(field, w, g._window(w, ap), ap)
     k = n if n <= 3 else isqrt(n - 1) + 1  # n = 3: g^2 and one block, no giant step
     powers = [LaurentSeries.one(field), g]
     for j in range(2, k + 1 if n > k else k):
@@ -484,7 +458,7 @@ def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> L
             m = full if ap is None else ap
             value = _pack(field, acc, width, size) * packed + block(i)
             acc = _unpack_keys(field, value, full, m, width, size)
-    return LaurentSeries._from_keys(field, 0, acc, ap)
+    return LaurentSeries(field, 0, acc, ap)
 
 
 def _stretch(f: LaurentSeries, c: int, w: int) -> LaurentSeries:
@@ -500,7 +474,7 @@ def _stretch(f: LaurentSeries, c: int, w: int) -> LaurentSeries:
             if fk:
                 keys[i * w] = (field.from_key(fk) * power).key()
             power = power * x
-    return LaurentSeries._from_keys(field, f.v0 * w, keys, None)
+    return LaurentSeries(field, f.v0 * w, keys, None)
 
 
 def compose(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
@@ -544,7 +518,7 @@ def compose(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     field = f.field
     if g.is_exact_zero():
         if f.is_exact and f.v0 >= 0:
-            return LaurentSeries._from_keys(field, 0, [f._key(0)], None)
+            return LaurentSeries(field, 0, [f._key(0)], None)
         raise CompositionUndefined("cannot substitute the zero series into a pole")
     w = g.valuation()
     if w < 1:
@@ -553,7 +527,7 @@ def compose(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     if f.is_zero_known():
         if f.is_exact:
             return LaurentSeries.zero(field)
-        return LaurentSeries._from_keys(field, f.abs_prec * w, (), f.abs_prec * w)
+        return LaurentSeries(field, f.abs_prec * w, (), f.abs_prec * w)
 
     if g.is_exact and len(g.coeffs) == 1:
         result = _stretch(f, g.coeffs[0], w)

@@ -97,7 +97,7 @@ def test_criterion_02_tameness():
                 continue
             assert swan_conductor(rep, filt).swan == 0
         ident = MatrixFF.identity(field_create(7 if cover.p != 7 else 11, 1), 1)
-        triv = Representation(cover.group, [ident] * cover.group.n)
+        triv = Representation(cover.group, dict.fromkeys(cover.group.labels, ident))
         assert swan_conductor(triv, filt).swan == 0
     _passed(2, "every tame fixture has Swan = 0 and integral upper jumps")
 

@@ -304,9 +304,9 @@ def _as_rep(p, m, ell, value, r=1):
     """(filtration, rep) of y^p - y = t^-m over F_p, with sigma -> value * I_r
     in GL_r(F_ell): r copies of one character."""
     field = field_create(p, 1)
-    cover = build_artin_schreier(field, LaurentSeries.from_sparse(field, [[-m, [1]]]), prec=32)
+    cover = build_artin_schreier(field, LaurentSeries.monomial(field, field.one(), -m), prec=32)
     scalar = [[value if i == j else 0 for j in range(r)] for i in range(r)]
-    rep = Representation.from_generator_images(
+    rep = Representation(
         cover.group, {"sigma": MatrixFF.from_int_rows(field_create(ell, 1), scalar)}
     )
     return filtration_from_breaks(lower_break_table(cover), p), rep

@@ -302,6 +302,14 @@ _TABLE_JOB = {
 }
 
 
+def _labelled(labels, command="filtration"):
+    """A break-table job whose only fault is in ``labels``."""
+    table = {"labels": labels, "mul_table": [[0, 1], [1, 0]], "iG": {"s": 2}}
+    if len(labels) == 1:
+        table.update(mul_table=[[0]], iG={})
+    return dict(_TABLE_JOB, command=command, break_table=table)
+
+
 @pytest.mark.parametrize(
     "job,field",
     [
@@ -344,6 +352,11 @@ _TABLE_JOB = {
         (_rep_with(images={"sigma": [[2, 1]]}), "rep.images.sigma"),
         (_rep_with(images={"sigma": [[2], [1]]}), "rep.images.sigma"),
         (dict(SWAN_JOB, break_table=_TABLE_JOB["break_table"]), "'cover' and 'break_table'"),
+        *((_labelled([label, "s"]), "'break_table.labels[0]' must be a string") for label in (1, [1], {"x": 1}, None)),
+        (_labelled([None, "s"], "herbrand"), "'break_table.labels[0]' must be a string"),
+        (_labelled(["s", "s"]), "'break_table.labels[1]' repeats"),
+        (_labelled(["s", "s"], "herbrand"), "'break_table.labels[1]' repeats"),
+        (_labelled([5]), "'break_table.labels[0]' must be a string"),
     ],
 )
 def test_malformed_job_names_the_bad_field(job, field, capsys, monkeypatch):

@@ -52,7 +52,7 @@ def as_break_oracle(p, m, j):
 
 
 def as_sparse(field, pairs):
-    return LaurentSeries.from_sparse(field, pairs)
+    return LaurentSeries.from_terms(field, {e: field.from_coeffs(c) for e, c in pairs})
 
 
 @pytest.mark.parametrize(
@@ -440,7 +440,7 @@ def _character_of_order(group, p):
     ell = next(q for q in range(p + 1, 200, p) if all(q % d for d in range(2, q)))
     zeta = next(x for x in range(2, ell) if pow(x, p, ell) == 1)
     field = field_create(ell, 1)
-    return Representation.from_generator_images(
+    return Representation(
         group, {"sigma": MatrixFF.from_int_rows(field, [[zeta]])}
     )
 

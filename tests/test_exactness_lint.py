@@ -6,7 +6,9 @@ complex) literals, calls of ``float``, and the inexact ``math`` functions
 ``math.name``, through an alias of the module, or imported by name.
 
 It also rejects ``assert`` statements: ``python -O`` strips them, so a check
-written as one would silently disappear.
+written as one would silently disappear.  And it keeps each value to one
+checked constructor: ``__new__`` is called only by the two unchecked
+builders whose callers prove their inputs.
 """
 
 import ast
@@ -107,3 +109,25 @@ def test_library_source_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _new_calls(node, scope=()):
+    """``Class.function`` around each ``__new__`` call below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "__new__":
+            yield ".".join(scope)
+        yield from _new_calls(child, inner)
+
+
+def test_only_the_two_proved_builders_skip_the_constructor():
+    """``cls.__new__(cls)`` skips ``__init__``'s checks; only the keyed matrix
+    builder and the representation restricted in a pullback may do that."""
+    found = sorted(
+        where
+        for path in SOURCE.rglob("*.py")
+        for where in _new_calls(ast.parse(path.read_text(), path.name))
+    )
+    assert found == ["MatrixFF.from_keys", "Representation._proved"]

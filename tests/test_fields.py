@@ -272,7 +272,7 @@ def test_inverse_by_euclid_matches_the_power_q_minus_2(p, a):
 
 def _power_inputs():
     F5, F9 = field_create(5, 1), field_create(3, 2)
-    series = LaurentSeries(F5, -2, [F5.from_int(k) for k in (3, 0, 1, 4, 2, 1)], 4)
+    series = LaurentSeries(F5, -2, [3, 0, 1, 4, 2, 1], 4)
     matrix = MatrixFF.from_int_rows(F5, [[1, 2, 0], [0, 3, 1], [4, 0, 1]])
     return [series, matrix, F9.from_key(5)]
 

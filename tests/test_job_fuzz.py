@@ -24,6 +24,12 @@ from ramify import cli, verify
 
 REP = {"ell": 3, "n": 1, "r": 1, "images": {"sigma": [[[2]]]}}
 AS_COVER = {"type": "artin_schreier", "f": [[-1, [1]]]}
+# A break table that a filtration report sorts the labels of.
+TABLE_JOB = {
+    "command": "filtration",
+    "base": {"p": 2, "a": 1},
+    "break_table": {"labels": ["1", "a"], "mul_table": [[0, 1], [1, 0]], "iG": {"a": 2}},
+}
 
 SEED_JOBS = [
     {"command": "swan", "base": {"p": 2, "a": 1}, "cover": AS_COVER, "rep": REP},
@@ -35,6 +41,7 @@ SEED_JOBS = [
         "cover": {"type": "tower", "m": 3, "f": [[-1, [1]], [2, [0, 1]]]},
         "params": {"precision": 32},
     },
+    TABLE_JOB,
     {
         "command": "swan",
         "base": {"p": 2, "a": 1},

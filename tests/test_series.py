@@ -21,7 +21,7 @@ F5 = field_create(5, 1)
 
 
 def sparse(field, pairs):
-    return LaurentSeries.from_sparse(field, pairs)
+    return LaurentSeries.from_terms(field, {e: field.from_coeffs(c) for e, c in pairs})
 
 
 def test_valuation_examples():
@@ -77,8 +77,8 @@ coeff_lists = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_si
 @settings(max_examples=60, deadline=None)
 @given(coeff_lists, coeff_lists, st.integers(-5, 5), st.integers(-5, 5))
 def test_product_valuation_additive(cs1, cs2, v1, v2):
-    f = LaurentSeries(F5, v1, [F5.from_int(c) for c in cs1], v1 + len(cs1)).truncate(v1 + 32)
-    g = LaurentSeries(F5, v2, [F5.from_int(c) for c in cs2], v2 + len(cs2)).truncate(v2 + 32)
+    f = LaurentSeries(F5, v1, cs1, v1 + len(cs1)).truncate(v1 + 32)
+    g = LaurentSeries(F5, v2, cs2, v2 + len(cs2)).truncate(v2 + 32)
     if f.is_zero_known() or g.is_zero_known():
         return
     assert (f * g).valuation() == f.valuation() + g.valuation()
@@ -89,7 +89,7 @@ def test_product_valuation_additive(cs1, cs2, v1, v2):
 def test_inv_inv_identity_property(cs):
     if cs[0] % 5 == 0:
         cs = [1] + cs
-    f = LaurentSeries(F5, -2, [F5.from_int(c) for c in cs], -2 + len(cs)).truncate(30)
+    f = LaurentSeries(F5, -2, cs, -2 + len(cs)).truncate(30)
     assert (f.inverse().inverse() - f).is_zero_known()
 
 
@@ -351,11 +351,10 @@ def series_in(draw, field, min_v0=-4, max_v0=4, unit=False):
     if unit:
         keys[0] = draw(st.integers(1, field.order - 1))
     v0 = draw(st.integers(min_v0, max_v0))
-    coeffs = [field.from_key(k) for k in keys]
     if draw(st.booleans()):
-        return LaurentSeries(field, v0, coeffs, None)
+        return LaurentSeries(field, v0, keys, None)
     known = draw(st.integers(1 if unit else 0, len(keys)))
-    return LaurentSeries(field, v0, coeffs, v0 + known)
+    return LaurentSeries(field, v0, keys, v0 + known)
 
 
 @settings(max_examples=150, deadline=None)
@@ -401,10 +400,9 @@ def long_series(draw, field, max_len=100):
         for i in spots:
             keys[i] = draw(st.integers(1, field.order - 1))
     v0 = draw(st.integers(-40, 2))
-    coeffs = [field.from_key(k) for k in keys]
     if draw(st.booleans()):
-        return LaurentSeries(field, v0, coeffs, None)
-    return LaurentSeries(field, v0, coeffs, v0 + draw(st.integers(0, n)))
+        return LaurentSeries(field, v0, keys, None)
+    return LaurentSeries(field, v0, keys, v0 + draw(st.integers(0, n)))
 
 
 @st.composite
@@ -417,10 +415,10 @@ def substitutions(draw, field):
         return LaurentSeries.monomial(field, field.from_key(lead), v0)
     size = 3 if kind == "exact" else 12
     rest = draw(st.lists(st.integers(0, field.order - 1), max_size=size - 1))
-    coeffs = [field.from_key(k) for k in [lead] + rest]
+    keys = [lead] + rest
     if kind == "exact":
-        return LaurentSeries(field, v0, coeffs, None)
-    return LaurentSeries(field, v0, coeffs, v0 + draw(st.integers(1, len(coeffs))))
+        return LaurentSeries(field, v0, keys, None)
+    return LaurentSeries(field, v0, keys, v0 + draw(st.integers(1, len(keys))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -435,7 +433,7 @@ def test_compose_needs_about_two_sqrt_n_products(monkeypatch):
     # Horner's rule would take one product per term: 1,024 here, and one
     # more per pole term.  A pole of order m adds about 2 log2(m) products.
     n = 1024
-    g = LaurentSeries._from_keys(F5, 1, [1, 2, 3] * 400, 1201)
+    g = LaurentSeries(F5, 1, [1, 2, 3] * 400, 1201)
     calls = []
     inner = LaurentSeries.__mul__
 
@@ -446,7 +444,7 @@ def test_compose_needs_about_two_sqrt_n_products(monkeypatch):
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
     k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     for v0, abs_prec, head in ((0, 1201, (1, 2, 2)), (-1023, 177, (1,))):
-        f = LaurentSeries._from_keys(F5, v0, [1 + e % 4 for e in range(n)], None)
+        f = LaurentSeries(F5, v0, [1 + e % 4 for e in range(n)], None)
         calls.clear()
         out = compose(f, g)
         assert len(calls) <= 2 * k + 2 + 2 * (-v0).bit_length()
