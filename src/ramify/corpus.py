@@ -24,6 +24,7 @@ from .covers import (
     build_artin_schreier,
     build_compositum_tower,
     build_kummer,
+    deck_group,
     lower_break_table,
 )
 from .errors import InputSchemaError, NotGaloisOverBase, RamifyError, SizeCapExceeded
@@ -34,7 +35,7 @@ from .ramification import Representation
 from .series import LaurentSeries, precision_cap
 
 COMMANDS = ("filtration", "herbrand", "swan", "bound", "verify", "enum")
-CORPUS_PRECISION = 24
+CORPUS_PRECISION = 1  # the least: each wild layer gets its break window p + m + 4
 
 # The largest group a job builds: a cover's degree (p, m or p * m), a break
 # table's order and the probe's diagonal group.  A table has n^2 cells and
@@ -373,10 +374,11 @@ def get_cover(cover_id: str) -> GaloisCover:
 
 @lru_cache(maxsize=None)
 def get_representation(rep_id: str):
-    """Returns (cover, representation, N) for a corpus representation."""
+    """(cover id, p, representation, N), on the cover's ``deck_group``: no series is built."""
     for entry in _raw()["representations"]:
         if entry["id"] == rep_id:
-            cover = get_cover(entry["cover"])
-            rep = representation(cover.group, entry, cover.p)
-            return cover, rep, read_int(entry["N"], "N", 0)
+            spec = _cover_spec(entry["cover"])
+            p, cfg = base_field(spec["base"]).p, spec["cover"]
+            rep = representation(deck_group(cfg["type"], p, cfg.get("m", 1)), entry, p)
+            return entry["cover"], p, rep, read_int(entry["N"], "N", 0)
     raise KeyError(rep_id)

@@ -24,6 +24,7 @@ imply the group law and invariance of t, which the tests check in full.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -117,6 +118,15 @@ class BreakTable:
 
     def by_label(self) -> dict[str, int]:
         return {self.group.labels[i]: v for i, v in sorted(self.i_map.items())}
+
+
+@lru_cache(maxsize=None)
+def deck_group(kind: str, p: int, m: int) -> FiniteGroup:
+    """The deck group, once a process: Z/p (sigma^j) for an 'artin_schreier'
+    cover, Z/m (tau^k) for a 'kummer' one, Z/p x Z/m (index j m + k) for a 'tower'."""
+    if kind == "tower":
+        return FiniteGroup.direct_product(deck_group("artin_schreier", p, 1), deck_group("kummer", p, m))
+    return FiniteGroup.cyclic(p, "sigma") if kind == "artin_schreier" else FiniteGroup.cyclic(m, "tau")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +291,7 @@ def _artin_schreier(
 
     _check_zero(y_in_s ** p - y_in_s - compose(f, t_in_s), "defining relation of y")
 
-    group = FiniteGroup.cyclic(p, "sigma")
+    group = deck_group("artin_schreier", p, 1)
     action: dict[int, LaurentSeries] = {0: s_mono}
     for j in range(1, p):
         yj = y_in_s + LaurentSeries.constant(base, base.from_int(j))
@@ -317,7 +327,7 @@ def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCo
     action = {k: LaurentSeries.monomial(base, zeta ** k, 1) for k in range(m)}
     return GaloisCover(
         base_field=base,
-        group=FiniteGroup.cyclic(m, "tau"),
+        group=deck_group("kummer", base.p, m),
         t_in_s=LaurentSeries.monomial(base, base.one(), m),
         sigma_action=action,
         prec=prec if prec is not None else DEFAULT_PRECISION,
@@ -363,7 +373,7 @@ def build_compositum_tower(
     upper, y_in_s, a_exp = _artin_schreier(base, pulled, prec)
     s_prime = upper.t_in_s
 
-    group = FiniteGroup.direct_product(upper.group, lower.group)
+    group = deck_group("tower", p, m)
     t_in_s = s_prime ** m
     if t_in_s.valuation() != p * m:
         raise MismatchDetected("base uniformizer has wrong valuation in the tower")

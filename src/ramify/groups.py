@@ -504,6 +504,9 @@ def max_ell_element_order(r: int, ell: int, n: int) -> int:
     is prime to ell.  So by Lagrange m is an ell-element iff m^(ell^s) = 1,
     with s = n r(r-1)/2, and its order is ell^d for the least such d: the
     walk x <- x^ell reaches the identity within s steps, or m is skipped.
+    An ell-element is unipotent, as (m - 1)^(ell^d) = m^(ell^d) - 1 = 0 in
+    characteristic ell, so its trace is r * 1: only those matrices are
+    walked, and each distinct one is raised to the ell-th power once.
     Every ell-element found is also checked against the nilpotency bound
     ell^{d-1} <= r.
     """
@@ -513,13 +516,20 @@ def max_ell_element_order(r: int, ell: int, n: int) -> int:
     field = field_create(ell, n)
     ident = MatrixFF.identity(field, r)
     steps = n * r * (r - 1) // 2
+    mats = enumerate_gl(field, r)
+    traces = [0] * len(mats)
+    for i in range(0, r * r, r + 1):
+        traces = field.add_keys(traces, [m.entries[i] for m in mats])
+    powers: dict[tuple, MatrixFF] = {}  # x.entries -> x^ell
     best = 1
-    for m in enumerate_gl(field, r):
+    for m, trace in zip(mats, traces):
+        if trace != r % ell:  # the key of r * 1, an element of F_ell
+            continue
         x, o = m, 1
         for _ in range(steps):
             if x == ident:
                 break
-            x, o = power(x, ell), o * ell
+            x, o = powers.get(x.entries) or powers.setdefault(x.entries, power(x, ell)), o * ell
         if x != ident:
             continue
         if not nilpotency_exponent_ok(m, o, ell, r):

@@ -348,12 +348,16 @@ class PullbackReport(NamedTuple):
 
 def pullback_bound_check(cover: GaloisCover, rep: Representation, filt, filt_h) -> PullbackReport:
     """Sw over K' against [K':K] Sw over K, ``(filt, filt_h) = tower_filtrations(cover)``.
-    ``rep`` restricts to a homomorphism on H, stored unchecked; ``swan_conductor``
-    checks its group against that of ``filt_h``."""
+    ``rep`` restricts to a homomorphism on H, stored unchecked on ``filt_h``'s
+    group once its labels and table are those of H in ``rep``'s group."""
     _check_intermediate(cover)
     if not _same_group(rep.group, cover.group):
         raise GroupMismatch("representation is not on the cover group")
-    sub, idx = rep.group.subgroup(cover.intermediate.H_indices)
+    sub, idx = filt_h.group, sorted(cover.intermediate.H_indices)
+    pos, mul = {g: i for i, g in enumerate(idx)}, rep.group.mul
+    if sub.labels != tuple(rep.group.labels[g] for g in idx) or sub.mul != tuple(
+            tuple(pos.get(mul[a][b]) for b in idx) for a in idx):
+        raise GroupMismatch("representation and filtration have different groups")
     degree = cover.group.n // sub.n
     sw_base = swan_conductor(rep, filt).swan
     sw_prime = swan_conductor(Representation._proved(sub, [rep.images[g] for g in idx]), filt_h).swan

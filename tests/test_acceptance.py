@@ -77,7 +77,7 @@ def test_criterion_01_artin_schreier_conductors():
             assert filt.subgroup_at(i) == frozenset(range(p))
             assert len(filt.subgroup_at(i)) == p
         assert filt.subgroup_at(m + 1) == frozenset({cover.group.identity})
-        _, rep, _ = get_representation(AS_CHARACTERS[(p, m)])
+        _, _, rep, _ = get_representation(AS_CHARACTERS[(p, m)])
         ident = MatrixFF.identity(rep.field, rep.r)
         assert sum(m == ident for m in rep.images) == 1  # faithful
         assert swan_conductor(rep, filt).swan == Fraction(m)
@@ -92,7 +92,8 @@ def test_criterion_02_tameness():
         filt = _filt(cover)
         assert hasse_arf_check(filt, upper_jumps(filt, herbrand_phi(filt)))
         for rep_id in rep_ids():
-            c, rep, _ = get_representation(rep_id)
+            c_id, _, rep, _ = get_representation(rep_id)
+            c = get_cover(c_id)
             if c is not cover:
                 continue
             assert swan_conductor(rep, filt).swan == 0
@@ -152,7 +153,8 @@ def test_criterion_05_hasse_arf():
 def test_criterion_06_pullback_bound():
     checked = 0
     for rep_id in rep_ids(kinds=("tower",)):
-        cover, rep, _ = get_representation(rep_id)
+        cover_id, _, rep, _ = get_representation(rep_id)
+        cover = get_cover(cover_id)
         report = pullback_bound_check(cover, rep, *tower_filtrations(cover))
         assert report.holds
         assert report.sw_prime <= report.degree * report.sw_base
@@ -165,7 +167,8 @@ def test_criterion_06_pullback_bound():
 
 def test_criterion_07_swan_consistency():
     for rep_id in rep_ids():
-        cover, rep, _ = get_representation(rep_id)
+        cover_id, _, rep, _ = get_representation(rep_id)
+        cover = get_cover(cover_id)
         filt = _filt(cover)
         report = swan_conductor(rep, filt)  # internally checks both routes
         breaks = report.breaks
@@ -196,7 +199,8 @@ def test_criterion_08_claim1_exhaustive():
 
 def test_criterion_09_proposition_pipeline():
     for rep_id in rep_ids():
-        cover, rep, big_n = get_representation(rep_id)
+        cover_id, _, rep, big_n = get_representation(rep_id)
+        cover = get_cover(cover_id)
         assert big_n in (1, 3)
         filt = _filt(cover)
         st = inertia_structure(rep.images, cover.p)

@@ -18,7 +18,7 @@ from ramify.bounds import (
     tameizing_subgroup,
     wild_order_bound_check,
 )
-from ramify.corpus import get_representation, rep_ids
+from ramify.corpus import get_cover, get_representation, rep_ids
 from ramify.covers import build_artin_schreier, lower_break_table
 from ramify.errors import (
     ComplementNotFound,
@@ -134,7 +134,8 @@ def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
     needless: H is its own closure, and |H| divides |I|."""
     structures = []
     for rep_id in rep_ids():
-        cover, rep, _ = get_representation(rep_id)
+        cover_id, _, rep, _ = get_representation(rep_id)
+        cover = get_cover(cover_id)
         structures.append(inertia_structure(rep.images, cover.p))
     for r, ell, n, p in ((2, 3, 1, 2), (2, 2, 1, 3), (2, 5, 1, 3), (2, 7, 1, 3), (1, 3, 2, 2)):
         for seed in range(3):
@@ -153,7 +154,8 @@ def test_inertia_structure_of_all_images_equals_that_of_the_distinct_images(rep_
     """Oracle for the deleted ``image_matrices``: ``from_matrices`` removes
     the repeated images itself, so ``rep.images`` and the distinct images in
     key order give the same structure."""
-    cover, rep, _ = get_representation(rep_id)
+    cover_id, _, rep, _ = get_representation(rep_id)
+    cover = get_cover(cover_id)
     distinct = {m.key(): m for m in rep.images}
     st = inertia_structure(rep.images, cover.p)
     oracle = inertia_structure([distinct[k] for k in sorted(distinct)], cover.p)
@@ -241,7 +243,8 @@ def test_jordan_bound_table():
 
 @pytest.mark.parametrize("rep_id", rep_ids())
 def test_wild_order_bound_on_corpus(rep_id):
-    cover, rep, big_n = get_representation(rep_id)
+    cover_id, _, rep, big_n = get_representation(rep_id)
+    cover = get_cover(cover_id)
     filt = filtration_from_breaks(lower_break_table(cover), cover.p)
     st = inertia_structure(rep.images, cover.p)
     report = wild_order_bound_check(st, filt, rep, big_n)
@@ -257,7 +260,8 @@ def test_wild_order_bound_on_corpus(rep_id):
 
 
 def test_wild_order_bound_rejects_large_swan():
-    cover, rep, _ = get_representation("as_p2_m3.chi")
+    cover_id, _, rep, _ = get_representation("as_p2_m3.chi")
+    cover = get_cover(cover_id)
     filt = filtration_from_breaks(lower_break_table(cover), cover.p)
     st = inertia_structure(rep.images, cover.p)
     with pytest.raises(PreconditionFailed):
@@ -379,7 +383,8 @@ def test_star_kernel_inconsistent_orders():
 def test_tameizing_consistency_with_crude_bound():
     # When |P| <= M0, the degree of the taming subextension stays below M0!.
     for rep_id in rep_ids():
-        cover, rep, big_n = get_representation(rep_id)
+        cover_id, _, rep, big_n = get_representation(rep_id)
+        cover = get_cover(cover_id)
         st = inertia_structure(rep.images, cover.p)
         tame = tameizing_subgroup(st)
         ec = explicit_constants(rep.r, cover.p, st.ell, big_n, jordan_bound(rep.r))

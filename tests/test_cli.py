@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from ramify import bounds, cli, corpus, ramification, reporting, verify
+from ramify import bounds, cli, corpus, ramification, reporting, series, verify
 from ramify.bounds import ExplicitConstants
 from ramify.errors import InputSchemaError
+from ramify.groups import FiniteGroup
+from ramify.linalg import MatrixFF
 from ramify.ramification import SwanReport
 from ramify.reporting import canonical_dumps
 
@@ -1161,14 +1163,52 @@ def test_verify_all_forms_each_cover_filtration_once(monkeypatch):
     )
 
 
+def _fresh_work_counts(monkeypatch) -> dict:
+    """Empty caches for the corpus and the suites, restored afterwards, and
+    counters of cover builds, MatrixFF products and series products."""
+    for module, name in ((corpus, "get_cover"), (corpus, "get_representation"),
+                         (verify, "_filtrations"), (verify, "_inertia_structure")):
+        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__))
+    counts = {"build_cover": 0, "matmul": 0, "series_mul": 0}
+    for owner, name, key in ((corpus, "build_cover", "build_cover"), (MatrixFF, "__mul__", "matmul"),
+                             (series, "_mul_keys", "series_mul")):
+        def counting(*args, _real=getattr(owner, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def test_claim1_builds_no_cover_and_no_series(monkeypatch):
+    counts = _fresh_work_counts(monkeypatch)
+    assert verify.run_suite("claim1")["ok"]
+    # The parent built all 10 corpus covers: 741 series products.
+    assert counts["build_cover"] == counts["series_mul"] == 0
+
+
+def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
+    counts = _fresh_work_counts(monkeypatch)
+    report, code = cli.run({"command": "verify", "params": {"suite": "all"}})
+    assert code == 0
+    # The parent made 1,319 matrix and 741 series products: it built the
+    # covers at precision 24 and walked every matrix of claim1's groups.
+    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 428}
+
+
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):
     counts = _count_break_data(monkeypatch)
+    subgroups = []
+    form = FiniteGroup.subgroup
+    monkeypatch.setattr(FiniteGroup, "subgroup", lambda *args: subgroups.append(1) or form(*args))
     report, code = cli.run({"command": "verify", "params": {"suite": "lemma_pullback"}})
     assert code == 0
-    # 8 representations on 2 towers: one break table and one pair of
-    # filtrations per tower.
+    # 8 representations on 2 towers: one break table, one pair of
+    # filtrations and one subgroup table of H per tower (the parent formed
+    # H's table once more per representation: 10).
     assert len(report["results"]["instances"]) == 8
     assert counts == {"lower_break_table": 2, "filtration_from_breaks": 4}
+    assert len(subgroups) == 2
 
 
 # A kummer job of degree 1 or 0, a tower with no tame layer, and an F_2 tower

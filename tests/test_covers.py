@@ -11,6 +11,7 @@ from ramify.covers import (
     build_artin_schreier,
     build_compositum_tower,
     build_kummer,
+    deck_group,
     lower_break_table,
 )
 from ramify.errors import (
@@ -361,6 +362,24 @@ def test_no_built_cover_is_rebuilt():
     for cover, shape in built:
         assert lower_break_table(cover).i_map == _closed_form_breaks(*shape), shape
     assert len(built) == 250
+
+
+@pytest.mark.parametrize("cover_id", corpus.cover_ids())
+def test_corpus_covers_keep_their_breaks_at_the_break_window(cover_id):
+    spec = corpus._cover_spec(cover_id)
+    base = corpus.base_field(spec["base"])
+    assert corpus.CORPUS_PRECISION == 1
+    at_window = corpus.build_cover(base, spec["cover"], prec=corpus.CORPUS_PRECISION)
+    at_24 = corpus.build_cover(base, spec["cover"], prec=24)
+    assert lower_break_table(at_window).by_label() == lower_break_table(at_24).by_label()
+
+
+@pytest.mark.parametrize("cover_id", corpus.cover_ids())
+def test_corpus_covers_have_the_deck_group_of_their_kind(cover_id):
+    spec = corpus._cover_spec(cover_id)
+    group = corpus.get_cover(cover_id).group
+    expected = deck_group(spec["cover"]["type"], spec["base"]["p"], spec["cover"].get("m", 1))
+    assert (group.mul, group.labels) == (expected.mul, expected.labels)
 
 
 def test_precision_cap_parses_the_environment(monkeypatch):

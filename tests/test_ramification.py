@@ -373,7 +373,8 @@ def swan_character_oracle(filt, rep):
 
 
 def test_swan_as_p2_m1():
-    cover, rep, _ = get_representation("as_p2_m1.chi")
+    cover_id, _, rep, _ = get_representation("as_p2_m1.chi")
+    cover = get_cover(cover_id)
     filt = filt_of(cover)
     report = swan_conductor(rep, filt)
     assert report.swan == 1
@@ -382,7 +383,8 @@ def test_swan_as_p2_m1():
 
 
 def test_swan_as_p2_m3():
-    cover, rep, _ = get_representation("as_p2_m3.chi")
+    cover_id, _, rep, _ = get_representation("as_p2_m3.chi")
+    cover = get_cover(cover_id)
     filt = filt_of(cover)
     report = swan_conductor(rep, filt)
     assert report.swan == 3
@@ -390,10 +392,12 @@ def test_swan_as_p2_m3():
 
 
 def test_swan_tame_and_trivial_are_zero():
-    cover, rep, _ = get_representation("kummer_p2a2_m3.chi")
+    cover_id, _, rep, _ = get_representation("kummer_p2a2_m3.chi")
+    cover = get_cover(cover_id)
     filt = filt_of(cover)
     assert swan_conductor(rep, filt).swan == 0
-    cover2, triv, _ = get_representation("as_p2_m1.triv")
+    cover2_id, _, triv, _ = get_representation("as_p2_m1.triv")
+    cover2 = get_cover(cover2_id)
     assert swan_conductor(triv, filt_of(cover2)).swan == 0
     assert swan_conductor(triv, filt_of(cover2)).breaks == ((Fraction(0), 1),)
 
@@ -407,7 +411,8 @@ def test_swan_zero_iff_wild_part_acts_trivially():
         "tower_z6.chi_tame",
         "tower_z10.chi_faithful",
     ):
-        cover, rep, _ = get_representation(rep_id)
+        cover_id, _, rep, _ = get_representation(rep_id)
+        cover = get_cover(cover_id)
         filt = filt_of(cover)
         sw = swan_conductor(rep, filt).swan
         ident = MatrixFF.identity(rep.field, rep.r)
@@ -416,8 +421,9 @@ def test_swan_zero_iff_wild_part_acts_trivially():
 
 
 def test_swan_direct_sum_additive():
-    cover, chi, _ = get_representation("tower_z6.chi_wild")
-    _, tame, _ = get_representation("tower_z6.chi_tame")
+    cover_id, _, chi, _ = get_representation("tower_z6.chi_wild")
+    cover = get_cover(cover_id)
+    _, _, tame, _ = get_representation("tower_z6.chi_tame")
     filt = filt_of(cover)
     both = diagonal_sum(chi, tame)
     report = swan_conductor(both, filt)
@@ -426,15 +432,16 @@ def test_swan_direct_sum_additive():
 
 
 def test_swan_chi_plus_trivial_breaks():
-    cover, chi, _ = get_representation("as_p2_m1.chi")
-    _, triv, _ = get_representation("as_p2_m1.triv")
+    cover_id, _, chi, _ = get_representation("as_p2_m1.chi")
+    cover = get_cover(cover_id)
+    _, _, triv, _ = get_representation("as_p2_m1.triv")
     filt = filt_of(cover)
     both = diagonal_sum(chi, triv)
     assert swan_conductor(both, filt).breaks == ((Fraction(0), 1), (Fraction(1), 1))
 
 
 def test_swan_group_mismatch():
-    cover, rep, _ = get_representation("as_p2_m1.chi")
+    _, _, rep, _ = get_representation("as_p2_m1.chi")
     other = filt_of(get_cover("as_p3_m1"))
     with pytest.raises(GroupMismatch):
         swan_conductor(rep, other)
@@ -446,7 +453,8 @@ def test_single_break_formula():
         ("as_p2_m3.chi", Fraction(3)),
         ("tower_z6.chi_wild", Fraction(1)),
     ):
-        cover, rep, _ = get_representation(rep_id)
+        cover_id, _, rep, _ = get_representation(rep_id)
+        cover = get_cover(cover_id)
         filt = filt_of(cover)
         value = swan_single_break(rep, filt)
         assert value == expected == swan_conductor(rep, filt).swan
@@ -454,12 +462,14 @@ def test_single_break_formula():
 
 
 def test_single_break_preconditions():
-    cover, chi, _ = get_representation("as_p2_m1.chi")
-    _, triv, _ = get_representation("as_p2_m1.triv")
+    cover_id, _, chi, _ = get_representation("as_p2_m1.chi")
+    cover = get_cover(cover_id)
+    _, _, triv, _ = get_representation("as_p2_m1.triv")
     filt = filt_of(cover)
     with pytest.raises(PreconditionFailed):
         swan_single_break(diagonal_sum(chi, triv), filt)
-    tame_cover, tame_rep, _ = get_representation("kummer_p3_m2.chi")
+    tame_cover_id, _, tame_rep, _ = get_representation("kummer_p3_m2.chi")
+    tame_cover = get_cover(tame_cover_id)
     tame_filt = filt_of(tame_cover)
     with pytest.raises(PreconditionFailed):
         swan_single_break(tame_rep, tame_filt)
@@ -521,7 +531,8 @@ def test_pullback_bound_on_towers():
         ("tower_z10.chi_wild", 1, 2),
         ("tower_z10.chi_faithful", 1, 2),
     ):
-        cover, rep, _ = get_representation(rep_id)
+        cover_id, _, rep, _ = get_representation(rep_id)
+        cover = get_cover(cover_id)
         report = pullback(cover, rep)
         assert report.sw_base == sw
         assert report.degree == deg
@@ -530,7 +541,8 @@ def test_pullback_bound_on_towers():
 
 
 def test_pullback_trivial_rep_and_degree_one():
-    cover, triv, _ = get_representation("tower_z6.triv")
+    cover_id, _, triv, _ = get_representation("tower_z6.triv")
+    cover = get_cover(cover_id)
     report = pullback(cover, triv)
     assert report.sw_base == report.sw_prime == 0 and report.holds
 
@@ -547,14 +559,19 @@ def test_pullback_trivial_rep_and_degree_one():
 def test_pullback_checks_every_representation_before_the_break_data(monkeypatch):
     cover = get_cover("tower_z6")
     filt, filt_h = tower_filtrations(cover)
-    other_cover, other, _ = get_representation("tower_z10.chi_wild")
-    _, rep, _ = get_representation("tower_z6.chi_wild")
+    other_cover_id, _, other, _ = get_representation("tower_z10.chi_wild")
+    other_cover = get_cover(other_cover_id)
+    _, _, rep, _ = get_representation("tower_z6.chi_wild")
     # A filtration pair from another tower is refused, by the restricted rep too.
     other_filt, other_filt_h = tower_filtrations(other_cover)
     with pytest.raises(GroupMismatch, match="different groups"):
         pullback_bound_check(cover, rep, other_filt, filt_h)
     with pytest.raises(GroupMismatch, match="different groups"):
         pullback_bound_check(cover, rep, filt, other_filt_h)
+    # H's labels with another table: its identity is sigma.
+    swapped = FiniteGroup([[1, 0], [0, 1]], filt_h.group.labels)
+    with pytest.raises(GroupMismatch, match="different groups"):
+        pullback_bound_check(cover, rep, filt, filt_h._replace(group=swapped))
 
     def no_break_data(*args):
         raise AssertionError("break data formed before the checks")
@@ -641,7 +658,8 @@ def test_generator_check_agrees_with_full_scan(name):
 def test_corpus_representations_keep_the_deleted_invariants(rep_id):
     """Oracles for two checks proven needless: every image is invertible,
     and the break multiplicities add up to the rank."""
-    cover, rep, _ = get_representation(rep_id)
+    cover_id, _, rep, _ = get_representation(rep_id)
+    cover = get_cover(cover_id)
     assert all(m.is_invertible() for m in rep.images)
     assert sum(mult for _, mult in swan_conductor(rep, filt_of(cover)).breaks) == rep.r
 
@@ -768,13 +786,13 @@ def test_random_characters_are_accepted_exactly_when_multiplicative():
 
 @pytest.mark.parametrize("rep_id", rep_ids())
 def test_corpus_representations_pass_the_full_law_scan(rep_id):
-    _, rep, _ = get_representation(rep_id)
+    _, _, rep, _ = get_representation(rep_id)
     assert _full_scan_is_homomorphism(rep.group, rep.images)
     assert rep.images[rep.group.identity] == MatrixFF.identity(rep.field, rep.r)
 
 
 def test_pullback_restriction_makes_no_law_check_product(monkeypatch):
-    pairs = [get_representation(rep_id)[:2] for rep_id in rep_ids(kinds=("tower",))]
+    pairs = [(get_cover(c), rep) for c, _, rep, _ in map(get_representation, rep_ids(kinds=("tower",)))]
     filts = {cover: tower_filtrations(cover) for cover, _ in pairs}
     calls = _counting_products(monkeypatch)
     reports = [pullback_bound_check(cover, rep, *filts[cover]) for cover, rep in pairs]
