@@ -247,11 +247,9 @@ class WildOrderReport(NamedTuple):
 def _abelian_normal_part(group: FiniteGroup) -> frozenset:
     if group.is_abelian():
         return frozenset(range(group.n))
-    best, mul = frozenset({group.identity}), group.mul
+    best = frozenset({group.identity})
     for sub in group.all_subgroups():
-        if len(sub) > len(best) and group.is_normal(sub) and all(
-            mul[a][b] == mul[b][a] for a in sub for b in sub
-        ):
+        if len(sub) > len(best) and group.is_normal(sub) and group.is_abelian(sub):
             best = sub
     return best
 

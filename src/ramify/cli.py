@@ -79,7 +79,7 @@ def _cmd_herbrand(job: dict, params: dict, options: dict):
 
 
 def _cmd_swan(job: dict, params: dict, options: dict):
-    cover, bt, p = corpus.break_data(job, options["precision"])
+    _, bt, p = corpus.break_data(job, options["precision"])
     rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     report = swan_conductor(rep, filt)
@@ -97,7 +97,7 @@ def _cmd_swan(job: dict, params: dict, options: dict):
 
 
 def _cmd_bound(job: dict, params: dict, options: dict):
-    cover, bt, p = corpus.break_data(job, options["precision"])
+    _, bt, p = corpus.break_data(job, options["precision"])
     rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     big_n = corpus.read_int(params.get("N"), "params.N", 0)

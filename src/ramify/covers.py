@@ -5,7 +5,7 @@ Three families are built here, all totally ramified:
 * degree-p wild covers  y^p - y = f(t)  with a pole of order m prime to p,
 * tame cyclic covers    s^m = t         with m | p^a - 1 (m = 1: K itself),
 * their composita       (group Z/p x Z/m), which build their tame layer
-  and keep it marked as an intermediate field.
+  and keep it marked as an intermediate field (the cached Kummer cover).
 
 For the wild family the uniformizer is s = t^a * y^b where a*p - b*m = 1
 and b is the least non-negative solution.  The expansion of t in s is
@@ -318,9 +318,11 @@ def _artin_schreier(
 # Tame cyclic covers.
 
 
+@lru_cache(maxsize=None)
 def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCover:
     """Tame cover s^m = t, the identity extension when m = 1; requires the
-    m-th roots of unity in the base."""
+    m-th roots of unity in the base.  Built once a process, as ``deck_group``
+    is, and shared (it is a tower's tame layer too), so it must not be mutated."""
     if m < 1:
         raise NotGaloisOverBase("tame degree must be at least 1")
     zeta = base.root_of_unity(m)

@@ -217,12 +217,10 @@ class FiniteGroup:
             self._orders[i] = power_order(i, lambda x, y: mul[x][y], self.identity)
         return self._orders[i]
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul[i][j] == self.mul[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+    def is_abelian(self, subset: Iterable[int] | None = None) -> bool:
+        """Whether ``subset`` (default: the whole group) commutes; each unordered pair is read once."""
+        return all(self.mul[a][b] == self.mul[b][a] for a, b in itertools.combinations(
+            range(self.n) if subset is None else subset, 2))
 
     def is_cyclic(self) -> bool:
         return any(self.order_of(i) == self.n for i in range(self.n))

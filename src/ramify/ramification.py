@@ -4,6 +4,9 @@ Numbering convention: G_u = G_{ceil(u)} for real u > 0, so the transition
 function phi has slope |G_i| / |G_0| on the segment (i-1, i] and satisfies
 phi(v) = (1/|G_0|) * (|G_1| + ... + |G_v|) at positive integers v.  All
 values are exact rationals; no floating point enters any computation.
+
+A subgroup H keeps G's indices: its filtration H_i = G_i meet H is a
+``RamFiltration`` on G, so a representation of G serves H as it is.
 """
 
 from __future__ import annotations
@@ -88,14 +91,6 @@ def filtration_from_breaks(bt: BreakTable, p: int) -> RamFiltration:
     return filt
 
 
-def restrict_break_table(bt: BreakTable, indices: Sequence[int]) -> BreakTable:
-    """Break table of a subgroup, whose ``group`` it is (breaks restrict
-    unchanged)."""
-    sub, idx = bt.group.subgroup(indices)
-    pos = {g: i for i, g in enumerate(idx)}
-    return BreakTable(sub, {pos[g]: v for g, v in bt.i_map.items() if g in pos})
-
-
 # ---------------------------------------------------------------------------
 # Herbrand functions.
 
@@ -167,8 +162,7 @@ def upper_jumps(filt: RamFiltration, phi: HerbrandFunction) -> tuple[Fraction, .
 def hasse_arf_check(filt: RamFiltration, upper: Sequence[Fraction]) -> bool:
     """Integrality of ``upper``, the upper jumps of ``filt``; only stated
     for abelian G_0."""
-    g0, mul = filt.subgroup_at(0), filt.group.mul
-    if any(mul[a][b] != mul[b][a] for a in g0 for b in g0):
+    if not filt.group.is_abelian(filt.subgroup_at(0)):
         raise NotAbelian("Hasse-Arf integrality requires an abelian group")
     return all(x.denominator == 1 for x in upper)
 
@@ -242,13 +236,6 @@ class Representation:
             raise NotAHomomorphism("given generators do not generate the group")
         field = m0.field
         self.group, self.images, self.r, self.ell, self.field = group, tuple(images), m0.n, field.p, field
-
-    @classmethod
-    def _proved(cls, group: FiniteGroup, images: Sequence[MatrixFF]) -> "Representation":
-        """Images proved to satisfy the law, as the constructor's walk does, stored unchecked."""
-        rep, field = cls.__new__(cls), images[0].field
-        rep.group, rep.images, rep.r, rep.ell, rep.field = group, tuple(images), images[0].n, field.p, field
-        return rep
 
     def fixed_dim(self, subset) -> int:
         return fixed_dim([self.images[i] for i in subset])
@@ -331,10 +318,12 @@ def _check_intermediate(cover: GaloisCover) -> None:
 
 def tower_filtrations(cover: GaloisCover) -> tuple[RamFiltration, RamFiltration]:
     """Filtrations of G = Gal(L/K) and of H = Gal(L/K'), for the cover's
-    marked intermediate field K'; breaks restrict to H unchanged."""
+    marked intermediate field K', both on G's indices: H_i is G_i meet H
+    (Herbrand), so H's breaks are G's on H."""
     _check_intermediate(cover)
-    bt = lower_break_table(cover)
-    bt_h = restrict_break_table(bt, cover.intermediate.H_indices)
+    bt, H = lower_break_table(cover), set(cover.intermediate.H_indices)
+    # H is normal (K'/K is Galois); BreakTable's conjugation check proves it again.
+    bt_h = BreakTable(bt.group, {g: v for g, v in bt.i_map.items() if g in H})
     return filtration_from_breaks(bt, cover.p), filtration_from_breaks(bt_h, cover.p)
 
 
@@ -348,19 +337,16 @@ class PullbackReport(NamedTuple):
 
 def pullback_bound_check(cover: GaloisCover, rep: Representation, filt, filt_h) -> PullbackReport:
     """Sw over K' against [K':K] Sw over K, ``(filt, filt_h) = tower_filtrations(cover)``.
-    ``rep`` restricts to a homomorphism on H, stored unchecked on ``filt_h``'s
-    group once its labels and table are those of H in ``rep``'s group."""
+    ``filt_h`` is H's filtration on G's indices, so Sw over K' is that of
+    ``rep`` itself against it: only the elements of H enter."""
     _check_intermediate(cover)
     if not _same_group(rep.group, cover.group):
         raise GroupMismatch("representation is not on the cover group")
-    sub, idx = filt_h.group, sorted(cover.intermediate.H_indices)
-    pos, mul = {g: i for i, g in enumerate(idx)}, rep.group.mul
-    if sub.labels != tuple(rep.group.labels[g] for g in idx) or sub.mul != tuple(
-            tuple(pos.get(mul[a][b]) for b in idx) for a in idx):
-        raise GroupMismatch("representation and filtration have different groups")
-    degree = cover.group.n // sub.n
+    degree = cover.group.n // len(cover.intermediate.H_indices)
     sw_base = swan_conductor(rep, filt).swan
-    sw_prime = swan_conductor(Representation._proved(sub, [rep.images[g] for g in idx]), filt_h).swan
+    sw_prime = swan_conductor(rep, filt_h).swan
+    if filt.order_at(0) != cover.group.n or filt_h.subgroup_at(0) != frozenset(cover.intermediate.H_indices):
+        raise GroupMismatch("filtrations are not those of G and H")
     bound = degree * sw_base
     return PullbackReport(sw_base, sw_prime, degree, sw_prime <= bound, sw_prime == bound)
 
@@ -381,7 +367,7 @@ def phi_transitivity_check(cover: GaloisCover, filt, filt_h, filt_low) -> Transi
     filtration of the tame layer ``cover.intermediate.lower``.
 
     Both sides are computed from independent break data: the left from the
-    full cover, the right from the subgroup restriction and from the tame
+    full cover, the right from H's breaks on G's indices and from the tame
     layer's own series.  The quotient filtration by Herbrand's theorem is
     checked against the tame layer's too.
     """

@@ -382,6 +382,12 @@ def test_corpus_covers_have_the_deck_group_of_their_kind(cover_id):
     assert (group.mul, group.labels) == (expected.mul, expected.labels)
 
 
+@pytest.mark.parametrize("tower_id,kummer_id", [("tower_z6", "kummer_p2a2_m3"), ("tower_z10", "kummer_p5_m2")])
+def test_a_towers_tame_layer_is_the_corpus_kummer_cover(tower_id, kummer_id):
+    # build_kummer is cached, so the tame layer's break data is formed once.
+    assert corpus.get_cover(tower_id).intermediate.lower is corpus.get_cover(kummer_id)
+
+
 def test_precision_cap_parses_the_environment(monkeypatch):
     monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
     assert precision_cap() == DEFAULT_PRECISION_CAP

@@ -7,8 +7,7 @@ complex) literals, calls of ``float``, and the inexact ``math`` functions
 
 It also rejects ``assert`` statements: ``python -O`` strips them, so a check
 written as one would silently disappear.  And it keeps each value to one
-checked constructor: ``__new__`` is called only by the two unchecked
-builders whose callers prove their inputs.
+checked constructor: no ``__new__`` call builds a value past its checks.
 """
 
 import ast
@@ -122,12 +121,11 @@ def _new_calls(node, scope=()):
         yield from _new_calls(child, inner)
 
 
-def test_only_the_proved_representation_builder_skips_the_constructor():
-    """``cls.__new__(cls)`` skips ``__init__``'s checks; only the
-    representation restricted in a pullback may do that."""
+def test_no_builder_skips_the_constructor():
+    """``cls.__new__(cls)`` skips ``__init__``'s checks; no value is built so."""
     found = sorted(
         where
         for path in SOURCE.rglob("*.py")
         for where in _new_calls(ast.parse(path.read_text(), path.name))
     )
-    assert found == ["Representation._proved"]
+    assert found == []

@@ -30,7 +30,6 @@ from ramify.ramification import (
     phi_transitivity_check,
     pullback_bound_check,
     quotient_filtration_by_herbrand,
-    restrict_break_table,
     swan_conductor,
     swan_single_break,
     tower_filtrations,
@@ -250,7 +249,7 @@ def test_filtration_at_jumps_matches_per_index_oracle(seed):
     rep = character(group, field_create(97, 1), "g", pow(5, 96 // n, 97))
     assert swan_conductor(rep, filt).swan == swan_character_oracle(filt, rep)
     h = [0, n // 2]
-    bt_h = restrict_break_table(bt, h)
+    bt_h = BreakTable(group, {g: v for g, v in bt.i_map.items() if g in h})
     phi_h = herbrand_phi(filtration_from_breaks(bt_h, 2))
     quot, proj = group.quotient(frozenset(h))
     psi_h = herbrand_psi(phi_h)
@@ -508,7 +507,7 @@ def test_transitivity_degenerate_layers():
     bt = lower_break_table(cover)
     filt = filtration_from_breaks(bt, cover.p)
     phi_full = herbrand_phi(filt)
-    bt_h = restrict_break_table(bt, range(cover.group.n))
+    bt_h = BreakTable(bt.group, {g: v for g, v in bt.i_map.items() if g in range(cover.group.n)})
     assert herbrand_phi(filtration_from_breaks(bt_h, cover.p)) == phi_full
 
 
@@ -516,7 +515,7 @@ def test_quotient_filtration_matches_tame_layer():
     cover = get_cover("tower_z6")
     bt = lower_break_table(cover)
     filt = filtration_from_breaks(bt, cover.p)
-    bt_h = restrict_break_table(bt, cover.intermediate.H_indices)
+    bt_h = BreakTable(bt.group, {g: v for g, v in bt.i_map.items() if g in cover.intermediate.H_indices})
     phi_h = herbrand_phi(filtration_from_breaks(bt_h, cover.p))
     quot = quotient_filtration_by_herbrand(filt, cover.intermediate.H_indices, phi_h)
     direct = filt_of(cover.intermediate.lower)
@@ -568,10 +567,15 @@ def test_pullback_checks_every_representation_before_the_break_data(monkeypatch)
         pullback_bound_check(cover, rep, other_filt, filt_h)
     with pytest.raises(GroupMismatch, match="different groups"):
         pullback_bound_check(cover, rep, filt, other_filt_h)
-    # H's labels with another table: its identity is sigma.
-    swapped = FiniteGroup([[1, 0], [0, 1]], filt_h.group.labels)
+    # G's labels with another table: the cyclic law on the indices 0..5.
+    cyclic = FiniteGroup([[(a + b) % 6 for b in range(6)] for a in range(6)], filt_h.group.labels)
+    assert cyclic.mul != cover.group.mul
     with pytest.raises(GroupMismatch, match="different groups"):
-        pullback_bound_check(cover, rep, filt, filt_h._replace(group=swapped))
+        pullback_bound_check(cover, rep, filt, filt_h._replace(group=cyclic))
+    # Both filtrations are on G's table, so G's and H's in the wrong places are refused.
+    for pair in ((filt, filt), (filt_h, filt_h), (filt_h, filt)):
+        with pytest.raises(GroupMismatch, match="not those of G and H"):
+            pullback_bound_check(cover, rep, *pair)
 
     def no_break_data(*args):
         raise AssertionError("break data formed before the checks")
