@@ -1,5 +1,5 @@
 """usage: ramify run [--input FILE] [FLAGS] | ramify verify SUITE [FLAGS]
-FLAGS: --output FILE --precision N --seed N --jordan-table FILE
+FLAGS: --output FILE --seed N --jordan-table FILE
 
 Each flag is one '--flag value' pair; the last of a repeated flag wins.
 `run` reads a JSON job from FILE or stdin, `verify` runs a suite (or all);
@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import NoReturn
 
 from . import bounds, corpus, verify
-from .corpus import COMMANDS
 from .errors import InputSchemaError, NotAbelian, RamifyError
 from .groups import abelian_p_bound_probe, inertia_candidate_sample, max_ell_element_order
 from .ramification import (
@@ -219,7 +218,6 @@ def main(argv=None) -> int:
             return 0
         output = args["--output"]
         options = {
-            "precision": args["--precision"],
             "seed": args["--seed"],
             "jordan_table": corpus.jordan_table(args["--jordan-table"]),
         }

@@ -27,12 +27,12 @@ from .covers import (
     deck_group,
     lower_break_table,
 )
-from .errors import InputSchemaError, NotGaloisOverBase, RamifyError, SizeCapExceeded
+from .errors import InputSchemaError, NotGaloisOverBase, SizeCapExceeded
 from .fields import FieldElement, FiniteField, check_size_cap, field_create
 from .groups import FiniteGroup
 from .linalg import MatrixFF
 from .ramification import Representation
-from .series import LaurentSeries, precision_cap
+from .series import PRECISION_CAP, LaurentSeries
 
 COMMANDS = ("filtration", "herbrand", "swan", "bound", "verify", "enum")
 CORPUS_PRECISION = 1  # the least: each wild layer gets its break window p + m + 4
@@ -59,7 +59,7 @@ _ENUM_INTS = {
 }
 
 # The flags of the command line; all but --input are flags of 'verify' too.
-_FLAGS = ("--input", "--output", "--precision", "--seed", "--jordan-table")
+_FLAGS = ("--input", "--output", "--seed", "--jordan-table")
 
 
 def read_int(value, path: str, least: int | None = None) -> int:
@@ -96,8 +96,8 @@ def read_argv(argv) -> dict | None:
     """The command line ``run [FLAGS]`` or ``verify SUITE [FLAGS]`` as
     {"suite": SUITE or None, flag: value or None for each flag}, or None
     when a token is -h or --help.  Flags are ``--flag value`` pairs, the
-    last of a repeated flag winning; --precision and --seed are read as
-    params.precision and params.seed are.  No file is read here."""
+    last of a repeated flag winning; --seed is read as params.seed is.
+    No file is read here."""
     if "-h" in argv or "--help" in argv:
         return None
     mode, *rest = argv or [""]
@@ -113,9 +113,8 @@ def read_argv(argv) -> dict | None:
     if len(rest) % 2:
         raise InputSchemaError(f"the flag {rest[-1]!r} needs a value")
     args = {**dict.fromkeys(_FLAGS), **dict(zip(rest[::2], rest[1::2])), "suite": suite}
-    for flag, least in (("--precision", 1), ("--seed", None)):
-        if args[flag] is not None:
-            args[flag] = read_int(_decimal(args[flag]), flag, least)
+    if args["--seed"] is not None:
+        args["--seed"] = read_int(_decimal(args["--seed"]), "--seed")
     return args
 
 
@@ -187,17 +186,17 @@ def _cap(base: int, cap: int, what: str, exp: int = 1) -> None:
 
 
 def read_job(job, options: dict) -> tuple[str, dict, dict]:
-    """(command, params, options) of a job.  An option not set on the
-    command line (None) is taken from the job's params, then defaulted."""
+    """(command, params, options) of a job.  The precision is the job's
+    params.precision (None when it is not given); the seed, when not set
+    on the command line (None), is taken from the params, then defaulted."""
     command = read(job, "job", dict).get("command")
     if command not in COMMANDS:
         raise InputSchemaError(f"'command' must be one of {COMMANDS}")
     params = read(job.get("params", {}), "params", dict)
-    options = {"precision": None, **options}
+    options = {**options, "precision": params.get("precision")}
     if options["precision"] is not None:
-        options["precision"] = read_int(options["precision"], "--precision", 1)
-    elif params.get("precision") is not None:
-        options["precision"] = read_int(params["precision"], "params.precision", 1)
+        if read_int(options["precision"], "params.precision", 1) > PRECISION_CAP:
+            raise SizeCapExceeded(f"'params.precision' exceeds the precision cap {PRECISION_CAP}")
     if options.get("seed") is None:
         options["seed"] = read_int(params.get("seed", 0), "params.seed")
     return command, params, options
@@ -210,17 +209,20 @@ def base_field(cfg) -> FiniteField:
 
 
 def _datum(base: FiniteField, cover_cfg: dict) -> LaurentSeries:
-    """The series 'cover.f', [[exponent, element], ...].  Its window is
-    stored densely, so no exponent may pass the precision cap."""
-    cap = precision_cap()
-    terms = {}
+    """The series 'cover.f', [[exponent, element], ...], each exponent
+    given once.  Its window is stored densely, so no exponent may pass the
+    precision cap."""
+    terms, first = {}, {}
     for i, pair in enumerate(read(cover_cfg.get("f"), "cover.f", list)):
         path = f"cover.f[{i}]"
         if len(read(pair, path, list)) != 2:
             raise InputSchemaError(f"'{path}' must be a pair [exponent, element]")
         exp = read_int(pair[0], path + "[0]")
-        if abs(exp) > cap:
-            raise SizeCapExceeded(f"'{path}' has exponent {exp}, beyond the precision cap {cap}")
+        if abs(exp) > PRECISION_CAP:
+            raise SizeCapExceeded(f"'{path}' has exponent {exp}, beyond the precision cap {PRECISION_CAP}")
+        if exp in first:
+            raise InputSchemaError(f"'{path}[0]' repeats the exponent of 'cover.f[{first[exp]}][0]'")
+        first[exp] = i
         terms[exp] = _element(base, pair[1], path + "[1]", "base.a")
     return LaurentSeries.from_terms(base, terms)
 
@@ -249,17 +251,16 @@ def break_table(cfg) -> BreakTable:
     """The break table 'break_table': a group table and i(g) for each g != 1."""
     cfg = read(cfg, "break_table", dict)
     labels = read(cfg.get("labels"), "break_table.labels", list)
-    table = read(cfg.get("mul_table"), "break_table.mul_table", list)
+    rows = read(cfg.get("mul_table"), "break_table.mul_table", list)
     _cap(len(labels), GROUP_CAP, "the group order len('break_table.labels')")
     for i, label in enumerate(labels):
         if read(label, f"break_table.labels[{i}]", str) in labels[:i]:
             raise InputSchemaError(f"'break_table.labels[{i}]' repeats the label {label!r}")
-    try:
-        group = FiniteGroup(table, labels)
-    except RamifyError:
-        raise
-    except Exception as exc:
-        raise InputSchemaError(f"'break_table.mul_table' is not a multiplication table: {exc}")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(read(row, f"break_table.mul_table[{i}]", list)):
+            if type(x) is not int:  # the cell's path is formed for its error only
+                read_int(x, f"break_table.mul_table[{i}][{j}]")
+    group = FiniteGroup(rows, labels)
     if not group.verify_axioms():
         raise InputSchemaError("'break_table.mul_table' is not associative")
     i_g = read(cfg.get("iG", {}), "break_table.iG", dict)
@@ -269,7 +270,7 @@ def break_table(cfg) -> BreakTable:
             raise InputSchemaError(
                 f"'break_table.iG' has the label {label!r}, which is not in 'break_table.labels'")
         path = f"break_table.iG.{label}"
-        _cap(read_int(value, path, 1), precision_cap(), f"the precision that '{path}' needs")
+        _cap(read_int(value, path, 1), PRECISION_CAP, f"the precision that '{path}' needs")
         i_map[group.label_index(label)] = value
     if set(i_map) != set(range(group.n)) - {group.identity}:
         raise InputSchemaError("'break_table.iG' must cover every nontrivial element exactly once")

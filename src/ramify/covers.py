@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fields import FieldElement, FiniteField
 from .groups import FiniteGroup
-from .series import DEFAULT_PRECISION, LaurentSeries, compose, hensel_lift_root, nth_root_of_unit, precision_cap
+from .series import DEFAULT_PRECISION, PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
 
 
 class TowerParts(NamedTuple):
@@ -213,17 +213,16 @@ def _check_zero(series: LaurentSeries, what: str) -> None:
 
 
 def _check_work(p: int, f: LaurentSeries, prec: int | None, tame: int = 1) -> None:
-    """Refuse a wild build over ``precision_cap()``: an explicit ``prec``
+    """Refuse a wild build over ``PRECISION_CAP``: an explicit ``prec``
     above it, or a Newton-lift window p + pole + 4 above it, where pole is
     ``tame`` times the pole order of f as given (reduction only lowers it).
-    The default precision is not checked, so it passes under any cap."""
-    cap = precision_cap()
+    The default precision is under the cap, so it is not checked."""
     pole = 0 if f.is_zero_known() else tame * max(0, -f.valuation())
-    if prec is not None and prec > cap:
-        raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {cap}")
-    if p + pole + 4 > cap:
+    if prec is not None and prec > PRECISION_CAP:
+        raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {PRECISION_CAP}")
+    if p + pole + 4 > PRECISION_CAP:
         raise SizeCapExceeded(
-            f"pole order {pole} needs precision {p + pole + 4}, over the precision cap {cap}"
+            f"pole order {pole} needs precision {p + pole + 4}, over the precision cap {PRECISION_CAP}"
         )
 
 

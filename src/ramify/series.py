@@ -33,15 +33,14 @@ blocks reduces once a step.  The pole factor is one ``power`` of the
 inverse.  An exact monomial g is a coefficient stretch.  The result equals
 Horner's under ==, precision included; ``compose`` gives the argument.
 
-The working default is 64 known terms.  ``precision_cap`` (4096, or the
-positive integer in RAMIFY_PRECISION_CAP) bounds cover builds and job
-fields.  Nothing escalates precision: a cover is built to a precision that
-shows every break (``covers.lower_break_table``).
+The working default is 64 known terms, and ``PRECISION_CAP`` (4096)
+bounds cover builds and job fields.  Nothing escalates precision: a cover
+is built to a precision that shows every break
+(``covers.lower_break_table``).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from math import isqrt
 from typing import Sequence
@@ -49,7 +48,6 @@ from typing import Sequence
 from .errors import (
     CompositionUndefined,
     FieldMismatch,
-    InputSchemaError,
     NotSimpleRoot,
     PrecisionExhausted,
     ZeroElement,
@@ -57,24 +55,7 @@ from .errors import (
 from .fields import FieldElement, FiniteField, power
 
 DEFAULT_PRECISION = 64
-DEFAULT_PRECISION_CAP = 4096
-
-
-def precision_cap() -> int:
-    """Hard ceiling for cover builds and job fields: RAMIFY_PRECISION_CAP
-    if set, in ASCII decimal digits and at least 1, as --precision."""
-    raw = os.environ.get("RAMIFY_PRECISION_CAP")
-    if raw is None:
-        return DEFAULT_PRECISION_CAP
-    try:
-        val = int(raw) if raw.isascii() and raw.isdigit() else 0
-    except ValueError:  # more digits than the interpreter converts
-        val = 0
-    if val < 1:
-        raise InputSchemaError(
-            f"RAMIFY_PRECISION_CAP must be a positive integer, got {raw!r}"
-        )
-    return val
+PRECISION_CAP = 4096
 
 
 # ---------------------------------------------------------------------------

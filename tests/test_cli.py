@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -369,23 +370,112 @@ def test_malformed_job_names_the_bad_field(job, field, capsys, monkeypatch):
     assert field in report["error"]["message"]
 
 
-@pytest.mark.parametrize("raw", ["lots", "", "2.5", "0", "-8", "1_0", " 64", "\u0666\u0664"])
-def test_malformed_precision_cap_is_a_json_error(raw, capsys, monkeypatch):
-    monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
-    code, report = run_cli(capsys, ["run"], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
-    assert code == 1
-    assert report["error"]["type"] == "InputSchemaError"
-    assert "RAMIFY_PRECISION_CAP" in report["error"]["message"]
-
-
 @pytest.mark.parametrize("raw", ["0", "-5"])
 def test_precision_flag_below_one_is_a_json_error(raw, capsys, monkeypatch):
-    # The same least value as params.precision.
-    argv = ["run", "--precision", raw]
-    code, report = run_cli(capsys, argv, stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
+    # --precision is no flag at all: whatever its value, 'run' and 'verify'
+    # refuse it as an unknown flag, before any input is read.
+    for argv in (["run", "--precision", raw], ["verify", "all", "--precision", raw]):
+        monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+        code = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["error"]["type"] == "InputSchemaError"
+        assert f"'--precision' is not a flag of '{argv[0]}'" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("raw", ["16", "lots"])
+def test_the_environment_sets_no_precision_cap(raw, capsys, monkeypatch):
+    # t^-11 over F_2 needs the window 17; the cap is 4096 whatever the
+    # environment holds.
+    job = dict(_as_cover([[-11, [1]]]), command="filtration")
+    expected = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
+    assert run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch) == expected
+    assert expected[0] == 0
+    assert expected[1]["results"]["i_G"] == {"sigma": 12}
+
+
+_KUMMER_JOB = {"command": "filtration", "base": {"p": 7, "a": 1}, "cover": {"type": "kummer", "m": 3}}
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        _KUMMER_JOB,
+        dict(_labelled(["1", "s"]), command="herbrand"),
+        SWAN_JOB,
+        dict(SWAN_JOB, command="bound", params={"N": 1}),
+        {"command": "verify", "params": {"suite": "counts"}},
+        {"command": "enum", "params": {"op": "max_ell_element_order", "r": 1, "ell": 2, "n": 1}},
+    ],
+    ids=lambda job: job["command"],
+)
+def test_params_precision_over_the_cap_is_refused_for_every_command(job, capsys, monkeypatch):
+    job = dict(job, params={**job.get("params", {}), "precision": 4097})
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
     assert code == 1
-    assert report["error"]["type"] == "InputSchemaError"
-    assert "--precision" in report["error"]["message"]
+    assert report["error"]["type"] == "SizeCapExceeded"
+    message = report["error"]["message"]
+    assert "'params.precision'" in message and "precision cap 4096" in message
+    assert "4097" not in message
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        _KUMMER_JOB,
+        dict(_labelled(["1", "s"]), command="herbrand"),
+        {"command": "verify", "params": {"suite": "counts"}},
+        {"command": "enum", "params": {"op": "max_ell_element_order", "r": 1, "ell": 2, "n": 1}},
+    ],
+    ids=lambda job: job["command"],
+)
+def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
+    expected = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)[1]["results"]
+    job = dict(job, params={**job.get("params", {}), "precision": 4096})
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0
+    assert report["results"] == expected
+
+
+@pytest.mark.parametrize(
+    "mul_table,error",
+    [
+        ([[False, True], [True, False]], ("InputSchemaError", "'break_table.mul_table[0][0]' must be an integer")),
+        ([[0, 1], [1, "0"]], ("InputSchemaError", "'break_table.mul_table[1][1]' must be an integer")),
+        ([[0, 1], [1, None]], ("InputSchemaError", "'break_table.mul_table[1][1]' must be an integer")),
+        ([[0, 1], 5], ("InputSchemaError", "'break_table.mul_table[1]' must be a list")),
+        ([[0, 1], [1, 2]], ("NotAGroup", "table entry out of range")),
+        ([[0, 1], [1, -1]], ("NotAGroup", "table entry out of range")),
+    ],
+)
+def test_break_table_cells_are_read_as_integers(mul_table, error, capsys, monkeypatch):
+    job = _labelled(["1", "s"])
+    job["break_table"]["mul_table"] = mul_table
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"] == dict(zip(("type", "message"), error))
+
+
+@pytest.mark.parametrize(
+    "f,repeat,first",
+    [([[-1, 1], [-3, 1], [-3, 0]], 2, 1), ([[-3, 0], [-1, 1], [-3, 1]], 2, 0)],
+)
+def test_a_repeated_exponent_of_cover_f_is_refused(f, repeat, first, capsys, monkeypatch):
+    for command in ("filtration", "swan"):
+        for cover in ({"type": "artin_schreier", "f": f}, {"type": "tower", "m": 1, "f": f}):
+            job = dict(SWAN_JOB, command=command, cover=cover)
+            code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+            assert code == 1
+            assert report["error"] == {
+                "type": "InputSchemaError",
+                "message": f"'cover.f[{repeat}][0]' repeats the exponent of 'cover.f[{first}][0]'",
+            }
+
+
+def test_the_usage_names_exactly_the_flags_of_the_command_line():
+    usage = cli.__doc__.split("\n\n")[0]
+    assert tuple(re.findall(r"--[a-z-]+", usage)) == corpus._FLAGS
 
 
 def test_unknown_suite(capsys):
@@ -1056,19 +1146,6 @@ def test_seed_flag_is_read_as_params_seed_is(raw, value, capsys, monkeypatch):
         assert code == 0
         expected = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)[1]
         assert report["results"] == expected["results"]
-
-
-@pytest.mark.parametrize("raw,ok", [("32", True), ("1", True), ("0", False), ("-5", False), ("032", True),
-                                    ("3_2", False), ("32 ", False), ("true", False)])
-def test_precision_flag_is_read_as_params_precision_is(raw, ok, capsys, monkeypatch):
-    code, report = run_cli(capsys, ["run", "--precision", raw], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
-    if ok:
-        assert code == 0
-        job = dict(SWAN_JOB, params={"precision": int(raw)})
-        assert report["results"] == run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)[1]["results"]
-    else:
-        assert code == 1
-        assert report["error"] == {"type": "InputSchemaError", "message": "'--precision' must be an integer >= 1"}
 
 
 def test_the_last_of_a_repeated_flag_wins(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from ramify.covers import (
     lower_break_table,
 )
 from ramify.errors import (
-    InputSchemaError,
     MismatchDetected,
     MissingRootsOfUnity,
     NotGaloisOverBase,
@@ -27,7 +26,7 @@ from ramify.errors import (
 from ramify.fields import field_create
 from ramify.linalg import MatrixFF
 from ramify.ramification import Representation, filtration_from_breaks, swan_conductor
-from ramify.series import DEFAULT_PRECISION_CAP, LaurentSeries, compose, precision_cap
+from ramify.series import PRECISION_CAP, LaurentSeries, compose
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -388,17 +387,6 @@ def test_a_towers_tame_layer_is_the_corpus_kummer_cover(tower_id, kummer_id):
     assert corpus.get_cover(tower_id).intermediate.lower is corpus.get_cover(kummer_id)
 
 
-def test_precision_cap_parses_the_environment(monkeypatch):
-    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
-    assert precision_cap() == DEFAULT_PRECISION_CAP
-    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "512")
-    assert precision_cap() == 512
-    for raw in ("abc", "", "1e3", "0", "-4", "1_0", " 64", "\u0666\u0664"):
-        monkeypatch.setenv("RAMIFY_PRECISION_CAP", raw)
-        with pytest.raises(InputSchemaError, match="RAMIFY_PRECISION_CAP"):
-            precision_cap()
-
-
 def _no_series_work(*args, **kwargs):
     raise AssertionError("series work before the precision cap check")
 
@@ -406,7 +394,7 @@ def _no_series_work(*args, **kwargs):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=DEFAULT_PRECISION_CAP + 1),
+        lambda: build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=PRECISION_CAP + 1),
         lambda: build_artin_schreier(F2, as_sparse(F2, [[-4091, [1]]])),
         lambda: build_artin_schreier(F2, as_sparse(F2, [[-4096, [1]]])),
         lambda: build_compositum_tower(F2, 1, as_sparse(F2, [[-1, [1]]]), prec=10 ** 8),
@@ -415,7 +403,6 @@ def _no_series_work(*args, **kwargs):
     ],
 )
 def test_builders_refuse_work_over_the_cap_before_any_series_work(build, monkeypatch):
-    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
     for name in ("artin_schreier_reduce", "compose", "hensel_lift_root", "_relation_polynomial"):
         monkeypatch.setattr(covers, name, _no_series_work)
     with pytest.raises(SizeCapExceeded, match="precision cap 4096"):
@@ -425,34 +412,12 @@ def test_builders_refuse_work_over_the_cap_before_any_series_work(build, monkeyp
 def test_builders_allow_the_largest_window_and_precision_under_the_cap(monkeypatch):
     # p + m + 4 = 4096 and prec = 4096 pass the check; the lift is stopped
     # right after it so the test stays cheap.
-    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
     monkeypatch.setattr(covers, "hensel_lift_root", _no_series_work)
-    for f, prec in (([[-4089, [1]]], None), ([[-1, [1]]], DEFAULT_PRECISION_CAP)):
+    for f, prec in (([[-4089, [1]]], None), ([[-1, [1]]], PRECISION_CAP)):
         with pytest.raises(AssertionError, match="series work"):
             build_artin_schreier(F2, as_sparse(F2, f), prec=prec)
     with pytest.raises(AssertionError, match="series work"):
         build_compositum_tower(F4, 3, as_sparse(F4, [[-1363, [1]]]))
-
-
-def test_raising_the_precision_cap_lets_a_pole_order_through(monkeypatch):
-    # Under the default cap t^-4096 is refused before reduction; with a
-    # larger cap it is reduced to t^-1, the cover with break 2.
-    f = as_sparse(F2, [[-4096, [1]]])
-    monkeypatch.delenv("RAMIFY_PRECISION_CAP", raising=False)
-    with pytest.raises(SizeCapExceeded):
-        build_artin_schreier(F2, f)
-    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "8192")
-    assert lower_break_table(build_artin_schreier(F2, f)).by_label() == {"sigma": 2}
-    # A cap of 16 refuses m = 11 over F_2 (window 17), a cap of 17 builds it,
-    # and the default precision 64 stays allowed under both.
-    f = as_sparse(F2, [[-11, [1]]])
-    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "16")
-    with pytest.raises(SizeCapExceeded, match="needs precision 17"):
-        build_artin_schreier(F2, f)
-    monkeypatch.setenv("RAMIFY_PRECISION_CAP", "17")
-    cover = build_artin_schreier(F2, f)
-    assert cover.prec == 64
-    assert lower_break_table(cover).by_label() == {"sigma": 12}
 
 
 def test_defining_function_must_match_base():

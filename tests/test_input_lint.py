@@ -7,10 +7,9 @@ file opened for reading: an ``open`` or ``fdopen`` call whose mode is
 absent, not a string literal, or has ``r`` or ``+`` in it, and any
 ``read_text`` or ``read_bytes`` call.
 
-The environment has one reader too, ``series.precision_cap``: in every
-module, ``corpus.py`` included, a use of ``os.environ`` or ``os.getenv``
-(of the module or of an alias, or imported by name) anywhere else is
-rejected.
+No module reads the environment: in every module, ``corpus.py`` included,
+a use of ``os.environ`` or ``os.getenv`` (of the module or of an alias, or
+imported by name) is rejected.
 """
 
 import ast
@@ -23,7 +22,6 @@ import ramify
 SOURCE = Path(ramify.__file__).parent
 READER = "corpus.py"
 JSON_READERS = {"load", "loads"}
-ENV_READER = ("series.py", "precision_cap")
 ENV_NAMES = {"environ", "getenv", "environb", "getenvb"}
 
 
@@ -85,7 +83,7 @@ def input_violations(source: str, filename: str = "<source>") -> list[str]:
 
 
 def environment_violations(source: str, filename: str = "<source>") -> list[str]:
-    """One message per use of the environment outside ``ENV_READER``."""
+    """One message per use of the environment."""
     tree = ast.parse(source, filename)
     os_names = {
         alias.asname or alias.name
@@ -95,10 +93,7 @@ def environment_violations(source: str, filename: str = "<source>") -> list[str]
         if alias.name == "os"
     }
     found = []
-
-    def visit(node, function):
-        if (filename, function) == ENV_READER:
-            return
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "os":
             for alias in node.names:
                 if alias.name == "*" or alias.name in ENV_NAMES:
@@ -110,12 +105,6 @@ def environment_violations(source: str, filename: str = "<source>") -> list[str]
             and node.attr in ENV_NAMES
         ):
             found.append(f"{filename}:{node.lineno}: os.{node.attr}")
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, None)
     return found
 
 
@@ -170,15 +159,10 @@ def test_lint_accepts_other_code(snippet):
     assert input_violations(snippet) == []
 
 
-def test_only_precision_cap_reads_the_environment():
+def test_no_module_reads_the_environment():
     files = sorted(SOURCE.rglob("*.py"))
     found = [v for path in files for v in environment_violations(path.read_text(), path.name)]
     assert found == []
-
-
-def test_precision_cap_is_the_environment_reader():
-    source = (SOURCE / ENV_READER[0]).read_text()
-    assert environment_violations(source, "other.py")
 
 
 @pytest.mark.parametrize(
@@ -213,7 +197,7 @@ def test_lint_accepts_code_without_the_environment(snippet):
     assert environment_violations(snippet) == []
 
 
-def test_lint_accepts_the_environment_in_precision_cap_only():
+def test_lint_rejects_the_environment_in_every_module():
     snippet = "import os\ndef precision_cap():\n    return os.environ.get('A')\n"
-    assert environment_violations(snippet, "series.py") == []
-    assert environment_violations(snippet + "x = os.getenv('B')\n", "series.py")
+    for filename in ("series.py", "corpus.py", "cli.py"):
+        assert environment_violations(snippet, filename)

@@ -23,7 +23,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import cli, verify
+from ramify import cli, corpus, verify
 
 REP = {"ell": 3, "n": 1, "r": 1, "images": {"sigma": [[[2]]]}}
 AS_COVER = {"type": "artin_schreier", "f": [[-1, [1]]]}
@@ -176,7 +176,7 @@ def check_outcome(text: str, argv=("run",)) -> dict:
         assert isinstance(error["type"], str) and error["type"], text
         assert isinstance(error["message"], str), text
     else:
-        assert payload["command"] in cli.COMMANDS, text
+        assert payload["command"] in corpus.COMMANDS, text
     return payload
 
 
