@@ -395,23 +395,25 @@ def test_the_environment_sets_no_precision_cap(raw, capsys, monkeypatch):
     assert expected[1]["results"]["i_G"] == {"sigma": 12}
 
 
-_KUMMER_JOB = {"command": "filtration", "base": {"p": 7, "a": 1}, "cover": {"type": "kummer", "m": 3}}
+# One job per command; the first four build no wild layer, so they stay
+# cheap at any admitted precision.
+_ONE_JOB_PER_COMMAND = [
+    {"command": "filtration", "base": {"p": 7, "a": 1}, "cover": {"type": "kummer", "m": 3}},
+    dict(_labelled(["1", "s"]), command="herbrand"),
+    {"command": "verify", "params": {"suite": "counts"}},
+    {"command": "enum", "params": {"op": "max_ell_element_order", "r": 1, "ell": 2, "n": 1}},
+    SWAN_JOB,
+    dict(SWAN_JOB, command="bound", params={"N": 1}),
+]
 
 
-@pytest.mark.parametrize(
-    "job",
-    [
-        _KUMMER_JOB,
-        dict(_labelled(["1", "s"]), command="herbrand"),
-        SWAN_JOB,
-        dict(SWAN_JOB, command="bound", params={"N": 1}),
-        {"command": "verify", "params": {"suite": "counts"}},
-        {"command": "enum", "params": {"op": "max_ell_element_order", "r": 1, "ell": 2, "n": 1}},
-    ],
-    ids=lambda job: job["command"],
-)
+def _at_precision(job, precision):
+    return dict(job, params={**job.get("params", {}), "precision": precision})
+
+
+@pytest.mark.parametrize("job", _ONE_JOB_PER_COMMAND, ids=lambda job: job["command"])
 def test_params_precision_over_the_cap_is_refused_for_every_command(job, capsys, monkeypatch):
-    job = dict(job, params={**job.get("params", {}), "precision": 4097})
+    job = _at_precision(job, 4097)
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
     assert code == 1
     assert report["error"]["type"] == "SizeCapExceeded"
@@ -420,20 +422,10 @@ def test_params_precision_over_the_cap_is_refused_for_every_command(job, capsys,
     assert "4097" not in message
 
 
-@pytest.mark.parametrize(
-    "job",
-    [
-        _KUMMER_JOB,
-        dict(_labelled(["1", "s"]), command="herbrand"),
-        {"command": "verify", "params": {"suite": "counts"}},
-        {"command": "enum", "params": {"op": "max_ell_element_order", "r": 1, "ell": 2, "n": 1}},
-    ],
-    ids=lambda job: job["command"],
-)
+@pytest.mark.parametrize("job", _ONE_JOB_PER_COMMAND[:4], ids=lambda job: job["command"])
 def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
     expected = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)[1]["results"]
-    job = dict(job, params={**job.get("params", {}), "precision": 4096})
-    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(_at_precision(job, 4096)), monkeypatch=monkeypatch)
     assert code == 0
     assert report["results"] == expected
 
