@@ -25,9 +25,9 @@ from .ramification import (
 from .reporting import canonical_dumps, make_report, rational_pair, write_atomic
 
 
-def _filtration_results(job: dict, options: dict):
+def _filtration_results(job: dict):
     """(results, filtration) of the job's cover or break table."""
-    cover, bt, p = corpus.break_data(job, options["precision"])
+    cover, bt, p = corpus.break_data(job)
     filt = filtration_from_breaks(bt, p)
     results = {
         "i_G": bt.by_label(),
@@ -69,16 +69,16 @@ def _herbrand_payload(filt) -> dict:
 
 
 def _cmd_filtration(job: dict, params: dict, options: dict):
-    return _filtration_results(job, options)[0], [], False
+    return _filtration_results(job)[0], [], False
 
 
 def _cmd_herbrand(job: dict, params: dict, options: dict):
-    results, filt = _filtration_results(job, options)
+    results, filt = _filtration_results(job)
     return {**results, **_herbrand_payload(filt)}, [], False
 
 
 def _cmd_swan(job: dict, params: dict, options: dict):
-    _, bt, p = corpus.break_data(job, options["precision"])
+    _, bt, p = corpus.break_data(job)
     rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     report = swan_conductor(rep, filt)
@@ -96,7 +96,7 @@ def _cmd_swan(job: dict, params: dict, options: dict):
 
 
 def _cmd_bound(job: dict, params: dict, options: dict):
-    _, bt, p = corpus.break_data(job, options["precision"])
+    _, bt, p = corpus.break_data(job)
     rep = corpus.representation(bt.group, job.get("rep"), p)
     filt = filtration_from_breaks(bt, p)
     big_n = corpus.read_int(params.get("N"), "params.N", 0)

@@ -5,10 +5,10 @@ Jordan table and the fixture file are read here and nowhere else.  Every
 field of a job is read here, once, before any arithmetic: one bool-safe
 integer reader and one element reader serve all of them, and an error
 names the field by its JSON path (or the flag by its name).  The same pass
-bounds each job's work (field size, precision, ``GROUP_CAP`` and the enum
-bounds) with ``SizeCapExceeded``.  The fixtures the test and verify suites
-run over (``data/corpus.json``) are specs in the same format and go
-through the same readers.
+bounds each job's work (field size, the precision cap, ``GROUP_CAP`` and
+the enum bounds) with ``SizeCapExceeded``.  The fixtures the test and
+verify suites run over (``data/corpus.json``) are specs in the same
+format and go through the same readers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .ramification import Representation
 from .series import PRECISION_CAP, LaurentSeries
 
 COMMANDS = ("filtration", "herbrand", "swan", "bound", "verify", "enum")
-CORPUS_PRECISION = 1  # the least: each wild layer gets its break window p + m + 4
 
 # The largest group a job builds: a cover's degree (p, m or p * m), a break
 # table's order and the probe's diagonal group.  A table has n^2 cells and
@@ -186,19 +185,18 @@ def _cap(base: int, cap: int, what: str, exp: int = 1) -> None:
 
 
 def read_job(job, options: dict) -> tuple[str, dict, dict]:
-    """(command, params, options) of a job.  The precision is the job's
-    params.precision (None when it is not given); the seed, when not set
-    on the command line (None), is taken from the params, then defaulted."""
+    """(command, params, options) of a job: params.precision is bounded but
+    not used (covers are built at their break window), and the seed, when
+    not set on the command line (None), is taken from the params or 0."""
     command = read(job, "job", dict).get("command")
     if command not in COMMANDS:
         raise InputSchemaError(f"'command' must be one of {COMMANDS}")
     params = read(job.get("params", {}), "params", dict)
-    options = {**options, "precision": params.get("precision")}
-    if options["precision"] is not None:
-        if read_int(options["precision"], "params.precision", 1) > PRECISION_CAP:
+    if params.get("precision") is not None:
+        if read_int(params["precision"], "params.precision", 1) > PRECISION_CAP:
             raise SizeCapExceeded(f"'params.precision' exceeds the precision cap {PRECISION_CAP}")
     if options.get("seed") is None:
-        options["seed"] = read_int(params.get("seed", 0), "params.seed")
+        options = {**options, "seed": read_int(params.get("seed", 0), "params.seed")}
     return command, params, options
 
 
@@ -227,8 +225,8 @@ def _datum(base: FiniteField, cover_cfg: dict) -> LaurentSeries:
     return LaurentSeries.from_terms(base, terms)
 
 
-def build_cover(base: FiniteField, cfg, prec: int | None = None) -> GaloisCover:
-    """The cover 'cover' over ``base``."""
+def build_cover(base: FiniteField, cfg) -> GaloisCover:
+    """The cover 'cover' over ``base``, its wild layer at its break window."""
     cfg = read(cfg, "cover", dict)
     kind = cfg.get("type")
     if kind == "kummer":
@@ -236,14 +234,14 @@ def build_cover(base: FiniteField, cfg, prec: int | None = None) -> GaloisCover:
         _cap(m, GROUP_CAP, "the group order 'cover.m'")
         if m < 2:
             raise NotGaloisOverBase("tame degree must be at least 2")
-        return build_kummer(base, m, prec=prec)
+        return build_kummer(base, m)
     if kind == "artin_schreier":
         _cap(base.p, GROUP_CAP, "the group order 'base.p'")
-        return build_artin_schreier(base, _datum(base, cfg), prec=prec)
+        return build_artin_schreier(base, _datum(base, cfg))
     if kind == "tower":
         m = read_int(cfg.get("m"), "cover.m", 1)
         _cap(base.p * m, GROUP_CAP, "the group order 'base.p' * 'cover.m'")
-        return build_compositum_tower(base, m, _datum(base, cfg), prec=prec)
+        return build_compositum_tower(base, m, _datum(base, cfg))
     raise InputSchemaError("'cover.type' must be 'artin_schreier', 'kummer' or 'tower'")
 
 
@@ -277,13 +275,13 @@ def break_table(cfg) -> BreakTable:
     return BreakTable(group, i_map)
 
 
-def break_data(job: dict, prec: int | None = None):
+def break_data(job: dict):
     """(cover or None, break table, p) from the job's 'cover' or its 'break_table'."""
     if ("cover" in job) == ("break_table" in job):
         raise InputSchemaError("job needs exactly one of 'cover' and 'break_table'")
     base = base_field(job.get("base"))
     if "cover" in job:
-        cover = build_cover(base, job["cover"], prec)
+        cover = build_cover(base, job["cover"])
         return cover, lower_break_table(cover), base.p
     return None, break_table(job["break_table"]), base.p
 
@@ -370,7 +368,7 @@ def _cover_spec(cover_id: str) -> dict:
 @lru_cache(maxsize=None)
 def get_cover(cover_id: str) -> GaloisCover:
     spec = _cover_spec(cover_id)
-    return build_cover(base_field(spec["base"]), spec["cover"], prec=CORPUS_PRECISION)
+    return build_cover(base_field(spec["base"]), spec["cover"])
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fields import FieldElement, FiniteField
 from .groups import FiniteGroup
-from .series import DEFAULT_PRECISION, PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
+from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
 
 
 class TowerParts(NamedTuple):
@@ -51,9 +51,9 @@ class GaloisCover:
 
     ``sigma_action[i]`` is the series sigma_i(s) in s; ``t_in_s`` expresses
     the base uniformizer in s and is fixed by the whole group.  Every cover
-    is totally ramified, so e = [L:K] = ``group.n``.  ``prec`` is the build
-    precision: the wild layer's working precision N, or the one a Kummer
-    cover was asked for.
+    is totally ramified, so e = [L:K] = ``group.n``.  ``prec`` is the wild
+    layer's working precision N; a Kummer cover, whose series are exact,
+    stores 1.
     """
 
     __slots__ = (
@@ -216,7 +216,7 @@ def _check_work(p: int, f: LaurentSeries, prec: int | None, tame: int = 1) -> No
     """Refuse a wild build over ``PRECISION_CAP``: an explicit ``prec``
     above it, or a Newton-lift window p + pole + 4 above it, where pole is
     ``tame`` times the pole order of f as given (reduction only lowers it).
-    The default precision is under the cap, so it is not checked."""
+    With no ``prec`` the build works at that window."""
     pole = 0 if f.is_zero_known() else tame * max(0, -f.valuation())
     if prec is not None and prec > PRECISION_CAP:
         raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {PRECISION_CAP}")
@@ -232,8 +232,9 @@ def build_artin_schreier(
     """Totally ramified degree-p cover defined by y^p - y = f.
 
     The pole order m of the reduced f is prime to p; the deck group is
-    Z/p acting by y -> y + j, and every break equals m + 1.  The work is
-    checked against the precision cap before any series work.
+    Z/p acting by y -> y + j, and every break equals m + 1.  The build
+    works at the break window p + m + 4, or at a larger ``prec``, checked
+    against the precision cap before any series work.
 
     Self-checks: the relation y^p - y = f(t), and sigma(t) = t and
     sigma(y) = y + 1 for sigma: F -> F(action[1]), a continuous k-algebra
@@ -272,8 +273,7 @@ def _artin_schreier(
     tau = c.inverse() ** b
     eta = c ** a_exp
 
-    requested = prec if prec is not None else DEFAULT_PRECISION
-    target = max(requested, p + m + 4)
+    target = max(prec or 0, p + m + 4)  # the break window (lower_break_table)
 
     coeffs = _relation_polynomial(f, a_exp, b)
     x0 = LaurentSeries.monomial(base, tau, p)
@@ -318,7 +318,7 @@ def _artin_schreier(
 
 
 @lru_cache(maxsize=None)
-def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCover:
+def build_kummer(base: FiniteField, m: int) -> GaloisCover:
     """Tame cover s^m = t, the identity extension when m = 1; requires the
     m-th roots of unity in the base.  Built once a process, as ``deck_group``
     is, and shared (it is a tower's tame layer too), so it must not be mutated."""
@@ -331,7 +331,7 @@ def build_kummer(base: FiniteField, m: int, prec: int | None = None) -> GaloisCo
         group=deck_group("kummer", base.p, m),
         t_in_s=LaurentSeries.monomial(base, base.one(), m),
         sigma_action=action,
-        prec=prec if prec is not None else DEFAULT_PRECISION,
+        prec=1,
     )
 
 
@@ -343,7 +343,8 @@ def build_compositum_tower(
     base: FiniteField, m: int, upper_f: LaurentSeries, prec: int | None = None
 ) -> GaloisCover:
     """Compositum of the tame layer s'^m = t, built by ``build_kummer``, with
-    the wild layer y^p - y = upper_f pulled back from K.
+    the wild layer y^p - y = upper_f pulled back from K, built at its break
+    window or a larger ``prec``.
 
     The result is Galois over K with group Z/p x Z/m; the tame layer stays
     marked so transitivity and pullback statements can be tested against it.
@@ -363,7 +364,7 @@ def build_compositum_tower(
     stretch, so as in ``build_artin_schreier`` the law holds mod s^(1 + R)
     and t is fixed mod s^(p m + R), R the wild layer's relative precision.
     """
-    lower = build_kummer(base, m, prec=prec)
+    lower = build_kummer(base, m)
     if upper_f.field != base:
         raise NotGaloisOverBase("wild datum is not over the base field")
     p = base.p

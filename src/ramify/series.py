@@ -33,10 +33,10 @@ blocks reduces once a step.  The pole factor is one ``power`` of the
 inverse.  An exact monomial g is a coefficient stretch.  The result equals
 Horner's under ==, precision included; ``compose`` gives the argument.
 
-The working default is 64 known terms, and ``PRECISION_CAP`` (4096)
-bounds cover builds and job fields.  Nothing escalates precision: a cover
-is built to a precision that shows every break
-(``covers.lower_break_table``).
+An exact non-monomial is inverted to ``DEFAULT_PRECISION`` (64) terms
+unless told otherwise, and ``PRECISION_CAP`` (4096) bounds cover builds and
+job fields.  Nothing escalates precision: a cover is built at its break
+window, which shows every break (``covers.lower_break_table``).
 """
 
 from __future__ import annotations

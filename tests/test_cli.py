@@ -395,8 +395,8 @@ def test_the_environment_sets_no_precision_cap(raw, capsys, monkeypatch):
     assert expected[1]["results"]["i_G"] == {"sigma": 12}
 
 
-# One job per command; the first four build no wild layer, so they stay
-# cheap at any admitted precision.
+# One job per command.  Every cover is built at its break window, whatever
+# the job's precision, so each job stays cheap at any admitted precision.
 _ONE_JOB_PER_COMMAND = [
     {"command": "filtration", "base": {"p": 7, "a": 1}, "cover": {"type": "kummer", "m": 3}},
     dict(_labelled(["1", "s"]), command="herbrand"),
@@ -422,12 +422,63 @@ def test_params_precision_over_the_cap_is_refused_for_every_command(job, capsys,
     assert "4097" not in message
 
 
-@pytest.mark.parametrize("job", _ONE_JOB_PER_COMMAND[:4], ids=lambda job: job["command"])
+@pytest.mark.parametrize("job", _ONE_JOB_PER_COMMAND, ids=lambda job: job["command"])
 def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
     expected = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)[1]["results"]
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(_at_precision(job, 4096)), monkeypatch=monkeypatch)
     assert code == 0
     assert report["results"] == expected
+
+
+@pytest.mark.parametrize(
+    "cover,products",
+    [
+        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 1322),
+        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 318),
+    ],
+    ids=["as_p31", "tower_F64_m63"],
+)
+def test_a_jobs_precision_sets_no_work(cover, products, monkeypatch):
+    # The parent built at max(precision, window): 1365, 1365 and 2237
+    # products for AS over F_31, 318, 318 and 523 for the tower.
+    counts = []
+    real = series._mul_keys
+
+    def counting(*args):
+        counts[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(series, "_mul_keys", counting)
+    for params in ({}, {"precision": 64}, {"precision": 4096}):
+        counts.append(0)
+        assert cli.run(dict(cover, command="filtration", params=params))[1] == 0
+    assert counts == [products] * 3
+
+
+# Artin-Schreier covers over F_2, F_5 and F_31, towers over F_3 and F_4, a
+# Kummer cover and the corpus covers.
+_PROBE_COVERS = {
+    "as_p2": ({"p": 2, "a": 1}, {"type": "artin_schreier", "f": [[-5, 1], [-3, 1], [-1, 1]]}),
+    "as_p5": ({"p": 5, "a": 1}, {"type": "artin_schreier", "f": [[-3, 2], [-1, 1]]}),
+    "as_p31": ({"p": 31, "a": 1}, {"type": "artin_schreier", "f": [[-1, 1]]}),
+    "tower_p3_m2": ({"p": 3, "a": 1}, {"type": "tower", "m": 2, "f": [[-2, 1]]}),
+    "tower_p2a2_m3": ({"p": 2, "a": 2}, {"type": "tower", "m": 3, "f": [[-1, [0, 1]]]}),
+    "kummer_p7_m3": ({"p": 7, "a": 1}, {"type": "kummer", "m": 3}),
+    **{cover_id: (spec["base"], spec["cover"]) for cover_id in corpus.cover_ids()
+       for spec in [corpus._cover_spec(cover_id)]},
+}
+
+
+@pytest.mark.parametrize("base,cover", _PROBE_COVERS.values(), ids=_PROBE_COVERS)
+def test_every_report_is_the_same_at_every_precision(base, cover):
+    for command in ("filtration", "herbrand"):
+        reports = set()
+        for params in ({}, {"precision": 1}, {"precision": 64}, {"precision": 1024}):
+            report, code = cli.run({"command": command, "base": base, "cover": cover, "params": params})
+            assert code == 0
+            del report["inputs_digest"]  # hashes the job text, precision included
+            reports.add(canonical_dumps(report))
+        assert len(reports) == 1
 
 
 @pytest.mark.parametrize(
@@ -1180,9 +1231,9 @@ def test_transitivity_builds_only_the_towers(monkeypatch):
     builds = []
     build = corpus.build_cover
 
-    def counting(base, cfg, prec=None):
+    def counting(base, cfg):
         builds.append(cfg["type"])
-        return build(base, cfg, prec)
+        return build(base, cfg)
 
     monkeypatch.setattr(corpus, "build_cover", counting)
     # A cache of its own, empty, so that every cover the suite reads is built here.

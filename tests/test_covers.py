@@ -340,14 +340,14 @@ def test_no_built_cover_is_rebuilt():
                 continue
             lower_term = [[-1, [rng.randrange(p)]]] if m > 1 else []
             f = as_sparse(field, [[-m, [1 + rng.randrange(p - 1)]]] + lower_term)
-            for prec in (1, 2, 8, None):
+            for prec in (1, 2, 8, 64, None):
                 built.append((build_artin_schreier(field, f, prec=prec), (p, 1, m)))
     for field, tame in ((F4, (1, 3)), (F9, (1, 2, 4, 8))):
         for m in tame:
             for pole in (1, 2, 4, 5, 7):
                 if pole % field.p == 0:
                     continue
-                for prec in (1, 8, None):
+                for prec in (1, 8, 64, None):
                     cover = build_compositum_tower(field, m, as_sparse(field, [[-pole, [1]]]), prec=prec)
                     built.append((cover, (field.p, m, pole)))
     for cover_id in corpus.cover_ids():
@@ -360,16 +360,27 @@ def test_no_built_cover_is_rebuilt():
             built.append((cover.intermediate.lower, (1, m, 0)))
     for cover, shape in built:
         assert lower_break_table(cover).i_map == _closed_form_breaks(*shape), shape
-    assert len(built) == 250
+    assert len(built) == 316
 
 
 @pytest.mark.parametrize("cover_id", corpus.cover_ids())
 def test_corpus_covers_keep_their_breaks_at_the_break_window(cover_id):
     spec = corpus._cover_spec(cover_id)
     base = corpus.base_field(spec["base"])
-    assert corpus.CORPUS_PRECISION == 1
-    at_window = corpus.build_cover(base, spec["cover"], prec=corpus.CORPUS_PRECISION)
-    at_24 = corpus.build_cover(base, spec["cover"], prec=24)
+    cfg = spec["cover"]
+    m = cfg.get("m", 1)
+    at_window = corpus.build_cover(base, cfg)
+    if cfg["type"] == "kummer":  # exact series: it takes no precision and stores 1
+        at_24, window = build_kummer(base, m), 1
+    else:
+        f = corpus._datum(base, cfg)
+        if cfg["type"] == "artin_schreier":
+            at_24 = build_artin_schreier(base, f, prec=24)
+        else:
+            at_24 = build_compositum_tower(base, m, f, prec=24)
+        window = base.p + m * -f.valuation() + 4
+        assert at_24.prec == 24 > window
+    assert at_window.prec == window
     assert lower_break_table(at_window).by_label() == lower_break_table(at_24).by_label()
 
 
