@@ -464,8 +464,7 @@ _PROBE_COVERS = {
     "tower_p3_m2": ({"p": 3, "a": 1}, {"type": "tower", "m": 2, "f": [[-2, 1]]}),
     "tower_p2a2_m3": ({"p": 2, "a": 2}, {"type": "tower", "m": 3, "f": [[-1, [0, 1]]]}),
     "kummer_p7_m3": ({"p": 7, "a": 1}, {"type": "kummer", "m": 3}),
-    **{cover_id: (spec["base"], spec["cover"]) for cover_id in corpus.cover_ids()
-       for spec in [corpus._cover_spec(cover_id)]},
+    **{spec["id"]: (spec["base"], spec["cover"]) for spec in corpus._raw()["covers"]},
 }
 
 
