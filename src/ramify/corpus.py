@@ -28,7 +28,7 @@ from .covers import (
     lower_break_table,
 )
 from .errors import InputSchemaError, NotGaloisOverBase, SizeCapExceeded
-from .fields import FieldElement, FiniteField, check_size_cap, field_create
+from .fields import FiniteField, check_size_cap, field_create
 from .groups import FiniteGroup
 from .linalg import MatrixFF
 from .ramification import Representation
@@ -164,13 +164,13 @@ def jordan_table(path: str | None) -> dict[int, int] | None:
     return table
 
 
-def _element(field: FiniteField, x, path: str, degree: str) -> FieldElement:
-    """An int (its image in the prime field) or a list of at most ``a``
-    int coordinates; ``degree`` is the path that sets ``a``."""
+def _element(field: FiniteField, x, path: str, degree: str) -> int:
+    """The key of an int (its image in the prime field) or of a list of at
+    most ``a`` int coordinates; ``degree`` is the path that sets ``a``."""
     if type(x) is int:
-        return field.from_int(x)
+        x = [x]
     if type(x) is list and len(x) <= field.a and all(type(c) is int for c in x):
-        return field.from_coeffs(x)
+        return sum(c % field.p * field.p ** i for i, c in enumerate(x))
     raise InputSchemaError(
         f"'{path}' must be an integer or a list of at most '{degree}' = {field.a} integers")
 
@@ -308,7 +308,7 @@ def representation(group: FiniteGroup, cfg, p: int) -> Representation:
                 and all(type(row) is list and len(row) == r for row in rows)):
             raise InputSchemaError(f"'{path}' must be an r x r matrix, r = 'rep.r' = {r}")
         gen_images[label] = MatrixFF(field, r, [
-            _element(field, x, f"{path}[{i}][{j}]", "rep.n").key()
+            _element(field, x, f"{path}[{i}][{j}]", "rep.n")
             for i, row in enumerate(rows) for j, x in enumerate(row)
         ])
     return Representation(group, gen_images)

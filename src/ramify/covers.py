@@ -34,7 +34,7 @@ from .errors import (
     PrecisionExhausted,
     SizeCapExceeded,
 )
-from .fields import FieldElement, FiniteField
+from .fields import FiniteField
 from .groups import FiniteGroup
 from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
 
@@ -153,7 +153,7 @@ def artin_schreier_reduce(f: LaurentSeries) -> LaurentSeries:
         if m % p != 0:
             return f
         c = f.coeff(-m)
-        g = LaurentSeries.monomial(field, c.pth_root(), -m // p)
+        g = LaurentSeries.monomial(field, field.pth_root_key(c), -m // p)
         f = f - (g ** p - g)
 
 
@@ -181,7 +181,7 @@ def _conjugate_elementary(f: LaurentSeries, a_exp: int, b: int) -> list[LaurentS
         for i in range(1, k + 1):
             term = e[k - i] * power[i]
             acc = acc + term if i % 2 else acc - term
-        e.append(acc.scale(field.from_int(k).inverse()))
+        e.append(acc.scale(field.inverse_key(k)))
     e.append((f ** b).shift(a_exp * p))
     return e
 
@@ -196,7 +196,7 @@ def _relation_polynomial(f: LaurentSeries, a_exp: int, b: int) -> list[LaurentSe
     """
     field = f.field
     p = field.p
-    by_t: dict[int, dict[int, FieldElement]] = {}
+    by_t: dict[int, dict[int, int]] = {}
     for k, e_k in enumerate(_conjugate_elementary(f, a_exp, b)):
         for t_exp, c in (e_k if k % 2 == 0 else -e_k).support():
             if t_exp < 0:
@@ -270,8 +270,8 @@ def _artin_schreier(
 
     b = next(bb for bb in range(1, p) if (1 + bb * m) % p == 0)
     a_exp = (1 + b * m) // p
-    tau = c.inverse() ** b
-    eta = c ** a_exp
+    tau = base.pow_key(c, -b)
+    eta = base.pow_key(c, a_exp)
 
     target = max(prec or 0, p + m + 4)  # the break window (lower_break_table)
 
@@ -284,7 +284,7 @@ def _artin_schreier(
     s_mono = LaurentSeries.uniformizer(base)
     t_pow = t_in_s ** a_exp
     w = s_mono * t_pow.inverse()  # equals y^b
-    unit = w * LaurentSeries.monomial(base, (eta ** b).inverse(), b * m)
+    unit = w * LaurentSeries.monomial(base, base.pow_key(eta, -b), b * m)
     root = unit if b == 1 else nth_root_of_unit(unit, b)
     y_in_s = root.shift(-m).scale(eta)
 
@@ -293,7 +293,7 @@ def _artin_schreier(
     group = deck_group("artin_schreier", p, 1)
     action: dict[int, LaurentSeries] = {0: s_mono}
     for j in range(1, p):
-        yj = y_in_s + LaurentSeries.constant(base, base.from_int(j))
+        yj = y_in_s + LaurentSeries.constant(base, j)
         a_j = t_pow * (yj ** b)
         if a_j.valuation() != 1:
             raise MismatchDetected("action series is not a uniformizer")
@@ -325,11 +325,11 @@ def build_kummer(base: FiniteField, m: int) -> GaloisCover:
     if m < 1:
         raise NotGaloisOverBase("tame degree must be at least 1")
     zeta = base.root_of_unity(m)
-    action = {k: LaurentSeries.monomial(base, zeta ** k, 1) for k in range(m)}
+    action = {k: LaurentSeries.monomial(base, c, 1) for k, c in enumerate(base.powers_key(zeta, m))}
     return GaloisCover(
         base_field=base,
         group=deck_group("kummer", base.p, m),
-        t_in_s=LaurentSeries.monomial(base, base.one(), m),
+        t_in_s=LaurentSeries.monomial(base, 1, m),
         sigma_action=action,
         prec=1,
     )
@@ -380,10 +380,8 @@ def build_compositum_tower(
     if t_in_s.valuation() != p * m:
         raise MismatchDetected("base uniformizer has wrong valuation in the tower")
 
-    action: dict[int, LaurentSeries] = {}
-    for j in range(p):
-        for k in range(m):
-            action[j * m + k] = upper.sigma_action[j].scale(zeta ** (a_exp * k))
+    twists = base.powers_key(base.pow_key(zeta, a_exp), m)  # zeta^(a k)
+    action = {j * m + k: upper.sigma_action[j].scale(c) for j in range(p) for k, c in enumerate(twists)}
 
     if m > 1:
         tame = compose(s_prime, action[1]) - s_prime.scale(zeta)

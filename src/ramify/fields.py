@@ -1,25 +1,21 @@
 """Finite fields F_{p^a} with a deterministic modulus choice.
 
-Elements are coordinate vectors in the power basis of the modulus, so a
-given (p, a) produces bit-identical arithmetic on every platform.  The
-modulus is the lexicographically least monic irreducible of degree a over
-F_p, ordered by the coefficient tuple (c_0, ..., c_{a-1}).
+An element is its key: the int whose base-p digits are its coordinates in
+the power basis of the modulus, so 0 and 1 are zero and one, an element of
+the prime field is its residue, and a given (p, a) produces bit-identical
+arithmetic on every platform.  The modulus is the lexicographically least
+monic irreducible of degree a over F_p, ordered by the coefficient tuple
+(c_0, ..., c_{a-1}).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add
-from typing import Iterator, Sequence
+from operator import add, mul
+from typing import Sequence
 
-from .errors import (
-    FieldMismatch,
-    MissingRootsOfUnity,
-    NotPrime,
-    SizeCapExceeded,
-    ZeroElement,
-)
+from .errors import MissingRootsOfUnity, NotPrime, SizeCapExceeded, ZeroElement
 
 DEFAULT_SIZE_CAP = 1 << 16
 
@@ -65,17 +61,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def power(x, e: int):
-    """x ** e for e >= 1, for any x with an associative ``*``.
+def power(x, e: int, product=mul):
+    """x ** e for e >= 1, for any x with an associative ``*`` (or ``product``).
 
     Left-to-right square-and-multiply: floor(log2 e) squarings and
     popcount(e) - 1 more products, with no identity to start from.
     """
     result = x
     for bit in bin(e)[3:]:
-        result = result * result
+        result = product(result, result)
         if bit == "1":
-            result = result * x
+            result = product(result, x)
     return result
 
 
@@ -194,7 +190,7 @@ def canonical_modulus(p: int, a: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """The field F_{p^a}, with elements in the power basis of the modulus."""
+    """The field F_{p^a}, with elements as keys (see the module docstring)."""
 
     __slots__ = ("p", "a", "modulus", "order", "_generator")
 
@@ -219,39 +215,10 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"FiniteField({self.p}, {self.a})"
 
-    # -- constructors --------------------------------------------------------
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.a)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.a - 1))
-
-    def from_int(self, k: int) -> "FieldElement":
-        """Image of the integer k in the prime subfield."""
-        return FieldElement(self, (k % self.p,) + (0,) * (self.a - 1))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        if len(coeffs) > self.a:
-            raise ValueError(f"expected at most {self.a} coordinates")
-        c = tuple(int(x) % self.p for x in coeffs) + (0,) * (self.a - len(coeffs))
-        return FieldElement(self, c)
-
-    def from_key(self, key: int) -> "FieldElement":
-        digits = []
-        for _ in range(self.a):
-            digits.append(key % self.p)
-            key //= self.p
-        return FieldElement(self, tuple(digits))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for key in range(self.order):
-            yield self.from_key(key)
-
-    # -- vectors of keys ---------------------------------------------------------
+    # -- keys ----------------------------------------------------------------------
     #
-    # Bulk arithmetic works on element keys (see FieldElement.key) laid out
-    # as coordinate columns: column k holds coordinate k of every element.
+    # Bulk arithmetic lays keys out as coordinate columns: column k holds
+    # coordinate k of every element.
 
     def key_columns(self, keys: Sequence[int]) -> list[Sequence[int]]:
         """The a coordinate columns of a sequence of keys."""
@@ -296,6 +263,41 @@ class FiniteField:
     def neg_keys(self, keys: Sequence[int]) -> list[int]:
         return self.keys_from_columns([[-x for x in col] for col in self.key_columns(keys)])
 
+    def scale_keys(self, c: int, keys: Sequence[int]) -> list[int]:
+        """c times each key: coordinate i of c times column k is added into
+        column i + k, small ints only, and ``keys_from_columns`` reduces once."""
+        p = self.p
+        if self.a == 1:
+            return [c * x % p for x in keys]
+        cols = self.key_columns(keys)
+        out = [[0] * len(keys) for _ in range(2 * self.a - 1)]
+        for i in range(self.a):
+            ci = c // p ** i % p
+            if ci:
+                for k, col in enumerate(cols):
+                    out[i + k] = [s + ci * x for s, x in zip(out[i + k], col)]
+        return self.keys_from_columns(out)
+
+    def mul_key(self, x: int, y: int) -> int:
+        """x y: ``scale_keys`` on one key, so reduced the one way too."""
+        return self.scale_keys(x, [y])[0]
+
+    def pow_key(self, key: int, e: int) -> int:
+        if e < 0:
+            return self.pow_key(self.inverse_key(key), -e)
+        return power(key, e, self.mul_key) if e else 1
+
+    def powers_key(self, key: int, n: int) -> list[int]:
+        """key^0 .. key^(n-1), doubling the known run by one ``scale_keys`` a step."""
+        out = [1]
+        while len(out) < n:
+            out += self.scale_keys(self.mul_key(out[-1], key), out)
+        return out[:n]
+
+    def pth_root_key(self, key: int) -> int:
+        """The unique p-th root (Frobenius is bijective): key^(p^(a-1))."""
+        return self.pow_key(key, self.order // self.p)
+
     def inverse_key(self, key: int) -> int:
         if not key:
             raise ZeroElement("inverse of zero")
@@ -309,109 +311,25 @@ class FiniteField:
 
     # -- structure -------------------------------------------------------------
 
-    def generator(self) -> "FieldElement":
-        """Least element (by key) generating the multiplicative group."""
+    def generator(self) -> int:
+        """Least key generating the multiplicative group: the least whose
+        power (q - 1) / r is not 1 for any prime r dividing q - 1."""
         if self._generator is None:
-            target = self.order - 1
-            for key in range(1, self.order):
-                x = self.from_key(key)
-                if x.multiplicative_order() == target:
-                    self._generator = x
-                    break
+            n = self.order - 1
+            factors = prime_factors(n)
+            self._generator = next(
+                key for key in range(1, self.order)
+                if all(self.pow_key(key, n // r) != 1 for r in factors)
+            )
         return self._generator
 
-    def root_of_unity(self, m: int) -> "FieldElement":
-        """A fixed primitive m-th root of unity (one for m = 1); requires m | p^a - 1."""
+    def root_of_unity(self, m: int) -> int:
+        """A fixed primitive m-th root of unity (1 for m = 1); requires m | p^a - 1."""
         if m < 1 or (self.order - 1) % m != 0:
             raise MissingRootsOfUnity(
                 f"F_{self.p}^{self.a} has no primitive {m}-th roots of unity"
             )
-        return self.one() if m == 1 else self.generator() ** ((self.order - 1) // m)
-
-
-class FieldElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field is not other.field and self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.coeffs == other.coeffs
-            and self.field == other.field
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.field.p, self.field.a))
-
-    def key(self) -> int:
-        """Canonical integer encoding (base-p digits of the coordinates)."""
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
-
-    def __repr__(self) -> str:
-        return f"FF({self.field.p}^{self.field.a}:{self.key()})"
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "FieldElement":
-        p = self.field.p
-        return FieldElement(self.field, tuple((-x) % p for x in self.coeffs))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        f = self.field
-        p, a = f.p, f.a
-        if a == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        out = _prem(_pmul(self.coeffs, other.coeffs, p), f.modulus, p)
-        return FieldElement(f, tuple(out) + (0,) * (a - len(out)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        if e == 0:
-            return self.field.one()
-        return power(self, e)
-
-    def inverse(self) -> "FieldElement":
-        return self.field.from_key(self.field.inverse_key(self.key()))
-
-    def pth_root(self) -> "FieldElement":
-        """Unique p-th root (Frobenius is bijective)."""
-        return self ** (self.field.order // self.field.p)
-
-    def multiplicative_order(self) -> int:
-        if not self:
-            raise ZeroElement("order of zero")
-        d = self.field.order - 1
-        for q in prime_factors(d):
-            while d % q == 0 and self ** (d // q) == self.field.one():
-                d //= q
-        return d
+        return 1 if m == 1 else self.pow_key(self.generator(), (self.order - 1) // m)
 
 
 @lru_cache(maxsize=None)

@@ -461,8 +461,8 @@ def enumerate_gl(field: FiniteField, r: int) -> list[MatrixFF]:
 
 
 def _random_invertible(field: FiniteField, r: int, rng: random.Random) -> MatrixFF:
-    """Random entries until invertible; ``rng.choice`` over ``range(q)``
-    draws the same index as over the key-ordered ``field.elements()``."""
+    """Random entries, keys drawn by ``rng.choice`` over ``range(q)``,
+    until invertible."""
     keys = range(field.order)
     while True:
         m = MatrixFF(field, r, [rng.choice(keys) for _ in range(r * r)])
@@ -612,7 +612,7 @@ def abelian_p_bound_probe(
     field = field_create(ell, n)
     if target ** r > DEFAULT_GROUP_CAP:
         raise SizeCapExceeded("diagonal subgroup exceeds the group size cap")
-    zeta = field.root_of_unity(target).key()
+    zeta = field.root_of_unity(target)
     gens = [
         MatrixFF(field, r, [(zeta if j == k == i else int(j == k)) for j in range(r) for k in range(r)])
         for i in range(r)

@@ -1,10 +1,10 @@
 """Dense exact linear algebra over finite fields, on element keys.
 
 A matrix is built from, and holds, a flat row-major tuple of element keys
-(``FieldElement.key``); no FieldElement enters this module.  Over
-F_{p^a}, a > 1, a key is packed into one int with coordinate k in a
-``bits``-wide slot k, so integer dot products give the coefficients of
-x^0 .. x^(2a-2) for ``FiniteField.keys_from_columns`` to reduce.
+(see ``ramify.fields``).  Over F_{p^a}, a > 1, a key is packed into one
+int with coordinate k in a ``bits``-wide slot k, so integer dot products
+give the coefficients of x^0 .. x^(2a-2) for
+``FiniteField.keys_from_columns`` to reduce.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def _reduce(field: FiniteField, rows: list[list[int]], ncols: int) -> int:
 
 class MatrixFF:
     """Square matrix over a finite field; immutable.  ``MatrixFF(field, n,
-    keys)`` is the n x n matrix with the given row-major element keys
-    (``FieldElement.key``); the keys themselves are not checked."""
+    keys)`` is the n x n matrix with the given row-major element keys;
+    the keys themselves are not checked."""
 
     __slots__ = ("field", "n", "entries")
 

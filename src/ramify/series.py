@@ -7,12 +7,11 @@ support is contained in ``[v0, oo)``.  Every operation derives the best
 absolute precision it can honestly guarantee for its result; nothing is ever
 rounded, so equal windows mean equal coefficients.
 
-Coefficients are stored as plain ints: the one constructor takes, and
-``coeffs`` holds, the window of known coefficients from ``v0`` on, each the
-key of its field element (the base-p digits of its coordinates, so just the
-residue over a prime field).  FieldElement objects appear only where callers
-see coefficients: ``from_terms`` and the factories on it, ``coeff``,
-``support`` and ``scale``.
+Coefficients are field keys (``ramify.fields``: the base-p digits of the
+coordinates, so just the residue over a prime field): the one constructor
+takes, and ``coeffs`` holds, the window of known coefficients from ``v0``
+on, and ``from_terms``, ``coeff``, ``support`` and ``scale`` take or give
+keys too.
 
 A product is one big-integer multiplication (Kronecker substitution, as in
 D. Harvey, J. Symbolic Comput. 44, 2009): coordinate k of coefficient i is
@@ -52,7 +51,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroElement,
 )
-from .fields import FieldElement, FiniteField, power
+from .fields import FiniteField, power
 
 DEFAULT_PRECISION = 64
 PRECISION_CAP = 4096
@@ -168,10 +167,10 @@ class LaurentSeries:
     def from_terms(
         cls,
         field: FiniteField,
-        terms: dict[int, FieldElement],
+        terms: dict[int, int],
         abs_prec: int | None = None,
     ) -> "LaurentSeries":
-        keys = {e: c.key() for e, c in terms.items() if c}
+        keys = {e: c for e, c in terms.items() if c}
         if not keys:
             return cls(field, 0 if abs_prec is None else abs_prec, (), abs_prec)
         lo = min(keys)
@@ -179,7 +178,7 @@ class LaurentSeries:
         return cls(field, lo, [keys.get(e, 0) for e in range(lo, hi)], abs_prec)
 
     @classmethod
-    def monomial(cls, field: FiniteField, coeff: FieldElement, exp: int) -> "LaurentSeries":
+    def monomial(cls, field: FiniteField, coeff: int, exp: int) -> "LaurentSeries":
         return cls.from_terms(field, {exp: coeff})
 
     @classmethod
@@ -188,14 +187,14 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, field: FiniteField) -> "LaurentSeries":
-        return cls.monomial(field, field.one(), 0)
+        return cls.monomial(field, 1, 0)
 
     @classmethod
     def uniformizer(cls, field: FiniteField) -> "LaurentSeries":
-        return cls.monomial(field, field.one(), 1)
+        return cls.monomial(field, 1, 1)
 
     @classmethod
-    def constant(cls, field: FiniteField, c: FieldElement) -> "LaurentSeries":
+    def constant(cls, field: FiniteField, c: int) -> "LaurentSeries":
         return cls.from_terms(field, {0: c})
 
     # -- predicates -------------------------------------------------------------
@@ -222,13 +221,10 @@ class LaurentSeries:
             f"series is zero to O(t^{self.abs_prec}); valuation unknown"
         )
 
-    def coeff(self, e: int) -> FieldElement:
+    def coeff(self, e: int) -> int:
         if self.abs_prec is not None and e >= self.abs_prec:
             raise PrecisionExhausted(f"coefficient of t^{e} beyond O(t^{self.abs_prec})")
-        return self._known(e)
-
-    def _known(self, e: int) -> FieldElement:
-        return self.field.from_key(self._key(e))
+        return self._key(e)
 
     def _key(self, e: int) -> int:
         idx = e - self.v0
@@ -246,9 +242,8 @@ class LaurentSeries:
         body = list(self.coeffs[max(i0, 0) : max(i0 + n, 0)])
         return head + body + [0] * (n - len(head) - len(body))
 
-    def support(self) -> list[tuple[int, FieldElement]]:
-        from_key = self.field.from_key
-        return [(self.v0 + i, from_key(c)) for i, c in enumerate(self.coeffs) if c]
+    def support(self) -> list[tuple[int, int]]:
+        return [(self.v0 + i, c) for i, c in enumerate(self.coeffs) if c]
 
     def __repr__(self) -> str:
         body = " + ".join(
@@ -310,16 +305,14 @@ class LaurentSeries:
             self.field, self.v0, self.field.neg_keys(self.coeffs), self.abs_prec
         )
 
-    def scale(self, c: FieldElement) -> "LaurentSeries":
+    def scale(self, c: int) -> "LaurentSeries":
+        """c times the series, for the key c of a field element."""
         if not c:
             if self.is_exact:
                 return LaurentSeries.zero(self.field)
             return LaurentSeries(self.field, self.abs_prec, (), self.abs_prec)
-        if c.field is not self.field and c.field != self.field:
-            raise FieldMismatch("scalar from a different field")
-        n = len(self.coeffs)
         return LaurentSeries(
-            self.field, self.v0, _mul_keys(self.field, self.coeffs, [c.key()], n), self.abs_prec
+            self.field, self.v0, self.field.scale_keys(c, self.coeffs), self.abs_prec
         )
 
     def shift(self, k: int) -> "LaurentSeries":
@@ -449,12 +442,10 @@ def _stretch(f: LaurentSeries, c: int, w: int) -> LaurentSeries:
     if c == 1:
         keys[::w] = f.coeffs
     else:
-        x = field.from_key(c)
-        power = x ** f.v0
-        for i, fk in enumerate(f.coeffs):
+        scalars = field.scale_keys(field.pow_key(c, f.v0), field.powers_key(c, len(f.coeffs)))
+        for i, (fk, ck) in enumerate(zip(f.coeffs, scalars)):
             if fk:
-                keys[i * w] = (field.from_key(fk) * power).key()
-            power = power * x
+                keys[i * w] = field.mul_key(fk, ck)
     return LaurentSeries(field, f.v0 * w, keys, None)
 
 
@@ -577,7 +568,7 @@ def nth_root_of_unit(u: LaurentSeries, b: int) -> LaurentSeries:
         raise ValueError("root degree divisible by the characteristic")
     if u.is_zero_known() or u.valuation() != 0 or u.coeffs[0] != 1:
         raise ValueError("expected a unit series with constant term 1")
-    b_inv = field.from_int(b).inverse()
+    b_inv = field.inverse_key(b % field.p)
     x = LaurentSeries.one(field)
     for _ in range(80):
         err = x ** b - u

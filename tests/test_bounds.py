@@ -52,7 +52,7 @@ def s3_in_gl2_f7():
 
 def mu_n_matrices(field, n):
     zeta = field.root_of_unity(n)
-    return [MatrixFF(field, 1, [(zeta ** k).key()]) for k in range(n)]
+    return [MatrixFF(field, 1, [field.pow_key(zeta, k)]) for k in range(n)]
 
 
 def test_inertia_structure_sign_group():
@@ -302,7 +302,7 @@ def _as_rep(p, m, ell, value, r=1):
     """(filtration, rep) of y^p - y = t^-m over F_p, with sigma -> value * I_r
     in GL_r(F_ell): r copies of one character."""
     field = field_create(p, 1)
-    cover = build_artin_schreier(field, LaurentSeries.monomial(field, field.one(), -m), prec=32)
+    cover = build_artin_schreier(field, LaurentSeries.monomial(field, 1, -m), prec=32)
     scalar = [value if i == j else 0 for i in range(r) for j in range(r)]
     rep = Representation(cover.group, {"sigma": MatrixFF(field_create(ell, 1), r, scalar)})
     return filtration_from_breaks(lower_break_table(cover), p), rep

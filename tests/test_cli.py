@@ -433,14 +433,16 @@ def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "cover,products",
     [
-        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 1322),
-        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 318),
+        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 1291),
+        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 189),
     ],
     ids=["as_p31", "tower_F64_m63"],
 )
 def test_a_jobs_precision_sets_no_work(cover, products, monkeypatch):
-    # The parent built at max(precision, window): 1365, 1365 and 2237
-    # products for AS over F_31, 318, 318 and 523 for the tower.
+    # Built at max(precision, window), it took 1365, 1365 and 2237 products
+    # for AS over F_31, and 318, 318 and 523 for the tower.  LaurentSeries.scale
+    # makes no product: it took 31 of the 1322 for AS over F_31 and 129 of
+    # the 318 for the tower when it did.
     counts = []
     real = series._mul_keys
 
@@ -1319,9 +1321,10 @@ def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
     counts = _fresh_work_counts(monkeypatch)
     report, code = cli.run({"command": "verify", "params": {"suite": "all"}})
     assert code == 0
-    # The parent made 1,319 matrix and 741 series products: it built the
-    # covers at precision 24 and walked every matrix of claim1's groups.
-    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 428}
+    # Building the covers at precision 24 and walking every matrix of
+    # claim1's groups took 1,319 matrix and 741 series products; 43 of 428
+    # series products were LaurentSeries.scale's, which now makes none.
+    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 385}
 
 
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):

@@ -52,7 +52,8 @@ def as_break_oracle(p, m, j):
 
 
 def as_sparse(field, pairs):
-    return LaurentSeries.from_terms(field, {e: field.from_coeffs(c) for e, c in pairs})
+    """The exact series with the element of coordinates c at t^e, for each [e, c]."""
+    return LaurentSeries.from_terms(field, {e: sum(x * field.p ** i for i, x in enumerate(c)) for e, c in pairs})
 
 
 @pytest.mark.parametrize(
@@ -421,12 +422,13 @@ def test_builders_refuse_work_over_the_cap_before_any_series_work(build, monkeyp
 
 
 def test_builders_allow_the_largest_window_and_precision_under_the_cap(monkeypatch):
-    # p + m + 4 = 4096 and prec = 4096 pass the check; the lift is stopped
-    # right after it so the test stays cheap.
+    # A window p + m + 4 of exactly 4096 (F_5, pole 4087) or 4095 (F_2,
+    # pole 4089; the F_4 tower, pole 3 * 1363) and prec = 4096 pass the
+    # check; the lift is stopped right after it so the test stays cheap.
     monkeypatch.setattr(covers, "hensel_lift_root", _no_series_work)
-    for f, prec in (([[-4089, [1]]], None), ([[-1, [1]]], PRECISION_CAP)):
+    for field, f, prec in ((F5, [[-4087, [1]]], None), (F2, [[-4089, [1]]], None), (F2, [[-1, [1]]], PRECISION_CAP)):
         with pytest.raises(AssertionError, match="series work"):
-            build_artin_schreier(F2, as_sparse(F2, f), prec=prec)
+            build_artin_schreier(field, as_sparse(field, f), prec=prec)
     with pytest.raises(AssertionError, match="series work"):
         build_compositum_tower(F4, 3, as_sparse(F4, [[-1363, [1]]]))
 
@@ -530,7 +532,7 @@ def _relation_terms(f):
     b = next(bb for bb in range(1, p) if (1 + bb * m) % p == 0)
     a = (1 + b * m) // p
     coeffs = covers._relation_polynomial(f, a, b)
-    terms = {(i, k): c.key() for k, d in enumerate(coeffs) for i, c in d.support()}
+    terms = {(i, k): c for k, d in enumerate(coeffs) for i, c in d.support()}
     return terms, (m, a, b)
 
 
@@ -574,9 +576,9 @@ def test_relation_polynomial_closed_form_for_b_one(p, deg):
             f = as_sparse(field, _random_datum(rng, field, m))
             ours, (_, a, b) = _relation_terms(f)
             assert b == 1
-            expected = {(p, 0): 1, (1, a * (p - 1)): (-field.one()).key()}
+            expected = {(p, 0): 1, (1, a * (p - 1)): field.neg_keys([1])[0]}
             for e, c in f.support():
-                expected[(0, a * p + e)] = (-c).key()
+                expected[(0, a * p + e)] = field.neg_keys([c])[0]
             assert ours == expected
 
 
@@ -590,7 +592,7 @@ def test_corrupted_elementary_function_is_caught(monkeypatch, p, m):
         for deg in (0, 1):
             def corrupted(*args, k=k, deg=deg):
                 e = exact(*args)
-                e[k] = e[k] + LaurentSeries.monomial(field, field.one(), deg)
+                e[k] = e[k] + LaurentSeries.monomial(field, 1, deg)
                 return e
 
             monkeypatch.setattr(covers, "_conjugate_elementary", corrupted)
@@ -620,7 +622,7 @@ def test_corrupted_lift_or_root_is_caught(monkeypatch, p, m):
         (result,) = results
         for deg in range(result.valuation() + 1, result.abs_prec):
             def corrupted(*args, deg=deg):
-                return exact(*args) + LaurentSeries.monomial(field, field.one(), deg)
+                return exact(*args) + LaurentSeries.monomial(field, 1, deg)
 
             monkeypatch.setattr(covers, name, corrupted)
             with pytest.raises(MismatchDetected):

@@ -1,11 +1,14 @@
 import itertools
+import operator
 import random
 import time
 
 import pytest
 
-from ramify.errors import FieldMismatch, MissingRootsOfUnity, NotPrime, SizeCapExceeded, ZeroElement
+from ramify.errors import MissingRootsOfUnity, NotPrime, SizeCapExceeded, ZeroElement
 from ramify.fields import (
+    _pmul,
+    _prem,
     canonical_modulus,
     field_create,
     is_prime,
@@ -26,6 +29,19 @@ def poly_has_root(coeffs, p):
     return False
 
 
+def coordinates(F, key):
+    """The a coordinates of a key, its base-p digits."""
+    return [key // F.p ** i % F.p for i in range(F.a)]
+
+
+def order_by_powers(F, x):
+    """Oracle: the multiplicative order of a nonzero key by repeated products."""
+    y, k = x, 1
+    while y != 1:
+        y, k = F.mul_key(y, x), k + 1
+    return k
+
+
 def test_prime_field_modulus_is_x():
     F = field_create(2, 1)
     assert F.modulus == (0, 1)
@@ -36,7 +52,7 @@ def test_f4_modulus_is_irreducible_by_root_search():
     F = field_create(2, 2)
     assert F.modulus == (1, 1, 1)
     assert not poly_has_root(F.modulus, 2)
-    assert len(list(F.elements())) == 4
+    assert F.order == 4
 
 
 def test_modulus_deterministic_across_instances():
@@ -59,25 +75,23 @@ def test_size_cap():
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_field_axioms_exhaustive_small(p, a):
     F = field_create(p, a)
-    elems = list(F.elements())
-    zero, one = F.zero(), F.one()
-    table = {(x.key(), y.key()): x * y for x in elems for y in elems}
+    elems = range(F.order)
+    add = [F.add_keys([x] * F.order, elems) for x in elems]
+    mul = [[F.mul_key(x, y) for y in elems] for x in elems]
+    assert all(add[x][y] == 0 for x, y in zip(elems, F.neg_keys(elems)))
     for x in elems:
-        assert x + zero == x and x * one == x
-        assert x + (-x) == zero
+        assert add[x][0] == x and mul[x][1] == x
         if x:
-            assert x * x.inverse() == one
+            assert mul[x][F.inverse_key(x)] == 1
     for x in elems:
         for y in elems:
-            assert x + y == y + x
-            assert table[(x.key(), y.key())] == table[(y.key(), x.key())]
+            assert add[x][y] == add[y][x]
+            assert mul[x][y] == mul[y][x]
     for x in elems:
         for y in elems:
             for z in elems:
-                left = table[(table[(x.key(), y.key())].key(), z.key())]
-                right = table[(x.key(), table[(y.key(), z.key())].key())]
-                assert left == right
-                assert x * (y + z) == x * y + x * z
+                assert mul[mul[x][y]][z] == mul[x][mul[y][z]]
+                assert mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
 
 
 @pytest.mark.parametrize("p,a", [(2, 6), (7, 2), (5, 2), (3, 3)])
@@ -86,10 +100,9 @@ def test_field_axioms_exhaustive_up_to_64_via_int_tables(p, a):
     # on precomputed integer tables to keep the loop cheap.
     F = field_create(p, a)
     assert F.order <= 64
-    elems = list(F.elements())
     n = F.order
-    add = [[(elems[i] + elems[j]).key() for j in range(n)] for i in range(n)]
-    mul = [[(elems[i] * elems[j]).key() for j in range(n)] for i in range(n)]
+    add = [F.add_keys([i] * n, range(n)) for i in range(n)]
+    mul = [F.scale_keys(i, range(n)) for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -99,61 +112,77 @@ def test_field_axioms_exhaustive_up_to_64_via_int_tables(p, a):
 
 def test_root_of_unity_of_order_one_needs_no_generator(monkeypatch):
     F25 = field_create(5, 2)
-    assert F25.root_of_unity(24).multiplicative_order() == 24
+    assert order_by_powers(F25, F25.root_of_unity(24)) == 24
     monkeypatch.setattr(type(F25), "generator", lambda self: pytest.fail("generator search"))
-    assert F25.root_of_unity(1) == F25.one()
+    assert F25.root_of_unity(1) == 1
     for m in (0, 5):
         with pytest.raises(MissingRootsOfUnity):
             F25.root_of_unity(m)
 
 
+@pytest.mark.parametrize("p,a", [(2, 1), (2, 2), (3, 2), (2, 4), (7, 2), (13, 1), (2, 6), (5, 3)])
+def test_root_of_unity_has_order_exactly_m(p, a):
+    F = field_create(p, a)
+    n = F.order - 1
+    assert order_by_powers(F, F.generator()) == n
+    assert all(order_by_powers(F, x) < n for x in range(1, F.generator()))
+    for m in (d for d in range(1, n + 1) if n % d == 0):
+        assert order_by_powers(F, F.root_of_unity(m)) == m
+
+
+def test_powers_are_the_repeated_products():
+    for p, a in ((2, 1), (5, 1), (2, 6), (3, 2)):
+        F = field_create(p, a)
+        for x in range(F.order):
+            want = [1]
+            for _ in range(40):
+                want.append(F.mul_key(want[-1], x))
+            for n in (1, 2, 3, 17, 32, 41):
+                assert F.powers_key(x, n) == want[:n]
+
+
 def test_multiplicative_order_examples():
     F4 = field_create(2, 2)
-    assert F4.one().multiplicative_order() == 1
+    assert order_by_powers(F4, 1) == 1
     gen = F4.generator()
     # Oracle: enumerate the powers directly.
     powers = {gen}
     x = gen
     while True:
-        x = x * gen
+        x = F4.mul_key(x, gen)
         if x in powers:
             break
         powers.add(x)
     assert len(powers) == 3
-    assert gen.multiplicative_order() == 3
+    assert [F4.pow_key(gen, e) for e in range(4)] == [1, gen, F4.mul_key(gen, gen), 1]
 
     F3 = field_create(3, 1)
-    minus_one = -F3.one()
-    assert minus_one * minus_one == F3.one()
-    assert minus_one.multiplicative_order() == 2
+    (minus_one,) = F3.neg_keys([1])
+    assert F3.mul_key(minus_one, minus_one) == 1
+    assert order_by_powers(F3, minus_one) == 2
 
 
 def test_order_divides_group_order():
     F9 = field_create(3, 2)
-    for x in F9.elements():
-        if x:
-            assert 8 % x.multiplicative_order() == 0
+    for x in range(1, 9):
+        assert 8 % order_by_powers(F9, x) == 0
+        assert F9.pow_key(x, 8) == 1
 
 
 def test_zero_has_no_order_or_inverse():
     F = field_create(3, 1)
     with pytest.raises(ZeroElement):
-        F.zero().multiplicative_order()
+        F.pow_key(0, -1)
     with pytest.raises(ZeroElement):
-        F.zero().inverse()
-
-
-def test_field_mismatch():
-    a = field_create(2, 1).one()
-    b = field_create(3, 1).one()
-    with pytest.raises(FieldMismatch):
-        a + b
+        F.inverse_key(0)
 
 
 def test_pth_root_inverts_frobenius():
-    F8 = field_create(2, 3)
-    for x in F8.elements():
-        assert x.pth_root() ** 2 == x
+    for p, a in ((2, 3), (3, 2), (5, 1), (2, 5)):
+        F = field_create(p, a)
+        assert sorted(F.pth_root_key(x) for x in range(F.order)) == list(range(F.order))
+        for x in range(F.order):
+            assert F.pow_key(F.pth_root_key(x), p) == x
 
 
 def test_is_prime_small():
@@ -183,37 +212,48 @@ def test_canonical_modulus_against_galoistools():
 
 @pytest.mark.parametrize("p,a", [(2, 6), (2, 11), (3, 9), (7, 3), (2, 16)])
 def test_products_against_galoistools(p, a):
-    """Element products and the bulk keys_from_columns reduction against
-    gf_rem(gf_mul(x, y), modulus), on random pairs over fields too large for
-    the exhaustive axiom tests."""
+    """mul_key, pow_key, inverse_key, pth_root_key and the bulk
+    keys_from_columns reduction against galoistools' gf_rem(gf_mul(x, y)),
+    gf_pow_mod and gf_gcdex modulo the modulus, and mul_key against
+    _prem(_pmul(x, y)), on random keys over fields too large for the
+    exhaustive axiom tests."""
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
-    def big_endian(coeffs):
-        return galoistools.gf_strip([int(c) for c in reversed(coeffs)])
+    def big_endian(key):
+        return galoistools.gf_strip(list(reversed(coordinates(F, key))))
+
+    def key_of(poly):  # big-endian galoistools coefficients
+        return sum(int(c) * p ** i for i, c in enumerate(reversed(poly)))
 
     F = field_create(p, a)
-    modulus = big_endian(F.modulus)
+    modulus = list(reversed(F.modulus))
     rng = random.Random(p ** a)
-    pairs = [
-        (F.from_key(rng.randrange(F.order)), F.from_key(rng.randrange(F.order)))
-        for _ in range(300)
-    ]
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(300)]
     expected = [
-        F.from_coeffs(list(reversed(galoistools.gf_rem(
-            galoistools.gf_mul(big_endian(x.coeffs), big_endian(y.coeffs), p, ZZ),
-            modulus, p, ZZ,
-        ))))
+        key_of(galoistools.gf_rem(galoistools.gf_mul(big_endian(x), big_endian(y), p, ZZ), modulus, p, ZZ))
         for x, y in pairs
     ]
-    assert [x * y for x, y in pairs] == expected
+    assert [F.mul_key(x, y) for x, y in pairs] == expected
+    boxed = [_prem(_pmul(coordinates(F, x), coordinates(F, y), p), F.modulus, p) for x, y in pairs]
+    assert [sum(c * p ** i for i, c in enumerate(z)) for z in boxed] == expected
     # Column k holds the x^k coefficient of each unreduced product.
     columns = [
-        [sum(x.coeffs[i] * y.coeffs[k - i] for i in range(max(0, k - a + 1), min(k, a - 1) + 1))
+        [sum(coordinates(F, x)[i] * coordinates(F, y)[k - i] for i in range(max(0, k - a + 1), min(k, a - 1) + 1))
          for x, y in pairs]
         for k in range(2 * a - 1)
     ]
-    assert F.keys_from_columns(columns) == [z.key() for z in expected]
+    assert F.keys_from_columns(columns) == expected
+    for x, _ in pairs[:60]:
+        e = rng.randrange(-F.order, F.order)
+        if x:
+            s, _, g = galoistools.gf_gcdex(big_endian(x), modulus, p, ZZ)
+            assert g == [1]
+            assert F.inverse_key(x) == key_of(s)
+            base, exp = (s, -e) if e < 0 else (big_endian(x), e)
+            assert F.pow_key(x, e) == key_of(galoistools.gf_pow_mod(base, exp, modulus, p, ZZ))
+        root = F.pth_root_key(x)
+        assert key_of(galoistools.gf_pow_mod(big_endian(root), p, modulus, p, ZZ)) == x
 
 
 def full_scan_modulus(p, a):
@@ -256,43 +296,41 @@ def test_size_cap_is_checked_before_primality():
 
 @pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 3)])
 def test_inverse_by_euclid_matches_the_power_q_minus_2(p, a):
-    # x^(q-2) by repeated multiplication is the oracle for every nonzero x.
+    # x^(q-2), by square-and-multiply, is the oracle for every nonzero x.
     F = field_create(p, a)
-    for key in range(1, F.order):
-        x = F.from_key(key)
-        want = x ** (F.order - 2)
-        assert F.inverse_key(key) == want.key()
-        assert x.inverse() == want
-        assert x * want == F.one()
+    for x in range(1, F.order):
+        want = F.pow_key(x, F.order - 2)
+        assert F.inverse_key(x) == want
+        assert F.pow_key(x, -1) == want
+        assert F.mul_key(x, want) == 1
     with pytest.raises(ZeroElement):
         F.inverse_key(0)
     with pytest.raises(ZeroElement):
-        F.zero().inverse()
+        F.pow_key(0, -2)
 
 
 def _power_inputs():
     F5, F9 = field_create(5, 1), field_create(3, 2)
     series = LaurentSeries(F5, -2, [3, 0, 1, 4, 2, 1], 4)
     matrix = MatrixFF(F5, 3, [1, 2, 0, 0, 3, 1, 4, 0, 1])
-    return [series, matrix, F9.from_key(5)]
+    return [(series, operator.mul, operator.pow), (matrix, operator.mul, operator.pow),
+            (5, F9.mul_key, F9.pow_key)]
 
 
-@pytest.mark.parametrize("x", _power_inputs(), ids=["approximate-series", "matrix", "F9-element"])
-def test_power_squares_and_multiplies_left_to_right(x, monkeypatch):
+@pytest.mark.parametrize("x,product,raise_to", _power_inputs(), ids=["approximate-series", "matrix", "F9-element"])
+def test_power_squares_and_multiplies_left_to_right(x, product, raise_to):
     # Oracle: e - 1 right multiplications by x, under ==.
     want = [x]
     for _ in range(39):
-        want.append(want[-1] * x)
+        want.append(product(want[-1], x))
     calls = []
-    inner = type(x).__mul__
 
     def counted(a, b):
         calls.append(1)
-        return inner(a, b)
+        return product(a, b)
 
-    monkeypatch.setattr(type(x), "__mul__", counted)
     for e in range(1, 41):
         calls.clear()
-        assert power(x, e) == want[e - 1]
+        assert power(x, e, counted) == want[e - 1]
         assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
-        assert x ** e == want[e - 1]
+        assert raise_to(x, e) == want[e - 1]

@@ -14,8 +14,20 @@ F4 = field_create(2, 2)
 def all_vectors(field, n):
     vecs = [()]
     for _ in range(n):
-        vecs = [v + (x,) for v in vecs for x in field.elements()]
+        vecs = [v + (x,) for v in vecs for x in range(field.order)]
     return vecs
+
+
+def plus(field, x, y):
+    return field.add_keys([x], [y])[0]
+
+
+def dot(field, xs, ys):
+    """sum x y over the pairs, one field operation at a time."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = plus(field, acc, field.mul_key(x, y))
+    return acc
 
 
 def fixed_set_oracle(mats):
@@ -25,11 +37,8 @@ def fixed_set_oracle(mats):
     for v in all_vectors(field, n):
         ok = True
         for m in mats:
-            entries = [field.from_key(k) for k in m.key()]
-            image = tuple(
-                sum((entries[i * n + j] * v[j] for j in range(n)), field.zero())
-                for i in range(n)
-            )
+            entries = m.key()
+            image = tuple(dot(field, entries[i * n : i * n + n], v) for i in range(n))
             if image != v:
                 ok = False
                 break
@@ -45,7 +54,7 @@ def test_identity_fixes_everything():
 
 def test_diagonal_with_root_of_unity():
     zeta = F4.generator()
-    m = MatrixFF(F4, 2, [1, 0, 0, zeta.key()])
+    m = MatrixFF(F4, 2, [1, 0, 0, zeta])
     assert fixed_dim([m]) == 1
     assert len(fixed_set_oracle([m])) == 4
 
@@ -99,24 +108,22 @@ def test_matrix_power_and_subtraction():
 
 
 # ---------------------------------------------------------------------------
-# Differential test: MatrixFF computes on element keys; the oracle below is
-# the schoolbook algorithm on FieldElement rows.
+# Differential test: MatrixFF computes on whole rows of keys at once; the
+# oracle below is the schoolbook algorithm on rows of keys, one field
+# operation at a time (the "boxed" oracle).
 
 
 def box_mul(a, b, field):
     n = len(a)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(n)), field.zero()) for j in range(n)]
-        for i in range(n)
-    ]
+    return [[dot(field, a[i], [b[t][j] for t in range(n)]) for j in range(n)] for i in range(n)]
 
 
 def box_identity(field, n):
-    return [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def box_rref(rows, ncols):
-    """Gauss-Jordan on FieldElement rows: (reduced rows, rank)."""
+def box_rref(rows, ncols, field):
+    """Gauss-Jordan on rows of keys: (reduced rows, rank)."""
     rows = [list(r) for r in rows]
     rank = 0
     for col in range(ncols):
@@ -124,12 +131,12 @@ def box_rref(rows, ncols):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * x for x in rows[rank]]
+        inv = field.inverse_key(rows[rank][col])
+        rows[rank] = [field.mul_key(inv, x) for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [field.add_keys([x], [field.mul_key(c, y)], -1)[0] for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rows, rank
 
@@ -137,7 +144,7 @@ def box_rref(rows, ncols):
 def box_inverse(a, field):
     n = len(a)
     aug = [list(r) + e for r, e in zip(a, box_identity(field, n))]
-    reduced, rank = box_rref(aug, n)
+    reduced, rank = box_rref(aug, n, field)
     return None if rank < n else [row[n:] for row in reduced]
 
 
@@ -151,12 +158,12 @@ def box_pow(a, e, field):
 
 
 def keys(rows):
-    """The row-major keys of FieldElement rows."""
-    return tuple(x.key() for r in rows for x in r)
+    """The row-major keys of rows of keys."""
+    return tuple(x for r in rows for x in r)
 
 
 def random_box(field, n, rng):
-    return [[field.from_key(rng.randrange(field.order)) for _ in range(n)] for _ in range(n)]
+    return [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)]
 
 
 DIFF_FIELDS = [(2, 1), (7, 1), (2, 2), (3, 2)]
@@ -168,17 +175,17 @@ def test_key_arithmetic_matches_the_boxed_oracle(p, a):
     rng = random.Random(p * 10 + a)
     for n in range(1, 5):
         cases = [random_box(field, n, rng) for _ in range(12)]
-        cases.append([[field.zero()] * n for _ in range(n)])
+        cases.append([[0] * n for _ in range(n)])
         cases.append(box_identity(field, n))
         for x in cases:
             y = random_box(field, n, rng)
             mx, my = MatrixFF(field, n, keys(x)), MatrixFF(field, n, keys(y))
             assert mx.key() == keys(x)
             assert (mx * my).key() == keys(box_mul(x, y, field))
-            assert (mx - my).key() == keys([[s - t for s, t in zip(r1, r2)] for r1, r2 in zip(x, y)])
+            assert (mx - my).key() == keys([field.add_keys(r1, r2, -1) for r1, r2 in zip(x, y)])
             for e in (0, 1, 2, 5):
                 assert (mx ** e).key() == keys(box_pow(x, e, field))
-            rank = box_rref(x, n)[1]
+            rank = box_rref(x, n, field)[1]
             assert mx.rank() == rank
             assert mx.is_invertible() == (rank == n)
             assert mx.is_zero() == (not any(e for row in x for e in row))
@@ -210,7 +217,7 @@ def test_fixed_subspace_matches_the_brute_force_oracle(p, a):
                 # Identity on the first k basis vectors, random elsewhere, conjugated.
                 d = box_identity(field, n)
                 for row in d:
-                    row[k:] = [field.from_key(rng.randrange(field.order)) for _ in range(n - k)]
+                    row[k:] = [rng.randrange(field.order) for _ in range(n - k)]
                 while True:
                     c = MatrixFF(field, n, keys(random_box(field, n, rng)))
                     if c.is_invertible():

@@ -498,7 +498,7 @@ def test_transitivity_degenerate_layers():
     from ramify.covers import build_compositum_tower
     from ramify.series import LaurentSeries
 
-    tower = build_compositum_tower(F2, 1, LaurentSeries.monomial(F2, F2.one(), -1), prec=16)
+    tower = build_compositum_tower(F2, 1, LaurentSeries.monomial(F2, 1, -1), prec=16)
     report = transitivity(tower)
     assert all(r == 0 for r in report.residuals)
     # Trivial wild layer: restricting to the full group makes phi_upper the
@@ -548,7 +548,7 @@ def test_pullback_trivial_rep_and_degree_one():
     from ramify.covers import build_compositum_tower
     from ramify.series import LaurentSeries
 
-    degenerate = build_compositum_tower(F2, 1, LaurentSeries.monomial(F2, F2.one(), -1), prec=16)
+    degenerate = build_compositum_tower(F2, 1, LaurentSeries.monomial(F2, 1, -1), prec=16)
     chi = character(degenerate.group, F3, "sigma", 2)
     report = pullback(degenerate, chi)
     assert report.degree == 1
