@@ -6,6 +6,12 @@ the prime field is its residue, and a given (p, a) produces bit-identical
 arithmetic on every platform.  The modulus is the lexicographically least
 monic irreducible of degree a over F_p, ordered by the coefficient tuple
 (c_0, ..., c_{a-1}).
+
+Every key product goes through one codec, ``pack`` and ``unpack``: a key
+packs to an int with coordinate k in slot k, so the integer product of two
+packs holds their polynomial product's x^k coefficient in slot k for
+``unpack`` to reduce (Kronecker substitution, D. Harvey, J. Symbolic
+Comput. 44, 2009).  ``scale_keys``, matrices and ``series.compose`` use it.
 """
 
 from __future__ import annotations
@@ -260,23 +266,38 @@ class FiniteField:
             ]
         )
 
+    def slot_bits(self, terms: int) -> int:
+        """Slot width for a coordinate plus ``terms`` dot-product terms."""
+        p = self.p
+        return (terms * self.a * (p - 1) ** 2 + p).bit_length()
+
+    def pack(self, keys: Sequence[int], bits: int) -> Sequence[int]:
+        """Each key as one int with coordinate k in slot k (the key itself over F_p)."""
+        if self.a == 1:
+            return keys
+        out = [0] * len(keys)
+        for k, col in enumerate(self.key_columns(keys)):
+            out = [x | c << k * bits for x, c in zip(out, col)]
+        return out
+
+    def unpack(self, values: Sequence[int], bits: int) -> list[int]:
+        """Keys of the elements whose x^k coefficients fill slot k of the values."""
+        if self.a == 1:
+            p = self.p
+            return [v % p for v in values]
+        mask = (1 << bits) - 1
+        return self.keys_from_columns(
+            [[v >> k * bits & mask for v in values] for k in range(2 * self.a - 1)]
+        )
+
     def neg_keys(self, keys: Sequence[int]) -> list[int]:
-        return self.keys_from_columns([[-x for x in col] for col in self.key_columns(keys)])
+        return self.scale_keys(self.p - 1, keys)
 
     def scale_keys(self, c: int, keys: Sequence[int]) -> list[int]:
-        """c times each key: coordinate i of c times column k is added into
-        column i + k, small ints only, and ``keys_from_columns`` reduces once."""
-        p = self.p
-        if self.a == 1:
-            return [c * x % p for x in keys]
-        cols = self.key_columns(keys)
-        out = [[0] * len(keys) for _ in range(2 * self.a - 1)]
-        for i in range(self.a):
-            ci = c // p ** i % p
-            if ci:
-                for k, col in enumerate(cols):
-                    out[i + k] = [s + ci * x for s, x in zip(out[i + k], col)]
-        return self.keys_from_columns(out)
+        """c times each key: one packed product a key, reduced once by ``unpack``."""
+        bits = self.slot_bits(1)
+        (packed,) = self.pack([c], bits)
+        return self.unpack([packed * x for x in self.pack(keys, bits)], bits)
 
     def mul_key(self, x: int, y: int) -> int:
         """x y: ``scale_keys`` on one key, so reduced the one way too."""

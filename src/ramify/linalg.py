@@ -1,10 +1,10 @@
 """Dense exact linear algebra over finite fields, on element keys.
 
 A matrix is built from, and holds, a flat row-major tuple of element keys
-(see ``ramify.fields``).  Over F_{p^a}, a > 1, a key is packed into one
-int with coordinate k in a ``bits``-wide slot k, so integer dot products
-give the coefficients of x^0 .. x^(2a-2) for
-``FiniteField.keys_from_columns`` to reduce.
+(see ``ramify.fields``).  Products go through the field's packed-key codec
+(``FiniteField.pack``): integer dot products of packed keys give the
+coefficients of x^0 .. x^(2a-2) in their slots, and ``FiniteField.unpack``
+reduces them.
 """
 
 from __future__ import annotations
@@ -16,39 +16,12 @@ from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from .fields import FiniteField, power
 
 
-def _slot_bits(field: FiniteField, terms: int) -> int:
-    """Slot width for a coordinate plus ``terms`` dot-product terms."""
-    p = field.p
-    return (terms * field.a * (p - 1) ** 2 + p).bit_length()
-
-
-def _pack(field: FiniteField, keys: Sequence[int], bits: int) -> Sequence[int]:
-    """Each key as one int with coordinate k in slot k (the key itself over F_p)."""
-    if field.a == 1:
-        return keys
-    out = [0] * len(keys)
-    for k, col in enumerate(field.key_columns(keys)):
-        out = [x | c << k * bits for x, c in zip(out, col)]
-    return out
-
-
-def _unpack(field: FiniteField, values: Sequence[int], bits: int) -> list[int]:
-    """Keys of the elements whose x^k coefficients fill slot k of the values."""
-    if field.a == 1:
-        p = field.p
-        return [v % p for v in values]
-    mask = (1 << bits) - 1
-    return field.keys_from_columns(
-        [[v >> k * bits & mask for v in values] for k in range(2 * field.a - 1)]
-    )
-
-
 def _axpy(field: FiniteField, xs: Sequence[int], cs: Sequence[int], ys: Sequence[int]) -> list[int]:
     """Keys of the rows x_i + c_i * y, where xs holds the len(cs) rows x_i
     one after another and every row has len(ys) keys."""
-    bits = _slot_bits(field, 1)
-    xs, cs, ys = (_pack(field, v, bits) for v in (xs, cs, ys))
-    return _unpack(field, list(map(add, xs, [c * y for c in cs for y in ys])), bits)
+    bits = field.slot_bits(1)
+    xs, cs, ys = (field.pack(v, bits) for v in (xs, cs, ys))
+    return field.unpack(list(map(add, xs, [c * y for c in cs for y in ys])), bits)
 
 
 def _reduce(field: FiniteField, rows: list[list[int]], ncols: int) -> int:
@@ -65,7 +38,7 @@ def _reduce(field: FiniteField, rows: list[list[int]], ncols: int) -> int:
         rows[pivot] = rows[rank]
         m = len(top)
         if top[col] != 1:
-            top = _axpy(field, [0] * m, [field.inverse_key(top[col])], top)
+            top = field.scale_keys(field.inverse_key(top[col]), top)
         rows[rank] = top
         # Every other row with a nonzero in this column at once: row - row[col] * top.
         hit = [r for r, row in enumerate(rows) if r != rank and row[col]]
@@ -126,11 +99,11 @@ class MatrixFF:
     def __mul__(self, other: "MatrixFF") -> "MatrixFF":
         self._check(other)
         field, n = self.field, self.n
-        bits = _slot_bits(field, n)
-        xs, ys = _pack(field, self.entries, bits), _pack(field, other.entries, bits)
+        bits = field.slot_bits(n)
+        xs, ys = field.pack(self.entries, bits), field.pack(other.entries, bits)
         cols = [ys[j::n] for j in range(n)]
         dots = [sum(map(mul, xs[i * n : (i + 1) * n], col)) for i in range(n) for col in cols]
-        return MatrixFF(field, n, _unpack(field, dots, bits))
+        return MatrixFF(field, n, field.unpack(dots, bits))
 
     def __sub__(self, other: "MatrixFF") -> "MatrixFF":
         self._check(other)

@@ -24,10 +24,16 @@ from .errors import (
     NotAHomomorphism,
     NotPGroupWildPart,
     PreconditionFailed,
+    SizeCapExceeded,
 )
 from .fields import split_prime_power
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _spanning_tree
 from .linalg import MatrixFF, fixed_dim
+
+# Bound on n * |S| * r^3, the work of a representation's law check: at the
+# cap the walk takes 0.45 s over F_3 (n = 2, r = 161) and 1.2 s over
+# F_{2^16} (n = 3, r = 140) on a 2-CPU Xeon.
+REP_WORK_CAP = 1 << 23
 
 
 def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
@@ -198,44 +204,59 @@ class Representation:
     """Homomorphism into invertible matrices over F_{ell^n}, given by the
     images of some elements that generate the group.
 
-    The constructor walks the group from the identity: it sets
-    images[e] = 1 and, for every reached g and every given h, sets or checks
-    images[g h] = images[g] * images[h], in n * |gens| products.  That
-    proves the full law.  If the law holds for all a at b, then at b * h:
-    images[a b h] = images[a b] images[h] = images[a] images[b] images[h] =
-    images[a] images[b h].  It holds at b = e since images[e] = 1, and
-    every element is a nonempty word in the given elements (they generate
-    the group, and inverses are positive powers in a finite group), so
-    induction on the word length covers every b.  Every image is then
-    invertible, since images[g]^ord(g) = images[e] = 1.  Mixed shapes or
-    fields raise ``DimensionMismatch`` or ``FieldMismatch`` in the first
-    products.
+    The constructor takes the greedy generating subset S of the given
+    elements that ``_spanning_tree`` picks on the group table (in index
+    order, the identity skipped), sets images[e] = 1 and walks the group:
+    for every reached g and every s in S it sets or checks
+    images[g s] = images[g] * images[s], in n * |S| products.  That proves
+    the full law.  If the law holds for all a at b, then at b * s:
+    images[a b s] = images[a b] images[s] = images[a] images[b] images[s] =
+    images[a] images[b s].  It holds at b = e since images[e] = 1, and
+    every element is a nonempty word in S (S generates the group, and
+    inverses are positive powers in a finite group), so induction on the
+    word length covers every b.  A homomorphism is fixed by its values on
+    a generating set, so every other given image must equal the walked one,
+    by key.  Every image is invertible, since images[g]^ord(g) = images[e]
+    = 1.  Before any product, mixed shapes or fields raise
+    ``DimensionMismatch`` or ``FieldMismatch``, and a walk whose work
+    n * |S| * r^3 exceeds ``REP_WORK_CAP`` raises ``SizeCapExceeded``.
     """
 
     __slots__ = ("group", "images", "r", "ell", "field")
 
     def __init__(self, group: FiniteGroup, gen_images: dict[str, MatrixFF]):
-        gens = {group.label_index(lbl): m for lbl, m in gen_images.items()}
-        if not gens:
+        given = {group.label_index(lbl): m for lbl, m in gen_images.items()}
+        if not given:
             raise NotAHomomorphism("need at least one generator image")
-        m0 = next(iter(gens.values()))
+        m0 = next(iter(given.values()))
+        for m in given.values():
+            m0._check(m)
+        e, mul, r = group.identity, group.mul, m0.n
+        scan = sorted(given.keys() - {e})
+        gens, order, _, _, right = _spanning_tree(group.n, lambda x, s: mul[x][s], scan)
+        work = group.n * len(gens) * r ** 3
+        if work > REP_WORK_CAP:
+            raise SizeCapExceeded(
+                f"the law check's work, group order * generators walked * 'rep.r'^3 = {work}, "
+                f"exceeds {REP_WORK_CAP}"
+            )
         images: list[MatrixFF | None] = [None] * group.n
-        images[group.identity] = MatrixFF.identity(m0.field, m0.n)
-        frontier = [group.identity]
-        while frontier:
-            g = frontier.pop()
-            for h, mh in gens.items():
-                gh = group.product(g, h)
-                cand = images[g] * mh
-                if images[gh] is None:
-                    images[gh] = cand
-                    frontier.append(gh)
-                elif images[gh] != cand:
+        images[e] = MatrixFF.identity(m0.field, r)
+        for s in gens:
+            images[s] = given[s]
+        for g in order:
+            for s, column in zip(gens, right):
+                cand = images[g] * images[s]
+                gs = column[g]
+                if images[gs] is None:
+                    images[gs] = cand
+                elif images[gs] != cand:
                     raise NotAHomomorphism("generator images are inconsistent")
+        if any(images[h] != m for h, m in given.items()):
+            raise NotAHomomorphism("generator images are inconsistent")
         if any(m is None for m in images):
             raise NotAHomomorphism("given generators do not generate the group")
-        field = m0.field
-        self.group, self.images, self.r, self.ell, self.field = group, tuple(images), m0.n, field.p, field
+        self.group, self.images, self.r, self.ell, self.field = group, tuple(images), r, m0.field.p, m0.field
 
     def fixed_dim(self, subset) -> int:
         return fixed_dim([self.images[i] for i in subset])

@@ -13,12 +13,11 @@ takes, and ``coeffs`` holds, the window of known coefficients from ``v0``
 on, and ``from_terms``, ``coeff``, ``support`` and ``scale`` take or give
 keys too.
 
-A product is one big-integer multiplication (Kronecker substitution, as in
-D. Harvey, J. Symbolic Comput. 44, 2009): coordinate k of coefficient i is
-packed into slot i*(2a-1)+k of one integer, with slots wide enough that no
-sum overflows, and CPython's Karatsuba multiplies the two packed operands.
-Unpacking reads coordinate k of each product coefficient from its slot and
-folds x^k for k >= a back by the field's modulus, from the top down.  Inverses
+A product is one big-integer multiplication, the field's packed-key codec
+(``FiniteField.pack``, Kronecker substitution) spread over a window: slot
+i*(2a-1)+k of one integer holds coordinate k of coefficient i, slots are
+wide enough that no sum overflows, and CPython's Karatsuba multiplies the
+two packed operands; ``keys_from_columns`` folds the slots back.  Inverses
 use Newton doubling w <- w(2 - uw) (Brent & Kung, J. ACM 25, 1978), so
 they cost a few products instead of a quadratic recurrence.
 
@@ -27,8 +26,8 @@ a power series and v = min(v(f), 0), and f(g) = F(g) (g^{-1})^{-v}.  F(g)
 is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): about
 2 sqrt(n) products for n terms instead of Horner's n.  The powers
 g^0 .. g^(k-1) are packed once, each block of k coefficients of F is a sum
-of small multiples of those packed integers, and Horner in g^k over the
-blocks reduces once a step.  The pole factor is one ``power`` of the
+of those packed integers times F's keys packed by ``FiniteField.pack``,
+and Horner in g^k over the blocks reduces once a step.  The pole factor is one ``power`` of the
 inverse.  An exact monomial g is a coefficient stretch.  The result equals
 Horner's under ==, precision included; ``compose`` gives the argument.
 
@@ -306,11 +305,9 @@ class LaurentSeries:
         )
 
     def scale(self, c: int) -> "LaurentSeries":
-        """c times the series, for the key c of a field element."""
+        """c times the series, for the key c of a field element (0: the exact zero)."""
         if not c:
-            if self.is_exact:
-                return LaurentSeries.zero(self.field)
-            return LaurentSeries(self.field, self.abs_prec, (), self.abs_prec)
+            return LaurentSeries.zero(self.field)
         return LaurentSeries(
             self.field, self.v0, self.field.scale_keys(c, self.coeffs), self.abs_prec
         )
@@ -411,10 +408,7 @@ def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> L
     size = _slot_bytes((span + k) * a * (field.p - 1) ** 2)
     windows = [s._window(0, s.v0 + len(s.coeffs)) for s in powers]
     packs = [_pack(field, x, width, size) for x in windows[:k]]
-    cols = field.key_columns(keys[:n])
-    scalars = cols[0] if a == 1 else [
-        sum(c << 8 * size * i for i, c in enumerate(cs)) for cs in zip(*cols)
-    ]
+    scalars = field.pack(keys[:n], 8 * size)  # slot k of a scalar shifts a pack by x^k
 
     def block(i: int) -> int:
         """sum_j keys[ik + j] g^j, packed: small-int multiples of the packs."""

@@ -700,6 +700,12 @@ def _dihedral_table(p, command):
             "break_table": {"labels": labels, "mul_table": table, "iG": i_g}}
 
 
+def _rank_job(r, command="swan"):
+    """SWAN_JOB at rank r, sigma -> -1: the law check's work is 2 * 1 * r^3."""
+    minus_one = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    return dict(SWAN_JOB, command=command, rep={"ell": 3, "r": r, "images": {"sigma": minus_one}})
+
+
 # The cyclic corner's character: 1 -> -1 over F_3, Swan conductor 4095.
 _CORNER_CHARACTER = {"ell": 3, "r": 1, "images": {"1": [[2]]}}
 # Monomial rank-2 rep of Z/61 x| Z/2 over F_367: zeta = 2^6 has order 61.
@@ -730,6 +736,8 @@ _CORNER_MONOMIAL = {"ell": 367, "r": 2, "images": {
         (_cyclic_table(256), "'break_table.labels'"),
         (dict(_TABLE_JOB, break_table=dict(_TABLE_JOB["break_table"], iG={"s": 10 ** 5})), "'break_table.iG.s'"),
         (dict(_TABLE_JOB, break_table=dict(_TABLE_JOB["break_table"], iG={"s": 10 ** 6})), "'break_table.iG.s'"),
+        (_rank_job(162), "'rep.r'"),
+        (dict(_rank_job(300, "bound"), params={"N": 1}), "'rep.r'"),
     ],
 )
 def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypatch):
@@ -762,6 +770,7 @@ def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypat
         _dihedral_table(61, "filtration"),
         _dihedral_table(61, "herbrand"),
         dict(_dihedral_table(61, "swan"), rep=_CORNER_MONOMIAL),
+        _rank_job(161),
     ],
 )
 def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
@@ -769,6 +778,30 @@ def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 2.0
     assert code == 0, report
+
+
+def test_a_rep_given_on_every_element_walks_only_its_generator(capsys, monkeypatch):
+    # Z/128 over F_257 at rank 16, every element's image given: the law check
+    # walks the one greedy generator, n * |S| = 128 products (each given
+    # image was walked before, 16,384 products and about 6 s), and compares
+    # the other 127 images by key.
+    from ramify.linalg import MatrixFF
+
+    calls = []
+    product = MatrixFF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MatrixFF, "__mul__", counted)
+    zeta = 9  # of order 128 mod 257
+    images = {str(k): [[pow(zeta, k * (i + 1), 257) if i == j else 0 for j in range(16)] for i in range(16)]
+              for k in range(128)}
+    job = dict(_cyclic_table(128, command="swan"), rep={"ell": 257, "r": 16, "images": images})
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0, report
+    assert len(calls) == 128
 
 
 def test_sampler_job_at_its_bound_makes_a_bounded_number_of_products(capsys, monkeypatch):

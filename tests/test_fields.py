@@ -42,6 +42,23 @@ def order_by_powers(F, x):
     return k
 
 
+def column_loop_scale(F, c, keys):
+    """Oracle: c times each key with no packing: coordinate i of c times
+    coordinate column k is added into column i + k, and ``keys_from_columns``
+    reduces once."""
+    p = F.p
+    if F.a == 1:
+        return [c * x % p for x in keys]
+    cols = F.key_columns(keys)
+    out = [[0] * len(keys) for _ in range(2 * F.a - 1)]
+    for i in range(F.a):
+        ci = c // p ** i % p
+        if ci:
+            for k, col in enumerate(cols):
+                out[i + k] = [s + ci * x for s, x in zip(out[i + k], col)]
+    return F.keys_from_columns(out)
+
+
 def test_prime_field_modulus_is_x():
     F = field_create(2, 1)
     assert F.modulus == (0, 1)
@@ -108,6 +125,42 @@ def test_field_axioms_exhaustive_up_to_64_via_int_tables(p, a):
             for k in range(n):
                 assert add[add[i][j]][k] == add[i][add[j][k]]
                 assert mul[mul[i][j]][k] == mul[i][mul[j][k]]
+
+
+# Every key of the small fields; seeded samples of F_{2^16} and F_{3^10}.
+CODEC_FIELDS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 6), (7, 3)]
+SAMPLED_FIELDS = [(2, 16), (3, 10)]
+
+
+def codec_keys(F, count=200):
+    if (F.p, F.a) in CODEC_FIELDS:
+        return list(range(F.order))
+    rng = random.Random(F.order)
+    return [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (7, 1)] + CODEC_FIELDS + SAMPLED_FIELDS)
+def test_unpack_inverts_pack(p, a):
+    F = field_create(p, a)
+    keys = codec_keys(F)
+    for terms in (1, 2, 16):
+        bits = F.slot_bits(terms)
+        packed = F.pack(keys, bits)
+        assert all(x < 1 << a * bits for x in packed)
+        assert F.unpack(packed, bits) == keys
+
+
+@pytest.mark.parametrize("p,a", CODEC_FIELDS + SAMPLED_FIELDS)
+def test_packed_products_match_the_column_loop_oracle(p, a):
+    F = field_create(p, a)
+    keys = codec_keys(F)
+    for c in keys[:: max(1, len(keys) // 50)]:
+        want = column_loop_scale(F, c, keys)
+        assert F.scale_keys(c, keys) == want
+        assert [F.mul_key(c, x) for x in keys[:60]] == want[:60]
+    negs = F.neg_keys(keys)
+    assert negs == column_loop_scale(F, p - 1, keys)
+    assert F.add_keys(keys, negs) == [0] * len(keys)
 
 
 def test_root_of_unity_of_order_one_needs_no_generator(monkeypatch):
@@ -210,7 +263,7 @@ def test_canonical_modulus_against_galoistools():
             a += 1
 
 
-@pytest.mark.parametrize("p,a", [(2, 6), (2, 11), (3, 9), (7, 3), (2, 16)])
+@pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 6), (2, 11), (3, 9), (7, 3), (2, 16), (3, 10)])
 def test_products_against_galoistools(p, a):
     """mul_key, pow_key, inverse_key, pth_root_key and the bulk
     keys_from_columns reduction against galoistools' gf_rem(gf_mul(x, y)),

@@ -16,6 +16,7 @@ from ramify.errors import (
     NotAHomomorphism,
     NotPGroupWildPart,
     PreconditionFailed,
+    SizeCapExceeded,
 )
 from ramify.fields import field_create
 from ramify.groups import FiniteGroup
@@ -765,10 +766,31 @@ def test_generator_image_reps_pass_the_full_law_scan_at_one_product_per_generato
     group, conj, gen_images = next((g, c, gi) for n, g, c, gi in _generator_image_cases() if n == name)
     calls = _counting_products(monkeypatch)
     rep = Representation(group, gen_images)
-    assert len(calls) == group.n * len(gen_images)
+    # The two further elements are reached from the greedy generators, so
+    # only those are walked, and the further images are compared by key.
+    assert len(calls) == group.n * len(group.generators()) < group.n * len(gen_images)
     monkeypatch.undo()
     assert rep.images == tuple(conj)
     assert _full_scan_is_homomorphism(group, rep.images)
+
+
+def test_the_work_cap_counts_the_generators_walked_and_comes_before_any_product(monkeypatch):
+    # Z/4 over F_5 at rank 128, sigma -> 2: one generator walked is work
+    # 4 * 1 * 128^3 = 2^23, the cap, and is admitted.  Given sigma^2 and
+    # sigma^3, the greedy choice walks both (sigma^2 does not reach sigma^3):
+    # work 2^24, refused before any product.
+    z4 = FiniteGroup.cyclic(4, "sigma")
+    F5 = field_create(5, 1)
+    scalar = {k: MatrixFF(F5, 128, [pow(2, k, 5) if i == j else 0 for i in range(128) for j in range(128)])
+              for k in range(4)}
+    assert 4 * 128 ** 3 == ramification.REP_WORK_CAP
+    calls = _counting_products(monkeypatch)
+    rep = Representation(z4, {"sigma": scalar[1], "sigma^3": scalar[3]})
+    assert len(calls) == 4 and rep.images == tuple(scalar[k] for k in range(4))
+    calls.clear()
+    with pytest.raises(SizeCapExceeded, match="'rep.r'"):
+        Representation(z4, {"sigma^2": scalar[2], "sigma^3": scalar[3]})
+    assert not calls
 
 
 def test_random_characters_are_accepted_exactly_when_multiplicative():
