@@ -114,22 +114,14 @@ def tameizing_subgroup(structure: InertiaStructure) -> TameizingReport:
     """
     group = structure.group
     M = structure.M
-    gen = None
-    for i in range(group.n):
-        if group.order_of(i) == M:
-            gen = i
-            break
+    gen = next((i for i in range(group.n) if group.order_of(i) == M), None)
     if gen is None:
         raise ComplementNotFound(f"no element of order {M}; shape verification bug")
-    complement = []
-    x = group.identity
-    for _ in range(M):
-        complement.append(x)
-        x = group.product(x, gen)
+    mul = group.mul
     h = [
         c
-        for c in complement
-        if all(group.product(c, s) == group.product(s, c) for s in structure.P_indices)
+        for c in group.closure([gen])
+        if all(mul[c][s] == mul[s][c] for s in structure.P_indices)
     ]
     if not group.is_normal(frozenset(h)):
         raise ComplementNotFound("tameizing subgroup is not normal")

@@ -31,7 +31,7 @@ from .errors import InputSchemaError, NotGaloisOverBase, SizeCapExceeded
 from .fields import FiniteField, check_size_cap, field_create
 from .groups import FiniteGroup
 from .linalg import MatrixFF
-from .ramification import Representation
+from .ramification import Representation, law_walk
 from .series import PRECISION_CAP, LaurentSeries
 
 COMMANDS = ("filtration", "herbrand", "swan", "bound", "verify", "enum")
@@ -288,7 +288,9 @@ def break_data(job: dict):
 
 def representation(group: FiniteGroup, cfg, p: int) -> Representation:
     """The representation 'rep' of ``group`` over F_{ell^n}, ell != p,
-    given by r x r matrices at generator labels."""
+    given by r x r matrices at generator labels.  Every label and matrix
+    shape is checked, and then the law check's work bound (``law_walk``),
+    before any entry is read."""
     cfg = read(cfg, "rep", dict)
     ell = read_int(cfg.get("ell"), "rep.ell")
     n = read_int(cfg.get("n", 1), "rep.n", 1)
@@ -299,19 +301,20 @@ def representation(group: FiniteGroup, cfg, p: int) -> Representation:
     if not images:
         raise InputSchemaError("'rep.images' must map at least one generator label to a matrix")
     field = field_create(ell, n)
-    gen_images = {}
     for label, rows in images.items():
         if label not in group.labels:
             raise InputSchemaError(f"'rep.images' has unknown label {label!r}")
-        path = f"rep.images.{label}"
         if not (type(rows) is list and len(rows) == r
                 and all(type(row) is list and len(row) == r for row in rows)):
-            raise InputSchemaError(f"'{path}' must be an r x r matrix, r = 'rep.r' = {r}")
-        gen_images[label] = MatrixFF(field, r, [
-            _element(field, x, f"{path}[{i}][{j}]", "rep.n")
+            raise InputSchemaError(f"'rep.images.{label}' must be an r x r matrix, r = 'rep.r' = {r}")
+    law_walk(group, map(group.label_index, images), r)
+    return Representation(group, {
+        label: MatrixFF(field, r, [
+            _element(field, x, f"rep.images.{label}[{i}][{j}]", "rep.n")
             for i, row in enumerate(rows) for j, x in enumerate(row)
         ])
-    return Representation(group, gen_images)
+        for label, rows in images.items()
+    })
 
 
 def enum_args(params: dict) -> tuple[str, dict]:

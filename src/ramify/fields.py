@@ -7,17 +7,21 @@ arithmetic on every platform.  The modulus is the lexicographically least
 monic irreducible of degree a over F_p, ordered by the coefficient tuple
 (c_0, ..., c_{a-1}).
 
-Every key product goes through one codec, ``pack`` and ``unpack``: a key
-packs to an int with coordinate k in slot k, so the integer product of two
-packs holds their polynomial product's x^k coefficient in slot k for
-``unpack`` to reduce (Kronecker substitution, D. Harvey, J. Symbolic
-Comput. 44, 2009).  ``scale_keys``, matrices and ``series.compose`` use it.
+Every key product is a Kronecker substitution (D. Harvey, J. Symbolic
+Comput. 44, 2009) through one of two packed layouts, both here and both
+sized by ``slot_bits``.  ``pack`` puts coordinate k of a key in bit slot k
+of its own int, and ``unpack`` reduces the slots of a polynomial product:
+``scale_keys``, matrices and ``series.compose``'s scalars use it.
+``pack_window`` puts a whole window of keys in one int, in byte slots that
+``unpack_window`` reads back by a memoryview cast: series products use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache
+from math import isqrt
 from operator import add, mul
 from typing import Sequence
 
@@ -25,20 +29,26 @@ from .errors import MissingRootsOfUnity, NotPrime, SizeCapExceeded, ZeroElement
 
 DEFAULT_SIZE_CAP = 1 << 16
 
+# Native unsigned formats a memoryview can cast packed little-endian window
+# slots to, by width in bytes (none on a big-endian machine).
+_CAST_CODES = (
+    {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
+    if sys.byteorder == "little"
+    else {}
+)
+
+
+def least_factor(n: int) -> int:
+    """The least prime factor of n >= 2 (n itself when n is prime): trial
+    division by 2 and the odd d up to sqrt(n)."""
+    for d in itertools.chain((2,), range(3, isqrt(n) + 1, 2)):
+        if n % d == 0:
+            return d
+    return n
+
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    i = 5
-    while i * i <= n:
-        if n % i == 0 or n % (i + 2) == 0:
-            return False
-        i += 6
-    return True
+    return n >= 2 and least_factor(n) == n
 
 
 def split_prime_power(n: int, p: int) -> tuple[int, int]:
@@ -55,15 +65,9 @@ def split_prime_power(n: int, p: int) -> tuple[int, int]:
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        out.append(least_factor(n))
+        n = split_prime_power(n, out[-1])[1]
     return out
 
 
@@ -267,7 +271,7 @@ class FiniteField:
         )
 
     def slot_bits(self, terms: int) -> int:
-        """Slot width for a coordinate plus ``terms`` dot-product terms."""
+        """Slot bits for a coordinate plus ``terms`` dot-product terms, in either layout."""
         p = self.p
         return (terms * self.a * (p - 1) ** 2 + p).bit_length()
 
@@ -290,8 +294,38 @@ class FiniteField:
             [[v >> k * bits & mask for v in values] for k in range(2 * self.a - 1)]
         )
 
-    def neg_keys(self, keys: Sequence[int]) -> list[int]:
-        return self.scale_keys(self.p - 1, keys)
+    def window_bits(self, terms: int) -> int:
+        """Window slot bits: the least cast width that holds ``slot_bits(terms)``."""
+        need = (self.slot_bits(terms) + 7) // 8
+        return 8 * min((w for w in _CAST_CODES if w >= need), default=need)
+
+    def pack_window(self, keys: Sequence[int], bits: int) -> int:
+        """Coordinate k of keys[i] in slot i*(2a-1) + k of one integer, each
+        slot ``bits`` wide (a multiple of 8), written a byte plane at a time."""
+        size = bits // 8
+        step = (2 * self.a - 1) * size
+        cb = ((self.p - 1).bit_length() + 7) // 8  # bytes of one coordinate
+        buf = bytearray(len(keys) * step)
+        for k, col in enumerate(self.key_columns(keys)):
+            for j in range(cb):
+                plane = col if cb == 1 else [x >> 8 * j & 255 for x in col]
+                buf[k * size + j :: step] = bytes(plane)
+        return int.from_bytes(buf, "little")
+
+    def unpack_window(self, value: int, full: int, count: int, bits: int) -> list[int]:
+        """Keys of the first ``count`` of the ``full`` coefficients whose x^k
+        coefficients fill ``pack_window``'s slots of the value."""
+        size = bits // 8
+        width = 2 * self.a - 1
+        data = value.to_bytes(full * width * size, "little")
+        code = _CAST_CODES.get(size)
+        slots = memoryview(data).cast(code) if code else [
+            int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        return self.keys_from_columns([slots[k : count * width : width] for k in range(width)])
+
+    def neg_keys(self, keys: Sequence[int]) -> Sequence[int]:
+        """-x for each key: the keys themselves in characteristic 2."""
+        return keys if self.p == 2 else self.scale_keys(self.p - 1, keys)
 
     def scale_keys(self, c: int, keys: Sequence[int]) -> list[int]:
         """c times each key: one packed product a key, reduced once by ``unpack``."""

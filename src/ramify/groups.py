@@ -29,8 +29,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .fields import (
-    DEFAULT_SIZE_CAP, FiniteField, check_size_cap, field_create, is_prime, power,
-    split_prime_power,
+    DEFAULT_SIZE_CAP, FiniteField, check_size_cap, field_create, is_prime, least_factor,
+    power, split_prime_power,
 )
 from .linalg import MatrixFF, _axpy
 
@@ -201,9 +201,6 @@ class FiniteGroup:
         return cls(mul, labels)
 
     # -- basic queries -----------------------------------------------------------
-
-    def product(self, i: int, j: int) -> int:
-        return self.mul[i][j]
 
     def conjugate(self, t: int, s: int) -> int:
         """t s t^{-1}."""
@@ -406,8 +403,7 @@ def group_closure(
     gl_order = math.prod(q ** n - q ** i for i in range(n))
     limit = size_cap
     if gl_order > size_cap:
-        least = next((d for d in range(2, math.isqrt(gl_order) + 1) if gl_order % d == 0), gl_order)
-        limit = min(size_cap, gl_order // least)
+        limit = min(size_cap, gl_order // least_factor(gl_order))
     ident = MatrixFF.identity(field, n)
     seen = {ident.key(): ident}
     after: dict[tuple, dict] = {}  # after[x][g] = x * g, by keys, for g given

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, floor
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .covers import BreakTable, GaloisCover, lower_break_table
 from .errors import (
@@ -200,6 +200,24 @@ def quotient_filtration_by_herbrand(
 # Representations.
 
 
+def law_walk(group: FiniteGroup, given: Iterable[int], r: int):
+    """The ``_spanning_tree`` that the law check of a representation of
+    rank r walks: on the greedy generating subset S of the given indices
+    (in index order, the identity skipped).  It depends on the table and
+    the indices alone, so the job reader calls it before any image entry
+    is read.  A walk whose work n * |S| * r^3 exceeds ``REP_WORK_CAP``
+    raises ``SizeCapExceeded``."""
+    mul = group.mul
+    tree = _spanning_tree(group.n, lambda x, s: mul[x][s], sorted(set(given) - {group.identity}))
+    work = group.n * len(tree[0]) * r ** 3
+    if work > REP_WORK_CAP:
+        raise SizeCapExceeded(
+            f"the law check's work, group order * generators walked * 'rep.r'^3 = {work}, "
+            f"exceeds {REP_WORK_CAP}"
+        )
+    return tree
+
+
 class Representation:
     """Homomorphism into invertible matrices over F_{ell^n}, given by the
     images of some elements that generate the group.
@@ -222,7 +240,7 @@ class Representation:
     n * |S| * r^3 exceeds ``REP_WORK_CAP`` raises ``SizeCapExceeded``.
     """
 
-    __slots__ = ("group", "images", "r", "ell", "field")
+    __slots__ = ("group", "images", "r", "ell", "field", "_fixed")
 
     def __init__(self, group: FiniteGroup, gen_images: dict[str, MatrixFF]):
         given = {group.label_index(lbl): m for lbl, m in gen_images.items()}
@@ -231,15 +249,8 @@ class Representation:
         m0 = next(iter(given.values()))
         for m in given.values():
             m0._check(m)
-        e, mul, r = group.identity, group.mul, m0.n
-        scan = sorted(given.keys() - {e})
-        gens, order, _, _, right = _spanning_tree(group.n, lambda x, s: mul[x][s], scan)
-        work = group.n * len(gens) * r ** 3
-        if work > REP_WORK_CAP:
-            raise SizeCapExceeded(
-                f"the law check's work, group order * generators walked * 'rep.r'^3 = {work}, "
-                f"exceeds {REP_WORK_CAP}"
-            )
+        e, r = group.identity, m0.n
+        gens, order, _, _, right = law_walk(group, given, r)
         images: list[MatrixFF | None] = [None] * group.n
         images[e] = MatrixFF.identity(m0.field, r)
         for s in gens:
@@ -257,9 +268,14 @@ class Representation:
         if any(m is None for m in images):
             raise NotAHomomorphism("given generators do not generate the group")
         self.group, self.images, self.r, self.ell, self.field = group, tuple(images), r, m0.field.p, m0.field
+        self._fixed: dict[frozenset, int] = {}
 
     def fixed_dim(self, subset) -> int:
-        return fixed_dim([self.images[i] for i in subset])
+        """dim V^H for the subgroup H given by its indices, formed once per H."""
+        key = frozenset(subset)
+        if key not in self._fixed:
+            self._fixed[key] = fixed_dim([self.images[i] for i in key])
+        return self._fixed[key]
 
 
 class SwanReport(NamedTuple):

@@ -13,11 +13,11 @@ takes, and ``coeffs`` holds, the window of known coefficients from ``v0``
 on, and ``from_terms``, ``coeff``, ``support`` and ``scale`` take or give
 keys too.
 
-A product is one big-integer multiplication, the field's packed-key codec
-(``FiniteField.pack``, Kronecker substitution) spread over a window: slot
+A product is one big-integer multiplication of two windows in the field's
+window layout (``FiniteField.pack_window``, Kronecker substitution): slot
 i*(2a-1)+k of one integer holds coordinate k of coefficient i, slots are
 wide enough that no sum overflows, and CPython's Karatsuba multiplies the
-two packed operands; ``keys_from_columns`` folds the slots back.  Inverses
+two packed operands; ``unpack_window`` reads the keys back.  Inverses
 use Newton doubling w <- w(2 - uw) (Brent & Kung, J. ACM 25, 1978), so
 they cost a few products instead of a quadratic recurrence.
 
@@ -39,7 +39,6 @@ window, which shows every break (``covers.lower_break_table``).
 
 from __future__ import annotations
 
-import sys
 from math import isqrt
 from typing import Sequence
 
@@ -59,63 +58,18 @@ PRECISION_CAP = 4096
 # ---------------------------------------------------------------------------
 # Kronecker substitution on windows of keys.
 
-# Native unsigned formats a memoryview can cast packed little-endian slots to,
-# by width in bytes (none on a big-endian machine).
-_CAST_CODES = (
-    {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
-    if sys.byteorder == "little"
-    else {}
-)
-
-
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot for slot values up to ``bound``."""
-    need = (bound.bit_length() + 7) // 8
-    return min((w for w in _CAST_CODES if w >= need), default=need)
-
-
-def _pack(field: FiniteField, keys: Sequence[int], width: int, size: int) -> int:
-    """Coordinate k of keys[i] in slot i*width + k of one integer, ``size`` bytes a slot."""
-    step = width * size
-    cb = ((field.p - 1).bit_length() + 7) // 8  # bytes of one coordinate
-    buf = bytearray(len(keys) * step)
-    for k, col in enumerate(field.key_columns(keys)):
-        for j in range(cb):
-            plane = col if cb == 1 else [x >> 8 * j & 255 for x in col]
-            buf[k * size + j :: step] = bytes(plane)
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(value: int, count: int, size: int) -> Sequence[int]:
-    """The ``count`` slots of ``size`` bytes that ``value`` packs."""
-    data = value.to_bytes(count * size, "little")
-    code = _CAST_CODES.get(size)
-    if code is None:
-        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-    return memoryview(data).cast(code)
-
-
-def _unpack_keys(field: FiniteField, value: int, full: int, m: int, width: int, size: int) -> list[int]:
-    """Keys of the first m of the ``full`` coefficients in value, in ``_pack``'s slots."""
-    slots = _unpack(value, full * width, size)
-    return field.keys_from_columns([slots[k : m * width : width] for k in range(width)])
-
-
 def _mul_keys(field: FiniteField, xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
     """Keys of the first n coefficients of the product of two key windows."""
     square = xs is ys
     xs, ys = xs[:n], ys[:n]
     if not xs or not ys:
         return [0] * n
-    a = field.a
-    width = 2 * a - 1
-    # A slot sums at most min(len) * a products of two coordinates.
-    size = _slot_bytes(min(len(xs), len(ys)) * a * (field.p - 1) ** 2)
-    x = _pack(field, xs, width, size)
-    y = x if square else _pack(field, ys, width, size)
+    bits = field.window_bits(min(len(xs), len(ys)))  # a slot sums min(len) products
+    x = field.pack_window(xs, bits)
+    y = x if square else field.pack_window(ys, bits)
     full = len(xs) + len(ys) - 1
     m = min(n, full)
-    return _unpack_keys(field, x * y, full, m, width, size) + [0] * (n - m)
+    return field.unpack_window(x * y, full, m, bits) + [0] * (n - m)
 
 
 def _inverse_keys(field: FiniteField, u: Sequence[int], n: int) -> list[int]:
@@ -403,12 +357,10 @@ def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> L
 
     # Everything below is on packed integers as in _mul_keys, with slots wide
     # enough for a product of two windows of the result plus k more terms.
-    a = field.a
-    width = 2 * a - 1
-    size = _slot_bytes((span + k) * a * (field.p - 1) ** 2)
+    bits = field.window_bits(span + k)
     windows = [s._window(0, s.v0 + len(s.coeffs)) for s in powers]
-    packs = [_pack(field, x, width, size) for x in windows[:k]]
-    scalars = field.pack(keys[:n], 8 * size)  # slot k of a scalar shifts a pack by x^k
+    packs = [field.pack_window(x, bits) for x in windows[:k]]
+    scalars = field.pack(keys[:n], bits)  # slot k of a scalar shifts a pack by x^k
 
     def block(i: int) -> int:
         """sum_j keys[ik + j] g^j, packed: small-int multiples of the packs."""
@@ -417,15 +369,15 @@ def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> L
     # Giant steps: Horner in g^k over the blocks, one reduction a step.
     count = -(-n // k)
     reach = max(map(len, windows[:k]))  # coefficients a block can fill
-    acc = _unpack_keys(field, block(count - 1), reach, reach, width, size)
+    acc = field.unpack_window(block(count - 1), reach, reach, bits)
     if count > 1:
         giant = windows[k]
-        packed = _pack(field, giant, width, size)
+        packed = field.pack_window(giant, bits)
         for i in range(count - 2, -1, -1):
             full = max(len(acc) + len(giant) - 1, reach)
             m = full if ap is None else ap
-            value = _pack(field, acc, width, size) * packed + block(i)
-            acc = _unpack_keys(field, value, full, m, width, size)
+            value = field.pack_window(acc, bits) * packed + block(i)
+            acc = field.unpack_window(value, full, m, bits)
     return LaurentSeries(field, 0, acc, ap)
 
 

@@ -129,9 +129,9 @@ def test_tameizing_trivial_complement():
     assert report.index_tame == st.P_order == 2
 
 
-def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
-    """Oracle for the subgroup and index tests that tameizing_subgroup proves
-    needless: H is its own closure, and |H| divides |I|."""
+def sampled_inertia_structures():
+    """The inertia structures of every corpus representation and of seeded
+    sampler groups."""
     structures = []
     for rep_id in rep_ids():
         cover_id, _, rep, _ = get_representation(rep_id)
@@ -142,7 +142,35 @@ def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
             for g in inertia_candidate_sample(r, ell, n, p, count=3, seed=seed):
                 structures.append(inertia_structure(list(g.matrices), p))
     assert len(structures) > 50
-    for st in structures:
+    return structures
+
+
+def power_loop_tameizing_h(st):
+    """Oracle: H from the complement listed by the power loop 1, g, g^2, ...,
+    g^(M-1) of the first element g of order M."""
+    group = st.group
+    gen = next(i for i in range(group.n) if group.order_of(i) == st.M)
+    complement, x = [], group.identity
+    for _ in range(st.M):
+        complement.append(x)
+        x = group.mul[x][gen]
+    return tuple(sorted(
+        c for c in complement
+        if all(group.mul[c][s] == group.mul[s][c] for s in st.P_indices)
+    ))
+
+
+def test_tameizing_subgroup_matches_the_power_loop_complement():
+    for st in sampled_inertia_structures():
+        tame = tameizing_subgroup(st)
+        assert tame.H_indices == power_loop_tameizing_h(st)
+        assert tame.alpha_image_order == st.M // len(tame.H_indices)
+
+
+def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
+    """Oracle for the subgroup and index tests that tameizing_subgroup proves
+    needless: H is its own closure, and |H| divides |I|."""
+    for st in sampled_inertia_structures():
         tame = tameizing_subgroup(st)
         h = frozenset(tame.H_indices)
         assert st.group.closure(h) == h

@@ -804,6 +804,70 @@ def test_a_rep_given_on_every_element_walks_only_its_generator(capsys, monkeypat
     assert len(calls) == 128
 
 
+def test_a_rep_refused_by_its_work_bound_converts_no_entry(capsys, monkeypatch):
+    # The r = 1500 zero image (6.75 MB of JSON): the law check's work is
+    # refused from the labels and the shape alone, before any of its
+    # 2,250,000 entries becomes a key, with the same stdout as when every
+    # entry was read first.
+    converted = []
+    element = corpus._element
+
+    def counted(field, x, path, degree):
+        converted.append(path)
+        return element(field, x, path, degree)
+
+    monkeypatch.setattr(corpus, "_element", counted)
+    job = _rank_job(1500)
+    job["rep"]["images"]["sigma"] = [[0] * 1500 for _ in range(1500)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    assert cli.main(["run"]) == 1
+    assert capsys.readouterr().out == (
+        '{"error":{"message":"the law check\'s work, group order * generators walked * '
+        '\'rep.r\'^3 = 6750000000, exceeds 8388608","type":"SizeCapExceeded"}}\n'
+    )
+    assert converted == ["cover.f[0][1]"]
+
+
+def test_a_rep_over_its_work_bound_reports_its_shape_before_the_bound_and_the_bound_before_its_entries(
+    capsys, monkeypatch
+):
+    misshapen = _rank_job(162)
+    misshapen["rep"]["images"]["sigma"].pop()
+    bad_entry = _rank_job(162)
+    bad_entry["rep"]["images"]["sigma"][0][0] = "2"
+    for job, error, field in ((misshapen, "InputSchemaError", "'rep.images.sigma'"),
+                              (bad_entry, "SizeCapExceeded", "'rep.r'")):
+        code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+        assert code == 1
+        assert report["error"]["type"] == error
+        assert field in report["error"]["message"]
+
+
+def test_a_swan_job_forms_the_fixed_space_at_its_jump_once(capsys, monkeypatch):
+    # AS p = 3, f = t^-1, sigma -> diagonal blocks [[0, 1], [1, 1]] over
+    # F_{2^16}: swan_conductor and swan_single_break both ask for the fixed
+    # space of G_1, and the representation forms it once.
+    formed = []
+    fixed_dim = ramification.fixed_dim
+
+    def counted(mats):
+        formed.append(len(mats))
+        return fixed_dim(mats)
+
+    monkeypatch.setattr(ramification, "fixed_dim", counted)
+    r = 14
+    sigma = [[0] * r for _ in range(r)]
+    for i in range(0, r, 2):
+        sigma[i][i + 1] = sigma[i + 1][i] = sigma[i + 1][i + 1] = 1
+    job = dict(SWAN_JOB, base={"p": 3, "a": 1}, rep={"ell": 2, "n": 16, "r": r, "images": {"sigma": sigma}})
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0, report
+    assert formed == [3]
+    results = report["results"]
+    assert results["swan"] == {"num": r, "den": 1} and results["single_break"] == r
+    assert results["breaks"] == [[1, r]]
+
+
 def test_sampler_job_at_its_bound_makes_a_bounded_number_of_products(capsys, monkeypatch):
     # The sampler job of test_work_at_a_job_bound_is_admitted[job7], bounded
     # by its work rather than by the wall clock: 5,882 products since each

@@ -111,7 +111,7 @@ def test_cover_action_valuations_and_group_law():
         assert act.valuation() == 1
     for i in range(cover.group.n):
         for j in range(cover.group.n):
-            k = cover.group.product(j, i)
+            k = cover.group.mul[j][i]
             lhs = compose(cover.sigma_action[j], cover.sigma_action[i])
             assert (lhs - cover.sigma_action[k]).is_zero_known()
     assert (compose(cover.t_in_s, cover.sigma_action[1]) - cover.t_in_s).is_zero_known()
@@ -468,7 +468,7 @@ def _check_full_group_law(cover):
     known = min(a.abs_prec for a in action.values() if a.abs_prec is not None)
     for gen in group.generators():
         for i in range(group.n):
-            diff = compose(action[gen], action[i]) - action[group.product(i, gen)]
+            diff = compose(action[gen], action[i]) - action[group.mul[i][gen]]
             assert diff.is_zero_known() and (diff.is_exact or diff.abs_prec >= known)
     for i in range(group.n):
         diff = compose(t, action[i]) - t

@@ -1,6 +1,8 @@
 import itertools
+import math
 import operator
 import random
+import sys
 import time
 
 import pytest
@@ -12,7 +14,9 @@ from ramify.fields import (
     canonical_modulus,
     field_create,
     is_prime,
+    least_factor,
     power,
+    prime_factors,
 )
 from ramify.linalg import MatrixFF
 from ramify.series import LaurentSeries
@@ -150,6 +154,40 @@ def test_unpack_inverts_pack(p, a):
         assert F.unpack(packed, bits) == keys
 
 
+@pytest.mark.parametrize("p,a", [(2, 1), (7, 1)] + CODEC_FIELDS + SAMPLED_FIELDS)
+def test_unpack_window_inverts_pack_window(p, a):
+    F = field_create(p, a)
+    keys = codec_keys(F)
+    width = 2 * a - 1
+    # 72-bit slots have no memoryview cast: the slot-by-slot read.
+    for bits in [F.window_bits(terms) for terms in (1, 2, 16, len(keys))] + [72]:
+        assert bits % 8 == 0
+        packed = F.pack_window(keys, bits)
+        assert packed < 1 << len(keys) * width * bits
+        assert F.unpack_window(packed, len(keys), len(keys), bits) == keys
+        assert F.unpack_window(packed, len(keys), 5, bits) == keys[:5]
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="slots are cast only on little-endian machines")
+def test_window_slots_are_the_least_cast_width_over_slot_bits():
+    for p, a in [(2, 1), (7, 1), (2, 6), (3, 10), (2, 16)]:
+        F = field_create(p, a)
+        for terms in (1, 2, 16, 1000, 1 << 20, 1 << 70):
+            need = F.slot_bits(terms)
+            bits = F.window_bits(terms)
+            assert bits >= need
+            assert bits == next((w for w in (8, 16, 32, 64) if w >= need), -(-need // 8) * 8)
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (2, 2), (2, 3), (2, 6), (2, 16)])
+def test_negation_in_characteristic_two_is_the_identity(p, a, monkeypatch):
+    F = field_create(p, a)
+    keys = codec_keys(F)
+    assert F.neg_keys(keys) == F.scale_keys(p - 1, keys) == keys
+    monkeypatch.setattr(type(F), "scale_keys", lambda *args: pytest.fail("a product"))
+    assert F.neg_keys(keys) == keys
+
+
 @pytest.mark.parametrize("p,a", CODEC_FIELDS + SAMPLED_FIELDS)
 def test_packed_products_match_the_column_loop_oracle(p, a):
     F = field_create(p, a)
@@ -236,6 +274,51 @@ def test_pth_root_inverts_frobenius():
         assert sorted(F.pth_root_key(x) for x in range(F.order)) == list(range(F.order))
         for x in range(F.order):
             assert F.pow_key(F.pth_root_key(x), p) == x
+
+
+def trial_is_prime(n):
+    """Oracle: the 6k +- 1 primality test as it stood before ``least_factor``."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    i = 5
+    while i * i <= n:
+        if n % i == 0 or n % (i + 2) == 0:
+            return False
+        i += 6
+    return True
+
+
+def trial_prime_factors(n):
+    """Oracle: distinct prime factors by division by every d >= 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def trial_least_factor(n):
+    """Oracle: the least divisor d >= 2 of n, or n, by division by every d <= sqrt(n)."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+def test_trial_division_matches_the_oracles():
+    rng = random.Random(20)
+    for n in itertools.chain(range(-3, 20000), (rng.randrange(1 << 20) for _ in range(500))):
+        assert is_prime(n) == trial_is_prime(n), n
+        assert prime_factors(n) == trial_prime_factors(n), n
+        if n >= 2:
+            assert least_factor(n) == trial_least_factor(n), n
 
 
 def test_is_prime_small():
