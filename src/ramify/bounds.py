@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
 from . import bounds, corpus, verify
@@ -44,6 +43,7 @@ def _filtration_results(job: dict):
 
 
 def _herbrand_payload(filt) -> dict:
+    from fractions import Fraction
     phi = herbrand_phi(filt)
     psi = herbrand_psi(phi)
     upper = upper_jumps(filt, phi)

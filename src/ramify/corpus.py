@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import sys
 from functools import lru_cache
-from importlib import resources
 
 from .covers import (
     BreakTable,
@@ -349,6 +348,7 @@ def enum_args(params: dict) -> tuple[str, dict]:
 
 @lru_cache(maxsize=1)
 def _raw() -> dict:
+    from importlib import resources
     return decode(resources.files("ramify").joinpath("data/corpus.json").read_bytes(), "the corpus")
 
 

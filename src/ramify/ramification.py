@@ -12,7 +12,6 @@ A subgroup H keeps G's indices: its filtration H_i = G_i meet H is a
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, NamedTuple, Sequence
 
@@ -111,12 +110,14 @@ class HerbrandFunction:
     __slots__ = ("breakpoints", "final_slope")
 
     def __init__(self, breakpoints, final_slope):
+        from fractions import Fraction  # loaded by the jobs that build a rational only
         self.breakpoints = tuple(
             (Fraction(u), Fraction(v)) for u, v in breakpoints
         )
         self.final_slope = Fraction(final_slope)
 
     def evaluate(self, x) -> Fraction:
+        from fractions import Fraction
         x = Fraction(x)
         if x < 0:
             raise ValueError("transition functions are defined for x >= 0")
@@ -144,6 +145,7 @@ class HerbrandFunction:
 def herbrand_phi(filt: RamFiltration) -> HerbrandFunction:
     """Between vertices G_i is constant, so each vertex adds its run length
     times |G_u| / |G_0| once."""
+    from fractions import Fraction
     g0 = filt.order_at(0)
     vertex_us = set(filt.positive_jumps())
     if filt.order_at(0) != filt.order_at(1):
@@ -302,6 +304,7 @@ def swan_conductor(rep: Representation, filt: RamFiltration) -> SwanReport:
     multiplicity dims[j] - dims[j - 1] over the break multiset, whose
     break 0 has multiplicity dim V^{G_1}.  They telescope to dims[-1] = r.
     """
+    from fractions import Fraction
     _check_pair(rep, filt)
     g0 = filt.order_at(0)
     jumps = filt.positive_jumps()
@@ -333,6 +336,7 @@ def swan_single_break(rep: Representation, filt: RamFiltration) -> Fraction:
     dim V^{G_u} = 0; the value must agree with swan_conductor.  With one
     positive jump, G_1 = ... = G_u, so phi(u) = u * |G_u| / |G_0|.
     """
+    from fractions import Fraction
     _check_pair(rep, filt)
     jumps = filt.positive_jumps()
     if len(jumps) != 1:
@@ -408,6 +412,7 @@ def phi_transitivity_check(cover: GaloisCover, filt, filt_h, filt_low) -> Transi
     layer's own series.  The quotient filtration by Herbrand's theorem is
     checked against the tame layer's too.
     """
+    from fractions import Fraction
     _check_intermediate(cover)
     phi_full = herbrand_phi(filt)
     phi_up = herbrand_phi(filt_h)

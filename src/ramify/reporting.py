@@ -1,19 +1,27 @@
-"""Canonical JSON reports: sorted keys, exact numbers only, stable digests."""
+"""Canonical JSON reports: sorted keys, exact numbers only, stable digests.
+
+Every job loads this module, so none of ``hashlib`` (OpenSSL), ``fractions``
+or ``tempfile`` is imported here: most jobs would load them for nothing."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
-from fractions import Fraction
+import sys
+
+try:  # the built-in module, as random.py takes SHA-512: hashlib is heavy to load
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # its name from Python 3.12 on
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 
 
-def rational_pair(x) -> dict:
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
+def rational_pair(x) -> dict:  # x an int or a Fraction
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def to_jsonable(obj):
@@ -28,16 +36,15 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, float):
         raise TypeError("floating point values are not allowed in reports")
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return int(obj)
-        return rational_pair(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(x) for x in obj)
+    fractions = sys.modules.get("fractions")  # no Fraction exists before it loads
+    if fractions is not None and isinstance(obj, fractions.Fraction):
+        return obj.numerator if obj.denominator == 1 else rational_pair(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -46,7 +53,7 @@ def canonical_dumps(obj) -> str:
 
 
 def job_digest(job: dict) -> str:
-    return hashlib.sha256(canonical_dumps(job).encode("ascii")).hexdigest()
+    return sha256(canonical_dumps(job).encode("ascii")).hexdigest()
 
 
 def make_report(command: str, job: dict, results, warnings) -> dict:
@@ -60,6 +67,7 @@ def make_report(command: str, job: dict, results, warnings) -> dict:
 
 
 def write_atomic(path: str, text: str) -> None:
+    import tempfile
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ramify-")
     try:
