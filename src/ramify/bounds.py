@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import (
     ComplementNotFound,
@@ -36,15 +37,8 @@ DEFAULT_JORDAN_TABLE = {1: 1}
 # Inertia shape.
 
 
-class InertiaStructure(NamedTuple):
-    group: FiniteGroup
-    p: int
-    ell: int
-    r: int
-    P_indices: frozenset
-    M: int
-    n: int
-    M_prime: int
+class InertiaStructure(namedtuple("InertiaStructure", "group p ell r P_indices M n M_prime")):
+    __slots__ = ()
 
     @property
     def P_order(self) -> int:
@@ -96,11 +90,7 @@ def claim1_check(structure: InertiaStructure) -> bool:
     return True
 
 
-class TameizingReport(NamedTuple):
-    H_indices: tuple[int, ...]
-    H_order: int
-    index_tame: int
-    alpha_image_order: int
+TameizingReport = namedtuple("TameizingReport", "H_indices H_order index_tame alpha_image_order")
 
 
 def tameizing_subgroup(structure: InertiaStructure) -> TameizingReport:
@@ -160,10 +150,10 @@ def jordan_bound(r: int, table: dict[int, int] | None = None) -> int:
     return value
 
 
-class ExplicitConstants(NamedTuple):
-    N_prime: int
-    M0: int
-    M_crude: int | None  # M0!, or None when it stays symbolic
+class ExplicitConstants(namedtuple("ExplicitConstants", "N_prime M0 M_crude")):
+    """``M_crude`` is M0!, or None when it stays symbolic."""
+
+    __slots__ = ()
 
     def crude_at_least(self, value: int) -> bool:
         """Whether the crude bound M0! is >= value, exactly, symbolic or not.
@@ -219,20 +209,12 @@ def explicit_constants(
 # Wild-order bound check.
 
 
-class WildOrderReport(NamedTuple):
+class WildOrderReport(namedtuple("WildOrderReport", "swan N_prime_exact jumps_visible P_order torus_bound"
+                                 " torus_bound_holds linear_bound_holds ok constants warnings", defaults=((),))):
     """``constants`` is the ``explicit_constants`` record, whose N' and
     M0 = r p^{N'} J (the linear bound) the checks use."""
 
-    swan: Fraction
-    N_prime_exact: int
-    jumps_visible: int
-    P_order: int
-    torus_bound: int
-    torus_bound_holds: bool
-    linear_bound_holds: bool
-    ok: bool
-    constants: ExplicitConstants
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def _abelian_normal_part(group: FiniteGroup) -> frozenset:
@@ -302,18 +284,8 @@ def wild_order_bound_check(
 # Decomposition counts.
 
 
-class DecompositionData(NamedTuple):
-    order_I: int
-    t: int
-    e: int
-    f_sep: int
-    f_insep: int
-    p: int
-
-
-class CountsReport(NamedTuple):
-    order_IC: int
-    tame: bool
+DecompositionData = namedtuple("DecompositionData", "order_I t e f_sep f_insep p")
+CountsReport = namedtuple("CountsReport", "order_IC tame")
 
 
 def decomposition_counts(data: DecompositionData) -> CountsReport:
@@ -334,10 +306,7 @@ def decomposition_counts(data: DecompositionData) -> CountsReport:
     return CountsReport(order_IC=order_ic, tame=tame)
 
 
-class StarKernelReport(NamedTuple):
-    passes: bool
-    kernel_order: int
-    kernel_p_sylow_order: int
+StarKernelReport = namedtuple("StarKernelReport", "passes kernel_order kernel_p_sylow_order")
 
 
 def star_kernel_check(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import NoReturn
 
 from . import bounds, corpus, verify
 from .errors import InputSchemaError, NotAbelian, RamifyError
@@ -236,9 +235,9 @@ def main(argv=None) -> int:
     return code
 
 
-def exit_main() -> NoReturn:
+def exit_main():
     """The ``ramify`` script and ``python -m ramify``: run ``main`` and end
-    the process with its code.
+    the process with its code; it never returns.
 
     Once the report is written and stdout and stderr flush cleanly, nothing
     is left for interpreter finalization to do: every file is written in a

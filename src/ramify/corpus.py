@@ -14,6 +14,7 @@ format and go through the same readers.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -348,8 +349,10 @@ def enum_args(params: dict) -> tuple[str, dict]:
 
 @lru_cache(maxsize=1)
 def _raw() -> dict:
-    from importlib import resources
-    return decode(resources.files("ramify").joinpath("data/corpus.json").read_bytes(), "the corpus")
+    """The corpus file, read through the loader that imported this module
+    (what ``pkgutil.get_data`` does), so a zipped package finds it too."""
+    path = os.path.join(os.path.dirname(__file__), "data", "corpus.json")
+    return decode(__loader__.get_data(path), "the corpus")
 
 
 def cover_ids(kinds: tuple[str, ...] | None = None) -> list[str]:

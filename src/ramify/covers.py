@@ -24,8 +24,8 @@ imply the group law and invariance of t, which the tests check in full.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import (
     MismatchDetected,
@@ -39,11 +39,12 @@ from .groups import FiniteGroup
 from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
 
 
-class TowerParts(NamedTuple):
-    """Marked intermediate data of a compositum tower."""
+class TowerParts(namedtuple("TowerParts", "lower H_indices")):
+    """Marked intermediate data of a compositum tower: ``lower`` is the tame
+    cover of the base, group Gal(K'/K), and ``H_indices`` are the indices of
+    Gal(L/K') inside the full group."""
 
-    lower: "GaloisCover"        # tame cover of the base, group Gal(K'/K)
-    H_indices: tuple[int, ...]  # Gal(L/K') inside the full group
+    __slots__ = ()
 
 
 class GaloisCover:

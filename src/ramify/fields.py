@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Sequence
 from functools import lru_cache
 from math import isqrt
 from operator import add, mul
-from typing import Sequence
 
 from .errors import MissingRootsOfUnity, NotPrime, SizeCapExceeded, ZeroElement
 
@@ -324,8 +324,11 @@ class FiniteField:
         return self.keys_from_columns([slots[k : count * width : width] for k in range(width)])
 
     def neg_keys(self, keys: Sequence[int]) -> Sequence[int]:
-        """-x for each key: the keys themselves in characteristic 2."""
-        return keys if self.p == 2 else self.scale_keys(self.p - 1, keys)
+        """-x for each key, a coordinate column at a time: the keys
+        themselves in characteristic 2."""
+        if self.p == 2:
+            return keys
+        return self.keys_from_columns([[-c for c in col] for col in self.key_columns(keys)])
 
     def scale_keys(self, c: int, keys: Sequence[int]) -> list[int]:
         """c times each key: one packed product a key, reduced once by ``unpack``."""

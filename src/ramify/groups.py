@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
     NotAGroup,
@@ -579,13 +580,9 @@ def inertia_candidate_sample(
     return out
 
 
-class AbelianProbeReport(NamedTuple):
-    max_order_found: int
-    le_linear_bound: bool
-    le_torus_bound: bool
-    n_used: int
-    linear_bound: int
-    torus_bound: int
+AbelianProbeReport = namedtuple(
+    "AbelianProbeReport", "max_order_found le_linear_bound le_torus_bound n_used linear_bound torus_bound"
+)
 
 
 def abelian_p_bound_probe(

@@ -9,8 +9,8 @@ reduces them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import add, mul
-from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from .fields import FiniteField, power

@@ -12,8 +12,9 @@ A subgroup H keeps G's indices: its filtration H_i = G_i meet H is a
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import ceil, floor
-from typing import Iterable, NamedTuple, Sequence
 
 from .covers import BreakTable, GaloisCover, lower_break_table
 from .errors import (
@@ -43,16 +44,13 @@ def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
 # Filtrations.
 
 
-class RamFiltration(NamedTuple):
+class RamFiltration(namedtuple("RamFiltration", "group p jumps levels")):
     """Lower-numbering subgroups G_0 >= G_1 >= ... >= G_{i_max+1} = 1, kept at
     the jumps: ``levels[k]`` is G_u for u = ``jumps[k]`` (increasing, each
     level smaller than the one before), G_i is the level of the least jump
     >= i, and the identity after the last jump."""
 
-    group: FiniteGroup
-    p: int
-    jumps: tuple[int, ...]
-    levels: tuple[frozenset, ...]
+    __slots__ = ()
 
     @property
     def i_max(self) -> int:
@@ -280,10 +278,7 @@ class Representation:
         return self._fixed[key]
 
 
-class SwanReport(NamedTuple):
-    swan: Fraction
-    breaks: tuple[tuple[Fraction, int], ...]
-    per_jump_terms: tuple[tuple[Fraction, int], ...]
+SwanReport = namedtuple("SwanReport", "swan breaks per_jump_terms")
 
 
 def _check_pair(rep: Representation, filt: RamFiltration) -> None:
@@ -368,12 +363,7 @@ def tower_filtrations(cover: GaloisCover) -> tuple[RamFiltration, RamFiltration]
     return filtration_from_breaks(bt, cover.p), filtration_from_breaks(bt_h, cover.p)
 
 
-class PullbackReport(NamedTuple):
-    sw_base: Fraction
-    sw_prime: Fraction
-    degree: int
-    holds: bool
-    equality: bool
+PullbackReport = namedtuple("PullbackReport", "sw_base sw_prime degree holds equality")
 
 
 def pullback_bound_check(cover: GaloisCover, rep: Representation, filt, filt_h) -> PullbackReport:
@@ -392,14 +382,12 @@ def pullback_bound_check(cover: GaloisCover, rep: Representation, filt, filt_h) 
     return PullbackReport(sw_base, sw_prime, degree, sw_prime <= bound, sw_prime == bound)
 
 
-class TransitivityReport(NamedTuple):
+class TransitivityReport(namedtuple("TransitivityReport", "points residuals quotient_matches")):
     """``quotient_matches``: the filtration of G/H through (G/H)_{phi_H(u)}
     = G_u H / H has the subgroup orders of the tame layer's own.  A nonzero
     residual raises, so a returned report has every residual zero."""
 
-    points: tuple[Fraction, ...]
-    residuals: tuple[Fraction, ...]
-    quotient_matches: bool
+    __slots__ = ()
 
 
 def phi_transitivity_check(cover: GaloisCover, filt, filt_h, filt_low) -> TransitivityReport:

@@ -29,7 +29,7 @@ def to_jsonable(obj):
 
     Fractions become ints when integral and {"num", "den"} pairs otherwise;
     floats are rejected outright so no report can carry one.  Records
-    (NamedTuples, recognised by ``_fields``) are rejected like any other
+    (named tuples, recognised by ``_fields``) are rejected like any other
     object: a report lists the fields it publishes, by name.
     """
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):

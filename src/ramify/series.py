@@ -39,8 +39,8 @@ window, which shows every break (``covers.lower_break_table``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import isqrt
-from typing import Sequence
 
 from .errors import (
     CompositionUndefined,

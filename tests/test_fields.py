@@ -188,6 +188,16 @@ def test_negation_in_characteristic_two_is_the_identity(p, a, monkeypatch):
     assert F.neg_keys(keys) == keys
 
 
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (3, 3), (31, 3), (3, 10)])
+def test_odd_negation_negates_the_columns_and_matches_scaling(p, a, monkeypatch):
+    F = field_create(p, a)
+    keys = codec_keys(F)
+    want = F.scale_keys(p - 1, keys)
+    monkeypatch.setattr(type(F), "scale_keys", lambda *args: pytest.fail("a product"))
+    assert F.neg_keys(keys) == want
+    assert F.neg_keys([]) == []
+
+
 @pytest.mark.parametrize("p,a", CODEC_FIELDS + SAMPLED_FIELDS)
 def test_packed_products_match_the_column_loop_oracle(p, a):
     F = field_create(p, a)

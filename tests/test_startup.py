@@ -1,13 +1,18 @@
 """What a job loads: ``import ramify.cli`` brings in every ramify module the
 benchmark's tracer wraps, and none of the standard modules that only a few
 jobs use (OpenSSL's ``_hashlib``, ``fractions`` with ``decimal`` and
-``numbers``, ``importlib.resources``, ``tempfile``)."""
+``numbers``, ``tempfile``).  No job loads ``typing`` or the file helpers
+of ``importlib.resources``: the records are ``collections.namedtuple``
+classes, and the corpus is read through the package's own loader, which
+works from a zip too."""
 
+import ast
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 LAZY = ("_hashlib", "hashlib", "fractions", "decimal", "numbers", "importlib.resources", "tempfile")
+# Loaded by no job at all, the verify suites and the corpus included.
+NEVER = ("typing", "importlib.resources", "pathlib", "zipfile", "tempfile")
 
 
 def _tracer():
@@ -33,16 +40,23 @@ def _loaded_after_import() -> set[str]:
     return set(json.loads(out))
 
 
-def _imported_by_job(job: dict) -> set[str]:
-    """The modules a ``python -m ramify run`` process imports, read from
-    ``-X importtime``, which names each module on stderr as it loads."""
+def _imported_by(*args: str, stdin: str = "") -> tuple[set[str], dict]:
+    """The modules a ``python -m ramify`` process imports, read from
+    ``-X importtime``, which names each module on stderr as it loads, and
+    its report."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "ramify", "run"],
-        input=json.dumps(job), env=ENV, capture_output=True, text=True,
+        [sys.executable, "-S", "-X", "importtime", "-m", "ramify", *args],
+        input=stdin, env=ENV, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout
-    assert json.loads(proc.stdout)["command"] == job["command"]
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    lines = proc.stderr.splitlines()
+    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}, json.loads(proc.stdout)
+
+
+def _imported_by_job(job: dict) -> set[str]:
+    imported, report = _imported_by("run", stdin=json.dumps(job))
+    assert report["command"] == job["command"]
+    return imported
 
 
 def test_cli_import_loads_no_module_that_few_jobs_use():
@@ -70,3 +84,62 @@ def test_a_job_loads_fractions_only_when_it_builds_a_rational(job, loads_fractio
     assert "ramify.cli" in imported
     assert ("fractions" in imported) == loads_fractions
     assert "_hashlib" not in imported
+
+
+def test_cli_import_and_a_verify_job_load_neither_typing_nor_file_helpers():
+    assert sorted(set(NEVER) & _loaded_after_import()) == []
+    imported, report = _imported_by("verify", "claim1")
+    assert report["command"] == "verify" and "ramify.corpus" in imported
+    assert sorted(set(NEVER) & imported) == []
+
+
+def _imports(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_module_imports_typing_or_importlib_resources():
+    found = {
+        str(path.relative_to(ROOT)): sorted(name for name in _imports(path) if name.split(".")[0] == "typing"
+                                            or name.startswith("importlib.resources"))
+        for path in sorted((ROOT / "src" / "ramify").rglob("*.py"))
+    }
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_imports_are_read_from_every_form_of_import_statement(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import typing\nfrom typing import NamedTuple\nfrom importlib import resources\nfrom . import x\n")
+    assert {"typing", "typing.NamedTuple", "importlib.resources"} <= _imports(source)
+
+
+def test_the_corpus_is_read_from_a_zipped_package(tmp_path):
+    """Zipped, the package has no files on disk: ``corpus._raw`` reads the
+    corpus through ``zipimporter.get_data``."""
+    from ramify import corpus
+
+    package = ROOT / "src" / "ramify"
+    archive = tmp_path / "ramify.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in [*sorted(package.glob("*.py")), package / "data" / "corpus.json"]:
+            zf.write(path, str(path.relative_to(package.parent)))
+    probe = (
+        "import json, sys; import ramify.corpus as c; "
+        "print(json.dumps([c.__file__, type(c.__loader__).__name__, c.cover_ids(), c.rep_ids(), "
+        "sorted(set(sys.argv[1:]) & set(sys.modules))]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *NEVER], env={**os.environ, "PYTHONPATH": str(archive)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    where, loader, cover_ids, rep_ids, loaded = json.loads(out)
+    assert where.startswith(str(archive)) and loader == "zipimporter"
+    assert cover_ids == corpus.cover_ids() and len(cover_ids) > 1
+    assert rep_ids == corpus.rep_ids() and rep_ids
+    assert loaded == []
