@@ -81,13 +81,10 @@ def claim1_check(structure: InertiaStructure) -> bool:
     if structure.n > 0 and structure.ell ** (structure.n - 1) > r:
         return False
     group = structure.group
-    for i in range(group.n):
-        o = group.order_of(i)
-        if split_prime_power(o, structure.ell)[1] != 1:
-            continue
-        if not nilpotency_exponent_ok(group.matrices[i], o, structure.ell, r):
-            return False
-    return True
+    return all(
+        nilpotency_exponent_ok(group.matrices[i], group.order_of(i), structure.ell, r)
+        for i in group.p_elements(structure.ell)
+    )
 
 
 TameizingReport = namedtuple("TameizingReport", "H_indices H_order index_tame alpha_image_order")

@@ -42,7 +42,6 @@ def _filtration_results(job: dict):
 
 
 def _herbrand_payload(filt) -> dict:
-    from fractions import Fraction
     phi = herbrand_phi(filt)
     psi = herbrand_psi(phi)
     upper = upper_jumps(filt, phi)
@@ -50,13 +49,12 @@ def _herbrand_payload(filt) -> dict:
         hasse_arf = hasse_arf_check(filt, upper)
     except NotAbelian:  # Hasse-Arf is stated for abelian G_0 only
         hasse_arf = None
-    g0 = filt.order_at(0)
     return {
         "phi": {
             "breakpoints": [[u, v] for u, v in phi.breakpoints],
             "final_slope": phi.final_slope,
-            # the slope |G_i| / |G_0| of each unit segment (i - 1, i]
-            "unit_slopes": [Fraction(filt.order_at(i), g0) for i in range(1, filt.i_max + 2)],
+            # the slope |G_i| / |G_0| of each unit segment (i - 1, i], final_slope = 1 / |G_0|
+            "unit_slopes": [filt.order_at(i) * phi.final_slope for i in range(1, filt.i_max + 2)],
         },
         "psi": {
             "breakpoints": [[u, v] for u, v in psi.breakpoints],

@@ -36,6 +36,19 @@ from .linalg import MatrixFF, fixed_dim
 REP_WORK_CAP = 1 << 23
 
 
+_Fraction = None  # fractions.Fraction, bound by the first _ratio call
+
+
+def _ratio(x, den=None) -> Fraction:
+    """x or x / den, exact: the one place a rational is built, so ``fractions``
+    loads only in the jobs that build one.  The class is bound once: an
+    import statement costs more than the Fraction it would build."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(x, den)
+
+
 def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
     return g is h or (g.n == h.n and g.mul == h.mul and g.labels == h.labels)
 
@@ -108,15 +121,11 @@ class HerbrandFunction:
     __slots__ = ("breakpoints", "final_slope")
 
     def __init__(self, breakpoints, final_slope):
-        from fractions import Fraction  # loaded by the jobs that build a rational only
-        self.breakpoints = tuple(
-            (Fraction(u), Fraction(v)) for u, v in breakpoints
-        )
-        self.final_slope = Fraction(final_slope)
+        self.breakpoints = tuple((_ratio(u), _ratio(v)) for u, v in breakpoints)
+        self.final_slope = _ratio(final_slope)
 
     def evaluate(self, x) -> Fraction:
-        from fractions import Fraction
-        x = Fraction(x)
+        x = _ratio(x)
         if x < 0:
             raise ValueError("transition functions are defined for x >= 0")
         pts = self.breakpoints
@@ -142,17 +151,16 @@ class HerbrandFunction:
 
 def herbrand_phi(filt: RamFiltration) -> HerbrandFunction:
     """Between vertices G_i is constant, so each vertex adds its run length
-    times |G_u| / |G_0| once."""
-    from fractions import Fraction
+    times |G_u| to the integer sum |G_1| + ... + |G_u|, over |G_0|."""
     g0 = filt.order_at(0)
     vertex_us = set(filt.positive_jumps())
-    if filt.order_at(0) != filt.order_at(1):
+    if g0 != filt.order_at(1):
         vertex_us.add(1)
-    points = [(Fraction(0), Fraction(0))]
+    points, total = [(0, 0)], 0
     for u in sorted(vertex_us):
-        u0, v0 = points[-1]  # G_i = G_u for u0 < i <= u
-        points.append((Fraction(u), v0 + (u - u0) * Fraction(filt.order_at(u), g0)))
-    return HerbrandFunction(points, Fraction(1, g0))
+        total += (u - points[-1][0]) * filt.order_at(u)  # G_i = G_u after the last vertex, up to u
+        points.append((u, _ratio(total, g0)))
+    return HerbrandFunction(points, _ratio(1, g0))
 
 
 def herbrand_psi(hf: HerbrandFunction) -> HerbrandFunction:
@@ -294,29 +302,26 @@ def swan_conductor(rep: Representation, filt: RamFiltration) -> SwanReport:
     For the positive jumps u_1 < ... < u_k, ``dims`` holds dim V^{G_{u_j}}
     and then r: G_1 = G_{u_1}, and G_{u_j + 1} is G_{u_{j+1}}, or the
     identity after u_k.  So each level's fixed space is computed once.
-    Route one sums (|G_i| / |G_0|) * (r - dim V^{G_i}) over i >= 1, one
-    term per run of equal G_i; route two sums phi(u_j) times the
-    multiplicity dims[j] - dims[j - 1] over the break multiset, whose
-    break 0 has multiplicity dim V^{G_1}.  They telescope to dims[-1] = r.
+    Route one sums the integers |G_i| * (r - dim V^{G_i}) over i >= 1, one
+    term per run of equal G_i, and divides by |G_0| once; route two sums
+    phi(u_j) times the multiplicity dims[j] - dims[j - 1] over the break
+    multiset, whose break 0 has multiplicity dim V^{G_1}.  They telescope
+    to dims[-1] = r.
     """
-    from fractions import Fraction
     _check_pair(rep, filt)
-    g0 = filt.order_at(0)
     jumps = filt.positive_jumps()
     dims = [rep.fixed_dim(filt.subgroup_at(u)) for u in jumps] + [rep.r]
-    total = sum(  # G_i = G_u for prev < i <= u
-        ((u - prev) * Fraction(filt.order_at(u), g0) * (rep.r - dim)
-         for prev, u, dim in zip([0, *jumps], jumps, dims)),
-        Fraction(0),
-    )
+    total = _ratio(sum(  # G_i = G_u for prev < i <= u
+        (u - prev) * filt.order_at(u) * (rep.r - dim) for prev, u, dim in zip([0, *jumps], jumps, dims)
+    ), filt.order_at(0))
     phi = herbrand_phi(filt)
     per_jump = tuple(
         (phi.evaluate(u), after - dim)
         for u, dim, after in zip(jumps, dims, dims[1:])
         if after != dim
     )
-    breaks = ((Fraction(0), dims[0]),) + per_jump if dims[0] else per_jump
-    by_breaks = sum((lam * mult for lam, mult in breaks), Fraction(0))
+    breaks = ((_ratio(0), dims[0]),) + per_jump if dims[0] else per_jump
+    by_breaks = sum(lam * mult for lam, mult in breaks)
     if by_breaks != total:
         raise MismatchDetected(
             f"filtration sum {total} != break-decomposition sum {by_breaks}"
@@ -331,7 +336,6 @@ def swan_single_break(rep: Representation, filt: RamFiltration) -> Fraction:
     dim V^{G_u} = 0; the value must agree with swan_conductor.  With one
     positive jump, G_1 = ... = G_u, so phi(u) = u * |G_u| / |G_0|.
     """
-    from fractions import Fraction
     _check_pair(rep, filt)
     jumps = filt.positive_jumps()
     if len(jumps) != 1:
@@ -340,7 +344,7 @@ def swan_single_break(rep: Representation, filt: RamFiltration) -> Fraction:
     sub = filt.subgroup_at(u)
     if rep.fixed_dim(sub) != 0:
         raise PreconditionFailed("fixed space at the jump is nonzero")
-    return Fraction(u * len(sub), filt.order_at(0)) * rep.r
+    return _ratio(u * len(sub) * rep.r, filt.order_at(0))
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +404,14 @@ def phi_transitivity_check(cover: GaloisCover, filt, filt_h, filt_low) -> Transi
     layer's own series.  The quotient filtration by Herbrand's theorem is
     checked against the tame layer's too.
     """
-    from fractions import Fraction
     _check_intermediate(cover)
     phi_full = herbrand_phi(filt)
     phi_up = herbrand_phi(filt_h)
     phi_low = herbrand_phi(filt_low)
 
-    points = {Fraction(u) for u, _ in phi_full.breakpoints}
-    points |= {Fraction(u) for u, _ in phi_up.breakpoints}
-    points |= {Fraction(v) for v in range(filt.i_max + 3)}
+    points = {u for u, _ in phi_full.breakpoints}
+    points |= {u for u, _ in phi_up.breakpoints}
+    points |= {_ratio(v) for v in range(filt.i_max + 3)}
     points = tuple(sorted(points))
     residuals = tuple(
         phi_full.evaluate(u) - phi_low.evaluate(phi_up.evaluate(u)) for u in points

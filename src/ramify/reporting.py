@@ -1,13 +1,13 @@
 """Canonical JSON reports: sorted keys, exact numbers only, stable digests.
 
-Every job loads this module, so none of ``hashlib`` (OpenSSL), ``fractions``
-or ``tempfile`` is imported here: most jobs would load them for nothing."""
+Every job loads this module, so neither ``hashlib`` (OpenSSL) nor ``tempfile``
+is imported here.  A rational is recognised by its ``denominator``, not by a
+type whose module only the jobs that build a rational load."""
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 
 try:  # the built-in module, as random.py takes SHA-512: hashlib is heavy to load
     from _sha256 import sha256
@@ -20,14 +20,14 @@ except ImportError:
 from . import __version__
 
 
-def rational_pair(x) -> dict:  # x an int or a Fraction
+def rational_pair(x) -> dict:  # x an int or an exact rational
     return {"num": x.numerator, "den": x.denominator}
 
 
 def to_jsonable(obj):
     """Recursively convert to JSON-safe data.
 
-    Fractions become ints when integral and {"num", "den"} pairs otherwise;
+    Rationals become ints when integral and {"num", "den"} pairs otherwise;
     floats are rejected outright so no report can carry one.  Records
     (named tuples, recognised by ``_fields``) are rejected like any other
     object: a report lists the fields it publishes, by name.
@@ -42,8 +42,7 @@ def to_jsonable(obj):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(x) for x in obj)
-    fractions = sys.modules.get("fractions")  # no Fraction exists before it loads
-    if fractions is not None and isinstance(obj, fractions.Fraction):
+    if hasattr(obj, "denominator"):  # a Fraction; ints and bools are handled above
         return obj.numerator if obj.denominator == 1 else rational_pair(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

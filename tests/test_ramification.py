@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify import cli, ramification
 from ramify.corpus import cover_ids, get_cover, get_representation, rep_ids
@@ -473,6 +475,109 @@ def test_single_break_preconditions():
     tame_filt = filt_of(tame_cover)
     with pytest.raises(PreconditionFailed):
         swan_single_break(tame_rep, tame_filt)
+
+
+# -- the per-jump rational forms, kept as oracles of the integer-numerator ones --
+
+
+def swan_route_one_per_jump(rep, filt):
+    """Swan route one with a rational per run of equal G_i:
+    (u - prev) * Fraction(|G_u|, |G_0|) * (r - dim V^{G_u})."""
+    g0, jumps = filt.order_at(0), filt.positive_jumps()
+    dims = [rep.fixed_dim(filt.subgroup_at(u)) for u in jumps]
+    return sum(
+        ((u - prev) * Fraction(filt.order_at(u), g0) * (rep.r - dim)
+         for prev, u, dim in zip([0, *jumps], jumps, dims)),
+        Fraction(0),
+    )
+
+
+def unit_slopes_per_jump(filt):
+    """Fraction(|G_i|, |G_0|) for each unit segment (i - 1, i]."""
+    g0 = filt.order_at(0)
+    return [Fraction(filt.order_at(i), g0) for i in range(1, filt.i_max + 2)]
+
+
+def phi_vertices_per_jump(filt):
+    """phi's vertices, each run adding (u - u0) * Fraction(|G_u|, |G_0|)."""
+    g0 = filt.order_at(0)
+    vertex_us = set(filt.positive_jumps()) | ({1} if g0 != filt.order_at(1) else set())
+    points = [(Fraction(0), Fraction(0))]
+    for u in sorted(vertex_us):
+        u0, v0 = points[-1]
+        points.append((Fraction(u), v0 + (u - u0) * Fraction(filt.order_at(u), g0)))
+    return tuple(points)
+
+
+def _check_rational_forms(filt, reps):
+    """The integer-numerator forms (``herbrand_phi``, the ``herbrand``
+    report's unit slopes, Swan route one, the single-break value) equal the
+    per-jump rational forms and the unit differences phi(i) - phi(i - 1)."""
+    phi = herbrand_phi(filt)
+    steps = [phi.evaluate(i) - phi.evaluate(i - 1) for i in range(1, filt.i_max + 2)]
+    assert phi.breakpoints == phi_vertices_per_jump(filt)
+    assert cli._herbrand_payload(filt)["phi"]["unit_slopes"] == unit_slopes_per_jump(filt) == steps
+    for rep in reps:
+        swan = swan_conductor(rep, filt).swan
+        by_index = sum(
+            (step * (rep.r - rep.fixed_dim(filt.subgroup_at(i))) for i, step in enumerate(steps, 1)),
+            Fraction(0),
+        )
+        assert swan == swan_route_one_per_jump(rep, filt) == by_index
+        try:
+            single = swan_single_break(rep, filt)
+        except PreconditionFailed:
+            continue
+        (u,) = filt.positive_jumps()
+        assert single == Fraction(filt.order_at(u), filt.order_at(0)) * u * rep.r == swan
+
+
+@pytest.mark.parametrize("cover_id", cover_ids())
+def test_integer_numerator_forms_match_the_per_jump_rationals_on_the_corpus(cover_id):
+    """On G's filtration, and on a tower's H and tame layer too, with every
+    corpus representation of the cover and a trivial one of rank 2."""
+    cover = get_cover(cover_id)
+    reps = [get_representation(rep_id)[2] for rep_id in rep_ids() if get_representation(rep_id)[0] == cover_id]
+    reps.append(Representation(cover.group, every_image(cover.group, [MatrixFF.identity(F7, 2)] * cover.group.n)))
+    _check_rational_forms(filt_of(cover), reps)
+    if cover.intermediate is not None:
+        _check_rational_forms(tower_filtrations(cover)[1], reps)
+        _check_rational_forms(filt_of(cover.intermediate.lower), [])
+
+
+def _element_of_order(n, ell):
+    return next(x for x in range(2, ell) if min(d for d in range(1, ell) if pow(x, d, ell) == 1) == n)
+
+
+@st.composite
+def cyclic_break_tables(draw):
+    """Z/n, n = p^k * m, gcd(m, p) = 1: i = 1 off the p-Sylow and i = a_j on
+    its elements of order p^j, a_1 >= a_2 >= ... >= 2; with a diagonal sum
+    of powers of a faithful character over F_ell, n | ell - 1."""
+    p = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 4 if p == 2 else 3))
+    m = draw(st.sampled_from((1, 3) if p == 2 else (1, 2)))
+    a = sorted(draw(st.lists(st.integers(2, 40), min_size=k, max_size=k)), reverse=True)
+    exponents = draw(st.lists(st.integers(0, p ** k * m - 1), min_size=1, max_size=3))
+    return p, k, m, a, exponents
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cyclic_break_tables())
+def test_integer_numerator_forms_match_the_per_jump_rationals_on_cyclic_break_tables(case):
+    p, k, m, a, exponents = case
+    n, ell = p ** k * m, (97 if p == 2 else 163)
+    group = FiniteGroup.cyclic(n, "g")
+    i_map = {}
+    for x in range(1, n):
+        order = n // math.gcd(x, n)
+        j = next((j for j in range(1, k + 1) if order == p ** j), None)
+        i_map[x] = 1 if j is None else a[j - 1]
+    filt = filtration_from_breaks(BreakTable(group, i_map), p)
+    field, zeta = field_create(ell, 1), _element_of_order(n, ell)
+    r = len(exponents)
+    diagonal = [pow(zeta, exponents[i], ell) if i == j else 0 for i in range(r) for j in range(r)]
+    _check_rational_forms(filt, [Representation(group, {"g": MatrixFF(field, r, diagonal)})])
 
 
 def test_representation_validation():

@@ -76,11 +76,22 @@ def test_cli_import_loads_every_module_the_tracer_wraps():
     [
         ({"command": "enum", "params": {"op": "max_ell_element_order", "r": 1, "ell": 2, "n": 1}}, False),
         ({"command": "herbrand", "base": {"p": 2, "a": 2}, "cover": {"type": "kummer", "m": 3}}, True),
+        ({"command": "filtration", "base": {"p": 2, "a": 2}, "cover": {"type": "kummer", "m": 3}}, False),
+        ({"command": "swan", "base": {"p": 2, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, [1]]]},
+          "rep": {"ell": 3, "n": 1, "r": 1, "images": {"sigma": [[[2]]]}}}, True),
+        (("verify", "claim1"), False),
+        (("verify", "counts"), False),
+        (("verify", "claim2"), True),
     ],
-    ids=["enum", "herbrand"],
+    ids=["enum", "herbrand", "filtration", "swan", "verify-claim1", "verify-counts", "verify-claim2"],
 )
 def test_a_job_loads_fractions_only_when_it_builds_a_rational(job, loads_fractions):
-    imported = _imported_by_job(job)
+    """A job given as a tuple is a ``verify`` command line."""
+    if isinstance(job, dict):
+        imported = _imported_by_job(job)
+    else:
+        imported, report = _imported_by(*job)
+        assert report["command"] == "verify"
     assert "ramify.cli" in imported
     assert ("fractions" in imported) == loads_fractions
     assert "_hashlib" not in imported
@@ -111,6 +122,32 @@ def test_no_module_imports_typing_or_importlib_resources():
         for path in sorted((ROOT / "src" / "ramify").rglob("*.py"))
     }
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_only_ramification_imports_fractions():
+    """``ramification._ratio`` builds every rational; the report writer
+    knows one by its ``denominator``."""
+    found = {
+        path.relative_to(ROOT).as_posix() for path in sorted((ROOT / "src" / "ramify").rglob("*.py"))
+        if any(name.split(".")[0] == "fractions" for name in _imports(path))
+    }
+    assert found == {"src/ramify/ramification.py"}
+
+
+def test_reports_of_ints_strings_lists_and_dicts_need_no_fractions():
+    """With ``fractions`` made unimportable, a report without a rational
+    is written as in this process."""
+    from ramify.reporting import canonical_dumps
+
+    value = {"b": [1, "two", [3, {"c": True}]], "a": None, "n": -(10 ** 30)}
+    probe = (
+        "import json, sys; sys.modules['fractions'] = None; from ramify.reporting import canonical_dumps; "
+        "print(canonical_dumps(json.loads(sys.argv[1])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, json.dumps(value)], env=ENV, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == canonical_dumps(value) + "\n"
 
 
 def test_imports_are_read_from_every_form_of_import_statement(tmp_path):
