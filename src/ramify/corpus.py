@@ -27,8 +27,8 @@ from .covers import (
     deck_group,
     lower_break_table,
 )
-from .errors import InputSchemaError, NotGaloisOverBase, SizeCapExceeded
-from .fields import FiniteField, check_size_cap, field_create
+from .errors import InputSchemaError, NotGaloisOverBase, NotPrime, SizeCapExceeded
+from .fields import FiniteField, check_size_cap, field_create, is_prime
 from .groups import FiniteGroup
 from .linalg import MatrixFF
 from .ramification import Representation, law_walk
@@ -344,6 +344,11 @@ def enum_args(params: dict) -> tuple[str, dict]:
         _cap(args["p"], 1 << 16, "'params.p' ** 'params.s'", args["s"])
         _cap(max(args["p"] ** args["s"], 2), GROUP_CAP,
              "the diagonal group ('params.p' ** 'params.s') ** 'params.r'", r)
+    if "p" in args:
+        # A residue characteristic, bounded as fields are before trial division.
+        _cap(args["p"], 1 << 16, "'params.p'")
+        if not is_prime(args["p"]):
+            raise NotPrime(f"'params.p' = {args['p']} is not prime")
     return op, args
 
 

@@ -14,6 +14,8 @@ of its own int, and ``unpack`` reduces the slots of a polynomial product:
 ``scale_keys``, matrices and ``series.compose``'s scalars use it.
 ``pack_window`` puts a whole window of keys in one int, in byte slots that
 ``unpack_window`` reads back by a memoryview cast: series products use it.
+Keys have that one product and one Euclid, ``_euclid``, the only user of
+boxed coefficient lists; the modulus search runs Rabin's test on keys too.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def power(x, e: int, product=mul):
 
 
 # ---------------------------------------------------------------------------
-# Dense little-endian polynomial arithmetic over F_p (ints mod p).
+# Dense little-endian coefficient lists over F_p (ints mod p), for Euclid.
 
 def _ptrim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -105,26 +107,11 @@ def _pmul(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _prem(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    """Remainder of f modulo monic g."""
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) > dg:
-        c = f[-1]
-        if c:
-            off = len(f) - 1 - dg
-            for i in range(dg):
-                f[off + i] = (f[off + i] - c * g[i]) % p
-        f.pop()
-    return _ptrim(f)
-
-
-def _pinv(f: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    """Inverse of the nonzero f modulo the irreducible ``mod`` (extended Euclid).
-
-    Each remainder r keeps its cofactor s with s * f = r modulo ``mod``; the
-    last nonzero remainder is a constant, so scaling its s inverts f.
-    """
+def _euclid(f: Sequence[int], mod: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(g, s): g the last nonzero remainder of the extended Euclid on
+    ``mod`` and f (deg f < deg mod), so gcd(f, mod) up to a unit, and s
+    with s * f = g modulo ``mod``.  f is prime to ``mod`` when g is a
+    constant; f = 0 gives (mod, [])."""
     r0, r1 = list(mod), _ptrim(list(f))
     s0, s1 = [], [1]
     while len(r1) > 1:
@@ -137,63 +124,7 @@ def _pinv(f: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
         qs = _pmul(q, s1, p)
         r0, r1 = r1, _ptrim(r0)
         s0, s1 = s1, _ptrim([(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)])
-    c = pow(r1[0], -1, p)
-    return [x * c % p for x in s1]
-
-
-def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    acc = _prem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _prem(_pmul(result, acc, p), mod, p)
-        acc = _prem(_pmul(acc, acc, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    a, b = _ptrim(list(f)), _ptrim(list(g))
-    while b:
-        lead_inv = pow(b[-1], p - 2, p)
-        b_monic = [(c * lead_inv) % p for c in b]
-        a, b = b, _prem(a, b_monic, p)
-    if a:
-        lead_inv = pow(a[-1], p - 2, p)
-        a = [(c * lead_inv) % p for c in a]
-    return a
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Deterministic test for a monic polynomial of degree >= 1 over F_p."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    if _ppowmod(x, p ** d, f, p) != x:
-        return False
-    for q in prime_factors(d):
-        h = _ppowmod(x, p ** (d // q), f, p)
-        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(h, x, fillvalue=0)])
-        if len(_pgcd(diff, f, p)) > 1:
-            return False
-    return True
-
-
-def canonical_modulus(p: int, a: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree a over F_p.
-
-    For a > 1 a candidate with a root in F_p has a linear factor, so it is
-    skipped before the irreducibility test (Rabin, SIAM J. Comput. 9, 1980);
-    the scan order, and so the result, is that of the full scan.
-    """
-    for tail in itertools.product(range(p), repeat=a):
-        cand = list(tail) + [1]
-        if a > 1 and any(sum(c * x ** i for i, c in enumerate(cand)) % p == 0 for x in range(p)):
-            continue
-        if _is_irreducible(cand, p):
-            return tuple(cand)
-    raise RuntimeError(f"no irreducible of degree {a} over F_{p}")  # unreachable
+    return (r1, s1) if r1 else (r0, s0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +176,10 @@ class FiniteField:
         """Keys of the elements whose coordinates are given column-wise.
 
         Coordinates may be any ints (they are reduced mod p), and there may
-        be up to 2a-1 columns: column k >= a is the coefficient of x^k.  As
-        ``_prem`` divides, from the top down, x^k = sum_j (p - c_j) x^(k-a+j)
-        mod p for the modulus x^a + sum_{j<a} c_j x^j.
+        be up to 2a-1 columns: column k >= a is the coefficient of x^k.  From
+        the top down, x^k = sum_j (p - c_j) x^(k-a+j) mod p for any monic
+        modulus x^a + sum_{j<a} c_j x^j, irreducible or not (as the modulus
+        search needs).
         """
         p, a = self.p, self.a
         cols = list(cols)
@@ -362,9 +294,11 @@ class FiniteField:
         p = self.p
         if self.a == 1:
             return pow(key, -1, p)
+        g, s = _euclid([key // p ** i % p for i in range(self.a)], self.modulus, p)
+        lead = pow(g[0], -1, p)
         out = 0
-        for c in reversed(_pinv([key // p ** i % p for i in range(self.a)], self.modulus, p)):
-            out = out * p + c
+        for c in reversed(s):
+            out = out * p + c * lead % p
         return out
 
     # -- structure -------------------------------------------------------------
@@ -388,6 +322,36 @@ class FiniteField:
                 f"F_{self.p}^{self.a} has no primitive {m}-th roots of unity"
             )
         return 1 if m == 1 else self.pow_key(self.generator(), (self.order - 1) // m)
+
+
+def _is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic f of degree a >= 1
+    over F_p, on the keys of F_p[x]/(f) with x the key p: x^(p^a) = x, and
+    x^(p^(a/q)) - x is prime to f for each prime q dividing a."""
+    a = len(f) - 1
+    if a == 1:
+        return True
+    ring = FiniteField(p, a, tuple(f))
+    diffs = (ring.add_keys([ring.pow_key(p, p ** (a // q))], [p], -1)[0] for q in prime_factors(a))
+    return ring.pow_key(p, p ** a) == p and all(
+        len(_euclid([h // p ** i % p for i in range(a)], f, p)[0]) == 1 for h in diffs)
+
+
+def canonical_modulus(p: int, a: int) -> tuple[int, ...]:
+    """Lexicographically least monic irreducible of degree a over F_p.
+
+    For a > 1 a candidate with a root in F_p has a linear factor, so it is
+    skipped; a reducible candidate of degree at most 3 has one, so a
+    root-free one is irreducible, and only a >= 4 runs Rabin's test.  The
+    scan order, and so the result, is that of the full scan.
+    """
+    for tail in itertools.product(range(p), repeat=a):
+        cand = tail + (1,)
+        if a > 1 and any(sum(c * x ** i for i, c in enumerate(cand)) % p == 0 for x in range(p)):
+            continue
+        if a <= 3 or _is_irreducible(cand, p):
+            return cand
+    raise RuntimeError(f"no irreducible of degree {a} over F_{p}")  # unreachable
 
 
 @lru_cache(maxsize=None)

@@ -738,6 +738,9 @@ _CORNER_MONOMIAL = {"ell": 367, "r": 2, "images": {
         (dict(_TABLE_JOB, break_table=dict(_TABLE_JOB["break_table"], iG={"s": 10 ** 6})), "'break_table.iG.s'"),
         (_rank_job(162), "'rep.r'"),
         (dict(_rank_job(300, "bound"), params={"N": 1}), "'rep.r'"),
+        # p = 2^61 - 1 is prime: the cap comes before trial division would end.
+        (_enum("abelian_p_bound_probe", r=1, ell=3, p=2 ** 61 - 1, s=0), "'params.p'"),
+        (_enum("inertia_candidate_sample", r=1, ell=3, n=1, p=2 ** 61 - 1, count=1), "'params.p'"),
     ],
 )
 def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypatch):
@@ -771,6 +774,9 @@ def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypat
         _dihedral_table(61, "herbrand"),
         dict(_dihedral_table(61, "swan"), rep=_CORNER_MONOMIAL),
         _rank_job(161),
+        # The largest prime residue characteristic under the p cap.
+        _enum("abelian_p_bound_probe", r=1, ell=3, p=65521, s=0),
+        _enum("inertia_candidate_sample", r=1, ell=3, n=1, p=65521, count=1),
     ],
 )
 def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
@@ -778,6 +784,23 @@ def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 2.0
     assert code == 0, report
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        _enum("abelian_p_bound_probe", r=1, ell=5, p=4, s=1),
+        _enum("inertia_candidate_sample", r=2, ell=3, n=1, p=4, count=1),
+        _enum("abelian_p_bound_probe", r=1, ell=3, p=65535, s=0),
+        _enum("inertia_candidate_sample", r=1, ell=3, n=1, p=1001, count=0),
+    ],
+)
+def test_a_composite_residue_characteristic_is_refused(job, capsys, monkeypatch):
+    # params.p is the residue characteristic p of F_{p^a}, so it must be prime.
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "NotPrime"
+    assert "'params.p'" in report["error"]["message"]
 
 
 def test_a_rep_given_on_every_element_walks_only_its_generator(capsys, monkeypatch):

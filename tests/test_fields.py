@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -9,8 +10,8 @@ import pytest
 
 from ramify.errors import MissingRootsOfUnity, NotPrime, SizeCapExceeded, ZeroElement
 from ramify.fields import (
-    _pmul,
-    _prem,
+    _euclid,
+    _is_irreducible,
     canonical_modulus,
     field_create,
     is_prime,
@@ -360,9 +361,8 @@ def test_canonical_modulus_against_galoistools():
 def test_products_against_galoistools(p, a):
     """mul_key, pow_key, inverse_key, pth_root_key and the bulk
     keys_from_columns reduction against galoistools' gf_rem(gf_mul(x, y)),
-    gf_pow_mod and gf_gcdex modulo the modulus, and mul_key against
-    _prem(_pmul(x, y)), on random keys over fields too large for the
-    exhaustive axiom tests."""
+    gf_pow_mod and gf_gcdex modulo the modulus, on random keys over fields
+    too large for the exhaustive axiom tests."""
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
@@ -381,8 +381,6 @@ def test_products_against_galoistools(p, a):
         for x, y in pairs
     ]
     assert [F.mul_key(x, y) for x, y in pairs] == expected
-    boxed = [_prem(_pmul(coordinates(F, x), coordinates(F, y), p), F.modulus, p) for x, y in pairs]
-    assert [sum(c * p ** i for i, c in enumerate(z)) for z in boxed] == expected
     # Column k holds the x^k coefficient of each unreduced product.
     columns = [
         [sum(coordinates(F, x)[i] * coordinates(F, y)[k - i] for i in range(max(0, k - a + 1), min(k, a - 1) + 1))
@@ -404,11 +402,12 @@ def test_products_against_galoistools(p, a):
 
 def full_scan_modulus(p, a):
     """The modulus search without the root filter: every candidate, in
-    lexicographic order, goes through the irreducibility test."""
-    from ramify.fields import _is_irreducible
+    lexicographic order, goes through galoistools' irreducibility test."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
 
     for tail in itertools.product(range(p), repeat=a):
-        if _is_irreducible(list(tail) + [1], p):
+        if galoistools.gf_irreducible_p([1] + list(reversed(tail)), p, ZZ):
             return tuple(tail) + (1,)
 
 
@@ -422,6 +421,75 @@ def test_root_filtered_modulus_equals_the_full_scan():
             a += 1
     assert fields == 32  # every p^a <= 3^7 with a > 1
     assert canonical_modulus(7, 1) == (0, 1)
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3)])
+def test_is_irreducible_against_galoistools(p, top):
+    """Every monic polynomial of degree 1..top over F_p.  The root-free
+    reducible ones, such as x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F_2, pass
+    x^(p^a) = x and are caught only by the coprimality step."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    root_free_reducible = 0
+    for a in range(1, top + 1):
+        for tail in itertools.product(range(p), repeat=a):
+            f = list(tail) + [1]
+            expected = galoistools.gf_irreducible_p(list(reversed(f)), p, ZZ)
+            assert _is_irreducible(f, p) == expected, (p, f)
+            root_free_reducible += not expected and not poly_has_root(f, p)
+    assert (root_free_reducible > 0) == (top >= 4)  # degree <= 3: a root or irreducible
+    assert not _is_irreducible([1, 0, 1, 0, 1], 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_euclid_against_galoistools(p):
+    """g is gf_gcdex's gcd up to its leading coefficient, and s f = g
+    modulo the second argument, for coprime pairs, pairs with a common
+    factor and f = 0."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def big_endian(f):
+        return galoistools.gf_strip(list(reversed(f)))
+
+    rng = random.Random(p)
+    common = coprime = 0
+    for _ in range(200):
+        d = rng.randrange(1, 9)
+        mod = [rng.randrange(p) for _ in range(d)] + [1]
+        f = [rng.randrange(p) for _ in range(rng.randrange(d + 1))]
+        if rng.random() < 0.3:  # share a factor with f
+            factor = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
+            cofactor = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+            mod = galoistools.gf_mul(big_endian(factor), big_endian(cofactor), p, ZZ)[::-1]
+            f = galoistools.gf_rem(galoistools.gf_mul(big_endian(factor), big_endian(f), p, ZZ),
+                                   big_endian(mod), p, ZZ)[::-1]
+        g, s = _euclid(f, mod, p)
+        _, _, h = galoistools.gf_gcdex(big_endian(f), big_endian(mod), p, ZZ)
+        assert g and galoistools.gf_monic(big_endian(g), p, ZZ)[1] == h, (f, mod)
+        product = galoistools.gf_mul(big_endian(s), big_endian(f), p, ZZ)
+        assert galoistools.gf_rem(product, big_endian(mod), p, ZZ) == galoistools.gf_rem(
+            big_endian(g), big_endian(mod), p, ZZ), (f, mod)
+        common += len(g) > 1
+        coprime += len(g) == 1
+    assert common > 20 and coprime > 20
+    assert _euclid([], [1, 1, 1], p) == ([1, 1, 1], [])
+
+
+# sha256 of repr([(p, a, canonical_modulus(p, a)), ...]) over the 93 fields
+# F_{p^a} <= 2^16 with a >= 2, p ascending and then a.
+MODULI_DIGEST = "7b3fa99a03bdfecab6389fc04cc2ee70a488b2a0a252e71faf074b3ecc521a16"
+
+
+def test_moduli_up_to_the_size_cap_keep_their_digest():
+    table = [
+        (p, a, canonical_modulus(p, a))
+        for p in range(2, 2 ** 8 + 1) if is_prime(p)
+        for a in range(2, 17) if p ** a <= 2 ** 16
+    ]
+    assert len(table) == 93
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == MODULI_DIGEST
 
 
 def test_size_cap_is_checked_before_primality():
