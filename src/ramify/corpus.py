@@ -344,11 +344,16 @@ def enum_args(params: dict) -> tuple[str, dict]:
         _cap(args["p"], 1 << 16, "'params.p' ** 'params.s'", args["s"])
         _cap(max(args["p"] ** args["s"], 2), GROUP_CAP,
              "the diagonal group ('params.p' ** 'params.s') ** 'params.r'", r)
-    if "p" in args:
-        # A residue characteristic, bounded as fields are before trial division.
-        _cap(args["p"], 1 << 16, "'params.p'")
-        if not is_prime(args["p"]):
-            raise NotPrime(f"'params.p' = {args['p']} is not prime")
+    for key in ("p", "ell"):
+        # A residue or coefficient characteristic, bounded as fields are
+        # before trial division.
+        if key in args:
+            _cap(args[key], 1 << 16, f"'params.{key}'")
+            if not is_prime(args[key]):
+                raise NotPrime(f"'params.{key}' = {args[key]} is not prime")
+    if op == "abelian_p_bound_probe" and args["ell"] == args["p"] and args["s"]:
+        # No field of characteristic p holds a primitive p^s-th root of unity.
+        raise InputSchemaError("'params.ell' must differ from 'params.p' when 'params.s' >= 1")
     return op, args
 
 

@@ -9,14 +9,13 @@ Three families are built here, all totally ramified:
 
 For the wild family the uniformizer is s = t^a * y^b where a*p - b*m = 1
 and b is the least non-negative solution.  The expansion of t in s is
-obtained by Newton lifting from the algebraic relation E(s, t) = 0, where
-E is the product of (Z - image of s) over the deck transformations.  Its
-Z-coefficients are the elementary symmetric functions of the conjugates
-t^a (y + j)^b, computed as series in t from their power sums by Newton's
-identities (the power sums of the y + j follow a linear recurrence in f),
-so y never appears in them.  The expansion of y follows from
-y^b = s * t^{-a} by extracting a b-th root.  Everything downstream
-(action series, break numbers) is then honest series arithmetic.  The
+Newton-lifted from one equation with a unit derivative (von zur Gathen &
+Gerhard, Modern Computer Algebra, 9.4): with y = (s t^-a)^(1/b),
+F(t) = t^(ap) (y + f(t))^b - s^p is (t^a y^b)^p - s^p with y^p replaced by
+y + f, and F'(t) = b t^(ap) (y + f)^(b-1) (f'(t) - (a/b) y/t) has valuation
+p (ap - bm) - p = 0.  Each evaluation takes y by Newton from the root at
+the last t, and the lift hands back the y of its final t.  Everything
+downstream (action series, break numbers) is honest series arithmetic.  The
 builders check the defining relation and what each generator does to t
 and y (for a tower, to s' and y); the builder docstrings prove that these
 imply the group law and invariance of t, which the tests check in full.
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .fields import FiniteField
 from .groups import FiniteGroup
-from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
+from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, inverse_root
 
 
 class TowerParts(namedtuple("TowerParts", "lower H_indices")):
@@ -158,56 +157,6 @@ def artin_schreier_reduce(f: LaurentSeries) -> LaurentSeries:
         f = f - (g ** p - g)
 
 
-def _conjugate_elementary(f: LaurentSeries, a_exp: int, b: int) -> list[LaurentSeries]:
-    """e_0, ..., e_p of the conjugates c_j = t^a (y + j)^b of s, as series in t.
-
-    Every root r = y + j of X^p - X - f satisfies r^p = r + f, so the power
-    sums S_n = sum_j (y + j)^n obey S_n = S_{n-p+1} + f * S_{n-p}, starting
-    from S_0 = ... = S_{p-2} = 0 and S_{p-1} = -1.  The conjugates have power
-    sums P_k = t^{ak} S_{bk}, and Newton's identities
-    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i give e_k for k < p, where k
-    is invertible.  e_p is the norm t^{ap} ((-1)^{p+1} f)^b = t^{ap} f^b
-    (the sign is 1 for odd p and -1 = 1 for p = 2).
-    """
-    field = f.field
-    p = field.p
-    zero = LaurentSeries.zero(field)
-    sums = [zero] * (p - 1) + [-LaurentSeries.one(field)]
-    for n in range(p, b * (p - 1) + 1):
-        sums.append(sums[n - p + 1] + f * sums[n - p])
-    power = [None] + [sums[b * k].shift(a_exp * k) for k in range(1, p)]
-    e = [LaurentSeries.one(field)]
-    for k in range(1, p):
-        acc = zero
-        for i in range(1, k + 1):
-            term = e[k - i] * power[i]
-            acc = acc + term if i % 2 else acc - term
-        e.append(acc.scale(field.inverse_key(k)))
-    e.append((f ** b).shift(a_exp * p))
-    return e
-
-
-def _relation_polynomial(f: LaurentSeries, a_exp: int, b: int) -> list[LaurentSeries]:
-    """Coefficients d_k(s) of the relation P(t) = 0 satisfied by t over k((s)).
-
-    P(Z) = prod_j (Z - c_j) over the conjugates of s is
-    sum_k (-1)^k e_k Z^{p-k}, with e_k polynomials in t (see
-    ``_conjugate_elementary``); regrouping by powers of t gives polynomial
-    coefficients in s.
-    """
-    field = f.field
-    p = field.p
-    by_t: dict[int, dict[int, int]] = {}
-    for k, e_k in enumerate(_conjugate_elementary(f, a_exp, b)):
-        for t_exp, c in (e_k if k % 2 == 0 else -e_k).support():
-            if t_exp < 0:
-                raise MismatchDetected("relation coefficient has a pole")
-            by_t.setdefault(t_exp, {})[p - k] = c
-    return [
-        LaurentSeries.from_terms(field, by_t.get(k, {})) for k in range(max(by_t) + 1)
-    ]
-
-
 def _check_zero(series: LaurentSeries, what: str) -> None:
     if not series.is_zero_known():
         raise MismatchDetected(f"consistency check failed: {what}")
@@ -276,18 +225,38 @@ def _artin_schreier(
 
     target = max(prec or 0, p + m + 4)  # the break window (lower_break_table)
 
-    coeffs = _relation_polynomial(f, a_exp, b)
-    x0 = LaurentSeries.monomial(base, tau, p)
-    t_in_s = hensel_lift_root(coeffs, x0, target)
+    s_mono = LaurentSeries.uniformizer(base)
+    s_p = LaurentSeries.monomial(base, 1, p)
+    # f(t) = f_m(t) t^-m and t f'(t) = theta_m(t) t^-m, with power series f_m, theta_m.
+    f_m = f.shift(m)
+    theta_m = LaurentSeries.from_terms(base, {e + m: base.mul_key(k, e % p) for e, k in f.support()})
+    to_unit, from_unit = base.pow_key(eta, -b), base.pow_key(eta, b)
+    last = {"root": LaurentSeries.one(base)}
+
+    def value_and_derivative(t):
+        """(F(t), F'(t)) of the module docstring, with one inverse of t.
+        y is eta s^-m times the b-th root of the unit s^(1+bm) t^-a eta^-b,
+        which starts with tau^-a eta^-b = 1; for b > 1, the inverse root of
+        its inverse, by Newton from the root at the last t."""
+        t_pow, h = t ** a_exp, t.inverse()
+        if b == 1:
+            root = (h ** a_exp).shift(1 + m).scale(to_unit)
+        else:
+            root = inverse_root(last["root"], t_pow.shift(-1 - b * m).scale(from_unit), b)
+        y = root.shift(-m).scale(eta)
+        h_m = h ** m
+        yf = y + compose(f_m, t) * h_m
+        last.update(root=root, t_pow=t_pow, y=y)
+        lead = t_pow ** p * yf ** (b - 1)
+        slope = (compose(theta_m, t) * h_m).scale(b % p) - y.scale(a_exp % p)
+        return lead * yf - s_p, lead * slope * h
+
+    # An approximate seed keeps every evaluation to relative precision R.
+    x0 = LaurentSeries.monomial(base, tau, p).truncate(target)
+    t_in_s = hensel_lift_root(value_and_derivative, x0, target)
     if t_in_s.valuation() != p or t_in_s.coeff(p) != tau:
         raise MismatchDetected("lifted base uniformizer does not start with the seed")
-
-    s_mono = LaurentSeries.uniformizer(base)
-    t_pow = t_in_s ** a_exp
-    w = s_mono * t_pow.inverse()  # equals y^b
-    unit = w * LaurentSeries.monomial(base, base.pow_key(eta, -b), b * m)
-    root = unit if b == 1 else nth_root_of_unit(unit, b)
-    y_in_s = root.shift(-m).scale(eta)
+    t_pow, y_in_s = last["t_pow"], last["y"]
 
     _check_zero(y_in_s ** p - y_in_s - compose(f, t_in_s), "defining relation of y")
 

@@ -29,10 +29,7 @@ from .errors import (
     QuotientNotCyclic,
     SizeCapExceeded,
 )
-from .fields import (
-    DEFAULT_SIZE_CAP, FiniteField, check_size_cap, field_create, is_prime, least_factor,
-    power, split_prime_power,
-)
+from .fields import DEFAULT_SIZE_CAP, FiniteField, field_create, least_factor, power, split_prime_power
 from .linalg import MatrixFF, _axpy
 
 DEFAULT_GROUP_CAP = 10000
@@ -505,9 +502,6 @@ def max_ell_element_order(r: int, ell: int, n: int) -> int:
     Every ell-element found is also checked against the nilpotency bound
     ell^{d-1} <= r.
     """
-    check_size_cap(ell, n)
-    if not is_prime(ell):
-        raise NotAGroup(f"{ell} is not prime")
     field = field_create(ell, n)
     ident = MatrixFF.identity(field, r)
     steps = n * r * (r - 1) // 2

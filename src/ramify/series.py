@@ -39,7 +39,7 @@ window, which shows every break (``covers.lower_break_table``).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from math import isqrt
 
 from .errors import (
@@ -459,36 +459,23 @@ def compose(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     return result
 
 
-def _value_and_derivative(coeffs: Sequence[LaurentSeries], x: LaurentSeries):
-    """(P(x), P'(x)) for P = sum coeffs[k] * x^k, in one Horner pass."""
-    value = coeffs[-1]
-    deriv = LaurentSeries.zero(x.field)
-    for c in reversed(coeffs[:-1]):
-        deriv = deriv * x + value
-        value = value * x + c
-    return value, deriv
-
-
 def hensel_lift_root(
-    coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec: int
+    value_and_derivative: Callable[[LaurentSeries], tuple[LaurentSeries, LaurentSeries]],
+    x0: LaurentSeries,
+    target_prec: int,
 ) -> LaurentSeries:
-    """Newton-lift a simple root of P(x) = sum coeffs[k] * x^k from seed x0.
+    """Newton-lift a simple root of F from seed x0, where
+    ``value_and_derivative(x)`` gives (F(x), F'(x)).
 
-    Requires P(x0) ~ 0 (valuation >= 1, or zero to the seed's precision)
-    and P'(x0) a unit; convergence is then quadratic.  The result agrees
-    with x0 and satisfies P(x) = 0 to O(t^target_prec).  Each step takes
-    P(x) and P'(x) from one Horner pass, the seed's check included.  As
-    P'(x) is a unit, a P(x) that is zero to O(t^k) gives a correction zero
-    to O(t^k), so the lift ends only when P(x) vanishes to the target.
+    Requires F(x0) ~ 0 (valuation >= 1, or zero to the seed's precision)
+    and F'(x0) a unit; convergence is then quadratic.  The result agrees
+    with x0 and satisfies F(x) = 0 to O(t^target_prec), and the last call
+    was at the result.  As F'(x) is a unit, an F(x) that is zero to O(t^k)
+    gives a correction zero to O(t^k), so the lift ends only when F(x)
+    vanishes to the target.
     """
-    if len(coeffs) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    field = x0.field
-    for c in coeffs:
-        if c.field != field:
-            raise FieldMismatch("polynomial coefficients over a different field")
     x = x0
-    p, d = _value_and_derivative(coeffs, x)
+    p, d = value_and_derivative(x)
     if d.is_zero_known() or d.valuation() != 0:
         raise NotSimpleRoot("derivative at the seed is not a unit")
     if not p.is_zero_known() and p.valuation() < 1:
@@ -498,28 +485,38 @@ def hensel_lift_root(
         if p.is_exact_zero() or (p.is_zero_known() and p.abs_prec >= target_prec):
             return x
         x = (x - p * d.inverse(prec=target_prec + 2)).truncate(target_prec)
-        p, d = _value_and_derivative(coeffs, x)
+        p, d = value_and_derivative(x)
     raise PrecisionExhausted("Newton iteration did not converge")
 
 
 def nth_root_of_unit(u: LaurentSeries, b: int) -> LaurentSeries:
-    """b-th root of a unit series with constant term 1, for gcd(b, p) = 1.
-
-    Not routed through ``hensel_lift_root``: Horner on x^b - u makes b
-    products per evaluation where this loop uses ``power``; the roots of AS
-    covers with b = 6 to 12 (p = 7 to 13) took 1.9-2.9x as long that way.
-    """
+    """b-th root of a unit series with constant term 1, for gcd(b, p) = 1:
+    ``inverse_root`` of 1/u from 1."""
     field = u.field
     if b % field.p == 0:
         raise ValueError("root degree divisible by the characteristic")
     if u.is_zero_known() or u.valuation() != 0 or u.coeffs[0] != 1:
         raise ValueError("expected a unit series with constant term 1")
-    b_inv = field.inverse_key(b % field.p)
-    x = LaurentSeries.one(field)
+    return inverse_root(LaurentSeries.one(field), u.inverse(), b)
+
+
+def inverse_root(z: LaurentSeries, v: LaurentSeries, b: int) -> LaurentSeries:
+    """v^(-1/b) near z, for gcd(b, p) = 1, by Newton's
+    z <- z + z (1 - v z^b) / b, which takes no inverse, ending at the first
+    z with v z^b = 1 to v's precision; a z with 1 - v z^b not divisible by
+    t is no seed.
+
+    Its own loop, not ``hensel_lift_root``'s: that lift cuts to a target
+    and runs once a cover, where the AS lift takes this root at each of its
+    steps, seeded from the root at the last one, to v's own precision.
+    """
+    one = LaurentSeries.one(v.field)
+    b_inv = v.field.inverse_key(b % v.field.p)
     for _ in range(80):
-        err = x ** b - u
+        err = one - v * z ** b
         if err.is_zero_known():
-            return x
-        corr = (err * (x ** (b - 1)).inverse()).scale(b_inv)
-        x = x - corr
+            return z
+        if err.valuation() < 1:
+            raise NotSimpleRoot("seed is not an approximate root")
+        z = z + (z * err).scale(b_inv)
     raise PrecisionExhausted("root iteration did not converge")

@@ -433,8 +433,8 @@ def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "cover,products",
     [
-        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 1291),
-        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 189),
+        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 302),
+        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 167),
     ],
     ids=["as_p31", "tower_F64_m63"],
 )
@@ -442,7 +442,8 @@ def test_a_jobs_precision_sets_no_work(cover, products, monkeypatch):
     # Built at max(precision, window), it took 1365, 1365 and 2237 products
     # for AS over F_31, and 318, 318 and 523 for the tower.  LaurentSeries.scale
     # makes no product: it took 31 of the 1322 for AS over F_31 and 129 of
-    # the 318 for the tower when it did.
+    # the 318 for the tower when it did.  The lift from the relation
+    # polynomial took 1291 and 189, the direct lift takes 302 and 167.
     counts = []
     real = series._mul_keys
 
@@ -741,6 +742,8 @@ _CORNER_MONOMIAL = {"ell": 367, "r": 2, "images": {
         # p = 2^61 - 1 is prime: the cap comes before trial division would end.
         (_enum("abelian_p_bound_probe", r=1, ell=3, p=2 ** 61 - 1, s=0), "'params.p'"),
         (_enum("inertia_candidate_sample", r=1, ell=3, n=1, p=2 ** 61 - 1, count=1), "'params.p'"),
+        # The same for ell, which the probe's own bounds leave unbounded.
+        (_enum("abelian_p_bound_probe", r=1, ell=2 ** 61 - 1, p=3, s=1), "'params.ell'"),
     ],
 )
 def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypatch):
@@ -750,6 +753,19 @@ def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypat
     assert code == 1
     assert report["error"]["type"] == "SizeCapExceeded"
     assert field in report["error"]["message"]
+
+
+def _as_filtration(p, f):
+    return {"command": "filtration", "base": {"p": p, "a": 1}, "cover": {"type": "artin_schreier", "f": f}}
+
+
+# (job, series products): AS p=127 with f = t^-50 (35 s before the direct
+# lift) and t^-500 (over 45 s), and AS p=2 with f = t^-3969 + t^-63 (7.8 s).
+_COVER_CORNERS = [
+    (_as_filtration(127, [[-50, 1]]), 999),
+    (_as_filtration(127, [[-500, 1]]), 787),
+    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 699),
+]
 
 
 @pytest.mark.parametrize(
@@ -777,6 +793,9 @@ def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypat
         # The largest prime residue characteristic under the p cap.
         _enum("abelian_p_bound_probe", r=1, ell=3, p=65521, s=0),
         _enum("inertia_candidate_sample", r=1, ell=3, n=1, p=65521, count=1),
+        # Artin-Schreier covers with a large pole, minutes long before t was
+        # lifted from one equation instead of the degree-p relation.
+        *(job for job, _ in _COVER_CORNERS),
     ],
 )
 def test_work_at_a_job_bound_is_admitted(job, capsys, monkeypatch):
@@ -801,6 +820,37 @@ def test_a_composite_residue_characteristic_is_refused(job, capsys, monkeypatch)
     assert code == 1
     assert report["error"]["type"] == "NotPrime"
     assert "'params.p'" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        _enum("max_ell_element_order", r=1, ell=4, n=1),
+        _enum("inertia_candidate_sample", r=1, ell=4, n=1, p=3, count=1),
+        _enum("abelian_p_bound_probe", r=1, ell=4, p=3, s=1),
+        _enum("abelian_p_bound_probe", r=1, ell=65535, p=2, s=0),
+    ],
+)
+def test_a_composite_ell_is_refused_by_its_path(job, capsys, monkeypatch):
+    # ell is the characteristic of F_{ell^n}: refused as one NotPrime that
+    # names 'params.ell' by every op (max_ell_element_order raised NotAGroup).
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"] == {"type": "NotPrime", "message": f"'params.ell' = {job['params']['ell']} is not prime"}
+
+
+def test_a_probe_with_ell_equal_to_p_is_refused_up_front(capsys, monkeypatch):
+    # No field of characteristic 3 holds the cube roots of unity, so the
+    # probe searched to the field cap and blamed mu_3; with s = 0 it is
+    # answered.
+    job = _enum("abelian_p_bound_probe", r=1, ell=3, p=3, s=1)
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "InputSchemaError"
+    assert "'params.ell'" in report["error"]["message"] and "'params.p'" in report["error"]["message"]
+    job["params"]["s"] = 0
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0 and report["results"]["max_order_found"] == 1
 
 
 def test_a_rep_given_on_every_element_walks_only_its_generator(capsys, monkeypatch):
@@ -889,6 +939,17 @@ def test_a_swan_job_forms_the_fixed_space_at_its_jump_once(capsys, monkeypatch):
     results = report["results"]
     assert results["swan"] == {"num": r, "den": 1} and results["single_break"] == r
     assert results["breaks"] == [[1, r]]
+
+
+@pytest.mark.parametrize("job,products", _COVER_CORNERS, ids=["as_p127_pole50", "as_p127_pole500", "as_p2_two_terms"])
+def test_a_cover_corner_makes_a_pinned_number_of_products(job, products, monkeypatch):
+    # The corners of test_work_at_a_job_bound_is_admitted, bounded by their
+    # work rather than by the wall clock.
+    counts = []
+    real = series._mul_keys
+    monkeypatch.setattr(series, "_mul_keys", lambda *args: counts.append(1) or real(*args))
+    assert cli.run(job)[1] == 0
+    assert len(counts) == products
 
 
 def test_sampler_job_at_its_bound_makes_a_bounded_number_of_products(capsys, monkeypatch):
@@ -1240,10 +1301,10 @@ def test_enum_with_a_huge_prime_ell_is_refused_by_the_size_cap_first(capsys, mon
     assert time.perf_counter() - start < 2.0
     assert code == 1
     assert report["error"]["type"] == "SizeCapExceeded"
-    job["params"]["ell"] = 4  # a small composite ell is still no group
+    job["params"]["ell"] = 4  # a small composite ell is refused by its path
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
     assert code == 1
-    assert report["error"] == {"type": "NotAGroup", "message": "4 is not prime"}
+    assert report["error"] == {"type": "NotPrime", "message": "'params.ell' = 4 is not prime"}
 
 
 class _UnreadableStdin(io.TextIOBase):
@@ -1443,8 +1504,10 @@ def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
     assert code == 0
     # Building the covers at precision 24 and walking every matrix of
     # claim1's groups took 1,319 matrix and 741 series products; 43 of 428
-    # series products were LaurentSeries.scale's, which now makes none.
-    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 385}
+    # series products were LaurentSeries.scale's, which now makes none.  The
+    # lift from the relation polynomial took 385 series products; the direct
+    # lift makes more, smaller ones, and verify all takes less time.
+    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 443}
 
 
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):

@@ -26,7 +26,7 @@ from ramify.errors import (
 from ramify.fields import field_create
 from ramify.linalg import MatrixFF
 from ramify.ramification import Representation, filtration_from_breaks, swan_conductor
-from ramify.series import PRECISION_CAP, LaurentSeries, compose
+from ramify.series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -415,7 +415,7 @@ def _no_series_work(*args, **kwargs):
     ],
 )
 def test_builders_refuse_work_over_the_cap_before_any_series_work(build, monkeypatch):
-    for name in ("artin_schreier_reduce", "compose", "hensel_lift_root", "_relation_polynomial"):
+    for name in ("artin_schreier_reduce", "compose", "hensel_lift_root"):
         monkeypatch.setattr(covers, name, _no_series_work)
     with pytest.raises(SizeCapExceeded, match="precision cap 4096"):
         build()
@@ -446,16 +446,20 @@ def _character_of_order(group, p):
     return Representation(group, {"sigma": MatrixFF(field, 1, [zeta])})
 
 
-def _counting_compose(monkeypatch):
-    calls = []
-    inner = covers.compose
+def _counting_checks(monkeypatch):
+    """The labels of the builders' ``_check_zero`` calls, in order."""
+    labels = []
+    inner = covers._check_zero
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counted(series, what):
+        labels.append(what)
+        return inner(series, what)
 
-    monkeypatch.setattr(covers, "compose", counted)
-    return calls
+    monkeypatch.setattr(covers, "_check_zero", counted)
+    return labels
+
+
+_AS_CHECKS = ["defining relation of y", "t is not fixed", "y + 1 action"]
 
 
 def _check_full_group_law(cover):
@@ -478,20 +482,20 @@ def _check_full_group_law(cover):
 def test_artin_schreier_closed_form_grid(monkeypatch):
     """i(sigma) = m + 1 and Sw = m for y^p - y = t^-m, on the whole small grid.
 
-    Counting compose calls pins the builders' checks: an Artin-Schreier
-    build runs the defining relation plus two generator checks (t fixed,
-    y -> y + 1), so none can silently disappear.  The group law they imply
-    is checked here in full.
+    The labels of the self-checks pin the builders' checks: an
+    Artin-Schreier build runs the defining relation plus two generator
+    checks (t fixed, y -> y + 1), so none can silently disappear.  The group
+    law they imply is checked here in full.
     """
-    calls = _counting_compose(monkeypatch)
+    checks = _counting_checks(monkeypatch)
     for p in (2, 3, 5, 7, 11):
         field = field_create(p, 1)
         for m in (1, 2, 3):
             if m % p == 0:
                 continue
-            calls.clear()
+            checks.clear()
             cover = build_artin_schreier(field, as_sparse(field, [[-m, [1]]]), prec=32)
-            assert len(calls) == 1 + 2
+            assert checks == _AS_CHECKS
             _check_full_group_law(cover)
             bt = lower_break_table(cover)
             assert bt.i_map == {j: m + 1 for j in range(1, p)}
@@ -500,40 +504,159 @@ def test_artin_schreier_closed_form_grid(monkeypatch):
 
 
 def test_artin_schreier_at_precision_2048_runs_every_self_check(monkeypatch):
-    # High precision is within reach: the build keeps all 1 + 2 checks.
-    calls = _counting_compose(monkeypatch)
+    # High precision is within reach: the build keeps all three checks.
+    checks = _counting_checks(monkeypatch)
     cover = build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=2048)
     assert cover.prec == 2048
-    assert len(calls) == 1 + 2
+    assert checks == _AS_CHECKS
     _check_full_group_law(cover)
     assert lower_break_table(cover).i_map == {1: 2}
 
 
 @pytest.mark.parametrize("field,tame", [(F4, 3), (F2, 1), (field_create(7, 1), 3)])
 def test_tower_runs_every_self_check(monkeypatch, field, tame):
-    calls = _counting_compose(monkeypatch)
+    checks = _counting_checks(monkeypatch)
     tower = build_compositum_tower(field, tame, as_sparse(field, [[-1, [1]]]), prec=24)
-    # Pull-back of the datum, the wild layer's own build (relation, s'
-    # fixed, y -> y + 1), and the tame generator's action on s' and y when
-    # tame > 1.  The group law and t fixed they imply are checked here.
-    assert len(calls) == 1 + (1 + 2) + (2 if tame > 1 else 0)
+    # The wild layer's own build (relation, s' fixed, y -> y + 1), and the
+    # tame generator's action on s' and y when tame > 1.  The group law and
+    # t fixed they imply are checked here.
+    tame_checks = ["tame action on the intermediate uniformizer", "tame action on y"]
+    assert checks == _AS_CHECKS + (tame_checks if tame > 1 else [])
     _check_full_group_law(tower)
     assert lower_break_table(tower).by_label()["sigma"] == tame + 1
 
 
 # ---------------------------------------------------------------------------
-# The relation polynomial P(Z) = prod_j (Z - t^a (y + j)^b) against oracles.
+# The relation polynomial P(Z) = prod_j (Z - t^a (y + j)^b): the builders'
+# lift before the direct one, kept here as an oracle for t.
+
+
+def _conjugate_elementary(f, a_exp, b):
+    """e_0, ..., e_p of the conjugates c_j = t^a (y + j)^b of s, as series in t.
+
+    Every root r = y + j of X^p - X - f satisfies r^p = r + f, so the power
+    sums S_n = sum_j (y + j)^n obey S_n = S_{n-p+1} + f * S_{n-p}, starting
+    from S_0 = ... = S_{p-2} = 0 and S_{p-1} = -1.  The conjugates have power
+    sums P_k = t^{ak} S_{bk}, and Newton's identities
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i give e_k for k < p, where k
+    is invertible.  e_p is the norm t^{ap} ((-1)^{p+1} f)^b = t^{ap} f^b
+    (the sign is 1 for odd p and -1 = 1 for p = 2).
+    """
+    field = f.field
+    p = field.p
+    zero = LaurentSeries.zero(field)
+    sums = [zero] * (p - 1) + [-LaurentSeries.one(field)]
+    for n in range(p, b * (p - 1) + 1):
+        sums.append(sums[n - p + 1] + f * sums[n - p])
+    power = [None] + [sums[b * k].shift(a_exp * k) for k in range(1, p)]
+    e = [LaurentSeries.one(field)]
+    for k in range(1, p):
+        acc = zero
+        for i in range(1, k + 1):
+            term = e[k - i] * power[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc.scale(field.inverse_key(k)))
+    e.append((f ** b).shift(a_exp * p))
+    return e
+
+
+def _relation_polynomial(f, a_exp, b):
+    """Coefficients d_k(s) of the relation P(t) = 0 satisfied by t over k((s)):
+    P(Z) = sum_k (-1)^k e_k Z^{p-k}, regrouped by powers of t."""
+    field = f.field
+    p = field.p
+    by_t = {}
+    for k, e_k in enumerate(_conjugate_elementary(f, a_exp, b)):
+        for t_exp, c in (e_k if k % 2 == 0 else -e_k).support():
+            assert t_exp >= 0, "relation coefficient has a pole"
+            by_t.setdefault(t_exp, {})[p - k] = c
+    return [LaurentSeries.from_terms(field, by_t.get(k, {})) for k in range(max(by_t) + 1)]
+
+
+def _horner(coeffs):
+    """x -> (P(x), P'(x)) for P = sum coeffs[k] x^k, in one Horner pass."""
+
+    def value_and_derivative(x):
+        value, deriv = coeffs[-1], LaurentSeries.zero(x.field)
+        for c in reversed(coeffs[:-1]):
+            deriv = deriv * x + value
+            value = value * x + c
+        return value, deriv
+
+    return value_and_derivative
+
+
+def _two_pass_lift(coeffs, x0, target_prec):
+    """Newton's lift with P(x) and P'(x) in two Horner passes, P' over the
+    scaled coefficient list: the oracle for ``hensel_lift_root``."""
+
+    def evaluate(cs, x):
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    field = x0.field
+    deriv = [c.scale(k % field.p) for k, c in enumerate(coeffs) if k >= 1]
+    x = x0
+    for _ in range(80):
+        p = evaluate(coeffs, x)
+        if p.is_exact_zero() or (p.is_zero_known() and p.abs_prec >= target_prec):
+            return x
+        corr = p * evaluate(deriv, x).inverse(prec=target_prec + 2)
+        if corr.is_zero_known() and corr.abs_prec is not None and corr.abs_prec >= target_prec:
+            return x.truncate(target_prec)
+        x = (x - corr).truncate(target_prec)
+    raise PrecisionExhausted("Newton iteration did not converge")
+
+
+def _exponents(f):
+    """(m, a, b) of the reduced datum f: pole m, and s = t^a y^b."""
+    p, m = f.field.p, -f.valuation()
+    b = next(bb for bb in range(1, p) if (1 + bb * m) % p == 0)
+    return m, (1 + b * m) // p, b
 
 
 def _relation_terms(f):
     """{(Z-degree, t-degree): key} of the relation of y^p - y = f, and (m, a, b)."""
-    p = f.field.p
-    m = -f.valuation()
-    b = next(bb for bb in range(1, p) if (1 + bb * m) % p == 0)
-    a = (1 + b * m) // p
-    coeffs = covers._relation_polynomial(f, a, b)
+    m, a, b = _exponents(f)
+    coeffs = _relation_polynomial(f, a, b)
     terms = {(i, k): c for k, d in enumerate(coeffs) for i, c in d.support()}
     return terms, (m, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
+def test_the_relation_polynomial_lift_gives_the_builders_t(p):
+    """Newton on P from the seed s^p (c = 1), with P and P' from one Horner
+    pass, gives the builder's t under ==, precision included, and so does
+    the two-pass oracle."""
+    field = field_create(p, 1)
+    x0 = LaurentSeries.monomial(field, 1, p)
+    for m in (1, 2, 3):
+        if m % p == 0:
+            continue
+        f = as_sparse(field, [[-m, [1]], [-1, [1]], [0, [1]]])
+        coeffs = _relation_polynomial(f, *_exponents(f)[1:])
+        for prec in (16, 64, 256):
+            target = max(prec, p + m + 4)
+            root = hensel_lift_root(_horner(coeffs), x0, target)
+            assert root.abs_prec == target
+            assert root == _two_pass_lift(coeffs, x0, target)
+            assert root == build_artin_schreier(field, f, prec=prec).t_in_s, (m, prec)
+
+
+def test_the_relation_polynomial_lift_gives_a_towers_t():
+    # The wild layer of a tower over F_4 lifts the pulled-back datum, and the
+    # tower's t is the m-th power of that layer's t.
+    datum = as_sparse(F4, [[-1, [0, 1]], [0, [1, 1]]])
+    tower = build_compositum_tower(F4, 3, datum, prec=64)
+    pulled = artin_schreier_reduce(compose(datum, tower.intermediate.lower.t_in_s))
+    m, a, b = _exponents(pulled)
+    tau = F4.pow_key(pulled.coeff(-m), -b)
+    coeffs = _relation_polynomial(pulled, a, b)
+    root = hensel_lift_root(_horner(coeffs), LaurentSeries.monomial(F4, tau, 2), 64)
+    assert root == _two_pass_lift(coeffs, LaurentSeries.monomial(F4, tau, 2), 64)
+    assert root ** 3 == tower.t_in_s
 
 
 def _random_datum(rng, field, m):
@@ -583,30 +706,54 @@ def test_relation_polynomial_closed_form_for_b_one(p, deg):
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 3), (7, 2)])
-def test_corrupted_elementary_function_is_caught(monkeypatch, p, m):
-    """Perturbing any e_k within the working precision fails a builder check."""
+def test_a_corrupted_lift_is_caught(monkeypatch, p, m):
+    """A wrong F, a wrong seed or a skipped b-th-root step fails a check.
+
+    F is off by s^k for every k above the seed's order and inside the
+    working precision 32.  The seed is off in its valuation or its leading
+    coefficient, and the root step hands back its seed; both need b > 1,
+    as with b = 1 no root is taken and Newton on F mends such a seed.
+    """
     field = field_create(p, 1)
     f = as_sparse(field, [[-m, [1]], [0, [1]]])
-    exact = covers._conjugate_elementary
-    for k in range(1, p + 1):
-        for deg in (0, 1):
-            def corrupted(*args, k=k, deg=deg):
-                e = exact(*args)
-                e[k] = e[k] + LaurentSeries.monomial(field, 1, deg)
-                return e
+    lift = covers.hensel_lift_root
 
-            monkeypatch.setattr(covers, "_conjugate_elementary", corrupted)
-            with pytest.raises((MismatchDetected, NotSimpleRoot)):
-                build_artin_schreier(field, f, prec=32)
+    def with_f_off_by(k):
+        def corrupted(value_and_derivative, x0, target):
+            def wrong(x):
+                value, deriv = value_and_derivative(x)
+                return value + LaurentSeries.monomial(field, 1, k), deriv
+
+            return lift(wrong, x0, target)
+
+        return corrupted
+
+    def with_seed(move):
+        return lambda value_and_derivative, x0, target: lift(value_and_derivative, move(x0), target)
+
+    b = _exponents(f)[2]
+    corruptions = [with_f_off_by(k) for k in range(p + 1, 32)]
+    if b > 1:
+        corruptions += [with_seed(lambda x: x.shift(-1)), with_seed(lambda x: x.scale(2))]
+    for corrupted in corruptions:
+        monkeypatch.setattr(covers, "hensel_lift_root", corrupted)
+        with pytest.raises((MismatchDetected, NotSimpleRoot)):
+            build_artin_schreier(field, f, prec=32)
+    monkeypatch.setattr(covers, "hensel_lift_root", lift)
+    if b > 1:
+        monkeypatch.setattr(covers, "inverse_root", lambda z, v, b: z)
+        with pytest.raises(MismatchDetected):
+            build_artin_schreier(field, f, prec=32)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 1), (5, 2), (7, 3)])
 def test_corrupted_lift_or_root_is_caught(monkeypatch, p, m):
-    """A term added to the lifted t above the seed, or to the b-th root
-    behind y, anywhere inside its known precision, fails a kept check."""
+    """A term added to the lifted t above the seed, or to each b-th root
+    the lift takes for y, anywhere inside its known precision, fails a kept
+    check."""
     field = field_create(p, 1)
     f = as_sparse(field, [[-m, [1]], [0, [1]]])
-    for name in ("hensel_lift_root", "nth_root_of_unit"):
+    for name in ("hensel_lift_root", "inverse_root"):
         exact = getattr(covers, name)
         results = []
 
@@ -617,9 +764,9 @@ def test_corrupted_lift_or_root_is_caught(monkeypatch, p, m):
         monkeypatch.setattr(covers, name, spy)
         build_artin_schreier(field, f, prec=32)
         if not results:
-            assert name == "nth_root_of_unit" and p == 2  # b = 1 takes no root
+            assert name == "inverse_root" and p == 2  # b = 1 takes no root
             continue
-        (result,) = results
+        result = results[-1]  # the root at the lifted t
         for deg in range(result.valuation() + 1, result.abs_prec):
             def corrupted(*args, deg=deg):
                 return exact(*args) + LaurentSeries.monomial(field, 1, deg)

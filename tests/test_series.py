@@ -13,7 +13,7 @@ from ramify.errors import (
     ZeroElement,
 )
 from ramify.fields import FiniteField, field_create
-from ramify.series import LaurentSeries, compose, hensel_lift_root
+from ramify.series import LaurentSeries, compose, hensel_lift_root, inverse_root, nth_root_of_unit
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -132,14 +132,12 @@ def test_compose_precision_tracks_truncation():
 
 def test_hensel_identity_case():
     t = sparse(F2, [[1, [1]]])
-    coeffs = [-t, LaurentSeries.one(F2)]
-    assert hensel_lift_root(coeffs, t, 10) == t
+    assert hensel_lift_root(lambda x: (x - t, LaurentSeries.one(F2)), t, 10) == t
 
 
 def test_hensel_square_root_mod3():
     one_plus_s = sparse(F3, [[0, [1]], [1, [1]]])
-    coeffs = [-one_plus_s, LaurentSeries.zero(F3), LaurentSeries.one(F3)]
-    root = hensel_lift_root(coeffs, LaurentSeries.one(F3), 12)
+    root = hensel_lift_root(lambda x: (x * x - one_plus_s, x.scale(2)), LaurentSeries.one(F3), 12)
     assert root.coeff(0) == 1
     assert root.coeff(1) == 2
     residual = root * root - one_plus_s
@@ -147,76 +145,31 @@ def test_hensel_square_root_mod3():
 
 
 def test_hensel_not_simple_root():
+    # x^2 - (1 + s) over F_2: the derivative 2x is 0.
     one_plus_s = sparse(F2, [[0, [1]], [1, [1]]])
-    coeffs = [-one_plus_s, LaurentSeries.zero(F2), LaurentSeries.one(F2)]
     with pytest.raises(NotSimpleRoot):
-        hensel_lift_root(coeffs, LaurentSeries.one(F2), 8)
+        hensel_lift_root(lambda x: (x * x - one_plus_s, x.scale(0)), LaurentSeries.one(F2), 8)
 
 
 def test_hensel_bad_seed_rejected():
-    # P(x) = x - 1 - s with seed of valuation 0 but P(seed) a unit offset.
-    coeffs = [sparse(F3, [[0, [1]], [1, [1]]]).scale(2), LaurentSeries.one(F3)]
-    root = hensel_lift_root(coeffs, LaurentSeries.one(F3), 8)
-    assert root.coeff(1) == 1
-    bad = [sparse(F3, [[0, [2]], [1, [1]]]).scale(2), LaurentSeries.one(F3)]
+    # F(x) = x - 1 - s from seed 1; F(x) = x - 2 - s is a unit at seed 1.
+    one = LaurentSeries.one(F3)
+    good, bad = (sparse(F3, [[0, [c]], [1, [1]]]) for c in (1, 2))
+    assert hensel_lift_root(lambda x: (x - good, one), one, 8).coeff(1) == 1
     with pytest.raises(NotSimpleRoot):
-        hensel_lift_root(bad, LaurentSeries.one(F3), 8)
+        hensel_lift_root(lambda x: (x - bad, one), one, 8)
 
 
-def _two_pass_lift(coeffs, x0, target_prec):
-    """Newton's lift with P(x) and P'(x) in two Horner passes, P' over the
-    scaled coefficient list: the oracle for ``hensel_lift_root``."""
-
-    def evaluate(cs, x):
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    field = x0.field
-    deriv = [c.scale(k % field.p) for k, c in enumerate(coeffs) if k >= 1]
-    x = x0
-    for _ in range(80):
-        p = evaluate(coeffs, x)
-        if p.is_exact_zero() or (p.is_zero_known() and p.abs_prec >= target_prec):
-            return x
-        corr = p * evaluate(deriv, x).inverse(prec=target_prec + 2)
-        if corr.is_zero_known() and corr.abs_prec is not None and corr.abs_prec >= target_prec:
-            return x.truncate(target_prec)
-        x = (x - corr).truncate(target_prec)
-    raise PrecisionExhausted("Newton iteration did not converge")
-
-
-def test_one_pass_lift_matches_the_two_pass_oracle(monkeypatch):
-    from ramify import covers
-
-    cases = []
-    for p in (2, 3, 5, 7, 11, 13):
-        field = field_create(p, 1)
-        for m in (1, 2, 3):
-            if m % p == 0:
-                continue
-            f = sparse(field, [[-m, [1]], [-1, [1]], [0, [1]]])
-            b = next(bb for bb in range(1, p) if (1 + bb * m) % p == 0)
-            a = (1 + b * m) // p
-            x0 = LaurentSeries.monomial(field, 1, p)  # the seed of t, as c = 1
-            for prec in (16, 64, 256):
-                cases.append((covers._relation_polynomial(f, a, b), x0, max(prec, p + m + 4)))
-    # The wild layer of a tower over F_4, lifted inside the builder.
-    lift = covers.hensel_lift_root
-
-    def spy(*args):
-        cases.append(args)
-        return lift(*args)
-
-    monkeypatch.setattr(covers, "hensel_lift_root", spy)
-    F4 = field_create(2, 2)
-    covers.build_compositum_tower(F4, 3, sparse(F4, [[-1, [0, 1]], [0, [1, 1]]]), prec=64)
-    assert len(cases) == 16 * 3 + 1
-    for coeffs, x0, target in cases:
-        root = hensel_lift_root(coeffs, x0, target)
-        assert root == _two_pass_lift(coeffs, x0, target)
-        assert root.abs_prec == target
+def test_inverse_root_from_a_nearby_seed_is_the_root_from_one():
+    # A cube root over F_5 to O(t^20): from 1, from a seed off at t^5, and
+    # no root from a seed whose cube is off in the constant term.
+    u = LaurentSeries(F5, 0, [1] + [(3 * i + 1) % 5 for i in range(19)], 20)
+    root = nth_root_of_unit(u, 3)
+    err = root ** 3 - u
+    assert err.is_zero_known() and err.abs_prec == root.abs_prec == 20
+    assert inverse_root(root + sparse(F5, [[5, [2]]]), u.inverse(), 3) == root
+    with pytest.raises(NotSimpleRoot):
+        inverse_root(LaurentSeries.constant(F5, 2), u.inverse(), 3)
 
 
 def test_truncate_then_add_tracks_min_precision():
