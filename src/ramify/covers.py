@@ -8,17 +8,18 @@ Three families are built here, all totally ramified:
   and keep it marked as an intermediate field (the cached Kummer cover).
 
 For the wild family the uniformizer is s = t^a * y^b where a*p - b*m = 1
-and b is the least non-negative solution.  The expansion of t in s is
-Newton-lifted from one equation with a unit derivative (von zur Gathen &
-Gerhard, Modern Computer Algebra, 9.4): with y = (s t^-a)^(1/b),
-F(t) = t^(ap) (y + f(t))^b - s^p is (t^a y^b)^p - s^p with y^p replaced by
-y + f, and F'(t) = b t^(ap) (y + f)^(b-1) (f'(t) - (a/b) y/t) has valuation
-p (ap - bm) - p = 0.  Each evaluation takes y by Newton from the root at
-the last t, and the lift hands back the y of its final t.  Everything
-downstream (action series, break numbers) is honest series arithmetic.  The
-builders check the defining relation and what each generator does to t
-and y (for a tower, to s' and y); the builder docstrings prove that these
-imply the group law and invariance of t, which the tests check in full.
+and b is the least non-negative solution.  With c the leading coefficient
+of f, tau = c^-b and eta = c^a, t = tau s^p u^b and y = eta s^-m u^-a give
+t^a y^b = s for every unit u, so no root is taken.  The builder Newton-lifts
+u from 1 on one equation with a unit derivative (von zur Gathen & Gerhard,
+Modern Computer Algebra, 9.4): G(u) = s^(pm) (y^p - y - f(t)), whose
+derivative G'(u) = s^(pm) (a y - b t f'(t)) / u (y^p has derivative 0 in
+characteristic p) is a unit, as v(t f'(t)) = -pm, v(y) = -m and p does not
+divide b; v(G(1)) >= 1, as eta^p = c tau^-m.  Everything downstream (action
+series, break numbers) is honest series arithmetic.  The builders check
+the defining relation and what each generator does to t and y (for a
+tower, to s' and y); the builder docstrings prove that these imply the
+group law and invariance of t, which the tests check in full.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .fields import FiniteField
 from .groups import FiniteGroup
-from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root, inverse_root
+from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root
 
 
 class TowerParts(namedtuple("TowerParts", "lower H_indices")):
@@ -226,37 +227,32 @@ def _artin_schreier(
     target = max(prec or 0, p + m + 4)  # the break window (lower_break_table)
 
     s_mono = LaurentSeries.uniformizer(base)
-    s_p = LaurentSeries.monomial(base, 1, p)
     # f(t) = f_m(t) t^-m and t f'(t) = theta_m(t) t^-m, with power series f_m, theta_m.
     f_m = f.shift(m)
     theta_m = LaurentSeries.from_terms(base, {e + m: base.mul_key(k, e % p) for e, k in f.support()})
-    to_unit, from_unit = base.pow_key(eta, -b), base.pow_key(eta, b)
-    last = {"root": LaurentSeries.one(base)}
+    c_inv = base.inverse_key(c)
 
-    def value_and_derivative(t):
-        """(F(t), F'(t)) of the module docstring, with one inverse of t.
-        y is eta s^-m times the b-th root of the unit s^(1+bm) t^-a eta^-b,
-        which starts with tau^-a eta^-b = 1; for b > 1, the inverse root of
-        its inverse, by Newton from the root at the last t."""
-        t_pow, h = t ** a_exp, t.inverse()
-        if b == 1:
-            root = (h ** a_exp).shift(1 + m).scale(to_unit)
-        else:
-            root = inverse_root(last["root"], t_pow.shift(-1 - b * m).scale(from_unit), b)
-        y = root.shift(-m).scale(eta)
-        h_m = h ** m
-        yf = y + compose(f_m, t) * h_m
-        last.update(root=root, t_pow=t_pow, y=y)
-        lead = t_pow ** p * yf ** (b - 1)
-        slope = (compose(theta_m, t) * h_m).scale(b % p) - y.scale(a_exp % p)
-        return lead * yf - s_p, lead * slope * h
+    def value_and_derivative(u):
+        """(G(u), G'(u)) of the module docstring, with the one inverse
+        w = 1/u: s^m y = eta w^a, t = tau s^p u^b and, as ap = 1 + bm,
+        s^(pm) t^-m = tau^-m w^(bm) = (s^m y)^p u / c."""
+        w = u.inverse()
+        sy = (w ** a_exp).scale(eta)
+        sy_p, y_pm = sy ** p, sy.shift((p - 1) * m)  # (s^m y)^p and s^(pm) y
+        st = (sy_p * u).scale(c_inv)
+        t = (u ** b).shift(p).scale(tau)
+        value = sy_p - y_pm - compose(f_m, t) * st
+        slope = y_pm.scale(a_exp % p) - (compose(theta_m, t) * st).scale(b % p)
+        return value, slope * w
 
-    # An approximate seed keeps every evaluation to relative precision R.
-    x0 = LaurentSeries.monomial(base, tau, p).truncate(target)
-    t_in_s = hensel_lift_root(value_and_derivative, x0, target)
+    # An approximate seed keeps every evaluation to relative precision R = N - p.
+    rel = target - p
+    u = hensel_lift_root(value_and_derivative, LaurentSeries.one(base).truncate(rel), rel)
+    t_in_s = (u ** b).shift(p).scale(tau)
     if t_in_s.valuation() != p or t_in_s.coeff(p) != tau:
         raise MismatchDetected("lifted base uniformizer does not start with the seed")
-    t_pow, y_in_s = last["t_pow"], last["y"]
+    y_in_s = (u.inverse() ** a_exp).shift(-m).scale(eta)
+    t_pow = t_in_s ** a_exp
 
     _check_zero(y_in_s ** p - y_in_s - compose(f, t_in_s), "defining relation of y")
 

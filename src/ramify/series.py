@@ -469,10 +469,10 @@ def hensel_lift_root(
 
     Requires F(x0) ~ 0 (valuation >= 1, or zero to the seed's precision)
     and F'(x0) a unit; convergence is then quadratic.  The result agrees
-    with x0 and satisfies F(x) = 0 to O(t^target_prec), and the last call
-    was at the result.  As F'(x) is a unit, an F(x) that is zero to O(t^k)
-    gives a correction zero to O(t^k), so the lift ends only when F(x)
-    vanishes to the target.
+    with x0 and satisfies F(x) = 0 to O(t^target_prec); it is known to
+    O(t^target_prec), or exact when F vanishes exactly there.  As F'(x) is
+    a unit, an F(x) that is zero to O(t^k) gives a correction zero to
+    O(t^k), so the lift ends only when F(x) vanishes to the target.
     """
     x = x0
     p, d = value_and_derivative(x)
@@ -483,7 +483,7 @@ def hensel_lift_root(
 
     for _ in range(80):
         if p.is_exact_zero() or (p.is_zero_known() and p.abs_prec >= target_prec):
-            return x
+            return x if p.is_exact else x.truncate(target_prec)
         x = (x - p * d.inverse(prec=target_prec + 2)).truncate(target_prec)
         p, d = value_and_derivative(x)
     raise PrecisionExhausted("Newton iteration did not converge")
@@ -491,32 +491,13 @@ def hensel_lift_root(
 
 def nth_root_of_unit(u: LaurentSeries, b: int) -> LaurentSeries:
     """b-th root of a unit series with constant term 1, for gcd(b, p) = 1:
-    ``inverse_root`` of 1/u from 1."""
+    ``hensel_lift_root`` on z^b - u from 1, to u's precision
+    (``DEFAULT_PRECISION`` for an exact u)."""
     field = u.field
     if b % field.p == 0:
         raise ValueError("root degree divisible by the characteristic")
     if u.is_zero_known() or u.valuation() != 0 or u.coeffs[0] != 1:
         raise ValueError("expected a unit series with constant term 1")
-    return inverse_root(LaurentSeries.one(field), u.inverse(), b)
-
-
-def inverse_root(z: LaurentSeries, v: LaurentSeries, b: int) -> LaurentSeries:
-    """v^(-1/b) near z, for gcd(b, p) = 1, by Newton's
-    z <- z + z (1 - v z^b) / b, which takes no inverse, ending at the first
-    z with v z^b = 1 to v's precision; a z with 1 - v z^b not divisible by
-    t is no seed.
-
-    Its own loop, not ``hensel_lift_root``'s: that lift cuts to a target
-    and runs once a cover, where the AS lift takes this root at each of its
-    steps, seeded from the root at the last one, to v's own precision.
-    """
-    one = LaurentSeries.one(v.field)
-    b_inv = v.field.inverse_key(b % v.field.p)
-    for _ in range(80):
-        err = one - v * z ** b
-        if err.is_zero_known():
-            return z
-        if err.valuation() < 1:
-            raise NotSimpleRoot("seed is not an approximate root")
-        z = z + (z * err).scale(b_inv)
-    raise PrecisionExhausted("root iteration did not converge")
+    prec = DEFAULT_PRECISION if u.is_exact else u.abs_prec
+    seed = LaurentSeries.one(field).truncate(prec)
+    return hensel_lift_root(lambda z: (z ** b - u, (z ** (b - 1)).scale(b % field.p)), seed, prec)

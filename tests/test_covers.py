@@ -707,18 +707,19 @@ def test_relation_polynomial_closed_form_for_b_one(p, deg):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 3), (7, 2)])
 def test_a_corrupted_lift_is_caught(monkeypatch, p, m):
-    """A wrong F, a wrong seed or a skipped b-th-root step fails a check.
+    """A wrong G or a wrong seed for the unit u fails a check.
 
-    F is off by s^k for every k above the seed's order and inside the
-    working precision 32.  The seed is off in its valuation or its leading
-    coefficient, and the root step hands back its seed; both need b > 1,
-    as with b = 1 no root is taken and Newton on F mends such a seed.
+    G is off by s^k for every k from 1 to R - 1, R = 32 - p the precision
+    the lift works to; off by s^R, it leaves the cover unchanged, as the
+    lift reads nothing past O(s^R).  The seed is off in its valuation, or
+    (for p > 2) in its constant term, so it is no approximate simple root.
     """
     field = field_create(p, 1)
     f = as_sparse(field, [[-m, [1]], [0, [1]]])
     lift = covers.hensel_lift_root
+    rel = 32 - p
 
-    def with_f_off_by(k):
+    def with_g_off_by(k):
         def corrupted(value_and_derivative, x0, target):
             def wrong(x):
                 value, deriv = value_and_derivative(x)
@@ -731,47 +732,52 @@ def test_a_corrupted_lift_is_caught(monkeypatch, p, m):
     def with_seed(move):
         return lambda value_and_derivative, x0, target: lift(value_and_derivative, move(x0), target)
 
-    b = _exponents(f)[2]
-    corruptions = [with_f_off_by(k) for k in range(p + 1, 32)]
-    if b > 1:
-        corruptions += [with_seed(lambda x: x.shift(-1)), with_seed(lambda x: x.scale(2))]
+    exact = build_artin_schreier(field, f, prec=32)
+    monkeypatch.setattr(covers, "hensel_lift_root", with_g_off_by(rel))
+    past = build_artin_schreier(field, f, prec=32)
+    assert (past.t_in_s, past.sigma_action, past.prec) == (exact.t_in_s, exact.sigma_action, exact.prec)
+
+    corruptions = [with_g_off_by(k) for k in range(1, rel)] + [with_seed(lambda x: x.shift(-1))]
+    if p > 2:
+        corruptions.append(with_seed(lambda x: x.scale(2)))
     for corrupted in corruptions:
         monkeypatch.setattr(covers, "hensel_lift_root", corrupted)
         with pytest.raises((MismatchDetected, NotSimpleRoot)):
-            build_artin_schreier(field, f, prec=32)
-    monkeypatch.setattr(covers, "hensel_lift_root", lift)
-    if b > 1:
-        monkeypatch.setattr(covers, "inverse_root", lambda z, v, b: z)
-        with pytest.raises(MismatchDetected):
             build_artin_schreier(field, f, prec=32)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 1), (5, 2), (7, 3)])
 def test_corrupted_lift_or_root_is_caught(monkeypatch, p, m):
-    """A term added to the lifted t above the seed, or to each b-th root
-    the lift takes for y, anywhere inside its known precision, fails a kept
-    check."""
+    """A term added to the lifted unit u, anywhere above its constant term
+    and inside its known precision, fails a kept check; so y, which comes
+    from u with no root taken, is checked too."""
     field = field_create(p, 1)
     f = as_sparse(field, [[-m, [1]], [0, [1]]])
-    for name in ("hensel_lift_root", "inverse_root"):
-        exact = getattr(covers, name)
-        results = []
+    exact = covers.hensel_lift_root
+    results = []
 
-        def spy(*args):
-            results.append(exact(*args))
-            return results[-1]
+    def spy(*args):
+        results.append(exact(*args))
+        return results[-1]
 
-        monkeypatch.setattr(covers, name, spy)
-        build_artin_schreier(field, f, prec=32)
-        if not results:
-            assert name == "inverse_root" and p == 2  # b = 1 takes no root
-            continue
-        result = results[-1]  # the root at the lifted t
-        for deg in range(result.valuation() + 1, result.abs_prec):
-            def corrupted(*args, deg=deg):
-                return exact(*args) + LaurentSeries.monomial(field, 1, deg)
+    monkeypatch.setattr(covers, "hensel_lift_root", spy)
+    build_artin_schreier(field, f, prec=32)
+    (result,) = results
+    assert result.valuation() == 0 and result.abs_prec == 32 - p
+    for deg in range(1, result.abs_prec):
+        def corrupted(*args, deg=deg):
+            return exact(*args) + LaurentSeries.monomial(field, 1, deg)
 
-            monkeypatch.setattr(covers, name, corrupted)
-            with pytest.raises(MismatchDetected):
-                build_artin_schreier(field, f, prec=32)
-        monkeypatch.setattr(covers, name, exact)
+        monkeypatch.setattr(covers, "hensel_lift_root", corrupted)
+        with pytest.raises(MismatchDetected):
+            build_artin_schreier(field, f, prec=32)
+
+
+def test_y_of_a_one_term_datum_keeps_the_relative_precision_of_the_lift():
+    # AS p=127, f = t^-500: N = p + m + 4, so y = eta s^-m u^-a is known to
+    # O(s^(R - m)) = O(s^4), R = N - p; a y taken as an exact monomial made
+    # the action powers run on exact windows of about b m terms.
+    field = field_create(127, 1)
+    cover, y_in_s, _ = covers._artin_schreier(field, LaurentSeries.monomial(field, 1, -500), None)
+    assert cover.prec == 127 + 504
+    assert y_in_s.valuation() == -500 and y_in_s.abs_prec == 4

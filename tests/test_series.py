@@ -13,7 +13,7 @@ from ramify.errors import (
     ZeroElement,
 )
 from ramify.fields import FiniteField, field_create
-from ramify.series import LaurentSeries, compose, hensel_lift_root, inverse_root, nth_root_of_unit
+from ramify.series import LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -160,16 +160,24 @@ def test_hensel_bad_seed_rejected():
         hensel_lift_root(lambda x: (x - bad, one), one, 8)
 
 
-def test_inverse_root_from_a_nearby_seed_is_the_root_from_one():
-    # A cube root over F_5 to O(t^20): from 1, from a seed off at t^5, and
-    # no root from a seed whose cube is off in the constant term.
+def test_hensel_lift_keeps_the_target_precision_at_a_seed_that_is_a_root():
+    # F(1) = 1 - (1 + O(t^12)) is zero to the target, so 1 is the root, but
+    # known only to O(t^12) (test_hensel_identity_case: an F that vanishes
+    # exactly keeps an exact root).
+    one = LaurentSeries.one(F3)
+    root = hensel_lift_root(lambda x: (x * x - one.truncate(12), x.scale(2)), one, 12)
+    assert root == one.truncate(12)
+
+
+def test_nth_root_of_unit_keeps_the_units_precision():
+    # A cube root over F_5 to O(t^20), and the cube root of 1 + O(t^20),
+    # which is 1 known to O(t^20), not the exact 1; an exact u gives 64 terms.
     u = LaurentSeries(F5, 0, [1] + [(3 * i + 1) % 5 for i in range(19)], 20)
     root = nth_root_of_unit(u, 3)
     err = root ** 3 - u
     assert err.is_zero_known() and err.abs_prec == root.abs_prec == 20
-    assert inverse_root(root + sparse(F5, [[5, [2]]]), u.inverse(), 3) == root
-    with pytest.raises(NotSimpleRoot):
-        inverse_root(LaurentSeries.constant(F5, 2), u.inverse(), 3)
+    assert nth_root_of_unit(LaurentSeries.one(F5).truncate(20), 3).abs_prec == 20
+    assert nth_root_of_unit(sparse(F5, [[0, [1]], [1, [1]]]), 3).abs_prec == 64
 
 
 def test_truncate_then_add_tracks_min_precision():
