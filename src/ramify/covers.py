@@ -2,24 +2,27 @@
 
 Three families are built here, all totally ramified:
 
-* degree-p wild covers  y^p - y = f(t)  with a pole of order m prime to p,
+* degree-p wild covers  y^p - y = f(t)  with a pole of order M prime to p,
 * tame cyclic covers    s^m = t         with m | p^a - 1 (m = 1: K itself),
 * their composita       (group Z/p x Z/m), which build their tame layer
   and keep it marked as an intermediate field (the cached Kummer cover).
 
-For the wild family the uniformizer is s = t^a * y^b where a*p - b*m = 1
-and b is the least non-negative solution.  With c the leading coefficient
-of f, tau = c^-b and eta = c^a, t = tau s^p u^b and y = eta s^-m u^-a give
-t^a y^b = s for every unit u, so no root is taken.  The builder Newton-lifts
-u from 1 on one equation with a unit derivative (von zur Gathen & Gerhard,
-Modern Computer Algebra, 9.4): G(u) = s^(pm) (y^p - y - f(t)), whose
-derivative G'(u) = s^(pm) (a y - b t f'(t)) / u (y^p has derivative 0 in
-characteristic p) is a unit, as v(t f'(t)) = -pm, v(y) = -m and p does not
-divide b; v(G(1)) >= 1, as eta^p = c tau^-m.  Everything downstream (action
-series, break numbers) is honest series arithmetic.  The builders check
-the defining relation and what each generator does to t and y (for a
-tower, to s' and y); the builder docstrings prove that these imply the
-group law and invariance of t, which the tests check in full.
+A wild layer is built once, over K, in the uniformizer sigma = t^a y^(bm)
+of K(y), where a p - b m M = 1 and b is least: m = 1 for a wild cover,
+whose s is sigma, and a tower's s has s^m = sigma (e is multiplicative in
+towers).  With c the leading coefficient of f, tau = c^(-bm) and eta = c^a,
+t = tau sigma^p u^(bm) and y = eta sigma^-M u^-a give t^a y^(bm) = sigma
+for every unit u, so no root is taken.  The builder Newton-lifts u from 1
+on one equation with a unit derivative (von zur Gathen & Gerhard, Modern
+Computer Algebra, 9.4): G(u) = sigma^(pM) (y^p - y - f(t)), whose
+derivative sigma^(pM) (a y - b m t f'(t)) / u (y^p has derivative 0) is a
+unit, as v(t f'(t)) = -pM, v(y) = -M and p divides neither b nor m;
+v(G(1)) >= 1, as eta^p = c tau^-M.  Each series in s is the stretch
+sigma -> s^m of one in sigma: u, t, y and sigma_j(s) = s (1 + j/y)^b.
+Everything downstream is honest series arithmetic.  The builders check the
+relation, what the wild generator does to t and y (in sigma) and, for a
+tower, what the tame one does to u and y; their docstrings prove that
+these imply the group law and invariance of t, which the tests check.
 """
 
 from __future__ import annotations
@@ -182,9 +185,9 @@ def build_artin_schreier(
 ) -> GaloisCover:
     """Totally ramified degree-p cover defined by y^p - y = f.
 
-    The pole order m of the reduced f is prime to p; the deck group is
-    Z/p acting by y -> y + j, and every break equals m + 1.  The build
-    works at the break window p + m + 4, or at a larger ``prec``, checked
+    The pole order M of the reduced f is prime to p; the deck group is
+    Z/p acting by y -> y + j, and every break equals M + 1.  The build
+    works at the break window p + M + 4, or at a larger ``prec``, checked
     against the precision cap before any series work.
 
     Self-checks: the relation y^p - y = f(t), and sigma(t) = t and
@@ -206,77 +209,77 @@ def build_artin_schreier(
     if f.field != base:
         raise NotGaloisOverBase("defining function is not over the base field")
     _check_work(base.p, f, prec)
-    return _artin_schreier(base, f, prec)[0]
+    t_in_s, action, target, _, _, _ = _artin_schreier(base, f, prec, 1)
+    group = deck_group("artin_schreier", base.p, 1)
+    return GaloisCover(base_field=base, group=group, t_in_s=t_in_s, sigma_action=action, prec=target)
 
 
 def _artin_schreier(
-    base: FiniteField, f: LaurentSeries, prec: int | None
-) -> tuple[GaloisCover, LaurentSeries, int]:
-    """(cover, y in s, a) for ``build_artin_schreier``'s cover of f over
-    base, s = t^a y^b; the caller has checked f's field and the work."""
+    base: FiniteField, f: LaurentSeries, prec: int | None, m: int
+) -> tuple[LaurentSeries, dict[int, LaurentSeries], int, LaurentSeries, LaurentSeries, int]:
+    """(t, {j: sigma_j(s)}, N, u, y, a) of the wild layer of f, in s with
+    s^m = sigma (module docstring): m is 1 for ``build_artin_schreier``, the
+    tame degree for a tower.  The lift and its three checks run in sigma on
+    ceil(R / m) terms, R = N - p; each series is stretched to s and cut to
+    relative precision R.  The caller has checked f's field and the work."""
     p = base.p
     f = artin_schreier_reduce(f)
-    m = -f.valuation()
-    c = f.coeff(-m)
+    pole = -f.valuation()
+    c = f.coeff(-pole)
 
-    b = next(bb for bb in range(1, p) if (1 + bb * m) % p == 0)
-    a_exp = (1 + b * m) // p
-    tau = base.pow_key(c, -b)
+    b = next(bb for bb in range(1, p) if (1 + bb * m * pole) % p == 0)
+    a_exp, bm = (1 + b * m * pole) // p, b * m
+    tau = base.pow_key(c, -bm)
     eta = base.pow_key(c, a_exp)
 
-    target = max(prec or 0, p + m + 4)  # the break window (lower_break_table)
+    target = max(prec or 0, p + m * pole + 4)  # the break window (lower_break_table)
 
-    s_mono = LaurentSeries.uniformizer(base)
-    # f(t) = f_m(t) t^-m and t f'(t) = theta_m(t) t^-m, with power series f_m, theta_m.
-    f_m = f.shift(m)
-    theta_m = LaurentSeries.from_terms(base, {e + m: base.mul_key(k, e % p) for e, k in f.support()})
+    # f(t) = f_M(t) t^-M and t f'(t) = theta_M(t) t^-M, with power series f_M, theta_M.
+    f_m = f.shift(pole)
+    theta_m = LaurentSeries.from_terms(base, {e + pole: base.mul_key(k, e % p) for e, k in f.support()})
     c_inv = base.inverse_key(c)
 
     def value_and_derivative(u):
         """(G(u), G'(u)) of the module docstring, with the one inverse
-        w = 1/u: s^m y = eta w^a, t = tau s^p u^b and, as ap = 1 + bm,
-        s^(pm) t^-m = tau^-m w^(bm) = (s^m y)^p u / c."""
+        w = 1/u: sigma^M y = eta w^a, t = tau sigma^p u^(bm) and, as
+        ap = 1 + bmM, sigma^(pM) t^-M = tau^-M w^(bmM) = (sigma^M y)^p u / c."""
         w = u.inverse()
         sy = (w ** a_exp).scale(eta)
-        sy_p, y_pm = sy ** p, sy.shift((p - 1) * m)  # (s^m y)^p and s^(pm) y
+        sy_p, y_pm = sy ** p, sy.shift((p - 1) * pole)  # (sigma^M y)^p and sigma^(pM) y
         st = (sy_p * u).scale(c_inv)
-        t = (u ** b).shift(p).scale(tau)
+        t = (u ** bm).shift(p).scale(tau)
         value = sy_p - y_pm - compose(f_m, t) * st
-        slope = y_pm.scale(a_exp % p) - (compose(theta_m, t) * st).scale(b % p)
+        slope = y_pm.scale(a_exp % p) - (compose(theta_m, t) * st).scale(bm % p)
         return value, slope * w
 
-    # An approximate seed keeps every evaluation to relative precision R = N - p.
+    # An approximate seed keeps every evaluation to relative precision
+    # ceil(R / m) in sigma, R = N - p the relative precision in s.
     rel = target - p
-    u = hensel_lift_root(value_and_derivative, LaurentSeries.one(base).truncate(rel), rel)
-    t_in_s = (u ** b).shift(p).scale(tau)
-    if t_in_s.valuation() != p or t_in_s.coeff(p) != tau:
+    rel_sigma = -(-rel // m)
+    u = hensel_lift_root(value_and_derivative, LaurentSeries.one(base).truncate(rel_sigma), rel_sigma)
+    t = (u ** bm).shift(p).scale(tau)
+    if t.valuation() != p or t.coeff(p) != tau:
         raise MismatchDetected("lifted base uniformizer does not start with the seed")
-    y_in_s = (u.inverse() ** a_exp).shift(-m).scale(eta)
-    t_pow = t_in_s ** a_exp
+    u_a = u ** a_exp
+    y = u_a.inverse().shift(-pole).scale(eta)
+    z = u_a.shift(pole).scale(base.inverse_key(eta))  # 1/y
+    one = LaurentSeries.one(base)
 
-    _check_zero(y_in_s ** p - y_in_s - compose(f, t_in_s), "defining relation of y")
+    _check_zero(y ** p - y - compose(f, t), "defining relation of y")
 
-    group = deck_group("artin_schreier", p, 1)
-    action: dict[int, LaurentSeries] = {0: s_mono}
-    for j in range(1, p):
-        yj = y_in_s + LaurentSeries.constant(base, j)
-        a_j = t_pow * (yj ** b)
-        if a_j.valuation() != 1:
-            raise MismatchDetected("action series is not a uniformizer")
-        action[j] = a_j
+    # sigma_j(s) = s (1 + j z)^b, the unit factor a series in sigma.
+    units = {j: (one + z.scale(j)).truncate(rel_sigma) ** b for j in range(1, p)}
+    # The wild generator fixes t and shifts y; the builders derive the law.
+    phi = (units[1] ** m).shift(1)  # its action on sigma = s^m: sigma (1 + z)^(bm)
+    _check_zero(compose(t, phi) - t, "t is not fixed")
+    _check_zero(compose(y, phi) - y - one, "y + 1 action")
 
-    # The generator fixes t and shifts y; the docstring derives the law.
-    _check_zero(compose(t_in_s, action[1]) - t_in_s, "t is not fixed")
-    _check_zero(compose(y_in_s, action[1]) - y_in_s - LaurentSeries.one(base), "y + 1 action")
+    def stretch(x: LaurentSeries, ap: int) -> LaurentSeries:  # x(s^m) to O(s^ap)
+        return compose(x, LaurentSeries.monomial(base, 1, m)).truncate(ap)
 
-    cover = GaloisCover(
-        base_field=base,
-        group=group,
-        t_in_s=t_in_s,
-        sigma_action=action,
-        prec=target,
-    )
-    return cover, y_in_s, a_exp
+    action = {0: LaurentSeries.uniformizer(base)}
+    action.update((j, stretch(unit, rel).shift(1)) for j, unit in units.items())
+    return stretch(t, p * m + rel), action, target, stretch(u, rel), stretch(y, rel - m * pole), a_exp
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +312,30 @@ def build_compositum_tower(
     base: FiniteField, m: int, upper_f: LaurentSeries, prec: int | None = None
 ) -> GaloisCover:
     """Compositum of the tame layer s'^m = t, built by ``build_kummer``, with
-    the wild layer y^p - y = upper_f pulled back from K, built at its break
-    window or a larger ``prec``.
+    the wild layer y^p - y = upper_f of K, built once over K at the break
+    window p + m M + 4 (M the reduced pole of upper_f) or a larger ``prec``.
 
     The result is Galois over K with group Z/p x Z/m; the tame layer stays
     marked so transitivity and pullback statements can be tested against it.
     It is built first, so missing roots of unity are refused before the work
     is checked against the precision cap, and both before any series work.
 
-    Self-checks: the wild layer's build checks that sigma: F -> F(action[m])
-    (its sigma_action[1]) fixes s' and sends y to y + 1; for m > 1, two
-    more compositions check that tau: F -> F(action[1]), action[1] =
-    zeta^a s, sends s' to zeta s' and fixes y.  They imply the rest.
-    s = s'^a y^b, so a continuous k-algebra map is fixed by its images of
-    s' and y, and psi_(j,k): s' -> zeta^k s', y -> y + j is sigma^j tau^k
-    in either order.  It sends s to zeta^(ak) sigma_j(s) = action[j m + k]
-    and t = s'^m to (zeta^k s')^m = t, and these maps compose by adding
-    (j, k) mod (p, m) (zeta^m = 1, y + p = y): the product of
-    ``FiniteGroup.direct_product`` on the index j m + k.  tau is an exact
-    stretch, so as in ``build_artin_schreier`` the law holds mod s^(1 + R)
-    and t is fixed mod s^(p m + R), R the wild layer's relative precision.
+    Self-checks: in sigma = s^m, that phi: sigma -> sigma (1 + z)^(bm),
+    z = 1/y, fixes t and sends y to y + 1; for m > 1, that tau: F ->
+    F(action[1]), action[1] = zeta^a s, fixes u and y.  They imply the
+    rest.  s' = c^-b s^p u^b has s'^m = t and s'^a y^b = s, so a continuous
+    k-algebra map is fixed by its images of s' and y.  psi: s -> action[m]
+    = s (1 + z)^b sends sigma to phi(sigma), so psi(t) = t, psi(y) = y + 1,
+    psi(s')^m = s'^m and psi(s')^a = psi(s) (y + 1)^-b = s'^a; gcd(a, m) = 1
+    gives psi(s') = s'.  tau(s') = zeta^(ap) s' = zeta s' (a p = 1 + b m M).
+    So psi_(j,k): s' -> zeta^k s', y -> y + j is psi^j tau^k in either
+    order; it sends s to zeta^(ak) s (1 + j z)^b = action[j m + k] and t =
+    s'^m to (zeta^k s')^m = t, and these maps compose by adding (j, k) mod
+    (p, m) (zeta^m = 1, y + p = y): the product of
+    ``FiniteGroup.direct_product`` on the index j m + k.  The checks in
+    sigma hold to relative precision ceil(R / m), so to R = N - p in s, and
+    tau is an exact stretch: as in ``build_artin_schreier`` the law holds
+    mod s^(1 + R) and t is fixed mod s^(p m + R).
     """
     lower = build_kummer(base, m)
     if upper_f.field != base:
@@ -336,30 +343,21 @@ def build_compositum_tower(
     p = base.p
     _check_work(p, upper_f, prec, tame=m)
     zeta = base.root_of_unity(m)
-
-    pulled = compose(upper_f, lower.t_in_s)
-    upper, y_in_s, a_exp = _artin_schreier(base, pulled, prec)
-    s_prime = upper.t_in_s
-
-    group = deck_group("tower", p, m)
-    t_in_s = s_prime ** m
-    if t_in_s.valuation() != p * m:
-        raise MismatchDetected("base uniformizer has wrong valuation in the tower")
+    t_in_s, wild, target, u, y, a_exp = _artin_schreier(base, upper_f, prec, m)
 
     twists = base.powers_key(base.pow_key(zeta, a_exp), m)  # zeta^(a k)
-    action = {j * m + k: upper.sigma_action[j].scale(c) for j in range(p) for k, c in enumerate(twists)}
+    action = {j * m + k: wild[j].scale(c) for j in range(p) for k, c in enumerate(twists)}
 
     if m > 1:
-        tame = compose(s_prime, action[1]) - s_prime.scale(zeta)
-        _check_zero(tame, "tame action on the intermediate uniformizer")
-        _check_zero(compose(y_in_s, action[1]) - y_in_s, "tame action on y")
+        _check_zero(compose(u, action[1]) - u, "tame action on the intermediate uniformizer")
+        _check_zero(compose(y, action[1]) - y, "tame action on y")
 
     return GaloisCover(
         base_field=base,
-        group=group,
+        group=deck_group("tower", p, m),
         t_in_s=t_in_s,
         sigma_action=action,
-        prec=upper.prec,
+        prec=target,
         intermediate=TowerParts(lower, tuple(range(0, p * m, m))),
     )
 
@@ -374,17 +372,17 @@ def lower_break_table(cover: GaloisCover) -> BreakTable:
     which no built cover reaches, as each sigma(s) - s is known past its
     valuation:
 
-    * Artin-Schreier, pole m: the working precision is N >= p + m + 4, so
-      R = N - p >= m + 4, and action[i] is known mod s^(1 + R)
-      (``build_artin_schreier``).  Every break is m + 1 <= R.
+    * Artin-Schreier, pole M: the working precision is N >= p + M + 4, so
+      R = N - p >= M + 4, and action[i] is known mod s^(1 + R)
+      (``build_artin_schreier``).  Every break is M + 1 <= R.
     * Kummer: each action is the exact monomial zeta^k s, so
       sigma(s) - s = (zeta^k - 1) s is exact and nonzero for k != 0.
-    * Tower: the wild layer is the same build on the pulled-back f, of pole
-      M = m * pole, so its breaks M + 1 show (k = 0).  Action (j, k) is
-      zeta^(ak) sigma_j(s), and for k != 0 its difference
-      (zeta^(ak) - 1) s + zeta^(ak) (sigma_j(s) - s) has valuation exactly
-      1: the last term has valuation >= 2 and is known mod s^(1 + R), and
-      a p - b M = 1 gives gcd(a, m) = 1, so zeta^(ak) != 1.
+    * Tower, wild pole M: sigma_j(s) = s (1 + j/y)^b is known mod
+      s^(1 + R), R >= m M + 4 (``build_compositum_tower``), so its break
+      m M + 1 shows (k = 0).  Action (j, k) is zeta^(ak) sigma_j(s); for
+      k != 0, (zeta^(ak) - 1) s + zeta^(ak) (sigma_j(s) - s) has valuation
+      exactly 1: the last term has valuation >= 2 and is known mod
+      s^(1 + R), and a p - b m M = 1 gives gcd(a, m) = 1, so zeta^(ak) != 1.
     """
     s_mono = LaurentSeries.uniformizer(cover.base_field)
     i_map: dict[int, int] = {}

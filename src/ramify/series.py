@@ -117,18 +117,13 @@ class LaurentSeries:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_terms(
-        cls,
-        field: FiniteField,
-        terms: dict[int, int],
-        abs_prec: int | None = None,
-    ) -> "LaurentSeries":
+    def from_terms(cls, field: FiniteField, terms: dict[int, int]) -> "LaurentSeries":
+        """The exact series with the key terms[e] at t^e."""
         keys = {e: c for e, c in terms.items() if c}
         if not keys:
-            return cls(field, 0 if abs_prec is None else abs_prec, (), abs_prec)
+            return cls.zero(field)
         lo = min(keys)
-        hi = max(keys) + 1 if abs_prec is None else abs_prec
-        return cls(field, lo, [keys.get(e, 0) for e in range(lo, hi)], abs_prec)
+        return cls(field, lo, [keys.get(e, 0) for e in range(lo, max(keys) + 1)], None)
 
     @classmethod
     def monomial(cls, field: FiniteField, coeff: int, exp: int) -> "LaurentSeries":
@@ -310,8 +305,9 @@ class LaurentSeries:
         """Multiplicative inverse.
 
         For approximate input the full known relative precision is used (a
-        smaller ``prec`` may be requested).  Exact input needs a target
-        relative precision, except for monomials which invert exactly.
+        smaller ``prec`` may be requested; prec <= 0 gives the empty window
+        O(t^(prec - v))).  Exact input needs a target relative precision,
+        except for monomials which invert exactly.
         """
         if self.is_exact_zero():
             raise ZeroElement("inverse of the exact zero series")
@@ -329,7 +325,7 @@ class LaurentSeries:
                 rel = min(rel, prec)
         else:
             rel = prec if prec is not None else DEFAULT_PRECISION
-        w = _inverse_keys(field, self.coeffs[:rel], rel)
+        w = _inverse_keys(field, self.coeffs[:rel], rel) if rel > 0 else []
         return LaurentSeries(field, -v, w, -v + rel)
 
 

@@ -433,8 +433,8 @@ def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "cover,products",
     [
-        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 305),
-        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 157),
+        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 275),
+        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 82),
     ],
     ids=["as_p31", "tower_F64_m63"],
 )
@@ -444,7 +444,8 @@ def test_a_jobs_precision_sets_no_work(cover, products, monkeypatch):
     # makes no product: it took 31 of the 1322 for AS over F_31 and 129 of
     # the 318 for the tower when it did.  The lift from the relation
     # polynomial took 1291 and 189, the lift of t 302 and 167, and the lift
-    # of the unit u takes 305 and 157.
+    # of the unit u 305 and 157.  Built once over K in sigma = s^m and
+    # stretched, with no t^a and no y + j, they take 275 and 82.
     counts = []
     real = series._mul_keys
 
@@ -760,17 +761,28 @@ def _as_filtration(p, f):
     return {"command": "filtration", "base": {"p": p, "a": 1}, "cover": {"type": "artin_schreier", "f": f}}
 
 
+def _f64_tower_filtration(f):
+    return {"command": "filtration", "base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": f}}
+
+
 # (job, series products): AS p=127 with f = t^-50 (35 s before the direct
 # lift) and t^-500 (over 45 s), AS p=2 with f = t^-3969 + t^-63 (7.8 s), and
 # AS p=127 with f = t^-3965 (21.6 s as a process while the lift of t took a
 # b-th root for y, which came out as an exact monomial).  The lift of t made
-# 999, 787, 699 and 1,214 products; the lift of u makes a few more or fewer,
-# on windows that are never falsely exact.
+# 999, 787, 699 and 1,214 products; the lift of u made 1,012, 807, 687 and
+# 1,244, on windows that are never falsely exact, and with sigma_j(s) taken
+# as s (1 + j/y)^b (no t^a, no y + j) it makes 881, 671, 671 and 1,103.
+# Towers over F_64 with m = 63, f = t^-63 and t^-63 + t^-1 (2.7 s and 12.5 s
+# as processes, 387 and 697 products, while the wild layer was built a
+# second time over K' on the pulled-back datum of pole 63 * 63): their
+# wild layer is lifted over K on ceil(R / 63) terms and stretched.
 _COVER_CORNERS = [
-    (_as_filtration(127, [[-50, 1]]), 1012),
-    (_as_filtration(127, [[-500, 1]]), 807),
-    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 687),
-    (_as_filtration(127, [[-3965, 1]]), 1244),
+    (_as_filtration(127, [[-50, 1]]), 881),
+    (_as_filtration(127, [[-500, 1]]), 671),
+    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 671),
+    (_as_filtration(127, [[-3965, 1]]), 1103),
+    (_f64_tower_filtration([[-63, 1]]), 206),
+    (_f64_tower_filtration([[-63, 1], [-1, 1]]), 241),
 ]
 
 
@@ -800,7 +812,8 @@ _COVER_CORNERS = [
         _enum("abelian_p_bound_probe", r=1, ell=3, p=65521, s=0),
         _enum("inertia_candidate_sample", r=1, ell=3, n=1, p=65521, count=1),
         # Artin-Schreier covers with a large pole, minutes long before t was
-        # lifted from one equation instead of the degree-p relation.
+        # lifted from one equation instead of the degree-p relation, and the
+        # two F_64 towers, seconds long while their wild layer was built over K'.
         *(job for job, _ in _COVER_CORNERS),
     ],
 )
@@ -948,7 +961,9 @@ def test_a_swan_job_forms_the_fixed_space_at_its_jump_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "job,products", _COVER_CORNERS, ids=["as_p127_pole50", "as_p127_pole500", "as_p2_two_terms", "as_p127_pole3965"]
+    "job,products",
+    _COVER_CORNERS,
+    ids=["as_p127_pole50", "as_p127_pole500", "as_p2_two_terms", "as_p127_pole3965", "tower_F64_m63", "tower_F64_two_terms"],
 )
 def test_a_cover_corner_makes_a_pinned_number_of_products(job, products, monkeypatch):
     # The corners of test_work_at_a_job_bound_is_admitted, bounded by their
@@ -1515,8 +1530,9 @@ def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
     # series products were LaurentSeries.scale's, which now makes none.  The
     # lift from the relation polynomial took 385 series products; the direct
     # lift makes more, smaller ones, and verify all takes less time.  The
-    # lift of t took 443, the lift of the unit u takes 436.
-    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 436}
+    # lift of t took 443, the lift of the unit u 436, and the wild layer
+    # built once over K, in sigma = s^m, takes 400.
+    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 400}
 
 
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):

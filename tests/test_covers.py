@@ -513,17 +513,53 @@ def test_artin_schreier_at_precision_2048_runs_every_self_check(monkeypatch):
     assert lower_break_table(cover).i_map == {1: 2}
 
 
-@pytest.mark.parametrize("field,tame", [(F4, 3), (F2, 1), (field_create(7, 1), 3)])
+@pytest.mark.parametrize(
+    "field,tame", [(F4, 3), (F2, 1), (field_create(7, 1), 3), (field_create(11, 1), 5), (field_create(2, 6), 9)]
+)
 def test_tower_runs_every_self_check(monkeypatch, field, tame):
     checks = _counting_checks(monkeypatch)
     tower = build_compositum_tower(field, tame, as_sparse(field, [[-1, [1]]]), prec=24)
-    # The wild layer's own build (relation, s' fixed, y -> y + 1), and the
-    # tame generator's action on s' and y when tame > 1.  The group law and
-    # t fixed they imply are checked here.
+    # The wild layer's own checks, run over K in sigma = s^tame (relation,
+    # t fixed, y -> y + 1), and the tame generator's action on the unit u
+    # and on y when tame > 1.  The group law and t fixed they imply are
+    # checked here in full, in s.
     tame_checks = ["tame action on the intermediate uniformizer", "tame action on y"]
     assert checks == _AS_CHECKS + (tame_checks if tame > 1 else [])
     _check_full_group_law(tower)
     assert lower_break_table(tower).by_label()["sigma"] == tame + 1
+
+
+def _tower_over_k_prime(field, m, f, prec):
+    """(t_in_s, sigma_action, prec) of the tower built the way it was before
+    its wild layer was lifted over K: ``build_artin_schreier`` on the
+    pulled-back datum f(s'^m) over K' = k((s')), t = s'^m, and the wild
+    action series twisted by zeta^(ak), a the exponent of the pulled datum."""
+    pulled = compose(f, LaurentSeries.monomial(field, 1, m))
+    upper = build_artin_schreier(field, pulled, prec=prec)
+    _, a, _ = _exponents(artin_schreier_reduce(pulled))
+    twists = field.powers_key(field.pow_key(field.root_of_unity(m), a), m)
+    action = {j * m + k: upper.sigma_action[j].scale(c) for j in range(field.p) for k, c in enumerate(twists)}
+    return upper.t_in_s ** m, action, upper.prec
+
+
+def test_a_tower_equals_its_wild_layer_built_over_k_prime():
+    # Every tame degree m | q - 1 with p m <= 128, over six fields, on a
+    # datum whose t^(-2p) term is reduced away and whose other terms are
+    # random.
+    rng = random.Random(48)
+    built = 0
+    for p, deg in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 6)):
+        field = field_create(p, deg)
+        q = p ** deg
+        for m in (m for m in range(1, 128 // p + 1) if (q - 1) % m == 0):
+            coords = [[rng.randrange(p) for _ in range(deg)] for _ in range(3)]
+            pairs = [[-2 * p, [1]], [-p - 1, [0, 1]], [-1, coords[0]], [0, coords[1]], [1, coords[2]]]
+            f = as_sparse(field, pairs)
+            for prec in (None, 200):
+                tower = build_compositum_tower(field, m, f, prec=prec)
+                assert (tower.t_in_s, tower.sigma_action, tower.prec) == _tower_over_k_prime(field, m, f, prec)
+                built += 1
+    assert built == 60
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +814,6 @@ def test_y_of_a_one_term_datum_keeps_the_relative_precision_of_the_lift():
     # O(s^(R - m)) = O(s^4), R = N - p; a y taken as an exact monomial made
     # the action powers run on exact windows of about b m terms.
     field = field_create(127, 1)
-    cover, y_in_s, _ = covers._artin_schreier(field, LaurentSeries.monomial(field, 1, -500), None)
-    assert cover.prec == 127 + 504
+    _, _, prec, _, y_in_s, _ = covers._artin_schreier(field, LaurentSeries.monomial(field, 1, -500), None, 1)
+    assert prec == 127 + 504
     assert y_in_s.valuation() == -500 and y_in_s.abs_prec == 4

@@ -50,6 +50,15 @@ def test_inverse_of_inverse_roundtrips():
     assert (double - f).is_zero_known()
 
 
+def test_inverse_to_no_terms_is_the_empty_window():
+    # prec <= 0 asks for no coefficient: the honest answer is O(t^(prec - v)),
+    # not an IndexError from an empty window.
+    for f in (LaurentSeries.from_terms(F3, {0: 1, 1: 1}), sparse(F3, [[2, [1]], [3, [2]]]).truncate(5)):
+        v = f.valuation()
+        for prec in (0, -1, -3):
+            assert f.inverse(prec=prec) == LaurentSeries(F3, prec - v, [], prec - v)
+
+
 def test_inverse_monomial_is_exact():
     m = sparse(F3, [[5, [2]]])
     inv = m.inverse()
