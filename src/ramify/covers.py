@@ -18,11 +18,12 @@ Computer Algebra, 9.4): G(u) = sigma^(pM) (y^p - y - f(t)), whose
 derivative sigma^(pM) (a y - b m t f'(t)) / u (y^p has derivative 0) is a
 unit, as v(t f'(t)) = -pM, v(y) = -M and p divides neither b nor m;
 v(G(1)) >= 1, as eta^p = c tau^-M.  Each series in s is the stretch
-sigma -> s^m of one in sigma: u, t, y and sigma_j(s) = s (1 + j/y)^b.
+sigma -> s^m of one in sigma: t, and the unit of each action
+zeta^(ak) s (1 + j/y)^b, twisted by zeta^(ak) before it is stretched.
 Everything downstream is honest series arithmetic.  The builders check the
-relation, what the wild generator does to t and y (in sigma) and, for a
-tower, what the tame one does to u and y; their docstrings prove that
-these imply the group law and invariance of t, which the tests check.
+relation and what the wild generator does to t and y (in sigma); their
+docstrings prove that these imply the group law and invariance of t, which
+the tests check.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _check_zero(series: LaurentSeries, what: str) -> None:
         raise MismatchDetected(f"consistency check failed: {what}")
 
 
-def _check_work(p: int, f: LaurentSeries, prec: int | None, tame: int = 1) -> None:
+def _check_work(p: int, f: LaurentSeries, prec: int | None, tame: int) -> None:
     """Refuse a wild build over ``PRECISION_CAP``: an explicit ``prec``
     above it, or a Newton-lift window p + pole + 4 above it, where pole is
     ``tame`` times the pole order of f as given (reduction only lowers it).
@@ -208,21 +209,23 @@ def build_artin_schreier(
     """
     if f.field != base:
         raise NotGaloisOverBase("defining function is not over the base field")
-    _check_work(base.p, f, prec)
-    t_in_s, action, target, _, _, _ = _artin_schreier(base, f, prec, 1)
+    t_in_s, action, target = _artin_schreier(base, f, prec, 1)
     group = deck_group("artin_schreier", base.p, 1)
     return GaloisCover(base_field=base, group=group, t_in_s=t_in_s, sigma_action=action, prec=target)
 
 
 def _artin_schreier(
     base: FiniteField, f: LaurentSeries, prec: int | None, m: int
-) -> tuple[LaurentSeries, dict[int, LaurentSeries], int, LaurentSeries, LaurentSeries, int]:
-    """(t, {j: sigma_j(s)}, N, u, y, a) of the wild layer of f, in s with
-    s^m = sigma (module docstring): m is 1 for ``build_artin_schreier``, the
-    tame degree for a tower.  The lift and its three checks run in sigma on
-    ceil(R / m) terms, R = N - p; each series is stretched to s and cut to
-    relative precision R.  The caller has checked f's field and the work."""
+) -> tuple[LaurentSeries, dict[int, LaurentSeries], int]:
+    """(t, {j m + k: zeta^(ak) s (1 + j/y)^b}, N) of the wild layer of f,
+    in s with s^m = sigma (module docstring): m is 1, whose one twist is 1,
+    for ``build_artin_schreier``, the tame degree for a tower.  The work is
+    checked against the precision cap first.  The lift and its three checks
+    run in sigma on ceil(R / m) terms, R = N - p; each unit is twisted in
+    sigma, stretched to s and cut to relative precision R.  The caller has
+    checked f's field."""
     p = base.p
+    _check_work(p, f, prec, m)
     f = artin_schreier_reduce(f)
     pole = -f.valuation()
     c = f.coeff(-pole)
@@ -277,9 +280,13 @@ def _artin_schreier(
     def stretch(x: LaurentSeries, ap: int) -> LaurentSeries:  # x(s^m) to O(s^ap)
         return compose(x, LaurentSeries.monomial(base, 1, m)).truncate(ap)
 
-    action = {0: LaurentSeries.uniformizer(base)}
-    action.update((j, stretch(unit, rel).shift(1)) for j, unit in units.items())
-    return stretch(t, p * m + rel), action, target, stretch(u, rel), stretch(y, rel - m * pole), a_exp
+    # zeta^(ak), twists[0] = 1 (all an AS cover has), so unit k = 0 is not scaled.
+    twists = base.powers_key(base.pow_key(base.root_of_unity(m), a_exp), m)
+    action = {k: LaurentSeries.monomial(base, twist, 1) for k, twist in enumerate(twists)}
+    for j, unit in units.items():
+        twisted = [unit] + [unit.scale(twist) for twist in twists[1:]]
+        action.update((j * m + k, stretch(x, rel).shift(1)) for k, x in enumerate(twisted))
+    return stretch(t, p * m + rel), action, target
 
 
 # ---------------------------------------------------------------------------
@@ -320,45 +327,36 @@ def build_compositum_tower(
     It is built first, so missing roots of unity are refused before the work
     is checked against the precision cap, and both before any series work.
 
-    Self-checks: in sigma = s^m, that phi: sigma -> sigma (1 + z)^(bm),
-    z = 1/y, fixes t and sends y to y + 1; for m > 1, that tau: F ->
-    F(action[1]), action[1] = zeta^a s, fixes u and y.  They imply the
-    rest.  s' = c^-b s^p u^b has s'^m = t and s'^a y^b = s, so a continuous
-    k-algebra map is fixed by its images of s' and y.  psi: s -> action[m]
-    = s (1 + z)^b sends sigma to phi(sigma), so psi(t) = t, psi(y) = y + 1,
-    psi(s')^m = s'^m and psi(s')^a = psi(s) (y + 1)^-b = s'^a; gcd(a, m) = 1
-    gives psi(s') = s'.  tau(s') = zeta^(ap) s' = zeta s' (a p = 1 + b m M).
-    So psi_(j,k): s' -> zeta^k s', y -> y + j is psi^j tau^k in either
-    order; it sends s to zeta^(ak) s (1 + j z)^b = action[j m + k] and t =
-    s'^m to (zeta^k s')^m = t, and these maps compose by adding (j, k) mod
-    (p, m) (zeta^m = 1, y + p = y): the product of
-    ``FiniteGroup.direct_product`` on the index j m + k.  The checks in
-    sigma hold to relative precision ceil(R / m), so to R = N - p in s, and
-    tau is an exact stretch: as in ``build_artin_schreier`` the law holds
-    mod s^(1 + R) and t is fixed mod s^(p m + R).
+    Self-checks: those of ``_artin_schreier``, in sigma = s^m: that phi:
+    sigma -> sigma (1 + z)^(bm), z = 1/y, fixes t and sends y to y + 1.
+    They imply the rest.  s' = c^-b s^p u^b has s'^m = t and s'^a y^b = s,
+    so a continuous k-algebra map is fixed by its images of s' and y.  The
+    tame generator tau: s -> action[1] = zeta^a s needs no check: it fixes
+    every series in s^m, as zeta^(am) = 1, so it fixes u and y, and
+    tau(s') = zeta^(ap) s' = zeta s', as a p = 1 + b m M.  psi: s ->
+    action[m] = s (1 + z)^b sends sigma to phi(sigma), so psi(t) = t,
+    psi(y) = y + 1, psi(s')^m = s'^m and psi(s')^a = psi(s) (y + 1)^-b =
+    s'^a; gcd(a, m) = 1 gives psi(s') = s'.  So psi_(j,k): s' -> zeta^k s',
+    y -> y + j is psi^j tau^k in either order; it sends s to
+    zeta^(ak) s (1 + j z)^b = action[j m + k] and t = s'^m to
+    (zeta^k s')^m = t, and these maps compose by adding (j, k) mod (p, m)
+    (zeta^m = 1, y + p = y): the product of ``FiniteGroup.direct_product``
+    on the index j m + k.  The checks in sigma hold to relative precision
+    ceil(R / m), so to R = N - p in s, and tau is exact on series in s^m:
+    as in ``build_artin_schreier`` the law holds mod s^(1 + R) and t is
+    fixed mod s^(p m + R).
     """
     lower = build_kummer(base, m)
     if upper_f.field != base:
         raise NotGaloisOverBase("wild datum is not over the base field")
-    p = base.p
-    _check_work(p, upper_f, prec, tame=m)
-    zeta = base.root_of_unity(m)
-    t_in_s, wild, target, u, y, a_exp = _artin_schreier(base, upper_f, prec, m)
-
-    twists = base.powers_key(base.pow_key(zeta, a_exp), m)  # zeta^(a k)
-    action = {j * m + k: wild[j].scale(c) for j in range(p) for k, c in enumerate(twists)}
-
-    if m > 1:
-        _check_zero(compose(u, action[1]) - u, "tame action on the intermediate uniformizer")
-        _check_zero(compose(y, action[1]) - y, "tame action on y")
-
+    t_in_s, action, target = _artin_schreier(base, upper_f, prec, m)
     return GaloisCover(
         base_field=base,
-        group=deck_group("tower", p, m),
+        group=deck_group("tower", base.p, m),
         t_in_s=t_in_s,
         sigma_action=action,
         prec=target,
-        intermediate=TowerParts(lower, tuple(range(0, p * m, m))),
+        intermediate=TowerParts(lower, tuple(range(0, base.p * m, m))),
     )
 
 

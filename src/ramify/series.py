@@ -141,10 +141,6 @@ class LaurentSeries:
     def uniformizer(cls, field: FiniteField) -> "LaurentSeries":
         return cls.monomial(field, 1, 1)
 
-    @classmethod
-    def constant(cls, field: FiniteField, c: int) -> "LaurentSeries":
-        return cls.from_terms(field, {0: c})
-
     # -- predicates -------------------------------------------------------------
 
     @property

@@ -14,6 +14,7 @@ import pytest
 from ramify import bounds, cli, corpus, ramification, reporting, series, verify
 from ramify.bounds import ExplicitConstants
 from ramify.errors import InputSchemaError
+from ramify.fields import FiniteField
 from ramify.groups import FiniteGroup
 from ramify.linalg import MatrixFF
 from ramify.ramification import SwanReport
@@ -973,6 +974,25 @@ def test_a_cover_corner_makes_a_pinned_number_of_products(job, products, monkeyp
     monkeypatch.setattr(series, "_mul_keys", lambda *args: counts.append(1) or real(*args))
     assert cli.run(job)[1] == 0
     assert len(counts) == products
+
+
+@pytest.mark.parametrize(
+    "job,keys",
+    [(_COVER_CORNERS[4][0], 4974), (_COVER_CORNERS[5][0], 4975)],
+    ids=["tower_F64_m63", "tower_F64_two_terms"],
+)
+def test_an_f64_tower_corner_scales_a_pinned_number_of_keys(job, keys, monkeypatch):
+    # The twists zeta^(ak), k != 0, scale each unit in sigma = s^63, on
+    # ceil(R / 63) terms, before it is stretched (267,548 and 267,549 keys
+    # while every twist scaled a stretched action series in s).  The job
+    # runs once first, so the field's generator and the Kummer layer, built
+    # once a process, are not counted.
+    assert cli.run(job)[1] == 0
+    counts = []
+    real = FiniteField.scale_keys
+    monkeypatch.setattr(FiniteField, "scale_keys", lambda self, c, ks: counts.append(len(ks)) or real(self, c, ks))
+    assert cli.run(job)[1] == 0
+    assert sum(counts) == keys
 
 
 def test_sampler_job_at_its_bound_makes_a_bounded_number_of_products(capsys, monkeypatch):

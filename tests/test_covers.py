@@ -520,11 +520,11 @@ def test_tower_runs_every_self_check(monkeypatch, field, tame):
     checks = _counting_checks(monkeypatch)
     tower = build_compositum_tower(field, tame, as_sparse(field, [[-1, [1]]]), prec=24)
     # The wild layer's own checks, run over K in sigma = s^tame (relation,
-    # t fixed, y -> y + 1), and the tame generator's action on the unit u
-    # and on y when tame > 1.  The group law and t fixed they imply are
-    # checked here in full, in s.
-    tame_checks = ["tame action on the intermediate uniformizer", "tame action on y"]
-    assert checks == _AS_CHECKS + (tame_checks if tame > 1 else [])
+    # t fixed, y -> y + 1), for every tame degree: the tame generator
+    # s -> zeta^a s fixes every series in s^tame, u and y among them, so
+    # it needs no check (``build_compositum_tower``).  The group law and t
+    # fixed they imply are checked here in full, in s.
+    assert checks == _AS_CHECKS
     _check_full_group_law(tower)
     assert lower_break_table(tower).by_label()["sigma"] == tame + 1
 
@@ -809,11 +809,24 @@ def test_corrupted_lift_or_root_is_caught(monkeypatch, p, m):
             build_artin_schreier(field, f, prec=32)
 
 
-def test_y_of_a_one_term_datum_keeps_the_relative_precision_of_the_lift():
+def test_y_of_a_one_term_datum_keeps_the_relative_precision_of_the_lift(monkeypatch):
     # AS p=127, f = t^-500: N = p + m + 4, so y = eta s^-m u^-a is known to
     # O(s^(R - m)) = O(s^4), R = N - p; a y taken as an exact monomial made
     # the action powers run on exact windows of about b m terms.
+    # y is read off the "y + 1 action" check, which composes it with the
+    # wild generator.
     field = field_create(127, 1)
-    _, _, prec, _, y_in_s, _ = covers._artin_schreier(field, LaurentSeries.monomial(field, 1, -500), None, 1)
+    composed, checked_y = [], []
+    real_compose, real_check = covers.compose, covers._check_zero
+
+    def check(series, what):
+        if what == "y + 1 action":
+            checked_y.append(composed[-1])
+        real_check(series, what)
+
+    monkeypatch.setattr(covers, "compose", lambda f, g: composed.append(f) or real_compose(f, g))
+    monkeypatch.setattr(covers, "_check_zero", check)
+    _, _, prec = covers._artin_schreier(field, LaurentSeries.monomial(field, 1, -500), None, 1)
     assert prec == 127 + 504
+    (y_in_s,) = checked_y
     assert y_in_s.valuation() == -500 and y_in_s.abs_prec == 4

@@ -200,7 +200,7 @@ def test_shift_and_scale():
     assert f.shift(3).valuation() == 3
     assert f.scale(2).coeff(1) == 4
     assert f.scale(0).is_exact_zero()
-    assert f.truncate(4).scale(0) == LaurentSeries.zero(F5) == f.truncate(4) * LaurentSeries.constant(F5, 0)
+    assert f.truncate(4).scale(0) == LaurentSeries.zero(F5) == f.truncate(4) * LaurentSeries.monomial(F5, 0, 0)
 
 
 @pytest.mark.parametrize("field", [F2, F5, field_create(2, 2), field_create(3, 2), field_create(2, 6)])
@@ -210,7 +210,7 @@ def test_scale_is_the_product_by_a_constant(field):
     f = LaurentSeries(field, -3, [(7 * i + 3) % field.order for i in range(40)], 37)
     for c in range(field.order):
         scaled = f.scale(c)
-        assert scaled == f * LaurentSeries.constant(field, c)
+        assert scaled == f * LaurentSeries.monomial(field, c, 0)
         assert scaled.coeffs == (tuple(field.mul_key(c, x) for x in f.coeffs) if c else ())
     assert f.scale(0).is_exact_zero()
 
