@@ -28,7 +28,7 @@ from .covers import (
     lower_break_table,
 )
 from .errors import InputSchemaError, NotGaloisOverBase, NotPrime, SizeCapExceeded
-from .fields import FiniteField, check_size_cap, field_create, is_prime
+from .fields import DEFAULT_SIZE_CAP, FiniteField, check_size_cap, field_create, is_prime
 from .groups import FiniteGroup
 from .linalg import MatrixFF
 from .ramification import Representation, law_walk
@@ -209,7 +209,7 @@ def base_field(cfg) -> FiniteField:
 def _datum(base: FiniteField, cover_cfg: dict) -> LaurentSeries:
     """The series 'cover.f', [[exponent, element], ...], each exponent
     given once.  Its window is stored densely, so no exponent may pass the
-    precision cap."""
+    precision cap; a build reads only the terms that reach its window."""
     terms, first = {}, {}
     for i, pair in enumerate(read(cover_cfg.get("f"), "cover.f", list)):
         path = f"cover.f[{i}]"
@@ -341,14 +341,14 @@ def enum_args(params: dict) -> tuple[str, dict]:
     else:
         # The field and group caps of the probe, checked before it forms
         # p^s; an order of 1 counts as 2, so that r is bounded for s = 0 too.
-        _cap(args["p"], 1 << 16, "'params.p' ** 'params.s'", args["s"])
+        _cap(args["p"], DEFAULT_SIZE_CAP, "'params.p' ** 'params.s'", args["s"])
         _cap(max(args["p"] ** args["s"], 2), GROUP_CAP,
              "the diagonal group ('params.p' ** 'params.s') ** 'params.r'", r)
     for key in ("p", "ell"):
         # A residue or coefficient characteristic, bounded as fields are
         # before trial division.
         if key in args:
-            _cap(args[key], 1 << 16, f"'params.{key}'")
+            _cap(args[key], DEFAULT_SIZE_CAP, f"'params.{key}'")
             if not is_prime(args[key]):
                 raise NotPrime(f"'params.{key}' = {args[key]} is not prime")
     if op == "abelian_p_bound_probe" and args["ell"] == args["p"] and args["s"]:

@@ -19,11 +19,11 @@ derivative sigma^(pM) (a y - b m t f'(t)) / u (y^p has derivative 0) is a
 unit, as v(t f'(t)) = -pM, v(y) = -M and p divides neither b nor m;
 v(G(1)) >= 1, as eta^p = c tau^-M.  Each series in s is the stretch
 sigma -> s^m of one in sigma: t, and the unit of each action
-zeta^(ak) s (1 + j/y)^b, twisted by zeta^(ak) before it is stretched.
-Everything downstream is honest series arithmetic.  The builders check the
-relation and what the wild generator does to t and y (in sigma); their
-docstrings prove that these imply the group law and invariance of t, which
-the tests check.
+zeta^(ak) s (1 + j/y)^b, twisted by zeta^(ak) before it is stretched.  f
+is read only as far as it reaches the window (``_artin_schreier``), and
+the rest is honest series arithmetic.  The builders check the relation and
+what the wild generator does to t and y (in sigma); their docstrings prove
+that these imply the group law and invariance of t, which the tests check.
 """
 
 from __future__ import annotations
@@ -167,20 +167,6 @@ def _check_zero(series: LaurentSeries, what: str) -> None:
         raise MismatchDetected(f"consistency check failed: {what}")
 
 
-def _check_work(p: int, f: LaurentSeries, prec: int | None, tame: int) -> None:
-    """Refuse a wild build over ``PRECISION_CAP``: an explicit ``prec``
-    above it, or a Newton-lift window p + pole + 4 above it, where pole is
-    ``tame`` times the pole order of f as given (reduction only lowers it).
-    With no ``prec`` the build works at that window."""
-    pole = 0 if f.is_zero_known() else tame * max(0, -f.valuation())
-    if prec is not None and prec > PRECISION_CAP:
-        raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {PRECISION_CAP}")
-    if p + pole + 4 > PRECISION_CAP:
-        raise SizeCapExceeded(
-            f"pole order {pole} needs precision {p + pole + 4}, over the precision cap {PRECISION_CAP}"
-        )
-
-
 def build_artin_schreier(
     base: FiniteField, f: LaurentSeries, prec: int | None = None
 ) -> GaloisCover:
@@ -198,7 +184,8 @@ def build_artin_schreier(
     y + p = y closes the cycle at t^a y^b = s.  So sigma^i(s) = action[i],
     sigma^i(t) = t, and, as a continuous map is fixed by the image of s,
     action[1](action[i]) = sigma^i(sigma(s)) = action[i + 1].
-    Precision: t is known to O(s^N), N the working precision, that is to
+    Precision: f is read only as far as it reaches the working precision N
+    (``_artin_schreier``); t is known to O(s^N), that is to
     relative precision R = N - p; y and each action[i] keep R (a product
     keeps the smaller one), so action[i] is known mod s^(1 + R).  The two
     checks hold to relative precision R, so sigma(action[i]) = action[i + 1]
@@ -219,23 +206,38 @@ def _artin_schreier(
 ) -> tuple[LaurentSeries, dict[int, LaurentSeries], int]:
     """(t, {j m + k: zeta^(ak) s (1 + j/y)^b}, N) of the wild layer of f,
     in s with s^m = sigma (module docstring): m is 1, whose one twist is 1,
-    for ``build_artin_schreier``, the tame degree for a tower.  The work is
-    checked against the precision cap first.  The lift and its three checks
-    run in sigma on ceil(R / m) terms, R = N - p; each unit is twisted in
-    sigma, stretched to s and cut to relative precision R.  The caller has
-    checked f's field."""
+    for ``build_artin_schreier``, the tame degree for a tower.  The caller
+    has checked f's field; ``prec`` and the window p + m M + 4 of f as given
+    are checked against the precision cap first.  The lift and its three
+    checks run in sigma on R_sigma = ceil(R / m) terms, R = N - p; each unit
+    is twisted in sigma, stretched to s and cut to relative precision R.
+
+    The reduced f is cut once, at O(t^K), K = ceil((R_sigma - p M) / p).  In
+    sigma, t has valuation p and y^p - y is known to O(sigma^(R_sigma - pM)),
+    so a term sigma^(pM) t^e with p (M + e) >= R_sigma changes neither G(u)
+    nor G'(u) mod sigma^R_sigma, so no Newton step (each is cut there), nor
+    the unique lifted unit u, nor the checked relation.  ``compose`` cuts an
+    approximate f at ``f.abs_prec`` p >= R_sigma - p M (f_M at (K + M) p >=
+    R_sigma), so every series keeps the precision of the uncut build."""
     p = base.p
-    _check_work(p, f, prec, m)
+    if prec is not None and prec > PRECISION_CAP:
+        raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {PRECISION_CAP}")
+    given = 0 if f.is_zero_known() else m * max(0, -f.valuation())  # reduction only lowers it
+    if p + given + 4 > PRECISION_CAP:
+        raise SizeCapExceeded(f"pole order {given} needs precision {p + given + 4}, "
+                              f"over the precision cap {PRECISION_CAP}")
     f = artin_schreier_reduce(f)
     pole = -f.valuation()
     c = f.coeff(-pole)
+    target = max(prec or 0, p + m * pole + 4)  # the break window (lower_break_table)
+    rel = target - p
+    rel_sigma = -(-rel // m)
+    f = f.truncate(-(-(rel_sigma - p * pole) // p))
 
     b = next(bb for bb in range(1, p) if (1 + bb * m * pole) % p == 0)
     a_exp, bm = (1 + b * m * pole) // p, b * m
     tau = base.pow_key(c, -bm)
     eta = base.pow_key(c, a_exp)
-
-    target = max(prec or 0, p + m * pole + 4)  # the break window (lower_break_table)
 
     # f(t) = f_M(t) t^-M and t f'(t) = theta_M(t) t^-M, with power series f_M, theta_M.
     f_m = f.shift(pole)
@@ -255,10 +257,7 @@ def _artin_schreier(
         slope = y_pm.scale(a_exp % p) - (compose(theta_m, t) * st).scale(bm % p)
         return value, slope * w
 
-    # An approximate seed keeps every evaluation to relative precision
-    # ceil(R / m) in sigma, R = N - p the relative precision in s.
-    rel = target - p
-    rel_sigma = -(-rel // m)
+    # An approximate seed keeps every evaluation to relative precision R_sigma.
     u = hensel_lift_root(value_and_derivative, LaurentSeries.one(base).truncate(rel_sigma), rel_sigma)
     t = (u ** bm).shift(p).scale(tau)
     if t.valuation() != p or t.coeff(p) != tau:

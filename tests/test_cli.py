@@ -776,14 +776,21 @@ def _f64_tower_filtration(f):
 # Towers over F_64 with m = 63, f = t^-63 and t^-63 + t^-1 (2.7 s and 12.5 s
 # as processes, 387 and 697 products, while the wild layer was built a
 # second time over K' on the pulled-back datum of pole 63 * 63): their
-# wild layer is lifted over K on ceil(R / 63) terms and stretched.
+# wild layer is lifted over K on ceil(R / 63) terms and stretched.  A build
+# reads f only to O(t^K), K = ceil((R_sigma - p M) / p), so the t^-63 of the
+# AS p=2 corner (K = -1982) and the t^-1 of the tower (K = -31) are not
+# composed (671 and 241 products while the whole datum was), nor are the
+# far terms of the last two corners: the tower with t^4096 (4.0 s as a
+# process, 398 products) and AS p=2 with t^4096 + t^-4089 (1.2 s, 651).
 _COVER_CORNERS = [
     (_as_filtration(127, [[-50, 1]]), 881),
     (_as_filtration(127, [[-500, 1]]), 671),
-    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 671),
+    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 361),
     (_as_filtration(127, [[-3965, 1]]), 1103),
     (_f64_tower_filtration([[-63, 1]]), 206),
-    (_f64_tower_filtration([[-63, 1], [-1, 1]]), 241),
+    (_f64_tower_filtration([[-63, 1], [-1, 1]]), 206),
+    (_f64_tower_filtration([[4096, 1], [-63, 1]]), 206),
+    (_as_filtration(2, [[4096, 1], [-4089, 1]]), 381),
 ]
 
 
@@ -814,7 +821,8 @@ _COVER_CORNERS = [
         _enum("inertia_candidate_sample", r=1, ell=3, n=1, p=65521, count=1),
         # Artin-Schreier covers with a large pole, minutes long before t was
         # lifted from one equation instead of the degree-p relation, and the
-        # two F_64 towers, seconds long while their wild layer was built over K'.
+        # two F_64 towers, seconds long while their wild layer was built over K',
+        # and two data with a far term, seconds long while it was composed.
         *(job for job, _ in _COVER_CORNERS),
     ],
 )
@@ -964,7 +972,10 @@ def test_a_swan_job_forms_the_fixed_space_at_its_jump_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "job,products",
     _COVER_CORNERS,
-    ids=["as_p127_pole50", "as_p127_pole500", "as_p2_two_terms", "as_p127_pole3965", "tower_F64_m63", "tower_F64_two_terms"],
+    ids=[
+        "as_p127_pole50", "as_p127_pole500", "as_p2_two_terms", "as_p127_pole3965",
+        "tower_F64_m63", "tower_F64_two_terms", "tower_F64_far_term", "as_p2_far_term",
+    ],
 )
 def test_a_cover_corner_makes_a_pinned_number_of_products(job, products, monkeypatch):
     # The corners of test_work_at_a_job_bound_is_admitted, bounded by their
@@ -978,13 +989,14 @@ def test_a_cover_corner_makes_a_pinned_number_of_products(job, products, monkeyp
 
 @pytest.mark.parametrize(
     "job,keys",
-    [(_COVER_CORNERS[4][0], 4974), (_COVER_CORNERS[5][0], 4975)],
+    [(_COVER_CORNERS[4][0], 4974), (_COVER_CORNERS[5][0], 4974)],
     ids=["tower_F64_m63", "tower_F64_two_terms"],
 )
 def test_an_f64_tower_corner_scales_a_pinned_number_of_keys(job, keys, monkeypatch):
     # The twists zeta^(ak), k != 0, scale each unit in sigma = s^63, on
     # ceil(R / 63) terms, before it is stretched (267,548 and 267,549 keys
-    # while every twist scaled a stretched action series in s).  The job
+    # while every twist scaled a stretched action series in s; the second
+    # tower's t^-1, past the cut at O(t^-31), cost one key more).  The job
     # runs once first, so the field's generator and the Kummer layer, built
     # once a process, are not counted.
     assert cli.run(job)[1] == 0

@@ -32,6 +32,7 @@ F2 = field_create(2, 1)
 F3 = field_create(3, 1)
 F4 = field_create(2, 2)
 F5 = field_create(5, 1)
+F64 = field_create(2, 6)
 
 
 def as_break_oracle(p, m, j):
@@ -436,6 +437,8 @@ def test_builders_allow_the_largest_window_and_precision_under_the_cap(monkeypat
 def test_defining_function_must_match_base():
     with pytest.raises(NotGaloisOverBase):
         build_artin_schreier(F2, as_sparse(F3, [[-1, [1]]]))
+    with pytest.raises(NotGaloisOverBase, match="wild datum is not over the base field"):
+        build_compositum_tower(F4, 3, as_sparse(F2, [[-1, [1]]]))
 
 
 def _character_of_order(group, p):
@@ -830,3 +833,84 @@ def test_y_of_a_one_term_datum_keeps_the_relative_precision_of_the_lift(monkeypa
     assert prec == 127 + 504
     (y_in_s,) = checked_y
     assert y_in_s.valuation() == -500 and y_in_s.abs_prec == 4
+
+
+# (field, tame degree m, pole M) of a one-term datum t^-M: AS covers for
+# m = 1, towers otherwise.
+_CUT_CASES = [(F2, 1, 7), (F3, 1, 5), (F5, 1, 7), (F4, 3, 5), (F64, 63, 5)]
+_CUT_IDS = ["as_p2", "as_p3", "as_p5", "tower_F4_m3", "tower_F64_m63"]
+
+
+def _cut(p, m, pole):
+    """K of ``_artin_schreier`` at the break window: the reduced datum is
+    read to O(t^K), K = ceil((R_sigma - p M) / p), R_sigma = ceil(R / m)."""
+    rel_sigma = -(-(m * pole + 4) // m)
+    return -(-(rel_sigma - p * pole) // p)
+
+
+def _wild_build(field, m, terms):
+    f = LaurentSeries.from_terms(field, terms)
+    return build_artin_schreier(field, f) if m == 1 else build_compositum_tower(field, m, f)
+
+
+@pytest.mark.parametrize("field,m,pole", _CUT_CASES, ids=_CUT_IDS)
+def test_a_datum_term_at_or_past_the_cut_leaves_the_cover_unchanged(field, m, pole):
+    # The cut is exact: a term at K or later changes no series, one at
+    # K - 1 changes t.
+    cut = _cut(field.p, m, pole)
+    assert -pole < cut - 1
+    plain = _wild_build(field, m, {-pole: 1})
+    for e in (cut, cut + 5, 4000):
+        cover = _wild_build(field, m, {-pole: 1, e: 1})
+        assert (cover.t_in_s, cover.sigma_action, cover.prec) == (plain.t_in_s, plain.sigma_action, plain.prec)
+    assert _wild_build(field, m, {-pole: 1, cut - 1: 1}).t_in_s != plain.t_in_s
+
+
+@pytest.mark.parametrize("field,m,pole", _CUT_CASES, ids=_CUT_IDS)
+def test_no_datum_term_at_or_past_the_cut_is_composed(field, m, pole, monkeypatch):
+    # The datum is composed at t, of valuation p in sigma: f itself (a
+    # pole) and the power series f_M and theta_M, shifted by t^M.
+    cut = _cut(field.p, m, pole)
+    composed = []
+    real = covers.compose
+    monkeypatch.setattr(covers, "compose", lambda f, g: composed.append((f, g)) or real(f, g))
+    _wild_build(field, m, {-pole: 1, cut: 1, cut + 5: 1, 4000: 1})
+    data = [f for f, g in composed if g.valuation() == field.p]
+    assert len(data) >= 3
+    for f in data:
+        shift = 0 if f.valuation() < 0 else pole
+        assert max(e for e, _ in f.support()) - shift < cut
+
+
+def test_an_approximate_datum_is_refused():
+    f = as_sparse(F2, [[-1, [1]]]).truncate(10)
+    with pytest.raises(PrecisionExhausted, match="cover datum must be an exact series"):
+        build_artin_schreier(F2, f)
+
+
+@pytest.mark.parametrize(
+    "field,pole,move",
+    [(F2, 1, lambda u: u.shift(1)), (F5, 2, lambda u: u.shift(1)), (F5, 2, lambda u: u.scale(2))],
+    ids=["p2_shifted", "p5_shifted", "p5_scaled"],
+)
+def test_a_lifted_unit_off_its_seed_is_caught(field, pole, move, monkeypatch):
+    # t = tau sigma^p u^(bm) must start with tau sigma^p: u shifted by sigma
+    # moves its valuation, and 2u (p = 5, M = 2, so b m = 2) its leading
+    # coefficient by 2^2 = 4.
+    lift = covers.hensel_lift_root
+    monkeypatch.setattr(covers, "hensel_lift_root", lambda *args: move(lift(*args)))
+    with pytest.raises(MismatchDetected, match="does not start with the seed"):
+        build_artin_schreier(field, as_sparse(field, [[-pole, [1]]]))
+
+
+def test_an_identity_action_is_not_faithful():
+    s = LaurentSeries.uniformizer(F2)
+    cover = GaloisCover(
+        base_field=F2,
+        group=deck_group("artin_schreier", 2, 1),
+        t_in_s=LaurentSeries.monomial(F2, 1, 2),
+        sigma_action={0: s, 1: s},
+        prec=1,
+    )
+    with pytest.raises(NotGaloisOverBase, match="action is not faithful"):
+        lower_break_table(cover)
