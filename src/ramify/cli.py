@@ -27,12 +27,12 @@ def _filtration_results(job: dict):
     """(results, filtration) of the job's cover or break table."""
     cover, bt, p = corpus.break_data(job)
     filt = filtration_from_breaks(bt, p)
+    # G_i is a level of filt or, past the last jump, the identity: sort each once.
+    names = {level: sorted(bt.group.labels[g] for g in level)
+             for level in (*filt.levels, filt.subgroup_at(filt.i_max + 1))}
     results = {
         "i_G": bt.by_label(),
-        "filtration": [
-            [i, sorted(bt.group.labels[g] for g in filt.subgroup_at(i))]
-            for i in range(filt.i_max + 2)
-        ],
+        "filtration": [[i, names[filt.subgroup_at(i)]] for i in range(filt.i_max + 2)],
         "i_max": filt.i_max,
         "group_order": bt.group.n,
     }

@@ -19,17 +19,23 @@ derivative sigma^(pM) (a y - b m t f'(t)) / u (y^p has derivative 0) is a
 unit, as v(t f'(t)) = -pM, v(y) = -M and p divides neither b nor m;
 v(G(1)) >= 1, as eta^p = c tau^-M.  Each series in s is the stretch
 sigma -> s^m of one in sigma: t, and the unit of each action
-zeta^(ak) s (1 + j/y)^b, twisted by zeta^(ak) before it is stretched.  f
-is read only as far as it reaches the window (``_artin_schreier``), and
-the rest is honest series arithmetic.  The builders check the relation and
-what the wild generator does to t and y (in sigma); their docstrings prove
-that these imply the group law and invariance of t, which the tests check.
+zeta^(ak) s (1 + j/y)^b, twisted by zeta^(ak) before it is stretched.
+With R_sigma the relative precision of the lift, the p - 1 units
+(1 + j z)^b, z = 1/y, are binomial sums: v(z^i) = i M, so the terms with
+i M >= R_sigma vanish mod sigma^R_sigma, and all p - 1 sums come from one
+Paterson-Stockmeyer pass that shares the powers of z
+(``series._evaluate_at``).  f is read only as far as it reaches the window
+(``_artin_schreier``), and the rest is honest series arithmetic.  The
+builders check the relation and what the wild generator does to t and y
+(in sigma); their docstrings prove that these imply the group law and
+invariance of t, which the tests check.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import comb
 
 from .errors import (
     MismatchDetected,
@@ -40,7 +46,7 @@ from .errors import (
 )
 from .fields import FiniteField
 from .groups import FiniteGroup
-from .series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root
+from .series import PRECISION_CAP, LaurentSeries, _evaluate_at, compose, hensel_lift_root
 
 
 class TowerParts(namedtuple("TowerParts", "lower H_indices")):
@@ -218,7 +224,18 @@ def _artin_schreier(
     nor G'(u) mod sigma^R_sigma, so no Newton step (each is cut there), nor
     the unique lifted unit u, nor the checked relation.  ``compose`` cuts an
     approximate f at ``f.abs_prec`` p >= R_sigma - p M (f_M at (K + M) p >=
-    R_sigma), so every series keeps the precision of the uncut build."""
+    R_sigma), so every series keeps the precision of the uncut build.
+
+    The unit of sigma_j is (1 + j z)^b = sum_i C(b, i) j^i z^i, z = 1/y of
+    valuation M, known to relative precision R_sigma.  As v(z^i) = i M, the
+    terms with i M >= R_sigma vanish mod sigma^R_sigma, so each unit is the
+    row of keys C(b, i) j^i mod p, i <= K = min(b, floor((R_sigma - 1) / M)),
+    evaluated at z cut to O(sigma^R_sigma): one ``_evaluate_at`` call for all
+    p - 1 rows.  Each row's coefficient of z is b j != 0 mod p, so each unit
+    keeps relative precision R_sigma, as the power did, and equals it under
+    ==.  phi is still formed from the stored unit of j = 1, so the two wild
+    checks also check that row, and through it the cut: a row one term
+    short is wrong at sigma^(K M), below R_sigma."""
     p = base.p
     if prec is not None and prec > PRECISION_CAP:
         raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {PRECISION_CAP}")
@@ -265,27 +282,27 @@ def _artin_schreier(
     u_a = u ** a_exp
     y = u_a.inverse().shift(-pole).scale(eta)
     z = u_a.shift(pole).scale(base.inverse_key(eta))  # 1/y
-    one = LaurentSeries.one(base)
 
     _check_zero(y ** p - y - compose(f, t), "defining relation of y")
 
-    # sigma_j(s) = s (1 + j z)^b, the unit factor a series in sigma.
-    units = {j: (one + z.scale(j)).truncate(rel_sigma) ** b for j in range(1, p)}
+    # sigma_j(s) = s (1 + j z)^b, the unit factor sum_(i <= K) C(b, i) j^i z^i
+    # mod sigma^R_sigma, K = min(b, floor((R_sigma - 1) / M)): one row of keys each.
+    cut = min(b, (rel_sigma - 1) // pole)
+    rows = [[comb(b, i) * pow(j, i, p) % p for i in range(cut + 1)] for j in range(1, p)]
+    units = _evaluate_at(base, rows, z.truncate(rel_sigma))
     # The wild generator fixes t and shifts y; the builders derive the law.
-    phi = (units[1] ** m).shift(1)  # its action on sigma = s^m: sigma (1 + z)^(bm)
+    phi = (units[0] ** m).shift(1)  # its action on sigma = s^m: sigma (1 + z)^(bm)
     _check_zero(compose(t, phi) - t, "t is not fixed")
-    _check_zero(compose(y, phi) - y - one, "y + 1 action")
-
-    def stretch(x: LaurentSeries, ap: int) -> LaurentSeries:  # x(s^m) to O(s^ap)
-        return compose(x, LaurentSeries.monomial(base, 1, m)).truncate(ap)
+    _check_zero(compose(y, phi) - y - LaurentSeries.one(base), "y + 1 action")
 
     # zeta^(ak), twists[0] = 1 (all an AS cover has), so unit k = 0 is not scaled.
     twists = base.powers_key(base.pow_key(base.root_of_unity(m), a_exp), m)
     action = {k: LaurentSeries.monomial(base, twist, 1) for k, twist in enumerate(twists)}
-    for j, unit in units.items():
+    s_m = LaurentSeries.monomial(base, 1, m)  # each series x(sigma) is stretched to x(s^m)
+    for j, unit in enumerate(units, 1):
         twisted = [unit] + [unit.scale(twist) for twist in twists[1:]]
-        action.update((j * m + k, stretch(x, rel).shift(1)) for k, x in enumerate(twisted))
-    return stretch(t, p * m + rel), action, target
+        action.update((j * m + k, compose(x, s_m).truncate(rel).shift(1)) for k, x in enumerate(twisted))
+    return compose(t, s_m).truncate(p * m + rel), action, target
 
 
 # ---------------------------------------------------------------------------

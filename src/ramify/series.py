@@ -27,9 +27,13 @@ is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): about
 2 sqrt(n) products for n terms instead of Horner's n.  The powers
 g^0 .. g^(k-1) are packed once, each block of k coefficients of F is a sum
 of those packed integers times F's keys packed by ``FiniteField.pack``,
-and Horner in g^k over the blocks reduces once a step.  The pole factor is one ``power`` of the
-inverse.  An exact monomial g is a coefficient stretch.  The result equals
-Horner's under ==, precision included; ``compose`` gives the argument.
+and Horner in g^k over the blocks reduces once a step.  The evaluator takes
+several rows of keys at one g, and the rows share g's powers, their packs
+and the packed g^k: ``compose`` passes one row, and a wild cover's build its
+p - 1 action units (``covers._artin_schreier``).  The pole factor is one
+``power`` of the inverse.  An exact monomial g is a coefficient stretch.
+The result equals Horner's under ==, precision included; ``compose`` gives
+the argument.
 
 An exact non-monomial is inverted to ``DEFAULT_PRECISION`` (64) terms
 unless told otherwise, and ``PRECISION_CAP`` (4096) bounds cover builds and
@@ -325,52 +329,58 @@ class LaurentSeries:
         return LaurentSeries(field, -v, w, -v + rel)
 
 
-def _evaluate_at(field: FiniteField, keys: Sequence[int], g: LaurentSeries) -> LaurentSeries:
-    """sum keys[e] * g^e over e >= 0, by Paterson-Stockmeyer (see ``compose``)."""
-    n = len(keys)
-    while n and not keys[n - 1]:
-        n -= 1
+def _evaluate_at(field: FiniteField, rows: Sequence[Sequence[int]], g: LaurentSeries) -> list[LaurentSeries]:
+    """sum keys[e] * g^e over e >= 0 for each row of keys, by Paterson-Stockmeyer
+    (see ``compose``), one series a row.  The rows share g's powers
+    g^0 .. g^k, cut at the largest row precision, their packs and the packed
+    g^k, so a row costs no product: only its blocks and giant steps on packed
+    integers.  Each row keeps its own length (trailing zeros cut), and its
+    own Horner precision, below which the shared powers agree with those cut
+    at it; a row of at most one key is its exact constant."""
+    rows = [keys[: len(keys) - next((i for i, c in enumerate(reversed(keys)) if c), len(keys))] for keys in rows]
+    n = max(map(len, rows))
     if n <= 1:
-        return LaurentSeries(field, 0, keys[:n], None)
+        return [LaurentSeries(field, 0, keys, None) for keys in rows]
     w = g.v0
-    if g.abs_prec is None:
-        ap = None
-        span = (n - 1) * (w + len(g.coeffs) - 1) + 1  # the result's terms
+    # Horner's precision: P + (j - 1) w for the least j >= 1 with f_j != 0 (a
+    # constant is exact, as is every result at an exact g).
+    lead = [next((j for j in range(1, len(keys)) if keys[j]), None) for keys in rows]
+    caps = [None if g.is_exact or j is None else g.abs_prec + (j - 1) * w for j in lead]
+    if g.is_exact:
+        span = (n - 1) * (w + len(g.coeffs) - 1) + 1  # the longest result's terms
     else:
-        # Horner's precision: P + (j - 1) w for the least j >= 1 with f_j != 0.
-        ap = span = g.abs_prec + (next(j for j in range(1, n) if keys[j]) - 1) * w
-        g = LaurentSeries(field, w, g._window(w, ap), ap)
+        span = max(ap for ap in caps if ap is not None)
+        g = LaurentSeries(field, w, g._window(w, span), span)
     k = n if n <= 3 else isqrt(n - 1) + 1  # n = 3: g^2 and one block, no giant step
     powers = [LaurentSeries.one(field), g]
     for j in range(2, k + 1 if n > k else k):
         half = powers[j // 2]
         power = half * half if j % 2 == 0 else powers[j - 1] * g
-        powers.append(power if ap is None else power.truncate(ap))
+        powers.append(power if g.is_exact else power.truncate(span))
 
     # Everything below is on packed integers as in _mul_keys, with slots wide
     # enough for a product of two windows of the result plus k more terms.
     bits = field.window_bits(span + k)
     windows = [s._window(0, s.v0 + len(s.coeffs)) for s in powers]
     packs = [field.pack_window(x, bits) for x in windows[:k]]
-    scalars = field.pack(keys[:n], bits)  # slot k of a scalar shifts a pack by x^k
-
-    def block(i: int) -> int:
-        """sum_j keys[ik + j] g^j, packed: small-int multiples of the packs."""
-        return sum(c * x for c, x in zip(scalars[i * k : i * k + k], packs) if c)
-
-    # Giant steps: Horner in g^k over the blocks, one reduction a step.
-    count = -(-n // k)
     reach = max(map(len, windows[:k]))  # coefficients a block can fill
-    acc = field.unpack_window(block(count - 1), reach, reach, bits)
-    if count > 1:
-        giant = windows[k]
-        packed = field.pack_window(giant, bits)
-        for i in range(count - 2, -1, -1):
+    giant = windows[k] if n > k else []
+    packed = field.pack_window(giant, bits)
+    results = []
+    for keys, ap in zip(rows, caps):
+        # Block i is sum_j keys[ik + j] g^j: small-int multiples of the packs, as
+        # slot k of a scalar shifts a pack by x^k.  Horner in g^k runs over the
+        # blocks, one reduction a step.
+        scalars = field.pack(keys, bits)
+        blocks = [sum(c * x for c, x in zip(scalars[i : i + k], packs) if c)
+                  for i in range(0, len(keys) or 1, k)]
+        acc = field.unpack_window(blocks.pop(), reach, reach, bits)
+        for block in reversed(blocks):
             full = max(len(acc) + len(giant) - 1, reach)
-            m = full if ap is None else ap
-            value = field.pack_window(acc, bits) * packed + block(i)
-            acc = field.unpack_window(value, full, m, bits)
-    return LaurentSeries(field, 0, acc, ap)
+            value = field.pack_window(acc, bits) * packed + block
+            acc = field.unpack_window(value, full, full if ap is None else ap, bits)
+        results.append(LaurentSeries(field, 0, acc, ap))
+    return results
 
 
 def _stretch(f: LaurentSeries, c: int, w: int) -> LaurentSeries:
@@ -443,7 +453,7 @@ def compose(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
         result = _stretch(f, g.coeffs[0], w)
     else:
         v = min(f.v0, 0)
-        result = _evaluate_at(field, f._window(v, f.v0 + len(f.coeffs)), g)
+        result = _evaluate_at(field, [f._window(v, f.v0 + len(f.coeffs))], g)[0]
         if v < 0:
             result = result * g.inverse() ** -v
     if f.abs_prec is not None:

@@ -196,6 +196,7 @@ def test_filtration_job_with_direct_break_table(capsys, monkeypatch):
     assert report["results"]["filtration"] == [[0, ["1", "s"]], [1, ["1", "s"]], [2, ["1"]]]
 
 
+
 def test_swan_job_on_direct_break_table(capsys, monkeypatch):
     job = {
         "command": "swan",
@@ -434,7 +435,7 @@ def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "cover,products",
     [
-        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 275),
+        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 67),
         ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 82),
     ],
     ids=["as_p31", "tower_F64_m63"],
@@ -446,7 +447,9 @@ def test_a_jobs_precision_sets_no_work(cover, products, monkeypatch):
     # the 318 for the tower when it did.  The lift from the relation
     # polynomial took 1291 and 189, the lift of t 302 and 167, and the lift
     # of the unit u 305 and 157.  Built once over K in sigma = s^m and
-    # stretched, with no t^a and no y + j, they take 275 and 82.
+    # stretched, with no t^a and no y + j, they took 275 and 82; with the 30
+    # action units of AS over F_31 taken from one shared Paterson-Stockmeyer
+    # pass, not 30 powers (1 + j/y)^b, it takes 67.
     counts = []
     real = series._mul_keys
 
@@ -704,6 +707,27 @@ def _dihedral_table(p, command):
             "break_table": {"labels": labels, "mul_table": table, "iG": i_g}}
 
 
+@pytest.mark.parametrize(
+    "job",
+    [
+        _dihedral_table(7, "filtration"),
+        {"command": "filtration", "base": {"p": 3, "a": 1}, "cover": {"type": "tower", "m": 2, "f": [[-2, 1]]}},
+        {"command": "filtration", "base": {"p": 2, "a": 1},
+         "break_table": {"labels": ["1"], "mul_table": [[0]], "iG": {}}},
+    ],
+    ids=["dihedral_p7", "tower_p3_m2", "trivial_group"],
+)
+def test_filtration_rows_match_a_per_index_sort(job):
+    # Each level's labels are sorted once and shared by every index in it:
+    # the rows equal a sort of G_i for each i, and there are as many
+    # distinct rows as levels, the trivial one after the last jump included.
+    results, filt = cli._filtration_results(job)
+    labels = filt.group.labels
+    oracle = [[i, sorted(labels[g] for g in filt.subgroup_at(i))] for i in range(filt.i_max + 2)]
+    assert results["filtration"] == oracle
+    assert len({id(row) for _, row in results["filtration"]}) == len(filt.levels) + 1
+
+
 def _rank_job(r, command="swan"):
     """SWAN_JOB at rank r, sigma -> -1: the law check's work is 2 * 1 * r^3."""
     minus_one = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -772,7 +796,9 @@ def _f64_tower_filtration(f):
 # b-th root for y, which came out as an exact monomial).  The lift of t made
 # 999, 787, 699 and 1,214 products; the lift of u made 1,012, 807, 687 and
 # 1,244, on windows that are never falsely exact, and with sigma_j(s) taken
-# as s (1 + j/y)^b (no t^a, no y + j) it makes 881, 671, 671 and 1,103.
+# as s (1 + j/y)^b (no t^a, no y + j) it made 881, 671, 671 and 1,103.
+# The 126 action units of AS p=127 come from one shared Paterson-Stockmeyer
+# pass on their binomial rows, not from 126 powers: 125, 167 and 221.
 # Towers over F_64 with m = 63, f = t^-63 and t^-63 + t^-1 (2.7 s and 12.5 s
 # as processes, 387 and 697 products, while the wild layer was built a
 # second time over K' on the pulled-back datum of pole 63 * 63): their
@@ -783,10 +809,10 @@ def _f64_tower_filtration(f):
 # far terms of the last two corners: the tower with t^4096 (4.0 s as a
 # process, 398 products) and AS p=2 with t^4096 + t^-4089 (1.2 s, 651).
 _COVER_CORNERS = [
-    (_as_filtration(127, [[-50, 1]]), 881),
-    (_as_filtration(127, [[-500, 1]]), 671),
+    (_as_filtration(127, [[-50, 1]]), 125),
+    (_as_filtration(127, [[-500, 1]]), 167),
     (_as_filtration(2, [[-3969, 1], [-63, 1]]), 361),
-    (_as_filtration(127, [[-3965, 1]]), 1103),
+    (_as_filtration(127, [[-3965, 1]]), 221),
     (_f64_tower_filtration([[-63, 1]]), 206),
     (_f64_tower_filtration([[-63, 1], [-1, 1]]), 206),
     (_f64_tower_filtration([[4096, 1], [-63, 1]]), 206),
@@ -989,14 +1015,15 @@ def test_a_cover_corner_makes_a_pinned_number_of_products(job, products, monkeyp
 
 @pytest.mark.parametrize(
     "job,keys",
-    [(_COVER_CORNERS[4][0], 4974), (_COVER_CORNERS[5][0], 4974)],
+    [(_COVER_CORNERS[4][0], 4910), (_COVER_CORNERS[5][0], 4910)],
     ids=["tower_F64_m63", "tower_F64_two_terms"],
 )
 def test_an_f64_tower_corner_scales_a_pinned_number_of_keys(job, keys, monkeypatch):
     # The twists zeta^(ak), k != 0, scale each unit in sigma = s^63, on
     # ceil(R / 63) terms, before it is stretched (267,548 and 267,549 keys
     # while every twist scaled a stretched action series in s; the second
-    # tower's t^-1, past the cut at O(t^-31), cost one key more).  The job
+    # tower's t^-1, past the cut at O(t^-31), cost one key more; 4,974 while
+    # the one unit 1 + z was formed as one + z.scale(1)).  The job
     # runs once first, so the field's generator and the Kummer layer, built
     # once a process, are not counted.
     assert cli.run(job)[1] == 0
@@ -1563,8 +1590,9 @@ def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
     # lift from the relation polynomial took 385 series products; the direct
     # lift makes more, smaller ones, and verify all takes less time.  The
     # lift of t took 443, the lift of the unit u 436, and the wild layer
-    # built once over K, in sigma = s^m, takes 400.
-    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 400}
+    # built once over K, in sigma = s^m, 400.  With every action unit from
+    # one shared Paterson-Stockmeyer pass, not a power each, it takes 390.
+    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 390}
 
 
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from ramify import corpus, covers
+from ramify import corpus, covers, series
 from ramify.covers import (
     BreakTable,
     GaloisCover,
@@ -23,7 +23,7 @@ from ramify.errors import (
     PrecisionExhausted,
     SizeCapExceeded,
 )
-from ramify.fields import field_create
+from ramify.fields import field_create, power
 from ramify.linalg import MatrixFF
 from ramify.ramification import Representation, filtration_from_breaks, swan_conductor
 from ramify.series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root
@@ -848,9 +848,10 @@ def _cut(p, m, pole):
     return -(-(rel_sigma - p * pole) // p)
 
 
-def _wild_build(field, m, terms):
-    f = LaurentSeries.from_terms(field, terms)
-    return build_artin_schreier(field, f) if m == 1 else build_compositum_tower(field, m, f)
+def _wild_build(field, m, datum, prec=None):
+    """The cover of a datum, given as a series or as {exponent: key}."""
+    f = datum if isinstance(datum, LaurentSeries) else LaurentSeries.from_terms(field, datum)
+    return build_artin_schreier(field, f, prec) if m == 1 else build_compositum_tower(field, m, f, prec)
 
 
 @pytest.mark.parametrize("field,m,pole", _CUT_CASES, ids=_CUT_IDS)
@@ -901,6 +902,124 @@ def test_a_lifted_unit_off_its_seed_is_caught(field, pole, move, monkeypatch):
     monkeypatch.setattr(covers, "hensel_lift_root", lambda *args: move(lift(*args)))
     with pytest.raises(MismatchDetected, match="does not start with the seed"):
         build_artin_schreier(field, as_sparse(field, [[-pole, [1]]]))
+
+
+# ---------------------------------------------------------------------------
+# The action units (1 + j z)^b, z = 1/y, from one shared Paterson-Stockmeyer
+# pass on their binomial rows, against their powers.
+
+
+def _capture_units(monkeypatch, change=None):
+    """The (rows, g, units) of each ``_evaluate_at`` call a build makes, the
+    rows first passed through ``change`` when one is given."""
+    calls = []
+    real = series._evaluate_at
+
+    def spy(field, rows, g):
+        rows = change(rows) if change else rows
+        calls.append((rows, g, real(field, rows, g)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(covers, "_evaluate_at", spy)
+    return calls
+
+
+def _b(p, m, pole):
+    return next(b for b in range(1, p) if (1 + b * m * pole) % p == 0)
+
+
+def _assert_units_are_powers(monkeypatch, field, m, f, prec):
+    """Build, then check each unit against (1 + j z)^b by ``power``, ==
+    with its precision R_sigma, and the stretched unit against the action
+    of (j, 0); returns K, the number of terms past the constant in a row."""
+    calls = _capture_units(monkeypatch)
+    cover = _wild_build(field, m, f, prec)
+    p, pole = field.p, -artin_schreier_reduce(f).valuation()
+    rel = cover.prec - p
+    rel_sigma = -(-rel // m)
+    ((rows, z, units),) = calls
+    assert z.valuation() == pole and z.abs_prec == rel_sigma
+    one = LaurentSeries.one(field)
+    s_m = LaurentSeries.monomial(field, 1, m)
+    for j, unit in enumerate(units, 1):
+        assert unit == power(one + z.scale(j), _b(p, m, pole))
+        assert unit.abs_prec == rel_sigma
+        assert cover.sigma_action[j * m] == compose(unit, s_m).truncate(rel).shift(1)
+    return {len(row) - 1 for row in rows}
+
+
+_UNIT_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (127, 1), (2, 2), (3, 2), (2, 6), (127, 2)]
+
+
+@pytest.mark.parametrize("p,deg", _UNIT_FIELDS, ids=[f"F_{p}^{deg}" for p, deg in _UNIT_FIELDS])
+def test_the_action_units_of_a_wild_cover_are_their_powers(monkeypatch, p, deg):
+    # M = 1 at precision 2048: K = b, so every binomial term survives; over
+    # F_(127^2) at 300, where K = b = 126 as well (R_sigma = 173), as the
+    # build and its 126 oracle powers take about 9 s at 2048.  M the least
+    # pole >= 4 prime to p, at the break window p + M + 4, where
+    # R_sigma = M + 4: K = 1, the row 1 + b j z.
+    field = field_create(p, deg)
+    f = LaurentSeries.monomial(field, 1, -1)
+    prec = 300 if field.order == 127 ** 2 else 2048
+    assert _assert_units_are_powers(monkeypatch, field, 1, f, prec) == {_b(p, 1, 1)}
+    pole = 5 if p == 2 else 4
+    f = LaurentSeries.from_terms(field, {-pole: 1, -1: field.order - 1, 3: 1})
+    assert _assert_units_are_powers(monkeypatch, field, 1, f, None) == {1}
+
+
+@pytest.mark.parametrize("p,deg,m", [(3, 1, 2), (7, 1, 3), (3, 2, 8), (2, 6, 63)])
+@pytest.mark.parametrize("prec", [None, 64, 200])
+def test_the_action_units_of_a_tower_are_their_powers(monkeypatch, p, deg, m, prec):
+    field = field_create(p, deg)
+    f = LaurentSeries.from_terms(field, {-1: 1, 2: field.order - 1})
+    rel_sigma = -(-(max(prec or 0, p + m + 4) - p) // m)
+    assert _assert_units_are_powers(monkeypatch, field, m, f, prec) == {min(_b(p, m, 1), rel_sigma - 1)}
+
+
+@pytest.mark.parametrize("p,pole,prec", [(5, 1, 64), (7, 2, None), (13, 1, None), (13, 3, 200)])
+def test_a_wrong_binomial_key_for_j_at_least_two_breaks_the_group_law(monkeypatch, p, pole, prec):
+    # A wrong key in the row of j = 2 changes sigma_2(s) alone.  The builder
+    # checks only the wild generator, whose unit is that of j = 1, so the
+    # build passes its self-checks; the full group law, here in the test,
+    # is what catches it: sigma(sigma(s)) != sigma_2(s).
+    field = field_create(p, 1)
+    f = LaurentSeries.monomial(field, 1, -pole)
+
+    def wrong(rows):
+        rows = [list(row) for row in rows]
+        rows[1][1] = (rows[1][1] + 1) % p
+        return rows
+
+    _capture_units(monkeypatch, wrong)
+    cover = build_artin_schreier(field, f, prec)
+    with pytest.raises(AssertionError):
+        _check_full_group_law(cover)
+
+
+@pytest.mark.parametrize(
+    "p,deg,m,pole,prec",
+    [(2, 1, 1, 1, None), (3, 1, 1, 1, 2048), (5, 1, 1, 4, None), (127, 1, 1, 1, 300),
+     (2, 2, 3, 1, 64), (3, 2, 8, 1, 200), (7, 1, 3, 2, None), (2, 6, 63, 1, None)],
+)
+def test_a_unit_cut_one_term_short_is_caught(monkeypatch, p, deg, m, pole, prec):
+    # Dropping term K of every row leaves sigma_1(s) wrong mod
+    # sigma^R_sigma, as K M < R_sigma: the builder's two wild checks, both
+    # on phi = (units[1] ** m) sigma, catch it.  A term past K changes
+    # nothing: it vanishes mod sigma^R_sigma.
+    field = field_create(p, deg)
+    f = LaurentSeries.monomial(field, 1, -pole)
+    b = _b(p, m, pole)
+    plain = _wild_build(field, m, f, prec)
+
+    def longer(rows):
+        return [row + [comb(b, len(row)) * pow(j, len(row), p) % p] for j, row in enumerate(rows, 1)]
+
+    _capture_units(monkeypatch, longer)
+    cover = _wild_build(field, m, f, prec)
+    assert (cover.t_in_s, cover.sigma_action, cover.prec) == (plain.t_in_s, plain.sigma_action, plain.prec)
+    _capture_units(monkeypatch, lambda rows: [row[:-1] for row in rows])
+    with pytest.raises(MismatchDetected, match="t is not fixed|y \\+ 1 action"):
+        _wild_build(field, m, f, prec)
 
 
 def test_an_identity_action_is_not_faithful():

@@ -13,6 +13,7 @@ from ramify.errors import (
     ZeroElement,
 )
 from ramify.fields import FiniteField, field_create
+from ramify import series
 from ramify.series import LaurentSeries, compose, hensel_lift_root, nth_root_of_unit
 
 F2 = field_create(2, 1)
@@ -414,6 +415,47 @@ def test_compose_of_long_series_matches_horner(field, data):
     f = data.draw(long_series(field))
     g = data.draw(substitutions(field))
     assert_matches(compose(f, g), ref_compose(ref_of(f), ref_of(g), field))
+
+
+@st.composite
+def key_rows(draw, field):
+    """One to five rows of keys of unequal length (0 to 60), dense or sparse,
+    some with trailing zeros or a single key."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 60))
+        keys = draw(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            keys = [c if draw(st.integers(0, 4)) == 0 else 0 for c in keys]
+        rows.append(keys + [0] * draw(st.integers(0, 3)))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_evaluating_rows_at_once_matches_one_compose_per_row(field, data):
+    # The rows share g's powers, their packs and the giant step, but each
+    # result has its own row's length and precision: == one compose each,
+    # and the products of the longest row alone.
+    rows = data.draw(key_rows(field))
+    g = data.draw(substitutions(field))  # compose stretches at a monomial
+    out = series._evaluate_at(field, rows, g)
+    assert out == [compose(LaurentSeries(field, 0, keys, None), g) for keys in rows]
+
+
+def test_rows_take_the_products_of_the_longest_row(monkeypatch):
+    g = LaurentSeries(F5, 1, [1, 2, 3] * 40, 121)
+    rows = [[1 + e % 4 for e in range(n)] for n in (100, 37, 2, 1, 0)]
+    calls = []
+    inner = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__", lambda x, y: calls.append(1) or inner(x, y))
+    series._evaluate_at(F5, rows[:1], g)
+    alone = len(calls)
+    calls.clear()
+    out = series._evaluate_at(F5, rows, g)
+    # g^2 .. g^10 for k = 10; the giant steps multiply packed integers.
+    assert len(calls) == alone == 9
+    assert [x.abs_prec for x in out] == [121, 121, 121, None, None]
 
 
 def test_compose_needs_about_two_sqrt_n_products(monkeypatch):
