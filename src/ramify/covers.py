@@ -25,10 +25,37 @@ With R_sigma the relative precision of the lift, the p - 1 units
 i M >= R_sigma vanish mod sigma^R_sigma, and all p - 1 sums come from one
 Paterson-Stockmeyer pass that shares the powers of z
 (``series._evaluate_at``).  f is read only as far as it reaches the window
-(``_artin_schreier``), and the rest is honest series arithmetic.  The
-builders check the relation and what the wild generator does to t and y
-(in sigma); their docstrings prove that these imply the group law and
-invariance of t, which the tests check.
+(``_artin_schreier``), and the rest is honest series arithmetic.
+
+The wild layer is checked by its arithmetic, not by composing series.
+Besides the seed, the builder checks y^p - y = f(t), y z = 1 and the unit
+of j = 1 against (1 + z)^b, each to relative precision R_sigma.  They make
+sigma -> sigma (1 + z)^(bm) the wild generator y -> y + 1 (Serre, Local
+Fields, GTM 67, IV 1-2):
+
+* G' is a unit, so G has one root u* = 1 + O(sigma) in k[[sigma]]; with
+  its t and y, y^p - y = f(t), t^a y^(bm) = sigma and v(t) = p.  So
+  K = k((t)) has index e = p in k((sigma)), which is L = K(y), and sigma
+  is a uniformizer of L.
+* psi: y -> y + 1 is a K-automorphism of L, as (y + 1)^p - (y + 1) =
+  y^p - y.  It keeps v, so it is continuous, and psi(sigma) =
+  t^a (y + 1)^(bm) = sigma (1 + z)^(bm).
+* A continuous k-algebra map of k((sigma)) is fixed by the image of
+  sigma: it sends x(sigma) to x(psi(sigma)).
+* The Newton exit, and the relation check, give G(u) = 0 mod
+  sigma^R_sigma, so u = u* mod sigma^R_sigma (Hensel uniqueness: G(u) -
+  G(u*) is u - u* times a unit, as G' is a unit).  So t is L's mod
+  sigma^(p + R_sigma), y is L's to relative precision R_sigma, and so is
+  z, by y z = 1.
+* phi: sigma -> sigma U_1^m, with U_1 the stored unit of j = 1, equal to
+  (1 + z)^b mod sigma^R_sigma, so agrees with psi mod
+  sigma^(1 + R_sigma).  Moving sigma by O(sigma^(1 + R_sigma)) moves a
+  series of valuation v by O(sigma^(v + R_sigma)), and phi keeps v.  So
+  phi(t) = t mod sigma^(p + R_sigma) and phi(y) = y + 1 mod
+  sigma^(R_sigma - M): the congruences that the builder once checked by
+  composing t and y with phi, and that the builders' docstrings turn
+  into the group law and the invariance of t.  The tests check both by
+  composition.
 """
 
 from __future__ import annotations
@@ -46,7 +73,7 @@ from .errors import (
 )
 from .fields import FiniteField
 from .groups import FiniteGroup
-from .series import PRECISION_CAP, LaurentSeries, _evaluate_at, compose, hensel_lift_root
+from .series import PRECISION_CAP, LaurentSeries, _evaluate_at, _stretch, compose, hensel_lift_root
 
 
 class TowerParts(namedtuple("TowerParts", "lower H_indices")):
@@ -183,9 +210,12 @@ def build_artin_schreier(
     works at the break window p + M + 4, or at a larger ``prec``, checked
     against the precision cap before any series work.
 
-    Self-checks: the relation y^p - y = f(t), and sigma(t) = t and
-    sigma(y) = y + 1 for sigma: F -> F(action[1]), a continuous k-algebra
-    map as v(action[1]) = 1.  They imply the group law: sigma sends
+    Self-checks: the seed, the relation y^p - y = f(t), y z = 1 and the
+    unit of j = 1 against (1 + z)^b.  By the module docstring they make
+    sigma: F -> F(action[1]), a continuous k-algebra map as
+    v(action[1]) = 1, the automorphism y -> y + 1 of L = K(y) = k((s)) to
+    relative precision R: sigma(t) = t and sigma(y) = y + 1, which the
+    tests check by composition.  These imply the group law: sigma sends
     action[i] = t^a (y + i)^b to t^a (y + i + 1)^b = action[i + 1], and
     y + p = y closes the cycle at t^a y^b = s.  So sigma^i(s) = action[i],
     sigma^i(t) = t, and, as a continuous map is fixed by the image of s,
@@ -194,7 +224,7 @@ def build_artin_schreier(
     (``_artin_schreier``); t is known to O(s^N), that is to
     relative precision R = N - p; y and each action[i] keep R (a product
     keeps the smaller one), so action[i] is known mod s^(1 + R).  The two
-    checks hold to relative precision R, so sigma(action[i]) = action[i + 1]
+    facts hold to relative precision R, so sigma(action[i]) = action[i + 1]
     mod s^(1 + R); sigma keeps congruences mod s^k, and action[1] taken at
     action[i] moves by a multiple of action[i] - sigma^i(s).  So the law
     holds mod s^(1 + R), all that the full check can see, and t is fixed
@@ -214,9 +244,11 @@ def _artin_schreier(
     in s with s^m = sigma (module docstring): m is 1, whose one twist is 1,
     for ``build_artin_schreier``, the tame degree for a tower.  The caller
     has checked f's field; ``prec`` and the window p + m M + 4 of f as given
-    are checked against the precision cap first.  The lift and its three
-    checks run in sigma on R_sigma = ceil(R / m) terms, R = N - p; each unit
-    is twisted in sigma, stretched to s and cut to relative precision R.
+    are checked against the precision cap first.  The lift and its checks
+    run in sigma on R_sigma = ceil(R / m) terms, R = N - p; each unit is
+    twisted in sigma, placed at stride m in s (``series._stretch``:
+    x(sigma) -> x(s^m), a copy when m = 1, with no precision of its own) and
+    cut to relative precision R <= m R_sigma, inside what x(s^m) knows.
 
     The reduced f is cut once, at O(t^K), K = ceil((R_sigma - p M) / p).  In
     sigma, t has valuation p and y^p - y is known to O(sigma^(R_sigma - pM)),
@@ -233,9 +265,9 @@ def _artin_schreier(
     evaluated at z cut to O(sigma^R_sigma): one ``_evaluate_at`` call for all
     p - 1 rows.  Each row's coefficient of z is b j != 0 mod p, so each unit
     keeps relative precision R_sigma, as the power did, and equals it under
-    ==.  phi is still formed from the stored unit of j = 1, so the two wild
-    checks also check that row, and through it the cut: a row one term
-    short is wrong at sigma^(K M), below R_sigma."""
+    ==.  The stored unit of j = 1 is checked against the one power
+    (1 + z)^b, b < p, so that row and the cut are checked: a row one term
+    short is wrong at sigma^(K M), below R_sigma, and so is a wrong key."""
     p = base.p
     if prec is not None and prec > PRECISION_CAP:
         raise SizeCapExceeded(f"precision {prec} exceeds the precision cap {PRECISION_CAP}")
@@ -284,25 +316,24 @@ def _artin_schreier(
     z = u_a.shift(pole).scale(base.inverse_key(eta))  # 1/y
 
     _check_zero(y ** p - y - compose(f, t), "defining relation of y")
+    _check_zero(y * z - LaurentSeries.one(base), "y z = 1")
 
     # sigma_j(s) = s (1 + j z)^b, the unit factor sum_(i <= K) C(b, i) j^i z^i
     # mod sigma^R_sigma, K = min(b, floor((R_sigma - 1) / M)): one row of keys each.
     cut = min(b, (rel_sigma - 1) // pole)
     rows = [[comb(b, i) * pow(j, i, p) % p for i in range(cut + 1)] for j in range(1, p)]
     units = _evaluate_at(base, rows, z.truncate(rel_sigma))
-    # The wild generator fixes t and shifts y; the builders derive the law.
-    phi = (units[0] ** m).shift(1)  # its action on sigma = s^m: sigma (1 + z)^(bm)
-    _check_zero(compose(t, phi) - t, "t is not fixed")
-    _check_zero(compose(y, phi) - y - LaurentSeries.one(base), "y + 1 action")
+    # The wild generator's unit: with the two checks above it makes the generator
+    # y -> y + 1 of K(y) (module docstring); the builders derive the law.
+    _check_zero(units[0] - (z + LaurentSeries.one(base)).truncate(rel_sigma) ** b, "unit of y -> y + 1")
 
     # zeta^(ak), twists[0] = 1 (all an AS cover has), so unit k = 0 is not scaled.
     twists = base.powers_key(base.pow_key(base.root_of_unity(m), a_exp), m)
     action = {k: LaurentSeries.monomial(base, twist, 1) for k, twist in enumerate(twists)}
-    s_m = LaurentSeries.monomial(base, 1, m)  # each series x(sigma) is stretched to x(s^m)
     for j, unit in enumerate(units, 1):
         twisted = [unit] + [unit.scale(twist) for twist in twists[1:]]
-        action.update((j * m + k, compose(x, s_m).truncate(rel).shift(1)) for k, x in enumerate(twisted))
-    return compose(t, s_m).truncate(p * m + rel), action, target
+        action.update((j * m + k, _stretch(x, 1, m).truncate(rel).shift(1)) for k, x in enumerate(twisted))
+    return _stretch(t, 1, m).truncate(p * m + rel), action, target
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +374,13 @@ def build_compositum_tower(
     It is built first, so missing roots of unity are refused before the work
     is checked against the precision cap, and both before any series work.
 
-    Self-checks: those of ``_artin_schreier``, in sigma = s^m: that phi:
-    sigma -> sigma (1 + z)^(bm), z = 1/y, fixes t and sends y to y + 1.
-    They imply the rest.  s' = c^-b s^p u^b has s'^m = t and s'^a y^b = s,
-    so a continuous k-algebra map is fixed by its images of s' and y.  The
+    Self-checks: those of ``_artin_schreier``, in sigma = s^m: the seed,
+    the relation, y z = 1 and the unit of j = 1 against (1 + z)^b.  By the
+    module docstring they make phi: sigma -> sigma (1 + z)^(bm), z = 1/y,
+    the automorphism y -> y + 1 of K(y) = k((sigma)), so phi fixes t and
+    sends y to y + 1, to relative precision ceil(R / m).  That implies
+    the rest.  s' = c^-b s^p u^b has s'^m = t and s'^a y^b = s, so a
+    continuous k-algebra map is fixed by its images of s' and y.  The
     tame generator tau: s -> action[1] = zeta^a s needs no check: it fixes
     every series in s^m, as zeta^(am) = 1, so it fixes u and y, and
     tau(s') = zeta^(ap) s' = zeta s', as a p = 1 + b m M.  psi: s ->
@@ -357,10 +391,10 @@ def build_compositum_tower(
     zeta^(ak) s (1 + j z)^b = action[j m + k] and t = s'^m to
     (zeta^k s')^m = t, and these maps compose by adding (j, k) mod (p, m)
     (zeta^m = 1, y + p = y): the product of ``FiniteGroup.direct_product``
-    on the index j m + k.  The checks in sigma hold to relative precision
-    ceil(R / m), so to R = N - p in s, and tau is exact on series in s^m:
-    as in ``build_artin_schreier`` the law holds mod s^(1 + R) and t is
-    fixed mod s^(p m + R).
+    on the index j m + k.  phi's two facts hold in sigma to relative
+    precision ceil(R / m), so to R = N - p in s, and tau is exact on
+    series in s^m: as in ``build_artin_schreier`` the law holds mod
+    s^(1 + R) and t is fixed mod s^(p m + R).
     """
     lower = build_kummer(base, m)
     if upper_f.field != base:

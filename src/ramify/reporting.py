@@ -24,24 +24,28 @@ def rational_pair(x) -> dict:  # x an int or an exact rational
     return {"num": x.numerator, "den": x.denominator}
 
 
-def to_jsonable(obj):
+def to_jsonable(obj, lists=None):
     """Recursively convert to JSON-safe data.
 
     Rationals become ints when integral and {"num", "den"} pairs otherwise;
     floats are rejected outright so no report can carry one.  Records
     (named tuples, recognised by ``_fields``) are rejected like any other
-    object: a report lists the fields it publishes, by name.
+    object: a report lists the fields it publishes, by name.  A list or
+    tuple met again in one walk, such as the label list that the rows of a
+    filtration level share, is converted once: ``lists`` maps its id to its
+    conversion, and every object it names is held by ``obj`` for the walk.
     """
+    lists = {} if lists is None else lists
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
         raise TypeError("floating point values are not allowed in reports")
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): to_jsonable(v, lists) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
-        return [to_jsonable(x) for x in obj]
+        return lists.get(id(obj)) or lists.setdefault(id(obj), [to_jsonable(x, lists) for x in obj])
     if isinstance(obj, frozenset):
-        return sorted(to_jsonable(x) for x in obj)
+        return sorted(to_jsonable(x, lists) for x in obj)
     if hasattr(obj, "denominator"):  # a Fraction; ints and bools are handled above
         return obj.numerator if obj.denominator == 1 else rational_pair(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

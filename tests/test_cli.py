@@ -435,8 +435,8 @@ def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "cover,products",
     [
-        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 67),
-        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 82),
+        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 63),
+        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 69),
     ],
     ids=["as_p31", "tower_F64_m63"],
 )
@@ -449,7 +449,9 @@ def test_a_jobs_precision_sets_no_work(cover, products, monkeypatch):
     # of the unit u 305 and 157.  Built once over K in sigma = s^m and
     # stretched, with no t^a and no y + j, they took 275 and 82; with the 30
     # action units of AS over F_31 taken from one shared Paterson-Stockmeyer
-    # pass, not 30 powers (1 + j/y)^b, it takes 67.
+    # pass, not 30 powers (1 + j/y)^b, it took 67 and 82.  With the unit of
+    # y -> y + 1 checked against one power (1 + z)^b, not the wild generator
+    # composed with t and y, it takes 63 and 69.
     counts = []
     real = series._mul_keys
 
@@ -782,8 +784,8 @@ def test_work_over_a_job_bound_is_refused_up_front(job, field, capsys, monkeypat
     assert field in report["error"]["message"]
 
 
-def _as_filtration(p, f):
-    return {"command": "filtration", "base": {"p": p, "a": 1}, "cover": {"type": "artin_schreier", "f": f}}
+def _as_filtration(p, f, a=1):
+    return {"command": "filtration", "base": {"p": p, "a": a}, "cover": {"type": "artin_schreier", "f": f}}
 
 
 def _f64_tower_filtration(f):
@@ -799,6 +801,13 @@ def _f64_tower_filtration(f):
 # as s (1 + j/y)^b (no t^a, no y + j) it made 881, 671, 671 and 1,103.
 # The 126 action units of AS p=127 come from one shared Paterson-Stockmeyer
 # pass on their binomial rows, not from 126 powers: 125, 167 and 221.
+# The wild generator's unit is checked against one power (1 + z)^b, with
+# y z = 1, and t and y are no longer composed with the generator (the
+# module docstring of ``covers`` proves it fixes t and sends y to y + 1):
+# 125 -> 101, 167 -> 129, 361 -> 195, 221 -> 173, the three towers
+# 206 -> 159 and 381 -> 211.  That admits AS over F_64 with f = t^-3969
+# and with t^4096 + t^-4089: 2.4-3.5 s as processes while the generator
+# was composed with t and y, 0.6-1.2 s after, on a shared 2-CPU machine.
 # Towers over F_64 with m = 63, f = t^-63 and t^-63 + t^-1 (2.7 s and 12.5 s
 # as processes, 387 and 697 products, while the wild layer was built a
 # second time over K' on the pulled-back datum of pole 63 * 63): their
@@ -809,14 +818,16 @@ def _f64_tower_filtration(f):
 # far terms of the last two corners: the tower with t^4096 (4.0 s as a
 # process, 398 products) and AS p=2 with t^4096 + t^-4089 (1.2 s, 651).
 _COVER_CORNERS = [
-    (_as_filtration(127, [[-50, 1]]), 125),
-    (_as_filtration(127, [[-500, 1]]), 167),
-    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 361),
-    (_as_filtration(127, [[-3965, 1]]), 221),
-    (_f64_tower_filtration([[-63, 1]]), 206),
-    (_f64_tower_filtration([[-63, 1], [-1, 1]]), 206),
-    (_f64_tower_filtration([[4096, 1], [-63, 1]]), 206),
-    (_as_filtration(2, [[4096, 1], [-4089, 1]]), 381),
+    (_as_filtration(127, [[-50, 1]]), 101),
+    (_as_filtration(127, [[-500, 1]]), 129),
+    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 195),
+    (_as_filtration(127, [[-3965, 1]]), 173),
+    (_f64_tower_filtration([[-63, 1]]), 159),
+    (_f64_tower_filtration([[-63, 1], [-1, 1]]), 159),
+    (_f64_tower_filtration([[4096, 1], [-63, 1]]), 159),
+    (_as_filtration(2, [[4096, 1], [-4089, 1]]), 211),
+    (_as_filtration(2, [[-3969, 1]], 6), 195),
+    (_as_filtration(2, [[4096, 1], [-4089, 1]], 6), 211),
 ]
 
 
@@ -848,7 +859,8 @@ _COVER_CORNERS = [
         # Artin-Schreier covers with a large pole, minutes long before t was
         # lifted from one equation instead of the degree-p relation, and the
         # two F_64 towers, seconds long while their wild layer was built over K',
-        # and two data with a far term, seconds long while it was composed.
+        # and two data with a far term, seconds long while it was composed;
+        # AS over F_64, seconds long while the wild generator was composed.
         *(job for job, _ in _COVER_CORNERS),
     ],
 )
@@ -1001,6 +1013,7 @@ def test_a_swan_job_forms_the_fixed_space_at_its_jump_once(capsys, monkeypatch):
     ids=[
         "as_p127_pole50", "as_p127_pole500", "as_p2_two_terms", "as_p127_pole3965",
         "tower_F64_m63", "tower_F64_two_terms", "tower_F64_far_term", "as_p2_far_term",
+        "as_F64_pole3969", "as_F64_far_term",
     ],
 )
 def test_a_cover_corner_makes_a_pinned_number_of_products(job, products, monkeypatch):
@@ -1160,9 +1173,9 @@ def test_the_writer_converts_each_value_once(capsys, monkeypatch):
     calls = []
     convert = reporting.to_jsonable
 
-    def counting(obj):
+    def counting(obj, lists=None):
         calls.append(obj)
-        return convert(obj)
+        return convert(obj, lists)
 
     # to_jsonable recurses through the module name, so every value is counted.
     monkeypatch.setattr(reporting, "to_jsonable", counting)
@@ -1171,6 +1184,44 @@ def test_the_writer_converts_each_value_once(capsys, monkeypatch):
     # Each Fraction of this report is integral, so one call writes one value:
     # one walk of the report, one of the job for its digest.
     assert len(calls) == _values(report) + _values(SWAN_JOB)
+
+
+def _values_once(tree, seen):
+    """Values in a report before conversion, the contents of a list or tuple
+    met again not counted again."""
+    if isinstance(tree, dict):
+        return 1 + sum(_values_once(v, seen) for v in tree.values())
+    if isinstance(tree, (list, tuple)) and id(tree) not in seen:
+        seen.add(id(tree))
+        return 1 + sum(_values_once(x, seen) for x in tree)
+    return 1
+
+
+def test_a_filtration_report_converts_each_level_list_once(monkeypatch):
+    # AS p = 5, f = t^-3999: 4,001 rows [i, labels], whose label lists are
+    # the two levels' (G_i = G below the break 4,000, then the identity).
+    # Each list is converted once, its labels with it.
+    job = {"command": "filtration", "base": {"p": 5, "a": 1},
+           "cover": {"type": "artin_schreier", "f": [[-3999, 1]]}}
+    report, code = cli.run(job)
+    assert code == 0
+    rows = report["results"]["filtration"]
+    levels = {id(labels): labels for _, labels in rows}
+    assert len(rows) == 4001 and sorted(map(len, levels.values())) == [1, 5]
+    calls = []
+    convert = reporting.to_jsonable
+
+    def counting(obj, lists=None):
+        calls.append(obj)
+        return convert(obj, lists)
+
+    monkeypatch.setattr(reporting, "to_jsonable", counting)
+    text = canonical_dumps(report)
+    monkeypatch.undo()
+    assert len(calls) == _values_once(report, set())
+    # Once per label of the two levels; a call per row's labels would make 20,001.
+    assert sum(x in ("1", "sigma", "sigma^2", "sigma^3", "sigma^4") for x in calls) == 6
+    assert text == canonical_dumps(json.loads(text))
 
 
 @pytest.mark.parametrize(
@@ -1591,8 +1642,10 @@ def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
     # lift makes more, smaller ones, and verify all takes less time.  The
     # lift of t took 443, the lift of the unit u 436, and the wild layer
     # built once over K, in sigma = s^m, 400.  With every action unit from
-    # one shared Paterson-Stockmeyer pass, not a power each, it takes 390.
-    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 390}
+    # one shared Paterson-Stockmeyer pass, not a power each, it took 390.
+    # With the wild generator's unit checked against one power (1 + z)^b
+    # and y z = 1, not the generator composed with t and y, it takes 326.
+    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 326}
 
 
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):

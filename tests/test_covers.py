@@ -1,3 +1,4 @@
+import inspect
 import random
 from math import comb
 
@@ -462,7 +463,9 @@ def _counting_checks(monkeypatch):
     return labels
 
 
-_AS_CHECKS = ["defining relation of y", "t is not fixed", "y + 1 action"]
+# Before the unit check replaced the wild generator's two compositions:
+# ["defining relation of y", "t is not fixed", "y + 1 action"].
+_AS_CHECKS = ["defining relation of y", "y z = 1", "unit of y -> y + 1"]
 
 
 def _check_full_group_law(cover):
@@ -482,23 +485,67 @@ def _check_full_group_law(cover):
         assert diff.is_zero_known() and (diff.is_exact or diff.abs_prec >= t.abs_prec)
 
 
+def _spy_wild_layers(monkeypatch):
+    """[u, units] of each wild build: the lifted unit and the action units."""
+    layers = []
+    lift, evaluate = covers.hensel_lift_root, covers._evaluate_at
+
+    def lifted(*args):
+        layers.append([lift(*args), None])
+        return layers[-1][0]
+
+    def evaluated(field, rows, g):
+        layers[-1][1] = evaluate(field, rows, g)
+        return layers[-1][1]
+
+    monkeypatch.setattr(covers, "hensel_lift_root", lifted)
+    monkeypatch.setattr(covers, "_evaluate_at", evaluated)
+    return layers
+
+
+def _check_wild_generator(cover, f, m, layer):
+    """The two compositions the builders ran before the unit check replaced
+    them (the ``covers`` module docstring proves it equivalent): phi: sigma
+    -> sigma (1 + z)^(bm), formed from the stored unit of j = 1, fixes t
+    and sends y to y + 1 in sigma = s^m, each to the precision of t and of
+    y.  t and y are formed from the lifted unit u, and t stretched to s is
+    the cover's t."""
+    (u, units), field, p = layer, cover.base_field, cover.p
+    f = artin_schreier_reduce(f)
+    pole, c = -f.valuation(), f.coeff(f.valuation())
+    b = _b(p, m, pole)
+    a = (1 + b * m * pole) // p
+    t = (u ** (b * m)).shift(p).scale(field.pow_key(c, -b * m))
+    y = (u ** a).inverse().shift(-pole).scale(field.pow_key(c, a))
+    assert compose(t, LaurentSeries.monomial(field, 1, m)).truncate(p * m + cover.prec - p) == cover.t_in_s
+    phi = (units[0] ** m).shift(1)
+    fixed = compose(t, phi) - t
+    shifted = compose(y, phi) - y - LaurentSeries.one(field)
+    assert fixed.is_zero_known() and fixed.abs_prec >= t.abs_prec
+    assert shifted.is_zero_known() and shifted.abs_prec >= y.abs_prec
+
+
 def test_artin_schreier_closed_form_grid(monkeypatch):
     """i(sigma) = m + 1 and Sw = m for y^p - y = t^-m, on the whole small grid.
 
     The labels of the self-checks pin the builders' checks: an
-    Artin-Schreier build runs the defining relation plus two generator
-    checks (t fixed, y -> y + 1), so none can silently disappear.  The group
-    law they imply is checked here in full.
+    Artin-Schreier build runs the defining relation, y z = 1 and the unit
+    of the wild generator against (1 + z)^b, so none can silently
+    disappear.  The generator facts (t fixed, y -> y + 1) and the group law
+    they imply are checked here in full.
     """
     checks = _counting_checks(monkeypatch)
+    layers = _spy_wild_layers(monkeypatch)
     for p in (2, 3, 5, 7, 11):
         field = field_create(p, 1)
         for m in (1, 2, 3):
             if m % p == 0:
                 continue
             checks.clear()
-            cover = build_artin_schreier(field, as_sparse(field, [[-m, [1]]]), prec=32)
+            f = as_sparse(field, [[-m, [1]]])
+            cover = build_artin_schreier(field, f, prec=32)
             assert checks == _AS_CHECKS
+            _check_wild_generator(cover, f, 1, layers[-1])
             _check_full_group_law(cover)
             bt = lower_break_table(cover)
             assert bt.i_map == {j: m + 1 for j in range(1, p)}
@@ -509,9 +556,12 @@ def test_artin_schreier_closed_form_grid(monkeypatch):
 def test_artin_schreier_at_precision_2048_runs_every_self_check(monkeypatch):
     # High precision is within reach: the build keeps all three checks.
     checks = _counting_checks(monkeypatch)
-    cover = build_artin_schreier(F2, as_sparse(F2, [[-1, [1]]]), prec=2048)
+    layers = _spy_wild_layers(monkeypatch)
+    f = as_sparse(F2, [[-1, [1]]])
+    cover = build_artin_schreier(F2, f, prec=2048)
     assert cover.prec == 2048
     assert checks == _AS_CHECKS
+    _check_wild_generator(cover, f, 1, layers[-1])
     _check_full_group_law(cover)
     assert lower_break_table(cover).i_map == {1: 2}
 
@@ -521,13 +571,17 @@ def test_artin_schreier_at_precision_2048_runs_every_self_check(monkeypatch):
 )
 def test_tower_runs_every_self_check(monkeypatch, field, tame):
     checks = _counting_checks(monkeypatch)
-    tower = build_compositum_tower(field, tame, as_sparse(field, [[-1, [1]]]), prec=24)
+    layers = _spy_wild_layers(monkeypatch)
+    f = as_sparse(field, [[-1, [1]]])
+    tower = build_compositum_tower(field, tame, f, prec=24)
     # The wild layer's own checks, run over K in sigma = s^tame (relation,
-    # t fixed, y -> y + 1), for every tame degree: the tame generator
-    # s -> zeta^a s fixes every series in s^tame, u and y among them, so
-    # it needs no check (``build_compositum_tower``).  The group law and t
-    # fixed they imply are checked here in full, in s.
+    # y z = 1, the unit of y -> y + 1), for every tame degree: the tame
+    # generator s -> zeta^a s fixes every series in s^tame, u and y among
+    # them, so it needs no check (``build_compositum_tower``).  The wild
+    # generator's action on t and y, in sigma, and the group law and t fixed
+    # they imply, in s, are checked here in full.
     assert checks == _AS_CHECKS
+    _check_wild_generator(tower, f, tame, layers[-1])
     _check_full_group_law(tower)
     assert lower_break_table(tower).by_label()["sigma"] == tame + 1
 
@@ -816,22 +870,21 @@ def test_y_of_a_one_term_datum_keeps_the_relative_precision_of_the_lift(monkeypa
     # AS p=127, f = t^-500: N = p + m + 4, so y = eta s^-m u^-a is known to
     # O(s^(R - m)) = O(s^4), R = N - p; a y taken as an exact monomial made
     # the action powers run on exact windows of about b m terms.
-    # y is read off the "y + 1 action" check, which composes it with the
-    # wild generator.
+    # y is read off the "y z = 1" check, the one product of a series of
+    # valuation -500 with one of valuation 500 (it was read off the wild
+    # generator's composition with y while the builder formed one).
     field = field_create(127, 1)
-    composed, checked_y = [], []
-    real_compose, real_check = covers.compose, covers._check_zero
+    products = []
+    real_mul = LaurentSeries.__mul__
 
-    def check(series, what):
-        if what == "y + 1 action":
-            checked_y.append(composed[-1])
-        real_check(series, what)
+    def mul(x, other):
+        products.append((x, other))
+        return real_mul(x, other)
 
-    monkeypatch.setattr(covers, "compose", lambda f, g: composed.append(f) or real_compose(f, g))
-    monkeypatch.setattr(covers, "_check_zero", check)
+    monkeypatch.setattr(LaurentSeries, "__mul__", mul)
     _, _, prec = covers._artin_schreier(field, LaurentSeries.monomial(field, 1, -500), None, 1)
     assert prec == 127 + 504
-    (y_in_s,) = checked_y
+    (y_in_s,) = [x for x, other in products if (x.valuation(), other.valuation()) == (-500, 500)]
     assert y_in_s.valuation() == -500 and y_in_s.abs_prec == 4
 
 
@@ -1003,9 +1056,10 @@ def test_a_wrong_binomial_key_for_j_at_least_two_breaks_the_group_law(monkeypatc
 )
 def test_a_unit_cut_one_term_short_is_caught(monkeypatch, p, deg, m, pole, prec):
     # Dropping term K of every row leaves sigma_1(s) wrong mod
-    # sigma^R_sigma, as K M < R_sigma: the builder's two wild checks, both
-    # on phi = (units[1] ** m) sigma, catch it.  A term past K changes
-    # nothing: it vanishes mod sigma^R_sigma.
+    # sigma^R_sigma, as K M < R_sigma: the builder's check of the unit of
+    # j = 1 against (1 + z)^b catches it (the match was "t is not fixed|y \+
+    # 1 action" while the builder composed t and y with the wild generator).
+    # A term past K changes nothing: it vanishes mod sigma^R_sigma.
     field = field_create(p, deg)
     f = LaurentSeries.monomial(field, 1, -pole)
     b = _b(p, m, pole)
@@ -1018,8 +1072,103 @@ def test_a_unit_cut_one_term_short_is_caught(monkeypatch, p, deg, m, pole, prec)
     cover = _wild_build(field, m, f, prec)
     assert (cover.t_in_s, cover.sigma_action, cover.prec) == (plain.t_in_s, plain.sigma_action, plain.prec)
     _capture_units(monkeypatch, lambda rows: [row[:-1] for row in rows])
-    with pytest.raises(MismatchDetected, match="t is not fixed|y \\+ 1 action"):
+    with pytest.raises(MismatchDetected, match="unit of y -> y \\+ 1"):
         _wild_build(field, m, f, prec)
+
+
+# ---------------------------------------------------------------------------
+# Mutants of the wild layer, on data with three terms: each is caught by a
+# kept builder check, the seed, the relation, y z = 1 or the unit of j = 1.
+
+_KEPT_CHECKS = "does not start with the seed|defining relation of y|y z = 1|unit of y -> y \\+ 1"
+_MUTANT_FIELDS = [(2, 1, 5), (3, 1, 4), (5, 1, 3), (7, 1, 3), (11, 1, 2), (2, 3, 3), (3, 2, 2)]
+_MUTANT_IDS = [f"F_{p}^{deg}" for p, deg, _ in _MUTANT_FIELDS]
+
+
+def _three_terms(field, pole):
+    return LaurentSeries.from_terms(field, {-pole: 1, -1: field.order - 1, 2: 1})
+
+
+def _mutant_builder(old, new):
+    """``build_artin_schreier`` of a copy of the ``covers`` source with its
+    one line ``old`` replaced by ``new``; the module itself is unchanged."""
+    source = inspect.getsource(covers)
+    assert source.count(old) == 1
+    namespace = {"__name__": covers.__name__, "__package__": covers.__package__}
+    exec(compile(source.replace(old, new), covers.__file__, "exec"), namespace)
+    return namespace["build_artin_schreier"]
+
+
+@pytest.mark.parametrize("p,deg,pole", _MUTANT_FIELDS, ids=_MUTANT_IDS)
+def test_a_term_added_to_u_y_or_z_is_caught(monkeypatch, p, deg, pole):
+    # A term at every known place above the leading one: u and y are tied to
+    # f by the relation (and y, past what the relation sees, to z), z to y
+    # by y z = 1.  R_sigma = M + 4 at the break window.
+    field = field_create(p, deg)
+    f = _three_terms(field, pole)
+    rel_sigma = pole + 4
+    y_line = "y = u_a.inverse().shift(-pole).scale(eta)"
+    z_line = "z = u_a.shift(pole).scale(base.inverse_key(eta))"
+    lift = covers.hensel_lift_root
+    for d in range(1, rel_sigma):
+        builders = [
+            _mutant_builder(y_line, f"{y_line} + LaurentSeries.monomial(base, 1, {d} - pole)"),
+            _mutant_builder(z_line, f"{z_line} + LaurentSeries.monomial(base, 1, {d} + pole)"),
+        ]
+        for build in builders:
+            with pytest.raises(MismatchDetected, match=_KEPT_CHECKS):
+                build(field, f)
+        monkeypatch.setattr(covers, "hensel_lift_root", lambda *args, d=d: lift(*args) + LaurentSeries.monomial(field, 1, d))
+        with pytest.raises(MismatchDetected, match=_KEPT_CHECKS):
+            build_artin_schreier(field, f)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p,deg,pole", _MUTANT_FIELDS, ids=_MUTANT_IDS)
+def test_a_wrong_row_of_j_one_is_caught_and_of_j_two_only_by_the_group_law(monkeypatch, p, deg, pole):
+    # Row j = 1 cut one term short, or with any one key wrong, fails the
+    # check of its unit against (1 + z)^b.  A wrong key in row j = 2 passes
+    # every builder check, and only the full group law catches it.
+    field = field_create(p, deg)
+    f = _three_terms(field, pole)
+    calls = _capture_units(monkeypatch)
+    build_artin_schreier(field, f)
+    ((rows, _, _),) = calls
+    changes = [lambda rows: [rows[0][:-1]] + rows[1:]]
+    for i in range(len(rows[0])):
+        changes.append(lambda rows, i=i: [rows[0][:i] + [(rows[0][i] + 1) % p] + rows[0][i + 1:]] + rows[1:])
+    for change in changes:
+        _capture_units(monkeypatch, change)
+        with pytest.raises(MismatchDetected, match="unit of y -> y \\+ 1"):
+            build_artin_schreier(field, f)
+    if p > 2:
+        _capture_units(monkeypatch, lambda rows: [rows[0], [(rows[1][0] + 1) % p] + rows[1][1:]] + rows[2:])
+        cover = build_artin_schreier(field, f)
+        with pytest.raises(AssertionError):
+            _check_full_group_law(cover)
+
+
+@pytest.mark.parametrize(
+    "field,m", [(F2, 1), (F3, 1), (F4, 3), (F64, 63)], ids=["as_p2", "as_p3", "tower_F4_m3", "tower_F64_m63"]
+)
+def test_a_wild_build_composes_only_the_datum_at_t(field, m, monkeypatch):
+    # compose evaluates f_M and theta_M at t in each Newton step and f at t
+    # in the relation check, and nothing after it: no wild generator is
+    # formed, and each series is stretched from sigma to s without compose.
+    events = []
+    real_compose, real_check = covers.compose, covers._check_zero
+    monkeypatch.setattr(covers, "compose", lambda f, g: events.append(("compose", f, g)) or real_compose(f, g))
+    monkeypatch.setattr(covers, "_check_zero", lambda x, what: events.append(("check", what)) or real_check(x, what))
+    cover = _wild_build(field, m, {-5: 1, -1: 1, 3: 1})
+    assert [e[1] for e in events if e[0] == "check"] == _AS_CHECKS
+    first_check = events.index(("check", _AS_CHECKS[0]))
+    assert all(e[0] == "check" for e in events[first_check:])
+    composed = [e for e in events[:first_check] if e[0] == "compose"]
+    assert all(g.valuation() == field.p and not g.is_exact for _, _, g in composed)
+    # The last is the relation's f(t): the datum itself, with its pole.
+    _, datum, t = composed[-1]
+    assert datum.valuation() == -5
+    assert compose(t, LaurentSeries.monomial(field, 1, m)).truncate(cover.t_in_s.abs_prec) == cover.t_in_s
 
 
 def test_an_identity_action_is_not_faithful():
