@@ -14,7 +14,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import (
-    ComplementNotFound,
     InconsistentCounts,
     NoBoundConfigured,
     NoSuchQuotient,
@@ -91,36 +90,33 @@ TameizingReport = namedtuple("TameizingReport", "H_indices H_order index_tame al
 
 
 def tameizing_subgroup(structure: InertiaStructure) -> TameizingReport:
-    """Kernel of the conjugation action of the tame quotient on the p-Sylow.
+    """H, the kernel of the conjugation action of the tame quotient on P.
 
-    A cyclic complement <gen> of order M is found by exhaustive search (it
-    always exists for this shape).  Its centralizing part H, <gen> meet the
-    centralizer of P, is a subgroup, so |H| divides |I|, and is verified
-    normal; [I:H] is the degree over which the action becomes tame.
+    H is read off its definition: the elements of order prime to p that
+    commute with every element of P.  Let C = C_G(P), normal in G as P is.
+    Its p-elements lie in the normal p-Sylow P, so C meet P = Z(P) is C's
+    normal p-Sylow, and it is central in C.  By Schur-Zassenhaus C =
+    Z(P) x K for a complement K, and (x, k) has order prime to p iff x = 1:
+    so H = K, a subgroup, characteristic in C and so normal in G, of order
+    |C| / |Z(P)|, prime to p.  H equals <g> meet C for every complement <g>
+    of P (an element g of order M): <g> meet C is a subgroup of C of order
+    prime to p, so lies in H; and H, normal of order prime to p, lies in a
+    conjugate of <g> (it is a complement of P in PH, conjugate there to PH
+    meet <g> by Schur-Zassenhaus), so in <g> itself.  |H| divides M, and
+    [G:H] = |P| * (M / |H|) is the degree over which the action becomes
+    tame.
     """
-    group = structure.group
-    M = structure.M
-    gen = next((i for i in range(group.n) if group.order_of(i) == M), None)
-    if gen is None:
-        raise ComplementNotFound(f"no element of order {M}; shape verification bug")
-    mul = group.mul
-    h = [
+    group, p, mul = structure.group, structure.p, structure.group.mul
+    h = tuple(
         c
-        for c in group.closure([gen])
-        if all(mul[c][s] == mul[s][c] for s in structure.P_indices)
-    ]
-    if not group.is_normal(frozenset(h)):
-        raise ComplementNotFound("tameizing subgroup is not normal")
-    if math.gcd(len(h), structure.p) != 1:
-        raise ComplementNotFound("tameizing subgroup order shares a factor with p")
-    index = group.n // len(h)
-    if index != structure.P_order * (M // len(h)):
-        raise ComplementNotFound("order bookkeeping failed")
+        for c in range(group.n)
+        if group.order_of(c) % p and all(mul[c][s] == mul[s][c] for s in structure.P_indices)
+    )
     return TameizingReport(
-        H_indices=tuple(sorted(h)),
+        H_indices=h,
         H_order=len(h),
-        index_tame=index,
-        alpha_image_order=M // len(h),
+        index_tame=group.n // len(h),
+        alpha_image_order=structure.M // len(h),
     )
 
 

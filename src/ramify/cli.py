@@ -118,7 +118,8 @@ def _cmd_bound(job: dict, params: dict, options: dict):
             "alpha_image_order": tame.alpha_image_order,
         },
         # structure.group is the image group of rep, so the images lying in
-        # H are H itself, and tameizing_subgroup has refused gcd(|H|, p) != 1.
+        # H are H itself; tameizing_subgroup keeps only elements of order prime
+        # to p, so by Cauchy p does not divide |H|.
         "restricted_through_H": {"image_order": tame.H_order, "prime_to_p": True},
         "constants": {
             "N_prime": consts.N_prime,

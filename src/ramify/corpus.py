@@ -6,7 +6,10 @@ field of a job is read here, once, before any arithmetic: one bool-safe
 integer reader and one element reader serve all of them, and an error
 names the field by its JSON path (or the flag by its name).  The same pass
 bounds each job's work (field size, the precision cap, ``GROUP_CAP`` and
-the enum bounds) with ``SizeCapExceeded``.  The fixtures the test and
+the enum bounds) with ``SizeCapExceeded``.  ``GROUP_CAP`` is the deck
+group cap of ``covers``; it also bounds a break table's order and the
+probe's diagonal group, and a cover's degree is checked against it here
+first, so that the error names the field.  The fixtures the test and
 verify suites run over (``data/corpus.json``) are specs in the same
 format and go through the same readers.
 """
@@ -19,6 +22,7 @@ import sys
 from functools import lru_cache
 
 from .covers import (
+    GROUP_CAP,
     BreakTable,
     GaloisCover,
     build_artin_schreier,
@@ -35,13 +39,6 @@ from .ramification import Representation, law_walk
 from .series import PRECISION_CAP, LaurentSeries
 
 COMMANDS = ("filtration", "herbrand", "swan", "bound", "verify", "enum")
-
-# The largest group a job builds: a cover's degree (p, m or p * m), a break
-# table's order and the probe's diagonal group.  A table has n^2 cells and
-# its axiom check takes n^2 * |gens| steps; as one process on a 2-CPU
-# Xeon, an Artin-Schreier cover of degree 127 takes about 1 s, of degree
-# 251 5.4 s.
-GROUP_CAP = 128
 
 # The deepest nesting of lists and objects in a JSON input.  The job
 # format's deepest path, 'rep.images.<label>[i][j][k]', is 6 deep; the

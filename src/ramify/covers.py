@@ -28,10 +28,10 @@ Paterson-Stockmeyer pass that shares the powers of z
 (``_artin_schreier``), and the rest is honest series arithmetic.
 
 The wild layer is checked by its arithmetic, not by composing series.
-Besides the seed, the builder checks y^p - y = f(t), y z = 1 and the unit
-of j = 1 against (1 + z)^b, each to relative precision R_sigma.  They make
-sigma -> sigma (1 + z)^(bm) the wild generator y -> y + 1 (Serre, Local
-Fields, GTM 67, IV 1-2):
+Besides the seed, the builder checks y^p - y = f(t), y z = 1,
+t^a y^(bm) = sigma and the unit of j = 1 against (1 + z)^b, each to
+relative precision R_sigma.  They make sigma -> sigma (1 + z)^(bm) the
+wild generator y -> y + 1 (Serre, Local Fields, GTM 67, IV 1-2):
 
 * G' is a unit, so G has one root u* = 1 + O(sigma) in k[[sigma]]; with
   its t and y, y^p - y = f(t), t^a y^(bm) = sigma and v(t) = p.  So
@@ -56,6 +56,18 @@ Fields, GTM 67, IV 1-2):
   composing t and y with phi, and that the builders' docstrings turn
   into the group law and the invariance of t.  The tests check both by
   composition.
+
+t^a y^(bm) = sigma holds for every u by construction, but t and y are
+formed from separate powers of u: u^(bm), and u^a, which y and z share.
+No other check ties these powers together.  y z = 1 and the unit check
+follow z, and the relation reads y only to O(sigma^(R_sigma - pM)), that
+is to relative precision R_sigma - (p - 1) M.  The check gives y^(bm) =
+sigma t^-a to relative precision R_sigma.  x -> x^(bm) is one-to-one on
+the units 1 + sigma k[[sigma]] mod sigma^R_sigma, a p-group, as p does
+not divide bm.  So y is fixed by t to relative precision R_sigma up to a
+root of unity lambda in k; the relation fixes y's leading term, so
+lambda^p = 1 and lambda = 1.  So a wrong power of u shared by y and z is
+caught, such as u^(a + 1), which the other checks pass (a test runs it).
 """
 
 from __future__ import annotations
@@ -74,6 +86,13 @@ from .errors import (
 from .fields import FiniteField
 from .groups import FiniteGroup
 from .series import PRECISION_CAP, LaurentSeries, _evaluate_at, _stretch, compose, hensel_lift_root
+
+
+# The largest deck group a cover has: its degree p, m or p * m.  A table
+# has n^2 cells and its axiom check takes n^2 * |gens| steps; as one process
+# on a 2-CPU Xeon, an Artin-Schreier cover of degree 127 takes about 1 s,
+# of degree 251 5.4 s.
+GROUP_CAP = 128
 
 
 class TowerParts(namedtuple("TowerParts", "lower H_indices")):
@@ -161,7 +180,11 @@ class BreakTable:
 @lru_cache(maxsize=None)
 def deck_group(kind: str, p: int, m: int) -> FiniteGroup:
     """The deck group, once a process: Z/p (sigma^j) for an 'artin_schreier'
-    cover, Z/m (tau^k) for a 'kummer' one, Z/p x Z/m (index j m + k) for a 'tower'."""
+    cover, Z/m (tau^k) for a 'kummer' one, Z/p x Z/m (index j m + k) for a
+    'tower'.  An order over ``GROUP_CAP`` is refused before any table is built."""
+    order = p * m if kind == "tower" else p if kind == "artin_schreier" else m
+    if order > GROUP_CAP:
+        raise SizeCapExceeded(f"deck group of order {order} exceeds the group cap {GROUP_CAP}")
     if kind == "tower":
         return FiniteGroup.direct_product(deck_group("artin_schreier", p, 1), deck_group("kummer", p, m))
     return FiniteGroup.cyclic(p, "sigma") if kind == "artin_schreier" else FiniteGroup.cyclic(m, "tau")
@@ -208,17 +231,18 @@ def build_artin_schreier(
     The pole order M of the reduced f is prime to p; the deck group is
     Z/p acting by y -> y + j, and every break equals M + 1.  The build
     works at the break window p + M + 4, or at a larger ``prec``, checked
-    against the precision cap before any series work.
+    against the precision cap, and p against ``GROUP_CAP`` before that,
+    before any series work.
 
-    Self-checks: the seed, the relation y^p - y = f(t), y z = 1 and the
-    unit of j = 1 against (1 + z)^b.  By the module docstring they make
-    sigma: F -> F(action[1]), a continuous k-algebra map as
+    Self-checks: the seed, the relation y^p - y = f(t), y z = 1, t^a y^b = s
+    and the unit of j = 1 against (1 + z)^b.  By the module docstring they
+    make sigma: F -> F(action[1]), a continuous k-algebra map as
     v(action[1]) = 1, the automorphism y -> y + 1 of L = K(y) = k((s)) to
-    relative precision R: sigma(t) = t and sigma(y) = y + 1, which the
-    tests check by composition.  These imply the group law: sigma sends
-    action[i] = t^a (y + i)^b to t^a (y + i + 1)^b = action[i + 1], and
-    y + p = y closes the cycle at t^a y^b = s.  So sigma^i(s) = action[i],
-    sigma^i(t) = t, and, as a continuous map is fixed by the image of s,
+    relative precision R: sigma(t) = t and sigma(y) = y + 1, which the tests
+    check by composition.  These imply the group law: sigma sends action[i] =
+    t^a (y + i)^b to t^a (y + i + 1)^b = action[i + 1], and y + p = y closes
+    the cycle at t^a y^b = s.  So sigma^i(s) = action[i], sigma^i(t) = t,
+    and, as a continuous map is fixed by the image of s,
     action[1](action[i]) = sigma^i(sigma(s)) = action[i + 1].
     Precision: f is read only as far as it reaches the working precision N
     (``_artin_schreier``); t is known to O(s^N), that is to
@@ -232,8 +256,8 @@ def build_artin_schreier(
     """
     if f.field != base:
         raise NotGaloisOverBase("defining function is not over the base field")
-    t_in_s, action, target = _artin_schreier(base, f, prec, 1)
     group = deck_group("artin_schreier", base.p, 1)
+    t_in_s, action, target = _artin_schreier(base, f, prec, 1)
     return GaloisCover(base_field=base, group=group, t_in_s=t_in_s, sigma_action=action, prec=target)
 
 
@@ -317,6 +341,9 @@ def _artin_schreier(
 
     _check_zero(y ** p - y - compose(f, t), "defining relation of y")
     _check_zero(y * z - LaurentSeries.one(base), "y z = 1")
+    # Ties y and z, from u^a, to t, from u^(bm): the relation reads y only to
+    # O(sigma^(R_sigma - pM)) (module docstring).
+    _check_zero(t ** a_exp * y ** bm - LaurentSeries.uniformizer(base), "t^a y^(bm) = sigma")
 
     # sigma_j(s) = s (1 + j z)^b, the unit factor sum_(i <= K) C(b, i) j^i z^i
     # mod sigma^R_sigma, K = min(b, floor((R_sigma - 1) / M)): one row of keys each.
@@ -371,16 +398,18 @@ def build_compositum_tower(
 
     The result is Galois over K with group Z/p x Z/m; the tame layer stays
     marked so transitivity and pullback statements can be tested against it.
-    It is built first, so missing roots of unity are refused before the work
-    is checked against the precision cap, and both before any series work.
+    It is built first, so missing roots of unity are refused before the deck
+    group is checked against ``GROUP_CAP`` and the work against the
+    precision cap, and all three before any table or series work.
 
     Self-checks: those of ``_artin_schreier``, in sigma = s^m: the seed,
-    the relation, y z = 1 and the unit of j = 1 against (1 + z)^b.  By the
-    module docstring they make phi: sigma -> sigma (1 + z)^(bm), z = 1/y,
-    the automorphism y -> y + 1 of K(y) = k((sigma)), so phi fixes t and
-    sends y to y + 1, to relative precision ceil(R / m).  That implies
-    the rest.  s' = c^-b s^p u^b has s'^m = t and s'^a y^b = s, so a
-    continuous k-algebra map is fixed by its images of s' and y.  The
+    the relation, y z = 1, t^a y^(bm) = sigma and the unit of j = 1
+    against (1 + z)^b.  By the module docstring they make phi: sigma ->
+    sigma (1 + z)^(bm), z = 1/y, the automorphism y -> y + 1 of
+    K(y) = k((sigma)), so phi fixes t and sends y to y + 1, to relative
+    precision ceil(R / m).  That implies the rest.  s' = c^-b s^p u^b has
+    s'^m = t and s'^a y^b = s, so a continuous k-algebra map is fixed by
+    its images of s' and y.  The
     tame generator tau: s -> action[1] = zeta^a s needs no check: it fixes
     every series in s^m, as zeta^(am) = 1, so it fixes u and y, and
     tau(s') = zeta^(ap) s' = zeta s', as a p = 1 + b m M.  psi: s ->
@@ -399,10 +428,11 @@ def build_compositum_tower(
     lower = build_kummer(base, m)
     if upper_f.field != base:
         raise NotGaloisOverBase("wild datum is not over the base field")
+    group = deck_group("tower", base.p, m)
     t_in_s, action, target = _artin_schreier(base, upper_f, prec, m)
     return GaloisCover(
         base_field=base,
-        group=deck_group("tower", base.p, m),
+        group=group,
         t_in_s=t_in_s,
         sigma_action=action,
         prec=target,

@@ -105,10 +105,6 @@ class QuotientNotCyclic(RamifyError):
     pass
 
 
-class ComplementNotFound(RamifyError):
-    pass
-
-
 class NoBoundConfigured(RamifyError):
     pass
 

@@ -25,11 +25,12 @@ from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
     NotAGroup,
+    NotPrime,
     PSylowNotNormal,
     QuotientNotCyclic,
     SizeCapExceeded,
 )
-from .fields import DEFAULT_SIZE_CAP, FiniteField, field_create, least_factor, power, split_prime_power
+from .fields import DEFAULT_SIZE_CAP, FiniteField, field_create, is_prime, least_factor, power, split_prime_power
 from .linalg import MatrixFF, _axpy
 
 DEFAULT_GROUP_CAP = 10000
@@ -344,11 +345,14 @@ class FiniteGroup:
 
 
 def inertia_shape(group: FiniteGroup, p: int):
-    """Normal p-Sylow P with cyclic quotient G/P; returns (P, G/P).
+    """Normal p-Sylow P with cyclic quotient G/P; returns (P, G/P), for p
+    prime (the caller checks it).
 
-    Raises PSylowNotNormal or QuotientNotCyclic when the shape fails.  As
-    conjugation keeps element orders, the p-power-order elements are normal
-    as soon as they are closed.
+    Raises PSylowNotNormal or QuotientNotCyclic when the shape fails.  The
+    p-power-order elements are a subgroup as soon as there are |G|_p of
+    them: a Sylow p-subgroup (Sylow: one exists, p prime) has |G|_p
+    elements, all of p-power order, so it is all of them.  As conjugation
+    keeps element orders, it is then normal.
     """
     p_part = group.n // split_prime_power(group.n, p)[1]
     pe = group.p_elements(p)
@@ -357,21 +361,10 @@ def inertia_shape(group: FiniteGroup, p: int):
             f"{len(pe)} p-power-order elements but the p-part of the order is {p_part}"
         )
     subset = frozenset(pe)
-    if not group.is_subgroup(subset):
-        raise PSylowNotNormal("p-power-order elements are not closed")
     quot, _ = group.quotient(subset)
     if not quot.is_cyclic():
         raise QuotientNotCyclic(f"quotient of order {quot.n} is not cyclic")
     return subset, quot
-
-
-def has_inertia_shape(group: FiniteGroup, p: int) -> bool:
-    """Normal p-Sylow with cyclic prime-to-p quotient."""
-    try:
-        inertia_shape(group, p)
-    except (PSylowNotNormal, QuotientNotCyclic):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +533,10 @@ def inertia_candidate_sample(
     duplicates are pruned best-effort.  Stops early, with fewer than
     ``count`` groups, after 200 * count attempts or once the groups closed
     pass SAMPLE_CELL_BUDGET table cells; the result is then a prefix of
-    the unbounded one."""
+    the unbounded one.  A p that is not prime is refused (``NotPrime``), as
+    ``inertia_shape`` needs it prime."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if count == 0:
         return []
     field = field_create(ell, n)
@@ -556,7 +552,9 @@ def inertia_candidate_sample(
         except SizeCapExceeded:
             continue
         cells += grp.n * grp.n
-        if not has_inertia_shape(grp, p):
+        try:
+            inertia_shape(grp, p)
+        except (PSylowNotNormal, QuotientNotCyclic):
             continue
         canon = tuple(m.key() for m in grp.matrices)
         if canon in seen_keys:

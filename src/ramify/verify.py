@@ -127,7 +127,8 @@ def suite_claim2(options) -> list[dict]:
         if structure.P_order <= consts.M0:
             crude_ok = consts.crude_at_least(tame.index_tame)
         # structure.group is the image group of rep, so the images lying in
-        # H are H itself, and tameizing_subgroup has refused gcd(|H|, p) != 1.
+        # H are H itself; tameizing_subgroup keeps only elements of order prime
+        # to p, so by Cauchy p does not divide |H|.
         passed = wild.ok and crude_ok
         instances.append(
             {

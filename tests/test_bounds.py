@@ -21,7 +21,6 @@ from ramify.bounds import (
 from ramify.corpus import get_cover, get_representation, rep_ids
 from ramify.covers import build_artin_schreier, lower_break_table
 from ramify.errors import (
-    ComplementNotFound,
     InconsistentCounts,
     NoBoundConfigured,
     NoSuchQuotient,
@@ -168,13 +167,17 @@ def test_tameizing_subgroup_matches_the_power_loop_complement():
 
 
 def test_tameizing_subgroup_is_a_subgroup_of_dividing_order():
-    """Oracle for the subgroup and index tests that tameizing_subgroup proves
-    needless: H is its own closure, and |H| divides |I|."""
+    """Oracle for the checks that tameizing_subgroup proves needless: H is
+    its own closure, normal in I, of order dividing |I| and prime to p, and
+    [I:H] = |P| * |alpha(I)|."""
     for st in sampled_inertia_structures():
         tame = tameizing_subgroup(st)
         h = frozenset(tame.H_indices)
         assert st.group.closure(h) == h
+        assert st.group.is_normal(h)
+        assert math.gcd(tame.H_order, st.p) == 1
         assert tame.index_tame * tame.H_order == st.group.n
+        assert tame.index_tame == st.P_order * tame.alpha_image_order
 
 
 @pytest.mark.parametrize("rep_id", rep_ids())

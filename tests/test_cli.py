@@ -40,6 +40,17 @@ SWAN_JOB = {
 }
 
 
+def test_a_swan_job_whose_images_do_not_generate_the_group_exits_1(capsys, monkeypatch):
+    # A tower's group is Z/2 x Z/3 here; an image at sigma alone reaches
+    # only Z/2, so the representation is refused.
+    job = dict(SWAN_JOB, base={"p": 2, "a": 2}, cover={"type": "tower", "m": 3, "f": [[-1, [1]]]},
+               rep={"ell": 7, "n": 1, "r": 1, "images": {"sigma": [[6]]}})
+    code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 1
+    assert report["error"]["type"] == "NotAHomomorphism"
+    assert "do not generate the group" in report["error"]["message"]
+
+
 def test_swan_job_golden(capsys, monkeypatch):
     code, report = run_cli(capsys, ["run"], stdin=json.dumps(SWAN_JOB), monkeypatch=monkeypatch)
     assert code == 0
@@ -435,8 +446,8 @@ def test_params_precision_at_the_cap_is_admitted(job, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "cover,products",
     [
-        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 63),
-        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 69),
+        ({"base": {"p": 31, "a": 1}, "cover": {"type": "artin_schreier", "f": [[-1, 1]]}}, 71),
+        ({"base": {"p": 2, "a": 6}, "cover": {"type": "tower", "m": 63, "f": [[-1, 1]]}}, 85),
     ],
     ids=["as_p31", "tower_F64_m63"],
 )
@@ -451,7 +462,8 @@ def test_a_jobs_precision_sets_no_work(cover, products, monkeypatch):
     # action units of AS over F_31 taken from one shared Paterson-Stockmeyer
     # pass, not 30 powers (1 + j/y)^b, it took 67 and 82.  With the unit of
     # y -> y + 1 checked against one power (1 + z)^b, not the wild generator
-    # composed with t and y, it takes 63 and 69.
+    # composed with t and y, it took 63 and 69.  The check of y against t,
+    # t^a y^(bm) = sigma, adds the products of its two powers: 71 and 85.
     counts = []
     real = series._mul_keys
 
@@ -808,6 +820,9 @@ def _f64_tower_filtration(f):
 # 206 -> 159 and 381 -> 211.  That admits AS over F_64 with f = t^-3969
 # and with t^4096 + t^-4089: 2.4-3.5 s as processes while the generator
 # was composed with t and y, 0.6-1.2 s after, on a shared 2-CPU machine.
+# The check of y against t, t^a y^(bm) = sigma, adds the products of its
+# two powers: 101 -> 113, 129 -> 144, 195 -> 211, 173 -> 196, the three
+# towers 159 -> 185, 211 -> 231, and AS over F_64 195 -> 211, 211 -> 231.
 # Towers over F_64 with m = 63, f = t^-63 and t^-63 + t^-1 (2.7 s and 12.5 s
 # as processes, 387 and 697 products, while the wild layer was built a
 # second time over K' on the pulled-back datum of pole 63 * 63): their
@@ -818,16 +833,16 @@ def _f64_tower_filtration(f):
 # far terms of the last two corners: the tower with t^4096 (4.0 s as a
 # process, 398 products) and AS p=2 with t^4096 + t^-4089 (1.2 s, 651).
 _COVER_CORNERS = [
-    (_as_filtration(127, [[-50, 1]]), 101),
-    (_as_filtration(127, [[-500, 1]]), 129),
-    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 195),
-    (_as_filtration(127, [[-3965, 1]]), 173),
-    (_f64_tower_filtration([[-63, 1]]), 159),
-    (_f64_tower_filtration([[-63, 1], [-1, 1]]), 159),
-    (_f64_tower_filtration([[4096, 1], [-63, 1]]), 159),
-    (_as_filtration(2, [[4096, 1], [-4089, 1]]), 211),
-    (_as_filtration(2, [[-3969, 1]], 6), 195),
-    (_as_filtration(2, [[4096, 1], [-4089, 1]], 6), 211),
+    (_as_filtration(127, [[-50, 1]]), 113),
+    (_as_filtration(127, [[-500, 1]]), 144),
+    (_as_filtration(2, [[-3969, 1], [-63, 1]]), 211),
+    (_as_filtration(127, [[-3965, 1]]), 196),
+    (_f64_tower_filtration([[-63, 1]]), 185),
+    (_f64_tower_filtration([[-63, 1], [-1, 1]]), 185),
+    (_f64_tower_filtration([[4096, 1], [-63, 1]]), 185),
+    (_as_filtration(2, [[4096, 1], [-4089, 1]]), 231),
+    (_as_filtration(2, [[-3969, 1]], 6), 211),
+    (_as_filtration(2, [[4096, 1], [-4089, 1]], 6), 231),
 ]
 
 
@@ -1644,8 +1659,9 @@ def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
     # built once over K, in sigma = s^m, 400.  With every action unit from
     # one shared Paterson-Stockmeyer pass, not a power each, it took 390.
     # With the wild generator's unit checked against one power (1 + z)^b
-    # and y z = 1, not the generator composed with t and y, it takes 326.
-    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 326}
+    # and y z = 1, not the generator composed with t and y, it took 326;
+    # the check of y against t, t^a y^(bm) = sigma, makes it 342.
+    assert counts == {"build_cover": 10, "matmul": 625, "series_mul": 342}
 
 
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):

@@ -1,5 +1,6 @@
 import inspect
 import random
+import time
 from math import comb
 
 import pytest
@@ -25,6 +26,7 @@ from ramify.errors import (
     SizeCapExceeded,
 )
 from ramify.fields import field_create, power
+from ramify.groups import FiniteGroup
 from ramify.linalg import MatrixFF
 from ramify.ramification import Representation, filtration_from_breaks, swan_conductor
 from ramify.series import PRECISION_CAP, LaurentSeries, compose, hensel_lift_root
@@ -423,6 +425,28 @@ def test_builders_refuse_work_over_the_cap_before_any_series_work(build, monkeyp
         build()
 
 
+def test_a_deck_group_over_the_group_cap_is_refused_before_its_table(monkeypatch):
+    # Over F_127 with m = 63 the tower's group has 8,001 elements, and its
+    # Cayley table of 64 million cells was built before any check.
+    monkeypatch.setattr(covers, "_artin_schreier", _no_series_work)
+    monkeypatch.setattr(FiniteGroup, "direct_product", _no_series_work)
+    f127, f131, f256 = field_create(127, 1), field_create(131, 1), field_create(2, 8)
+    builds = [
+        (lambda: build_compositum_tower(f127, 63, as_sparse(f127, [[-1, [1]]])), 8001),
+        (lambda: build_artin_schreier(f131, as_sparse(f131, [[-1, [1]]])), 131),
+        (lambda: build_kummer(f256, 255), 255),
+        (lambda: deck_group("tower", 2, 65), 130),
+    ]
+    for build, order in builds:
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded, match=f"deck group of order {order} exceeds the group cap 128"):
+            build()
+        assert time.perf_counter() - start < 0.5
+    assert corpus.GROUP_CAP is covers.GROUP_CAP == 128
+    monkeypatch.undo()
+    assert deck_group("tower", 2, 64).n == covers.GROUP_CAP
+
+
 def test_builders_allow_the_largest_window_and_precision_under_the_cap(monkeypatch):
     # A window p + m + 4 of exactly 4096 (F_5, pole 4087) or 4095 (F_2,
     # pole 4089; the F_4 tower, pole 3 * 1363) and prec = 4096 pass the
@@ -464,8 +488,9 @@ def _counting_checks(monkeypatch):
 
 
 # Before the unit check replaced the wild generator's two compositions:
-# ["defining relation of y", "t is not fixed", "y + 1 action"].
-_AS_CHECKS = ["defining relation of y", "y z = 1", "unit of y -> y + 1"]
+# ["defining relation of y", "t is not fixed", "y + 1 action"]; before y
+# was checked against t: the same list without "t^a y^(bm) = sigma".
+_AS_CHECKS = ["defining relation of y", "y z = 1", "t^a y^(bm) = sigma", "unit of y -> y + 1"]
 
 
 def _check_full_group_law(cover):
@@ -1078,9 +1103,11 @@ def test_a_unit_cut_one_term_short_is_caught(monkeypatch, p, deg, m, pole, prec)
 
 # ---------------------------------------------------------------------------
 # Mutants of the wild layer, on data with three terms: each is caught by a
-# kept builder check, the seed, the relation, y z = 1 or the unit of j = 1.
+# kept builder check, the seed, the relation, y z = 1, t^a y^(bm) = sigma
+# or the unit of j = 1.
 
-_KEPT_CHECKS = "does not start with the seed|defining relation of y|y z = 1|unit of y -> y \\+ 1"
+_KEPT_CHECKS = ("does not start with the seed|defining relation of y|y z = 1|t\\^a y\\^\\(bm\\) = sigma"
+                "|unit of y -> y \\+ 1")
 _MUTANT_FIELDS = [(2, 1, 5), (3, 1, 4), (5, 1, 3), (7, 1, 3), (11, 1, 2), (2, 3, 3), (3, 2, 2)]
 _MUTANT_IDS = [f"F_{p}^{deg}" for p, deg, _ in _MUTANT_FIELDS]
 
@@ -1146,6 +1173,33 @@ def test_a_wrong_row_of_j_one_is_caught_and_of_j_two_only_by_the_group_law(monke
         cover = build_artin_schreier(field, f)
         with pytest.raises(AssertionError):
             _check_full_group_law(cover)
+
+
+def test_a_wrong_exponent_in_the_shared_power_of_u_is_caught_where_it_changes_the_cover():
+    # y and z both come from one u ** a.  With a + 1 they stay inverse, the
+    # unit check follows z, and the relation reads y only to
+    # O(sigma^(R_sigma - pM)), so only the check of y against t,
+    # t^a y^(bm) = sigma, sees it.  Without that check the mutant built four
+    # wrong covers here: over F_2 and F_8 with M = 3, F_3 and F_9 with M = 2.
+    # Where u = 1 mod sigma^R_sigma the mutant changes nothing.
+    mutant = _mutant_builder("u_a = u ** a_exp", "u_a = u ** (a_exp + 1)")
+    caught = []
+    for p, deg in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2)):
+        field = field_create(p, deg)
+        for pole in range(2, 12):
+            if pole % p == 0:
+                continue
+            f = _three_terms(field, pole)
+            cover = build_artin_schreier(field, f)
+            try:
+                wrong = mutant(field, f)
+            except MismatchDetected as exc:
+                assert "t^a y^(bm) = sigma" in str(exc)
+                caught.append((field.order, pole))
+                continue
+            assert (wrong.t_in_s, wrong.sigma_action, wrong.prec) == (cover.t_in_s, cover.sigma_action, cover.prec)
+    assert {(2, 3), (8, 3), (3, 2), (9, 2)} <= set(caught)
+    assert len(caught) == 13
 
 
 @pytest.mark.parametrize(

@@ -4,16 +4,15 @@ import random
 
 import pytest
 
-from ramify import groups, linalg
+from ramify import corpus, groups, linalg
 from ramify.bounds import _abelian_normal_part, inertia_structure
-from ramify.errors import NotAbelian, NotAGroup, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
+from ramify.errors import NotAbelian, NotAGroup, NotPrime, PSylowNotNormal, QuotientNotCyclic, SizeCapExceeded
 from ramify.fields import field_create, is_prime, prime_factors, split_prime_power
 from ramify.groups import (
     FiniteGroup,
     abelian_p_bound_probe,
     enumerate_gl,
     group_closure,
-    has_inertia_shape,
     inertia_candidate_sample,
     inertia_shape,
     max_ell_element_order,
@@ -122,7 +121,7 @@ def test_inertia_candidate_sample_shapes_and_determinism(monkeypatch):
     ]
     assert len(sample1) == 4
     for g in sample1:
-        assert has_inertia_shape(g, 2)
+        inertia_shape(g, 2)  # raises unless g has the shape
     assert inertia_candidate_sample(2, 3, 1, 2, count=0, seed=1) == []
     # A smaller cell budget stops the same random stream earlier: a prefix.
     keys = [tuple(m.key() for m in g.matrices) for g in sample1]
@@ -477,12 +476,10 @@ def test_inertia_shape_agrees_with_inertia_structure():
         try:
             subset, quot = inertia_shape(group, p)
         except (PSylowNotNormal, QuotientNotCyclic) as exc:
-            assert not has_inertia_shape(group, p)
             with pytest.raises(type(exc)):
                 inertia_structure(mats, p)
             continue
         shaped += 1
-        assert has_inertia_shape(group, p)
         st = inertia_structure(mats, p)
         assert st.P_indices == subset and st.M == quot.n
         assert len(subset) == p ** split_prime_power(group.n, p)[0]
@@ -503,6 +500,39 @@ def test_closed_p_elements_form_a_normal_subgroup():
             if verdicts[-1]:
                 assert group.is_normal(p_elements), (group.n, p)
     assert True in verdicts and False in verdicts
+
+
+def test_p_power_elements_are_closed_once_there_are_the_p_part_of_them():
+    """The closure test that inertia_shape proves needless, kept as the
+    oracle: for p prime, |G|_p elements of p-power order form a subgroup.
+    On the corpus images, seeded sampler groups and the semidirect tables
+    of the benchmark's shapes, for every prime dividing the order."""
+    tables = [_semidirect(p, m, a) for p, m in SEMIDIRECT_SHAPES for a in range(2, p) if pow(a, m, p) == 1]
+    images = [FiniteGroup.from_matrices(corpus.get_representation(rep_id)[2].images) for rep_id in corpus.rep_ids()]
+    sampled = [
+        g
+        for r, ell, n, p in ((2, 3, 1, 2), (2, 2, 1, 3), (2, 5, 1, 3), (2, 7, 1, 3), (1, 3, 2, 2))
+        for seed in range(3)
+        for g in inertia_candidate_sample(r, ell, n, p, count=3, seed=seed)
+    ]
+    verdicts = []
+    for group in tables + images + sampled:
+        for p in prime_factors(group.n):
+            p_elements = frozenset(group.p_elements(p))
+            verdicts.append(len(p_elements) == p ** split_prime_power(group.n, p)[0])
+            if verdicts[-1]:
+                assert group.is_subgroup(p_elements), (group.n, p)
+    assert True in verdicts and False in verdicts
+
+
+def test_the_sampler_refuses_a_p_that_is_not_prime():
+    # inertia_shape reads a Sylow subgroup off the p-power-order elements,
+    # which needs p prime; inertia_structure refuses the same p.
+    for p in (1, 4, 6, 9):
+        with pytest.raises(NotPrime):
+            inertia_candidate_sample(2, 3, 1, p, count=1, seed=0)
+        with pytest.raises(NotPrime):
+            inertia_candidate_sample(2, 3, 1, p, count=0, seed=0)
 
 
 def _three_part_is_subgroup(group, subset):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ramify import cli, ramification
 from ramify.corpus import cover_ids, get_cover, get_representation, rep_ids
-from ramify.covers import BreakTable, build_artin_schreier, build_kummer, lower_break_table
+from ramify.covers import BreakTable, build_artin_schreier, build_kummer, deck_group, lower_break_table
 from ramify.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -447,6 +447,27 @@ def test_swan_group_mismatch():
     other = filt_of(get_cover("as_p3_m1"))
     with pytest.raises(GroupMismatch):
         swan_conductor(rep, other)
+
+
+def test_images_that_do_not_generate_the_group_are_refused():
+    # The tower group Z/2 x Z/3 with an image at sigma alone, which
+    # generates only Z/2; with tau's image too the walk reaches every element.
+    group = deck_group("tower", 2, 3)
+    sign = MatrixFF(F7, 1, [6])
+    with pytest.raises(NotAHomomorphism, match="given generators do not generate the group"):
+        Representation(group, {"sigma": sign})
+    rep = Representation(group, {"sigma": sign, "tau": MatrixFF(F7, 1, [2])})  # 2 has order 3 mod 7
+    assert None not in rep.images
+
+
+def test_a_representation_in_the_residue_characteristic_is_refused():
+    # Z/2 on F_2^2 by a unipotent matrix: ell = p = 2, so Swan is undefined.
+    cover = get_cover("as_p2_m1")
+    filt = filt_of(cover)
+    rep = Representation(cover.group, {"sigma": MatrixFF(field_create(2, 1), 2, [1, 1, 0, 1])})
+    for swan in (swan_conductor, swan_single_break):
+        with pytest.raises(PreconditionFailed, match="coefficient characteristic must differ from p"):
+            swan(rep, filt)
 
 
 def test_single_break_formula():
