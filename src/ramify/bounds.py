@@ -59,8 +59,7 @@ def inertia_structure(elements: Sequence[MatrixFF], p: int) -> InertiaStructure:
     if ell == p:
         raise PreconditionFailed("matrix characteristic must differ from p")
     group = FiniteGroup.from_matrices(elements)
-    subset, quot = inertia_shape(group, p)
-    M = quot.n
+    subset, M = inertia_shape(group, p)
     n, M_prime = split_prime_power(M, ell)
     return InertiaStructure(
         group=group,
@@ -312,10 +311,17 @@ def star_kernel_check(
 ) -> StarKernelReport:
     """Kernel of stabilizer -> residue automorphisms has order e * f_insep.
 
-    The kernel is a normal subgroup of the stabilizer with cyclic quotient
-    of order f_sep, searched for among its subgroups.  Its p-part must form
-    a unique p-Sylow, whose order is reported.
+    The kernel K is the first subgroup of the group lying in the stabilizer
+    S, in (order, indices) order, that is normal in S with S/K cyclic
+    of order f_sep, so |K| = |S| / f_sep = e * f_insep by the order test.
+    S/K is cyclic iff some gK has order f_sep, and gK has order
+    |<g>| / |<g> meet K|, the least k with g^k in K.  K's p-part must be a
+    unique p-Sylow, whose order is reported: for p prime (else NotPrime)
+    that holds iff K has |K|_p elements of p-power order, as a Sylow
+    p-subgroup has |K|_p of them, so it is then all of them.
     """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     stab = frozenset(stabilizer)
     if not group.is_subgroup(stab):
         raise NoSuchQuotient("stabilizer is not a subgroup")
@@ -323,20 +329,14 @@ def star_kernel_check(
         raise NoSuchQuotient(
             f"stabilizer order {len(stab)} != e*f_sep*f_insep = {e * f_sep * f_insep}"
         )
-    s_grp, _ = group.subgroup(stab)
-    for k_local in s_grp.all_subgroups():
-        if len(k_local) * f_sep != s_grp.n or not (
-            s_grp.is_normal(k_local) and s_grp.quotient(k_local)[0].is_cyclic()
+    for kernel in group.all_subgroups():
+        if (
+            len(kernel) * f_sep == len(stab)
+            and kernel <= stab
+            and all(group.conjugate(t, k) in kernel for t in stab for k in kernel)
+            and any(group.order_of(g) == f_sep * len(group.closure([g]) & kernel) for g in stab)
         ):
-            continue
-        kernel_p = k_local & frozenset(s_grp.p_elements(p))
-        p_part = len(k_local) // split_prime_power(len(k_local), p)[1]
-        unique_sylow = len(kernel_p) == p_part and s_grp.is_subgroup(kernel_p)
-        return StarKernelReport(
-            passes=(len(k_local) == e * f_insep) and unique_sylow,
-            kernel_order=len(k_local),
-            kernel_p_sylow_order=p_part,
-        )
-    raise NoSuchQuotient(
-        f"no normal subgroup of index {f_sep} with cyclic quotient"
-    )
+            p_part = len(kernel) // split_prime_power(len(kernel), p)[1]
+            p_elements = sum(split_prime_power(group.order_of(k), p)[1] == 1 for k in kernel)
+            return StarKernelReport(p_elements == p_part, len(kernel), p_part)
+    raise NoSuchQuotient(f"no normal subgroup of index {f_sep} with cyclic quotient")

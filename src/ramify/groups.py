@@ -218,9 +218,6 @@ class FiniteGroup:
         return all(self.mul[a][b] == self.mul[b][a] for a, b in itertools.combinations(
             range(self.n) if subset is None else subset, 2))
 
-    def is_cyclic(self) -> bool:
-        return any(self.order_of(i) == self.n for i in range(self.n))
-
     def label_index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -266,15 +263,6 @@ class FiniteGroup:
         return all(
             self.conjugate(t, s) in subset for t in range(self.n) for s in subset
         )
-
-    def subgroup(self, subset: Iterable[int]):
-        """Materialize a subgroup; returns (FiniteGroup, index list into self)."""
-        idx = sorted(set(subset))
-        pos = {g: i for i, g in enumerate(idx)}
-        mul = [[pos[self.mul[a][b]] for b in idx] for a in idx]
-        labels = [self.labels[g] for g in idx]
-        mats = [self.matrices[g] for g in idx] if self.matrices is not None else None
-        return FiniteGroup(mul, labels, matrices=mats), idx
 
     def quotient(self, normal: frozenset):
         """Quotient by a normal subgroup; returns (FiniteGroup, projection)."""
@@ -345,14 +333,18 @@ class FiniteGroup:
 
 
 def inertia_shape(group: FiniteGroup, p: int):
-    """Normal p-Sylow P with cyclic quotient G/P; returns (P, G/P), for p
-    prime (the caller checks it).
+    """Normal p-Sylow P with cyclic quotient G/P; returns (P, M), M = |G/P|,
+    for p prime (the caller checks it).
 
     Raises PSylowNotNormal or QuotientNotCyclic when the shape fails.  The
     p-power-order elements are a subgroup as soon as there are |G|_p of
     them: a Sylow p-subgroup (Sylow: one exists, p prime) has |G|_p
     elements, all of p-power order, so it is all of them.  As conjugation
-    keeps element orders, it is then normal.
+    keeps element orders, it is then normal.  No quotient table is formed:
+    g^k lies in P iff ord(g^k) = ord(g) / gcd(ord(g), k) is a power of p,
+    that is iff the prime-to-p part of ord(g) divides k, so gP has that
+    order.  It divides M, which is prime to p, so G/P is cyclic iff M
+    divides some ord(g).
     """
     p_part = group.n // split_prime_power(group.n, p)[1]
     pe = group.p_elements(p)
@@ -360,11 +352,10 @@ def inertia_shape(group: FiniteGroup, p: int):
         raise PSylowNotNormal(
             f"{len(pe)} p-power-order elements but the p-part of the order is {p_part}"
         )
-    subset = frozenset(pe)
-    quot, _ = group.quotient(subset)
-    if not quot.is_cyclic():
-        raise QuotientNotCyclic(f"quotient of order {quot.n} is not cyclic")
-    return subset, quot
+    m = group.n // p_part
+    if all(group.order_of(g) % m for g in range(group.n)):
+        raise QuotientNotCyclic(f"quotient of order {m} is not cyclic")
+    return frozenset(pe), m
 
 
 # ---------------------------------------------------------------------------

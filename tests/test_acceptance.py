@@ -42,6 +42,7 @@ from ramify.ramification import (
     tower_filtrations,
     upper_jumps,
 )
+from table_oracles import subgroup_table
 
 AS_FIXTURES = {
     (2, 1): "as_p2_m1",
@@ -142,7 +143,7 @@ def test_criterion_05_hasse_arf():
     for cover_id in cover_ids():
         cover = get_cover(cover_id)
         filt = _filt(cover)
-        sub, _ = cover.group.subgroup(filt.subgroup_at(0))
+        sub, _ = subgroup_table(cover.group, filt.subgroup_at(0))
         assert sub.is_abelian()
         upper = upper_jumps(filt, herbrand_phi(filt))
         assert hasse_arf_check(filt, upper)

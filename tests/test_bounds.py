@@ -25,16 +25,18 @@ from ramify.errors import (
     NoBoundConfigured,
     NoSuchQuotient,
     NotAGroup,
+    NotPrime,
     OverflowPolicyExceeded,
     PreconditionFailed,
     PSylowNotNormal,
     QuotientNotCyclic,
 )
 from ramify.fields import field_create
-from ramify.groups import FiniteGroup, group_closure, inertia_candidate_sample
+from ramify.groups import FiniteGroup, enumerate_gl, group_closure, inertia_candidate_sample
 from ramify.linalg import MatrixFF
 from ramify.ramification import Representation, filtration_from_breaks
 from ramify.series import LaurentSeries
+from table_oracles import table_star_kernel
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -83,10 +85,21 @@ def test_inertia_structure_rejects_bad_shapes():
         inertia_structure(s3_in_gl2_f7(), p=2)
     # Klein four group inside GL_2(F_3), p = 5: quotient is not cyclic.
     klein = [MatrixFF(F3, 2, [a, 0, 0, b]) for a in (1, 2) for b in (1, 2)]
-    with pytest.raises(QuotientNotCyclic):
+    with pytest.raises(QuotientNotCyclic, match="^quotient of order 4 is not cyclic$"):
         inertia_structure(klein, p=5)
     with pytest.raises(PreconditionFailed):
         inertia_structure(mu_n_matrices(F3, 2), p=3)  # p equals ell
+
+
+def test_inertia_structure_refuses_a_p_that_is_not_prime():
+    for p in (1, 4, 6):
+        with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
+            inertia_structure(mu_n_matrices(F7, 3), p=p)
+
+
+def test_inertia_structure_refuses_an_empty_element_list():
+    with pytest.raises(NotAGroup, match="^empty element list$"):
+        inertia_structure([], p=3)
 
 
 def test_claim1_check_examples():
@@ -409,6 +422,80 @@ def test_star_kernel_inconsistent_orders():
     z6 = FiniteGroup.cyclic(6, "g")
     with pytest.raises(NoSuchQuotient):
         star_kernel_check(z6, range(6), f_sep=4, e=2, f_insep=1, p=2)
+
+
+def test_star_kernel_refusals():
+    z6 = FiniteGroup.cyclic(6, "g")
+    with pytest.raises(NoSuchQuotient, match="stabilizer is not a subgroup"):
+        star_kernel_check(z6, [0, 1], f_sep=1, e=2, f_insep=1, p=2)
+    # S3's subgroups of order 2 are not normal, so no kernel has index 3.
+    s3 = FiniteGroup.from_matrices(enumerate_gl(field_create(2, 1), 2))
+    with pytest.raises(NoSuchQuotient, match="no normal subgroup of index 3 with cyclic quotient"):
+        star_kernel_check(s3, range(6), f_sep=3, e=2, f_insep=1, p=2)
+    assert star_kernel_check(s3, range(6), f_sep=2, e=3, f_insep=1, p=3) == (True, 3, 3)
+
+
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_star_kernel_refuses_a_p_that_is_not_prime(p):
+    # The unique-Sylow verdict counts p-power-order elements, which needs p prime.
+    with pytest.raises(NotPrime):
+        star_kernel_check(FiniteGroup.cyclic(6, "g"), range(6), f_sep=1, e=6, f_insep=1, p=p)
+
+
+def _star_kernel_parameters(order):
+    """Every (f_sep, e, f_insep, p) with e * f_sep * f_insep = order,
+    f_insep a power of p, for p in 2, 3, 5."""
+    for p in (2, 3, 5):
+        f_insep = 1
+        while order % f_insep == 0:
+            rest = order // f_insep
+            for f_sep in range(1, rest + 1):
+                if rest % f_sep == 0:
+                    yield f_sep, rest // f_sep, f_insep, p
+            f_insep *= p
+
+
+def test_star_kernel_on_the_parent_table_matches_the_stabilizer_table():
+    """Oracle for the tables ``star_kernel_check`` no longer builds: with
+    every subgroup as stabilizer and every admissible (e, f_sep, f_insep, p),
+    the report or refusal read on the parent table equals the one from the
+    stabilizer's own table and a quotient table per candidate kernel, with
+    the two conjuncts the library drops.  GL2(F_3) contributes one
+    non-abelian stabilizer of order at most 12 per multiset of element
+    orders (S3, D8, Q8 and D12): each call there forms all 55
+    subgroups of GL2(F_3), and the abelian ones are covered by the
+    abelian groups."""
+    f2, z2 = field_create(2, 1), FiniteGroup.cyclic(2)
+    groups = [
+        FiniteGroup.cyclic(6),
+        FiniteGroup.cyclic(12),
+        FiniteGroup.direct_product(z2, FiniteGroup.cyclic(4)),
+        FiniteGroup.from_matrices(enumerate_gl(f2, 2)),  # S3
+    ]
+    groups += [g for seed in range(2) for g in inertia_candidate_sample(2, 3, 1, 2, count=3, seed=seed)]
+    cases = [(group, stab) for group in groups for stab in group.all_subgroups()]
+    gl = FiniteGroup.from_matrices(enumerate_gl(F3, 2))
+    shapes = {}
+    for stab in gl.all_subgroups():
+        if len(stab) <= 12 and not gl.is_abelian(stab):
+            shapes.setdefault(tuple(sorted(gl.order_of(x) for x in stab)), stab)
+    assert len(shapes) == 4
+    cases += [(gl, stab) for stab in shapes.values()]
+    outcomes = []
+    for group, stab in cases:
+        for f_sep, e, f_insep, p in _star_kernel_parameters(len(stab)):
+            try:
+                expected = table_star_kernel(group, stab, f_sep, e, f_insep, p)
+            except NoSuchQuotient as exc:
+                with pytest.raises(NoSuchQuotient, match=f"^{exc}$"):
+                    star_kernel_check(group, sorted(stab), f_sep, e, f_insep, p)
+                outcomes.append(None)
+                continue
+            report = star_kernel_check(group, sorted(stab), f_sep, e, f_insep, p)
+            assert tuple(report) == expected, (group.n, sorted(stab), f_sep, e, f_insep, p)
+            outcomes.append(report.passes)
+    assert {None, True, False} <= set(outcomes)
+    assert len(outcomes) > 500
 
 
 def test_tameizing_consistency_with_crude_bound():

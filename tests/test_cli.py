@@ -90,31 +90,37 @@ def test_herbrand_job_tame(capsys, monkeypatch):
     assert report["results"]["hasse_arf"] is True
 
 
-def _count_subgroup_tables(monkeypatch) -> list:
-    """Sizes of the subgroup tables built from now on."""
-    from ramify.groups import FiniteGroup
+def _count_group_tables(monkeypatch) -> dict:
+    """Orders of the group tables formed from now on: every table, and the
+    quotient tables by their normal subgroup's order.  The library has no
+    subgroup-table constructor, so a subgroup table shows among "tables"."""
+    sizes = {"tables": [], "quotients": []}
+    init, quotient = FiniteGroup.__init__, FiniteGroup.quotient
 
-    sizes = []
-    subgroup = FiniteGroup.subgroup
+    def counted_init(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        sizes["tables"].append(group.n)
 
-    def counted(group, subset):
-        sizes.append(len(frozenset(subset)))
-        return subgroup(group, subset)
+    def counted_quotient(group, normal):
+        sizes["quotients"].append(len(normal))
+        return quotient(group, normal)
 
-    monkeypatch.setattr(FiniteGroup, "subgroup", counted)
+    monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
+    monkeypatch.setattr(FiniteGroup, "quotient", counted_quotient)
     return sizes
 
 
 def test_herbrand_job_builds_no_subgroup_table(capsys, monkeypatch):
     """Hasse-Arf is stated for abelian G_0 only: S3 reports null, Z/4 its
-    integrality, and either way G_0 is tested on the job's own table."""
-    sizes = _count_subgroup_tables(monkeypatch)
+    integrality, and either way G_0 is tested on the job's own table: each
+    job forms that table and no other."""
+    sizes = _count_group_tables(monkeypatch)
     s3 = _dihedral_table(3, "herbrand")
     s3["break_table"]["iG"] = {x: 2 if i < 3 else 1 for i, x in enumerate(s3["break_table"]["labels"]) if i}
     for job, hasse_arf in ((s3, None), (_cyclic_table(4, 2, "herbrand"), True)):
         code, report = run_cli(capsys, ["run"], stdin=json.dumps(job), monkeypatch=monkeypatch)
         assert code == 0 and report["results"]["hasse_arf"] is hasse_arf
-    assert sizes == []
+    assert sizes == {"tables": [6, 4], "quotients": []}
 
 
 def _semidirect_bound_job(p, m, a, ell, zeta):
@@ -141,16 +147,18 @@ def test_hasse_arf_and_a_nonabelian_bound_job_build_no_subgroup_table(monkeypatc
     """Whether G_0, or a candidate for the abelian normal part, commutes is
     read on the group's own table: ``verify hasse_arf`` over the formed
     filtrations and a bound job whose image is Z/7 x| Z/3 build no subgroup
-    table."""
+    table.  Nor does the bound job form a quotient table: whether G/P is
+    cyclic is read off element orders."""
     cli.run({"command": "verify", "params": {"suite": "hasse_arf"}})  # forms the filtrations
-    sizes = _count_subgroup_tables(monkeypatch)
+    sizes = _count_group_tables(monkeypatch)
     report, code = cli.run({"command": "verify", "params": {"suite": "hasse_arf"}})
     assert code == 0 and len(report["results"]["instances"]) == 10
     job = _semidirect_bound_job(7, 3, 2, 29, 16)  # 16 has order 7 mod 29
     report, code = cli.run(job, {"jordan_table": {3: 3}})
     assert code == 0 and report["results"]["inertia"]["order"] == 21
     assert report["results"]["inertia"]["P_order"] == 7
-    assert sizes == []
+    # The job's own table and the group of its images, both of order 21.
+    assert sizes == {"tables": [21, 21], "quotients": []}
 
 
 def test_jobs_build_phi_once_and_each_fixed_space_once(capsys, monkeypatch):
@@ -1666,17 +1674,15 @@ def test_verify_all_makes_a_pinned_number_of_products(monkeypatch):
 
 def test_lemma_pullback_forms_each_towers_break_data_once(monkeypatch):
     counts = _count_break_data(monkeypatch)
-    subgroups = []
-    form = FiniteGroup.subgroup
-    monkeypatch.setattr(FiniteGroup, "subgroup", lambda *args: subgroups.append(1) or form(*args))
+    sizes = _count_group_tables(monkeypatch)
     report, code = cli.run({"command": "verify", "params": {"suite": "lemma_pullback"}})
     assert code == 0
     # 8 representations on 2 towers: one break table and one pair of
     # filtrations per tower, both on G's indices, so no subgroup table of H
-    # (the parent formed one per tower: 2).
+    # (an earlier version formed one per tower: 2) and no quotient table.
     assert len(report["results"]["instances"]) == 8
     assert counts == {"lower_break_table": 2, "filtration_from_breaks": 4}
-    assert subgroups == []
+    assert sizes["quotients"] == []
 
 
 # A kummer job of degree 1 or 0, a tower with no tame layer, and an F_2 tower

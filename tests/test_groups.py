@@ -20,6 +20,7 @@ from ramify.groups import (
 )
 from ramify.linalg import MatrixFF
 from ramify.ramification import RamFiltration, hasse_arf_check
+from table_oracles import is_cyclic, quotient_is_cyclic, subgroup_table
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -60,6 +61,17 @@ def test_closure_cap():
         group_closure(gens, size_cap=10)
 
 
+def test_group_closure_refusals():
+    ident = MatrixFF.identity(F3, 2)
+    with pytest.raises(NotAGroup, match="^need at least one generator$"):
+        group_closure([])
+    for other in (MatrixFF.identity(F3, 1), MatrixFF.identity(F7, 2)):
+        with pytest.raises(NotAGroup, match="^generators of mixed shape or field$"):
+            group_closure([ident, other])
+    with pytest.raises(NotAGroup, match="^generator is not invertible$"):
+        group_closure([ident, MatrixFF(F3, 2, [1, 0, 0, 0])])
+
+
 def test_from_matrices_requires_closure():
     swap = MatrixFF(F3, 2, [0, 1, 1, 0])
     shear = MatrixFF(F3, 2, [1, 1, 0, 1])
@@ -72,7 +84,7 @@ def test_cyclic_and_product_labels():
     assert z6.n == 6
     assert z6.labels[0] == "1"
     assert "sigma*tau" in z6.labels
-    assert z6.is_abelian() and z6.is_cyclic()
+    assert z6.is_abelian() and is_cyclic(z6)
 
 
 def test_subgroup_and_quotient():
@@ -80,9 +92,9 @@ def test_subgroup_and_quotient():
     sub = z6.closure([2])
     assert len(sub) == 3
     quot, proj = z6.quotient(sub)
-    assert quot.n == 2 and quot.is_cyclic()
-    sub_grp, idx = z6.subgroup(sub)
-    assert sub_grp.n == 3 and sub_grp.is_cyclic()
+    assert quot.n == 2 and is_cyclic(quot)
+    sub_grp, idx = subgroup_table(z6, sub)
+    assert sub_grp.n == 3 and is_cyclic(sub_grp) and idx == [0, 2, 4]
 
 
 def test_all_subgroups_of_z6():
@@ -474,16 +486,46 @@ def test_inertia_shape_agrees_with_inertia_structure():
     for mats, p in cases:
         group = FiniteGroup.from_matrices(mats)
         try:
-            subset, quot = inertia_shape(group, p)
+            subset, m = inertia_shape(group, p)
         except (PSylowNotNormal, QuotientNotCyclic) as exc:
             with pytest.raises(type(exc)):
                 inertia_structure(mats, p)
             continue
         shaped += 1
         st = inertia_structure(mats, p)
-        assert st.P_indices == subset and st.M == quot.n
+        assert st.P_indices == subset and st.M == m == group.quotient(subset)[0].n
         assert len(subset) == p ** split_prime_power(group.n, p)[0]
     assert shaped >= 2
+
+
+def test_quotient_cyclicity_by_element_orders_matches_the_quotient_table():
+    """Oracle for the quotient table ``inertia_shape`` no longer builds:
+    for every prime dividing the order, and the least prime that does not,
+    M is the order of G/P, and G/P is refused as not cyclic exactly when
+    its quotient table is not cyclic."""
+    z2 = FiniteGroup.cyclic(2)
+    groups = [_semidirect(p, m, a) for p, m in SEMIDIRECT_SHAPES[:4] for a in range(2, p) if pow(a, m, p) == 1]
+    groups += [FiniteGroup.from_matrices(mats) for mats in (GL2_F3, affine_group(7, 3), affine_group(5, 4))]
+    groups += [FiniteGroup.cyclic(12), FiniteGroup.direct_product(z2, z2),
+               FiniteGroup.direct_product(z2, FiniteGroup.cyclic(4)), FiniteGroup.direct_product(z2, FiniteGroup.cyclic(6))]
+    groups += [g for seed in range(3) for g in inertia_candidate_sample(2, 3, 1, 2, count=3, seed=seed)]
+    verdicts = []
+    for group in groups:
+        spare = next(q for q in itertools.count(2) if is_prime(q) and group.n % q)
+        for p in prime_factors(group.n) + [spare]:
+            p_elements = frozenset(group.p_elements(p))
+            if len(p_elements) != p ** split_prime_power(group.n, p)[0]:
+                with pytest.raises(PSylowNotNormal):
+                    inertia_shape(group, p)
+                continue
+            cyclic = quotient_is_cyclic(group, p_elements)
+            verdicts.append(cyclic)
+            if not cyclic:
+                with pytest.raises(QuotientNotCyclic):
+                    inertia_shape(group, p)
+                continue
+            assert inertia_shape(group, p) == (p_elements, group.quotient(p_elements)[0].n)
+    assert True in verdicts and False in verdicts
 
 
 def test_closed_p_elements_form_a_normal_subgroup():
@@ -576,12 +618,12 @@ def test_is_subgroup_matches_the_three_part_test():
 def test_commutativity_on_the_parent_table_matches_the_subgroup_table(mats):
     """Oracle for the subgroup tables that ``hasse_arf_check`` and
     ``_abelian_normal_part`` no longer build: for every subgroup S, the
-    verdict read on the parent table equals ``subgroup(S)[0].is_abelian()``."""
+    verdict read on the parent table equals ``subgroup_table(group, S)[0].is_abelian()``."""
     group = FiniteGroup.from_matrices(mats)
     assert not group.is_abelian()
     best = frozenset({group.identity})
     for sub in group.all_subgroups():
-        abelian = group.subgroup(sub)[0].is_abelian()
+        abelian = subgroup_table(group, sub)[0].is_abelian()
         filt = RamFiltration(group, 2, (0,), (sub,))  # G_0 = S
         if abelian:
             assert hasse_arf_check(filt, ())
